@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from . import frames as fr
 from . import manifold as mf
@@ -28,6 +27,10 @@ from .sky import SkySample, sample_sky
 
 #: Closed-containment slack for analytic balls.
 BALL_TOL = 1e-9
+
+#: Points per ray-parity pass in Mesh.contains_points; bounds the
+#: (points x triangles) temporaries of a query.
+MESH_POINT_CHUNK = 128
 
 _RAY_DIRECTIONS = np.array(
     [
@@ -94,8 +97,10 @@ class Mesh:
     def contains_points(self, pts, tol=BALL_TOL):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         votes = np.zeros(len(pts), dtype=int)
-        for d in _RAY_DIRECTIONS:
-            votes += _ray_parity(self, pts, d)
+        for start in range(0, len(pts), MESH_POINT_CHUNK):
+            chunk = slice(start, start + MESH_POINT_CHUNK)
+            for d in _RAY_DIRECTIONS:
+                votes[chunk] += _ray_parity(self, pts[chunk], d)
         return votes >= 2
 
     def to_json_dict(self):
@@ -188,6 +193,8 @@ def region_of(f: fr.FrameSpec, x, sample: SkySample | None = None,
 
 def mesh_from_image(image: fr.SkyImage) -> Mesh:
     """Triangulate the image cloud over the sphere triangulation of the sky."""
+    from scipy.spatial import ConvexHull
+
     ok = image.ok_mask
     dirs = image.sample.directions()[ok]
     hull = ConvexHull(dirs)

@@ -65,9 +65,5 @@ class DegenerateTangentPlaneError(SkyframesError):
     """Image tangent plane has rank below 2."""
 
 
-class AllSamplesDegenerateError(SkyframesError):
-    """No sky sample survives the regularity requirement."""
-
-
 class InsufficientSamplesError(SkyframesError):
     """Too few samples projected successfully to build a region."""

@@ -6,6 +6,11 @@ expanding cosmologies, the initial conformal boundary at cosmic time zero
 the past-directed null geodesic it represents; regularity of the image is
 the numerical rank of the map's Jacobian in the two sky parameters.
 
+One kernel, `tangent_planes`, traces a batch of rows with their sky
+stencils and event-family pairs in a single `project_batch` call, and
+ranks the Jacobians with one batched SVD; sky images, the normal frame,
+image derivatives and the verifier's probes are wrappers over it.
+
 Two tracers are available: a conformal-chart closed form (flat space and
 spatially flat cosmologies project onto straight comoving lines) and the
 general numerical integrator.  Near the t = 0 boundary the chart velocity
@@ -18,10 +23,9 @@ image tolerances.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad as _quad
 
 from . import manifold as mf
 from . import sky as skymod
@@ -155,16 +159,6 @@ def _directions(f: FrameSpec, xis):
     return d
 
 
-def _eta_of_times(f: FrameSpec, times):
-    m = f.metric
-    if m.kind == "minkowski":
-        return np.asarray(times, float).copy()
-    if m.exponent is not None:
-        p = m.exponent
-        return np.asarray(times, float) ** (1.0 - p) / (1.0 - p)
-    return np.array([mf.conformal_time(m, float(t)) for t in np.atleast_1d(times)])
-
-
 def _lam_closed_form(f: FrameSpec, times, t_target):
     """Affine length of the past ray from t down to t_target, v0(start) = 1."""
     m = f.metric
@@ -175,9 +169,11 @@ def _lam_closed_form(f: FrameSpec, times, t_target):
         p = m.exponent
         num = times ** (1.0 + p) - t_target ** (1.0 + p)
         return num / ((1.0 + p) * m.scale_factor(times))
+    from scipy.integrate import quad
+
     vals = []
     for t in np.atleast_1d(times):
-        integral, _ = _quad(lambda s: float(m.scale_factor(s)), t_target, float(t))
+        integral, _ = quad(lambda s: float(m.scale_factor(s)), t_target, float(t))
         vals.append(integral / float(m.scale_factor(t)))
     return np.asarray(vals)
 
@@ -203,9 +199,11 @@ def project_batch(f: FrameSpec, events, xis):
     below = t < t_target - t_tol
 
     if f.resolved_tracer() == "closed_form":
-        eta = _eta_of_times(f, t)
+        eta = mf.conformal_time(f.metric, t)
+        # An array, so the target level takes the same arithmetic as eta
+        # (numpy and scalar powers can differ in the last bit).
         eta_target = 0.0 if f.target.kind == "singularity" else float(
-            _eta_of_times(f, np.array([f.target.t0]))[0]
+            mf.conformal_time(f.metric, np.array([f.target.t0]))[0]
         )
         gap = eta - eta_target
         m_points = events[:, 1:] - gap[:, None] * _directions(f, xis)
@@ -261,7 +259,7 @@ def _close_singularity_gap(f: FrameSpec, res: mf.TraceResult, lam):
     """
     m = f.metric
     t_cut = res.x[:, 0]
-    eta_cut = _eta_of_times(f, t_cut)
+    eta_cut = mf.conformal_time(m, t_cut)
     d_hat = res.u[:, 1:] / np.linalg.norm(res.u[:, 1:], axis=-1, keepdims=True)
     pts = res.x[:, 1:] + eta_cut[:, None] * d_hat
     if m.exponent is not None:
@@ -271,69 +269,153 @@ def _close_singularity_gap(f: FrameSpec, res: mf.TraceResult, lam):
     return pts, lam
 
 
-def _svd_rank(jac, tol):
-    sv = np.linalg.svd(jac, compute_uv=False)
-    return int(np.sum(sv > tol * max(1.0, float(sv.max(initial=0.0)))))
-
-
 def _sky_stencil(f: FrameSpec, xi):
-    """Four perturbed unit covectors around xi for the two chart directions."""
-    xi = skymod.unit_cospinor(xi)
+    """Four perturbed unit covectors (..., 4, 2) around the unit covectors
+    xi (..., 2): a central pair for each of the two sky chart directions."""
     delta = np.stack([-np.conj(xi[..., 1]), np.conj(xi[..., 0])], axis=-1)
     h = f.sky_fd_step
     raw = np.stack(
-        [xi + h * delta, xi - h * delta, xi + 1j * h * delta, xi - 1j * h * delta]
+        [xi + h * delta, xi - h * delta, xi + 1j * h * delta, xi - 1j * h * delta],
+        axis=-2,
     )
     return raw / np.linalg.norm(raw, axis=-1, keepdims=True)
 
 
+_TIME_AXIS = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+@dataclass(frozen=True)
+class TangentPlanes:
+    """Projected points and image tangent planes of a batch of B rows."""
+
+    m_points: np.ndarray  # (B, 3) base points, NaN where the base ray failed
+    lams: np.ndarray  # (B,)
+    ok: np.ndarray  # (B,) bool, the base ray reached the target
+    lost: np.ndarray  # (B,) bool, the base ray drifted off the null cone
+    stencil_ok: np.ndarray  # (B,) bool, all four sky-stencil rays arrived
+    jacobians: np.ndarray  # (B, 3, 2), M-point against the sky parameters
+    ranks: np.ndarray  # (B,) int, 0 unless the base and stencil rays arrived
+    normals: np.ndarray | None  # (B, 3), NaN below rank 2
+    family: np.ndarray  # (B, k, 3), p(x + h d) - p(x - h d) per direction d
+    family_ok: np.ndarray  # (B,) bool, every family ray arrived
+    family_h: np.ndarray  # (B,)
+
+
+def tangent_planes(f: FrameSpec, events, xis, directions=None, h=None, normals=False):
+    """Project B (event, sky point) rows together with their tangent planes.
+
+    events: (B, 4), xis: (B, 2).  One project_batch call traces each row's
+    base ray (xi as given), four sky-stencil rays and, for every event
+    family direction d in directions (k, 4), the pair x +- h d; stencil
+    and family rays use the unit representative of xi.  h defaults per
+    row to event_fd_step * max(1, |x|).  The rank counts singular values
+    of the central-difference Jacobian above rank_tol * max(1, sigma_max).
+    With normals, rank-2 rows get the unit normal of the image surface,
+    oriented so that moving the event to the future along the time axis
+    (traced for this unless it is among the directions) is positive.
+    """
+    events = np.asarray(events, dtype=float)
+    b = events.shape[0]
+    unit = skymod.unit_cospinor(xis)
+    dirs = np.atleast_2d(np.zeros((0, 4)) if directions is None else directions)
+    k = dirs.shape[0]
+    if normals and not np.any(np.all(dirs == _TIME_AXIS, axis=1)):
+        dirs = np.vstack([dirs, _TIME_AXIS])
+    if h is None:
+        h = f.event_fd_step * np.maximum(1.0, np.abs(events).max(axis=1))
+    h = np.broadcast_to(np.asarray(h, dtype=float), (b,))
+    shift = h[:, None, None] * np.asarray(dirs, dtype=float)[None]
+    fam_events = np.stack([events[:, None] + shift, events[:, None] - shift], axis=2)
+    stencil_xis = _sky_stencil(f, unit).reshape(-1, 2)
+    pts, lams, ok, lost = project_batch(
+        f,
+        np.concatenate([events, np.repeat(events, 4, 0), fam_events.reshape(-1, 4)]),
+        np.concatenate([xis, stencil_xis, np.repeat(unit, 2 * len(dirs), 0)]),
+    )
+    stencil = pts[b : 5 * b].reshape(b, 4, 3)
+    fam_pts = pts[5 * b :].reshape(b, len(dirs), 2, 3)
+    family = fam_pts[:, :, 0] - fam_pts[:, :, 1]
+    stencil_ok = ok[b : 5 * b].reshape(b, 4).all(axis=1)
+    family_ok = ok[5 * b :].reshape(b, 2 * len(dirs)).all(axis=1)
+
+    diffs = [stencil[:, 0] - stencil[:, 1], stencil[:, 2] - stencil[:, 3]]
+    jac = np.stack(diffs, axis=-1) / (2 * f.sky_fd_step)
+    ranks = np.zeros(b, dtype=int)
+    good = ok[:b] & stencil_ok
+    if np.any(good):
+        sv = np.linalg.svd(jac[good], compute_uv=False)
+        thresh = f.rank_tol * np.maximum(1.0, sv.max(axis=-1))
+        ranks[good] = np.sum(sv > thresh[:, None], axis=-1)
+    n_hat = None
+    if normals:
+        n_hat = np.full((b, 3), np.nan)
+        reg = ranks == 2
+        if np.any(reg):
+            u = np.linalg.svd(jac[reg])[0][..., 2]
+            orient = np.flatnonzero(np.all(dirs == _TIME_AXIS, axis=1))[0]
+            flip = np.einsum("rk,rk->r", u, family[reg, orient]) < 0.0
+            u[flip] = -u[flip]
+            n_hat[reg] = u
+    return TangentPlanes(
+        m_points=pts[:b],
+        lams=lams[:b],
+        ok=ok[:b],
+        lost=lost[:b],
+        stencil_ok=stencil_ok,
+        jacobians=jac,
+        ranks=ranks,
+        normals=n_hat,
+        family=family[:, :k],
+        family_ok=family_ok,
+        family_h=h,
+    )
+
+
+def _one_row(f: FrameSpec, x, xi, **kw):
+    """Kernel result for a single (event, sky point) row."""
+    x = np.asarray(x, dtype=float)
+    tp = tangent_planes(f, x[None, :], np.asarray(xi, dtype=complex)[None, :], **kw)
+    if not (tp.ok[0] and tp.stencil_ok[0]):
+        raise NoIntersectionError("the ray or its stencil misses the target surface")
+    return tp
+
+
+def _oriented_normal(f: FrameSpec, x, xi, **kw):
+    """The oriented unit normal at one row, and the kernel result."""
+    tp = _one_row(f, x, xi, normals=True, **kw)
+    if tp.ranks[0] < 2:
+        raise DegenerateTangentPlaneError("image tangent plane is degenerate")
+    if not tp.family_ok[0]:
+        raise NoIntersectionError("family stencil misses the target surface")
+    return tp.normals[0], tp
+
+
 def sky_jacobian(f: FrameSpec, x, xi):
     """Central-difference Jacobian of the M-point in the sky parameters (3, 2)."""
-    x = np.asarray(x, dtype=float)
-    stencil = _sky_stencil(f, xi)
-    events = np.tile(x, (4, 1))
-    pts, _, ok, _ = project_batch(f, events, stencil)
-    if not np.all(ok):
-        raise NoIntersectionError("stencil ray misses the target surface")
-    h = f.sky_fd_step
-    col1 = (pts[0] - pts[1]) / (2.0 * h)
-    col2 = (pts[2] - pts[3]) / (2.0 * h)
-    return np.stack([col1, col2], axis=-1)
+    return _one_row(f, x, xi).jacobians[0]
 
 
 def project_event(f: FrameSpec, x, xi):
     """Project one sky point of one event; returns the M-point, the numerical
     rank of the sky Jacobian there, and the affine arrival parameter."""
-    x = np.asarray(x, dtype=float)
-    xi = skymod.unit_cospinor(xi)
-    pts, lams, ok, _ = project_batch(f, x[None, :], xi[None, :])
-    if not ok[0]:
-        raise NoIntersectionError("event lies below the target surface")
-    jac = sky_jacobian(f, x, xi)
-    rank = _svd_rank(jac, f.rank_tol)
-    return ProjectedPoint(m_point=pts[0], rank=rank, lam=float(lams[0]))
+    tp = _one_row(f, x, skymod.unit_cospinor(xi))
+    return ProjectedPoint(
+        m_point=tp.m_points[0], rank=int(tp.ranks[0]), lam=float(tp.lams[0])
+    )
 
 
 def sky_image(f: FrameSpec, x, sample: SkySample, with_rank=True) -> SkyImage:
-    """Project every sample of the sky of x, keeping singular samples flagged."""
+    """Project every sample of the sky of x, keeping singular samples flagged.
+
+    With ranks the base and stencil rays go out as one batch of 5n rays."""
     x = np.asarray(x, dtype=float)
-    n = sample.n
-    events = np.tile(x, (n, 1))
-    pts, lams, ok, lost = project_batch(f, events, sample.xi)
-    ranks = np.zeros(n, dtype=int)
+    events = np.tile(x, (sample.n, 1))
     if with_rank:
-        stencils = np.concatenate([_sky_stencil(f, xi) for xi in sample.xi])
-        sev = np.repeat(events, 4, axis=0)
-        spts, _, sok, _ = project_batch(f, sev, stencils)
-        h = f.sky_fd_step
-        for k in range(n):
-            if not (ok[k] and np.all(sok[4 * k : 4 * k + 4])):
-                continue
-            blk = spts[4 * k : 4 * k + 4]
-            jac = np.stack(
-                [(blk[0] - blk[1]) / (2 * h), (blk[2] - blk[3]) / (2 * h)], axis=-1
-            )
-            ranks[k] = _svd_rank(jac, f.rank_tol)
+        tp = tangent_planes(f, events, sample.xi)
+        pts, lams, ok, lost, ranks = tp.m_points, tp.lams, tp.ok, tp.lost, tp.ranks
+    else:
+        pts, lams, ok, lost = project_batch(f, events, sample.xi)
+        ranks = np.zeros(sample.n, dtype=int)
     status = tuple(
         "ok" if good else ("integrator_failure" if bad else "no_intersection")
         for good, bad in zip(ok, lost)
@@ -357,29 +439,7 @@ def normal_frame(f: FrameSpec, x, xi):
     Orientation: the side reached by moving the event to the future is
     positive, fixed by auditing against the time-axis family derivative.
     """
-    jac = sky_jacobian(f, x, xi)
-    if _svd_rank(jac, f.rank_tol) < 2:
-        raise DegenerateTangentPlaneError("image tangent plane is degenerate")
-    u, _, _ = np.linalg.svd(jac)
-    n_hat = u[:, 2]
-    dj0 = _family_displacement(f, x, xi, np.array([1.0, 0.0, 0.0, 0.0]))
-    if float(n_hat @ dj0) < 0.0:
-        n_hat = -n_hat
-    return n_hat
-
-
-def _family_displacement(f: FrameSpec, x, xi, direction, h=None):
-    """Central difference of the M-point along the event family at fixed xi."""
-    x = np.asarray(x, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    if h is None:
-        h = f.event_fd_step * max(1.0, float(np.abs(x).max()))
-    events = np.stack([x + h * direction, x - h * direction])
-    xis = np.tile(skymod.unit_cospinor(xi), (2, 1))
-    pts, _, ok, _ = project_batch(f, events, xis)
-    if not np.all(ok):
-        raise NoIntersectionError("family stencil misses the target surface")
-    return (pts[0] - pts[1]) / (2.0 * h)
+    return _oriented_normal(f, x, xi)[0]
 
 
 def normal_project(f: FrameSpec, x, xi, w):
@@ -390,8 +450,8 @@ def normal_project(f: FrameSpec, x, xi, w):
 
 def sky_image_derivative(f: FrameSpec, x, xi, direction, h=None):
     """Normal component of the image-point derivative along an event family."""
-    n_hat = normal_frame(f, x, xi)
-    return float(n_hat @ _family_displacement(f, x, xi, direction, h))
+    n_hat, tp = _oriented_normal(f, x, xi, directions=direction, h=h)
+    return float(n_hat @ (tp.family[0, 0] / (2.0 * tp.family_h[0])))
 
 
 def theta_value(f: FrameSpec, x, xi, direction):
@@ -421,17 +481,3 @@ class GeodesicFrame:
 
     def normal_coeff_of_family(self, x, xi, direction, h=None):
         return sky_image_derivative(self.spec, x, xi, direction, h)
-
-    def normal_coeff_of_vertical(self, x, xi, k):
-        f = self.spec
-        n_hat = normal_frame(f, x, xi)
-        stencil = _sky_stencil(f, xi)
-        pair = stencil[2 * k : 2 * k + 2]
-        pts, _, ok, _ = project_batch(f, np.tile(np.asarray(x, float), (2, 1)), pair)
-        if not np.all(ok):
-            raise NoIntersectionError("vertical stencil misses the target")
-        push = (pts[0] - pts[1]) / (2.0 * f.sky_fd_step)
-        return float(n_hat @ push)
-
-    def with_rotation(self, rotation):
-        return GeodesicFrame(replace(self.spec, tetrad_rotation=rotation))

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate as _sciint
 
 from .errors import (
     ConstraintLostError,
@@ -435,24 +434,29 @@ def _bisect_time_level(m, x, u, h, t_target, mask):
 def conformal_time(m: MetricSpec, t):
     """eta(t): integral of 1/a from the initial singularity to cosmic time t.
 
-    Closed form for power-law scale factors (p < 1); adaptive quadrature
-    with relative error below 1e-10 otherwise.
+    t is a float or an array of times.  Closed form for power-law scale
+    factors (p < 1); adaptive quadrature with relative error below 1e-10
+    otherwise.
     """
+    t = np.array(t, dtype=float) if np.ndim(t) else float(t)
     if m.kind == "minkowski":
-        return float(t)
+        return t
     if m.kind != "flrw":
         raise ValueError("conformal time needs an expanding-cosmology metric")
-    t = float(t)
-    if t <= 0.0:
+    if np.any(t <= 0.0):
         raise OutOfDomainError("conformal time is defined for t > 0")
     if m.exponent is not None:
         p = m.exponent
         if p >= 1.0:
             raise DivergentIntegralError(f"integral of t^-{p} diverges at 0")
         return t ** (1.0 - p) / (1.0 - p)
+    if np.ndim(t):
+        return np.array([conformal_time(m, s) for s in t.ravel()]).reshape(t.shape)
+    from scipy import integrate
+
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _sciint.IntegrationWarning)
-        val, err = _sciint.quad(
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        val, err = integrate.quad(
             lambda s: 1.0 / float(m.scale_factor(s)), 0.0, t, limit=500, epsrel=1e-12
         )
     if not math.isfinite(val) or err > 1e-10 * max(abs(val), 1.0):

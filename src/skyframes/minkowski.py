@@ -148,10 +148,6 @@ class GraphFrame:
         """Derivative of the image along the event family is purely vertical."""
         return float(celestial_eval(np.asarray(direction, float), xi))
 
-    def normal_coeff_of_vertical(self, x, xi, k):
-        """Vertical pushforwards land in the image tangent plane."""
-        return 0.0
-
     def image_gradient(self, x, xi):
         """Gradient of the height over the two real sky chart directions."""
         xi = skymod.unit_cospinor(xi)

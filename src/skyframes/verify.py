@@ -108,41 +108,24 @@ _COORD_DIRS = np.eye(4)
 def _geodesic_probe_values(f: fr.FrameSpec, x, xi, event_h):
     """theta and normal-projection values on the standard 6-probe basis.
 
-    Assembles one ray batch: 4 sky-stencil rays for the tangent plane and
-    2 rays per coordinate direction for the event-family derivative.
+    One kernel row: the sky stencil gives the tangent plane and its
+    oriented normal, the coordinate-direction families the horizontal
+    probes.
     """
     x = np.asarray(x, dtype=float)
     xi = unit_cospinor(xi)
-    h_sky = f.sky_fd_step
-    h_ev = event_h if event_h is not None else f.event_fd_step * max(
-        1.0, float(np.abs(x).max())
+    tp = fr.tangent_planes(
+        f, x[None, :], xi[None, :], directions=_COORD_DIRS, h=event_h, normals=True
     )
-    stencil = fr._sky_stencil(f, xi)
-    events = [np.tile(x, (4, 1))]
-    xis = [stencil]
-    for d in _COORD_DIRS:
-        events.append(np.stack([x + h_ev * d, x - h_ev * d]))
-        xis.append(np.tile(xi, (2, 1)))
-    pts, _, ok, _ = fr.project_batch(f, np.concatenate(events), np.concatenate(xis))
-    if not np.all(ok):
+    if not (tp.stencil_ok[0] and tp.family_ok[0]):
         raise fr.NoIntersectionError("a probe ray misses the target surface")
-
-    jac = np.stack(
-        [(pts[0] - pts[1]) / (2 * h_sky), (pts[2] - pts[3]) / (2 * h_sky)], axis=-1
-    )
-    if fr._svd_rank(jac, f.rank_tol) < 2:
+    if tp.ranks[0] < 2:
         raise fr.DegenerateTangentPlaneError("probe point is not regular")
-    u, _, _ = np.linalg.svd(jac)
-    n_hat = u[:, 2]
-    fam = np.stack(
-        [(pts[4 + 2 * k] - pts[5 + 2 * k]) / (2 * h_ev) for k in range(4)]
-    )
-    p_horiz = fam @ n_hat
+    # Co-oriented normal: the future time axis has positive transform.
+    n_hat = tp.normals[0]
+    p_horiz = (tp.family[0] / (2 * tp.family_h[0])) @ n_hat
     theta_horiz = np.array([fr.theta_value(f, x, xi, d) for d in _COORD_DIRS])
-    # Co-orientation: the future time axis has positive transform everywhere.
-    if p_horiz[0] < 0.0:
-        n_hat, p_horiz = -n_hat, -p_horiz
-    p_vert = jac.T @ n_hat
+    p_vert = tp.jacobians[0].T @ n_hat
     return theta_horiz, p_horiz, p_vert
 
 
@@ -261,48 +244,17 @@ def _graph_flow_ratios(frame, x, directions, sample, event_h):
 
 
 def _geodesic_flow_ratios(f, x, directions, sample, event_h):
-    """Batched: per sky point, 4 stencil rays, a time-axis orientation pair
-    and 2 rays per probed direction."""
-    ndir = directions.shape[0]
-    h_ev = event_h if event_h is not None else f.event_fd_step * max(
-        1.0, float(np.abs(x).max())
+    """One kernel batch over the sky points, a family pair per direction."""
+    tp = fr.tangent_planes(
+        f, np.tile(x, (sample.n, 1)), sample.xi, directions, h=event_h, normals=True
     )
-    h_sky = f.sky_fd_step
-    e0 = np.array([1.0, 0.0, 0.0, 0.0])
-    ev_blocks, xi_blocks = [], []
-    for xi in sample.xi:
-        ev_blocks.append(np.tile(x, (4, 1)))
-        xi_blocks.append(fr._sky_stencil(f, xi))
-        ev_blocks.append(np.stack([x + h_ev * e0, x - h_ev * e0]))
-        xi_blocks.append(np.tile(unit_cospinor(xi), (2, 1)))
-        for d in directions:
-            ev_blocks.append(np.stack([x + h_ev * d, x - h_ev * d]))
-            xi_blocks.append(np.tile(unit_cospinor(xi), (2, 1)))
-    pts, _, ok, _ = fr.project_batch(
-        f, np.concatenate(ev_blocks), np.concatenate(xi_blocks)
-    )
-    per = 6 + 2 * ndir
     out = []
     for k, xi in enumerate(sample.xi):
-        blk = pts[per * k : per * (k + 1)]
-        if not np.all(ok[per * k : per * (k + 1)]):
+        if not tp.family_ok[k] or tp.ranks[k] < 2:
             out.append(np.array([]))
             continue
-        jac = np.stack(
-            [(blk[0] - blk[1]) / (2 * h_sky), (blk[2] - blk[3]) / (2 * h_sky)],
-            axis=-1,
-        )
-        if fr._svd_rank(jac, f.rank_tol) < 2:
-            out.append(np.array([]))
-            continue
-        u, _, _ = np.linalg.svd(jac)
-        n_hat = u[:, 2]
-        if float(n_hat @ (blk[4] - blk[5])) < 0.0:
-            n_hat = -n_hat
-        nums = np.array(
-            [float(n_hat @ (blk[6 + 2 * j] - blk[7 + 2 * j])) / (2 * h_ev)
-             for j in range(ndir)]
-        )
+        n_hat = tp.normals[k]
+        nums = np.array([float(n_hat @ d) for d in tp.family[k]]) / (2 * tp.family_h[k])
         thetas = np.array([fr.theta_value(f, x, xi, d) for d in directions])
         keep = np.abs(thetas) > KERNEL_SKIP_TOL * max(
             float(np.abs(thetas).max()), 1e-300
@@ -312,10 +264,14 @@ def _geodesic_flow_ratios(f, x, directions, sample, event_h):
 
 
 def check_contraction_identity(x, pis, tol=1e-12) -> VerificationReport:
-    """Contraction after incidence equals the transform of the event."""
+    """Contraction after incidence equals the transform of the event.
+
+    x is one event (4,) shared by every pi, or one event per pi (n, 4).
+    """
     pis = np.atleast_2d(np.asarray(pis, dtype=complex))
+    xs = np.broadcast_to(np.asarray(x, dtype=float), (len(pis), 4))
     residuals = np.array(
-        [tw.contraction_matches_transform(x, pi) for pi in pis]
+        [tw.contraction_matches_transform(xk, pi) for xk, pi in zip(xs, pis)]
     )
     return VerificationReport(
         name="contraction_identity",
@@ -349,7 +305,7 @@ def suite_twistor(seed, n=1000):
     rng = np.random.default_rng(seed)
     xs = _random_events(rng, n)
     pis = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
-    rep_tau = check_contraction_identity_many(xs, pis)
+    rep_tau = check_contraction_identity(xs, pis)
 
     # Null characterisation: incidence twistors have real contraction,
     # decisively non-null twistors do not.
@@ -373,18 +329,6 @@ def suite_twistor(seed, n=1000):
         probe_count=len(im_null) + len(misclassified),
     )
     return [rep_tau, rep_null]
-
-
-def check_contraction_identity_many(xs, pis, tol=1e-12):
-    residuals = np.array(
-        [tw.contraction_matches_transform(x, pi) for x, pi in zip(xs, pis)]
-    )
-    return VerificationReport(
-        name="contraction_identity",
-        residuals=residuals,
-        tolerance=tol,
-        probe_count=len(residuals),
-    )
 
 
 def _frame_for(metric_kind, frame_kind, p=2 / 3, t0=0.0, tracer="auto"):

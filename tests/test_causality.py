@@ -186,6 +186,18 @@ class TestMeshPath:
         assert np.all(mesh.contains_points(inside))
         assert not np.any(mesh.contains_points(outside))
 
+    def test_chunked_query_matches_points_one_by_one(self, flrw_frame):
+        mesh = ca.region_of(
+            flrw_frame, [1.0, 0, 0, 0], sample=sky.sample_sky(200),
+            representation="mesh",
+        )
+        rng = np.random.default_rng(8)
+        pts = rng.uniform(-4.0, 4.0, size=(3 * ca.MESH_POINT_CHUNK + 17, 3))
+        batched = mesh.contains_points(pts)
+        single = np.array([mesh.contains_points(p)[0] for p in pts])
+        assert np.array_equal(batched, single)
+        assert 0 < batched.sum() < len(pts)
+
 
 class TestLocale:
     def test_empty_union_is_disjoint_from_everything(self):

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import skyframes
 from skyframes.cli import main
 
 
@@ -201,3 +206,21 @@ class TestCustomMetric:
         payload = json.loads(out_path.read_text())
         pts = np.array([s["m_point"] for s in payload["samples"]])
         assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() <= 1e-8
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    src = str(Path(skyframes.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import sys, skyframes.cli; "
+        "print([m for m in ('scipy.spatial', 'scipy.integrate') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

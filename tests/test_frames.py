@@ -232,3 +232,206 @@ class TestSkyImageDerivative:
         ta = fr.theta_value(spec_rot, x, xi, direction)
         tb = fr.theta_value(flrw_frame, x, xi_plain, direction)
         assert ta == pytest.approx(tb, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The batched tangent-plane kernel against the per-sample chain it replaced.
+
+
+def _reference_stencil(f, xi):
+    xi = sky.unit_cospinor(xi)
+    delta = np.array([-np.conj(xi[1]), np.conj(xi[0])])
+    h = f.sky_fd_step
+    raw = np.stack(
+        [xi + h * delta, xi - h * delta, xi + 1j * h * delta, xi - 1j * h * delta]
+    )
+    return raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+
+
+def _reference_jacobian(pts, h):
+    return np.stack([(pts[0] - pts[1]) / (2 * h), (pts[2] - pts[3]) / (2 * h)], axis=-1)
+
+
+def _reference_sky_image(f, x, sample):
+    """Base rays, one stencil batch, then a Jacobian and an SVD per sample."""
+    x = np.asarray(x, dtype=float)
+    events = np.tile(x, (sample.n, 1))
+    pts, lams, ok, lost = fr.project_batch(f, events, sample.xi)
+    stencils = np.concatenate([_reference_stencil(f, xi) for xi in sample.xi])
+    spts, _, sok, _ = fr.project_batch(f, np.repeat(events, 4, axis=0), stencils)
+    ranks = np.zeros(sample.n, dtype=int)
+    for k in range(sample.n):
+        if not (ok[k] and np.all(sok[4 * k : 4 * k + 4])):
+            continue
+        jac = _reference_jacobian(spts[4 * k : 4 * k + 4], f.sky_fd_step)
+        sv = np.linalg.svd(jac, compute_uv=False)
+        ranks[k] = int(np.sum(sv > f.rank_tol * max(1.0, float(sv.max()))))
+    status = tuple(
+        "ok" if good else ("integrator_failure" if bad else "no_intersection")
+        for good, bad in zip(ok, lost)
+    )
+    if not np.any(ok):
+        raise NoIntersectionError("every sky sample failed to reach the target")
+    return pts, ranks, lams, status
+
+
+def _reference_derivative(f, x, xi, direction, h=None):
+    """Oriented normal and normal family derivative, one small batch each."""
+    x = np.asarray(x, dtype=float)
+    spts, _, _, _ = fr.project_batch(f, np.tile(x, (4, 1)), _reference_stencil(f, xi))
+    n_hat = np.linalg.svd(_reference_jacobian(spts, f.sky_fd_step))[0][:, 2]
+
+    def displacement(d, step):
+        events = np.stack([x + step * d, x - step * d])
+        xis = np.tile(sky.unit_cospinor(xi), (2, 1))
+        pts, _, _, _ = fr.project_batch(f, events, xis)
+        return (pts[0] - pts[1]) / (2.0 * step)
+
+    h_default = f.event_fd_step * max(1.0, float(np.abs(x).max()))
+    if float(n_hat @ displacement(np.array([1.0, 0, 0, 0]), h_default)) < 0.0:
+        n_hat = -n_hat
+    step = h_default if h is None else h
+    return n_hat, float(n_hat @ displacement(np.asarray(direction, float), step))
+
+
+_ROT = np.array(
+    [[np.cos(0.7), -np.sin(0.7), 0.0], [np.sin(0.7), np.cos(0.7), 0.0], [0.0, 0.0, 1.0]]
+)
+
+_EQUIVALENCE_CASES = {
+    "minkowski": (
+        dict(metric=mf.MetricSpec.minkowski(), target=fr.CauchySurface(0.25)),
+        [1.7, 0.3, -0.2, 0.5],
+        sky.sample_sky(300, scheme="random", seed=4),
+    ),
+    "flrw_closed_form": (
+        dict(metric=mf.MetricSpec.flrw(p=2 / 3), target=fr.Singularity()),
+        [1.0, 0.3, -0.2, 0.5],
+        sky.sample_sky(800),
+    ),
+    "flrw_numeric": (
+        dict(metric=mf.MetricSpec.flrw(p=0.5), target=fr.CauchySurface(0.4),
+             tracer="numeric"),
+        [1.2, 0.1, 0.0, 0.0],
+        sky.sample_sky(16, scheme="random", seed=2),
+    ),
+    "tetrad_rotation": (
+        dict(metric=mf.MetricSpec.flrw(p=2 / 3), target=fr.Singularity(),
+             tetrad_rotation=_ROT),
+        [1.0, 0.2, 0.0, -0.3],
+        sky.sample_sky(500),
+    ),
+    "on_surface": (
+        dict(metric=mf.MetricSpec.minkowski(), target=fr.CauchySurface(0.0)),
+        [0.0, 0.4, -0.2, 0.7],
+        sky.sample_sky(50),
+    ),
+    "flrw_cauchy": (
+        dict(metric=mf.MetricSpec.flrw(p=0.5), target=fr.CauchySurface(0.3)),
+        [0.9, 0.1, 0.2, -0.1],
+        sky.sample_sky(200, scheme="random", seed=4),
+    ),
+    # Close to the surface the singular values sit at rank_tol, up to
+    # rounding, so the three ranks all occur.
+    "rank_threshold": (
+        dict(metric=mf.MetricSpec.minkowski(), target=fr.CauchySurface(0.0),
+             rank_tol=1e-7),
+        [5e-8, 0.3, -0.2, 0.5],
+        sky.sample_sky(200, scheme="random", seed=4),
+    ),
+    "rank_zero": (
+        dict(metric=mf.MetricSpec.minkowski(), target=fr.CauchySurface(0.0),
+             rank_tol=1e3),
+        [1.0, 0.0, 0.0, 0.0],
+        sky.sample_sky(50),
+    ),
+    "partial_failures": (
+        dict(
+            metric=mf.MetricSpec.minkowski(
+                bounds=[[-np.inf, np.inf], [-0.6, 0.6], [-10, 10], [-10, 10]]
+            ),
+            target=fr.CauchySurface(0.0),
+            tracer="numeric",
+        ),
+        [1.0, 0.0, 0.0, 0.0],
+        sky.sample_sky(60),
+    ),
+}
+
+
+class TestTangentPlaneKernel:
+    @pytest.mark.parametrize("case", sorted(_EQUIVALENCE_CASES))
+    def test_sky_image_matches_per_sample_reference(self, case):
+        kwargs, x, sample = _EQUIVALENCE_CASES[case]
+        spec = fr.FrameSpec(**kwargs)
+        pts, ranks, lams, status = _reference_sky_image(spec, x, sample)
+        img = fr.sky_image(spec, x, sample)
+        assert np.array_equal(img.m_points, pts, equal_nan=True)
+        assert np.array_equal(img.ranks, ranks)
+        assert np.array_equal(img.lams, lams)
+        assert img.status == status
+
+    def test_reference_cases_cover_every_rank_and_status(self):
+        ranks, status = set(), set()
+        for kwargs, x, sample in _EQUIVALENCE_CASES.values():
+            img = fr.sky_image(fr.FrameSpec(**kwargs), x, sample)
+            ranks |= set(img.ranks.tolist())
+            status |= set(img.status)
+        assert ranks == {0, 1, 2}
+        assert status == {"ok", "no_intersection"}
+
+    def test_all_failures_raise_like_the_reference(self, mink_frame):
+        spec = mink_frame
+        sample = sky.sample_sky(8)
+        with pytest.raises(NoIntersectionError):
+            _reference_sky_image(spec, [-2.0, 0, 0, 0], sample)
+        with pytest.raises(NoIntersectionError):
+            fr.sky_image(spec, [-2.0, 0, 0, 0], sample)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "minkowski",
+            "flrw_closed_form",
+            "flrw_cauchy",
+            "tetrad_rotation",
+            "flrw_numeric",
+        ],
+    )
+    def test_normal_frame_and_derivative_match_reference(self, case):
+        kwargs, x, _ = _EQUIVALENCE_CASES[case]
+        spec = fr.FrameSpec(**kwargs)
+        rng = np.random.default_rng(11)
+        for h in (None, 2e-3):
+            xi = rng.normal(size=2) + 1j * rng.normal(size=2)
+            d = np.array([1.0, *rng.uniform(-0.5, 0.5, size=3)])
+            n_ref, deriv_ref = _reference_derivative(spec, x, xi, d, h)
+            assert np.abs(fr.normal_frame(spec, x, xi) - n_ref).max() <= 1e-12
+            deriv = fr.sky_image_derivative(spec, x, xi, d, h)
+            assert deriv == pytest.approx(deriv_ref, rel=1e-12, abs=1e-12)
+
+    def test_one_ray_batch_per_call(self, flrw_frame, monkeypatch):
+        rows = []
+        project = fr.project_batch
+
+        def counting(f, events, xis):
+            rows.append(len(events))
+            return project(f, events, xis)
+
+        monkeypatch.setattr(fr, "project_batch", counting)
+        fr.sky_image(flrw_frame, [1.0, 0, 0, 0], sky.sample_sky(37), with_rank=True)
+        assert rows == [5 * 37]
+        rows.clear()
+        fr.normal_frame(flrw_frame, [1.0, 0.1, 0, 0], XI_TO_ZHAT)
+        assert len(rows) == 1
+
+    def test_batched_normals_are_oriented_unit_vectors(self, flrw_frame):
+        sample = sky.sample_sky(40)
+        x = np.array([1.0, 0.2, -0.1, 0.3])
+        events = np.tile(x, (40, 1))
+        tp = fr.tangent_planes(flrw_frame, events, sample.xi, normals=True)
+        assert np.all(tp.ranks == 2)
+        assert np.allclose(np.linalg.norm(tp.normals, axis=1), 1.0, atol=1e-12)
+        # the image is the comoving sphere of radius 3 about x: outward normals
+        radial = (tp.m_points - x[1:]) / 3.0
+        assert np.allclose(tp.normals, radial, atol=1e-6)

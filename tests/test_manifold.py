@@ -163,6 +163,23 @@ class TestConformalTime:
     def test_needs_positive_time(self):
         with pytest.raises(OutOfDomainError):
             mf.conformal_time(mf.MetricSpec.flrw(p=0.5), 0.0)
+        with pytest.raises(OutOfDomainError):
+            mf.conformal_time(mf.MetricSpec.flrw(p=0.5), np.array([1.0, -0.1]))
+
+    @pytest.mark.parametrize(
+        "metric",
+        [
+            mf.MetricSpec.minkowski(),
+            mf.MetricSpec.flrw(p=2 / 3),
+            mf.MetricSpec.flrw(a=lambda t: t**0.5),
+        ],
+    )
+    def test_arrays_match_scalar_calls(self, metric):
+        ts = np.array([[0.2, 1.0], [2.5, 4.0]])
+        out = mf.conformal_time(metric, ts)
+        assert out.shape == ts.shape
+        scalar = [[mf.conformal_time(metric, float(t)) for t in row] for row in ts]
+        assert np.allclose(out, scalar, rtol=1e-14, atol=0.0)
 
 
 class TestFutureNullDirections:

@@ -138,6 +138,16 @@ class TestContractionIdentity:
         rep = vf.check_contraction_identity(x, pis)
         assert rep.passed and rep.tolerance == 1e-12
 
+    def test_one_event_per_probe(self):
+        rng = np.random.default_rng(4)
+        xs = rng.normal(size=(40, 4))
+        pis = rng.normal(size=(40, 2)) + 1j * rng.normal(size=(40, 2))
+        rep = vf.check_contraction_identity(xs, pis)
+        assert rep.passed and rep.probe_count == 40
+        per_probe = vf.check_contraction_identity(np.tile(xs[0], (40, 1)), pis)
+        shared = vf.check_contraction_identity(xs[0], pis)
+        assert np.array_equal(per_probe.residuals, shared.residuals)
+
 
 class TestSuites:
     def test_reports_deterministic_for_fixed_seed(self):
