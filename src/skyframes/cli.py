@@ -194,7 +194,7 @@ def cmd_verify(args, cfg):
     if frame_kind == "graph":
         frame = GraphFrame()
     else:
-        frame = fr.GeodesicFrame(_frame_spec(args, cfg))
+        frame = _frame_spec(args, cfg)
 
     tol = _setting(args, cfg, "tol")
     reports = []

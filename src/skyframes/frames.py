@@ -9,7 +9,8 @@ the numerical rank of the map's Jacobian in the two sky parameters.
 One kernel, `tangent_planes`, traces a batch of rows with their sky
 stencils and event-family pairs in a single `project_batch` call, and
 ranks the Jacobians with one batched SVD; sky images, the normal frame,
-image derivatives and the verifier's probes are wrappers over it.
+image derivatives and the verifier's probe values (`FrameSpec.probe_values`)
+are wrappers over it.
 
 Two tracers are available: a conformal-chart closed form (flat space and
 spatially flat cosmologies project onto straight comoving lines) and the
@@ -23,7 +24,9 @@ image tolerances.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,9 +59,22 @@ class Singularity:
         return {"kind": "singularity"}
 
 
+class ProbeValues(NamedTuple):
+    """What a frame answers for B sky points of one event and k directions."""
+
+    theta: np.ndarray  # (B, k) contact-form values on the horizontal probes
+    rates: np.ndarray  # (B, k) normal-projection rates along the event families
+    vertical: np.ndarray  # (B, 2) normal projections of the two sky directions
+    regular: np.ndarray  # (B,) bool, the row's values are defined
+    arrived: np.ndarray  # (B,) bool, every stencil and family ray arrived
+
+
 @dataclass(frozen=True)
 class FrameSpec:
     """A metric, a target surface and the projection/differencing settings."""
+
+    #: Default verifier tolerance: probe values are finite differences.
+    PROBE_TOL = 1e-3
 
     metric: mf.MetricSpec
     target: CauchySurface | Singularity
@@ -71,6 +87,8 @@ class FrameSpec:
     tetrad_rotation: np.ndarray | None = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.step) and self.step > 0.0):
+            raise ValueError(f"step must be positive and finite, got {self.step}")
         if self.target.kind == "singularity":
             if self.metric.kind != "flrw":
                 raise ValueError("singularity target needs an flrw metric")
@@ -95,6 +113,30 @@ class FrameSpec:
         if self.target.kind == "singularity":
             return 0.0
         return self.target.t0
+
+    def probe_values(self, x, xis, directions, h=None) -> ProbeValues:
+        """Probe values at the sky points xis (B, 2) of the event x (4,).
+
+        Values are taken at the unit representatives.  One tangent_planes
+        batch gives each row's oriented normal, the normal rates along the
+        event families x +- h d for the directions (k, 4), and the normal
+        projections of the sky-stencil Jacobian.
+        """
+        x = np.asarray(x, dtype=float)
+        xis = np.atleast_2d(np.asarray(xis, dtype=complex))
+        dirs = np.atleast_2d(np.asarray(directions, dtype=float))
+        tp = tangent_planes(
+            self, np.tile(x, (len(xis), 1)), xis, dirs, h=h, normals=True
+        )
+        n_hat = tp.normals[:, :, None]
+        rates = (tp.family / (2 * tp.family_h)[:, None, None]) @ n_hat
+        return ProbeValues(
+            theta=theta_value(self, x, xis[:, None, :], dirs),
+            rates=rates[..., 0],
+            vertical=(np.swapaxes(tp.jacobians, 1, 2) @ n_hat)[..., 0],
+            regular=tp.family_ok & (tp.ranks == 2),
+            arrived=tp.stencil_ok & tp.family_ok,
+        )
 
 
 @dataclass(frozen=True)
@@ -152,7 +194,8 @@ class SkyImage:
                     writer.writerow([repr(float(c)) for c in m])
 
 
-def _directions(f: FrameSpec, xis):
+def sky_directions(f: FrameSpec, xis):
+    """Unit spatial tetrad directions (..., 3) of the sky points xis (..., 2)."""
     d = spinor.direction_for_cospinor(np.asarray(xis, dtype=complex))
     if f.tetrad_rotation is not None:
         d = d @ np.asarray(f.tetrad_rotation, float).T
@@ -206,7 +249,7 @@ def project_batch(f: FrameSpec, events, xis):
             mf.conformal_time(f.metric, np.array([f.target.t0]))[0]
         )
         gap = eta - eta_target
-        m_points = events[:, 1:] - gap[:, None] * _directions(f, xis)
+        m_points = events[:, 1:] - gap[:, None] * sky_directions(f, xis)
         lams = _lam_closed_form(f, t, t_target)
         ok = ~below
         lost = np.zeros(events.shape[0], dtype=bool)
@@ -217,7 +260,9 @@ def project_batch(f: FrameSpec, events, xis):
         lost = np.zeros(events.shape[0], dtype=bool)
         march = ok & ~on_surface
         if np.any(march):
-            v0 = _tetrad_null_vectors(f, events[march], xis[march])
+            v0 = mf.future_null_directions(
+                f.metric, events[march], sky_directions(f, xis[march])
+            )
             stop_t = (
                 max(f.singularity_cutoff, 0.0)
                 if f.target.kind == "singularity"
@@ -238,16 +283,6 @@ def project_batch(f: FrameSpec, events, xis):
     lams[on_surface] = 0.0
     m_points[~ok] = np.nan
     return m_points, lams, ok, lost
-
-
-def _tetrad_null_vectors(f: FrameSpec, events, xis):
-    """Future null velocities (v0 = 1) for per-ray events and sky points."""
-    d = _directions(f, xis)
-    tet = f.metric.tetrad_diag(events)
-    v = np.empty_like(events)
-    v[:, 0] = 1.0
-    v[:, 1:] = d * (tet[:, :1] / tet[:, 1:])
-    return v
 
 
 def _close_singularity_gap(f: FrameSpec, res: mf.TraceResult, lam):
@@ -459,25 +494,13 @@ def theta_value(f: FrameSpec, x, xi, direction):
 
     Evaluates the (1,1)-homogeneous field of the probe's orthonormal-frame
     components at the sky point, honouring the frame's tetrad rotation.
+    Broadcasts over the leading axes of x (..., 4), xi (..., 2) and
+    direction (..., 4); a single row gives a float.
     """
     x = np.asarray(x, dtype=float)
-    w = np.asarray(direction, dtype=float)
-    tet = f.metric.tetrad_diag(x)
-    w_tet = tet * w
-    d = _directions(f, skymod.unit_cospinor(xi)[None, :])[0]
-    return float(PAULI_FACTOR * (w_tet[0] - d @ w_tet[1:]))
-
-
-class GeodesicFrame:
-    """Verifier adapter around a FrameSpec (finite-difference quantities)."""
-
-    kind = "geodesic"
-
-    def __init__(self, spec: FrameSpec):
-        self.spec = spec
-
-    def theta(self, x, xi, direction):
-        return theta_value(self.spec, x, xi, direction)
-
-    def normal_coeff_of_family(self, x, xi, direction, h=None):
-        return sky_image_derivative(self.spec, x, xi, direction, h)
+    w_tet = f.metric.tetrad_diag(x) * np.asarray(direction, dtype=float)
+    d = sky_directions(f, skymod.unit_cospinor(xi))
+    # A (1, 3) @ (3, 1) product per row sums like the vector dot product.
+    dot = (d[..., None, :] @ w_tet[..., 1:, None])[..., 0, 0]
+    val = PAULI_FACTOR * (w_tet[..., 0] - dot)
+    return float(val) if np.ndim(val) == 0 else val

@@ -31,7 +31,6 @@ from .errors import (
     IntegratorFailureError,
     OutOfDomainError,
 )
-from .sky import SkySample
 
 #: Nullity tolerance for geodesic states, relative to the squared velocity scale.
 GEODESIC_NULL_TOL = 1e-8
@@ -464,22 +463,18 @@ def conformal_time(m: MetricSpec, t):
     return float(val)
 
 
-def future_null_directions(m: MetricSpec, x, sample: SkySample, rotation=None):
-    """One future null velocity per sky sample, time component scaled to 1.
+def future_null_directions(m: MetricSpec, events, directions):
+    """Future null velocities (v0 = 1) at events (B, 4), one per ray.
 
-    The covector -> direction map goes through the coordinate-axis tetrad;
-    an optional rotation (3, 3) re-aims the spatial tetrad legs.
+    directions (B, 3) are the unit spatial directions in the coordinate-axis
+    tetrad; the chart legs rescale them onto the null cone.  Domain checks
+    belong to the callers (frames.project_batch raises OutOfDomainError).
     """
-    x = np.asarray(x, dtype=float)
-    if not m.in_domain(x):
-        raise OutOfDomainError(f"point {x.tolist()} outside the chart domain")
-    d = sample.directions()
-    if rotation is not None:
-        d = d @ np.asarray(rotation, float).T
-    tet = m.tetrad_diag(x)
-    v = np.empty((sample.n, 4))
+    events = np.asarray(events, dtype=float)
+    tet = m.tetrad_diag(events)
+    v = np.empty_like(events)
     v[:, 0] = 1.0
-    v[:, 1:] = d * (tet[0] / tet[1:])
+    v[:, 1:] = directions * (tet[:, :1] / tet[:, 1:])
     return v
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import sky as skymod
 from . import spinor
+from .frames import ProbeValues
 from .sky import SkySample, celestial_eval, celestial_transform, dominates
 
 
@@ -131,22 +132,38 @@ def interval_compare(x, y) -> CausalOrder:
 
 
 class GraphFrame:
-    """Verifier adapter for the graph frame; everything is exact linear algebra.
+    """The graph frame as a verifier frame; everything is exact linear algebra.
 
     The normal line at a sample is trivialised by the vertical (fiber)
-    direction of the height bundle, so pushed-forward probe values come out
-    as plain reals with no finite differencing.
+    direction of the height bundle, so probe values come out as plain reals
+    with no finite differencing.
     """
 
-    kind = "graph"
+    #: Default verifier tolerance: probe values are exact up to rounding.
+    PROBE_TOL = 1e-9
+    #: No target slice: events anywhere in flat space have a graph image.
+    target_time = None
 
-    def theta(self, x, xi, direction):
-        """Contact-form value on the horizontal probe, at the unit covector."""
-        return float(celestial_eval(np.asarray(direction, float), xi))
+    def probe_values(self, x, xis, directions, h=None) -> ProbeValues:
+        """Probe values at the sky points xis (B, 2) of the event x (4,).
 
-    def normal_coeff_of_family(self, x, xi, direction, h=None):
-        """Derivative of the image along the event family is purely vertical."""
-        return float(celestial_eval(np.asarray(direction, float), xi))
+        The contact form is evaluated through the null direction of each
+        sky point; the image moves along an event family by the transform
+        of the direction (the height is linear in the event), and the sky
+        directions are tangent to the graph.  x and h do not enter.
+        """
+        xis = skymod.unit_cospinor(np.atleast_2d(xis))
+        dirs = np.atleast_2d(np.asarray(directions, dtype=float))
+        null_dirs = spinor.direction_for_cospinor(xis)
+        theta = spinor.PAULI_FACTOR * (dirs[:, 0] - null_dirs @ dirs[:, 1:].T)
+        every = np.ones(len(xis), dtype=bool)
+        return ProbeValues(
+            theta=theta,
+            rates=celestial_eval(dirs, xis[:, None, :]),
+            vertical=np.zeros((len(xis), 2)),
+            regular=every,
+            arrived=every,
+        )
 
     def image_gradient(self, x, xi):
         """Gradient of the height over the two real sky chart directions."""

@@ -1,13 +1,16 @@
 """Numerical checks of the frame identities.
 
 Four check families: annihilation of the contact form on the geodesic
-flow and on vertical directions; proportionality (with positive ratio) of
-the contact form and the normal projection on probe bases of the
-6-dimensional tangent of the skies bundle; direction-independence of the
-ratio between image derivatives and the transform of the direction (the
-flow-of-time identity); and agreement of the twistor contraction composed
-with incidence against the transform of the event.
+flow; proportionality (with positive ratio) of the contact form and the
+normal projection on probe bases of the 6-dimensional tangent of the
+skies bundle; direction-independence of the ratio between image
+derivatives and the transform of the direction (the flow-of-time
+identity); and agreement of the twistor contraction composed with
+incidence against the transform of the event.
 
+The proportionality and flow checks take any frame that answers
+`probe_values(x, xis, directions, h)` and carries `PROBE_TOL` and
+`target_time`: a `frames.FrameSpec` or a `minkowski.GraphFrame`.
 Probes are seeded and reports are deterministic given the frame and seed.
 """
 
@@ -20,8 +23,7 @@ import numpy as np
 from . import frames as fr
 from . import manifold as mf
 from . import twistor as tw
-from .minkowski import GraphFrame
-from .sky import SkySample, celestial_eval, sample_sky, unit_cospinor
+from .sky import SkySample, sample_sky, unit_cospinor
 
 #: Probe values of the transform below this (relative) size are treated as
 #: lying in the kernel and skipped when forming ratios.
@@ -52,10 +54,7 @@ class VerificationReport:
             "tolerance": self.tolerance,
             "probe_count": self.probe_count,
             "residuals": [float(r) for r in np.asarray(self.residuals).ravel()],
-            "extras": {
-                k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                for k, v in self.extras.items()
-            },
+            "extras": {k: np.asarray(v).tolist() for k, v in self.extras.items()},
         }
 
 
@@ -82,67 +81,33 @@ def check_contact_annihilation(
     step = f.step if step is None else step
     lam_end = _default_lam_end(f, x) if lam_end is None else lam_end
 
-    v0 = fr._tetrad_null_vectors(f, x[None, :], xi[None, :])[0]
-    residuals = [abs(fr.theta_value(f, x, xi, v0))]
-    vertical = 0.0  # the form factors through the horizontal projection
-    residuals.append(vertical)
-
-    state = mf.NullGeodesicState(x=x, v=v0)
-    traj = mf.integrate_null_geodesic(f.metric, state, lam_end, step)
-    drift = []
-    for st in traj.states:
-        residuals.append(abs(fr.theta_value(f, st.x, xi, st.v / st.v[0])))
-        drift.append(abs(float(f.metric.norm(st.x, st.v))))
+    v0 = mf.future_null_directions(
+        f.metric, x[None, :], fr.sky_directions(f, xi[None, :])
+    )[0]
+    traj = mf.integrate_null_geodesic(
+        f.metric, mf.NullGeodesicState(x=x, v=v0), lam_end, step
+    )
+    xs = np.array([st.x for st in traj.states])
+    vs = np.array([st.v for st in traj.states])
+    along = np.abs(fr.theta_value(f, xs, xi, vs / vs[:, :1]))
+    residuals = np.concatenate([[abs(fr.theta_value(f, x, xi, v0))], along])
+    drift = np.abs(f.metric.norm(xs, vs))
     return VerificationReport(
         name="contact_annihilation",
-        residuals=np.asarray(residuals),
+        residuals=residuals,
         tolerance=1e-8,
         probe_count=len(residuals),
-        extras={"max_null_drift": max(drift), "states": len(traj)},
+        extras={"max_null_drift": float(drift.max()), "states": len(traj)},
     )
 
 
 _COORD_DIRS = np.eye(4)
 
 
-def _geodesic_probe_values(f: fr.FrameSpec, x, xi, event_h):
-    """theta and normal-projection values on the standard 6-probe basis.
-
-    One kernel row: the sky stencil gives the tangent plane and its
-    oriented normal, the coordinate-direction families the horizontal
-    probes.
-    """
-    x = np.asarray(x, dtype=float)
-    xi = unit_cospinor(xi)
-    tp = fr.tangent_planes(
-        f, x[None, :], xi[None, :], directions=_COORD_DIRS, h=event_h, normals=True
-    )
-    if not (tp.stencil_ok[0] and tp.family_ok[0]):
-        raise fr.NoIntersectionError("a probe ray misses the target surface")
-    if tp.ranks[0] < 2:
-        raise fr.DegenerateTangentPlaneError("probe point is not regular")
-    # Co-oriented normal: the future time axis has positive transform.
-    n_hat = tp.normals[0]
-    p_horiz = (tp.family[0] / (2 * tp.family_h[0])) @ n_hat
-    theta_horiz = np.array([fr.theta_value(f, x, xi, d) for d in _COORD_DIRS])
-    p_vert = tp.jacobians[0].T @ n_hat
-    return theta_horiz, p_horiz, p_vert
-
-
-def _graph_probe_values(frame: GraphFrame, x, xi, event_h):
-    x = np.asarray(x, dtype=float)
-    xi = unit_cospinor(xi)
-    h_ev = event_h if event_h is not None else 1e-4 * max(1.0, float(np.abs(x).max()))
-    theta_horiz = np.array([frame.theta(x, xi, d) for d in _COORD_DIRS])
-    p_horiz = np.array(
-        [
-            (celestial_eval(x + h_ev * d, xi) - celestial_eval(x - h_ev * d, xi))
-            / (2 * h_ev)
-            for d in _COORD_DIRS
-        ]
-    )
-    p_vert = np.zeros(2)
-    return theta_horiz, p_horiz, p_vert
+def _kept_ratios(theta, rates):
+    """Rates over contact-form values, skipping probes in the kernel band."""
+    keep = np.abs(theta) > KERNEL_SKIP_TOL * max(float(np.abs(theta).max()), 1e-300)
+    return rates[keep] / theta[keep]
 
 
 def check_kernel_proportionality(
@@ -150,23 +115,24 @@ def check_kernel_proportionality(
 ) -> VerificationReport:
     """The two functionals on the 6-probe basis are positive multiples.
 
-    Checks: the 2 x 6 value matrix has numerical rank one, all ratios over
-    probes outside the kernel agree (the spread about the median is the
-    reported residual), every such ratio is positive, and both functionals
-    vanish on vertical probes.
+    The probes are the four coordinate event directions (horizontal) and
+    the two sky directions (vertical).  Checks: the 2 x 4 horizontal value
+    matrix has numerical rank one, all ratios over probes outside the
+    kernel agree (the spread about the median is the reported residual),
+    every such ratio is positive, and the normal projection vanishes on
+    vertical probes.
     """
-    if isinstance(frame, GraphFrame):
-        theta_h, p_h, p_vert = _graph_probe_values(frame, x, xi, event_h)
-        tol = 1e-9 if tol is None else tol
-    else:
-        f = frame.spec if isinstance(frame, fr.GeodesicFrame) else frame
-        theta_h, p_h, p_vert = _geodesic_probe_values(f, x, xi, event_h)
-        tol = 1e-3 if tol is None else tol
+    pv = frame.probe_values(x, unit_cospinor(xi)[None, :], _COORD_DIRS, h=event_h)
+    if not pv.arrived[0]:
+        raise fr.NoIntersectionError("a probe ray misses the target surface")
+    if not pv.regular[0]:
+        raise fr.DegenerateTangentPlaneError("probe point is not regular")
+    theta_h, p_h = pv.theta[0], pv.rates[0]
+    tol = frame.PROBE_TOL if tol is None else tol
 
     scale_t = max(float(np.abs(theta_h).max()), 1e-300)
     scale_p = max(float(np.abs(p_h).max()), 1e-300)
-    keep = np.abs(theta_h) > KERNEL_SKIP_TOL * scale_t
-    ratios = p_h[keep] / theta_h[keep]
+    ratios = _kept_ratios(theta_h, p_h)
     med = float(np.median(ratios))
     spread = float(np.abs(ratios - med).max() / abs(med))
 
@@ -174,7 +140,7 @@ def check_kernel_proportionality(
     sv = np.linalg.svd(mat, compute_uv=False)
     rank_one_defect = float(sv[1] / sv[0])
 
-    vert_resid = float(np.abs(p_vert).max() / max(scale_p, 1e-300))
+    vert_resid = float(np.abs(pv.vertical[0]).max() / max(scale_p, 1e-300))
     positive = bool(np.all(ratios > 0.0))
     residuals = np.array([spread, rank_one_defect, vert_resid, 0.0 if positive else 1.0])
     return VerificationReport(
@@ -197,18 +163,13 @@ def check_flow_of_time(
     The per-point mean profile is reported as the empirical frame factor.
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    x = np.asarray(x, dtype=float)
-    if isinstance(frame, GraphFrame):
-        tol = 1e-9 if tol is None else tol
-        r = _graph_flow_ratios(frame, x, directions, sample, event_h)
-    else:
-        f = frame.spec if isinstance(frame, fr.GeodesicFrame) else frame
-        tol = 1e-3 if tol is None else tol
-        r = _geodesic_flow_ratios(f, x, directions, sample, event_h)
+    pv = frame.probe_values(x, sample.xi, directions, h=event_h)
+    tol = frame.PROBE_TOL if tol is None else tol
 
     residuals = []
     profile = []
-    for ratios in r:
+    for theta, rates, regular in zip(pv.theta, pv.rates, pv.regular):
+        ratios = _kept_ratios(theta, rates) if regular else ()
         if len(ratios) == 0:
             profile.append(np.nan)
             continue
@@ -224,43 +185,6 @@ def check_flow_of_time(
         probe_count=sample.n * directions.shape[0],
         extras={"empirical_factor_profile": np.asarray(profile)},
     )
-
-
-def _graph_flow_ratios(frame, x, directions, sample, event_h):
-    h_ev = event_h if event_h is not None else 1e-4 * max(1.0, float(np.abs(x).max()))
-    out = []
-    for xi in sample.xi:
-        theta = celestial_eval(directions, np.tile(xi, (len(directions), 1)))
-        keep = np.abs(theta) > KERNEL_SKIP_TOL * max(float(np.abs(theta).max()), 1e-300)
-        num = np.array(
-            [
-                (celestial_eval(x + h_ev * d, xi) - celestial_eval(x - h_ev * d, xi))
-                / (2 * h_ev)
-                for d in directions
-            ]
-        )
-        out.append(num[keep] / theta[keep])
-    return out
-
-
-def _geodesic_flow_ratios(f, x, directions, sample, event_h):
-    """One kernel batch over the sky points, a family pair per direction."""
-    tp = fr.tangent_planes(
-        f, np.tile(x, (sample.n, 1)), sample.xi, directions, h=event_h, normals=True
-    )
-    out = []
-    for k, xi in enumerate(sample.xi):
-        if not tp.family_ok[k] or tp.ranks[k] < 2:
-            out.append(np.array([]))
-            continue
-        n_hat = tp.normals[k]
-        nums = np.array([float(n_hat @ d) for d in tp.family[k]]) / (2 * tp.family_h[k])
-        thetas = np.array([fr.theta_value(f, x, xi, d) for d in directions])
-        keep = np.abs(thetas) > KERNEL_SKIP_TOL * max(
-            float(np.abs(thetas).max()), 1e-300
-        )
-        out.append(nums[keep] / thetas[keep])
-    return out
 
 
 def check_contraction_identity(x, pis, tol=1e-12) -> VerificationReport:
@@ -285,20 +209,12 @@ def check_contraction_identity(x, pis, tol=1e-12) -> VerificationReport:
 # Seeded suites (shared by the CLI and the acceptance tests).
 
 
-def _random_events(rng, n, box=2.0, metric=None, t_floor=None):
+def _random_events(rng, n, box=2.0, t_floor=None):
+    """Events in a box; with t_floor the times lie in t_floor + [0.3, 1.5]."""
     x = rng.uniform(-box, box, size=(n, 4))
-    if metric is not None and metric.kind == "flrw":
-        t_floor = max(0.0, t_floor if t_floor is not None else 0.0)
     if t_floor is not None:
         x[:, 0] = rng.uniform(t_floor + 0.3, t_floor + 1.5, size=n)
     return x
-
-
-def _event_floor(frame):
-    """Lowest usable event time for a frame, None when unrestricted."""
-    if isinstance(frame, GraphFrame):
-        return None
-    return frame.spec.target_time
 
 
 def suite_twistor(seed, n=1000):
@@ -331,16 +247,8 @@ def suite_twistor(seed, n=1000):
     return [rep_tau, rep_null]
 
 
-def _frame_for(metric_kind, frame_kind, p=2 / 3, t0=0.0, tracer="auto"):
-    if frame_kind == "graph":
-        return GraphFrame()
-    if metric_kind == "flrw":
-        metric = mf.MetricSpec.flrw(p=p)
-        target = fr.Singularity()
-    else:
-        metric = mf.MetricSpec.minkowski()
-        target = fr.CauchySurface(t0)
-    return fr.GeodesicFrame(fr.FrameSpec(metric=metric, target=target, tracer=tracer))
+def _default_frame():
+    return fr.FrameSpec(metric=mf.MetricSpec.flrw(p=2 / 3), target=fr.Singularity())
 
 
 def suite_contact(seed, n=20, metric=None, step=1e-3):
@@ -351,16 +259,15 @@ def suite_contact(seed, n=20, metric=None, step=1e-3):
         target=fr.Singularity() if metric.kind == "flrw" else fr.CauchySurface(0.0),
         step=step,
     )
-    xs = _random_events(rng, n, metric=metric)
+    xs = _random_events(rng, n, t_floor=0.0 if metric.kind == "flrw" else None)
     xis = sample_sky(max(n, 4), scheme="random", seed=seed).xi[:n]
     return [check_contact_annihilation(f, x, xi) for x, xi in zip(xs, xis)]
 
 
 def suite_kernel(seed, n=25, frame=None, tol=None):
-    frame = _frame_for("flrw", "geodesic") if frame is None else frame
+    frame = _default_frame() if frame is None else frame
     rng = np.random.default_rng(seed)
-    metric = None if isinstance(frame, GraphFrame) else frame.spec.metric
-    xs = _random_events(rng, n, metric=metric, t_floor=_event_floor(frame))
+    xs = _random_events(rng, n, t_floor=frame.target_time)
     xis = sample_sky(max(n, 4), scheme="random", seed=seed).xi[:n]
     return [
         check_kernel_proportionality(frame, x, xi, tol=tol) for x, xi in zip(xs, xis)
@@ -368,10 +275,9 @@ def suite_kernel(seed, n=25, frame=None, tol=None):
 
 
 def suite_flow(seed, n_sky=25, frame=None, tol=None):
-    frame = _frame_for("flrw", "geodesic") if frame is None else frame
+    frame = _default_frame() if frame is None else frame
     rng = np.random.default_rng(seed)
-    metric = None if isinstance(frame, GraphFrame) else frame.spec.metric
-    x = _random_events(rng, 1, metric=metric, t_floor=_event_floor(frame))[0]
+    x = _random_events(rng, 1, t_floor=frame.target_time)[0]
     dirs = np.array(
         [[1.0, 0, 0, 0], [1.0, 0.5, 0, 0], [1.0, 0, -0.4, 0.3], [2.0, 0.3, 0.3, -0.3]]
     )

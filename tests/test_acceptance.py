@@ -133,9 +133,7 @@ def test_criterion_6_kernel_proportionality():
             rep = vf.check_kernel_proportionality(graph, x, xi, tol=1e-9)
             assert rep.passed, rep.max_residual
 
-        geo = fr.GeodesicFrame(
-            fr.FrameSpec(metric=mf.MetricSpec.flrw(p=2 / 3), target=fr.Singularity())
-        )
+        geo = fr.FrameSpec(metric=mf.MetricSpec.flrw(p=2 / 3), target=fr.Singularity())
         probes = []
         for _ in range(100):
             x = np.array([rng.uniform(0.4, 1.4), *rng.uniform(-2, 2, size=3)])
@@ -167,9 +165,7 @@ def test_criterion_7_flow_of_time():
         profile = rep.extras["empirical_factor_profile"]
         assert np.abs(profile[~np.isnan(profile)] - 1.0).max() <= 1e-9
 
-        geo = fr.GeodesicFrame(
-            fr.FrameSpec(metric=mf.MetricSpec.flrw(p=2 / 3), target=fr.Singularity())
-        )
+        geo = fr.FrameSpec(metric=mf.MetricSpec.flrw(p=2 / 3), target=fr.Singularity())
         rep = vf.check_flow_of_time(
             geo, [1.0, 0.2, -0.1, 0.3], dirs, sample, tol=1e-3
         )

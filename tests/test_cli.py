@@ -207,6 +207,28 @@ class TestCustomMetric:
         pts = np.array([s["m_point"] for s in payload["samples"]])
         assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() <= 1e-8
 
+    @pytest.mark.parametrize("step", ["0", "-0.01"])
+    def test_bad_step_exits_2(self, capsys, tmp_path, step):
+        # a zero or negative step used to march the tracer without end
+        cfg = tmp_path / "custom.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "kind": "custom",
+                    "coeffs": ["1"] + ["-(1 + 0.1*t)**2"] * 3,
+                    "bounds": [[0, None], [None, None], [None, None], [None, None]],
+                }
+            )
+        )
+        code, _, err = run(
+            capsys,
+            "--config", str(cfg),
+            "sky-image", "--metric", "custom", "--event", "1,0,0,0",
+            "--target", "cauchy:0.5", "--n", "4", "--step", step,
+        )
+        assert code == 2
+        assert "step must be positive" in err
+
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     src = str(Path(skyframes.__file__).resolve().parents[1])

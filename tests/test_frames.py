@@ -62,6 +62,22 @@ class TestProjectEvent:
         with pytest.raises(OutOfDomainError):
             fr.project_event(flrw_frame, [-0.5, 0, 0, 0], XI_TO_ZHAT)
 
+    def test_batch_with_one_event_outside_the_domain_fails(self, flrw_frame):
+        events = np.array([[1.0, 0, 0, 0], [-0.5, 0, 0, 0]])
+        with pytest.raises(OutOfDomainError):
+            fr.project_batch(flrw_frame, events, np.tile(XI_TO_ZHAT, (2, 1)))
+
+
+class TestFrameSpec:
+    @pytest.mark.parametrize("step", [0.0, -0.01, np.nan, np.inf])
+    def test_rejects_bad_step(self, step):
+        with pytest.raises(ValueError, match="step"):
+            fr.FrameSpec(
+                metric=mf.MetricSpec.minkowski(),
+                target=fr.CauchySurface(0.0),
+                step=step,
+            )
+
 
 class TestSkyImage:
     def test_flat_image_is_unit_sphere(self, mink_frame, sample100):
@@ -137,7 +153,8 @@ class TestGeodesicFlowInvariance:
         x = np.array([1.0, 0.1, -0.3, 0.2])
         for k in (3, 11, 29):
             xi = sky.sample_sky(64).xi[k]
-            v = mf.future_null_directions(flrw_frame.metric, x, sky.SkySample(xi=xi[None, :]))[0]
+            d = fr.sky_directions(flrw_frame, xi[None, :])
+            v = mf.future_null_directions(flrw_frame.metric, x[None, :], d)[0]
             base = fr.project_event(flrw_frame, x, xi).m_point
             s0 = mf.NullGeodesicState(x=x, v=v)
             moved = mf.integrate_null_geodesic(flrw_frame.metric, s0, 0.05, 1e-3).states[-1].x
@@ -190,7 +207,7 @@ class TestSkyImageDerivative:
         x = np.array([1.0, 0, 0, 0])
         xi = sky.unit_cospinor(np.array([0.6, 0.8j]))
         v = mf.future_null_directions(
-            flrw_frame.metric, x, sky.SkySample(xi=xi[None, :])
+            flrw_frame.metric, x[None, :], fr.sky_directions(flrw_frame, xi[None, :])
         )[0]
         deriv = fr.sky_image_derivative(flrw_frame, x, xi, v)
         assert abs(deriv) <= 1e-7
@@ -232,6 +249,24 @@ class TestSkyImageDerivative:
         ta = fr.theta_value(spec_rot, x, xi, direction)
         tb = fr.theta_value(flrw_frame, x, xi_plain, direction)
         assert ta == pytest.approx(tb, rel=1e-12)
+
+
+class TestThetaBroadcast:
+    @pytest.mark.parametrize("frame", ["mink_frame", "flrw_frame"])
+    def test_matches_scalar_rows_bit_for_bit(self, frame, request):
+        f = request.getfixturevalue(frame)
+        rng = np.random.default_rng(9)
+        x = np.array([1.1, 0.3, -0.2, 0.5])
+        xis = rng.normal(size=(12, 2)) + 1j * rng.normal(size=(12, 2))
+        dirs = rng.normal(size=(5, 4))
+        batch = fr.theta_value(f, x, xis[:, None, :], dirs)
+        rows = [[fr.theta_value(f, x, xi, d) for d in dirs] for xi in xis]
+        assert batch.shape == (12, 5)
+        assert np.array_equal(batch, np.array(rows))
+
+    def test_scalar_row_is_a_float(self, flrw_frame):
+        out = fr.theta_value(flrw_frame, [1.0, 0, 0, 0], XI_TO_ZHAT, [1.0, 0, 0, 0])
+        assert isinstance(out, float)
 
 
 # ---------------------------------------------------------------------------

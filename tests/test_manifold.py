@@ -187,7 +187,7 @@ class TestFutureNullDirections:
         # the covector (1, 0) labels the null vector annihilated by it
         m = mf.MetricSpec.minkowski()
         sample = sky.SkySample(xi=np.array([[1.0 + 0j, 0.0]]))
-        v = mf.future_null_directions(m, [0, 0, 0, 0], sample)[0]
+        v = mf.future_null_directions(m, np.zeros((1, 4)), sample.directions())[0]
         assert np.allclose(v, [1, 0, 0, -1])
         psi = spinor.factor_null(v)
         assert abs(sample.xi[0] @ psi) <= 1e-14
@@ -195,8 +195,7 @@ class TestFutureNullDirections:
     def test_antipodal_points_give_opposite_spatial_parts(self):
         m = mf.MetricSpec.minkowski()
         d = np.array([[0.0, 0.6, 0.8], [0.0, -0.6, -0.8]])
-        sample = sky.SkySample(xi=spinor.cospinor_for_direction(d))
-        v = mf.future_null_directions(m, [0, 0, 0, 0], sample)
+        v = mf.future_null_directions(m, np.zeros((2, 4)), d)
         assert np.allclose(v[0, 1:], -v[1, 1:])
 
     def test_null_at_random_cosmology_points(self, flrw):
@@ -204,13 +203,21 @@ class TestFutureNullDirections:
         sample = sky.sample_sky(50, scheme="random", seed=2)
         for _ in range(10):
             x = np.array([rng.uniform(0.2, 3.0), *rng.normal(size=3)])
-            v = mf.future_null_directions(flrw, x, sample)
+            v = mf.future_null_directions(
+                flrw, np.tile(x, (sample.n, 1)), sample.directions()
+            )
             assert np.abs(flrw.norm(x, v)).max() <= 1e-12
             assert np.allclose(v[:, 0], 1.0)
 
-    def test_out_of_domain(self, flrw):
-        with pytest.raises(OutOfDomainError):
-            mf.future_null_directions(flrw, [-0.5, 0, 0, 0], sky.sample_sky(4))
+    def test_one_event_per_ray(self, flrw):
+        rng = np.random.default_rng(3)
+        xs = np.column_stack([rng.uniform(0.2, 3.0, 20), rng.normal(size=(20, 3))])
+        d = sky.sample_sky(20, scheme="random", seed=4).directions()
+        v = mf.future_null_directions(flrw, xs, d)
+        assert np.abs(flrw.norm(xs, v)).max() <= 1e-12
+        for k in range(20):
+            one = mf.future_null_directions(flrw, xs[k : k + 1], d[k : k + 1])
+            assert np.array_equal(v[k], one[0])
 
 
 class TestConfig:

@@ -176,11 +176,15 @@ class TestGraphFrame:
             minus = sky.celestial_eval(x, sky.unit_cospinor(xi - h * step))
             assert (plus - minus) / (2 * h) == pytest.approx(g[k], abs=1e-7)
 
-    def test_family_coefficient_is_transform_of_direction(self):
+    def test_normal_rate_is_transform_of_direction(self):
         frame = mk.GraphFrame()
+        rng = np.random.default_rng(8)
         x = np.array([0.2, -0.4, 1.0, 0.3])
-        xi = sky.unit_cospinor(np.array([0.8, 0.6j]))
-        d = np.array([0.5, 0.1, -0.2, 0.9])
-        assert frame.normal_coeff_of_family(x, xi, d) == pytest.approx(
-            sky.celestial_eval(d, xi)
-        )
+        xis = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+        dirs = rng.normal(size=(3, 4))
+        pv = frame.probe_values(x, xis, dirs)
+        for b, xi in enumerate(sky.unit_cospinor(xis)):
+            for k, d in enumerate(dirs):
+                assert abs(pv.rates[b, k] - sky.celestial_eval(d, xi)) <= 1e-12
+        # the contact form, taken through the null direction, agrees
+        assert np.abs(pv.theta - pv.rates).max() <= 1e-12

@@ -6,6 +6,7 @@ import pytest
 from skyframes import frames as fr
 from skyframes import manifold as mf
 from skyframes import sky, verify as vf
+from skyframes.errors import DegenerateTangentPlaneError, NoIntersectionError
 from skyframes.minkowski import GraphFrame
 
 DIRECTIONS = np.array(
@@ -16,11 +17,6 @@ DIRECTIONS = np.array(
 @pytest.fixture(scope="module")
 def flrw_spec():
     return fr.FrameSpec(metric=mf.MetricSpec.flrw(p=2 / 3), target=fr.Singularity())
-
-
-@pytest.fixture(scope="module")
-def flrw_geo(flrw_spec):
-    return fr.GeodesicFrame(flrw_spec)
 
 
 class TestContactAnnihilation:
@@ -40,9 +36,42 @@ class TestContactAnnihilation:
         assert rep.extras["max_null_drift"] <= 1e-8
         assert rep.extras["states"] > 100
 
-    def test_vertical_probe_is_exactly_zero(self, flrw_spec):
+    def test_probe_count_matches_residuals(self, flrw_spec):
         rep = vf.check_contact_annihilation(flrw_spec, [1.0, 0, 0, 0], [1.0, 0.0])
-        assert rep.residuals[1] == 0.0
+        assert rep.probe_count == len(rep.residuals) == rep.extras["states"] + 1
+
+
+FLAT = mf.MetricSpec.minkowski()
+FLRW = mf.MetricSpec.flrw(p=2 / 3)
+PROTOCOL_FRAMES = {
+    "graph": GraphFrame(),
+    "flat": fr.FrameSpec(metric=FLAT, target=fr.CauchySurface(0.0)),
+    "p2/3": fr.FrameSpec(metric=FLRW, target=fr.Singularity()),
+    "p2/3-numeric": fr.FrameSpec(
+        metric=FLRW, target=fr.Singularity(), tracer="numeric"
+    ),
+}
+
+
+class TestFrameProtocol:
+    @pytest.mark.parametrize("name", sorted(PROTOCOL_FRAMES))
+    def test_probe_value_shapes(self, name):
+        frame = PROTOCOL_FRAMES[name]
+        xis = sky.sample_sky(5, scheme="random", seed=1).xi
+        pv = frame.probe_values([0.9, 0.1, -0.2, 0.05], xis, DIRECTIONS[:3])
+        assert pv.theta.shape == pv.rates.shape == (5, 3)
+        assert pv.vertical.shape == (5, 2)
+        assert pv.regular.shape == pv.arrived.shape == (5,)
+        assert pv.regular.dtype == pv.arrived.dtype == bool
+        assert np.all(pv.regular)
+
+    def test_default_tolerances(self):
+        assert GraphFrame.PROBE_TOL == 1e-9
+        assert fr.FrameSpec.PROBE_TOL == 1e-3
+        rep = vf.check_kernel_proportionality(
+            PROTOCOL_FRAMES["p2/3"], [0.9, 0.1, -0.2, 0.05], [0.7, 0.1 - 0.6j]
+        )
+        assert rep.tolerance == 1e-3
 
 
 class TestKernelProportionality:
@@ -56,46 +85,53 @@ class TestKernelProportionality:
             assert rep.passed, rep.max_residual
             assert rep.extras["empirical_factor"] == pytest.approx(1.0, abs=1e-9)
 
-    def test_cosmology_frame_factor(self, flrw_geo):
+    def test_cosmology_frame_factor(self, flrw_spec):
         rng = np.random.default_rng(1)
         for _ in range(5):
             x = np.array([rng.uniform(0.4, 1.4), *rng.normal(size=3)])
             xi = sky.unit_cospinor(rng.normal(size=2) + 1j * rng.normal(size=2))
-            rep = vf.check_kernel_proportionality(flrw_geo, x, xi)
+            rep = vf.check_kernel_proportionality(flrw_spec, x, xi)
             assert rep.passed, rep.max_residual
-            expected = 2.0 / float(flrw_geo.spec.metric.scale_factor(x[0]))
+            expected = 2.0 / float(flrw_spec.metric.scale_factor(x[0]))
             assert rep.extras["empirical_factor"] == pytest.approx(expected, rel=1e-6)
             assert np.all(rep.extras["ratios"] > 0)
 
-    def test_richardson_convergence(self, flrw_geo):
+    def test_richardson_convergence(self, flrw_spec):
         x = np.array([0.8, 0.1, -0.2, 0.05])
         xi = sky.unit_cospinor(np.array([0.7, 0.1 - 0.6j]))
-        r1 = vf.check_kernel_proportionality(flrw_geo, x, xi, event_h=4e-3)
-        r2 = vf.check_kernel_proportionality(flrw_geo, x, xi, event_h=2e-3)
+        r1 = vf.check_kernel_proportionality(flrw_spec, x, xi, event_h=4e-3)
+        r2 = vf.check_kernel_proportionality(flrw_spec, x, xi, event_h=2e-3)
         assert r1.residuals[0] / r2.residuals[0] >= 3.0
 
     def test_numeric_tracer_frame(self):
-        geo = fr.GeodesicFrame(
-            fr.FrameSpec(
-                metric=mf.MetricSpec.flrw(p=2 / 3),
-                target=fr.Singularity(),
-                tracer="numeric",
-            )
+        geo = fr.FrameSpec(
+            metric=mf.MetricSpec.flrw(p=2 / 3),
+            target=fr.Singularity(),
+            tracer="numeric",
         )
         x = np.array([0.9, 0.1, -0.2, 0.05])
         xi = sky.unit_cospinor(np.array([0.7, 0.1 - 0.6j]))
         rep = vf.check_kernel_proportionality(geo, x, xi)
         assert rep.passed, rep.max_residual
-        expected = 2.0 / float(geo.spec.metric.scale_factor(x[0]))
+        expected = 2.0 / float(geo.metric.scale_factor(x[0]))
         assert rep.extras["empirical_factor"] == pytest.approx(expected, rel=1e-4)
 
     def test_flat_geodesic_frame_factor(self):
-        geo = fr.GeodesicFrame(
-            fr.FrameSpec(metric=mf.MetricSpec.minkowski(), target=fr.CauchySurface(0.0))
-        )
+        geo = fr.FrameSpec(metric=mf.MetricSpec.minkowski(), target=fr.CauchySurface(0.0))
         rep = vf.check_kernel_proportionality(geo, [1.0, 0.2, -0.3, 0.1], [0.6, 0.8j])
         assert rep.passed
         assert rep.extras["empirical_factor"] == pytest.approx(2.0, rel=1e-6)
+
+    def test_event_on_the_target_raises_no_intersection(self):
+        # the past family ray of the time direction starts below the slice
+        flat = PROTOCOL_FRAMES["flat"]
+        with pytest.raises(NoIntersectionError):
+            vf.check_kernel_proportionality(flat, [0.0, 0.3, 0, 0], [0.6, 0.8j])
+
+    def test_rank_deficient_probe_raises_degenerate(self):
+        coarse = fr.FrameSpec(metric=FLAT, target=fr.CauchySurface(0.0), rank_tol=1e3)
+        with pytest.raises(DegenerateTangentPlaneError):
+            vf.check_kernel_proportionality(coarse, [1.0, 0.2, -0.3, 0.1], [0.6, 0.8j])
 
 
 class TestFlowOfTime:
@@ -116,9 +152,10 @@ class TestFlowOfTime:
         rep = vf.check_flow_of_time(frame, [0.2, -0.4, 0.6, 0.1], dirs, sample)
         assert rep.passed
 
-    def test_cosmology_direction_independence(self, flrw_geo):
+    def test_cosmology_direction_independence(self, flrw_spec):
         sample = sky.sample_sky(30)
-        rep = vf.check_flow_of_time(flrw_geo, [1.0, 0.2, -0.1, 0.3], DIRECTIONS, sample)
+        x = [1.0, 0.2, -0.1, 0.3]
+        rep = vf.check_flow_of_time(flrw_spec, x, DIRECTIONS, sample)
         assert rep.passed
         profile = rep.extras["empirical_factor_profile"]
         assert np.nanmean(profile) == pytest.approx(2.0, rel=1e-6)
@@ -155,11 +192,11 @@ class TestSuites:
         b = [r.to_json_dict() for r in vf.suite_twistor(7, n=200)]
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
-    def test_all_mini_suites_pass(self, flrw_geo):
+    def test_all_mini_suites_pass(self, flrw_spec):
         assert all(r.passed for r in vf.suite_twistor(5, n=100))
         assert all(r.passed for r in vf.suite_contact(5, n=4))
-        assert all(r.passed for r in vf.suite_kernel(5, n=4, frame=flrw_geo))
-        assert all(r.passed for r in vf.suite_flow(5, n_sky=8, frame=flrw_geo))
+        assert all(r.passed for r in vf.suite_kernel(5, n=4, frame=flrw_spec))
+        assert all(r.passed for r in vf.suite_flow(5, n_sky=8, frame=flrw_spec))
         assert all(r.passed for r in vf.suite_kernel(5, n=4, frame=GraphFrame()))
         assert all(r.passed for r in vf.suite_flow(5, n_sky=8, frame=GraphFrame()))
 
