@@ -22,19 +22,38 @@ from .minkowski import GraphFrame
 
 USAGE_ERROR, DOMAIN_ERROR = 2, 1
 
+#: Keys a config file may hold: the common flags, plus the metric schema
+#: of `manifold.metric_from_config` (`metric` and `kind` both name the kind).
+CONFIG_KEYS = frozenset(
+    ("metric", "p", "a_expr", "target", "frame", "n", "seed", "tol", "step", "out",
+     "format", "kind", "coeffs", "bounds")
+)
+
 
 def _parse_vec(text, length=4):
     parts = [p for p in text.replace(",", " ").split() if p]
     if len(parts) != length:
         raise ValueError(f"expected {length} components, got {len(parts)}")
-    return np.array([float(p) for p in parts])
+    vec = np.array([float(p) for p in parts])
+    if not np.all(np.isfinite(vec)):
+        raise ValueError(f"components must be finite, got {text!r}")
+    return vec
 
 
 def _load_config(path):
     if path is None:
         return {}
     with open(path) as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError("a config file holds one JSON object")
+    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r}")
+    if "metric" in cfg:  # the --metric flag's name for the kind
+        if cfg.setdefault("kind", cfg["metric"]) != cfg["metric"]:
+            raise ValueError("config keys 'metric' and 'kind' disagree")
+    return cfg
 
 
 def _setting(args, cfg, key, default=None):
@@ -64,8 +83,16 @@ def _target_from(args, cfg):
     raise ValueError(f"unknown target {text!r}")
 
 
-def _frame_spec(args, cfg):
-    metric = _metric_from(args, cfg)
+def _graph_frame(args, cfg, metric):
+    """Whether the graph frame is asked for; it exists only over flat space."""
+    if _setting(args, cfg, "frame") != "graph":
+        return False
+    if metric.kind != "minkowski":
+        raise ValueError("the graph frame is defined over the flat metric")
+    return True
+
+
+def _frame_spec(args, cfg, metric):
     if metric.kind == "minkowski" and _setting(args, cfg, "target") is None:
         target = fr.CauchySurface(0.0)
     else:
@@ -106,10 +133,8 @@ def cmd_sky_image(args, cfg):
     fmt = _setting(args, cfg, "format", "json")
     out = _setting(args, cfg, "out")
 
-    if _setting(args, cfg, "frame", "geodesic") == "graph":
-        metric = _metric_from(args, cfg)
-        if metric.kind != "minkowski":
-            raise ValueError("the graph frame is defined over the flat metric")
+    metric = _metric_from(args, cfg)
+    if _graph_frame(args, cfg, metric):
         image = minkowski.sky_image_minkowski(event, sample)
         payload = image.to_json_dict()
         heights = image.heights
@@ -123,7 +148,7 @@ def cmd_sky_image(args, cfg):
             _write_json(out, payload)
         return 0
 
-    spec = _frame_spec(args, cfg)
+    spec = _frame_spec(args, cfg, metric)
     image = fr.sky_image(spec, event, sample)
     regular = float(np.mean(image.regular_mask))
     pts = image.m_points[image.ok_mask]
@@ -153,11 +178,11 @@ def cmd_causal(args, cfg):
     x = _parse_vec(args.x)
     y = _parse_vec(args.y)
     metric = _metric_from(args, cfg)
-    if metric.kind == "minkowski" and _setting(args, cfg, "frame") == "graph":
+    if _graph_frame(args, cfg, metric):
         order = minkowski.causal_compare(x, y)
         print(order.value)
         return 0
-    spec = _frame_spec(args, cfg)
+    spec = _frame_spec(args, cfg, metric)
     ball_x = ca.analytic_region(spec, x)
     ball_y = ca.analytic_region(spec, y)
     y_past = ca.in_causal_past(spec, y, x)
@@ -187,14 +212,12 @@ def cmd_causal(args, cfg):
 def cmd_verify(args, cfg):
     seed = int(_setting(args, cfg, "seed", 0))
     n = int(_setting(args, cfg, "n", 200))
-    frame_kind = _setting(args, cfg, "frame", "geodesic")
     metric = _metric_from(args, cfg)
     suite = args.suite
-
-    if frame_kind == "graph":
+    if _graph_frame(args, cfg, metric):
         frame = GraphFrame()
     else:
-        frame = _frame_spec(args, cfg)
+        frame = _frame_spec(args, cfg, metric)
 
     tol = _setting(args, cfg, "tol")
     reports = []

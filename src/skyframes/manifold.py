@@ -3,11 +3,14 @@
 Supported metric kinds: flat space, spatially flat expanding cosmologies
 (scale factor of cosmic time, power-law shortcut a(t) = t^p), and
 user-supplied diagonal metrics with coefficient functions of the chart
-point.  Signature is (+, -, -, -) and the coordinate time direction is
-future.  Null geodesics are integrated with a classical 4th-order
-one-step scheme; after every accepted step the time component of the
-velocity is rescaled to put it back on the null cone, which preserves the
-spatial direction and dumps the drift into the affine parameter.
+point.  Coefficients given as arithmetic expressions are differentiated
+symbolically once, when the metric is built; coefficients given as Python
+callables get central differences.  Signature is (+, -, -, -) and the
+coordinate time direction is future.  Null geodesics are integrated with a
+classical 4th-order one-step scheme; after every accepted step the time
+component of the velocity is rescaled to put it back on the null cone,
+which preserves the spatial direction and dumps the drift into the affine
+parameter.
 
 The spinor <-> direction dictionary at a curved point uses the fixed
 orthonormal tetrad aligned with the coordinate axes (well-defined for
@@ -57,6 +60,9 @@ class MetricSpec:
     coeff_fns: tuple | None = None
     coeff_sources: tuple | None = None
     bounds: np.ndarray = field(default_factory=lambda: _default_bounds(False))
+    _expressions: _ExpressionMetric | None = field(
+        default=None, repr=False, compare=False
+    )
 
     # -- constructors -----------------------------------------------------
 
@@ -80,15 +86,23 @@ class MetricSpec:
         )
 
     @staticmethod
-    def custom_diagonal(coeffs, bounds=None, sources=None):
-        """Four coefficient functions of the chart point, signature checked
-        on a coarse grid over (a clipped box of) the declared bounds."""
+    def custom_diagonal(coeffs=None, bounds=None, sources=None):
+        """Four coefficients of the chart point, signature checked on a
+        coarse grid over (a clipped box of) the declared bounds.
+
+        Give exactly one of `coeffs` (callables; their partials are central
+        differences) or `sources` (expressions of t, x, y, z; their partials
+        are exact and come with the values from one compiled evaluation).
+        """
+        if (coeffs is None) == (sources is None):
+            raise ValueError("give exactly one of coefficient callables or sources")
         b = _default_bounds(False) if bounds is None else np.asarray(bounds, float)
         m = MetricSpec(
             kind="custom",
-            coeff_fns=tuple(coeffs),
+            coeff_fns=None if coeffs is None else tuple(coeffs),
             coeff_sources=None if sources is None else tuple(sources),
             bounds=b,
+            _expressions=None if sources is None else _ExpressionMetric(sources),
         )
         m._check_signature()
         return m
@@ -126,6 +140,8 @@ class MetricSpec:
             out[..., 1] = out[..., 2] = out[..., 3] = 1.0
             out[..., 1:] *= -a2[..., None]
             return out
+        if self._expressions is not None:
+            return self._expressions.values(x)
         return np.stack([f(x) * np.ones(x.shape[:-1]) for f in self.coeff_fns], axis=-1)
 
     def norm(self, x, v):
@@ -147,27 +163,32 @@ class MetricSpec:
 
     # -- differential structure --------------------------------------------
 
-    def _metric_partials(self, x):
-        """d g_aa / d x^b as (..., 4 [b], 4 [a]); analytic where possible."""
+    def _metric_jet(self, x):
+        """(g, dg): the coefficients (..., 4 [a]) and their partials
+        d g_aa / d x^b (..., 4 [b], 4 [a]); exact except for callables."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (4, 4), dtype=float)
+        if self._expressions is not None:
+            jet = self._expressions.jet(x)
+            return jet[..., :4], jet[..., 4:].reshape(x.shape[:-1] + (4, 4))
+        g = self.metric_diag(x)
+        dg = np.zeros(x.shape[:-1] + (4, 4), dtype=float)
         if self.kind == "minkowski":
-            return out
+            return g, dg
         if self.kind == "flrw":
             t = x[..., 0]
-            out[..., 0, 1:] = (-2.0 * self.scale_factor(t) * self.scale_factor_dot(t))[
+            dg[..., 0, 1:] = (-2.0 * self.scale_factor(t) * self.scale_factor_dot(t))[
                 ..., None
             ]
-            return out
+            return g, dg
         for b in range(4):
             h = 1e-5 * np.maximum(1.0, np.abs(x[..., b]))
             xp, xm = x.copy(), x.copy()
             xp[..., b] += h
             xm[..., b] -= h
-            out[..., b, :] = (self.metric_diag(xp) - self.metric_diag(xm)) / (
+            dg[..., b, :] = (self.metric_diag(xp) - self.metric_diag(xm)) / (
                 2.0 * h[..., None]
             )
-        return out
+        return g, dg
 
     def geodesic_acceleration(self, x, v):
         """-Gamma^a_{bc} v^b v^c for the diagonal metric; vectorised."""
@@ -182,8 +203,7 @@ class MetricSpec:
             acc[..., 0] = -a * ad * np.sum(v[..., 1:] ** 2, axis=-1)
             acc[..., 1:] = (-2.0 * ad / a * v[..., 0])[..., None] * v[..., 1:]
             return acc
-        g = self.metric_diag(x)
-        dg = self._metric_partials(x)  # (..., b, a)
+        g, dg = self._metric_jet(x)  # dg is (..., b, a)
         v_dot_grad = np.einsum("...b,...ba->...a", v, dg)
         grad_quad = np.einsum("...ab,...b->...a", dg, v**2)
         return -(2.0 * v * v_dot_grad - grad_quad) / (2.0 * g)
@@ -204,8 +224,7 @@ def christoffel(m: MetricSpec, x):
     x = np.asarray(x, dtype=float)
     if not m.in_domain(x):
         raise OutOfDomainError(f"point {x.tolist()} outside the chart domain")
-    g = m.metric_diag(x)
-    dg = m._metric_partials(x)  # (b, a)
+    g, dg = m._metric_jet(x)  # dg is (b, a)
     gamma = np.zeros((4, 4, 4))
     for a in range(4):
         for b in range(4):
@@ -271,9 +290,9 @@ def _rk4_step(m: MetricSpec, x, v, h):
     return xn, vn
 
 
-def _renormalise(m: MetricSpec, x, v, time_sign=1.0):
-    """Rescale the time component so g(v, v) = 0, keeping spatial parts."""
-    g = m.metric_diag(x)
+def _renormalise(g, v, time_sign=1.0):
+    """Rescale the time component so g(v, v) = 0, keeping spatial parts;
+    g holds the metric coefficients at the point of v."""
     rad = -np.sum(g[..., 1:] * v[..., 1:] ** 2, axis=-1) / g[..., 0]
     out = v.copy()
     out[..., 0] = time_sign * np.sqrt(np.maximum(rad, 0.0))
@@ -322,10 +341,11 @@ def integrate_null_geodesic(m: MetricSpec, s0: NullGeodesicState, lam_end, step)
 
 
 def _check_and_renormalise(m, x, v, scale2):
-    drift = abs(float(m.norm(x, v)))
+    g = m.metric_diag(x)
+    drift = abs(float(np.sum(g * v**2, axis=-1)))
     if drift > CONSTRAINT_LOST_TOL * scale2:
         raise ConstraintLostError(f"null constraint drifted to {drift:.3e}")
-    return _renormalise(m, v=v, x=x, time_sign=1.0)
+    return _renormalise(g, v, time_sign=1.0)
 
 
 def _bisect_domain_exit(m, x, v, h):
@@ -393,11 +413,12 @@ def trace_past_to_time(m: MetricSpec, x0, v0, t_target, step, max_steps=200_000)
             hc = np.where(crossed, frac * h, h)
             xn, un = _rk4_step(m, x, u, hc[:, None])
             h = hc
-        drift = np.abs(np.sum(m.metric_diag(xn) * un**2, axis=-1))
+        g = m.metric_diag(xn)
+        drift = np.abs(np.sum(g * un**2, axis=-1))
         scale2 = np.maximum(np.abs(un).max(axis=-1), 1.0) ** 2
         lost |= active & (drift > CONSTRAINT_LOST_TOL * scale2)
         ok &= ~lost
-        un = _renormalise(m, xn, un, time_sign=-1.0)
+        un = _renormalise(g, un, time_sign=-1.0)
         # Accept only active rays; freeze the rest.
         upd = active & ok
         x[upd] = xn[upd]
@@ -453,11 +474,15 @@ def conformal_time(m: MetricSpec, t):
         return np.array([conformal_time(m, s) for s in t.ravel()]).reshape(t.shape)
     from scipy import integrate
 
+    def inverse_scale_factor(s):
+        a = float(m.scale_factor(s))
+        if not a > 0.0:  # a zero (or a sign change) makes 1/a diverge
+            raise DivergentIntegralError(f"the scale factor is {a:.3g} at t = {s:.12g}")
+        return 1.0 / a
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(
-            lambda s: 1.0 / float(m.scale_factor(s)), 0.0, t, limit=500, epsrel=1e-12
-        )
+        val, err = integrate.quad(inverse_scale_factor, 0.0, t, limit=500, epsrel=1e-12)
     if not math.isfinite(val) or err > 1e-10 * max(abs(val), 1.0):
         raise DivergentIntegralError("quadrature did not converge")
     return float(val)
@@ -521,12 +546,18 @@ _ALLOWED_NODES = (
 
 _EXPR_NAMES = ("t", "x", "y", "z")
 
+#: Globals of every compiled expression.  The user grammar has no calls;
+#: only derivatives of variable exponents use the private logarithm.
+_EVAL_GLOBALS = {"__builtins__": {}, "_log": np.log}
 
-def compile_expression(src: str):
-    """Compile an arithmetic expression of t, x, y, z into a chart-point fn.
+
+def _parse_expression(src: str):
+    """The AST body of an arithmetic expression of t, x, y, z.
 
     Grammar: numbers, the four names, +, -, *, /, ** and unary minus.
     """
+    if not isinstance(src, str):
+        raise ValueError(f"metric expression {src!r} is not a string")
     tree = ast.parse(src, mode="eval")
     for node in ast.walk(tree):
         if not isinstance(node, _ALLOWED_NODES):
@@ -535,14 +566,176 @@ def compile_expression(src: str):
             raise ValueError(f"unknown name {node.id!r} in metric expression")
         if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
             raise ValueError("only numeric constants are allowed")
-    code = compile(tree, "<metric-expression>", "eval")
+    return tree.body
+
+
+def _compile(body):
+    tree = ast.fix_missing_locations(ast.Expression(body=body))
+    return compile(tree, "<metric-expression>", "eval")
+
+
+def _chart_names(xpt):
+    return {name: xpt[..., k] for k, name in enumerate(_EXPR_NAMES)}
+
+
+def compile_expression(src: str):
+    """Compile an arithmetic expression of t, x, y, z into a chart-point fn."""
+    code = _compile(_parse_expression(src))
 
     def fn(xpt):
         xpt = np.asarray(xpt, dtype=float)
-        env = {name: xpt[..., k] for k, name in enumerate(_EXPR_NAMES)}
-        return eval(code, {"__builtins__": {}}, env)  # noqa: S307 - AST-filtered
+        return eval(code, _EVAL_GLOBALS, _chart_names(xpt))  # noqa: S307 - AST-filtered
 
     return fn
+
+
+# Symbolic derivatives over the same grammar.  The builders fold the
+# constants 0 and 1 and any operation on two constants.
+
+
+def _num(value):
+    return ast.Constant(value=value)
+
+
+def _is(node, value):
+    return isinstance(node, ast.Constant) and node.value == value
+
+
+def _constant(node):
+    """The value of a tree without names, or None if it has a name."""
+    if any(isinstance(n, ast.Name) for n in ast.walk(node)):
+        return None
+    try:
+        value = eval(_compile(node), _EVAL_GLOBALS)  # noqa: S307 - AST-filtered
+        value = float(value)
+    except (ArithmeticError, TypeError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"metric expression {ast.unparse(node)!r} has no finite value")
+    return value
+
+
+def _binop(a, op, b):
+    node = ast.BinOp(left=a, op=op, right=b)
+    if isinstance(a, ast.Constant) and isinstance(b, ast.Constant):
+        return _num(_constant(node))
+    return node
+
+
+def _neg(a):
+    if isinstance(a, ast.Constant):
+        return _num(-a.value)
+    return ast.UnaryOp(op=ast.USub(), operand=a)
+
+
+def _add(a, b):
+    if _is(a, 0):
+        return b
+    return a if _is(b, 0) else _binop(a, ast.Add(), b)
+
+
+def _sub(a, b):
+    if _is(a, 0):
+        return _neg(b)
+    return a if _is(b, 0) else _binop(a, ast.Sub(), b)
+
+
+def _mul(a, b):
+    if _is(a, 0) or _is(b, 0):
+        return _num(0)
+    if _is(a, 1):
+        return b
+    return a if _is(b, 1) else _binop(a, ast.Mult(), b)
+
+
+def _div(a, b):
+    if _is(a, 0):
+        return _num(0)
+    return a if _is(b, 1) else _binop(a, ast.Div(), b)
+
+
+def _pow(a, b):
+    if _is(b, 0):
+        return _num(1)
+    return a if _is(b, 1) else _binop(a, ast.Pow(), b)
+
+
+def _log(a):
+    return ast.Call(func=ast.Name(id="_log", ctx=ast.Load()), args=[a], keywords=[])
+
+
+def _diff(node, name):
+    """d node / d name for a parsed expression body."""
+    if isinstance(node, ast.Constant):
+        return _num(0)
+    if isinstance(node, ast.Name):
+        return _num(1 if node.id == name else 0)
+    if isinstance(node, ast.UnaryOp):
+        d = _diff(node.operand, name)
+        return _neg(d) if isinstance(node.op, ast.USub) else d
+    u, v = node.left, node.right
+    du, dv = _diff(u, name), _diff(v, name)
+    if isinstance(node.op, ast.Add):
+        return _add(du, dv)
+    if isinstance(node.op, ast.Sub):
+        return _sub(du, dv)
+    if isinstance(node.op, ast.Mult):
+        return _add(_mul(du, v), _mul(u, dv))
+    if isinstance(node.op, ast.Div):
+        return _sub(_div(du, v), _div(_mul(u, dv), _mul(v, v)))
+    if _is(dv, 0):  # c * u**(c - 1) * u', also for exponents free of `name`
+        c = _constant(v)
+        c = v if c is None else _num(c)
+        return _mul(_mul(c, _pow(u, _sub(c, _num(1)))), du)
+    # u**v * (v' log(u) + v u' / u)
+    return _mul(_pow(u, v), _add(_mul(dv, _log(u)), _div(_mul(v, du), u)))
+
+
+class _FusedExpressions:
+    """Expression bodies evaluated by one code object, one slot per body.
+
+    Bodies without names are folded to constants when compiled, and a body
+    that repeats an earlier one is computed once.
+    """
+
+    def __init__(self, bodies):
+        self.slots = len(bodies)
+        self.constants, self.computed, distinct = [], [], {}
+        for slot, body in enumerate(bodies):
+            value = _constant(body)
+            if value is not None:
+                if value != 0.0:  # the output starts from zeros
+                    self.constants.append((slot, value))
+                continue
+            index = distinct.setdefault(ast.dump(body), (len(distinct), body))[0]
+            self.computed.append((slot, index))
+        elts = [body for _, body in distinct.values()]
+        self.code = _compile(ast.Tuple(elts=elts, ctx=ast.Load()))
+
+    def __call__(self, xpt):
+        """Every body's value at the chart points xpt (..., 4), with the
+        slots along the last axis."""
+        out = np.zeros(xpt.shape[:-1] + (self.slots,))
+        values = eval(self.code, _EVAL_GLOBALS, _chart_names(xpt))  # noqa: S307
+        for slot, value in self.constants:
+            out[..., slot] = value
+        for slot, index in self.computed:
+            out[..., slot] = values[index]
+        return out
+
+
+class _ExpressionMetric:
+    """Compiled coefficient expressions of a diagonal metric: `values`
+    gives the 4 coefficients, `jet` the coefficients followed by their
+    16 partials d g_aa / d x^b in (b, a) order."""
+
+    def __init__(self, sources):
+        if len(sources) != 4:
+            raise ValueError("custom metric needs four coefficient expressions")
+        coeffs = [_parse_expression(src) for src in sources]
+        partials = [_diff(c, name) for name in _EXPR_NAMES for c in coeffs]
+        self.values = _FusedExpressions(coeffs)
+        self.jet = _FusedExpressions(coeffs + partials)
 
 
 def metric_from_config(cfg: dict) -> MetricSpec:
@@ -566,9 +759,6 @@ def metric_from_config(cfg: dict) -> MetricSpec:
             return MetricSpec.flrw(a=a, bounds=bounds)
         raise ValueError("flrw metric needs 'p' or 'a_expr'")
     if kind == "custom":
-        sources = cfg.get("coeffs")
-        if not sources or len(sources) != 4:
-            raise ValueError("custom metric needs four coefficient expressions")
-        fns = tuple(compile_expression(s) for s in sources)
-        return MetricSpec.custom_diagonal(fns, bounds=bounds, sources=tuple(sources))
+        sources = tuple(cfg.get("coeffs") or ())
+        return MetricSpec.custom_diagonal(bounds=bounds, sources=sources)
     raise ValueError(f"unknown metric kind {kind!r}")

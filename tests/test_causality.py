@@ -198,6 +198,27 @@ class TestMeshPath:
         assert np.array_equal(batched, single)
         assert 0 < batched.sum() < len(pts)
 
+    @pytest.mark.parametrize(
+        "y, inside",
+        [([0.4, 0.1, 0.05, 0.0], True), ([0.4, 0.3, 0.0, 0.0], False)],
+    )
+    def test_custom_metric_query_matches_exact_verdict(self, y, inside):
+        # a(t) = 1 + 0.1 t is conformally flat with eta(t) = 10 ln(1 + 0.1 t),
+        # so y is in the past of x exactly when |y - x| <= eta(x) - eta(y)
+        metric = mf.metric_from_config(
+            {
+                "kind": "custom",
+                "coeffs": ["1"] + ["-(1 + 0.1*t)**2"] * 3,
+                "bounds": [[0, None], [None, None], [None, None], [None, None]],
+            }
+        )
+        f = fr.FrameSpec(metric=metric, target=fr.CauchySurface(0.3))
+        x, y = np.array([0.65, 0.0, 0.0, 0.0]), np.array(y)
+        eta_custom = lambda t: 10.0 * np.log1p(0.1 * t)
+        exact = np.linalg.norm(y[1:] - x[1:]) <= eta_custom(x[0]) - eta_custom(y[0])
+        assert exact == inside
+        assert ca.in_causal_past(f, y, x, sky.sample_sky(48)) is inside
+
 
 class TestLocale:
     def test_empty_union_is_disjoint_from_everything(self):

@@ -181,6 +181,90 @@ class TestVerify:
         assert code == 2
 
 
+class TestGraphFrameNeedsFlatSpace:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--suite", "theorem1", "--n", "4"],
+            ["verify", "--suite", "flow", "--n", "4"],
+            ["causal", "--x", "1,0,0,0", "--y", "0.5,0,0,0"],
+            ["sky-image", "--event", "1,0,0,0", "--n", "4"],
+        ],
+    )
+    def test_non_flat_metric_exits_2(self, capsys, tmp_path, argv):
+        # verify and causal used to run the flat graph frame or the geodesic one
+        code, out, err = run(
+            capsys, *argv, "--frame", "graph", "--metric", "flrw", "--p", "0.5",
+            "--out", str(tmp_path / "out.json"),
+        )
+        assert code == 2
+        assert "the graph frame is defined over the flat metric" in err
+        assert not (tmp_path / "out.json").exists()
+
+
+class TestConfigKeys:
+    def _run_config(self, capsys, tmp_path, cfg, *argv):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return run(capsys, "--config", str(path), *argv)
+
+    @pytest.mark.parametrize("target", [[], ["--target", "singularity"]])
+    def test_metric_key_reads_like_the_flag(self, capsys, tmp_path, target):
+        # a(t) = t^(1/2) to the singularity: eta = 2 sqrt(t), radius 2 at t = 1
+        code, out, _ = self._run_config(
+            capsys, tmp_path, {"metric": "flrw", "p": 0.5},
+            "causal", "--x", "1,0,0,0", "--y", "0.25,0,0,0", *target,
+        )
+        assert code == 0
+        assert out.splitlines()[0] == "y_past_of_x"
+        assert "radius_x: 2  radius_y: 1 " in out
+
+    def test_flags_override_the_metric_key(self, capsys, tmp_path):
+        code, out, _ = self._run_config(
+            capsys, tmp_path, {"metric": "flrw", "p": 0.5},
+            "causal", "--metric", "minkowski", "--x", "1,0,0,0", "--y", "0.25,0,0,0",
+        )
+        assert code == 0
+        assert "radius_x: 1  radius_y: 0.25 " in out
+
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            ({"kind": "flrw", "p": 0.5, "pp": 1}, "unknown config key 'pp'"),
+            ({"metric": "flrw", "exponent": 0.5}, "unknown config key 'exponent'"),
+            ({"metric": "flrw", "kind": "custom", "p": 0.5}, "disagree"),
+            ([["kind", "flrw"]], "one JSON object"),
+        ],
+    )
+    def test_bad_config_exits_2(self, capsys, tmp_path, cfg, message):
+        code, _, err = self._run_config(
+            capsys, tmp_path, cfg, "causal", "--x", "1,0,0,0", "--y", "0.25,0,0,0"
+        )
+        assert code == 2
+        assert message in err
+
+
+class TestNonFiniteAndDegenerateInputs:
+    def test_nan_vector_exits_2(self, capsys):
+        code, out, err = run(capsys, "pauli", "--vec", "1,0,0,nan", "--factor")
+        assert code == 2
+        assert "finite" in err and "nan" not in out
+
+    @pytest.mark.parametrize("x", ["inf,0,0,0", "1,-inf,0,0"])
+    def test_infinite_event_exits_2(self, capsys, x):
+        code, out, err = run(capsys, "causal", "--x", x, "--y", "0,0,0,0")
+        assert code == 2
+        assert "finite" in err and out == ""
+
+    def test_vanishing_scale_factor_is_a_domain_error(self, capsys):
+        code, _, err = run(
+            capsys, "causal", "--metric", "flrw", "--a-expr", "t-0.5",
+            "--x", "1,0,0,0", "--y", "0.5,0,0,0",
+        )
+        assert code == 1
+        assert err.startswith("DivergentIntegralError")
+
+
 class TestCustomMetric:
     def test_sky_image_through_expression_metric(self, capsys, tmp_path):
         # a flat chart written as custom coefficients runs the numeric tracer

@@ -59,6 +59,189 @@ class TestChristoffel:
             mf.christoffel(flrw, [-1.0, 0, 0, 0])
 
 
+README_METRIC = {
+    "kind": "custom",
+    "coeffs": ["1", "-(1 + 0.1*t)**2", "-(1 + 0.1*t)**2", "-(1 + 0.1*t)**2"],
+    "bounds": [[0, None], [None, None], [None, None], [None, None]],
+}
+
+# Every operator of the grammar, all four names and a variable exponent;
+# the box keeps the base z of z**t positive.
+EVERY_OPERATOR_METRIC = {
+    "kind": "custom",
+    "coeffs": [
+        "1 + 0.5*t*x/(2 + y*y)",
+        "-(1 + 0.1*t*x)**2/(2 + y*y) - z**t",
+        "-(1 + 0.1*t)**2",
+        "-(+z)**2 - 1",
+    ],
+    "bounds": [[0.1, 1.0], [0.1, 1.0], [-1.0, 1.0], [0.1, 1.0]],
+}
+
+
+def _central_differences(m, x, h=1e-6):
+    out = np.empty(x.shape[:-1] + (4, 4))
+    for b in range(4):
+        step = np.zeros(4)
+        step[b] = h
+        out[..., b, :] = (m.metric_diag(x + step) - m.metric_diag(x - step)) / (2 * h)
+    return out
+
+
+class TestMetricJet:
+    @pytest.mark.parametrize("cfg", [README_METRIC, EVERY_OPERATOR_METRIC])
+    def test_exact_partials_match_central_differences(self, cfg):
+        m = mf.metric_from_config(cfg)
+        rng = np.random.default_rng(5)
+        x = rng.uniform([0.2, 0.2, -0.8, 0.2], [0.9, 0.9, 0.8, 0.9], size=(40, 4))
+        g, dg = m._metric_jet(x)
+        assert g.shape == (40, 4) and dg.shape == (40, 4, 4)
+        assert np.array_equal(g, m.metric_diag(x))
+        np.testing.assert_allclose(dg, _central_differences(m, x), rtol=1e-6, atol=1e-9)
+
+    def test_every_partial_of_the_operator_metric_is_exercised(self):
+        m = mf.metric_from_config(EVERY_OPERATOR_METRIC)
+        _, dg = m._metric_jet(np.array([0.5, 0.5, 0.5, 0.5]))
+        # d/dt, d/dx, d/dy and d/dz of g_11 are all nonzero
+        assert np.all(dg[:, 1] != 0.0)
+
+    def test_constant_coefficients_broadcast(self):
+        m = mf.metric_from_config(README_METRIC)
+        x = np.full((3, 2, 4), 0.5)
+        g, dg = m._metric_jet(x)
+        assert g.shape == (3, 2, 4) and dg.shape == (3, 2, 4, 4)
+        assert np.all(g[..., 0] == 1.0) and np.all(dg[..., 1:, :] == 0.0)
+        assert m.metric_diag(x).shape == (3, 2, 4)
+        one_g, one_dg = m._metric_jet(np.array([2.0, 0, 0, 0]))
+        assert one_g.shape == (4,) and one_dg.shape == (4, 4)
+        assert one_dg[0, 1] == pytest.approx(-0.24, rel=1e-12)
+
+    def test_acceleration_matches_the_callable_metric(self):
+        expr = mf.metric_from_config(README_METRIC)
+        callables = mf.MetricSpec.custom_diagonal(
+            [lambda x: np.ones_like(x[..., 0])]
+            + [lambda x: -(1 + 0.1 * x[..., 0]) ** 2] * 3,
+            bounds=expr.bounds,
+        )
+        rng = np.random.default_rng(6)
+        x = rng.uniform(0.1, 2.0, size=(30, 4))
+        v = rng.normal(size=(30, 4))
+        np.testing.assert_allclose(
+            expr.geodesic_acceleration(x, v),
+            callables.geodesic_acceleration(x, v),
+            rtol=1e-8,
+            atol=1e-12,
+        )
+        np.testing.assert_allclose(
+            mf.christoffel(expr, x[0]), mf.christoffel(callables, x[0]), atol=1e-9
+        )
+
+    def test_one_compiled_evaluation_per_acceleration(self, monkeypatch):
+        m = mf.metric_from_config(README_METRIC)
+        calls = {"jet": 0, "values": 0, "metric_diag": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        exprs = m._expressions
+        monkeypatch.setattr(exprs, "jet", counting("jet", exprs.jet))
+        monkeypatch.setattr(exprs, "values", counting("values", exprs.values))
+        monkeypatch.setattr(
+            mf.MetricSpec, "metric_diag", counting("metric_diag", mf.MetricSpec.metric_diag)
+        )
+        m.geodesic_acceleration(np.full((7, 4), 0.5), np.ones((7, 4)))
+        assert calls == {"jet": 1, "values": 0, "metric_diag": 0}
+
+    def test_one_metric_evaluation_per_accepted_step(self, monkeypatch):
+        m = mf.metric_from_config(README_METRIC)
+        calls = []
+        original = mf.MetricSpec.metric_diag
+        monkeypatch.setattr(
+            mf.MetricSpec, "metric_diag", lambda self, x: calls.append(1) or original(self, x)
+        )
+        s0 = mf.NullGeodesicState(x=[1.0, 0, 0, 0], v=[1.0 / 1.1, 0, 0, 1.0 / 1.21])
+        calls.clear()
+        traj = mf.integrate_null_geodesic(m, s0, 0.5, 0.1)
+        # one evaluation for the initial null check, then one per step
+        assert len(calls) == len(traj)
+
+
+    def test_one_metric_evaluation_per_tracer_step(self, monkeypatch):
+        m = mf.metric_from_config(README_METRIC)
+        x0 = np.array([[1.0, 0, 0, 0], [1.2, 0.3, 0, 0]])
+        v0 = mf.future_null_directions(m, x0, np.array([[0, 0, 1.0], [0.6, 0.8, 0]]))
+        counts = {"metric_diag": 0, "steps": 0, "bisections": 0}
+        in_bisection = []
+        rk4, bisect, diag = mf._rk4_step, mf._bisect_time_level, mf.MetricSpec.metric_diag
+
+        def counting_rk4(*args):
+            counts["steps"] += not in_bisection
+            return rk4(*args)
+
+        def counting_bisect(*args):
+            counts["bisections"] += 1
+            in_bisection.append(True)
+            try:
+                return bisect(*args)
+            finally:
+                in_bisection.pop()
+
+        def counting_diag(self, x):
+            counts["metric_diag"] += 1
+            return diag(self, x)
+
+        monkeypatch.setattr(mf, "_rk4_step", counting_rk4)
+        monkeypatch.setattr(mf, "_bisect_time_level", counting_bisect)
+        monkeypatch.setattr(mf.MetricSpec, "metric_diag", counting_diag)
+        res = mf.trace_past_to_time(m, x0, v0, 0.5, 0.05)
+        assert np.all(res.ok) and counts["bisections"] >= 1
+        # each marching step is one step, plus one redo after a bisection
+        assert counts["metric_diag"] == counts["steps"] - counts["bisections"]
+
+
+class TestExpressionDerivatives:
+    @pytest.mark.parametrize(
+        "src, name, expected",
+        [
+            ("x/2", "x", "0.5"),
+            ("-(1 + 0.1*t)**2", "t", "-(2.0 * (1 + 0.1 * t) * 0.1)"),
+            ("x**t", "x", "t * x ** (t - 1)"),
+            ("x**t", "t", "x ** t * _log(x)"),
+            ("t*t*7", "y", "0"),
+        ],
+    )
+    def test_rules_and_folding(self, src, name, expected):
+        import ast
+
+        assert ast.unparse(mf._diff(mf._parse_expression(src), name)) == expected
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            ["1", "-1", "-1"],
+            ["1", "-1", "-1", "_log(t)"],
+            ["1", "-1", "-1", "log(t)"],
+            ["1", "-1", "-1", "-1/0"],
+            ["1", "-1", "-1", -1],
+        ],
+    )
+    def test_bad_sources_raise_value_error(self, coeffs):
+        with pytest.raises(ValueError):
+            mf.metric_from_config({"kind": "custom", "coeffs": coeffs})
+
+    def test_needs_exactly_one_of_callables_and_sources(self):
+        with pytest.raises(ValueError):
+            mf.MetricSpec.custom_diagonal()
+        with pytest.raises(ValueError):
+            mf.MetricSpec.custom_diagonal(
+                [lambda x: np.ones_like(x[..., 0])] * 4, sources=("1", "-1", "-1", "-1")
+            )
+
+
 class TestIntegrator:
     def test_flat_space_straight_line(self):
         s0 = mf.NullGeodesicState(x=[0, 0, 0, 0], v=[1, 0, 0, 1])
@@ -155,6 +338,14 @@ class TestConformalTime:
     def test_divergent_quadrature(self):
         with pytest.raises(DivergentIntegralError):
             mf.conformal_time(mf.MetricSpec.flrw(a=lambda t: t), 1.0)
+
+    @pytest.mark.parametrize("a_expr", ["t-0.5", "t-0.3"])
+    def test_scale_factor_through_zero_diverges(self, a_expr):
+        # t-0.5 vanishes at a quadrature node (it used to raise ZeroDivisionError);
+        # t-0.3 changes sign, where quadrature returned a finite principal value
+        m = mf.metric_from_config({"kind": "flrw", "a_expr": a_expr})
+        with pytest.raises(DivergentIntegralError):
+            mf.conformal_time(m, 1.0)
 
     def test_steep_but_convergent_quadrature(self):
         m = mf.MetricSpec.flrw(a=lambda t: t**0.9)
