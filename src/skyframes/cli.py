@@ -114,7 +114,8 @@ def _write_json(path, payload):
 def cmd_pauli(args, cfg):
     vec = _parse_vec(args.vec)
     h = spinor.pauli_transform(vec)
-    norm = float(spinor.minkowski_norm(vec))
+    scale = max(float(np.abs(vec).max()), 1.0)  # huge null vectors: 0, not inf - inf
+    norm = float(spinor.minkowski_norm(vec / scale)) * scale * scale
     print("matrix:")
     for row in h:
         print("  [" + ", ".join(f"{z.real:+.12g}{z.imag:+.12g}j" for z in row) + "]")

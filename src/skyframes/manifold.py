@@ -253,14 +253,22 @@ class NullGeodesicState:
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
 
 
-def validate_state(m: MetricSpec, s: NullGeodesicState, tol=GEODESIC_NULL_TOL):
-    if not m.in_domain(s.x):
-        raise OutOfDomainError(f"state at {s.x.tolist()} outside the domain")
-    scale2 = max(float(np.abs(s.v).max()), 1.0) ** 2
-    if abs(float(m.norm(s.x, s.v))) > tol * scale2:
+def _check_start(m: MetricSpec, x, v, tol=GEODESIC_NULL_TOL):
+    """Reject start states (B, 4) outside the domain, not null or not
+    future-directed; returns the squared velocity scales (B,)."""
+    outside = ~m.in_domain(x)
+    if np.any(outside):
+        raise OutOfDomainError(f"state at {x[outside][0].tolist()} outside the domain")
+    scale2 = np.maximum(np.abs(v).max(axis=-1), 1.0) ** 2
+    if not np.all(np.abs(m.norm(x, v)) <= tol * scale2):
         raise ConstraintLostError("initial velocity is not null")
-    if s.v[0] <= 0.0:
+    if np.any(v[:, 0] <= 0.0):
         raise ConstraintLostError("initial velocity is not future-directed")
+    return scale2
+
+
+def validate_state(m: MetricSpec, s: NullGeodesicState, tol=GEODESIC_NULL_TOL):
+    _check_start(m, s.x[None], s.v[None], tol)
 
 
 @dataclass(frozen=True)
@@ -290,75 +298,118 @@ def _rk4_step(m: MetricSpec, x, v, h):
     return xn, vn
 
 
-def _renormalise(g, v, time_sign=1.0):
-    """Rescale the time component so g(v, v) = 0, keeping spatial parts;
-    g holds the metric coefficients at the point of v."""
+def _renormalise(m: MetricSpec, x, v, time_sign):
+    """Accept stepped states (B, 4) with one metric evaluation at x: the
+    null drift |g(v, v)| of each step, and v with its time component
+    rescaled so that g(v, v) = 0 (spatial parts kept)."""
+    g = m.metric_diag(x)
     rad = -np.sum(g[..., 1:] * v[..., 1:] ** 2, axis=-1) / g[..., 0]
     out = v.copy()
     out[..., 0] = time_sign * np.sqrt(np.maximum(rad, 0.0))
-    return out
+    return np.abs(np.sum(g * v**2, axis=-1)), out
+
+
+def _bisect_step(m: MetricSpec, x, u, h, inside):
+    """Bracket (lo, hi) on the fraction of each step h (B,) at which the
+    end point stops being `inside` (a per-row test, monotone along the
+    step), after 60 halvings.  Only the rows given are stepped."""
+    lo = np.zeros(len(h))
+    hi = np.ones(len(h))
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        xn, _ = _rk4_step(m, x, u, (mid * h)[:, None])
+        kept = inside(xn)
+        lo = np.where(kept, mid, lo)
+        hi = np.where(kept, hi, mid)
+    return lo, hi
+
+
+# ---------------------------------------------------------------------------
+# Batched integration of null rays to affine-parameter ends.
+
+
+@dataclass(frozen=True)
+class RayStates:
+    """Every state of a lockstep batch of B rays, S steps long.
+
+    Row b holds count[b] states; its later slots repeat its last state.
+    """
+
+    x: np.ndarray  # (S+1, B, 4) chart points
+    v: np.ndarray  # (S+1, B, 4) future-directed null velocities
+    lam: np.ndarray  # (S+1, B) affine parameters, 0 at the start
+    count: np.ndarray  # (B,) states per row
+    boundary_hit: np.ndarray  # (B,) bool, True where the ray left the domain
+
+
+def integrate_null_rays(m: MetricSpec, x0, v0, lam_end, step):
+    """Integrate null rays from lambda = 0 to the affine ends lam_end (B,).
+
+    x0, v0 (B, 4) are events and future null velocities; a negative end
+    runs into the past.  Each row takes steps of +-step, then the
+    remainder, in lockstep with the others, and is frozen once done.  A ray
+    that leaves the domain stops on its edge (the step bisected to 1e-12
+    in the crossing fraction) with its boundary flag set.  Raises
+    ConstraintLostError when a step drifts off the null cone by more than
+    CONSTRAINT_LOST_TOL times the squared start velocity scale.
+    """
+    if not step > 0.0:
+        raise ValueError("step must be positive")
+    x = np.asarray(x0, dtype=float)
+    v = np.asarray(v0, dtype=float)
+    span = np.broadcast_to(np.asarray(lam_end, dtype=float), x.shape[:1])
+    if not np.all(np.isfinite(span)):
+        raise ValueError("affine ends must be finite")
+    scale2 = _check_start(m, x, v)
+    sgn = np.copysign(1.0, span)
+    n_full = (np.abs(span) // step).astype(int)
+    rest = span - sgn * step * n_full
+    n_steps = n_full + (np.abs(rest) > 1e-15 * np.maximum(1.0, np.abs(span)))
+
+    xs = np.empty((int(n_steps.max(initial=0)) + 1,) + x.shape)
+    vs = np.empty_like(xs)
+    lams = np.zeros(xs.shape[:2])
+    xs[0], vs[0] = x, v
+    count = np.ones(len(x), dtype=int)
+    hit = np.zeros(len(x), dtype=bool)
+    for k in range(len(xs) - 1):
+        rows = np.flatnonzero((k < n_steps) & ~hit)
+        if not len(rows):
+            break
+        x, v = xs[k, rows], vs[k, rows]
+        h = np.where(k < n_full, sgn * step, rest)[rows]
+        xn, vn = _rk4_step(m, x, v, h[:, None])
+        out = ~m.in_domain(xn)
+        if out.any():
+            frac, _ = _bisect_step(m, x[out], v[out], h[out], m.in_domain)
+            h[out] *= frac
+            xn[out], vn[out] = _rk4_step(m, x[out], v[out], h[out, None])
+            hit[rows[out]] = True
+            keep = ~out
+            keep[out] = frac > 0.0
+            rows, xn, vn, h = rows[keep], xn[keep], vn[keep], h[keep]
+        drift, vn = _renormalise(m, xn, vn, time_sign=1.0)
+        if (drift > CONSTRAINT_LOST_TOL * scale2[rows]).any():
+            raise ConstraintLostError(f"null constraint drifted to {drift.max():.3e}")
+        xs[k + 1], vs[k + 1], lams[k + 1] = xs[k], vs[k], lams[k]
+        xs[k + 1, rows], vs[k + 1, rows] = xn, vn
+        lams[k + 1, rows] += h
+        count[rows] += 1
+    n = count.max(initial=1)
+    return RayStates(x=xs[:n], v=vs[:n], lam=lams[:n], count=count, boundary_hit=hit)
 
 
 def integrate_null_geodesic(m: MetricSpec, s0: NullGeodesicState, lam_end, step):
-    """Integrate to the affine parameter lam_end (either sign of direction).
-
-    Stops early on the domain boundary (bisected to 1e-12 in the crossing
-    coordinate fraction) with the boundary flag set.  States keep the
-    future-directed velocity; negative lam_end runs into the past.
-    """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    validate_state(m, s0)
+    """Integrate one ray to the affine parameter lam_end (either sign of
+    direction); `integrate_null_rays` for a batch of one, as a Trajectory."""
     span = float(lam_end) - s0.lam
-    if span == 0.0:
-        return Trajectory(states=(s0,))
-    sgn = math.copysign(1.0, span)
-    n_full = int(abs(span) // step)
-    sizes = [sgn * step] * n_full
-    rest = span - sgn * step * n_full
-    if abs(rest) > 1e-15 * max(1.0, abs(span)):
-        sizes.append(rest)
-
-    states = [s0]
-    x, v, lam = s0.x.copy(), s0.v.copy(), s0.lam
-    scale2 = max(float(np.abs(v).max()), 1.0) ** 2
-    for h in sizes:
-        xn, vn = _rk4_step(m, x, v, h)
-        if not m.in_domain(xn):
-            frac = _bisect_domain_exit(m, x, v, h)
-            if frac <= 0.0:
-                return Trajectory(states=tuple(states), boundary_hit=True)
-            xn, vn = _rk4_step(m, x, v, frac * h)
-            vn = _check_and_renormalise(m, xn, vn, scale2)
-            lam += frac * h
-            states.append(NullGeodesicState(x=xn, v=vn, lam=lam))
-            return Trajectory(states=tuple(states), boundary_hit=True)
-        vn = _check_and_renormalise(m, xn, vn, scale2)
-        x, v = xn, vn
-        lam += h
-        states.append(NullGeodesicState(x=x, v=v, lam=lam))
-    return Trajectory(states=tuple(states))
-
-
-def _check_and_renormalise(m, x, v, scale2):
-    g = m.metric_diag(x)
-    drift = abs(float(np.sum(g * v**2, axis=-1)))
-    if drift > CONSTRAINT_LOST_TOL * scale2:
-        raise ConstraintLostError(f"null constraint drifted to {drift:.3e}")
-    return _renormalise(g, v, time_sign=1.0)
-
-
-def _bisect_domain_exit(m, x, v, h):
-    """Largest fraction of the step that stays inside the domain."""
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        xn, _ = _rk4_step(m, x, v, mid * h)
-        if m.in_domain(xn):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    rays = integrate_null_rays(m, s0.x[None], s0.v[None], span, step)
+    n = rays.count[0]
+    states = tuple(
+        NullGeodesicState(x=x, v=v, lam=s0.lam + float(lam))
+        for x, v, lam in zip(rays.x[:n, 0], rays.v[:n, 0], rays.lam[:n, 0])
+    )
+    return Trajectory(states=states, boundary_hit=bool(rays.boundary_hit[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -409,16 +460,13 @@ def trace_past_to_time(m: MetricSpec, x0, v0, t_target, step, max_steps=200_000)
         xn, un = _rk4_step(m, x, u, h[:, None])
         crossed = active & (xn[:, 0] < t_target - t_tol)
         if np.any(crossed):
-            frac = _bisect_time_level(m, x, u, h, t_target, crossed)
-            hc = np.where(crossed, frac * h, h)
-            xn, un = _rk4_step(m, x, u, hc[:, None])
-            h = hc
-        g = m.metric_diag(xn)
-        drift = np.abs(np.sum(g * un**2, axis=-1))
+            xc, uc = x[crossed], u[crossed]
+            h[crossed] *= _bisect_time_level(m, xc, uc, h[crossed], t_target)
+            xn[crossed], un[crossed] = _rk4_step(m, xc, uc, h[crossed, None])
         scale2 = np.maximum(np.abs(un).max(axis=-1), 1.0) ** 2
+        drift, un = _renormalise(m, xn, un, time_sign=-1.0)
         lost |= active & (drift > CONSTRAINT_LOST_TOL * scale2)
         ok &= ~lost
-        un = _renormalise(g, un, time_sign=-1.0)
         # Accept only active rays; freeze the rest.
         upd = active & ok
         x[upd] = xn[upd]
@@ -434,16 +482,10 @@ def trace_past_to_time(m: MetricSpec, x0, v0, t_target, step, max_steps=200_000)
     return TraceResult(x=x, u=u, lam=lam, ok=ok & done, lost=lost)
 
 
-def _bisect_time_level(m, x, u, h, t_target, mask):
-    """Per-ray fraction of the step landing on the time level (monotone)."""
-    lo = np.zeros(x.shape[0])
-    hi = np.ones(x.shape[0])
-    for _ in range(60):
-        mid = np.where(mask, 0.5 * (lo + hi), 0.0)
-        xn, _ = _rk4_step(m, x, u, (mid * h)[:, None])
-        above = xn[:, 0] >= t_target
-        lo = np.where(mask & above, mid, lo)
-        hi = np.where(mask & ~above, mid, hi)
+def _bisect_time_level(m, x, u, h, t_target):
+    """Fraction of each step h (B,) landing on the time level (monotone);
+    x, u are the crossing rows only."""
+    lo, hi = _bisect_step(m, x, u, h, lambda xn: xn[:, 0] >= t_target)
     return 0.5 * (lo + hi)
 
 

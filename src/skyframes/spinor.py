@@ -99,10 +99,10 @@ def factor_null(v, tol=NULL_TOL):
     """
     v = np.asarray(v, dtype=float)
     scale = _scale(v)
-    norm = minkowski_norm(v)
-    if np.any(np.abs(norm) > tol * scale**2):
-        worst = float(np.abs(norm / scale**2).max())
-        raise NotNullError(f"relative norm {worst:.3e} exceeds {tol:.1e}")
+    # The norm of v / scale cannot overflow, where eta(v, v) and scale**2 can.
+    rel = np.abs(minkowski_norm(v / np.expand_dims(scale, -1)))
+    if np.any(rel > tol):
+        raise NotNullError(f"relative norm {float(rel.max()):.3e} exceeds {tol:.1e}")
     if np.any(v[..., 0] < -tol * scale):
         raise NotFutureDirectedError("time component is negative")
 

@@ -39,6 +39,20 @@ class TestPauli:
         assert code == 1
         assert "NotNull" in err
 
+    def test_factor_of_huge_non_null_exits_1(self, capsys):
+        code, out, err = run(capsys, "pauli", "--vec", "1e300,0,0,0", "--factor")
+        assert code == 1
+        assert err.startswith("NotNullError") and "spinor" not in out
+
+    def test_factor_of_huge_null_vector(self, capsys):
+        code, out, _ = run(capsys, "pauli", "--vec", "1e300,1e300,0,0", "--factor")
+        assert code == 0
+        assert "norm: 0" in out and "nan" not in out
+        spinor_line = next(line for line in out.splitlines() if line.startswith("spinor:"))
+        components = [complex(c) for c in spinor_line[len("spinor: ["):-1].split(", ")]
+        assert all(np.isfinite(c) for c in components)
+        assert abs(components[0]) == pytest.approx(np.sqrt(5e299), rel=1e-9)
+
 
 class TestSkyImage:
     def test_cosmology_sphere(self, capsys, tmp_path):

@@ -313,6 +313,136 @@ class TestIntegrator:
         assert np.allclose(end.x, ref.x, atol=1e-10)
 
 
+BOUNDED_FLRW = mf.MetricSpec.flrw(
+    p=2 / 3, bounds=[[0.0, np.inf], [-10, 10], [-10, 10], [-1.0, 1.0]]
+)
+
+
+class TestBatchedIntegrator:
+    # Rows of different span lengths: a past span, a span of zero, a short
+    # future one, and one that runs into the z = 1 edge of the chart.
+    X0 = np.array(
+        [
+            [1.0, 0, 0, 0],
+            [1.2, 0.3, -0.2, 0.1],
+            [0.8, 0, 0, 0.5],
+            [1.0, 0, 0, 0.9],
+            [0.9, 0, 0.1, 0],
+        ]
+    )
+    DIRS = np.array(
+        [[0, 0.6, 0.8], [0.6, 0, -0.8], [1.0, 0, 0], [0, 0, 1.0], [0, 1.0, 0]]
+    )
+    SPANS = np.array([0.4, -0.3, 0.0, 0.5, 0.0123])
+
+    def test_batch_matches_single_row_calls(self):
+        m = BOUNDED_FLRW
+        v0 = mf.future_null_directions(m, self.X0, self.DIRS)
+        rays = mf.integrate_null_rays(m, self.X0, v0, self.SPANS, 1e-2)
+        assert rays.count.tolist() == [41, 31, 1, 12, 3]
+        assert rays.boundary_hit.tolist() == [False, False, False, True, False]
+        assert rays.x.shape == (41, 5, 4) and rays.lam.shape == (41, 5)
+        for b in range(len(self.X0)):
+            s0 = mf.NullGeodesicState(x=self.X0[b], v=v0[b])
+            traj = mf.integrate_null_geodesic(m, s0, self.SPANS[b], 1e-2)
+            n = rays.count[b]
+            assert len(traj) == n and traj.boundary_hit == rays.boundary_hit[b]
+            assert np.array_equal(np.array([st.x for st in traj]), rays.x[:n, b])
+            assert np.array_equal(np.array([st.v for st in traj]), rays.v[:n, b])
+            assert np.array_equal(np.array([st.lam for st in traj]), rays.lam[:n, b])
+            # frozen rows repeat their last state
+            assert np.all(rays.x[n:, b] == rays.x[n - 1, b])
+        assert rays.x[11, 3, 3] == pytest.approx(1.0, abs=1e-9)
+        assert rays.lam[-1, 1] == pytest.approx(-0.3, abs=1e-14)
+
+    def test_one_metric_evaluation_per_lockstep_step(self, monkeypatch):
+        m = BOUNDED_FLRW
+        v0 = mf.future_null_directions(m, self.X0, self.DIRS)
+        calls = []
+        original = mf.MetricSpec.metric_diag
+        monkeypatch.setattr(
+            mf.MetricSpec,
+            "metric_diag",
+            lambda self, x: calls.append(1) or original(self, x),
+        )
+        rays = mf.integrate_null_rays(m, self.X0, v0, self.SPANS, 1e-2)
+        # one evaluation for the start check, then one per lockstep step
+        assert len(calls) == len(rays.x)
+
+    def test_bad_inputs(self, flrw):
+        x0 = np.array([[1.0, 0, 0, 0]])
+        v0 = np.array([[1.0, 0, 0, 1.0]])
+        for step in (0.0, np.nan):
+            with pytest.raises(ValueError):
+                mf.integrate_null_rays(flrw, x0, v0, [0.5], step)
+        with pytest.raises(ValueError):
+            mf.integrate_null_rays(flrw, x0, v0, [np.nan], 1e-2)
+        with pytest.raises(ConstraintLostError):
+            mf.integrate_null_rays(flrw, x0, [[1.0, 0, 0, np.nan]], [0.5], 1e-2)
+        with pytest.raises(OutOfDomainError):
+            mf.integrate_null_rays(flrw, -x0, v0, [0.5], 1e-2)
+
+
+def _full_batch_bisection(m, x, u, h, t_target, mask):
+    """The bisection that re-stepped every row of the batch (reference)."""
+    lo, hi = np.zeros(len(x)), np.ones(len(x))
+    for _ in range(60):
+        mid = np.where(mask, 0.5 * (lo + hi), 0.0)
+        xn, _ = mf._rk4_step(m, x, u, (mid * h)[:, None])
+        above = xn[:, 0] >= t_target
+        lo = np.where(mask & above, mid, lo)
+        hi = np.where(mask & ~above, mid, hi)
+    return 0.5 * (lo + hi)
+
+
+class TestTimeLevelBisection:
+    @pytest.mark.parametrize("metric", ["flrw", "readme"])
+    def test_only_crossing_rows_are_stepped(self, monkeypatch, metric):
+        if metric == "flrw":
+            m = mf.MetricSpec.flrw(p=2 / 3)
+        else:
+            m = mf.metric_from_config(README_METRIC)
+        x = np.array(
+            [[0.6, 0, 0, 0], [1.0, 0.2, 0, 0], [0.55, 0, -0.3, 0], [2.0, 0, 0, 0]]
+        )
+        dirs = np.array([[0, 0, 1.0], [0.6, 0.8, 0], [1.0, 0, 0], [0, 0.6, -0.8]])
+        u = -mf.future_null_directions(m, x, dirs)
+        h = np.full(4, 0.2)
+        t_target = 0.5
+        crossed = mf._rk4_step(m, x, u, h[:, None])[0][:, 0] < t_target
+        assert crossed.tolist() == [True, False, True, False]
+        expected = _full_batch_bisection(m, x, u, h, t_target, crossed)[crossed]
+
+        rows = []
+        rk4 = mf._rk4_step
+
+        def counting_rk4(m_, x_, *args):
+            rows.append(len(x_))
+            return rk4(m_, x_, *args)
+
+        monkeypatch.setattr(mf, "_rk4_step", counting_rk4)
+        frac = mf._bisect_time_level(m, x[crossed], u[crossed], h[crossed], t_target)
+        assert np.array_equal(frac, expected)
+        assert rows == [2] * 60
+
+    def test_tracer_bisects_only_the_crossing_rays(self, monkeypatch):
+        # rays from three start times cross the level at different steps
+        m = mf.metric_from_config(README_METRIC)
+        x0 = np.array([[0.6, 0, 0, 0], [1.0, 0.2, 0, 0], [1.5, 0, -0.3, 0]])
+        v0 = mf.future_null_directions(m, x0, np.eye(3))
+        bisected = []
+        bisect = mf._bisect_time_level
+
+        def recording_bisect(m_, x_, *args):
+            bisected.append(len(x_))
+            return bisect(m_, x_, *args)
+
+        monkeypatch.setattr(mf, "_bisect_time_level", recording_bisect)
+        res = mf.trace_past_to_time(m, x0, v0, 0.5, 0.05)
+        assert np.all(res.ok)
+        assert bisected == [1, 1, 1]
+
+
 class TestConformalTime:
     def test_static_factor(self):
         assert mf.conformal_time(mf.MetricSpec.flrw(p=0.0), 5.0) == pytest.approx(5.0)

@@ -38,7 +38,50 @@ class TestContactAnnihilation:
 
     def test_probe_count_matches_residuals(self, flrw_spec):
         rep = vf.check_contact_annihilation(flrw_spec, [1.0, 0, 0, 0], [1.0, 0.0])
-        assert rep.probe_count == len(rep.residuals) == rep.extras["states"] + 1
+        assert rep.probe_count == len(rep.residuals) == rep.extras["states"]
+
+    @pytest.mark.parametrize("flrw", [False, True])
+    def test_batch_gives_the_per_probe_reports(self, flrw):
+        metric = FLRW if flrw else FLAT
+        reports = vf.suite_contact(5, n=4, metric=metric)
+        f = fr.FrameSpec(
+            metric=metric, target=fr.Singularity() if flrw else fr.CauchySurface(0.0)
+        )
+        rng = np.random.default_rng(5)
+        xs = vf._random_events(rng, 4, t_floor=0.0 if flrw else None)
+        xis = sky.sample_sky(4, scheme="random", seed=5).xi
+        assert len(reports) == 4
+        for x, xi, rep in zip(xs, xis, reports):
+            one = vf.check_contact_annihilation(f, x, xi)
+            assert np.array_equal(one.residuals, rep.residuals)
+            assert one.extras == rep.extras and one.probe_count == rep.probe_count
+        # one event shared by every sky point
+        shared = vf.check_contact_annihilation(f, xs[0], xis)
+        assert np.array_equal(shared[0].residuals, reports[0].residuals)
+        assert [r.extras["states"] for r in shared[1:]] == [reports[0].extras["states"]] * 3
+
+    def test_suite_integrates_its_rays_in_one_batch(self, monkeypatch):
+        batches, diag_calls = [], []
+        integrate, diag = mf.integrate_null_rays, mf.MetricSpec.metric_diag
+
+        def counting_integrate(*args):
+            diag_calls.clear()
+            rays = integrate(*args)
+            batches.append((len(args[1]), len(diag_calls), len(rays.x)))
+            return rays
+
+        monkeypatch.setattr(mf, "integrate_null_rays", counting_integrate)
+        monkeypatch.setattr(
+            mf.MetricSpec,
+            "metric_diag",
+            lambda self, x: diag_calls.append(1) or diag(self, x),
+        )
+        reports = vf.suite_contact(7, n=8)
+        assert len(reports) == 8 and all(r.passed for r in reports)
+        [(rays, evaluations, states)] = batches
+        # one call with 8 rays; one evaluation for the start check, then one
+        # per lockstep step
+        assert rays == 8 and evaluations == states
 
 
 FLAT = mf.MetricSpec.minkowski()
