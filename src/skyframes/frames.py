@@ -8,9 +8,10 @@ the numerical rank of the map's Jacobian in the two sky parameters.
 
 One kernel, `tangent_planes`, traces a batch of rows with their sky
 stencils and event-family pairs in a single `project_batch` call, and
-ranks the Jacobians with one batched SVD; sky images, the normal frame,
-image derivatives and the verifier's probe values (`FrameSpec.probe_values`)
-are wrappers over it.
+ranks the Jacobians with one batched SVD; it also gives the oriented
+normals and the event-family differences.  Sky images and the verifier's
+probe values (`FrameSpec.probe_values`) are built on it; a caller with one
+row passes a batch of one and reads row 0.
 
 Two tracers are available: a conformal-chart closed form (flat space and
 spatially flat cosmologies project onto straight comoving lines) and the
@@ -33,11 +34,7 @@ import numpy as np
 from . import manifold as mf
 from . import sky as skymod
 from . import spinor
-from .errors import (
-    DegenerateTangentPlaneError,
-    NoIntersectionError,
-    OutOfDomainError,
-)
+from .errors import NoIntersectionError, OutOfDomainError
 from .sky import SkySample
 from .spinor import PAULI_FACTOR
 
@@ -89,6 +86,8 @@ class FrameSpec:
     def __post_init__(self):
         if not (math.isfinite(self.step) and self.step > 0.0):
             raise ValueError(f"step must be positive and finite, got {self.step}")
+        if self.target.kind == "cauchy" and not math.isfinite(self.target.t0):
+            raise ValueError(f"target time must be finite, got {self.target.t0}")
         if self.target.kind == "singularity":
             if self.metric.kind != "flrw":
                 raise ValueError("singularity target needs an flrw metric")
@@ -137,14 +136,6 @@ class FrameSpec:
             regular=tp.family_ok & (tp.ranks == 2),
             arrived=tp.stencil_ok & tp.family_ok,
         )
-
-
-@dataclass(frozen=True)
-class ProjectedPoint:
-    m_point: np.ndarray  # (3,)
-    rank: int
-    lam: float
-    status: str = "ok"
 
 
 @dataclass(frozen=True)
@@ -406,39 +397,6 @@ def tangent_planes(f: FrameSpec, events, xis, directions=None, h=None, normals=F
     )
 
 
-def _one_row(f: FrameSpec, x, xi, **kw):
-    """Kernel result for a single (event, sky point) row."""
-    x = np.asarray(x, dtype=float)
-    tp = tangent_planes(f, x[None, :], np.asarray(xi, dtype=complex)[None, :], **kw)
-    if not (tp.ok[0] and tp.stencil_ok[0]):
-        raise NoIntersectionError("the ray or its stencil misses the target surface")
-    return tp
-
-
-def _oriented_normal(f: FrameSpec, x, xi, **kw):
-    """The oriented unit normal at one row, and the kernel result."""
-    tp = _one_row(f, x, xi, normals=True, **kw)
-    if tp.ranks[0] < 2:
-        raise DegenerateTangentPlaneError("image tangent plane is degenerate")
-    if not tp.family_ok[0]:
-        raise NoIntersectionError("family stencil misses the target surface")
-    return tp.normals[0], tp
-
-
-def sky_jacobian(f: FrameSpec, x, xi):
-    """Central-difference Jacobian of the M-point in the sky parameters (3, 2)."""
-    return _one_row(f, x, xi).jacobians[0]
-
-
-def project_event(f: FrameSpec, x, xi):
-    """Project one sky point of one event; returns the M-point, the numerical
-    rank of the sky Jacobian there, and the affine arrival parameter."""
-    tp = _one_row(f, x, skymod.unit_cospinor(xi))
-    return ProjectedPoint(
-        m_point=tp.m_points[0], rank=int(tp.ranks[0]), lam=float(tp.lams[0])
-    )
-
-
 def sky_image(f: FrameSpec, x, sample: SkySample, with_rank=True) -> SkyImage:
     """Project every sample of the sky of x, keeping singular samples flagged.
 
@@ -466,27 +424,6 @@ def sky_image(f: FrameSpec, x, sample: SkySample, with_rank=True) -> SkyImage:
         lams=lams,
         status=status,
     )
-
-
-def normal_frame(f: FrameSpec, x, xi):
-    """Oriented unit normal of the image surface at (x, xi).
-
-    Orientation: the side reached by moving the event to the future is
-    positive, fixed by auditing against the time-axis family derivative.
-    """
-    return _oriented_normal(f, x, xi)[0]
-
-
-def normal_project(f: FrameSpec, x, xi, w):
-    """Coefficient of a tangent vector of M in the oriented normal frame."""
-    n_hat = normal_frame(f, x, xi)
-    return float(n_hat @ np.asarray(w, dtype=float))
-
-
-def sky_image_derivative(f: FrameSpec, x, xi, direction, h=None):
-    """Normal component of the image-point derivative along an event family."""
-    n_hat, tp = _oriented_normal(f, x, xi, directions=direction, h=h)
-    return float(n_hat @ (tp.family[0, 0] / (2.0 * tp.family_h[0])))
 
 
 def theta_value(f: FrameSpec, x, xi, direction):

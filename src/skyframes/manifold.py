@@ -10,7 +10,9 @@ coordinate time direction is future.  Null geodesics are integrated with a
 classical 4th-order one-step scheme; after every accepted step the time
 component of the velocity is rescaled to put it back on the null cone,
 which preserves the spatial direction and dumps the drift into the affine
-parameter.
+parameter.  Both drivers are batched: `integrate_null_rays` steps rays to
+affine-parameter ends and `trace_past_to_time` marches them down to a time
+level; a caller with one ray passes a batch of one.
 
 The spinor <-> direction dictionary at a curved point uses the fixed
 orthonormal tetrad aligned with the coordinate axes (well-defined for
@@ -76,6 +78,8 @@ class MetricSpec:
         """Spatially flat cosmology ds^2 = dt^2 - a(t)^2 dx.dx, t > 0."""
         if (p is None) == (a is None):
             raise ValueError("give exactly one of the exponent p or a callable a")
+        if p is not None and not math.isfinite(float(p)):
+            raise ValueError(f"exponent p must be finite, got {p}")
         b = _default_bounds(True) if bounds is None else np.asarray(bounds, float)
         return MetricSpec(
             kind="flrw",
@@ -240,47 +244,18 @@ def christoffel(m: MetricSpec, x):
     return gamma
 
 
-@dataclass(frozen=True)
-class NullGeodesicState:
-    """Chart point, future-directed null velocity, affine parameter."""
-
-    x: np.ndarray
-    v: np.ndarray
-    lam: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
-
-
-def _check_start(m: MetricSpec, x, v, tol=GEODESIC_NULL_TOL):
+def _check_start(m: MetricSpec, x, v):
     """Reject start states (B, 4) outside the domain, not null or not
     future-directed; returns the squared velocity scales (B,)."""
     outside = ~m.in_domain(x)
     if np.any(outside):
         raise OutOfDomainError(f"state at {x[outside][0].tolist()} outside the domain")
     scale2 = np.maximum(np.abs(v).max(axis=-1), 1.0) ** 2
-    if not np.all(np.abs(m.norm(x, v)) <= tol * scale2):
+    if not np.all(np.abs(m.norm(x, v)) <= GEODESIC_NULL_TOL * scale2):
         raise ConstraintLostError("initial velocity is not null")
     if np.any(v[:, 0] <= 0.0):
         raise ConstraintLostError("initial velocity is not future-directed")
     return scale2
-
-
-def validate_state(m: MetricSpec, s: NullGeodesicState, tol=GEODESIC_NULL_TOL):
-    _check_start(m, s.x[None], s.v[None], tol)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    states: tuple
-    boundary_hit: bool = False
-
-    def __iter__(self):
-        return iter(self.states)
-
-    def __len__(self):
-        return len(self.states)
 
 
 def _rk4_step(m: MetricSpec, x, v, h):
@@ -397,19 +372,6 @@ def integrate_null_rays(m: MetricSpec, x0, v0, lam_end, step):
         count[rows] += 1
     n = count.max(initial=1)
     return RayStates(x=xs[:n], v=vs[:n], lam=lams[:n], count=count, boundary_hit=hit)
-
-
-def integrate_null_geodesic(m: MetricSpec, s0: NullGeodesicState, lam_end, step):
-    """Integrate one ray to the affine parameter lam_end (either sign of
-    direction); `integrate_null_rays` for a batch of one, as a Trajectory."""
-    span = float(lam_end) - s0.lam
-    rays = integrate_null_rays(m, s0.x[None], s0.v[None], span, step)
-    n = rays.count[0]
-    states = tuple(
-        NullGeodesicState(x=x, v=v, lam=s0.lam + float(lam))
-        for x, v, lam in zip(rays.x[:n, 0], rays.v[:n, 0], rays.lam[:n, 0])
-    )
-    return Trajectory(states=states, boundary_hit=bool(rays.boundary_hit[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -545,26 +507,29 @@ def future_null_directions(m: MetricSpec, events, directions):
     return v
 
 
-def flrw_closed_form_ray(m: MetricSpec, s0: NullGeodesicState, lam):
-    """Exact power-law ray state at affine parameter lam (oracle quality)."""
+def flrw_closed_form_ray(m: MetricSpec, x0, v0, lam):
+    """Exact power-law ray (x, v) at affine parameter lam from the event x0
+    (4,) with the future null velocity v0 (4,) at lam = 0 (oracle quality)."""
     if m.kind != "flrw" or m.exponent is None:
         raise ValueError("closed form needs a power-law scale factor")
+    x0 = np.asarray(x0, dtype=float)
+    v0 = np.asarray(v0, dtype=float)
     p = m.exponent
-    t0 = float(s0.x[0])
+    t0 = float(x0[0])
     a0 = t0**p
-    cmag = a0 * float(s0.v[0])
-    uhat = s0.v[1:] / np.linalg.norm(s0.v[1:])
-    tp = t0 ** (1.0 + p) + (1.0 + p) * cmag * (lam - s0.lam)
+    cmag = a0 * float(v0[0])
+    uhat = v0[1:] / np.linalg.norm(v0[1:])
+    tp = t0 ** (1.0 + p) + (1.0 + p) * cmag * lam
     if tp <= 0.0:
         raise OutOfDomainError("closed-form ray leaves t > 0")
     t = tp ** (1.0 / (1.0 + p))
     eta0 = t0 ** (1.0 - p) / (1.0 - p)
     eta1 = t ** (1.0 - p) / (1.0 - p)
-    xs = s0.x[1:] + (eta1 - eta0) * uhat
+    xs = x0[1:] + (eta1 - eta0) * uhat
     v = np.empty(4)
     v[0] = cmag / t**p
     v[1:] = (cmag / t ** (2.0 * p)) * uhat
-    return NullGeodesicState(x=np.concatenate([[t], xs]), v=v, lam=lam)
+    return np.concatenate([[t], xs]), v
 
 
 # ---------------------------------------------------------------------------

@@ -88,14 +88,6 @@ def causal_compare(x, y) -> CausalOrder:
     return CausalOrder.SPACELIKE
 
 
-_CODES = {
-    CausalOrder.EQUAL: 0,
-    CausalOrder.Y_PAST_OF_X: 1,
-    CausalOrder.X_PAST_OF_Y: 2,
-    CausalOrder.SPACELIKE: 3,
-}
-
-
 def causal_compare_batch(xs, ys, tol=1e-12):
     """Vectorised causal_compare; returns integer codes (0=equal, 1=y past,
     2=x past, 3=spacelike) using the same eigenvalue tolerance."""
@@ -121,14 +113,6 @@ def interval_compare_batch(xs, ys):
     y_past = (dt >= dr) & ~equal
     x_past = (-dt >= dr) & ~equal
     return np.select([equal, y_past, x_past], [0, 1, 2], default=3)
-
-
-def interval_compare(x, y) -> CausalOrder:
-    code = int(interval_compare_batch(np.asarray(x, float), np.asarray(y, float)))
-    for order, c in _CODES.items():
-        if c == code:
-            return order
-    raise AssertionError  # pragma: no cover
 
 
 class GraphFrame:
@@ -164,16 +148,3 @@ class GraphFrame:
             regular=every,
             arrived=every,
         )
-
-    def image_gradient(self, x, xi):
-        """Gradient of the height over the two real sky chart directions."""
-        xi = skymod.unit_cospinor(xi)
-        delta = _orthogonal_unit(xi)
-        hmat = spinor.pauli_transform(np.asarray(x, float))
-        val = np.einsum("a,ab,b->", delta, hmat, np.conj(xi))
-        return np.array([2.0 * val.real, -2.0 * val.imag])
-
-
-def _orthogonal_unit(xi):
-    """Unit covector orthogonal to xi under the Hermitian inner product."""
-    return np.stack([-np.conj(xi[..., 1]), np.conj(xi[..., 0])], axis=-1)

@@ -16,6 +16,7 @@ Probes are seeded and reports are deterministic given the frame and seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,7 @@ import numpy as np
 from . import frames as fr
 from . import manifold as mf
 from . import twistor as tw
+from .errors import DegenerateTangentPlaneError, NoIntersectionError
 from .sky import SkySample, sample_sky, unit_cospinor
 
 #: Probe values of the transform below this (relative) size are treated as
@@ -122,9 +124,9 @@ def check_kernel_proportionality(
     """
     pv = frame.probe_values(x, unit_cospinor(xi)[None, :], _COORD_DIRS, h=event_h)
     if not pv.arrived[0]:
-        raise fr.NoIntersectionError("a probe ray misses the target surface")
+        raise NoIntersectionError("a probe ray misses the target surface")
     if not pv.regular[0]:
-        raise fr.DegenerateTangentPlaneError("probe point is not regular")
+        raise DegenerateTangentPlaneError("probe point is not regular")
     theta_h, p_h = pv.theta[0], pv.rates[0]
     tol = frame.PROBE_TOL if tol is None else tol
 
@@ -175,7 +177,7 @@ def check_flow_of_time(
         profile.append(mean)
         residuals.append(float(np.abs(ratios - mean).max() / abs(mean)))
     if not residuals:
-        raise fr.DegenerateTangentPlaneError("no regular samples to probe")
+        raise DegenerateTangentPlaneError("no regular samples to probe")
     return VerificationReport(
         name="flow_of_time",
         residuals=np.asarray(residuals),
@@ -257,7 +259,8 @@ def suite_contact(seed, n=20, metric=None, step=1e-3):
         target=fr.Singularity() if metric.kind == "flrw" else fr.CauchySurface(0.0),
         step=step,
     )
-    xs = _random_events(rng, n, t_floor=0.0 if metric.kind == "flrw" else None)
+    t_low = float(metric.bounds[0, 0])
+    xs = _random_events(rng, n, t_floor=t_low if math.isfinite(t_low) else None)
     xis = sample_sky(max(n, 4), scheme="random", seed=seed).xi[:n]
     return check_contact_annihilation(f, xs, xis)
 

@@ -179,9 +179,12 @@ def test_criterion_8_contact_annihilation_on_trajectories():
         )
         rng = np.random.default_rng(108)
         xis = sky.sample_sky(100, scheme="random", seed=108).xi
-        for xi in xis:
-            x = np.array([rng.uniform(0.5, 1.5), *rng.uniform(-1, 1, size=3)])
-            rep = vf.check_contact_annihilation(spec, x, xi)
+        xs = np.array(
+            [[rng.uniform(0.5, 1.5), *rng.uniform(-1, 1, size=3)] for _ in xis]
+        )
+        reports = vf.check_contact_annihilation(spec, xs, xis)
+        assert len(reports) == 100
+        for rep in reports:
             assert rep.max_residual <= 1e-8
             assert rep.extras["max_null_drift"] <= 1e-8
 
@@ -230,11 +233,16 @@ def _chain_past(rng, x):
 def test_criterion_10_integrator_order():
     with _Budget("10 fourth-order endpoint convergence", 10.0):
         metric = mf.MetricSpec.flrw(p=2 / 3)
-        s0 = mf.NullGeodesicState(x=[1.0, 0, 0, 0], v=[1.0, 0, 0.6, 0.8])
-        ref = mf.flrw_closed_form_ray(metric, s0, 0.4)
+        x0, v0 = np.array([1.0, 0, 0, 0]), np.array([1.0, 0, 0.6, 0.8])
+        ref_x, ref_v = mf.flrw_closed_form_ray(metric, x0, v0, 0.4)
         errs = []
         for h in (0.02, 0.01, 0.005):
-            end = mf.integrate_null_geodesic(metric, s0, 0.4, h).states[-1]
-            errs.append(np.abs(np.concatenate([end.x - ref.x, end.v - ref.v])).max())
+            rays = mf.integrate_null_rays(metric, x0[None], v0[None], 0.4, h)
+            end = rays.count[0] - 1
+            errs.append(
+                np.abs(
+                    np.concatenate([rays.x[end, 0] - ref_x, rays.v[end, 0] - ref_v])
+                ).max()
+            )
         assert errs[0] / errs[1] >= 12.0
         assert errs[1] / errs[2] >= 12.0

@@ -270,6 +270,24 @@ class TestNonFiniteAndDegenerateInputs:
         assert code == 2
         assert "finite" in err and out == ""
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--metric", "minkowski", "--target", "cauchy:{}"),
+            ("--metric", "flrw", "--p", "{}"),
+        ],
+        ids=["target", "p"],
+    )
+    def test_non_finite_target_time_or_exponent_exits_2(self, capsys, flags, value):
+        # both used to give NaN radii with exit 0
+        argv = [flag.format(value) for flag in flags]
+        code, out, err = run(
+            capsys, "causal", *argv, "--x", "1,0,0,0", "--y", "0.5,0,0,0"
+        )
+        assert code == 2
+        assert f"must be finite, got {value}" in err and out == ""
+
     def test_vanishing_scale_factor_is_a_domain_error(self, capsys):
         code, _, err = run(
             capsys, "causal", "--metric", "flrw", "--a-expr", "t-0.5",
@@ -304,6 +322,29 @@ class TestCustomMetric:
         payload = json.loads(out_path.read_text())
         pts = np.array([s["m_point"] for s in payload["samples"]])
         assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() <= 1e-8
+
+    def test_contact_suite_draws_events_inside_the_chart(self, capsys, tmp_path):
+        # the chart starts at t = 0; the suite used to draw events at t < 0
+        cfg = tmp_path / "custom.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "kind": "custom",
+                    "coeffs": ["1"] + ["-(1 + 0.1*t)**2"] * 3,
+                    "bounds": [[0, None], [None, None], [None, None], [None, None]],
+                }
+            )
+        )
+        out_path = tmp_path / "contact.json"
+        code, _, err = run(
+            capsys,
+            "--config", str(cfg),
+            "verify", "--metric", "custom", "--target", "cauchy:0",
+            "--suite", "contact", "--seed", "7", "--n", "4", "--out", str(out_path),
+        )
+        assert code == 0, err
+        payload = json.loads(out_path.read_text())
+        assert payload["passed"] and len(payload["reports"]) == 4
 
     @pytest.mark.parametrize("step", ["0", "-0.01"])
     def test_bad_step_exits_2(self, capsys, tmp_path, step):

@@ -6,11 +6,7 @@ import pytest
 from skyframes import frames as fr
 from skyframes import manifold as mf
 from skyframes import sky, spinor
-from skyframes.errors import (
-    DegenerateTangentPlaneError,
-    NoIntersectionError,
-    OutOfDomainError,
-)
+from skyframes.errors import NoIntersectionError, OutOfDomainError
 
 XI_TO_ZHAT = np.array([1.0 + 0j, 0.0])  # past travel direction +z
 
@@ -32,35 +28,41 @@ def sample100():
 
 class TestProjectEvent:
     def test_flat_space_light_ray(self, mink_frame):
-        out = fr.project_event(mink_frame, [1.0, 0, 0, 0], XI_TO_ZHAT)
-        assert np.allclose(out.m_point, [0, 0, 1])
-        assert out.rank == 2
-        assert out.lam == pytest.approx(1.0)
+        tp = fr.tangent_planes(mink_frame, np.array([[1.0, 0, 0, 0]]), XI_TO_ZHAT[None])
+        assert np.allclose(tp.m_points[0], [0, 0, 1])
+        assert tp.ranks[0] == 2
+        assert tp.lams[0] == pytest.approx(1.0)
 
     def test_arrival_offset_matches_elapsed_time(self, mink_frame):
         rng = np.random.default_rng(0)
         for _ in range(10):
             x = np.array([rng.uniform(0.2, 3.0), *rng.normal(size=3)])
             xi = sky.unit_cospinor(rng.normal(size=2) + 1j * rng.normal(size=2))
-            out = fr.project_event(mink_frame, x, xi)
-            assert np.linalg.norm(out.m_point - x[1:]) == pytest.approx(x[0])
+            tp = fr.tangent_planes(mink_frame, x[None], xi[None])
+            assert tp.ok[0] and tp.stencil_ok[0]
+            assert np.linalg.norm(tp.m_points[0] - x[1:]) == pytest.approx(x[0])
 
     def test_cosmology_comoving_radius(self, flrw_frame):
-        out = fr.project_event(flrw_frame, [1.0, 0, 0, 0], XI_TO_ZHAT)
-        assert np.linalg.norm(out.m_point) == pytest.approx(3.0, abs=1e-10)
+        tp = fr.tangent_planes(flrw_frame, np.array([[1.0, 0, 0, 0]]), XI_TO_ZHAT[None])
+        assert tp.ok[0] and tp.stencil_ok[0]
+        assert np.linalg.norm(tp.m_points[0]) == pytest.approx(3.0, abs=1e-10)
 
     def test_event_on_target_surface(self, mink_frame):
-        out = fr.project_event(mink_frame, [0.0, 0.4, -0.2, 0.7], XI_TO_ZHAT)
-        assert np.allclose(out.m_point, [0.4, -0.2, 0.7])
-        assert out.lam == 0.0
+        x = np.array([0.0, 0.4, -0.2, 0.7])
+        tp = fr.tangent_planes(mink_frame, x[None], XI_TO_ZHAT[None])
+        assert tp.ok[0] and tp.stencil_ok[0]
+        assert np.allclose(tp.m_points[0], [0.4, -0.2, 0.7])
+        assert tp.lams[0] == 0.0
 
     def test_event_below_surface_fails(self, mink_frame):
-        with pytest.raises(NoIntersectionError):
-            fr.project_event(mink_frame, [-1.0, 0, 0, 0], XI_TO_ZHAT)
+        x = np.array([-1.0, 0, 0, 0])
+        tp = fr.tangent_planes(mink_frame, x[None], XI_TO_ZHAT[None])
+        assert not tp.ok[0] and not tp.stencil_ok[0]
+        assert np.all(np.isnan(tp.m_points[0]))
 
     def test_outside_domain_fails(self, flrw_frame):
         with pytest.raises(OutOfDomainError):
-            fr.project_event(flrw_frame, [-0.5, 0, 0, 0], XI_TO_ZHAT)
+            fr.tangent_planes(flrw_frame, np.array([[-0.5, 0, 0, 0]]), XI_TO_ZHAT[None])
 
     def test_batch_with_one_event_outside_the_domain_fails(self, flrw_frame):
         events = np.array([[1.0, 0, 0, 0], [-0.5, 0, 0, 0]])
@@ -154,39 +156,41 @@ class TestGeodesicFlowInvariance:
         for k in (3, 11, 29):
             xi = sky.sample_sky(64).xi[k]
             d = fr.sky_directions(flrw_frame, xi[None, :])
-            v = mf.future_null_directions(flrw_frame.metric, x[None, :], d)[0]
-            base = fr.project_event(flrw_frame, x, xi).m_point
-            s0 = mf.NullGeodesicState(x=x, v=v)
-            moved = mf.integrate_null_geodesic(flrw_frame.metric, s0, 0.05, 1e-3).states[-1].x
-            shifted = fr.project_event(flrw_frame, moved, xi).m_point
-            assert np.linalg.norm(shifted - base) <= 1e-6
+            v = mf.future_null_directions(flrw_frame.metric, x[None, :], d)
+            rays = mf.integrate_null_rays(flrw_frame.metric, x[None, :], v, 0.05, 1e-3)
+            moved = rays.x[rays.count[0] - 1, 0]
+            tp = fr.tangent_planes(flrw_frame, np.stack([x, moved]), np.stack([xi, xi]))
+            assert np.all(tp.ok) and np.all(tp.stencil_ok)
+            assert np.linalg.norm(tp.m_points[1] - tp.m_points[0]) <= 1e-6
 
 
 class TestNormalProjection:
     def test_tangent_vectors_project_to_zero(self, mink_frame):
         x = np.array([1.0, 0, 0, 0])
-        jac = fr.sky_jacobian(mink_frame, x, XI_TO_ZHAT)
-        for col in jac.T:
-            assert abs(fr.normal_project(mink_frame, x, XI_TO_ZHAT, col)) <= 1e-10
+        tp = fr.tangent_planes(mink_frame, x[None], XI_TO_ZHAT[None], normals=True)
+        for col in tp.jacobians[0].T:
+            assert abs(tp.normals[0] @ col) <= 1e-10
 
     def test_outward_normal_is_positive_unit(self, mink_frame):
-        coeff = fr.normal_project(mink_frame, [1.0, 0, 0, 0], XI_TO_ZHAT, [0, 0, 1.0])
-        assert coeff == pytest.approx(1.0, abs=1e-9)
+        tp = fr.tangent_planes(
+            mink_frame, np.array([[1.0, 0, 0, 0]]), XI_TO_ZHAT[None], normals=True
+        )
+        assert tp.normals[0] @ [0, 0, 1.0] == pytest.approx(1.0, abs=1e-9)
 
     def test_linearity(self, mink_frame):
         rng = np.random.default_rng(1)
         x = np.array([1.0, 0.2, 0.1, -0.4])
         xi = sky.unit_cospinor(rng.normal(size=2) + 1j * rng.normal(size=2))
         w1, w2 = rng.normal(size=(2, 3))
-        a = fr.normal_project(mink_frame, x, xi, w1 + w2)
-        b = fr.normal_project(mink_frame, x, xi, w1) + fr.normal_project(
-            mink_frame, x, xi, w2
-        )
-        assert a == pytest.approx(b, abs=1e-10)
+        tp = fr.tangent_planes(mink_frame, x[None], xi[None], normals=True)
+        n_hat = tp.normals[0]
+        assert n_hat @ (w1 + w2) == pytest.approx(n_hat @ w1 + n_hat @ w2, abs=1e-10)
 
     def test_degenerate_plane_raises(self, mink_frame):
-        with pytest.raises(DegenerateTangentPlaneError):
-            fr.normal_frame(mink_frame, [0.0, 0.3, 0, 0], XI_TO_ZHAT)
+        tp = fr.tangent_planes(
+            mink_frame, np.array([[0.0, 0.3, 0, 0]]), XI_TO_ZHAT[None], normals=True
+        )
+        assert tp.ranks[0] < 2 and np.all(np.isnan(tp.normals[0]))
 
 
 class TestSkyImageDerivative:
@@ -200,7 +204,7 @@ class TestSkyImageDerivative:
             theta = fr.theta_value(mink_frame, x, xi, d)
             if abs(theta) < 1e-3:
                 continue
-            deriv = fr.sky_image_derivative(mink_frame, x, xi, d)
+            deriv = mink_frame.probe_values(x, xi[None], d).rates[0, 0]
             assert deriv / theta == pytest.approx(2.0, abs=1e-7)
 
     def test_flow_direction_gives_zero(self, flrw_frame):
@@ -209,7 +213,7 @@ class TestSkyImageDerivative:
         v = mf.future_null_directions(
             flrw_frame.metric, x[None, :], fr.sky_directions(flrw_frame, xi[None, :])
         )[0]
-        deriv = fr.sky_image_derivative(flrw_frame, x, xi, v)
+        deriv = flrw_frame.probe_values(x, xi[None], v).rates[0, 0]
         assert abs(deriv) <= 1e-7
 
     def test_richardson_second_order(self, flrw_frame):
@@ -220,7 +224,7 @@ class TestSkyImageDerivative:
         theta = fr.theta_value(flrw_frame, x, xi, d)
         res = []
         for h in (4e-3, 2e-3):
-            deriv = fr.sky_image_derivative(flrw_frame, x, xi, d, h)
+            deriv = flrw_frame.probe_values(x, xi[None], d, h).rates[0, 0]
             res.append(abs(deriv / theta - exact_ratio))
         assert res[0] / res[1] == pytest.approx(4.0, rel=0.35)
 
@@ -243,8 +247,8 @@ class TestSkyImageDerivative:
         d_lab = spinor.direction_for_cospinor(xi)
         xi_plain = sky.unit_cospinor(spinor.cospinor_for_direction(rot @ d_lab))
         direction = np.array([1.0, -0.2, 0.4, 0.3])
-        a = fr.sky_image_derivative(spec_rot, x, xi, direction)
-        b = fr.sky_image_derivative(flrw_frame, x, xi_plain, direction)
+        a = spec_rot.probe_values(x, xi[None], direction).rates[0, 0]
+        b = flrw_frame.probe_values(x, xi_plain[None], direction).rates[0, 0]
         assert a == pytest.approx(b, rel=1e-6, abs=1e-8)
         ta = fr.theta_value(spec_rot, x, xi, direction)
         tb = fr.theta_value(flrw_frame, x, xi_plain, direction)
@@ -441,8 +445,9 @@ class TestTangentPlaneKernel:
             xi = rng.normal(size=2) + 1j * rng.normal(size=2)
             d = np.array([1.0, *rng.uniform(-0.5, 0.5, size=3)])
             n_ref, deriv_ref = _reference_derivative(spec, x, xi, d, h)
-            assert np.abs(fr.normal_frame(spec, x, xi) - n_ref).max() <= 1e-12
-            deriv = fr.sky_image_derivative(spec, x, xi, d, h)
+            tp = fr.tangent_planes(spec, np.array([x]), xi[None], d, h, normals=True)
+            assert np.abs(tp.normals[0] - n_ref).max() <= 1e-12
+            deriv = tp.normals[0] @ (tp.family[0, 0] / (2.0 * tp.family_h[0]))
             assert deriv == pytest.approx(deriv_ref, rel=1e-12, abs=1e-12)
 
     def test_one_ray_batch_per_call(self, flrw_frame, monkeypatch):
@@ -457,7 +462,9 @@ class TestTangentPlaneKernel:
         fr.sky_image(flrw_frame, [1.0, 0, 0, 0], sky.sample_sky(37), with_rank=True)
         assert rows == [5 * 37]
         rows.clear()
-        fr.normal_frame(flrw_frame, [1.0, 0.1, 0, 0], XI_TO_ZHAT)
+        fr.tangent_planes(
+            flrw_frame, np.array([[1.0, 0.1, 0, 0]]), XI_TO_ZHAT[None], normals=True
+        )
         assert len(rows) == 1
 
     def test_batched_normals_are_oriented_unit_vectors(self, flrw_frame):

@@ -163,11 +163,11 @@ class TestMetricJet:
         monkeypatch.setattr(
             mf.MetricSpec, "metric_diag", lambda self, x: calls.append(1) or original(self, x)
         )
-        s0 = mf.NullGeodesicState(x=[1.0, 0, 0, 0], v=[1.0 / 1.1, 0, 0, 1.0 / 1.21])
+        x0, v0 = [[1.0, 0, 0, 0]], [[1.0 / 1.1, 0, 0, 1.0 / 1.21]]
         calls.clear()
-        traj = mf.integrate_null_geodesic(m, s0, 0.5, 0.1)
+        rays = mf.integrate_null_rays(m, x0, v0, 0.5, 0.1)
         # one evaluation for the initial null check, then one per step
-        assert len(calls) == len(traj)
+        assert len(calls) == rays.count[0]
 
 
     def test_one_metric_evaluation_per_tracer_step(self, monkeypatch):
@@ -244,73 +244,76 @@ class TestExpressionDerivatives:
 
 class TestIntegrator:
     def test_flat_space_straight_line(self):
-        s0 = mf.NullGeodesicState(x=[0, 0, 0, 0], v=[1, 0, 0, 1])
-        traj = mf.integrate_null_geodesic(mf.MetricSpec.minkowski(), s0, 3.0, 0.25)
-        for st in traj:
-            assert np.allclose(st.x, st.lam * np.array([1, 0, 0, 1]), atol=1e-12)
-        assert not traj.boundary_hit
+        x0, v0 = np.zeros((1, 4)), np.array([[1.0, 0, 0, 1]])
+        rays = mf.integrate_null_rays(mf.MetricSpec.minkowski(), x0, v0, 3.0, 0.25)
+        for x, lam in zip(rays.x[:, 0], rays.lam[:, 0]):
+            assert np.allclose(x, lam * np.array([1, 0, 0, 1]), atol=1e-12)
+        assert not rays.boundary_hit[0]
 
     def test_static_cosmology_reduces_to_flat(self):
         m = mf.MetricSpec.flrw(p=0.0)
-        s0 = mf.NullGeodesicState(x=[1.0, 0, 0, 0], v=[1, 0.6, 0.8, 0])
-        a = mf.integrate_null_geodesic(m, s0, 1.5, 1e-2).states[-1]
-        b_exp = s0.x + 1.5 * s0.v
-        assert np.allclose(a.x, b_exp, atol=1e-10)
+        x0, v0 = np.array([[1.0, 0, 0, 0]]), np.array([[1, 0.6, 0.8, 0]])
+        rays = mf.integrate_null_rays(m, x0, v0, 1.5, 1e-2)
+        b_exp = x0[0] + 1.5 * v0[0]
+        assert np.allclose(rays.x[rays.count[0] - 1, 0], b_exp, atol=1e-10)
 
     def test_convergence_is_fourth_order(self, flrw):
-        s0 = mf.NullGeodesicState(x=[1.0, 0, 0, 0], v=[1.0, 0, 0, 1.0])
-        ref = mf.flrw_closed_form_ray(flrw, s0, 0.4)
+        x0, v0 = np.array([1.0, 0, 0, 0]), np.array([1.0, 0, 0, 1.0])
+        ref_x, ref_v = mf.flrw_closed_form_ray(flrw, x0, v0, 0.4)
         errs = []
         for h in (0.02, 0.01, 0.005):
-            end = mf.integrate_null_geodesic(flrw, s0, 0.4, h).states[-1]
+            rays = mf.integrate_null_rays(flrw, x0[None], v0[None], 0.4, h)
+            end = rays.count[0] - 1
             errs.append(
-                np.abs(np.concatenate([end.x - ref.x, end.v - ref.v])).max()
+                np.abs(
+                    np.concatenate([rays.x[end, 0] - ref_x, rays.v[end, 0] - ref_v])
+                ).max()
             )
         assert errs[0] / errs[1] >= 12.0
         assert errs[1] / errs[2] >= 12.0
 
     def test_null_constraint_held_along_trajectory(self, flrw):
         # full past span down to t = 0.1 at the stated step
-        s0 = mf.NullGeodesicState(x=[1.0, 0, 0, 0], v=[1.0, 0, 0.6, 0.8])
+        x0, v0 = np.array([[1.0, 0, 0, 0]]), np.array([[1.0, 0, 0.6, 0.8]])
         lam_end = -(3.0 / 5.0) * (1.0 - 0.1 ** (5.0 / 3.0))
-        traj = mf.integrate_null_geodesic(flrw, s0, lam_end, 1e-3)
-        assert traj.states[-1].x[0] == pytest.approx(0.1, rel=1e-6)
-        for st in traj:
-            assert abs(flrw.norm(st.x, st.v)) <= 1e-8
-            assert st.v[0] > 0.0
+        rays = mf.integrate_null_rays(flrw, x0, v0, lam_end, 1e-3)
+        assert rays.x[rays.count[0] - 1, 0, 0] == pytest.approx(0.1, rel=1e-6)
+        for x, v in zip(rays.x[:, 0], rays.v[:, 0]):
+            assert abs(flrw.norm(x, v)) <= 1e-8
+            assert v[0] > 0.0
 
     def test_affine_rescaling_traces_same_point_set(self, flrw):
-        s0 = mf.NullGeodesicState(x=[1.0, 0.2, 0, 0], v=[1.0, 0, 0, 1.0])
         kappa = 2.0
-        s1 = mf.NullGeodesicState(x=[1.0, 0.2, 0, 0], v=kappa * s0.v)
-        end0 = mf.integrate_null_geodesic(flrw, s0, 0.5, 1e-3).states[-1]
-        end1 = mf.integrate_null_geodesic(flrw, s1, 0.5 / kappa, 1e-3).states[-1]
-        assert np.allclose(end0.x, end1.x, atol=1e-8)
+        x0 = np.array([[1.0, 0.2, 0, 0], [1.0, 0.2, 0, 0]])
+        v0 = np.array([[1.0, 0, 0, 1.0], [kappa, 0, 0, kappa]])
+        rays = mf.integrate_null_rays(flrw, x0, v0, [0.5, 0.5 / kappa], 1e-3)
+        end0, end1 = rays.x[rays.count - 1, [0, 1]]
+        assert np.allclose(end0, end1, atol=1e-8)
 
     def test_boundary_stop_at_domain_edge(self):
         m = mf.MetricSpec.minkowski(
             bounds=[[-np.inf, np.inf], [-10, 10], [-10, 10], [-1.0, 1.0]]
         )
-        s0 = mf.NullGeodesicState(x=[0, 0, 0, 0], v=[1.0, 0, 0, 1.0])
-        traj = mf.integrate_null_geodesic(m, s0, 5.0, 1e-2)
-        assert traj.boundary_hit
-        assert traj.states[-1].x[3] == pytest.approx(1.0, abs=1e-9)
+        x0, v0 = np.zeros((1, 4)), np.array([[1.0, 0, 0, 1.0]])
+        rays = mf.integrate_null_rays(m, x0, v0, 5.0, 1e-2)
+        assert rays.boundary_hit[0]
+        assert rays.x[rays.count[0] - 1, 0, 3] == pytest.approx(1.0, abs=1e-9)
 
     def test_coarse_steps_near_the_singular_region_lose_the_constraint(self, flrw):
         a = float(flrw.scale_factor(0.2))
-        s0 = mf.NullGeodesicState(x=[0.2, 0, 0, 0], v=[1.0, 0, 0, 1.0 / a])
+        x0, v0 = np.array([[0.2, 0, 0, 0]]), np.array([[1.0, 0, 0, 1.0 / a]])
         with pytest.raises(ConstraintLostError):
-            mf.integrate_null_geodesic(flrw, s0, -5.0, 1e-2)
+            mf.integrate_null_rays(flrw, x0, v0, -5.0, 1e-2)
 
     def test_rejects_non_null_initial_state(self, flrw):
         with pytest.raises(ConstraintLostError):
-            mf.validate_state(flrw, mf.NullGeodesicState(x=[1, 0, 0, 0], v=[1, 0, 0, 0]))
+            mf.integrate_null_rays(flrw, [[1.0, 0, 0, 0]], [[1.0, 0, 0, 0]], 0.0, 1e-2)
 
     def test_closed_form_matches_integrator_to_the_past(self, flrw):
-        s0 = mf.NullGeodesicState(x=[1.0, 0, 0, 0], v=[1.0, 0.6, 0, 0.8])
-        ref = mf.flrw_closed_form_ray(flrw, s0, -0.3)
-        end = mf.integrate_null_geodesic(flrw, s0, -0.3, 1e-3).states[-1]
-        assert np.allclose(end.x, ref.x, atol=1e-10)
+        x0, v0 = np.array([1.0, 0, 0, 0]), np.array([1.0, 0.6, 0, 0.8])
+        ref_x, _ = mf.flrw_closed_form_ray(flrw, x0, v0, -0.3)
+        rays = mf.integrate_null_rays(flrw, x0[None], v0[None], -0.3, 1e-3)
+        assert np.allclose(rays.x[rays.count[0] - 1, 0], ref_x, atol=1e-10)
 
 
 BOUNDED_FLRW = mf.MetricSpec.flrw(
@@ -343,13 +346,13 @@ class TestBatchedIntegrator:
         assert rays.boundary_hit.tolist() == [False, False, False, True, False]
         assert rays.x.shape == (41, 5, 4) and rays.lam.shape == (41, 5)
         for b in range(len(self.X0)):
-            s0 = mf.NullGeodesicState(x=self.X0[b], v=v0[b])
-            traj = mf.integrate_null_geodesic(m, s0, self.SPANS[b], 1e-2)
+            row = slice(b, b + 1)
+            one = mf.integrate_null_rays(m, self.X0[row], v0[row], self.SPANS[row], 1e-2)
             n = rays.count[b]
-            assert len(traj) == n and traj.boundary_hit == rays.boundary_hit[b]
-            assert np.array_equal(np.array([st.x for st in traj]), rays.x[:n, b])
-            assert np.array_equal(np.array([st.v for st in traj]), rays.v[:n, b])
-            assert np.array_equal(np.array([st.lam for st in traj]), rays.lam[:n, b])
+            assert one.count[0] == n and one.boundary_hit[0] == rays.boundary_hit[b]
+            assert np.array_equal(one.x[:, 0], rays.x[:n, b])
+            assert np.array_equal(one.v[:, 0], rays.v[:n, b])
+            assert np.array_equal(one.lam[:, 0], rays.lam[:n, b])
             # frozen rows repeat their last state
             assert np.all(rays.x[n:, b] == rays.x[n - 1, b])
         assert rays.x[11, 3, 3] == pytest.approx(1.0, abs=1e-9)
