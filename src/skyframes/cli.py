@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -22,12 +23,17 @@ from .minkowski import GraphFrame
 
 USAGE_ERROR, DOMAIN_ERROR = 2, 1
 
-#: Keys a config file may hold: the common flags, plus the metric schema
-#: of `manifold.metric_from_config` (`metric` and `kind` both name the kind).
-CONFIG_KEYS = frozenset(
-    ("metric", "p", "a_expr", "target", "frame", "n", "seed", "tol", "step", "out",
-     "format", "kind", "coeffs", "bounds")
-)
+#: The JSON type of each key a config file may hold: the common flags, plus
+#: the metric schema of `manifold.metric_from_config` (`metric` and `kind`
+#: both name the kind).
+CONFIG_TYPES = {
+    "metric": "string", "p": "number", "a_expr": "string", "target": "string",
+    "frame": "string", "n": "integer", "seed": "integer", "tol": "number",
+    "step": "number", "out": "string", "format": "string", "kind": "string",
+    "coeffs": "array", "bounds": "array",
+}
+
+_JSON_TYPES = {"string": str, "number": (int, float), "integer": int, "array": list}
 
 
 def _parse_vec(text, length=4):
@@ -47,9 +53,13 @@ def _load_config(path):
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("a config file holds one JSON object")
-    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    unknown = sorted(set(cfg) - CONFIG_TYPES.keys())
     if unknown:
         raise ValueError(f"unknown config key {unknown[0]!r}")
+    for key, val in cfg.items():
+        kind = CONFIG_TYPES[key]
+        if isinstance(val, bool) or not isinstance(val, _JSON_TYPES[kind]):
+            raise ValueError(f"config key {key!r} must be a JSON {kind}")
     if "metric" in cfg:  # the --metric flag's name for the kind
         if cfg.setdefault("kind", cfg["metric"]) != cfg["metric"]:
             raise ValueError("config keys 'metric' and 'kind' disagree")
@@ -213,6 +223,11 @@ def cmd_causal(args, cfg):
 def cmd_verify(args, cfg):
     seed = int(_setting(args, cfg, "seed", 0))
     n = int(_setting(args, cfg, "n", 200))
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    tol = _setting(args, cfg, "tol")
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     metric = _metric_from(args, cfg)
     suite = args.suite
     if _graph_frame(args, cfg, metric):
@@ -220,7 +235,6 @@ def cmd_verify(args, cfg):
     else:
         frame = _frame_spec(args, cfg, metric)
 
-    tol = _setting(args, cfg, "tol")
     reports = []
     if suite in ("twistor", "all"):
         reports += vf.suite_twistor(seed, n=n)

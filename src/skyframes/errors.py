@@ -29,10 +29,6 @@ class BadCountError(SkyframesError):
     """Sky sample size below the supported minimum."""
 
 
-class NonPolynomialError(SkyframesError):
-    """Operation requires a polynomial (coefficient-matrix) size field."""
-
-
 class ZeroSpinorError(SkyframesError):
     """A sky point needs a nonzero covector representative."""
 

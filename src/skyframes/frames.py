@@ -38,6 +38,10 @@ from .errors import NoIntersectionError, OutOfDomainError
 from .sky import SkySample
 from .spinor import PAULI_FACTOR
 
+#: Cosmic time down to which the numeric tracer marches toward the
+#: singularity; the rest of the way is closed in conformal time.
+SINGULARITY_CUTOFF = 1e-9
+
 
 @dataclass(frozen=True)
 class CauchySurface:
@@ -80,7 +84,6 @@ class FrameSpec:
     sky_fd_step: float = 1e-5
     event_fd_step: float = 1e-4
     rank_tol: float = 1e-7
-    singularity_cutoff: float = 1e-9
     tetrad_rotation: np.ndarray | None = None
 
     def __post_init__(self):
@@ -91,8 +94,6 @@ class FrameSpec:
         if self.target.kind == "singularity":
             if self.metric.kind != "flrw":
                 raise ValueError("singularity target needs an flrw metric")
-            if self.singularity_cutoff <= 0.0:
-                raise ValueError("singularity cutoff must be positive")
             # eta(0+) must be finite for the boundary to be reachable.
             mf.conformal_time(self.metric, 1.0)
         elif self.metric.kind == "flrw" and self.target.t0 <= 0.0:
@@ -254,11 +255,7 @@ def project_batch(f: FrameSpec, events, xis):
             v0 = mf.future_null_directions(
                 f.metric, events[march], sky_directions(f, xis[march])
             )
-            stop_t = (
-                max(f.singularity_cutoff, 0.0)
-                if f.target.kind == "singularity"
-                else t_target
-            )
+            stop_t = SINGULARITY_CUTOFF if f.target.kind == "singularity" else t_target
             res = mf.trace_past_to_time(
                 f.metric, events[march], v0, stop_t, f.step
             )

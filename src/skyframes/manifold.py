@@ -1,18 +1,18 @@
 """Diagonal Lorentzian metrics and null-geodesic integration.
 
 Supported metric kinds: flat space, spatially flat expanding cosmologies
-(scale factor of cosmic time, power-law shortcut a(t) = t^p), and
-user-supplied diagonal metrics with coefficient functions of the chart
-point.  Coefficients given as arithmetic expressions are differentiated
-symbolically once, when the metric is built; coefficients given as Python
-callables get central differences.  Signature is (+, -, -, -) and the
-coordinate time direction is future.  Null geodesics are integrated with a
-classical 4th-order one-step scheme; after every accepted step the time
-component of the velocity is rescaled to put it back on the null cone,
-which preserves the spatial direction and dumps the drift into the affine
-parameter.  Both drivers are batched: `integrate_null_rays` steps rays to
-affine-parameter ends and `trace_past_to_time` marches them down to a time
-level; a caller with one ray passes a batch of one.
+(power law a(t) = t^p in closed form, or a scale-factor function of cosmic
+time with a central-difference a'(t)), and user-supplied diagonal metrics
+whose four coefficients are arithmetic expressions of the chart point;
+those are differentiated symbolically once, when the metric is built.
+Signature is (+, -, -, -) and the coordinate time direction is future.
+Null geodesics are integrated with a classical 4th-order one-step scheme;
+after every accepted step the time component of the velocity is rescaled
+to put it back on the null cone, which preserves the spatial direction and
+dumps the drift into the affine parameter.  Both drivers are batched:
+`integrate_null_rays` steps rays to affine-parameter ends and
+`trace_past_to_time` marches them down to a time level; a caller with one
+ray passes a batch of one.
 
 The spinor <-> direction dictionary at a curved point uses the fixed
 orthonormal tetrad aligned with the coordinate axes (well-defined for
@@ -58,8 +58,6 @@ class MetricSpec:
     kind: str
     exponent: float | None = None
     scale_factor_fn: Callable | None = None
-    scale_factor_dot_fn: Callable | None = None
-    coeff_fns: tuple | None = None
     coeff_sources: tuple | None = None
     bounds: np.ndarray = field(default_factory=lambda: _default_bounds(False))
     _expressions: _ExpressionMetric | None = field(
@@ -74,7 +72,7 @@ class MetricSpec:
         return MetricSpec(kind="minkowski", bounds=b)
 
     @staticmethod
-    def flrw(p=None, a=None, a_dot=None, bounds=None):
+    def flrw(p=None, a=None, bounds=None):
         """Spatially flat cosmology ds^2 = dt^2 - a(t)^2 dx.dx, t > 0."""
         if (p is None) == (a is None):
             raise ValueError("give exactly one of the exponent p or a callable a")
@@ -85,28 +83,22 @@ class MetricSpec:
             kind="flrw",
             exponent=None if p is None else float(p),
             scale_factor_fn=a,
-            scale_factor_dot_fn=a_dot,
             bounds=b,
         )
 
     @staticmethod
-    def custom_diagonal(coeffs=None, bounds=None, sources=None):
-        """Four coefficients of the chart point, signature checked on a
-        coarse grid over (a clipped box of) the declared bounds.
-
-        Give exactly one of `coeffs` (callables; their partials are central
-        differences) or `sources` (expressions of t, x, y, z; their partials
-        are exact and come with the values from one compiled evaluation).
+    def custom_diagonal(sources, bounds=None):
+        """Four coefficient expressions of t, x, y, z, signature checked on
+        a coarse grid over (a clipped box of) the declared bounds.  Their
+        partials are exact and come with the values from one compiled
+        evaluation.
         """
-        if (coeffs is None) == (sources is None):
-            raise ValueError("give exactly one of coefficient callables or sources")
         b = _default_bounds(False) if bounds is None else np.asarray(bounds, float)
         m = MetricSpec(
             kind="custom",
-            coeff_fns=None if coeffs is None else tuple(coeffs),
-            coeff_sources=None if sources is None else tuple(sources),
+            coeff_sources=tuple(sources),
             bounds=b,
-            _expressions=None if sources is None else _ExpressionMetric(sources),
+            _expressions=_ExpressionMetric(sources),
         )
         m._check_signature()
         return m
@@ -124,8 +116,6 @@ class MetricSpec:
         if self.exponent is not None:
             p = self.exponent
             return p * t ** (p - 1.0) if p != 0.0 else np.zeros_like(t)
-        if self.scale_factor_dot_fn is not None:
-            return self.scale_factor_dot_fn(t)
         h = 1e-7 * np.maximum(1.0, np.abs(t))
         return (self.scale_factor_fn(t + h) - self.scale_factor_fn(t - h)) / (2 * h)
 
@@ -144,9 +134,7 @@ class MetricSpec:
             out[..., 1] = out[..., 2] = out[..., 3] = 1.0
             out[..., 1:] *= -a2[..., None]
             return out
-        if self._expressions is not None:
-            return self._expressions.values(x)
-        return np.stack([f(x) * np.ones(x.shape[:-1]) for f in self.coeff_fns], axis=-1)
+        return self._expressions.values(x)
 
     def norm(self, x, v):
         """g(v, v) at x; broadcasts over leading axes."""
@@ -168,31 +156,11 @@ class MetricSpec:
     # -- differential structure --------------------------------------------
 
     def _metric_jet(self, x):
-        """(g, dg): the coefficients (..., 4 [a]) and their partials
-        d g_aa / d x^b (..., 4 [b], 4 [a]); exact except for callables."""
+        """(g, dg) of an expression metric: the coefficients (..., 4 [a])
+        and their exact partials d g_aa / d x^b (..., 4 [b], 4 [a])."""
         x = np.asarray(x, dtype=float)
-        if self._expressions is not None:
-            jet = self._expressions.jet(x)
-            return jet[..., :4], jet[..., 4:].reshape(x.shape[:-1] + (4, 4))
-        g = self.metric_diag(x)
-        dg = np.zeros(x.shape[:-1] + (4, 4), dtype=float)
-        if self.kind == "minkowski":
-            return g, dg
-        if self.kind == "flrw":
-            t = x[..., 0]
-            dg[..., 0, 1:] = (-2.0 * self.scale_factor(t) * self.scale_factor_dot(t))[
-                ..., None
-            ]
-            return g, dg
-        for b in range(4):
-            h = 1e-5 * np.maximum(1.0, np.abs(x[..., b]))
-            xp, xm = x.copy(), x.copy()
-            xp[..., b] += h
-            xm[..., b] -= h
-            dg[..., b, :] = (self.metric_diag(xp) - self.metric_diag(xm)) / (
-                2.0 * h[..., None]
-            )
-        return g, dg
+        jet = self._expressions.jet(x)
+        return jet[..., :4], jet[..., 4:].reshape(x.shape[:-1] + (4, 4))
 
     def geodesic_acceleration(self, x, v):
         """-Gamma^a_{bc} v^b v^c for the diagonal metric; vectorised."""
@@ -221,27 +189,6 @@ class MetricSpec:
         g = self.metric_diag(grid)
         if np.any(g[:, 0] <= 0.0) or np.any(g[:, 1:] >= 0.0):
             raise ValueError("coefficients do not have signature (+,-,-,-) on the grid")
-
-
-def christoffel(m: MetricSpec, x):
-    """Connection coefficients Gamma^a_{bc} at a single chart point (4,4,4)."""
-    x = np.asarray(x, dtype=float)
-    if not m.in_domain(x):
-        raise OutOfDomainError(f"point {x.tolist()} outside the chart domain")
-    g, dg = m._metric_jet(x)  # dg is (b, a)
-    gamma = np.zeros((4, 4, 4))
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                val = 0.0
-                if a == b:
-                    val += dg[c, a]
-                if a == c:
-                    val += dg[b, a]
-                if b == c:
-                    val -= dg[a, b]
-                gamma[a, b, c] = val / (2.0 * g[a])
-    return gamma
 
 
 def _check_start(m: MetricSpec, x, v):
@@ -750,6 +697,10 @@ def metric_from_config(cfg: dict) -> MetricSpec:
     kind = cfg.get("kind", "minkowski")
     bounds = cfg.get("bounds")
     if bounds is not None:
+        if np.shape(bounds) != (4, 2) or not all(
+            c is None or type(c) in (int, float) for pair in bounds for c in pair
+        ):
+            raise ValueError("bounds must be four [lo, hi] pairs of numbers or null")
         bounds = np.array(
             [[-math.inf if lo is None else lo, math.inf if hi is None else hi]
              for lo, hi in bounds],
@@ -767,5 +718,5 @@ def metric_from_config(cfg: dict) -> MetricSpec:
         raise ValueError("flrw metric needs 'p' or 'a_expr'")
     if kind == "custom":
         sources = tuple(cfg.get("coeffs") or ())
-        return MetricSpec.custom_diagonal(bounds=bounds, sources=sources)
+        return MetricSpec.custom_diagonal(sources, bounds=bounds)
     raise ValueError(f"unknown metric kind {kind!r}")

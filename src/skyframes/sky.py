@@ -3,9 +3,7 @@
 A sky point is a nonzero covector xi in C^2* taken projectively.  A size
 field is a real (1,1)-homogeneous function on C^2*; the image of the
 vector -> field transform is always polynomial with a Hermitian 2x2
-coefficient matrix, so that representation is primary.  Sampled values
-over a SkySample are kept for fields that arise from curved-frame images
-and have no polynomial form.
+coefficient matrix, and that matrix is the one representation.
 """
 
 from __future__ import annotations
@@ -15,12 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spinor
-from .errors import (
-    BadCountError,
-    NonPolynomialError,
-    UnsupportedSignatureError,
-    ZeroSpinorError,
-)
+from .errors import BadCountError, UnsupportedSignatureError, ZeroSpinorError
 
 #: Bidegrees of homogeneity with a supported evaluation rule.
 SUPPORTED_SIGNATURES = {(1, 0), (0, 1), (1, 1), (2, 0)}
@@ -102,51 +95,25 @@ def _contract(matrix, xi):
 
 @dataclass(frozen=True)
 class SizeField:
-    """A real (1,1)-homogeneous function on C^2*.
+    """A real (1,1)-homogeneous function on C^2*, xi -> xi H xi^dagger,
+    given by its Hermitian coefficient matrix H."""
 
-    Polynomial fields carry a Hermitian coefficient matrix; purely sampled
-    fields carry values over a SkySample instead and support no algebra.
-    """
-
-    matrix: np.ndarray | None = None
-    sample: SkySample | None = None
-    values: np.ndarray | None = None
+    matrix: np.ndarray
 
     def __post_init__(self):
-        if self.matrix is not None:
-            m = spinor.check_hermitian(self.matrix)
-            object.__setattr__(self, "matrix", np.asarray(m, dtype=complex))
-        elif self.values is None or self.sample is None:
-            raise NonPolynomialError("need a coefficient matrix or sampled values")
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.matrix is not None
+        m = spinor.check_hermitian(self.matrix)
+        object.__setattr__(self, "matrix", np.asarray(m, dtype=complex))
 
     def __call__(self, xi):
-        if not self.is_polynomial:
-            raise NonPolynomialError("sampled field supports no pointwise eval")
         return _contract(self.matrix, np.asarray(xi, dtype=complex)).real
 
-    def eval_many(self, xis):
-        if self.is_polynomial:
-            return self(xis)
-        return np.asarray(self.values, dtype=float)
-
-    def _other_matrix(self, other):
-        if not (self.is_polynomial and other.is_polynomial):
-            raise NonPolynomialError("field algebra needs polynomial operands")
-        return other.matrix
-
     def __add__(self, other):
-        return SizeField(matrix=self.matrix + self._other_matrix(other))
+        return SizeField(matrix=self.matrix + other.matrix)
 
     def __sub__(self, other):
-        return SizeField(matrix=self.matrix - self._other_matrix(other))
+        return SizeField(matrix=self.matrix - other.matrix)
 
     def __mul__(self, scalar):
-        if not self.is_polynomial:
-            raise NonPolynomialError("field algebra needs polynomial operands")
         return SizeField(matrix=self.matrix * float(scalar))
 
     __rmul__ = __mul__
@@ -187,8 +154,6 @@ def dominates(a: SizeField, b: SizeField, tol=1e-12) -> bool:
     The tolerance is applied to the smallest eigenvalue of the difference
     matrix, scaled by its largest entry; the boundary counts as dominated.
     """
-    if not (a.is_polynomial and b.is_polynomial):
-        raise NonPolynomialError("dominates needs polynomial fields")
     d = a.matrix - b.matrix
     scale = max(float(np.abs(d).max()), 1.0)
     return bool(hermitian_eigenvalues(d)[..., 0] >= -tol * scale)

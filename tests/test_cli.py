@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,15 +8,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import skyframes
-from skyframes.cli import main
+from skyframes.cli import CONFIG_TYPES, main
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+CAUSAL = ("causal", "--x", "1,0,0,0", "--y", "0.5,0,0,0")
+FLOW = ("verify", "--suite", "flow", "--n", "4")
 
 
 class TestPauli:
@@ -194,6 +202,31 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--suite", "nonsense")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "suite, n",
+        [("theorem1", "0"), ("twistor", "0"), ("contact", "0"), ("flow", "0"),
+         ("all", "-1")],
+    )
+    def test_count_below_one_exits_2(self, capsys, tmp_path, suite, n):
+        # theorem1 and twistor used to pass a run that checked nothing
+        out_path = tmp_path / "rep.json"
+        code, out, err = run(
+            capsys, "verify", "--suite", suite, "--n", n, "--out", str(out_path)
+        )
+        assert code == 2
+        assert err == f"ValueError: n must be at least 1, got {n}\n" and out == ""
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tolerance_must_be_finite_and_non_negative(self, capsys, tmp_path, tol):
+        # nan failed every report (exit 1) and inf passed every report
+        code, out, err = run(
+            capsys, "verify", "--suite", "flow", "--n", "4", "--tol", tol,
+            "--out", str(tmp_path / "rep.json"),
+        )
+        assert code == 2
+        assert "tol must be finite and non-negative" in err and out == ""
+
 
 class TestGraphFrameNeedsFlatSpace:
     @pytest.mark.parametrize(
@@ -256,6 +289,57 @@ class TestConfigKeys:
         )
         assert code == 2
         assert message in err
+
+    @pytest.mark.parametrize(
+        "cfg, argv, message",
+        [
+            ({"bounds": 3}, CAUSAL, "config key 'bounds' must be a JSON array"),
+            ({"kind": "custom", "coeffs": 5}, CAUSAL, "key 'coeffs' must be a JSON array"),
+            ({"kind": "flrw", "p": [1]}, CAUSAL, "key 'p' must be a JSON number"),
+            ({"target": 5}, CAUSAL, "key 'target' must be a JSON string"),
+            ({"n": True}, CAUSAL, "key 'n' must be a JSON integer"),
+            ({"tol": "nan"}, FLOW, "key 'tol' must be a JSON number"),
+            ({"tol": float("nan")}, FLOW, "tol must be finite"),
+            ({"out": 5}, FLOW, "key 'out' must be a JSON string"),
+            ({"bounds": [3]}, CAUSAL, "bounds must be four [lo, hi] pairs"),
+            ({"bounds": [[0, 1]]}, CAUSAL, "bounds must be four [lo, hi] pairs"),
+        ],
+    )
+    def test_wrong_json_type_exits_2(self, capsys, tmp_path, cfg, argv, message):
+        # these raised a TypeError or AttributeError traceback, or exited 0
+        # (out = 5 wrote to file descriptor 5; one pair of bounds broadcast)
+        code, out, err = self._run_config(capsys, tmp_path, cfg, *argv)
+        assert code == 2
+        assert err.startswith("ValueError: ") and message in err
+        assert err.count("\n") == 1 and out == ""
+
+
+_BOOLS, _TEXTS = st.booleans(), st.text(max_size=8)
+_LISTS = st.lists(st.integers(-3, 3), max_size=3)
+_DICTS = st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2)
+
+#: Values of any JSON type but the key's own.  No example holds a large
+#: number, so none can ask for a big sky sample.
+_WRONG_TYPED = {
+    "string": _BOOLS | _LISTS | _DICTS,
+    "number": _BOOLS | _TEXTS | _LISTS | _DICTS,
+    "integer": _BOOLS | _TEXTS | _LISTS | _DICTS,
+    "array": _BOOLS | _TEXTS | _DICTS,
+}
+
+
+@pytest.mark.parametrize("key", sorted(CONFIG_TYPES))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_wrong_typed_config_values_exit_2(tmp_path_factory, key, data):
+    value = data.draw(_WRONG_TYPED[CONFIG_TYPES[key]], label=key)
+    path = tmp_path_factory.getbasetemp() / "wrong_typed.json"
+    path.write_text(json.dumps({key: value}))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["--config", str(path), *CAUSAL])
+    message = f"config key {key!r} must be a JSON {CONFIG_TYPES[key]}"
+    assert code == 2 and err.getvalue() == f"ValueError: {message}\n"
 
 
 class TestNonFiniteAndDegenerateInputs:
