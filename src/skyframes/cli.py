@@ -35,6 +35,10 @@ CONFIG_TYPES = {
 
 _JSON_TYPES = {"string": str, "number": (int, float), "integer": int, "array": list}
 
+#: The values of the flags with fixed choices and of their config keys.
+CHOICES = {"metric": ("minkowski", "flrw", "custom"), "frame": ("geodesic", "graph"),
+           "format": ("json", "csv")}
+
 
 def _parse_vec(text, length=4):
     parts = [p for p in text.replace(",", " ").split() if p]
@@ -60,6 +64,11 @@ def _load_config(path):
         kind = CONFIG_TYPES[key]
         if isinstance(val, bool) or not isinstance(val, _JSON_TYPES[kind]):
             raise ValueError(f"config key {key!r} must be a JSON {kind}")
+        if key in CHOICES and val not in CHOICES[key]:
+            allowed = ", ".join(CHOICES[key])
+            raise ValueError(f"config key {key!r} must be one of {allowed}, got {val!r}")
+    if "target" in cfg:  # parsed like the --target flag, whatever the frame
+        cfg["target"] = target_surface(cfg["target"])
     if "metric" in cfg:  # the --metric flag's name for the kind
         if cfg.setdefault("kind", cfg["metric"]) != cfg["metric"]:
             raise ValueError("config keys 'metric' and 'kind' disagree")
@@ -83,13 +92,12 @@ def _metric_from(args, cfg):
     return mf.metric_from_config(merged)
 
 
-def _target_from(args, cfg):
-    text = _setting(args, cfg, "target", "singularity")
+def target_surface(text):
+    """The surface named by `singularity`, `cauchy` or `cauchy:<t0>`."""
     if text == "singularity":
         return fr.Singularity()
-    if text.startswith("cauchy"):
-        _, _, t0 = text.partition(":")
-        return fr.CauchySurface(float(t0 or 0.0))
+    if text == "cauchy" or text.startswith("cauchy:"):
+        return fr.CauchySurface(float(text.partition(":")[2] or 0.0))
     raise ValueError(f"unknown target {text!r}")
 
 
@@ -103,10 +111,8 @@ def _graph_frame(args, cfg, metric):
 
 
 def _frame_spec(args, cfg, metric):
-    if metric.kind == "minkowski" and _setting(args, cfg, "target") is None:
-        target = fr.CauchySurface(0.0)
-    else:
-        target = _target_from(args, cfg)
+    default = fr.CauchySurface(0.0) if metric.kind == "minkowski" else fr.Singularity()
+    target = _setting(args, cfg, "target", default)
     step = _setting(args, cfg, "step")
     extra = {} if step is None else {"step": float(step)}
     return fr.FrameSpec(metric=metric, target=target, **extra)
@@ -239,7 +245,8 @@ def cmd_verify(args, cfg):
     if suite in ("twistor", "all"):
         reports += vf.suite_twistor(seed, n=n)
     if suite in ("contact", "all"):
-        reports += vf.suite_contact(seed, n=min(n, 25), metric=metric)
+        step = float(_setting(args, cfg, "step", fr.FrameSpec.step))
+        reports += vf.suite_contact(seed, n=min(n, 25), metric=metric, step=step)
     if suite in ("theorem1", "all"):
         reports += vf.suite_kernel(seed, n=min(n, 25), frame=frame, tol=tol)
     if suite in ("flow", "all"):
@@ -265,17 +272,17 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--metric", choices=["minkowski", "flrw", "custom"])
+    common.add_argument("--metric", choices=CHOICES["metric"])
     common.add_argument("--p", type=float, help="power-law scale-factor exponent")
     common.add_argument("--a-expr", dest="a_expr", help="scale factor a(t) expression")
-    common.add_argument("--target", help="cauchy:t0 or singularity")
-    common.add_argument("--frame", choices=["geodesic", "graph"])
+    common.add_argument("--target", type=target_surface, help="cauchy:t0 or singularity")
+    common.add_argument("--frame", choices=CHOICES["frame"])
     common.add_argument("--n", type=int)
     common.add_argument("--seed", type=int)
     common.add_argument("--tol", type=float)
     common.add_argument("--step", type=float)
     common.add_argument("--out")
-    common.add_argument("--format", choices=["json", "csv"])
+    common.add_argument("--format", choices=CHOICES["format"])
 
     p = sub.add_parser("pauli", parents=[common], help="transform a 4-vector")
     p.add_argument("--vec", required=True, help="four comma-separated components")
@@ -310,7 +317,8 @@ def main(argv=None):
     try:
         cfg = _load_config(args.config)
         return args.func(args, cfg)
-    except (errors.BadCountError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (errors.BadCountError, ValueError, OSError, json.JSONDecodeError,
+            MemoryError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except errors.SkyframesError as exc:

@@ -53,10 +53,6 @@ class NoIntersectionError(SkyframesError):
     """Geodesic leaves the domain without meeting the target surface."""
 
 
-class IntegratorFailureError(SkyframesError):
-    """Step control failed to advance the geodesic."""
-
-
 class DegenerateTangentPlaneError(SkyframesError):
     """Image tangent plane has rank below 2."""
 

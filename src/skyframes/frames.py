@@ -15,11 +15,11 @@ row passes a batch of one and reads row 0.
 
 Two tracers are available: a conformal-chart closed form (flat space and
 spatially flat cosmologies project onto straight comoving lines) and the
-general numerical integrator.  Near the t = 0 boundary the chart velocity
-blows up, so the numerical tracer marches down to a small cutoff time and
-closes the remaining gap along the (conserved) comoving direction with
-the conformal-time integral; the cutoff error is far below the stated
-image tolerances.
+numeric `manifold.trace_past_to_time`, which marches a batch in t (ln t
+toward the singularity) on one grid and lands on the target level.  Near
+the t = 0 boundary the chart velocity blows up, so it stops at a small
+cutoff time and the rest of the way is closed along the (conserved)
+comoving direction in conformal time, far below the image tolerances.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class FrameSpec:
 
     metric: mf.MetricSpec
     target: CauchySurface | Singularity
-    step: float = 1e-3
+    step: float = 1e-3  # affine step of the contact check's integrate_null_rays
     tracer: str = "auto"  # auto | closed_form | numeric
     sky_fd_step: float = 1e-5
     event_fd_step: float = 1e-4
@@ -218,8 +218,9 @@ def project_batch(f: FrameSpec, events, xis):
 
     events: (B, 4), xis: (B, 2).  Returns (m_points (B, 3), lams (B,),
     ok (B,) bool, lost (B,) bool); lost marks rays abandoned for constraint
-    drift.  Raises OutOfDomainError when an event leaves the chart; rays
-    whose event lies below the target come back not ok.
+    drift or left unsettled by the tracer's grid.  Raises OutOfDomainError
+    when an event leaves the chart; rays whose event lies below the target
+    come back not ok.
     """
     events = np.asarray(events, dtype=float)
     xis = np.asarray(xis, dtype=complex)
@@ -256,11 +257,8 @@ def project_batch(f: FrameSpec, events, xis):
                 f.metric, events[march], sky_directions(f, xis[march])
             )
             stop_t = SINGULARITY_CUTOFF if f.target.kind == "singularity" else t_target
-            res = mf.trace_past_to_time(
-                f.metric, events[march], v0, stop_t, f.step
-            )
-            pts = res.x[:, 1:]
-            lam_m = res.lam.copy()
+            res = mf.trace_past_to_time(f.metric, events[march], v0, stop_t)
+            pts, lam_m = res.x[:, 1:], res.lam
             if f.target.kind == "singularity":
                 pts, lam_m = _close_singularity_gap(f, res, lam_m)
             m_points[march] = pts

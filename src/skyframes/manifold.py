@@ -6,13 +6,13 @@ time with a central-difference a'(t)), and user-supplied diagonal metrics
 whose four coefficients are arithmetic expressions of the chart point;
 those are differentiated symbolically once, when the metric is built.
 Signature is (+, -, -, -) and the coordinate time direction is future.
-Null geodesics are integrated with a classical 4th-order one-step scheme;
-after every accepted step the time component of the velocity is rescaled
-to put it back on the null cone, which preserves the spatial direction and
-dumps the drift into the affine parameter.  Both drivers are batched:
-`integrate_null_rays` steps rays to affine-parameter ends and
-`trace_past_to_time` marches them down to a time level; a caller with one
-ray passes a batch of one.
+Null geodesics are integrated with one classical 4th-order step; after
+every step the time component of the velocity is rescaled onto the null
+cone, which keeps the spatial direction and dumps the drift into the
+affine parameter.  Both drivers are batched: `integrate_null_rays` steps
+rays in the affine parameter to given ends, and `trace_past_to_time`
+marches them in t (or ln t) on a shared grid, sized by step doubling, that
+ends on the target level; one ray is a batch of one.
 
 The spinor <-> direction dictionary at a curved point uses the fixed
 orthonormal tetrad aligned with the coordinate axes (well-defined for
@@ -30,12 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    ConstraintLostError,
-    DivergentIntegralError,
-    IntegratorFailureError,
-    OutOfDomainError,
-)
+from .errors import ConstraintLostError, DivergentIntegralError, OutOfDomainError
 
 #: Nullity tolerance for geodesic states, relative to the squared velocity scale.
 GEODESIC_NULL_TOL = 1e-8
@@ -43,7 +38,11 @@ GEODESIC_NULL_TOL = 1e-8
 #: Pre-renormalisation drift beyond which a trajectory is abandoned.
 CONSTRAINT_LOST_TOL = 1e-4
 
-_TINY_T = 1e-30  # floor for transient scale-factor evaluations while bracketing
+_TINY_T = 1e-30  # floor of the times at which scale factors are evaluated
+
+#: Grid of `trace_past_to_time`: the first level, the cap (rows unsettled
+#: there come back lost) and the step-doubling tolerance.
+GRID_START, GRID_CAP, GRID_TOL = 8, 2**15, 1e-5
 
 
 def _default_bounds(t_open_zero):
@@ -205,19 +204,15 @@ def _check_start(m: MetricSpec, x, v):
     return scale2
 
 
-def _rk4_step(m: MetricSpec, x, v, h):
-    """One classical step for dx = v, dv = acceleration; h may be (...,1)."""
-    k1x = v
-    k1v = m.geodesic_acceleration(x, v)
-    k2x = v + 0.5 * h * k1v
-    k2v = m.geodesic_acceleration(x + 0.5 * h * k1x, k2x)
-    k3x = v + 0.5 * h * k2v
-    k3v = m.geodesic_acceleration(x + 0.5 * h * k2x, k3x)
-    k4x = v + h * k3v
-    k4v = m.geodesic_acceleration(x + h * k3x, k4x)
-    xn = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    vn = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return xn, vn
+def _rk4_step(rhs, y, h):
+    """One classical step of dy/ds = rhs(c, y) for the states y (B, k) over
+    the per-row steps h (B,); c is the stage's fraction of the step."""
+    h = h[:, None]
+    k1 = rhs(0.0, y)
+    k2 = rhs(0.5, y + 0.5 * h * k1)
+    k3 = rhs(0.5, y + 0.5 * h * k2)
+    k4 = rhs(1.0, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _renormalise(m: MetricSpec, x, v, time_sign):
@@ -231,16 +226,15 @@ def _renormalise(m: MetricSpec, x, v, time_sign):
     return np.abs(np.sum(g * v**2, axis=-1)), out
 
 
-def _bisect_step(m: MetricSpec, x, u, h, inside):
-    """Bracket (lo, hi) on the fraction of each step h (B,) at which the
-    end point stops being `inside` (a per-row test, monotone along the
+def _bisect_step(rhs, y, h, inside):
+    """Bracket (lo, hi) on the fraction of each step h (B,) from (x, v) (B,
+    8) at which x stops being `inside` (a per-row test, monotone along the
     step), after 60 halvings.  Only the rows given are stepped."""
     lo = np.zeros(len(h))
     hi = np.ones(len(h))
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        xn, _ = _rk4_step(m, x, u, (mid * h)[:, None])
-        kept = inside(xn)
+        kept = inside(_rk4_step(rhs, y, mid * h)[:, :4])
         lo = np.where(kept, mid, lo)
         hi = np.where(kept, hi, mid)
     return lo, hi
@@ -283,6 +277,11 @@ def integrate_null_rays(m: MetricSpec, x0, v0, lam_end, step):
     if not np.all(np.isfinite(span)):
         raise ValueError("affine ends must be finite")
     scale2 = _check_start(m, x, v)
+
+    def rhs(c, y):  # (x, v) -> (v, acceleration)
+        acc = m.geodesic_acceleration(y[:, :4], y[:, 4:])
+        return np.concatenate([y[:, 4:], acc], axis=1)
+
     sgn = np.copysign(1.0, span)
     n_full = (np.abs(span) // step).astype(int)
     rest = span - sgn * step * n_full
@@ -298,23 +297,23 @@ def integrate_null_rays(m: MetricSpec, x0, v0, lam_end, step):
         rows = np.flatnonzero((k < n_steps) & ~hit)
         if not len(rows):
             break
-        x, v = xs[k, rows], vs[k, rows]
         h = np.where(k < n_full, sgn * step, rest)[rows]
-        xn, vn = _rk4_step(m, x, v, h[:, None])
-        out = ~m.in_domain(xn)
+        y = np.concatenate([xs[k, rows], vs[k, rows]], axis=1)
+        yn = _rk4_step(rhs, y, h)
+        out = ~m.in_domain(yn[:, :4])
         if out.any():
-            frac, _ = _bisect_step(m, x[out], v[out], h[out], m.in_domain)
+            frac, _ = _bisect_step(rhs, y[out], h[out], m.in_domain)
             h[out] *= frac
-            xn[out], vn[out] = _rk4_step(m, x[out], v[out], h[out, None])
+            yn[out] = _rk4_step(rhs, y[out], h[out])
             hit[rows[out]] = True
             keep = ~out
             keep[out] = frac > 0.0
-            rows, xn, vn, h = rows[keep], xn[keep], vn[keep], h[keep]
-        drift, vn = _renormalise(m, xn, vn, time_sign=1.0)
+            rows, yn, h = rows[keep], yn[keep], h[keep]
+        drift, vn = _renormalise(m, yn[:, :4], yn[:, 4:], time_sign=1.0)
         if (drift > CONSTRAINT_LOST_TOL * scale2[rows]).any():
             raise ConstraintLostError(f"null constraint drifted to {drift.max():.3e}")
         xs[k + 1], vs[k + 1], lams[k + 1] = xs[k], vs[k], lams[k]
-        xs[k + 1, rows], vs[k + 1, rows] = xn, vn
+        xs[k + 1, rows], vs[k + 1, rows] = yn[:, :4], vn
         lams[k + 1, rows] += h
         count[rows] += 1
     n = count.max(initial=1)
@@ -331,71 +330,89 @@ class TraceResult:
     u: np.ndarray  # (B, 4) past-directed tangents at the end points
     lam: np.ndarray  # (B,) affine length along the past-directed tangent
     ok: np.ndarray  # (B,) bool
-    lost: np.ndarray  # (B,) bool, True where the null constraint drifted away
+    lost: np.ndarray  # (B,) bool, drifted off the null cone or unsettled at GRID_CAP
 
 
-def trace_past_to_time(m: MetricSpec, x0, v0, t_target, step, max_steps=200_000):
-    """March past-directed null rays from (x0, v0-future) down to t = t_target.
+def _march(m: MetricSpec, x0, u0, t_target, n):
+    """March past-directed rays (x0, u0) (B, 4) in n equal steps of s (ln t
+    above a level > 0, else t) down to t_target.  The state is the spatial
+    point, u and lambda; t is the grid's, so the last node is the level
+    itself.  ok marks the rows that arrived."""
+    log = t_target > 0.0
+    s0 = np.log(x0[:, 0]) if log else x0[:, 0]
+    h = ((math.log(t_target) if log else t_target) - s0) / n
 
-    Vectorised over rays.  Each ray takes fixed affine steps, capped near
-    the target; a step that crosses the level is redone by bisection on
-    its fraction until the time coordinate matches to 1e-12 (relative).
-    Rays that leave the spatial domain come back marked not ok.
+    def points(t, xs):
+        x = np.empty((len(xs), 4))
+        x[:, 0], x[:, 1:] = t, xs
+        return x
+
+    def deriv(s, y):  # d/ds of (x, u, lambda) is dt/ds / u0 times (u, acc, 1)
+        t = np.exp(s) if log else s
+        u = y[:, 3:7]
+        rate = ((t if log else 1.0) / u[:, 0])[:, None]
+        acc = m.geodesic_acceleration(points(t, y[:, :3]), u)
+        return np.concatenate([rate * u[:, 1:], rate * acc, rate], axis=1)
+
+    y = np.concatenate([x0[:, 1:], u0, np.zeros((len(x0), 1))], axis=1)
+    t, lost, live = x0[:, 0].copy(), np.zeros(len(x0), dtype=bool), np.arange(len(x0))
+    for k in range(1, n + 1):
+        if not len(live):
+            break
+        s, hk = s0[live] + (k - 1) * h[live], h[live]
+        yn = _rk4_step(lambda c, y: deriv(s + c * hk, y), y[live], hk)
+        t[live] = t_target if k == n else (np.exp(s + hk) if log else s + hk)
+        scale2 = np.maximum(np.abs(yn[:, 3:7]).max(axis=-1), 1.0) ** 2
+        x = points(t[live], yn[:, :3])
+        drift, yn[:, 3:7] = _renormalise(m, x, yn[:, 3:7], time_sign=-1.0)
+        y[live] = yn
+        bad = drift > CONSTRAINT_LOST_TOL * scale2
+        lost[live[bad]] = True
+        inside = (x[:, 1:] > m.bounds[1:, 0]) & (x[:, 1:] < m.bounds[1:, 1])
+        live = live[np.all(inside, axis=-1) & ~bad]
+    ok = np.isin(np.arange(len(x0)), live)
+    return TraceResult(x=points(t, y[:, :3]), u=y[:, 3:7], lam=y[:, 7], ok=ok, lost=lost)
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def trace_past_to_time(m: MetricSpec, x0, v0, t_target):
+    """March past-directed null rays from (x0, v0-future) (B, 4) down to
+    t = t_target; arrived rows land on the level exactly.
+
+    Each row takes N equal steps of s (ln t above a level > 0, else t)
+    from its own start.  The batch shares N, doubling from GRID_START: a
+    level settles the rows that arrived at it and at the level before once
+    every such row's step-doubling estimate |fine - coarse| / 15 (end point
+    and lambda) is within GRID_TOL * max(1, |end|), and the rows that
+    failed at both without drifting off the null cone.  The others refine
+    alone; at GRID_CAP they come back not ok and lost.  Rows that leave the
+    spatial domain or turn non-finite come back not ok.
     """
-    x = np.array(x0, dtype=float, copy=True)
-    u = -np.array(v0, dtype=float, copy=True)  # past-directed tangent
-    if x.ndim == 1:
+    x0 = np.asarray(x0, dtype=float)
+    u0 = -np.asarray(v0, dtype=float)  # past-directed tangent
+    if x0.ndim == 1:
         raise ValueError("trace_past_to_time is batched; pass (B, 4) arrays")
-    nrays = x.shape[0]
-    lam = np.zeros(nrays)
-    ok = np.ones(nrays, dtype=bool)
-    lost = np.zeros(nrays, dtype=bool)
-    t_tol = 1e-12 * max(1.0, float(np.abs(x[:, 0]).max()))
-    if np.any(x[:, 0] < t_target - t_tol):
+    t_tol = 1e-12 * max(1.0, float(np.abs(x0[:, 0]).max(initial=0.0)))
+    if np.any(x0[:, 0] < t_target - t_tol):
         raise OutOfDomainError("some start events lie below the target level")
 
-    done = np.abs(x[:, 0] - t_target) <= t_tol
-    for _ in range(max_steps):
-        active = ok & ~done
-        if not np.any(active):
-            break
-        gap = x[:, 0] - t_target
-        dtdl = np.maximum(np.abs(u[:, 0]), 1e-300)
-        # Near a vanishing scale factor the ODE is stiff; cap the per-step
-        # time change at a 5% fraction of the local time scale so the
-        # one-step error stays far below the arrival tolerances.
-        h_cap = np.minimum(1.25 * gap, 0.05 * np.abs(x[:, 0])) / dtdl
-        h = np.where(active, np.minimum(step, h_cap), 0.0)
-        xn, un = _rk4_step(m, x, u, h[:, None])
-        crossed = active & (xn[:, 0] < t_target - t_tol)
-        if np.any(crossed):
-            xc, uc = x[crossed], u[crossed]
-            h[crossed] *= _bisect_time_level(m, xc, uc, h[crossed], t_target)
-            xn[crossed], un[crossed] = _rk4_step(m, xc, uc, h[crossed, None])
-        scale2 = np.maximum(np.abs(un).max(axis=-1), 1.0) ** 2
-        drift, un = _renormalise(m, xn, un, time_sign=-1.0)
-        lost |= active & (drift > CONSTRAINT_LOST_TOL * scale2)
-        ok &= ~lost
-        # Accept only active rays; freeze the rest.
-        upd = active & ok
-        x[upd] = xn[upd]
-        u[upd] = un[upd]
-        lam[upd] += h[upd]
-        spatial_ok = np.all(
-            (x[:, 1:] > m.bounds[1:, 0]) & (x[:, 1:] < m.bounds[1:, 1]), axis=-1
-        )
-        ok &= spatial_ok
-        done = done | (np.abs(x[:, 0] - t_target) <= t_tol)
-    else:
-        raise IntegratorFailureError("ray marching exceeded the step budget")
-    return TraceResult(x=x, u=u, lam=lam, ok=ok & done, lost=lost)
-
-
-def _bisect_time_level(m, x, u, h, t_target):
-    """Fraction of each step h (B,) landing on the time level (monotone);
-    x, u are the crossing rows only."""
-    lo, hi = _bisect_step(m, x, u, h, lambda xn: xn[:, 0] >= t_target)
-    return 0.5 * (lo + hi)
+    n, rows = GRID_START, np.arange(len(x0))
+    first = _march(m, x0, u0, t_target, n)
+    x, u, lam, arrived = first.x, first.u, first.lam, first.ok
+    ok, lost = np.zeros(len(x0), dtype=bool), np.ones(len(x0), dtype=bool)
+    while len(rows) and n < GRID_CAP:
+        n *= 2
+        fine = _march(m, x0[rows], u0[rows], t_target, n)
+        both = arrived[rows] & fine.ok
+        end = np.column_stack([fine.x[both, 1:], fine.lam[both]])
+        err = np.abs(end - np.column_stack([x[rows][both, 1:], lam[rows][both]]))
+        scale = np.maximum(np.abs(end).max(axis=-1, initial=0.0), 1.0)
+        done = both | ~(arrived[rows] | fine.ok | fine.lost)
+        done &= np.all(err.max(axis=-1, initial=0.0) <= 15.0 * GRID_TOL * scale)
+        x[rows], u[rows], lam[rows], arrived[rows] = fine.x, fine.u, fine.lam, fine.ok
+        ok[rows[done]], lost[rows[done]] = fine.ok[done], fine.lost[done]
+        rows = rows[~done]
+    return TraceResult(x=x, u=u, lam=lam, ok=ok, lost=lost)
 
 
 # ---------------------------------------------------------------------------

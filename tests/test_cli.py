@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skyframes
-from skyframes.cli import CONFIG_TYPES, main
+from skyframes.cli import CHOICES, CONFIG_TYPES, main
 
 
 def run(capsys, *argv):
@@ -155,6 +155,30 @@ class TestCausal:
 
 
 class TestVerify:
+    def test_step_sets_the_contact_suite_step(self, capsys, tmp_path):
+        states = []
+        for step in ("0.01", "0.02"):
+            out_path = tmp_path / f"contact-{step}.json"
+            code, _, _ = run(
+                capsys, "verify", "--suite", "contact", "--n", "4", "--step", step,
+                "--out", str(out_path),
+            )
+            assert code == 0
+            reports = json.loads(out_path.read_text())["reports"]
+            states.append(np.array([r["extras"]["states"] for r in reports]))
+        # each row takes ceil(span / step) steps, so halving them halves the states
+        assert np.all(np.abs(states[0] - 1 - 2 * (states[1] - 1)) <= 1)
+
+    def test_out_of_memory_is_a_usage_error(self, capsys, monkeypatch):
+        # a step too small for the contact suite's state arrays
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 119. GiB")
+
+        monkeypatch.setattr(skyframes.verify, "suite_contact", no_memory)
+        code, out, err = run(capsys, "verify", "--suite", "contact", "--step", "1e-9")
+        assert code == 2 and out == ""
+        assert err == "MemoryError: Unable to allocate 119. GiB\n"
+
     def test_twistor_suite_passes(self, capsys, tmp_path):
         out_path = tmp_path / "rep.json"
         code, out, _ = run(
@@ -266,6 +290,31 @@ class TestConfigKeys:
         assert out.splitlines()[0] == "y_past_of_x"
         assert "radius_x: 2  radius_y: 1 " in out
 
+    @pytest.mark.parametrize(
+        "cfg, argv, key",
+        [
+            ({"metric": "minkowski", "frame": "grph"}, CAUSAL, "frame"),
+            ({"metric": "minkowski", "frame": ""}, CAUSAL, "frame"),
+            ({"format": "xml"}, ("sky-image", "--event", "1,0,0,0", "--n", "8"), "format"),
+        ],
+    )
+    def test_values_outside_the_flag_choices_exit_2(self, capsys, tmp_path, cfg, argv, key):
+        # these ran the geodesic frame or wrote JSON, and exited 0
+        code, out, err = self._run_config(capsys, tmp_path, cfg, *argv)
+        allowed = ", ".join(CHOICES[key])
+        message = f"config key {key!r} must be one of {allowed}, got {cfg[key]!r}"
+        assert code == 2 and out == "" and err == f"ValueError: {message}\n"
+
+    @pytest.mark.parametrize("target, frame", [("cauchyx", "geodesic"), ("csv", "graph")])
+    def test_targets_are_checked_whatever_the_frame(self, capsys, tmp_path, target, frame):
+        # "cauchyx" read as the slice t = 0, and the graph frame ignored the target
+        cfg = {"metric": "minkowski", "frame": frame, "target": target}
+        code, out, err = self._run_config(capsys, tmp_path, cfg, *CAUSAL)
+        assert code == 2 and out == ""
+        assert err == f"ValueError: unknown target {target!r}\n"
+        code, out, err = run(capsys, *CAUSAL, "--frame", frame, "--target", target)
+        assert code == 2 and out == "" and "--target" in err
+
     def test_flags_override_the_metric_key(self, capsys, tmp_path):
         code, out, _ = self._run_config(
             capsys, tmp_path, {"metric": "flrw", "p": 0.5},
@@ -340,6 +389,44 @@ def test_wrong_typed_config_values_exit_2(tmp_path_factory, key, data):
         code = main(["--config", str(path), *CAUSAL])
     message = f"config key {key!r} must be a JSON {CONFIG_TYPES[key]}"
     assert code == 2 and err.getvalue() == f"ValueError: {message}\n"
+
+
+#: The valid values of the string keys that take a fixed set; examples also
+#: draw near misses and any text.  No example sets `coeffs` or `a_expr`, so
+#: none can start a numeric trace.
+_STRING_VALUES = {
+    "frame": CHOICES["frame"],
+    "format": CHOICES["format"],
+    "metric": CHOICES["metric"],
+    "target": ("singularity", "cauchy", "cauchy:0.25", "cauchy:0.75"),
+}
+_NEAR_MISSES = ("", "grph", "Graph", "xml", "cauchyx", "cauchy:x", "singularity ")
+
+
+def _is_valid(key, value):
+    if key == "target":
+        return value in ("singularity", "cauchy") or value.startswith("cauchy:")
+    return value in CHOICES[key]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    values=st.dictionaries(
+        st.sampled_from(sorted(_STRING_VALUES)),
+        st.sampled_from(sorted({v for vs in _STRING_VALUES.values() for v in vs}))
+        | st.sampled_from(_NEAR_MISSES)
+        | st.text(max_size=12),
+    )
+)
+def test_string_config_values_end_in_an_exit_code(tmp_path_factory, values):
+    path = tmp_path_factory.getbasetemp() / "string_values.json"
+    path.write_text(json.dumps(values))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["--config", str(path), *CAUSAL])
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+    if not all(_is_valid(key, value) for key, value in values.items()):
+        assert code == 2, (values, err.getvalue())
 
 
 class TestNonFiniteAndDegenerateInputs:

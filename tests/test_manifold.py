@@ -148,39 +148,6 @@ class TestMetricJet:
         assert len(calls) == rays.count[0]
 
 
-    def test_one_metric_evaluation_per_tracer_step(self, monkeypatch):
-        m = mf.metric_from_config(README_METRIC)
-        x0 = np.array([[1.0, 0, 0, 0], [1.2, 0.3, 0, 0]])
-        v0 = mf.future_null_directions(m, x0, np.array([[0, 0, 1.0], [0.6, 0.8, 0]]))
-        counts = {"metric_diag": 0, "steps": 0, "bisections": 0}
-        in_bisection = []
-        rk4, bisect, diag = mf._rk4_step, mf._bisect_time_level, mf.MetricSpec.metric_diag
-
-        def counting_rk4(*args):
-            counts["steps"] += not in_bisection
-            return rk4(*args)
-
-        def counting_bisect(*args):
-            counts["bisections"] += 1
-            in_bisection.append(True)
-            try:
-                return bisect(*args)
-            finally:
-                in_bisection.pop()
-
-        def counting_diag(self, x):
-            counts["metric_diag"] += 1
-            return diag(self, x)
-
-        monkeypatch.setattr(mf, "_rk4_step", counting_rk4)
-        monkeypatch.setattr(mf, "_bisect_time_level", counting_bisect)
-        monkeypatch.setattr(mf.MetricSpec, "metric_diag", counting_diag)
-        res = mf.trace_past_to_time(m, x0, v0, 0.5, 0.05)
-        assert np.all(res.ok) and counts["bisections"] >= 1
-        # each marching step is one step, plus one redo after a bisection
-        assert counts["metric_diag"] == counts["steps"] - counts["bisections"]
-
-
 class TestExpressionDerivatives:
     @pytest.mark.parametrize(
         "src, name, expected",
@@ -356,66 +323,6 @@ class TestBatchedIntegrator:
             mf.integrate_null_rays(flrw, -x0, v0, [0.5], 1e-2)
 
 
-def _full_batch_bisection(m, x, u, h, t_target, mask):
-    """The bisection that re-stepped every row of the batch (reference)."""
-    lo, hi = np.zeros(len(x)), np.ones(len(x))
-    for _ in range(60):
-        mid = np.where(mask, 0.5 * (lo + hi), 0.0)
-        xn, _ = mf._rk4_step(m, x, u, (mid * h)[:, None])
-        above = xn[:, 0] >= t_target
-        lo = np.where(mask & above, mid, lo)
-        hi = np.where(mask & ~above, mid, hi)
-    return 0.5 * (lo + hi)
-
-
-class TestTimeLevelBisection:
-    @pytest.mark.parametrize("metric", ["flrw", "readme"])
-    def test_only_crossing_rows_are_stepped(self, monkeypatch, metric):
-        if metric == "flrw":
-            m = mf.MetricSpec.flrw(p=2 / 3)
-        else:
-            m = mf.metric_from_config(README_METRIC)
-        x = np.array(
-            [[0.6, 0, 0, 0], [1.0, 0.2, 0, 0], [0.55, 0, -0.3, 0], [2.0, 0, 0, 0]]
-        )
-        dirs = np.array([[0, 0, 1.0], [0.6, 0.8, 0], [1.0, 0, 0], [0, 0.6, -0.8]])
-        u = -mf.future_null_directions(m, x, dirs)
-        h = np.full(4, 0.2)
-        t_target = 0.5
-        crossed = mf._rk4_step(m, x, u, h[:, None])[0][:, 0] < t_target
-        assert crossed.tolist() == [True, False, True, False]
-        expected = _full_batch_bisection(m, x, u, h, t_target, crossed)[crossed]
-
-        rows = []
-        rk4 = mf._rk4_step
-
-        def counting_rk4(m_, x_, *args):
-            rows.append(len(x_))
-            return rk4(m_, x_, *args)
-
-        monkeypatch.setattr(mf, "_rk4_step", counting_rk4)
-        frac = mf._bisect_time_level(m, x[crossed], u[crossed], h[crossed], t_target)
-        assert np.array_equal(frac, expected)
-        assert rows == [2] * 60
-
-    def test_tracer_bisects_only_the_crossing_rays(self, monkeypatch):
-        # rays from three start times cross the level at different steps
-        m = mf.metric_from_config(README_METRIC)
-        x0 = np.array([[0.6, 0, 0, 0], [1.0, 0.2, 0, 0], [1.5, 0, -0.3, 0]])
-        v0 = mf.future_null_directions(m, x0, np.eye(3))
-        bisected = []
-        bisect = mf._bisect_time_level
-
-        def recording_bisect(m_, x_, *args):
-            bisected.append(len(x_))
-            return bisect(m_, x_, *args)
-
-        monkeypatch.setattr(mf, "_bisect_time_level", recording_bisect)
-        res = mf.trace_past_to_time(m, x0, v0, 0.5, 0.05)
-        assert np.all(res.ok)
-        assert bisected == [1, 1, 1]
-
-
 class TestConformalTime:
     def test_static_factor(self):
         assert mf.conformal_time(mf.MetricSpec.flrw(p=0.0), 5.0) == pytest.approx(5.0)
@@ -552,7 +459,7 @@ class TestTracePastToTime:
         m = mf.MetricSpec.minkowski()
         x0 = np.array([[1.0, 0, 0, 0], [2.0, 1, 0, 0]])
         v0 = np.array([[1.0, 0, 0, 1], [1.0, 1, 0, 0]])
-        res = mf.trace_past_to_time(m, x0, v0, 0.0, 0.05)
+        res = mf.trace_past_to_time(m, x0, v0, 0.0)
         assert np.all(res.ok)
         assert np.allclose(res.x[:, 0], 0.0, atol=1e-10)
         assert np.allclose(res.x[0], [0, 0, 0, -1], atol=1e-10)
@@ -565,6 +472,133 @@ class TestTracePastToTime:
         )
         x0 = np.array([[1.0, 0, 0, 0], [1.0, 0, 0, 0]])
         v0 = np.array([[1.0, 1, 0, 0], [1.0, 0, 0, 1]])
-        res = mf.trace_past_to_time(m, x0, v0, 0.0, 0.05)
+        res = mf.trace_past_to_time(m, x0, v0, 0.0)
         assert not res.ok[0]
         assert res.ok[1]
+
+
+def _record_levels(monkeypatch):
+    """(n, result) of every grid level the tracer marches, in order."""
+    levels = []
+    march = mf._march
+
+    def recording(m, x0, u0, t_target, n):
+        res = march(m, x0, u0, t_target, n)
+        levels.append((n, res))
+        return res
+
+    monkeypatch.setattr(mf, "_march", recording)
+    return levels
+
+
+def _passes(coarse, fine):
+    """The step-doubling test of two levels over the rows that arrived at both."""
+    both = coarse.ok & fine.ok
+    end = np.column_stack([fine.x[both, 1:], fine.lam[both]])
+    ref = np.column_stack([coarse.x[both, 1:], coarse.lam[both]])
+    err = np.abs(end - ref).max(axis=1) / 15.0
+    return bool(np.all(err <= mf.GRID_TOL * np.maximum(np.abs(end).max(axis=1), 1.0)))
+
+
+def _rays(m, times, seed=0):
+    """Future null rays from (t, 0.1, -0.2, 0.3) along seeded directions."""
+    x0 = np.array([[t, 0.1, -0.2, 0.3] for t in times])
+    dirs = np.random.default_rng(seed).normal(size=(len(times), 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return x0, mf.future_null_directions(m, x0, dirs)
+
+
+class TestCoordinateTimeGrid:
+    @pytest.mark.parametrize("metric", ["flrw", "readme"])
+    def test_one_metric_evaluation_per_grid_node(self, monkeypatch, metric):
+        if metric == "flrw":
+            m = mf.MetricSpec.flrw(p=2 / 3)
+        else:
+            m = mf.metric_from_config(README_METRIC)
+        x0, v0 = _rays(m, [0.6, 1.0, 1.5, 0.7])
+        calls = []
+        original = mf.MetricSpec.metric_diag
+        monkeypatch.setattr(
+            mf.MetricSpec, "metric_diag", lambda self, x: calls.append(1) or original(self, x)
+        )
+        levels = _record_levels(monkeypatch)
+        res = mf.trace_past_to_time(m, x0, v0, 0.5)
+        assert np.all(res.ok)
+        sizes = [n for n, _ in levels]
+        assert sizes[:2] == [mf.GRID_START, 2 * mf.GRID_START]
+        # one renormalisation per node; the accelerations use no metric_diag
+        assert len(calls) == sum(sizes)
+
+    @pytest.mark.parametrize(
+        "t_target, times", [(0.5, [0.6, 1.0, 1.7, 0.5]), (0.0, [0.6, 1.0, 1.7, 0.2])]
+    )
+    def test_arrived_rows_land_on_the_level_exactly(self, t_target, times):
+        # a level above 0 is marched in ln t (one row starts on it), the
+        # level 0 in t
+        m = mf.metric_from_config(README_METRIC)
+        x0, v0 = _rays(m, times)
+        res = mf.trace_past_to_time(m, x0, v0, t_target)
+        assert np.all(res.ok)
+        assert np.all(res.x[:, 0] == t_target)
+
+    def test_grid_stops_at_the_first_level_whose_estimate_passes(self, monkeypatch):
+        # toward the singularity cutoff of a matter-era cosmology
+        m = mf.MetricSpec.flrw(p=2 / 3)
+        x0, v0 = _rays(m, [1.0] * 6, seed=3)
+        levels = _record_levels(monkeypatch)
+        res = mf.trace_past_to_time(m, x0, v0, 1e-9)
+        sizes = [n for n, _ in levels]
+        assert sizes == [mf.GRID_START * 2**k for k in range(len(sizes))]
+        assert len(sizes) >= 3
+        assert all(np.all(r.ok) and len(r.ok) == 6 for _, r in levels)
+        verdicts = [_passes(a, b) for (_, a), (_, b) in zip(levels, levels[1:])]
+        assert verdicts == [False] * (len(verdicts) - 1) + [True]
+        last = levels[-1][1]
+        assert np.array_equal(res.x, last.x) and np.array_equal(res.lam, last.lam)
+        assert np.all(res.ok) and not np.any(res.lost)
+
+    def test_cauchy_trace_matches_the_closed_form(self):
+        m = mf.MetricSpec.flrw(p=2 / 3)
+        p, t_target = 2 / 3, 0.25
+        x0, v0 = _rays(m, [1.0, 0.8, 1.3, 0.5], seed=5)
+        res = mf.trace_past_to_time(m, x0, v0, t_target)
+        assert np.all(res.ok)
+        for b in range(len(x0)):
+            cmag = x0[b, 0] ** p * v0[b, 0]
+            lam = (t_target ** (1 + p) - x0[b, 0] ** (1 + p)) / ((1 + p) * cmag)
+            ref_x, _ = mf.flrw_closed_form_ray(m, x0[b], v0[b], lam)
+            assert ref_x[0] == pytest.approx(t_target, rel=1e-12)
+            ref = np.append(ref_x[1:], -lam)
+            end = np.append(res.x[b, 1:], res.lam[b])
+            assert np.abs(end - ref).max() <= mf.GRID_TOL * max(1.0, np.abs(ref).max())
+
+    def test_rows_leaving_the_domain_leave_the_others_unchanged(self, monkeypatch):
+        m = mf.metric_from_config(
+            dict(README_METRIC, bounds=[[0, None], [-0.3, 0.3], [None, None], [None, None]])
+        )
+        x0 = np.array([[1.0, 0, 0, 0]] * 5 + [[0.8, 0.1, 0, 0]])
+        dirs = np.array(
+            [[0, 1.0, 0], [1.0, 0, 0], [0, 0.6, 0.8], [-1.0, 0, 0], [0, 0, -1.0], [0, 1.0, 0]]
+        )
+        v0 = mf.future_null_directions(m, x0, dirs)
+        stay = np.array([True, False, True, False, True, True])
+        levels = _record_levels(monkeypatch)
+        full = mf.trace_past_to_time(m, x0, v0, 0.5)
+        sizes = [n for n, _ in levels]
+        levels.clear()
+        kept = mf.trace_past_to_time(m, x0[stay], v0[stay], 0.5)
+        assert [n for n, _ in levels] == sizes
+        assert full.ok.tolist() == stay.tolist() and not np.any(full.lost)
+        for name in ("x", "u", "lam", "ok", "lost"):
+            assert np.array_equal(getattr(full, name)[stay], getattr(kept, name))
+
+    def test_rows_unsettled_at_the_cap_come_back_lost(self, monkeypatch):
+        # every node drifts past a negative tolerance, so no row settles
+        m = mf.metric_from_config(README_METRIC)
+        x0, v0 = _rays(m, [0.6, 1.0, 1.5])
+        monkeypatch.setattr(mf, "CONSTRAINT_LOST_TOL", -1.0)
+        monkeypatch.setattr(mf, "GRID_CAP", 4 * mf.GRID_START)
+        levels = _record_levels(monkeypatch)
+        res = mf.trace_past_to_time(m, x0, v0, 0.5)
+        assert [n for n, _ in levels] == [mf.GRID_START * 2**k for k in range(3)]
+        assert not np.any(res.ok) and np.all(res.lost)
