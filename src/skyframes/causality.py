@@ -2,9 +2,10 @@
 
 The past region of an event is its full sky image together with the
 interior.  For conformally flat charts the image is an exact comoving
-sphere, so regions are analytic balls and every query is closed form; for
-general frames the image sample cloud is triangulated over the sky
-triangulation and membership falls back to ray-casting parity.
+sphere, so regions are analytic balls and every query is closed form;
+elsewhere the skies of a query go out in one ray batch (`mesh_regions`),
+each image cloud is triangulated over the sky triangulation, and
+containment is ray-casting parity over the vertices of the inner mesh.
 
 Finite unions of regions form a join-semilattice under concatenation,
 with disjointness from a compact region as the basic open-set predicate.
@@ -16,13 +17,15 @@ path-based relation of general relativity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import frames as fr
 from . import manifold as mf
-from .errors import InsufficientSamplesError
+from .errors import InsufficientSamplesError, NoIntersectionError, OutOfDomainError
+from .minkowski import CausalOrder
 from .sky import SkySample, sample_sky
 
 #: Closed-containment slack for analytic balls.
@@ -74,20 +77,16 @@ class Mesh:
         object.__setattr__(self, "vertices", np.asarray(self.vertices, dtype=float))
         object.__setattr__(self, "triangles", np.asarray(self.triangles, dtype=int))
 
+    def _edge_counts(self):
+        """How many triangles share each undirected edge."""
+        edges = np.sort(self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        return np.unique(edges, axis=0, return_counts=True)[1]
+
     def is_closed(self) -> bool:
-        edges = {}
-        for tri in self.triangles:
-            for a, b in ((0, 1), (1, 2), (2, 0)):
-                key = tuple(sorted((int(tri[a]), int(tri[b]))))
-                edges[key] = edges.get(key, 0) + 1
-        return all(count == 2 for count in edges.values())
+        return bool(np.all(self._edge_counts() == 2))
 
     def euler_characteristic(self) -> int:
-        edges = set()
-        for tri in self.triangles:
-            for a, b in ((0, 1), (1, 2), (2, 0)):
-                edges.add(tuple(sorted((int(tri[a]), int(tri[b])))))
-        return len(self.vertices) - len(edges) + len(self.triangles)
+        return len(self.vertices) - len(self._edge_counts()) + len(self.triangles)
 
     def bounding_sphere(self):
         center = self.vertices.mean(axis=0)
@@ -154,72 +153,76 @@ def join(b1: ClosedSetUnion, b2: ClosedSetUnion) -> ClosedSetUnion:
 
 
 def analytic_region(f: fr.FrameSpec, x) -> Ball | None:
-    """Exact ball region when the chart is conformally flat, else None."""
+    """Exact ball region when the chart is conformally flat, else None.
+
+    Raises NoIntersectionError below the target, OutOfDomainError when
+    the radius overflows."""
+    if f.metric.kind == "custom":
+        return None
     x = np.asarray(x, dtype=float)
-    if f.metric.kind == "minkowski":
-        return Ball(center=x[1:], radius=float(x[0] - f.target.t0))
-    if f.metric.kind == "flrw":
-        eta = mf.conformal_time(f.metric, float(x[0]))
-        eta_t = (
-            0.0
-            if f.target.kind == "singularity"
-            else mf.conformal_time(f.metric, f.target.t0)
-        )
-        return Ball(center=x[1:], radius=eta - eta_t)
-    return None
+    singular = f.target.kind == "singularity"
+    eta_t = 0.0 if singular else mf.conformal_time(f.metric, f.target.t0)
+    radius = mf.conformal_time(f.metric, float(x[0])) - eta_t
+    if radius < 0.0:
+        raise NoIntersectionError(f"event {x.tolist()} lies below the target")
+    if not math.isfinite(radius):
+        raise OutOfDomainError(f"the past region of {x.tolist()} overflows")
+    return Ball(center=x[1:], radius=radius)
 
 
-def region_of(f: fr.FrameSpec, x, sample: SkySample | None = None,
-              representation="auto") -> Region:
-    """The past region of x: its full sky image together with the interior."""
-    if representation not in ("auto", "ball", "mesh"):
-        raise ValueError(f"unknown representation {representation!r}")
-    if representation in ("auto", "ball"):
-        ball = analytic_region(f, x)
-        if ball is not None:
-            return ball
-        if representation == "ball":
-            raise ValueError("no analytic ball for this frame")
-    if sample is None:
-        sample = sample_sky(400)
-    image = fr.sky_image(f, x, sample, with_rank=False)
-    ok = image.ok_mask
-    if ok.mean() < 0.9:
-        raise InsufficientSamplesError(
-            f"only {int(ok.sum())}/{sample.n} samples reached the target"
-        )
-    return mesh_from_image(image)
-
-
-def mesh_from_image(image: fr.SkyImage) -> Mesh:
-    """Triangulate the image cloud over the sphere triangulation of the sky."""
+def mesh_regions(f: fr.FrameSpec, events, sample: SkySample | None = None) -> list[Mesh]:
+    """Past regions of the events (k, 4), meshed over the convex hulls of
+    their arrived sky directions; the k skies (default: 400 Fibonacci
+    points each) go out in one project_batch call.  An event with under
+    90% of its samples arrived raises InsufficientSamplesError, or
+    NoIntersectionError with none."""
     from scipy.spatial import ConvexHull
 
-    ok = image.ok_mask
-    dirs = image.sample.directions()[ok]
-    hull = ConvexHull(dirs)
-    return Mesh(vertices=image.m_points[ok], triangles=hull.simplices)
+    events = np.atleast_2d(np.asarray(events, dtype=float))
+    sample = sample_sky(400) if sample is None else sample
+    k, n = len(events), sample.n
+    rays = np.repeat(events, n, axis=0), np.tile(sample.xi, (k, 1))
+    pts, _, ok, _ = fr.project_batch(f, *rays)
+    meshes = []
+    for x, cloud, arrived in zip(events, pts.reshape(k, n, 3), ok.reshape(k, n)):
+        if arrived.mean() < 0.9:
+            error = InsufficientSamplesError if arrived.any() else NoIntersectionError
+            raise error(f"{arrived.sum()}/{n} sky samples of {x.tolist()} arrived")
+        hull = ConvexHull(sample.directions()[arrived])
+        meshes.append(Mesh(vertices=cloud[arrived], triangles=hull.simplices))
+    return meshes
+
+
+def _regions(f: fr.FrameSpec, x, y, sample):
+    """The past regions of x and y: analytic balls, or meshes from one batch."""
+    balls = analytic_region(f, x), analytic_region(f, y)
+    return tuple(mesh_regions(f, [x, y], sample)) if balls[0] is None else balls
+
+
+def _contains(outer: Region, inner: Region) -> bool:
+    """Whether the inner region lies in the outer one (closed)."""
+    if isinstance(outer, Ball):
+        with np.errstate(over="ignore", invalid="ignore"):
+            reach = float(np.linalg.norm(outer.center - inner.center)) + inner.radius
+        if not math.isfinite(reach):
+            raise OutOfDomainError("the separation of the past regions overflows")
+        return reach <= outer.radius + BALL_TOL
+    return bool(np.all(outer.contains_points(inner.vertices)))
 
 
 def in_causal_past(f: fr.FrameSpec, y, x, sample: SkySample | None = None) -> bool:
     """Whether the sky image of y lies inside the past region of x (closed).
 
     Conformally flat charts compare the exact image spheres; other frames
-    test every image sample of y against the region by ray parity.
+    test every arrived image sample of y against the mesh of x.
     """
-    ball_x = analytic_region(f, x)
-    ball_y = analytic_region(f, y)
-    if ball_x is not None and ball_y is not None:
-        gap = float(np.linalg.norm(ball_x.center - ball_y.center))
-        return gap + ball_y.radius <= ball_x.radius + BALL_TOL
-    region_x = region_of(f, x, sample=sample)
-    if sample is None:
-        sample = sample_sky(400)
-    image_y = fr.sky_image(f, y, sample, with_rank=False)
-    ok = image_y.ok_mask
-    if ok.mean() < 0.9:
-        raise InsufficientSamplesError("sky image of y is mostly missing")
-    return bool(np.all(region_x.contains_points(image_y.m_points[ok])))
+    return _contains(*_regions(f, x, y, sample))
+
+
+def causal_relation(f: fr.FrameSpec, x, y, sample: SkySample | None = None):
+    """The CausalOrder of x and y from one pair of past regions."""
+    rx, ry = _regions(f, x, y, sample)
+    return CausalOrder.of(_contains(rx, ry), _contains(ry, rx))
 
 
 def locale_disjoint(b: ClosedSetUnion, k: Region) -> bool:

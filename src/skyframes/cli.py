@@ -196,24 +196,12 @@ def cmd_causal(args, cfg):
     y = _parse_vec(args.y)
     metric = _metric_from(args, cfg)
     if _graph_frame(args, cfg, metric):
-        order = minkowski.causal_compare(x, y)
-        print(order.value)
+        print(minkowski.causal_compare(x, y).value)
         return 0
     spec = _frame_spec(args, cfg, metric)
-    ball_x = ca.analytic_region(spec, x)
-    ball_y = ca.analytic_region(spec, y)
-    y_past = ca.in_causal_past(spec, y, x)
-    x_past = ca.in_causal_past(spec, x, y)
-    if y_past and x_past:
-        verdict = "equal"
-    elif y_past:
-        verdict = "y_past_of_x"
-    elif x_past:
-        verdict = "x_past_of_y"
-    else:
-        verdict = "spacelike"
-    print(verdict)
-    if ball_x is not None and ball_y is not None:
+    print(ca.causal_relation(spec, x, y).value)
+    ball_x, ball_y = ca.analytic_region(spec, x), ca.analytic_region(spec, y)
+    if ball_x is not None:
         gap = float(np.linalg.norm(ball_x.center - ball_y.center))
         print(
             f"radius_x: {ball_x.radius:.12g}  radius_y: {ball_y.radius:.12g}  "
@@ -236,17 +224,15 @@ def cmd_verify(args, cfg):
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
     metric = _metric_from(args, cfg)
     suite = args.suite
-    if _graph_frame(args, cfg, metric):
-        frame = GraphFrame()
-    else:
-        frame = _frame_spec(args, cfg, metric)
+    graph = _graph_frame(args, cfg, metric)
+    spec = _frame_spec(args, cfg, metric)
+    frame = GraphFrame() if graph else spec
 
     reports = []
     if suite in ("twistor", "all"):
         reports += vf.suite_twistor(seed, n=n)
     if suite in ("contact", "all"):
-        step = float(_setting(args, cfg, "step", fr.FrameSpec.step))
-        reports += vf.suite_contact(seed, n=min(n, 25), metric=metric, step=step)
+        reports += vf.suite_contact(seed, n=min(n, 25), frame=spec)
     if suite in ("theorem1", "all"):
         reports += vf.suite_kernel(seed, n=min(n, 25), frame=frame, tol=tol)
     if suite in ("flow", "all"):

@@ -42,6 +42,9 @@ from .spinor import PAULI_FACTOR
 #: singularity; the rest of the way is closed in conformal time.
 SINGULARITY_CUTOFF = 1e-9
 
+#: Central-difference steps: the sky stencil, and event families per max(1, |x|).
+SKY_FD_STEP, EVENT_FD_STEP = 1e-5, 1e-4
+
 
 @dataclass(frozen=True)
 class CauchySurface:
@@ -81,8 +84,6 @@ class FrameSpec:
     target: CauchySurface | Singularity
     step: float = 1e-3  # affine step of the contact check's integrate_null_rays
     tracer: str = "auto"  # auto | closed_form | numeric
-    sky_fd_step: float = 1e-5
-    event_fd_step: float = 1e-4
     rank_tol: float = 1e-7
     tetrad_rotation: np.ndarray | None = None
 
@@ -290,11 +291,11 @@ def _close_singularity_gap(f: FrameSpec, res: mf.TraceResult, lam):
     return pts, lam
 
 
-def _sky_stencil(f: FrameSpec, xi):
+def _sky_stencil(xi):
     """Four perturbed unit covectors (..., 4, 2) around the unit covectors
     xi (..., 2): a central pair for each of the two sky chart directions."""
     delta = np.stack([-np.conj(xi[..., 1]), np.conj(xi[..., 0])], axis=-1)
-    h = f.sky_fd_step
+    h = SKY_FD_STEP
     raw = np.stack(
         [xi + h * delta, xi - h * delta, xi + 1j * h * delta, xi - 1j * h * delta],
         axis=-2,
@@ -329,7 +330,7 @@ def tangent_planes(f: FrameSpec, events, xis, directions=None, h=None, normals=F
     base ray (xi as given), four sky-stencil rays and, for every event
     family direction d in directions (k, 4), the pair x +- h d; stencil
     and family rays use the unit representative of xi.  h defaults per
-    row to event_fd_step * max(1, |x|).  The rank counts singular values
+    row to EVENT_FD_STEP * max(1, |x|).  The rank counts singular values
     of the central-difference Jacobian above rank_tol * max(1, sigma_max).
     With normals, rank-2 rows get the unit normal of the image surface,
     oriented so that moving the event to the future along the time axis
@@ -343,11 +344,11 @@ def tangent_planes(f: FrameSpec, events, xis, directions=None, h=None, normals=F
     if normals and not np.any(np.all(dirs == _TIME_AXIS, axis=1)):
         dirs = np.vstack([dirs, _TIME_AXIS])
     if h is None:
-        h = f.event_fd_step * np.maximum(1.0, np.abs(events).max(axis=1))
+        h = EVENT_FD_STEP * np.maximum(1.0, np.abs(events).max(axis=1))
     h = np.broadcast_to(np.asarray(h, dtype=float), (b,))
     shift = h[:, None, None] * np.asarray(dirs, dtype=float)[None]
     fam_events = np.stack([events[:, None] + shift, events[:, None] - shift], axis=2)
-    stencil_xis = _sky_stencil(f, unit).reshape(-1, 2)
+    stencil_xis = _sky_stencil(unit).reshape(-1, 2)
     pts, lams, ok, lost = project_batch(
         f,
         np.concatenate([events, np.repeat(events, 4, 0), fam_events.reshape(-1, 4)]),
@@ -360,7 +361,7 @@ def tangent_planes(f: FrameSpec, events, xis, directions=None, h=None, normals=F
     family_ok = ok[5 * b :].reshape(b, 2 * len(dirs)).all(axis=1)
 
     diffs = [stencil[:, 0] - stencil[:, 1], stencil[:, 2] - stencil[:, 3]]
-    jac = np.stack(diffs, axis=-1) / (2 * f.sky_fd_step)
+    jac = np.stack(diffs, axis=-1) / (2 * SKY_FD_STEP)
     ranks = np.zeros(b, dtype=int)
     good = ok[:b] & stencil_ok
     if np.any(good):

@@ -185,9 +185,18 @@ class MetricSpec:
         hi = box[:, 1] - 1e-3 * (box[:, 1] - box[:, 0])
         axes = [np.linspace(lo[k], hi[k], 3) for k in range(4)]
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
-        g = self.metric_diag(grid)
-        if np.any(g[:, 0] <= 0.0) or np.any(g[:, 1:] >= 0.0):
-            raise ValueError("coefficients do not have signature (+,-,-,-) on the grid")
+        _require_signature(self, grid, self.metric_diag(grid))
+
+
+def _require_signature(m: MetricSpec, x, g):
+    """Raise ValueError at the first point of x (B, 4) inside the bounds
+    whose coefficients g are not (+, -, -, -)."""
+    signed = g * [1.0, -1.0, -1.0, -1.0]
+    if not signed.min(initial=1.0) > 0.0:  # a row is wrong or NaN
+        wrong = np.any(signed <= 0.0, axis=-1) & m.in_domain(x)
+        if np.any(wrong):
+            point = x[wrong][0].tolist()
+            raise ValueError(f"coefficients do not have signature (+,-,-,-) at {point}")
 
 
 def _check_start(m: MetricSpec, x, v):
@@ -220,6 +229,8 @@ def _renormalise(m: MetricSpec, x, v, time_sign):
     null drift |g(v, v)| of each step, and v with its time component
     rescaled so that g(v, v) = 0 (spatial parts kept)."""
     g = m.metric_diag(x)
+    if m.kind == "custom":  # flat and FLRW coefficients have the signature
+        _require_signature(m, x, g)
     rad = -np.sum(g[..., 1:] * v[..., 1:] ** 2, axis=-1) / g[..., 0]
     out = v.copy()
     out[..., 0] = time_sign * np.sqrt(np.maximum(rad, 0.0))
@@ -431,7 +442,7 @@ def conformal_time(m: MetricSpec, t):
         return t
     if m.kind != "flrw":
         raise ValueError("conformal time needs an expanding-cosmology metric")
-    if np.any(t <= 0.0):
+    if np.less_equal(t, 0.0).any():  # one ufunc call; np.any costs more on floats
         raise OutOfDomainError("conformal time is defined for t > 0")
     if m.exponent is not None:
         p = m.exponent

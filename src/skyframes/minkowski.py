@@ -16,6 +16,7 @@ import numpy as np
 
 from . import sky as skymod
 from . import spinor
+from .errors import OutOfDomainError
 from .frames import ProbeValues
 from .sky import SkySample, celestial_eval, celestial_transform, dominates
 
@@ -73,19 +74,23 @@ class CausalOrder(enum.Enum):
     X_PAST_OF_Y = "x_past_of_y"
     SPACELIKE = "spacelike"
 
+    @classmethod
+    def of(cls, y_past_of_x: bool, x_past_of_y: bool) -> CausalOrder:
+        """The order given by the two one-way past relations."""
+        if y_past_of_x:
+            return cls.EQUAL if x_past_of_y else cls.Y_PAST_OF_X
+        return cls.X_PAST_OF_Y if x_past_of_y else cls.SPACELIKE
+
 
 def causal_compare(x, y) -> CausalOrder:
-    """Order two events by pointwise comparison of their size-field graphs."""
-    sx, sy = celestial_transform(x), celestial_transform(y)
-    x_over_y = dominates(sx, sy)
-    y_over_x = dominates(sy, sx)
-    if x_over_y and y_over_x:
-        return CausalOrder.EQUAL
-    if x_over_y:
-        return CausalOrder.Y_PAST_OF_X
-    if y_over_x:
-        return CausalOrder.X_PAST_OF_Y
-    return CausalOrder.SPACELIKE
+    """Order two events by pointwise comparison of their size-field graphs;
+    OutOfDomainError where their difference overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sx, sy = celestial_transform(x), celestial_transform(y)
+        eigenvalues = skymod.hermitian_eigenvalues(sx.matrix - sy.matrix)
+    if not np.all(np.isfinite(eigenvalues)):
+        raise OutOfDomainError("the graphs of x and y differ beyond float range")
+    return CausalOrder.of(dominates(sx, sy), dominates(sy, sx))
 
 
 def causal_compare_batch(xs, ys, tol=1e-12):

@@ -69,7 +69,7 @@ def _default_lam_end(f: fr.FrameSpec, xs):
     return np.full(len(t), -1.0)
 
 
-def check_contact_annihilation(f: fr.FrameSpec, x, xi, lam_end=None, step=None):
+def check_contact_annihilation(f: fr.FrameSpec, x, xi, lam_end=None):
     """Contact form on the flow direction, at every state of the ray.
 
     The sky point is held fixed along the ray (its tetrad direction is
@@ -81,11 +81,10 @@ def check_contact_annihilation(f: fr.FrameSpec, x, xi, lam_end=None, step=None):
     """
     xis = unit_cospinor(np.atleast_2d(xi))
     xs = np.broadcast_to(np.asarray(x, dtype=float), (len(xis), 4))
-    step = f.step if step is None else step
     lam_end = _default_lam_end(f, xs) if lam_end is None else lam_end
 
     v0 = mf.future_null_directions(f.metric, xs, fr.sky_directions(f, xis))
-    rays = mf.integrate_null_rays(f.metric, xs, v0, lam_end, step)
+    rays = mf.integrate_null_rays(f.metric, xs, v0, lam_end, f.step)
     theta = np.abs(fr.theta_value(f, rays.x, xis, rays.v / rays.v[..., :1]))
     drift = np.abs(f.metric.norm(rays.x, rays.v))
     reports = [
@@ -251,18 +250,13 @@ def _default_frame():
     return fr.FrameSpec(metric=mf.MetricSpec.flrw(p=2 / 3), target=fr.Singularity())
 
 
-def suite_contact(seed, n=20, metric=None, step=1e-3):
-    metric = mf.MetricSpec.flrw(p=2 / 3) if metric is None else metric
+def suite_contact(seed, n=20, frame=None):
+    frame = _default_frame() if frame is None else frame
     rng = np.random.default_rng(seed)
-    f = fr.FrameSpec(
-        metric=metric,
-        target=fr.Singularity() if metric.kind == "flrw" else fr.CauchySurface(0.0),
-        step=step,
-    )
-    t_low = float(metric.bounds[0, 0])
+    t_low = float(frame.metric.bounds[0, 0])
     xs = _random_events(rng, n, t_floor=t_low if math.isfinite(t_low) else None)
     xis = sample_sky(max(n, 4), scheme="random", seed=seed).xi[:n]
-    return check_contact_annihilation(f, xs, xis)
+    return check_contact_annihilation(frame, xs, xis)
 
 
 def suite_kernel(seed, n=25, frame=None, tol=None):

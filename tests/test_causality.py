@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,11 @@ from skyframes import frames as fr
 from skyframes import manifold as mf
 from skyframes import minkowski as mk
 from skyframes import sky
-from skyframes.errors import InsufficientSamplesError
+from skyframes.errors import (
+    InsufficientSamplesError,
+    NoIntersectionError,
+    OutOfDomainError,
+)
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +33,7 @@ def random_flrw_events(rng, n):
 
 class TestRegionOf:
     def test_cosmology_ball(self, flrw_frame):
-        region = ca.region_of(flrw_frame, [1.0, 0, 0, 0])
+        region = ca.analytic_region(flrw_frame, [1.0, 0, 0, 0])
         assert isinstance(region, ca.Ball)
         assert np.allclose(region.center, 0.0)
         assert region.radius == pytest.approx(3.0, rel=1e-12)
@@ -36,15 +42,12 @@ class TestRegionOf:
         spec = fr.FrameSpec(
             metric=mf.MetricSpec.minkowski(), target=fr.CauchySurface(0.5)
         )
-        region = ca.region_of(spec, [0.5, 1.0, 2.0, 3.0])
+        region = ca.analytic_region(spec, [0.5, 1.0, 2.0, 3.0])
         assert region.radius == pytest.approx(0.0)
         assert np.allclose(region.center, [1, 2, 3])
 
     def test_mesh_is_closed_sphere(self, flrw_frame):
-        region = ca.region_of(
-            flrw_frame, [1.0, 0, 0, 0], sample=sky.sample_sky(200),
-            representation="mesh",
-        )
+        [region] = ca.mesh_regions(flrw_frame, [[1.0, 0, 0, 0]], sky.sample_sky(200))
         assert isinstance(region, ca.Mesh)
         assert region.is_closed()
         assert region.euler_characteristic() == 2
@@ -58,8 +61,41 @@ class TestRegionOf:
             tracer="numeric",
         )
         with pytest.raises(InsufficientSamplesError):
-            ca.region_of(spec, [1.0, 0, 0, 0], sample=sky.sample_sky(100),
-                         representation="mesh")
+            ca.mesh_regions(spec, [[1.0, 0, 0, 0]], sky.sample_sky(100))
+
+
+class TestBallErrors:
+    @pytest.mark.parametrize(
+        "metric, target, x",
+        [
+            (mf.MetricSpec.minkowski(), fr.CauchySurface(0.0), [-1.0, 0.0, 0.0, 0.0]),
+            (mf.MetricSpec.flrw(p=0.5), fr.CauchySurface(0.5), [0.3, 0.0, 0.0, 0.0]),
+        ],
+    )
+    def test_event_below_the_target(self, metric, target, x):
+        # used to end in "ValueError: ball radius must be non-negative"
+        spec = fr.FrameSpec(metric=metric, target=target)
+        with pytest.raises(NoIntersectionError, match=re.escape(f"event {x}")):
+            ca.analytic_region(spec, x)
+
+    def test_radius_overflow(self, recwarn):
+        spec = fr.FrameSpec(
+            metric=mf.MetricSpec.minkowski(), target=fr.CauchySurface(-1.7e308)
+        )
+        with pytest.raises(OutOfDomainError):
+            ca.analytic_region(spec, [1e308, 0, 0, 0])
+        assert not recwarn.list
+
+    def test_separation_overflow(self, recwarn):
+        spec = fr.FrameSpec(
+            metric=mf.MetricSpec.minkowski(), target=fr.CauchySurface(-1.0)
+        )
+        x, y = [1.0, 1e308, 0, 0], [0.5, -1e308, 0, 0]
+        with pytest.raises(OutOfDomainError):
+            ca.in_causal_past(spec, y, x)
+        with pytest.raises(OutOfDomainError):
+            ca.causal_relation(spec, x, y)
+        assert not recwarn.list
 
 
 class TestInCausalPast:
@@ -143,6 +179,19 @@ class TestInCausalPast:
             )
 
 
+    def test_relation_matches_the_two_one_way_verdicts(self):
+        spec = fr.FrameSpec(
+            metric=mf.MetricSpec.minkowski(), target=fr.CauchySurface(-10.0)
+        )
+        rng = np.random.default_rng(2)
+        for _ in range(500):
+            x, y = rng.uniform(-2, 2, size=(2, 4))
+            expected = mk.CausalOrder.of(
+                ca.in_causal_past(spec, y, x), ca.in_causal_past(spec, x, y)
+            )
+            assert ca.causal_relation(spec, x, y) is expected
+
+
 def _point_in_past(rng, x, p=2 / 3):
     eta_x = eta(x[0])
     eta_y = rng.uniform(0.1, 0.9) * eta_x
@@ -170,27 +219,21 @@ class TestMeshPath:
                 continue
             checked += 1
             ball_ans = ca.in_causal_past(flrw_frame, y, x)
-            mesh_x = ca.region_of(flrw_frame, x, sample=sample, representation="mesh")
+            [mesh_x] = ca.mesh_regions(flrw_frame, [x], sample)
             img_y = fr.sky_image(flrw_frame, y, sample, with_rank=False)
             mesh_ans = bool(np.all(mesh_x.contains_points(img_y.m_points)))
             agree += ball_ans == mesh_ans
         assert agree == checked
 
     def test_ray_parity_on_a_ball_mesh(self, flrw_frame):
-        mesh = ca.region_of(
-            flrw_frame, [1.0, 0, 0, 0], sample=sky.sample_sky(300),
-            representation="mesh",
-        )
+        [mesh] = ca.mesh_regions(flrw_frame, [[1.0, 0, 0, 0]], sky.sample_sky(300))
         inside = np.array([[0, 0, 0], [1.0, 1.0, 1.0], [2.5, 0, 0]])
         outside = np.array([[3.5, 0, 0], [0, 0, -4.0], [10, 10, 10]])
         assert np.all(mesh.contains_points(inside))
         assert not np.any(mesh.contains_points(outside))
 
     def test_chunked_query_matches_points_one_by_one(self, flrw_frame):
-        mesh = ca.region_of(
-            flrw_frame, [1.0, 0, 0, 0], sample=sky.sample_sky(200),
-            representation="mesh",
-        )
+        [mesh] = ca.mesh_regions(flrw_frame, [[1.0, 0, 0, 0]], sky.sample_sky(200))
         rng = np.random.default_rng(8)
         pts = rng.uniform(-4.0, 4.0, size=(3 * ca.MESH_POINT_CHUNK + 17, 3))
         batched = mesh.contains_points(pts)
@@ -218,6 +261,62 @@ class TestMeshPath:
         exact = np.linalg.norm(y[1:] - x[1:]) <= eta_custom(x[0]) - eta_custom(y[0])
         assert exact == inside
         assert ca.in_causal_past(f, y, x, sky.sample_sky(48)) is inside
+
+
+README_METRIC = {
+    "kind": "custom",
+    "coeffs": ["1"] + ["-(1 + 0.1*t)**2"] * 3,
+    "bounds": [[0, None], [None, None], [None, None], [None, None]],
+}
+
+
+@pytest.fixture
+def project_calls(monkeypatch):
+    """Rays per frames.project_batch call."""
+    calls = []
+    original = fr.project_batch
+
+    def counting(f, events, xis):
+        calls.append(len(events))
+        return original(f, events, xis)
+
+    monkeypatch.setattr(fr, "project_batch", counting)
+    return calls
+
+
+class TestOneRayBatch:
+    F = fr.FrameSpec(
+        metric=mf.metric_from_config(README_METRIC), target=fr.CauchySurface(0.3)
+    )
+
+    def test_query_traces_both_skies_in_one_batch(self, project_calls):
+        # the sky of x and the sky of y used to go out in two batches
+        x, y = [0.65, 0.0, 0.0, 0.0], [0.4, 0.1, 0.05, 0.0]
+        assert ca.in_causal_past(self.F, y, x, sky.sample_sky(48))
+        assert project_calls == [2 * 48]
+
+    @pytest.mark.parametrize(
+        "y, expected",
+        [
+            ([0.4, 0.1, 0.05, 0.0], mk.CausalOrder.Y_PAST_OF_X),
+            ([0.4, 0.3, 0.0, 0.0], mk.CausalOrder.SPACELIKE),
+        ],
+    )
+    def test_relation_from_one_batch(self, project_calls, y, expected):
+        x = [0.65, 0.0, 0.0, 0.0]
+        assert ca.causal_relation(self.F, x, y, sky.sample_sky(48)) is expected
+        assert project_calls == [2 * 48]
+
+    def test_mesh_regions_default_to_400_samples(self, project_calls):
+        events = [[0.6, 0, 0, 0], [0.5, 0.1, 0, 0], [0.7, 0, 0, 0]]
+        meshes = ca.mesh_regions(self.F, events)
+        assert project_calls == [3 * 400]
+        assert [len(m.vertices) for m in meshes] == [400] * 3
+        assert all(m.is_closed() for m in meshes)
+
+    def test_event_with_no_arrived_sample_is_named(self):
+        with pytest.raises(NoIntersectionError, match=r"0/16 sky samples of \[0\.2, "):
+            ca.mesh_regions(self.F, [[0.6, 0, 0, 0], [0.2, 0, 0, 0]], sky.sample_sky(16))
 
 
 class TestLocale:
@@ -254,13 +353,8 @@ class TestLocale:
 
     def test_mesh_disjointness(self, flrw_frame):
         sample = sky.sample_sky(80)
-        mesh_far = ca.region_of(
-            flrw_frame, [0.2**1.5, 9.0, 9.0, 9.0], sample=sample,
-            representation="mesh",
-        )
-        mesh_in = ca.region_of(
-            flrw_frame, [0.2**1.5, 0.0, 0.0, 0.0], sample=sample,
-            representation="mesh",
+        mesh_far, mesh_in = ca.mesh_regions(
+            flrw_frame, [[0.2**1.5, 9.0, 9.0, 9.0], [0.2**1.5, 0.0, 0.0, 0.0]], sample
         )
         big = ca.Ball(center=[0, 0, 0], radius=3.0)
         assert ca.locale_disjoint(ca.ClosedSetUnion(regions=(mesh_far,)), big)
@@ -273,10 +367,7 @@ class TestSerialisation:
         assert d == {"kind": "ball", "center": [1.0, 2.0, 3.0], "radius": 0.5}
 
     def test_mesh_json(self, flrw_frame):
-        mesh = ca.region_of(
-            flrw_frame, [1.0, 0, 0, 0], sample=sky.sample_sky(60),
-            representation="mesh",
-        )
+        [mesh] = ca.mesh_regions(flrw_frame, [[1.0, 0, 0, 0]], sky.sample_sky(60))
         d = mesh.to_json_dict()
         assert d["kind"] == "mesh"
         assert len(d["vertices"]) == 60

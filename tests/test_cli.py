@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -154,7 +155,109 @@ class TestCausal:
         assert out.strip() == "y_past_of_x"
 
 
+README_METRIC = {
+    "kind": "custom",
+    "coeffs": ["1"] + ["-(1 + 0.1*t)**2"] * 3,
+    "bounds": [[0, None], [None, None], [None, None], [None, None]],
+}
+
+
+class TestCausalOneBatch:
+    def test_custom_metric_query_traces_one_batch(self, capsys, tmp_path, monkeypatch):
+        # four batches of 400 rays (two per direction) before
+        calls = []
+        original = skyframes.frames.project_batch
+
+        def counting(f, events, xis):
+            calls.append(len(events))
+            return original(f, events, xis)
+
+        monkeypatch.setattr(skyframes.frames, "project_batch", counting)
+        cfg = tmp_path / "custom.json"
+        cfg.write_text(json.dumps(README_METRIC))
+        code, out, _ = run(
+            capsys, "--config", str(cfg), "causal", "--metric", "custom",
+            "--target", "cauchy:0.3", "--x", "0.6,0,0,0", "--y", "0.45,0.05,0,0",
+        )
+        assert code == 0 and out == "y_past_of_x\n"
+        assert calls == [800]
+
+
+class TestCausalErrors:
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (("--metric", "minkowski", "--x=-1,0,0,0", "--y", "0.5,0,0,0"),
+             "NoIntersectionError"),
+            (("--metric", "flrw", "--p", "0.5", "--target", "cauchy:0.5",
+              "--x", "0.3,0,0,0", "--y", "1,0,0,0"), "NoIntersectionError"),
+            (("--metric", "minkowski", "--x=1e308,0,0,0", "--y=-1e308,1e308,1e308,0",
+              "--target", "cauchy:-1.7e308"), "OutOfDomainError"),
+            (("--frame", "graph", "--x=1e308,0,0,0", "--y=-1e308,0,0,0"),
+             "OutOfDomainError"),
+        ],
+        ids=["flat-below", "cosmology-below", "radius-overflow", "graph-overflow"],
+    )
+    def test_typed_error_and_exit_1(self, capsys, recwarn, argv, error):
+        # a ValueError (exit 2), a NaN margin or a wrong spacelike (exit 0) before
+        code, out, err = run(capsys, "causal", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"{error}: ") and len(err.splitlines()) == 1
+        assert not recwarn.list
+
+
+#: The flat geodesic frame, the graph frame and the p = 2/3 singularity frame.
+_CAUSAL_FRAMES = (
+    ("--metric", "minkowski"),
+    ("--metric", "minkowski", "--frame", "graph"),
+    ("--metric", "flrw", "--p", "0.6666666666666666", "--target", "singularity"),
+)
+_EVENTS = st.lists(
+    st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4
+)
+
+
+@pytest.mark.parametrize("frame", _CAUSAL_FRAMES, ids=["flat", "graph", "cosmology"])
+@settings(max_examples=50, deadline=None)
+@given(x=_EVENTS, y=_EVENTS)
+def test_causal_on_any_finite_events_ends_in_an_exit_code(frame, x, y):
+    events = ["--x=" + ",".join(map(repr, x)), "--y=" + ",".join(map(repr, y))]
+    argv = ["causal", *frame, *events]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1), err.getvalue()
+    assert "nan" not in out.getvalue() and "inf" not in out.getvalue()
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+
+
 class TestVerify:
+    @pytest.mark.parametrize("p", ["1", "1.5"])
+    def test_contact_suite_runs_on_the_cli_frame(self, capsys, tmp_path, p):
+        # the suite rebuilt a singularity frame, whose conformal time
+        # diverges for p >= 1, and exited 1
+        out_path = tmp_path / "contact.json"
+        code, out, err = run(
+            capsys, "verify", "--metric", "flrw", "--p", p, "--target", "cauchy:0.5",
+            "--suite", "contact", "--n", "4", "--out", str(out_path),
+        )
+        assert code == 0, err
+        payload = json.loads(out_path.read_text())
+        assert payload["passed"] and len(payload["reports"]) == 4
+
+    def test_graph_frame_checks_the_target(self, capsys, tmp_path):
+        # the geodesic frame of the contact suite is built for every suite
+        code, out, err = run(
+            capsys, "verify", "--frame", "graph", "--metric", "minkowski",
+            "--target", "singularity", "--suite", "flow",
+            "--out", str(tmp_path / "flow.json"),
+        )
+        assert code == 2 and out == ""
+        assert err == "ValueError: singularity target needs an flrw metric\n"
+
     def test_step_sets_the_contact_suite_step(self, capsys, tmp_path):
         states = []
         for step in ("0.01", "0.02"):
@@ -516,6 +619,22 @@ class TestCustomMetric:
         assert code == 0, err
         payload = json.loads(out_path.read_text())
         assert payload["passed"] and len(payload["reports"]) == 4
+
+    def test_signature_lost_inside_the_chart_exits_2(self, capsys, tmp_path):
+        # g11 vanishes at t = 0.5, between the points the construction-time
+        # check samples; every ray used to come back no_intersection (exit 1)
+        cfg = tmp_path / "degenerate.json"
+        coeffs = ["1", "-(t-0.5)**2", "-1", "-1"]
+        cfg.write_text(json.dumps(dict(README_METRIC, coeffs=coeffs)))
+        code, out, err = run(
+            capsys, "--config", str(cfg), "sky-image", "--metric", "custom",
+            "--target", "cauchy:0", "--event", "1,0,0,0", "--n", "100",
+            "--out", str(tmp_path / "img.json"),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(
+            "ValueError: coefficients do not have signature (+,-,-,-) at [0.5, "
+        )
 
     @pytest.mark.parametrize("step", ["0", "-0.01"])
     def test_bad_step_exits_2(self, capsys, tmp_path, step):

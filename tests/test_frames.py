@@ -280,7 +280,7 @@ class TestThetaBroadcast:
 def _reference_stencil(f, xi):
     xi = sky.unit_cospinor(xi)
     delta = np.array([-np.conj(xi[1]), np.conj(xi[0])])
-    h = f.sky_fd_step
+    h = fr.SKY_FD_STEP
     raw = np.stack(
         [xi + h * delta, xi - h * delta, xi + 1j * h * delta, xi - 1j * h * delta]
     )
@@ -302,7 +302,7 @@ def _reference_sky_image(f, x, sample):
     for k in range(sample.n):
         if not (ok[k] and np.all(sok[4 * k : 4 * k + 4])):
             continue
-        jac = _reference_jacobian(spts[4 * k : 4 * k + 4], f.sky_fd_step)
+        jac = _reference_jacobian(spts[4 * k : 4 * k + 4], fr.SKY_FD_STEP)
         sv = np.linalg.svd(jac, compute_uv=False)
         ranks[k] = int(np.sum(sv > f.rank_tol * max(1.0, float(sv.max()))))
     status = tuple(
@@ -318,7 +318,7 @@ def _reference_derivative(f, x, xi, direction, h=None):
     """Oriented normal and normal family derivative, one small batch each."""
     x = np.asarray(x, dtype=float)
     spts, _, _, _ = fr.project_batch(f, np.tile(x, (4, 1)), _reference_stencil(f, xi))
-    n_hat = np.linalg.svd(_reference_jacobian(spts, f.sky_fd_step))[0][:, 2]
+    n_hat = np.linalg.svd(_reference_jacobian(spts, fr.SKY_FD_STEP))[0][:, 2]
 
     def displacement(d, step):
         events = np.stack([x + step * d, x - step * d])
@@ -326,7 +326,7 @@ def _reference_derivative(f, x, xi, direction, h=None):
         pts, _, _, _ = fr.project_batch(f, events, xis)
         return (pts[0] - pts[1]) / (2.0 * step)
 
-    h_default = f.event_fd_step * max(1.0, float(np.abs(x).max()))
+    h_default = fr.EVENT_FD_STEP * max(1.0, float(np.abs(x).max()))
     if float(n_hat @ displacement(np.array([1.0, 0, 0, 0]), h_default)) < 0.0:
         n_hat = -n_hat
     step = h_default if h is None else h

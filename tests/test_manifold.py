@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -602,3 +604,40 @@ class TestCoordinateTimeGrid:
         res = mf.trace_past_to_time(m, x0, v0, 0.5)
         assert [n for n, _ in levels] == [mf.GRID_START * 2**k for k in range(3)]
         assert not np.any(res.ok) and np.all(res.lost)
+
+
+class TestRunTimeSignatureGuard:
+    # g11 is positive for 0.4 < t < 0.6 and negative on every point of the
+    # construction-time grid (t = 0.002, 1, 1.998)
+    BAND = dict(README_METRIC, coeffs=["1", "0.01 - (t-0.5)**2", "-1", "-1"])
+
+    def test_integrator_names_the_first_wrong_node(self):
+        m = mf.metric_from_config(self.BAND)
+        x0 = np.array([[1.0, 0, 0, 0], [1.0, 0.2, 0, 0]])
+        v0 = mf.future_null_directions(m, x0, np.array([[0, 1.0, 0], [0, 0, 1.0]]))
+        message = re.escape("(+,-,-,-) at [0.5, 0.0, -0.5, 0.0]")
+        with pytest.raises(ValueError, match=message):
+            mf.integrate_null_rays(m, x0, v0, [-0.75, -0.75], 0.125)
+        # the nodes above the band pass
+        rays = mf.integrate_null_rays(m, x0, v0, [-0.25, -0.25], 0.125)
+        assert rays.count.tolist() == [3, 3]
+
+    def test_tracer_raises_inside_the_bounds_only(self):
+        m = mf.metric_from_config(self.BAND)
+        x0, v0 = _rays(m, [1.0, 0.9])
+        with pytest.raises(ValueError, match="do not have signature"):
+            mf.trace_past_to_time(m, x0, v0, 0.2)
+        # g11 = x*x - 0.0901 is wrong beyond |x| = 0.30017, outside the
+        # bounds; a row that steps out there comes back not ok, as before
+        m = mf.metric_from_config(
+            dict(
+                README_METRIC,
+                coeffs=["1", "x*x - 0.0901", "-1", "-1"],
+                bounds=[[0, None], [-0.3, 0.3], [None, None], [None, None]],
+            )
+        )
+        x0 = np.array([[1.0, 0.29, 0, 0], [1.0, 0, 0, 0]])
+        v0 = mf.future_null_directions(m, x0, np.array([[-1.0, 0, 0], [0, 0, 1.0]]))
+        res = mf.trace_past_to_time(m, x0, v0, 0.5)
+        assert res.ok.tolist() == [False, True]
+        assert m.metric_diag(res.x[0])[1] > 0.0 and not m.in_domain(res.x[0])

@@ -3,7 +3,7 @@ import pytest
 
 from skyframes import minkowski as mk
 from skyframes import sky, spinor
-from skyframes.errors import ZeroSpinorError
+from skyframes.errors import OutOfDomainError, ZeroSpinorError
 from skyframes.minkowski import CausalOrder
 
 
@@ -125,6 +125,34 @@ class TestCausalCompare:
     )
     def test_examples(self, x, y, expected):
         assert mk.causal_compare(x, y) is expected
+
+    @pytest.mark.parametrize(
+        "y_past_of_x, x_past_of_y, expected",
+        [
+            (True, True, CausalOrder.EQUAL),
+            (True, False, CausalOrder.Y_PAST_OF_X),
+            (False, True, CausalOrder.X_PAST_OF_Y),
+            (False, False, CausalOrder.SPACELIKE),
+        ],
+    )
+    def test_one_ladder_for_the_two_one_way_relations(
+        self, y_past_of_x, x_past_of_y, expected
+    ):
+        assert CausalOrder.of(y_past_of_x, x_past_of_y) is expected
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ([1e308, 0, 0, 0], [-1e308, 0, 0, 0]),  # the difference overflows
+            ([1e200, 0, 0, 0], [0, 0, 0, 0]),  # its eigenvalues overflow
+            ([0, 1e308, 0, 1e308], [0, 0, 0, 0]),  # the transform overflows
+        ],
+    )
+    def test_overflowing_graphs_are_out_of_domain(self, recwarn, x, y):
+        # these used to answer spacelike with overflow warnings
+        with pytest.raises(OutOfDomainError):
+            mk.causal_compare(x, y)
+        assert not recwarn.list
 
     def test_boundary_counts_as_causal(self):
         assert mk.causal_compare([1, 0, 0, 1], [0, 0, 0, 0]) is CausalOrder.Y_PAST_OF_X

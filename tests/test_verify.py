@@ -43,10 +43,10 @@ class TestContactAnnihilation:
     @pytest.mark.parametrize("flrw", [False, True])
     def test_batch_gives_the_per_probe_reports(self, flrw):
         metric = FLRW if flrw else FLAT
-        reports = vf.suite_contact(5, n=4, metric=metric)
         f = fr.FrameSpec(
             metric=metric, target=fr.Singularity() if flrw else fr.CauchySurface(0.0)
         )
+        reports = vf.suite_contact(5, n=4, frame=f)
         rng = np.random.default_rng(5)
         xs = vf._random_events(rng, 4, t_floor=0.0 if flrw else None)
         xis = sky.sample_sky(4, scheme="random", seed=5).xi
