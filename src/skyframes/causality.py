@@ -93,7 +93,7 @@ class Mesh:
         radius = float(np.linalg.norm(self.vertices - center, axis=-1).max())
         return center, radius
 
-    def contains_points(self, pts, tol=BALL_TOL):
+    def contains_points(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         votes = np.zeros(len(pts), dtype=int)
         for start in range(0, len(pts), MESH_POINT_CHUNK):

@@ -130,14 +130,14 @@ def _write_json(path, payload):
 def cmd_pauli(args, cfg):
     vec = _parse_vec(args.vec)
     h = spinor.pauli_transform(vec)
+    psi = spinor.factor_null(vec) if args.factor else None
     scale = max(float(np.abs(vec).max()), 1.0)  # huge null vectors: 0, not inf - inf
-    norm = float(spinor.minkowski_norm(vec / scale)) * scale * scale
+    norm = float(spinor.minkowski_norm(vec / scale) * scale * scale)
     print("matrix:")
     for row in h:
         print("  [" + ", ".join(f"{z.real:+.12g}{z.imag:+.12g}j" for z in row) + "]")
     print(f"norm: {norm:.12g}")
-    if args.factor:
-        psi = spinor.factor_null(vec)
+    if psi is not None:
         print(f"spinor: [{psi[0]:.12g}, {psi[1]:.12g}]")
     return 0
 
@@ -302,7 +302,11 @@ def main(argv=None):
         return USAGE_ERROR if exc.code else 0
     try:
         cfg = _load_config(args.config)
-        return args.func(args, cfg)
+        with np.errstate(over="raise", invalid="raise"):  # no inf or NaN results
+            try:
+                return args.func(args, cfg)
+            except (FloatingPointError, OverflowError) as exc:  # numpy's or a float's
+                raise errors.OutOfDomainError(f"out of float range: {exc.args[-1]}")
     except (errors.BadCountError, ValueError, OSError, json.JSONDecodeError,
             MemoryError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

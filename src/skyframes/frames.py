@@ -16,10 +16,10 @@ row passes a batch of one and reads row 0.
 Two tracers are available: a conformal-chart closed form (flat space and
 spatially flat cosmologies project onto straight comoving lines) and the
 numeric `manifold.trace_past_to_time`, which marches a batch in t (ln t
-toward the singularity) on one grid and lands on the target level.  Near
-the t = 0 boundary the chart velocity blows up, so it stops at a small
-cutoff time and the rest of the way is closed along the (conserved)
-comoving direction in conformal time, far below the image tolerances.
+toward the singularity) on one grid and lands on the target level.  Toward
+the singularity it stops at a small cutoff time and closes the rest along
+the ray's conserved direction in conformal time, far below the image
+tolerances.
 """
 
 from __future__ import annotations
@@ -218,10 +218,9 @@ def project_batch(f: FrameSpec, events, xis):
     """Project rays (one event + sky point each) onto the target surface.
 
     events: (B, 4), xis: (B, 2).  Returns (m_points (B, 3), lams (B,),
-    ok (B,) bool, lost (B,) bool); lost marks rays abandoned for constraint
-    drift or left unsettled by the tracer's grid.  Raises OutOfDomainError
-    when an event leaves the chart; rays whose event lies below the target
-    come back not ok.
+    ok (B,) bool, lost (B,) bool); lost marks rays left unsettled by the
+    tracer's grid.  Raises OutOfDomainError when an event leaves the chart;
+    rays whose event lies below the target come back not ok.
     """
     events = np.asarray(events, dtype=float)
     xis = np.asarray(xis, dtype=complex)
@@ -235,6 +234,7 @@ def project_batch(f: FrameSpec, events, xis):
     on_surface = np.abs(t - t_target) <= t_tol
     below = t < t_target - t_tol
 
+    ok, lost = ~below, np.zeros(len(events), dtype=bool)
     if f.resolved_tracer() == "closed_form":
         eta = mf.conformal_time(f.metric, t)
         # An array, so the target level takes the same arithmetic as eta
@@ -242,51 +242,36 @@ def project_batch(f: FrameSpec, events, xis):
         eta_target = 0.0 if f.target.kind == "singularity" else float(
             mf.conformal_time(f.metric, np.array([f.target.t0]))[0]
         )
-        gap = eta - eta_target
-        m_points = events[:, 1:] - gap[:, None] * sky_directions(f, xis)
+        m_points = events[:, 1:] - (eta - eta_target)[:, None] * sky_directions(f, xis)
         lams = _lam_closed_form(f, t, t_target)
-        ok = ~below
-        lost = np.zeros(events.shape[0], dtype=bool)
     else:
-        m_points = np.empty((events.shape[0], 3))
-        lams = np.zeros(events.shape[0])
-        ok = ~below
-        lost = np.zeros(events.shape[0], dtype=bool)
+        m_points, lams = np.empty((len(events), 3)), np.zeros(len(events))
         march = ok & ~on_surface
         if np.any(march):
-            v0 = mf.future_null_directions(
-                f.metric, events[march], sky_directions(f, xis[march])
-            )
-            stop_t = SINGULARITY_CUTOFF if f.target.kind == "singularity" else t_target
+            dirs = sky_directions(f, xis[march])
+            v0 = mf.future_null_directions(f.metric, events[march], dirs)
+            singular = f.target.kind == "singularity"
+            stop_t = SINGULARITY_CUTOFF if singular else t_target
             res = mf.trace_past_to_time(f.metric, events[march], v0, stop_t)
-            pts, lam_m = res.x[:, 1:], res.lam
-            if f.target.kind == "singularity":
-                pts, lam_m = _close_singularity_gap(f, res, lam_m)
-            m_points[march] = pts
-            lams[march] = lam_m
-            ok[march] &= res.ok
-            lost[march] = res.lost
+            ends = _close_singularity_gap(f, res) if singular else (res.x[:, 1:], res.lam)
+            m_points[march], lams[march] = ends
+            ok[march], lost[march] = res.ok, res.lost
     m_points[on_surface] = events[on_surface, 1:]
     lams[on_surface] = 0.0
     m_points[~ok] = np.nan
     return m_points, lams, ok, lost
 
 
-def _close_singularity_gap(f: FrameSpec, res: mf.TraceResult, lam):
-    """Continue from the cutoff time to eta = 0 along the comoving direction.
-
-    The comoving direction of a ray is conserved in a spatially flat
-    cosmology, so the remaining displacement is exactly the leftover
-    conformal time times that direction.
-    """
-    m = f.metric
-    t_cut = res.x[:, 0]
-    eta_cut = mf.conformal_time(m, t_cut)
-    d_hat = res.u[:, 1:] / np.linalg.norm(res.u[:, 1:], axis=-1, keepdims=True)
-    pts = res.x[:, 1:] + eta_cut[:, None] * d_hat
+def _close_singularity_gap(f: FrameSpec, res: mf.TraceResult):
+    """End points and affine lengths of rays traced to the cutoff time,
+    continued to eta = 0.  The tetrad direction n of a ray is conserved in
+    a spatially flat cosmology, so the remaining displacement is exactly
+    the leftover conformal time times n."""
+    m, t_cut, lam = f.metric, res.x[:, 0], res.lam
+    pts = res.x[:, 1:] + mf.conformal_time(m, t_cut)[:, None] * res.n
     if m.exponent is not None:
         p = m.exponent
-        cmag = m.scale_factor(t_cut) * np.abs(res.u[:, 0])
+        cmag = m.scale_factor(t_cut) * np.exp(res.log_e)
         lam = lam + t_cut ** (1.0 + p) / ((1.0 + p) * np.maximum(cmag, 1e-300))
     return pts, lam
 
@@ -313,7 +298,7 @@ class TangentPlanes:
     m_points: np.ndarray  # (B, 3) base points, NaN where the base ray failed
     lams: np.ndarray  # (B,)
     ok: np.ndarray  # (B,) bool, the base ray reached the target
-    lost: np.ndarray  # (B,) bool, the base ray drifted off the null cone
+    lost: np.ndarray  # (B,) bool, the base ray was unsettled at the tracer's grid cap
     stencil_ok: np.ndarray  # (B,) bool, all four sky-stencil rays arrived
     jacobians: np.ndarray  # (B, 3, 2), M-point against the sky parameters
     ranks: np.ndarray  # (B,) int, 0 unless the base and stencil rays arrived

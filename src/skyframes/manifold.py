@@ -6,13 +6,13 @@ time with a central-difference a'(t)), and user-supplied diagonal metrics
 whose four coefficients are arithmetic expressions of the chart point;
 those are differentiated symbolically once, when the metric is built.
 Signature is (+, -, -, -) and the coordinate time direction is future.
-Null geodesics are integrated with one classical 4th-order step; after
-every step the time component of the velocity is rescaled onto the null
-cone, which keeps the spatial direction and dumps the drift into the
-affine parameter.  Both drivers are batched: `integrate_null_rays` steps
-rays in the affine parameter to given ends, and `trace_past_to_time`
-marches them in t (or ln t) on a shared grid, sized by step doubling, that
-ends on the target level; one ray is a batch of one.
+Null geodesics are integrated with one classical 4th-order step by two
+batched drivers (one ray is a batch of one): `integrate_null_rays` steps
+chart states (x, v) in the affine parameter to given ends, rescaling v0
+onto the null cone after every step; `trace_past_to_time` marches
+sky-bundle states (spatial point, tetrad direction of the ray, ln of its
+tetrad energy, affine length), null by construction, in t or graded ln t
+on a shared grid, sized by step doubling, that ends on the target level.
 
 The spinor <-> direction dictionary at a curved point uses the fixed
 orthonormal tetrad aligned with the coordinate axes (well-defined for
@@ -42,7 +42,7 @@ _TINY_T = 1e-30  # floor of the times at which scale factors are evaluated
 
 #: Grid of `trace_past_to_time`: the first level, the cap (rows unsettled
 #: there come back lost) and the step-doubling tolerance.
-GRID_START, GRID_CAP, GRID_TOL = 8, 2**15, 1e-5
+GRID_START, GRID_CAP, GRID_TOL = 4, 2**15, 1e-5
 
 
 def _default_bounds(t_open_zero):
@@ -214,27 +214,13 @@ def _check_start(m: MetricSpec, x, v):
 
 
 def _rk4_step(rhs, y, h):
-    """One classical step of dy/ds = rhs(c, y) for the states y (B, k) over
-    the per-row steps h (B,); c is the stage's fraction of the step."""
-    h = h[:, None]
+    """One classical step of dy/ds = rhs(c, y) for the states y over the
+    steps h, broadcast against y; c is the stage's fraction of the step."""
     k1 = rhs(0.0, y)
     k2 = rhs(0.5, y + 0.5 * h * k1)
     k3 = rhs(0.5, y + 0.5 * h * k2)
     k4 = rhs(1.0, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _renormalise(m: MetricSpec, x, v, time_sign):
-    """Accept stepped states (B, 4) with one metric evaluation at x: the
-    null drift |g(v, v)| of each step, and v with its time component
-    rescaled so that g(v, v) = 0 (spatial parts kept)."""
-    g = m.metric_diag(x)
-    if m.kind == "custom":  # flat and FLRW coefficients have the signature
-        _require_signature(m, x, g)
-    rad = -np.sum(g[..., 1:] * v[..., 1:] ** 2, axis=-1) / g[..., 0]
-    out = v.copy()
-    out[..., 0] = time_sign * np.sqrt(np.maximum(rad, 0.0))
-    return np.abs(np.sum(g * v**2, axis=-1)), out
 
 
 def _bisect_step(rhs, y, h, inside):
@@ -245,7 +231,7 @@ def _bisect_step(rhs, y, h, inside):
     hi = np.ones(len(h))
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        kept = inside(_rk4_step(rhs, y, mid * h)[:, :4])
+        kept = inside(_rk4_step(rhs, y, (mid * h)[:, None])[:, :4])
         lo = np.where(kept, mid, lo)
         hi = np.where(kept, hi, mid)
     return lo, hi
@@ -310,21 +296,28 @@ def integrate_null_rays(m: MetricSpec, x0, v0, lam_end, step):
             break
         h = np.where(k < n_full, sgn * step, rest)[rows]
         y = np.concatenate([xs[k, rows], vs[k, rows]], axis=1)
-        yn = _rk4_step(rhs, y, h)
+        yn = _rk4_step(rhs, y, h[:, None])
         out = ~m.in_domain(yn[:, :4])
         if out.any():
             frac, _ = _bisect_step(rhs, y[out], h[out], m.in_domain)
             h[out] *= frac
-            yn[out] = _rk4_step(rhs, y[out], h[out])
+            yn[out] = _rk4_step(rhs, y[out], h[out, None])
             hit[rows[out]] = True
             keep = ~out
             keep[out] = frac > 0.0
             rows, yn, h = rows[keep], yn[keep], h[keep]
-        drift, vn = _renormalise(m, yn[:, :4], yn[:, 4:], time_sign=1.0)
+        xn, vn = yn[:, :4], yn[:, 4:]  # accepted with one metric evaluation
+        g = m.metric_diag(xn)
+        if m.kind == "custom":  # flat and FLRW coefficients have the signature
+            _require_signature(m, xn, g)
+        drift = np.abs(np.sum(g * vn**2, axis=-1))
         if (drift > CONSTRAINT_LOST_TOL * scale2[rows]).any():
             raise ConstraintLostError(f"null constraint drifted to {drift.max():.3e}")
+        # the time component rescaled onto the null cone, spatial parts kept
+        rad = -np.sum(g[:, 1:] * vn[:, 1:] ** 2, axis=-1) / g[:, 0]
+        vn[:, 0] = np.sqrt(np.maximum(rad, 0.0))
         xs[k + 1], vs[k + 1], lams[k + 1] = xs[k], vs[k], lams[k]
-        xs[k + 1, rows], vs[k + 1, rows] = yn[:, :4], vn
+        xs[k + 1, rows], vs[k + 1, rows] = xn, vn
         lams[k + 1, rows] += h
         count[rows] += 1
     n = count.max(initial=1)
@@ -338,92 +331,106 @@ def integrate_null_rays(m: MetricSpec, x0, v0, lam_end, step):
 @dataclass(frozen=True)
 class TraceResult:
     x: np.ndarray  # (B, 4) end points
-    u: np.ndarray  # (B, 4) past-directed tangents at the end points
+    n: np.ndarray  # (B, 3) unit tetrad directions of the past-directed tangents
+    log_e: np.ndarray  # (B,) ln of the tetrad energies E = e0 |u0|
     lam: np.ndarray  # (B,) affine length along the past-directed tangent
     ok: np.ndarray  # (B,) bool
-    lost: np.ndarray  # (B,) bool, drifted off the null cone or unsettled at GRID_CAP
+    lost: np.ndarray  # (B,) bool, unsettled at GRID_CAP
 
 
-def _march(m: MetricSpec, x0, u0, t_target, n):
-    """March past-directed rays (x0, u0) (B, 4) in n equal steps of s (ln t
-    above a level > 0, else t) down to t_target.  The state is the spatial
-    point, u and lambda; t is the grid's, so the last node is the level
-    itself.  ok marks the rows that arrived."""
+def _bundle_slope(m: MetricSpec, s, y, log):
+    """d/ds of sky-bundle states y (8, B) at s (B,), t = e^s if log else s.
+    With the legs e_a = sqrt|g_aa|, the tetrad components (-E, E n) of the
+    past-directed tangent u change at d/dlambda = E^2 W, W quadratic in u/E."""
+    t = np.exp(s) if log else s
+    n, e0, speed, dn, dlog_e = y[3:6], 1.0, 1.0, 0.0, 0.0  # flat space
+    if m.kind == "custom":
+        x = np.column_stack([t, y[:3].T])
+        g, dg = m._metric_jet(x)  # dg is (B, b, a)
+        _require_signature(m, x, g)
+        e = np.sqrt(np.abs(g))
+        ut = np.column_stack([-1.0 / e[:, 0], n.T / e[:, 1:]])  # u / E
+        quad, dot = np.einsum("rac,rc->ra", dg, ut**2), np.einsum("rc,rca->ra", ut, dg)
+        w, e0 = (e * (quad - ut * dot) / (2.0 * g)).T, e[:, 0]
+        speed, dn, dlog_e = e0 / e[:, 1:].T, -e0 * (w[1:] + n * w[0]), e0 * w[0]
+    elif m.kind == "flrw":  # n is conserved and ln E falls with ln a
+        speed = 1.0 / m.scale_factor(t)
+        dlog_e = -m.scale_factor_dot(t) * speed
+    out = np.empty_like(y)
+    out[:3], out[3:6], out[6], out[7] = -speed * n, dn, dlog_e, -e0 * np.exp(-y[6])
+    return (t if log else 1.0) * out  # dt/ds d/dt
+
+
+def _march(m: MetricSpec, t0, y0, t_target, n):
+    """March past-directed rays from the times t0 (B,) and the states y0
+    (8, B): the spatial point, the unit tetrad direction n of the tangent,
+    ln E for the tetrad energy E = e0 |u0|, and lambda.  n steps of s lead
+    to t_target: ln t above a level > 0, node k at the fraction (k/n)^2 of
+    each row's span, else t in equal steps.  The last node is the level
+    itself; a node's accept is n /= |n|.  ok marks the rows that arrived."""
     log = t_target > 0.0
-    s0 = np.log(x0[:, 0]) if log else x0[:, 0]
-    h = ((math.log(t_target) if log else t_target) - s0) / n
-
-    def points(t, xs):
-        x = np.empty((len(xs), 4))
-        x[:, 0], x[:, 1:] = t, xs
-        return x
-
-    def deriv(s, y):  # d/ds of (x, u, lambda) is dt/ds / u0 times (u, acc, 1)
-        t = np.exp(s) if log else s
-        u = y[:, 3:7]
-        rate = ((t if log else 1.0) / u[:, 0])[:, None]
-        acc = m.geodesic_acceleration(points(t, y[:, :3]), u)
-        return np.concatenate([rate * u[:, 1:], rate * acc, rate], axis=1)
-
-    y = np.concatenate([x0[:, 1:], u0, np.zeros((len(x0), 1))], axis=1)
-    t, lost, live = x0[:, 0].copy(), np.zeros(len(x0), dtype=bool), np.arange(len(x0))
+    s0 = np.log(t0) if log else t0
+    span = (math.log(t_target) if log else t_target) - s0
+    nodes = (np.arange(n + 1) / n) ** (2 if log else 1)
+    y, t = y0.copy(), np.full(len(t0), float(t_target))
+    live, yl = np.arange(len(t0)), y0  # the rows still marching, and their states
     for k in range(1, n + 1):
-        if not len(live):
-            break
-        s, hk = s0[live] + (k - 1) * h[live], h[live]
-        yn = _rk4_step(lambda c, y: deriv(s + c * hk, y), y[live], hk)
-        t[live] = t_target if k == n else (np.exp(s + hk) if log else s + hk)
-        scale2 = np.maximum(np.abs(yn[:, 3:7]).max(axis=-1), 1.0) ** 2
-        x = points(t[live], yn[:, :3])
-        drift, yn[:, 3:7] = _renormalise(m, x, yn[:, 3:7], time_sign=-1.0)
-        y[live] = yn
-        bad = drift > CONSTRAINT_LOST_TOL * scale2
-        lost[live[bad]] = True
-        inside = (x[:, 1:] > m.bounds[1:, 0]) & (x[:, 1:] < m.bounds[1:, 1])
-        live = live[np.all(inside, axis=-1) & ~bad]
-    ok = np.isin(np.arange(len(x0)), live)
-    return TraceResult(x=points(t, y[:, :3]), u=y[:, 3:7], lam=y[:, 7], ok=ok, lost=lost)
+        s, hk = s0 + nodes[k - 1] * span, (nodes[k] - nodes[k - 1]) * span
+        yl = _rk4_step(lambda c, y: _bundle_slope(m, s + c * hk, y, log), yl, hk)
+        yl[3:6] /= np.sqrt(np.sum(yl[3:6] ** 2, axis=0))
+        inside = (yl[:3].T > m.bounds[1:, 0]) & (yl[:3].T < m.bounds[1:, 1])
+        keep = np.all(inside, axis=1) & np.all(np.isfinite(yl[3:]), axis=0)
+        if not keep.all():  # rows leave with their state at this node
+            gone = live[~keep]
+            y[:, gone], t[gone] = yl[:, ~keep], (np.exp(s + hk) if log else s + hk)[~keep]
+            live, yl, s0, span = live[keep], yl[:, keep], s0[keep], span[keep]
+    y[:, live] = yl
+    ok = np.isin(np.arange(len(t0)), live)
+    x, lost = np.column_stack([t, y[:3].T]), np.zeros(len(t0), dtype=bool)
+    return TraceResult(x, y[3:6].T, y[6], y[7], ok, lost)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def trace_past_to_time(m: MetricSpec, x0, v0, t_target):
     """March past-directed null rays from (x0, v0-future) (B, 4) down to
-    t = t_target; arrived rows land on the level exactly.
+    t = t_target in sky-bundle variables (`_march`), null by construction;
+    arrived rows land on the level exactly.
 
-    Each row takes N equal steps of s (ln t above a level > 0, else t)
-    from its own start.  The batch shares N, doubling from GRID_START: a
+    The batch shares the number N of steps, doubling from GRID_START: a
     level settles the rows that arrived at it and at the level before once
     every such row's step-doubling estimate |fine - coarse| / 15 (end point
     and lambda) is within GRID_TOL * max(1, |end|), and the rows that
-    failed at both without drifting off the null cone.  The others refine
-    alone; at GRID_CAP they come back not ok and lost.  Rows that leave the
-    spatial domain or turn non-finite come back not ok.
+    failed at both.  The others refine alone; at GRID_CAP they come back
+    not ok and lost.  Rows that leave the spatial domain or turn non-finite
+    come back not ok.
     """
     x0 = np.asarray(x0, dtype=float)
-    u0 = -np.asarray(v0, dtype=float)  # past-directed tangent
     if x0.ndim == 1:
         raise ValueError("trace_past_to_time is batched; pass (B, 4) arrays")
     t_tol = 1e-12 * max(1.0, float(np.abs(x0[:, 0]).max(initial=0.0)))
     if np.any(x0[:, 0] < t_target - t_tol):
         raise OutOfDomainError("some start events lie below the target level")
+    u0 = -(m.tetrad_diag(x0) * np.asarray(v0, dtype=float)).T  # past-directed, tetrad
+    n0 = u0[1:] / np.linalg.norm(u0[1:], axis=0)
+    y0 = np.vstack([x0[:, 1:].T, n0, np.log(-u0[0]), np.zeros(len(x0))])
 
     n, rows = GRID_START, np.arange(len(x0))
-    first = _march(m, x0, u0, t_target, n)
-    x, u, lam, arrived = first.x, first.u, first.lam, first.ok
-    ok, lost = np.zeros(len(x0), dtype=bool), np.ones(len(x0), dtype=bool)
+    res = {k: np.copy(v) for k, v in vars(_march(m, x0[:, 0], y0, t_target, n)).items()}
     while len(rows) and n < GRID_CAP:
         n *= 2
-        fine = _march(m, x0[rows], u0[rows], t_target, n)
-        both = arrived[rows] & fine.ok
+        fine = _march(m, x0[rows, 0], y0[:, rows], t_target, n)
+        both = res["ok"][rows] & fine.ok
+        coarse = rows[both]
         end = np.column_stack([fine.x[both, 1:], fine.lam[both]])
-        err = np.abs(end - np.column_stack([x[rows][both, 1:], lam[rows][both]]))
+        err = np.abs(end - np.column_stack([res["x"][coarse, 1:], res["lam"][coarse]]))
         scale = np.maximum(np.abs(end).max(axis=-1, initial=0.0), 1.0)
-        done = both | ~(arrived[rows] | fine.ok | fine.lost)
+        done = both | ~(res["ok"][rows] | fine.ok)
         done &= np.all(err.max(axis=-1, initial=0.0) <= 15.0 * GRID_TOL * scale)
-        x[rows], u[rows], lam[rows], arrived[rows] = fine.x, fine.u, fine.lam, fine.ok
-        ok[rows[done]], lost[rows[done]] = fine.ok[done], fine.lost[done]
+        for name, value in vars(fine).items():
+            res[name][rows] = value
         rows = rows[~done]
-    return TraceResult(x=x, u=u, lam=lam, ok=ok, lost=lost)
+    res["ok"][rows], res["lost"][rows] = False, True
+    return TraceResult(**res)
 
 
 # ---------------------------------------------------------------------------

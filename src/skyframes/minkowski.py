@@ -43,9 +43,13 @@ class GraphSkyImage:
 
 
 def sky_image_minkowski(x, sample: SkySample) -> GraphSkyImage:
-    """Heights of the graph image: the field of x at each unit sample point."""
+    """Heights of the graph image: the field of x at each unit sample point;
+    OutOfDomainError where they overflow."""
     x = np.asarray(x, dtype=float)
-    return GraphSkyImage(event=x, sample=sample, heights=celestial_eval(x, sample.xi))
+    heights = celestial_eval(x, sample.xi)
+    if not np.all(np.isfinite(heights)):
+        raise OutOfDomainError(f"the graph of {x.tolist()} overflows")
+    return GraphSkyImage(event=x, sample=sample, heights=heights)
 
 
 @dataclass(frozen=True)

@@ -234,6 +234,54 @@ def test_causal_on_any_finite_events_ends_in_an_exit_code(frame, x, y):
     assert not caught, [str(w.message) for w in caught]
 
 
+class TestNonFiniteResults:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("causal", "--metric", "flrw", "--p", "-1", "--target", "cauchy:1",
+             "--x=1e308,0,0,0", "--y=1,0,0,0"),
+            ("pauli", "--vec=1e308,0,0,1e308"),
+            ("sky-image", "--frame", "graph", "--event=1e308,0,0,1e308", "--n", "8"),
+            ("sky-image", "--metric", "flrw", "--p", "0.5", "--event=1e308,0,0,0"),
+        ],
+        ids=["conformal-time-power", "pauli", "graph-heights", "affine-length"],
+    )
+    def test_typed_error_and_exit_1(self, capsys, recwarn, argv):
+        # a raw OverflowError traceback, and inf or NaN with exit 0, before
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("OutOfDomainError: ") and len(err.splitlines()) == 1
+        assert not recwarn.list
+
+
+def _ends_cleanly(argv):
+    """Run the CLI in process: a documented exit code, no non-finite number
+    on stdout, no traceback or warning."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    text = out.getvalue().lower()
+    assert code in (0, 1, 2), err.getvalue()
+    assert "nan" not in text and "inf" not in text
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+
+
+@settings(max_examples=50, deadline=None)
+@given(v=_EVENTS, factor=st.booleans())
+def test_pauli_on_any_finite_vector_ends_in_an_exit_code(v, factor):
+    _ends_cleanly(["pauli", "--vec=" + ",".join(map(repr, v))] + ["--factor"] * factor)
+
+
+@pytest.mark.parametrize("frame", _CAUSAL_FRAMES, ids=["flat", "graph", "cosmology"])
+@settings(max_examples=50, deadline=None)
+@given(x=_EVENTS)
+def test_sky_image_on_any_finite_event_ends_in_an_exit_code(frame, x):
+    _ends_cleanly(["sky-image", *frame, "--event=" + ",".join(map(repr, x)), "--n", "8"])
+
+
 class TestVerify:
     @pytest.mark.parametrize("p", ["1", "1.5"])
     def test_contact_suite_runs_on_the_cli_frame(self, capsys, tmp_path, p):

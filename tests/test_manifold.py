@@ -480,13 +480,15 @@ class TestTracePastToTime:
 
 
 def _record_levels(monkeypatch):
-    """(n, result) of every grid level the tracer marches, in order."""
+    """(n, result) of every grid level the tracer marches, in order, with
+    the arrays copied as they were returned."""
     levels = []
     march = mf._march
 
-    def recording(m, x0, u0, t_target, n):
-        res = march(m, x0, u0, t_target, n)
-        levels.append((n, res))
+    def recording(*args):
+        res = march(*args)
+        frozen = {k: np.copy(v) for k, v in vars(res).items()}
+        levels.append((args[-1], mf.TraceResult(**frozen)))
         return res
 
     monkeypatch.setattr(mf, "_march", recording)
@@ -512,24 +514,56 @@ def _rays(m, times, seed=0):
 
 class TestCoordinateTimeGrid:
     @pytest.mark.parametrize("metric", ["flrw", "readme"])
-    def test_one_metric_evaluation_per_grid_node(self, monkeypatch, metric):
+    def test_one_jet_per_stage_and_no_metric_evaluation_per_node(self, monkeypatch, metric):
         if metric == "flrw":
             m = mf.MetricSpec.flrw(p=2 / 3)
         else:
             m = mf.metric_from_config(README_METRIC)
         x0, v0 = _rays(m, [0.6, 1.0, 1.5, 0.7])
-        calls = []
-        original = mf.MetricSpec.metric_diag
+        calls = {"metric_diag": 0, "jet": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
         monkeypatch.setattr(
-            mf.MetricSpec, "metric_diag", lambda self, x: calls.append(1) or original(self, x)
+            mf.MetricSpec, "metric_diag", counting("metric_diag", mf.MetricSpec.metric_diag)
+        )
+        monkeypatch.setattr(
+            mf.MetricSpec, "_metric_jet", counting("jet", mf.MetricSpec._metric_jet)
         )
         levels = _record_levels(monkeypatch)
         res = mf.trace_past_to_time(m, x0, v0, 0.5)
         assert np.all(res.ok)
         sizes = [n for n, _ in levels]
         assert sizes[:2] == [mf.GRID_START, 2 * mf.GRID_START]
-        # one renormalisation per node; the accelerations use no metric_diag
-        assert len(calls) == sum(sizes)
+        # the start legs only; a custom metric's jet once per RK4 stage
+        assert calls["metric_diag"] == 1
+        assert calls["jet"] == (4 * sum(sizes) if metric == "readme" else 0)
+
+    @pytest.mark.parametrize("t_target, graded", [(0.5, True), (0.0, False)])
+    def test_levels_start_at_four_and_ln_t_nodes_are_graded(
+        self, monkeypatch, t_target, graded
+    ):
+        m = mf.metric_from_config(README_METRIC)
+        x0, v0 = _rays(m, [1.0, 0.8])
+        steps = []
+        rk4 = mf._rk4_step
+        monkeypatch.setattr(
+            mf, "_rk4_step", lambda rhs, y, h: steps.append(h.copy()) or rk4(rhs, y, h)
+        )
+        levels = _record_levels(monkeypatch)
+        mf.trace_past_to_time(m, x0, v0, t_target)
+        assert mf.GRID_START == 4 and levels[0][0] == 4
+        first = np.array(steps[:4])  # (node, row)
+        span = (np.log(t_target) - np.log(x0[:, 0])) if graded else t_target - x0[:, 0]
+        assert np.allclose(first.sum(axis=0), span, rtol=1e-13)
+        # node k at the fraction (k/4)^2 of each row's span in ln t
+        weights = np.array([1, 3, 5, 7]) / 16 if graded else np.full(4, 0.25)
+        assert np.allclose(first, weights[:, None] * span, rtol=1e-13)
 
     @pytest.mark.parametrize(
         "t_target, times", [(0.5, [0.6, 1.0, 1.7, 0.5]), (0.0, [0.6, 1.0, 1.7, 0.2])]
@@ -559,6 +593,26 @@ class TestCoordinateTimeGrid:
         assert np.array_equal(res.x, last.x) and np.array_equal(res.lam, last.lam)
         assert np.all(res.ok) and not np.any(res.lost)
 
+    def test_returned_levels_do_not_change_afterwards(self, monkeypatch):
+        # the result was built on the first level's arrays, so writing the
+        # finer levels into it rewrote that level after it was returned
+        m = mf.MetricSpec.flrw(p=2 / 3)
+        x0, v0 = _rays(m, [1.0] * 6, seed=3)
+        returned = []
+        march = mf._march
+
+        def keeping(*args):
+            res = march(*args)
+            returned.append((res, {k: np.copy(v) for k, v in vars(res).items()}))
+            return res
+
+        monkeypatch.setattr(mf, "_march", keeping)
+        mf.trace_past_to_time(m, x0, v0, 1e-9)
+        assert len(returned) >= 2
+        for res, frozen in returned:
+            for name, value in frozen.items():
+                assert np.array_equal(getattr(res, name), value), name
+
     def test_cauchy_trace_matches_the_closed_form(self):
         m = mf.MetricSpec.flrw(p=2 / 3)
         p, t_target = 2 / 3, 0.25
@@ -573,6 +627,37 @@ class TestCoordinateTimeGrid:
             ref = np.append(ref_x[1:], -lam)
             end = np.append(res.x[b, 1:], res.lam[b])
             assert np.abs(end - ref).max() <= mf.GRID_TOL * max(1.0, np.abs(ref).max())
+
+    @pytest.mark.parametrize(
+        "metric, t_target",
+        [("readme", 0.3), ("readme", 0.0), (2 / 3, 0.25), (0.5, 0.2), (2 / 3, 1e-9),
+         (0.5, 1e-9)],
+        ids=["readme-0.3", "readme-0", "p0.667-0.25", "p0.5-0.2", "p0.667-cutoff",
+             "p0.5-cutoff"],
+    )
+    def test_end_points_match_the_exact_references(self, metric, t_target):
+        # conformally flat charts: the end point lies eta(t0) - eta(t_target)
+        # along the start direction, and lambda integrates a(t) / (a(t0) v0)
+        if metric == "readme":
+            m = mf.metric_from_config(README_METRIC)
+            eta = lambda t: 10.0 * np.log1p(0.1 * t)
+            lam = lambda t0, t1: (t0 - t1 + 0.05 * (t0**2 - t1**2)) / (1 + 0.1 * t0)
+        else:
+            p = metric
+            m = mf.MetricSpec.flrw(p=p)
+            eta = lambda t: t ** (1 - p) / (1 - p)
+            lam = lambda t0, t1: (t0 ** (1 + p) - t1 ** (1 + p)) / ((1 + p) * t0**p)
+        times = np.array([1.0, 0.8, 1.3, 0.5, 1.2, 2.0])
+        x0 = np.column_stack([times, np.tile([0.1, -0.2, 0.3], (6, 1))])
+        dirs = np.random.default_rng(5).normal(size=(6, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        res = mf.trace_past_to_time(m, x0, mf.future_null_directions(m, x0, dirs), t_target)
+        assert np.all(res.ok) and np.all(res.x[:, 0] == t_target)
+        gap = eta(times) - eta(t_target)
+        ref = np.column_stack([x0[:, 1:] - gap[:, None] * dirs, lam(times, t_target)])
+        end = np.column_stack([res.x[:, 1:], res.lam])
+        scale = np.maximum(np.abs(ref).max(axis=1), 1.0)
+        assert np.all(np.abs(end - ref).max(axis=1) <= mf.GRID_TOL * scale)
 
     def test_rows_leaving_the_domain_leave_the_others_unchanged(self, monkeypatch):
         m = mf.metric_from_config(
@@ -591,14 +676,15 @@ class TestCoordinateTimeGrid:
         kept = mf.trace_past_to_time(m, x0[stay], v0[stay], 0.5)
         assert [n for n, _ in levels] == sizes
         assert full.ok.tolist() == stay.tolist() and not np.any(full.lost)
-        for name in ("x", "u", "lam", "ok", "lost"):
+        for name in ("x", "n", "log_e", "lam", "ok", "lost"):
             assert np.array_equal(getattr(full, name)[stay], getattr(kept, name))
 
     def test_rows_unsettled_at_the_cap_come_back_lost(self, monkeypatch):
-        # every node drifts past a negative tolerance, so no row settles
+        # no step-doubling estimate passes a negative tolerance, so no row
+        # settles
         m = mf.metric_from_config(README_METRIC)
         x0, v0 = _rays(m, [0.6, 1.0, 1.5])
-        monkeypatch.setattr(mf, "CONSTRAINT_LOST_TOL", -1.0)
+        monkeypatch.setattr(mf, "GRID_TOL", -1.0)
         monkeypatch.setattr(mf, "GRID_CAP", 4 * mf.GRID_START)
         levels = _record_levels(monkeypatch)
         res = mf.trace_past_to_time(m, x0, v0, 0.5)
