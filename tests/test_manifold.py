@@ -514,7 +514,7 @@ def _rays(m, times, seed=0):
 
 class TestCoordinateTimeGrid:
     @pytest.mark.parametrize("metric", ["flrw", "readme"])
-    def test_one_jet_per_stage_and_no_metric_evaluation_per_node(self, monkeypatch, metric):
+    def test_one_metric_evaluation_per_grid_node(self, monkeypatch, metric):
         if metric == "flrw":
             m = mf.MetricSpec.flrw(p=2 / 3)
         else:
@@ -540,7 +540,8 @@ class TestCoordinateTimeGrid:
         assert np.all(res.ok)
         sizes = [n for n, _ in levels]
         assert sizes[:2] == [mf.GRID_START, 2 * mf.GRID_START]
-        # the start legs only; a custom metric's jet once per RK4 stage
+        # metric_diag for the start legs only; at each grid node a custom
+        # metric's jet once per RK4 stage, FLRW's slope in closed form
         assert calls["metric_diag"] == 1
         assert calls["jet"] == (4 * sum(sizes) if metric == "readme" else 0)
 
