@@ -29,8 +29,8 @@ USAGE_ERROR, DOMAIN_ERROR = 2, 1
 CONFIG_TYPES = {
     "metric": "string", "p": "number", "a_expr": "string", "target": "string",
     "frame": "string", "n": "integer", "seed": "integer", "tol": "number",
-    "step": "number", "out": "string", "format": "string", "kind": "string",
-    "coeffs": "array", "bounds": "array",
+    "out": "string", "format": "string", "kind": "string", "coeffs": "array",
+    "bounds": "array",
 }
 
 _JSON_TYPES = {"string": str, "number": (int, float), "integer": int, "array": list}
@@ -112,10 +112,7 @@ def _graph_frame(args, cfg, metric):
 
 def _frame_spec(args, cfg, metric):
     default = fr.CauchySurface(0.0) if metric.kind == "minkowski" else fr.Singularity()
-    target = _setting(args, cfg, "target", default)
-    step = _setting(args, cfg, "step")
-    extra = {} if step is None else {"step": float(step)}
-    return fr.FrameSpec(metric=metric, target=target, **extra)
+    return fr.FrameSpec(metric=metric, target=_setting(args, cfg, "target", default))
 
 
 def _write_json(path, payload):
@@ -266,7 +263,6 @@ def build_parser():
     common.add_argument("--n", type=int)
     common.add_argument("--seed", type=int)
     common.add_argument("--tol", type=float)
-    common.add_argument("--step", type=float)
     common.add_argument("--out")
     common.add_argument("--format", choices=CHOICES["format"])
 
@@ -307,8 +303,7 @@ def main(argv=None):
                 return args.func(args, cfg)
             except (FloatingPointError, OverflowError) as exc:  # numpy's or a float's
                 raise errors.OutOfDomainError(f"out of float range: {exc.args[-1]}")
-    except (errors.BadCountError, ValueError, OSError, json.JSONDecodeError,
-            MemoryError) as exc:
+    except (errors.BadCountError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except errors.SkyframesError as exc:

@@ -41,10 +41,6 @@ class OutOfDomainError(SkyframesError):
     """Chart point outside the declared metric domain."""
 
 
-class ConstraintLostError(SkyframesError):
-    """Null constraint drifted beyond repair during integration."""
-
-
 class DivergentIntegralError(SkyframesError):
     """Conformal-time integral does not converge."""
 

@@ -82,7 +82,7 @@ class FrameSpec:
 
     metric: mf.MetricSpec
     target: CauchySurface | Singularity
-    step: float = 1e-3  # affine step of the contact check's integrate_null_rays
+    step: float = 1e-3  # read by nothing; kept, checked, while perfbench passes it
     tracer: str = "auto"  # auto | closed_form | numeric
     rank_tol: float = 1e-7
     tetrad_rotation: np.ndarray | None = None
@@ -203,6 +203,10 @@ def _lam_closed_form(f: FrameSpec, times, t_target):
         return times - t_target
     if m.exponent is not None:
         p = m.exponent
+        if p <= -1.0 and t_target == 0.0:  # the integral of a from 0 diverges
+            return np.full_like(times, np.inf)
+        if p == -1.0:  # a = 1/t integrates to a logarithm
+            return times * np.log(times / t_target)
         num = times ** (1.0 + p) - t_target ** (1.0 + p)
         return num / ((1.0 + p) * m.scale_factor(times))
     from scipy.integrate import quad
@@ -219,8 +223,9 @@ def project_batch(f: FrameSpec, events, xis):
 
     events: (B, 4), xis: (B, 2).  Returns (m_points (B, 3), lams (B,),
     ok (B,) bool, lost (B,) bool); lost marks rays left unsettled by the
-    tracer's grid.  Raises OutOfDomainError when an event leaves the chart;
-    rays whose event lies below the target come back not ok.
+    tracer's grid.  Raises OutOfDomainError when an event leaves the chart
+    or an arrived ray has no finite end point or affine length; rays whose
+    event lies below the target come back not ok.
     """
     events = np.asarray(events, dtype=float)
     xis = np.asarray(xis, dtype=complex)
@@ -236,14 +241,18 @@ def project_batch(f: FrameSpec, events, xis):
 
     ok, lost = ~below, np.zeros(len(events), dtype=bool)
     if f.resolved_tracer() == "closed_form":
-        eta = mf.conformal_time(f.metric, t)
-        # An array, so the target level takes the same arithmetic as eta
-        # (numpy and scalar powers can differ in the last bit).
-        eta_target = 0.0 if f.target.kind == "singularity" else float(
-            mf.conformal_time(f.metric, np.array([f.target.t0]))[0]
-        )
-        m_points = events[:, 1:] - (eta - eta_target)[:, None] * sky_directions(f, xis)
-        lams = _lam_closed_form(f, t, t_target)
+        # numpy's warnings off, as a non-finite ray raises below; an error
+        # state set to raise (the CLI's) still raises first
+        quiet = {k: "ignore" if v == "warn" else v for k, v in np.geterr().items()}
+        with np.errstate(**quiet):
+            eta = mf.conformal_time(f.metric, t)
+            # An array, so the target level takes the same arithmetic as eta
+            # (numpy and scalar powers can differ in the last bit).
+            eta_target = 0.0 if f.target.kind == "singularity" else float(
+                mf.conformal_time(f.metric, np.array([f.target.t0]))[0]
+            )
+            m_points = events[:, 1:] - (eta - eta_target)[:, None] * sky_directions(f, xis)
+            lams = _lam_closed_form(f, t, t_target)
     else:
         m_points, lams = np.empty((len(events), 3)), np.zeros(len(events))
         march = ok & ~on_surface
@@ -258,6 +267,11 @@ def project_batch(f: FrameSpec, events, xis):
             ok[march], lost[march] = res.ok, res.lost
     m_points[on_surface] = events[on_surface, 1:]
     lams[on_surface] = 0.0
+    bad = ok & ~(np.isfinite(lams) & np.all(np.isfinite(m_points), axis=1))
+    if np.any(bad):
+        raise OutOfDomainError(
+            f"the ray from {events[bad][0].tolist()} has no finite end point or length"
+        )
     m_points[~ok] = np.nan
     return m_points, lams, ok, lost
 
@@ -271,6 +285,8 @@ def _close_singularity_gap(f: FrameSpec, res: mf.TraceResult):
     pts = res.x[:, 1:] + mf.conformal_time(m, t_cut)[:, None] * res.n
     if m.exponent is not None:
         p = m.exponent
+        if p <= -1.0:  # the integral of a down to t = 0 diverges
+            return pts, np.full_like(lam, np.inf)
         cmag = m.scale_factor(t_cut) * np.exp(res.log_e)
         lam = lam + t_cut ** (1.0 + p) / ((1.0 + p) * np.maximum(cmag, 1e-300))
     return pts, lam

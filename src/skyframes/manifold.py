@@ -6,13 +6,12 @@ time with a central-difference a'(t)), and user-supplied diagonal metrics
 whose four coefficients are arithmetic expressions of the chart point;
 those are differentiated symbolically once, when the metric is built.
 Signature is (+, -, -, -) and the coordinate time direction is future.
-Null geodesics are integrated with one classical 4th-order step by two
-batched drivers (one ray is a batch of one): `integrate_null_rays` steps
-chart states (x, v) in the affine parameter to given ends, rescaling v0
-onto the null cone after every step; `trace_past_to_time` marches
-sky-bundle states (spatial point, tetrad direction of the ray, ln of its
-tetrad energy, affine length), null by construction, in t or graded ln t
-on a shared grid, sized by step doubling, that ends on the target level.
+Null geodesics are integrated by one batched tracer (one ray is a batch
+of one), `trace_past_to_time`: it marches sky-bundle states (spatial
+point, tetrad direction of the ray, ln of its tetrad energy, affine
+length), null by construction, with a classical 4th-order step in t or
+graded ln t on a shared grid, sized by step doubling, that ends on the
+target level.
 
 The spinor <-> direction dictionary at a curved point uses the fixed
 orthonormal tetrad aligned with the coordinate axes (well-defined for
@@ -30,13 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConstraintLostError, DivergentIntegralError, OutOfDomainError
-
-#: Nullity tolerance for geodesic states, relative to the squared velocity scale.
-GEODESIC_NULL_TOL = 1e-8
-
-#: Pre-renormalisation drift beyond which a trajectory is abandoned.
-CONSTRAINT_LOST_TOL = 1e-4
+from .errors import DivergentIntegralError, OutOfDomainError
 
 _TINY_T = 1e-30  # floor of the times at which scale factors are evaluated
 
@@ -162,7 +155,8 @@ class MetricSpec:
         return jet[..., :4], jet[..., 4:].reshape(x.shape[:-1] + (4, 4))
 
     def geodesic_acceleration(self, x, v):
-        """-Gamma^a_{bc} v^b v^c for the diagonal metric; vectorised."""
+        """-Gamma^a_{bc} v^b v^c for the diagonal metric; vectorised.  No
+        tracer calls it; the benchmark's per-layer counters still hook it."""
         if self.kind == "minkowski":
             return np.zeros_like(np.asarray(v, dtype=float))
         v = np.asarray(v, dtype=float)
@@ -199,20 +193,6 @@ def _require_signature(m: MetricSpec, x, g):
             raise ValueError(f"coefficients do not have signature (+,-,-,-) at {point}")
 
 
-def _check_start(m: MetricSpec, x, v):
-    """Reject start states (B, 4) outside the domain, not null or not
-    future-directed; returns the squared velocity scales (B,)."""
-    outside = ~m.in_domain(x)
-    if np.any(outside):
-        raise OutOfDomainError(f"state at {x[outside][0].tolist()} outside the domain")
-    scale2 = np.maximum(np.abs(v).max(axis=-1), 1.0) ** 2
-    if not np.all(np.abs(m.norm(x, v)) <= GEODESIC_NULL_TOL * scale2):
-        raise ConstraintLostError("initial velocity is not null")
-    if np.any(v[:, 0] <= 0.0):
-        raise ConstraintLostError("initial velocity is not future-directed")
-    return scale2
-
-
 def _rk4_step(rhs, y, h):
     """One classical step of dy/ds = rhs(c, y) for the states y over the
     steps h, broadcast against y; c is the stage's fraction of the step."""
@@ -221,107 +201,6 @@ def _rk4_step(rhs, y, h):
     k3 = rhs(0.5, y + 0.5 * h * k2)
     k4 = rhs(1.0, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _bisect_step(rhs, y, h, inside):
-    """Bracket (lo, hi) on the fraction of each step h (B,) from (x, v) (B,
-    8) at which x stops being `inside` (a per-row test, monotone along the
-    step), after 60 halvings.  Only the rows given are stepped."""
-    lo = np.zeros(len(h))
-    hi = np.ones(len(h))
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        kept = inside(_rk4_step(rhs, y, (mid * h)[:, None])[:, :4])
-        lo = np.where(kept, mid, lo)
-        hi = np.where(kept, hi, mid)
-    return lo, hi
-
-
-# ---------------------------------------------------------------------------
-# Batched integration of null rays to affine-parameter ends.
-
-
-@dataclass(frozen=True)
-class RayStates:
-    """Every state of a lockstep batch of B rays, S steps long.
-
-    Row b holds count[b] states; its later slots repeat its last state.
-    """
-
-    x: np.ndarray  # (S+1, B, 4) chart points
-    v: np.ndarray  # (S+1, B, 4) future-directed null velocities
-    lam: np.ndarray  # (S+1, B) affine parameters, 0 at the start
-    count: np.ndarray  # (B,) states per row
-    boundary_hit: np.ndarray  # (B,) bool, True where the ray left the domain
-
-
-def integrate_null_rays(m: MetricSpec, x0, v0, lam_end, step):
-    """Integrate null rays from lambda = 0 to the affine ends lam_end (B,).
-
-    x0, v0 (B, 4) are events and future null velocities; a negative end
-    runs into the past.  Each row takes steps of +-step, then the
-    remainder, in lockstep with the others, and is frozen once done.  A ray
-    that leaves the domain stops on its edge (the step bisected to 1e-12
-    in the crossing fraction) with its boundary flag set.  Raises
-    ConstraintLostError when a step drifts off the null cone by more than
-    CONSTRAINT_LOST_TOL times the squared start velocity scale.
-    """
-    if not step > 0.0:
-        raise ValueError("step must be positive")
-    x = np.asarray(x0, dtype=float)
-    v = np.asarray(v0, dtype=float)
-    span = np.broadcast_to(np.asarray(lam_end, dtype=float), x.shape[:1])
-    if not np.all(np.isfinite(span)):
-        raise ValueError("affine ends must be finite")
-    scale2 = _check_start(m, x, v)
-
-    def rhs(c, y):  # (x, v) -> (v, acceleration)
-        acc = m.geodesic_acceleration(y[:, :4], y[:, 4:])
-        return np.concatenate([y[:, 4:], acc], axis=1)
-
-    sgn = np.copysign(1.0, span)
-    n_full = (np.abs(span) // step).astype(int)
-    rest = span - sgn * step * n_full
-    n_steps = n_full + (np.abs(rest) > 1e-15 * np.maximum(1.0, np.abs(span)))
-
-    xs = np.empty((int(n_steps.max(initial=0)) + 1,) + x.shape)
-    vs = np.empty_like(xs)
-    lams = np.zeros(xs.shape[:2])
-    xs[0], vs[0] = x, v
-    count = np.ones(len(x), dtype=int)
-    hit = np.zeros(len(x), dtype=bool)
-    for k in range(len(xs) - 1):
-        rows = np.flatnonzero((k < n_steps) & ~hit)
-        if not len(rows):
-            break
-        h = np.where(k < n_full, sgn * step, rest)[rows]
-        y = np.concatenate([xs[k, rows], vs[k, rows]], axis=1)
-        yn = _rk4_step(rhs, y, h[:, None])
-        out = ~m.in_domain(yn[:, :4])
-        if out.any():
-            frac, _ = _bisect_step(rhs, y[out], h[out], m.in_domain)
-            h[out] *= frac
-            yn[out] = _rk4_step(rhs, y[out], h[out, None])
-            hit[rows[out]] = True
-            keep = ~out
-            keep[out] = frac > 0.0
-            rows, yn, h = rows[keep], yn[keep], h[keep]
-        xn, vn = yn[:, :4], yn[:, 4:]  # accepted with one metric evaluation
-        g = m.metric_diag(xn)
-        if m.kind == "custom":  # flat and FLRW coefficients have the signature
-            _require_signature(m, xn, g)
-        drift = np.abs(np.sum(g * vn**2, axis=-1))
-        if (drift > CONSTRAINT_LOST_TOL * scale2[rows]).any():
-            raise ConstraintLostError(f"null constraint drifted to {drift.max():.3e}")
-        # the time component rescaled onto the null cone, spatial parts kept
-        rad = -np.sum(g[:, 1:] * vn[:, 1:] ** 2, axis=-1) / g[:, 0]
-        vn[:, 0] = np.sqrt(np.maximum(rad, 0.0))
-        xs[k + 1], vs[k + 1], lams[k + 1] = xs[k], vs[k], lams[k]
-        xs[k + 1, rows], vs[k + 1, rows] = xn, vn
-        lams[k + 1, rows] += h
-        count[rows] += 1
-    n = count.max(initial=1)
-    return RayStates(x=xs[:n], v=vs[:n], lam=lams[:n], count=count, boundary_hit=hit)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +215,20 @@ class TraceResult:
     lam: np.ndarray  # (B,) affine length along the past-directed tangent
     ok: np.ndarray  # (B,) bool
     lost: np.ndarray  # (B,) bool, unsettled at GRID_CAP
+
+    def velocity(self, m: MetricSpec):
+        """Future chart velocities (B, 4) of the rays: the tetrad components
+        (E, -E n) over the legs at x."""
+        tetrad = np.column_stack([np.ones(len(self.n)), -self.n])
+        return np.exp(self.log_e)[:, None] * tetrad / m.tetrad_diag(self.x)
+
+
+def _bundle_start(m: MetricSpec, x0, v0):
+    """Sky-bundle states (8, B) of the future null rays (x0, v0) (B, 4):
+    the past-directed tangent -v0 in the tetrad, and lambda = 0."""
+    u0 = -(m.tetrad_diag(x0) * np.asarray(v0, dtype=float)).T
+    n0 = u0[1:] / np.linalg.norm(u0[1:], axis=0)
+    return np.vstack([x0[:, 1:].T, n0, np.log(-u0[0]), np.zeros(len(x0))])
 
 
 def _bundle_slope(m: MetricSpec, s, y, log):
@@ -367,7 +260,8 @@ def _march(m: MetricSpec, t0, y0, t_target, n):
     ln E for the tetrad energy E = e0 |u0|, and lambda.  n steps of s lead
     to t_target: ln t above a level > 0, node k at the fraction (k/n)^2 of
     each row's span, else t in equal steps.  The last node is the level
-    itself; a node's accept is n /= |n|.  ok marks the rows that arrived."""
+    itself; a node's accept is n /= |n|.  ok marks the rows that arrived.
+    A level above t0 runs the same rays to the future, lambda falling."""
     log = t_target > 0.0
     s0 = np.log(t0) if log else t0
     span = (math.log(t_target) if log else t_target) - s0
@@ -402,17 +296,19 @@ def trace_past_to_time(m: MetricSpec, x0, v0, t_target):
     and lambda) is within GRID_TOL * max(1, |end|), and the rows that
     failed at both.  The others refine alone; at GRID_CAP they come back
     not ok and lost.  Rows that leave the spatial domain or turn non-finite
-    come back not ok.
+    come back not ok.  Raises OutOfDomainError for a start event outside
+    the domain or below the level.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 1:
         raise ValueError("trace_past_to_time is batched; pass (B, 4) arrays")
+    outside = ~m.in_domain(x0)
+    if np.any(outside):
+        raise OutOfDomainError(f"start event {x0[outside][0].tolist()} outside the domain")
     t_tol = 1e-12 * max(1.0, float(np.abs(x0[:, 0]).max(initial=0.0)))
     if np.any(x0[:, 0] < t_target - t_tol):
         raise OutOfDomainError("some start events lie below the target level")
-    u0 = -(m.tetrad_diag(x0) * np.asarray(v0, dtype=float)).T  # past-directed, tetrad
-    n0 = u0[1:] / np.linalg.norm(u0[1:], axis=0)
-    y0 = np.vstack([x0[:, 1:].T, n0, np.log(-u0[0]), np.zeros(len(x0))])
+    y0 = _bundle_start(m, x0, v0)
 
     n, rows = GRID_START, np.arange(len(x0))
     res = {k: np.copy(v) for k, v in vars(_march(m, x0[:, 0], y0, t_target, n)).items()}

@@ -243,11 +243,14 @@ class TestNonFiniteResults:
             ("pauli", "--vec=1e308,0,0,1e308"),
             ("sky-image", "--frame", "graph", "--event=1e308,0,0,1e308", "--n", "8"),
             ("sky-image", "--metric", "flrw", "--p", "0.5", "--event=1e308,0,0,0"),
+            ("sky-image", "--metric", "flrw", "--p", "-1.5", "--event=1,0,0,0", "--n", "8"),
         ],
-        ids=["conformal-time-power", "pauli", "graph-heights", "affine-length"],
+        ids=["conformal-time-power", "pauli", "graph-heights", "affine-length",
+             "divergent-affine-length"],
     )
     def test_typed_error_and_exit_1(self, capsys, recwarn, argv):
-        # a raw OverflowError traceback, and inf or NaN with exit 0, before
+        # a raw OverflowError (or, for the affine length to the singularity
+        # at p < -1, ZeroDivisionError) traceback, and inf or NaN with exit 0
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("OutOfDomainError: ") and len(err.splitlines()) == 1
@@ -306,29 +309,17 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == "ValueError: singularity target needs an flrw metric\n"
 
-    def test_step_sets_the_contact_suite_step(self, capsys, tmp_path):
-        states = []
-        for step in ("0.01", "0.02"):
-            out_path = tmp_path / f"contact-{step}.json"
-            code, _, _ = run(
-                capsys, "verify", "--suite", "contact", "--n", "4", "--step", step,
-                "--out", str(out_path),
-            )
-            assert code == 0
-            reports = json.loads(out_path.read_text())["reports"]
-            states.append(np.array([r["extras"]["states"] for r in reports]))
-        # each row takes ceil(span / step) steps, so halving them halves the states
-        assert np.all(np.abs(states[0] - 1 - 2 * (states[1] - 1)) <= 1)
-
-    def test_out_of_memory_is_a_usage_error(self, capsys, monkeypatch):
-        # a step too small for the contact suite's state arrays
-        def no_memory(*args, **kwargs):
-            raise MemoryError("Unable to allocate 119. GiB")
-
-        monkeypatch.setattr(skyframes.verify, "suite_contact", no_memory)
-        code, out, err = run(capsys, "verify", "--suite", "contact", "--step", "1e-9")
-        assert code == 2 and out == ""
-        assert err == "MemoryError: Unable to allocate 119. GiB\n"
+    def test_contact_suite_at_p_minus_1(self, capsys, tmp_path):
+        # the affine span of the old fixed-step check was a fraction of the
+        # span to t = 0, which divided 0 by 0 for a = 1/t (OutOfDomainError)
+        out_path = tmp_path / "contact.json"
+        code, out, err = run(
+            capsys, "verify", "--metric", "flrw", "--p", "-1", "--target", "cauchy:1",
+            "--suite", "contact", "--n", "4", "--out", str(out_path),
+        )
+        assert code == 0, err
+        payload = json.loads(out_path.read_text())
+        assert payload["passed"] and len(payload["reports"]) == 4
 
     def test_twistor_suite_passes(self, capsys, tmp_path):
         out_path = tmp_path / "rep.json"
@@ -619,6 +610,9 @@ class TestNonFiniteAndDegenerateInputs:
         assert err.startswith("DivergentIntegralError")
 
 
+ANISOTROPIC_COEFFS = ["1", "-1", "-(1 + 0.5*t)**2", "-1"]
+
+
 class TestCustomMetric:
     def test_sky_image_through_expression_metric(self, capsys, tmp_path):
         # a flat chart written as custom coefficients runs the numeric tracer
@@ -629,7 +623,6 @@ class TestCustomMetric:
                     "kind": "custom",
                     "coeffs": ["1", "-1", "-1", "-1"],
                     "target": "cauchy:0",
-                    "step": 0.01,
                 }
             )
         )
@@ -668,6 +661,22 @@ class TestCustomMetric:
         payload = json.loads(out_path.read_text())
         assert payload["passed"] and len(payload["reports"]) == 4
 
+    def test_anisotropic_contact_suite_passes(self, capsys, tmp_path):
+        # the sky point of a ray turns along it when only g_22 grows; the
+        # check used to hold the start sky point fixed and failed at 9.9e-3
+        cfg = tmp_path / "anisotropic.json"
+        cfg.write_text(json.dumps(dict(README_METRIC, coeffs=ANISOTROPIC_COEFFS)))
+        out_path = tmp_path / "contact.json"
+        code, _, err = run(
+            capsys, "--config", str(cfg), "verify", "--metric", "custom",
+            "--target", "cauchy:0", "--suite", "contact", "--seed", "7", "--n", "4",
+            "--out", str(out_path),
+        )
+        assert code == 0, err
+        reports = json.loads(out_path.read_text())["reports"]
+        assert len(reports) == 4
+        assert max(max(r["residuals"]) for r in reports) <= 1e-8
+
     def test_signature_lost_inside_the_chart_exits_2(self, capsys, tmp_path):
         # g11 vanishes at t = 0.5, between the points the construction-time
         # check samples; every ray used to come back no_intersection (exit 1)
@@ -686,25 +695,28 @@ class TestCustomMetric:
 
     @pytest.mark.parametrize("step", ["0", "-0.01"])
     def test_bad_step_exits_2(self, capsys, tmp_path, step):
-        # a zero or negative step used to march the tracer without end
+        # the tracer sizes its own grid, and the contact check runs on it,
+        # so there is no step flag any more
         cfg = tmp_path / "custom.json"
-        cfg.write_text(
-            json.dumps(
-                {
-                    "kind": "custom",
-                    "coeffs": ["1"] + ["-(1 + 0.1*t)**2"] * 3,
-                    "bounds": [[0, None], [None, None], [None, None], [None, None]],
-                }
-            )
-        )
-        code, _, err = run(
+        cfg.write_text(json.dumps(README_METRIC))
+        code, out, err = run(
             capsys,
             "--config", str(cfg),
             "sky-image", "--metric", "custom", "--event", "1,0,0,0",
             "--target", "cauchy:0.5", "--n", "4", "--step", step,
         )
-        assert code == 2
-        assert "step must be positive" in err
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: --step {step}" in err
+
+    def test_step_config_key_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "custom.json"
+        cfg.write_text(json.dumps(dict(README_METRIC, step=0.01)))
+        code, out, err = run(
+            capsys, "--config", str(cfg), "verify", "--metric", "custom",
+            "--target", "cauchy:0", "--suite", "contact", "--n", "4",
+        )
+        assert code == 2 and out == ""
+        assert err == "ValueError: unknown config key 'step'\n"
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():

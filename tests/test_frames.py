@@ -1,4 +1,6 @@
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +72,41 @@ class TestProjectEvent:
             fr.project_batch(flrw_frame, events, np.tile(XI_TO_ZHAT, (2, 1)))
 
 
+    def test_affine_length_at_p_minus_1(self):
+        # a = 1/t: the power-law formula divided 0 by 0; the length from t
+        # down to t0 is t ln(t / t0), and the numeric tracer agrees
+        metric = mf.MetricSpec.flrw(p=-1.0)
+        events = np.array([[2.0, 0.1, 0, 0], [1.5, 0, 0.3, 0]])
+        xis = sky.sample_sky(4, scheme="random", seed=1).xi[:2]
+        lams = {}
+        for tracer in ("closed_form", "numeric"):
+            f = fr.FrameSpec(metric=metric, target=fr.CauchySurface(1.0), tracer=tracer)
+            _, lams[tracer], ok, _ = fr.project_batch(f, events, xis)
+            assert np.all(ok)
+        expected = events[:, 0] * np.log(events[:, 0])
+        assert np.allclose(lams["closed_form"], expected, rtol=1e-14)
+        assert np.allclose(lams["numeric"], expected, rtol=1e-5)
+        # toward the singularity the length diverges for p <= -1; the
+        # numeric tracer's gap closing came back ok with inf (p = -1) or a
+        # negative length (p = -1.5)
+        for p in (-1.0, -1.5):
+            for tracer in ("closed_form", "numeric"):
+                metric = mf.MetricSpec.flrw(p=p)
+                f = fr.FrameSpec(metric=metric, target=fr.Singularity(), tracer=tracer)
+                with pytest.raises(OutOfDomainError, match="no finite end point or length"):
+                    fr.project_batch(f, events, xis)
+
+    def test_closed_form_overflow_names_the_event(self):
+        # the affine length t^(3/2) / (1.5 a) overflowed to inf and the ray
+        # came back ok, after a RuntimeWarning
+        f = fr.FrameSpec(metric=mf.MetricSpec.flrw(p=0.5), target=fr.Singularity())
+        events = np.array([[1.0, 0, 0, 0], [1e308, 0, 0, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfDomainError, match=re.escape("[1e+308, 0.0, 0.0, 0.0]")):
+                fr.project_batch(f, events, np.tile(XI_TO_ZHAT, (2, 1)))
+
+
 class TestFrameSpec:
     @pytest.mark.parametrize("step", [0.0, -0.01, np.nan, np.inf])
     def test_rejects_bad_step(self, step):
@@ -101,7 +138,6 @@ class TestSkyImage:
             metric=mf.MetricSpec.flrw(p=2 / 3),
             target=fr.Singularity(),
             tracer="numeric",
-            step=1e-3,
         )
         sample = sky.sample_sky(120)
         img = fr.sky_image(spec, [1.0, 0, 0, 0], sample, with_rank=False)
@@ -157,8 +193,8 @@ class TestGeodesicFlowInvariance:
             xi = sky.sample_sky(64).xi[k]
             d = fr.sky_directions(flrw_frame, xi[None, :])
             v = mf.future_null_directions(flrw_frame.metric, x[None, :], d)
-            rays = mf.integrate_null_rays(flrw_frame.metric, x[None, :], v, 0.05, 1e-3)
-            moved = rays.x[rays.count[0] - 1, 0]
+            # the event moves back along the traced past ray
+            moved = mf.trace_past_to_time(flrw_frame.metric, x[None, :], v, 0.95).x[0]
             tp = fr.tangent_planes(flrw_frame, np.stack([x, moved]), np.stack([xi, xi]))
             assert np.all(tp.ok) and np.all(tp.stencil_ok)
             assert np.linalg.norm(tp.m_points[1] - tp.m_points[0]) <= 1e-6

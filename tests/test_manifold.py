@@ -5,11 +5,7 @@ import pytest
 
 from skyframes import manifold as mf
 from skyframes import sky, spinor
-from skyframes.errors import (
-    ConstraintLostError,
-    DivergentIntegralError,
-    OutOfDomainError,
-)
+from skyframes.errors import DivergentIntegralError, OutOfDomainError
 
 
 @pytest.fixture(scope="module")
@@ -136,19 +132,6 @@ class TestMetricJet:
         m.geodesic_acceleration(np.full((7, 4), 0.5), np.ones((7, 4)))
         assert calls == {"jet": 1, "values": 0, "metric_diag": 0}
 
-    def test_one_metric_evaluation_per_accepted_step(self, monkeypatch):
-        m = mf.metric_from_config(README_METRIC)
-        calls = []
-        original = mf.MetricSpec.metric_diag
-        monkeypatch.setattr(
-            mf.MetricSpec, "metric_diag", lambda self, x: calls.append(1) or original(self, x)
-        )
-        x0, v0 = [[1.0, 0, 0, 0]], [[1.0 / 1.1, 0, 0, 1.0 / 1.21]]
-        calls.clear()
-        rays = mf.integrate_null_rays(m, x0, v0, 0.5, 0.1)
-        # one evaluation for the initial null check, then one per step
-        assert len(calls) == rays.count[0]
-
 
 class TestExpressionDerivatives:
     @pytest.mark.parametrize(
@@ -181,78 +164,101 @@ class TestExpressionDerivatives:
             mf.metric_from_config({"kind": "custom", "coeffs": coeffs})
 
 
+def _count_metric_calls(monkeypatch):
+    """Counts of the `metric_diag` and `_metric_jet` calls made from now on."""
+    calls = {"metric_diag": 0, "jet": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        mf.MetricSpec, "metric_diag", counting("metric_diag", mf.MetricSpec.metric_diag)
+    )
+    monkeypatch.setattr(
+        mf.MetricSpec, "_metric_jet", counting("jet", mf.MetricSpec._metric_jet)
+    )
+    return calls
+
+
+def _march_errors(m, x0, v0, lam, levels):
+    """Largest end-point errors (x, v, lambda) of `_march` at each number
+    of nodes against the power-law ray at the affine parameter lam > 0; the
+    march runs up to the reference time, lambda falling."""
+    ref_x, ref_v = mf.flrw_closed_form_ray(m, x0, v0, lam)
+    y0 = mf._bundle_start(m, x0[None], v0[None])
+    errs = []
+    for n in levels:
+        res = mf._march(m, x0[:1], y0, ref_x[0], n)
+        got = np.concatenate([res.x[0], res.velocity(m)[0], -res.lam])
+        errs.append(np.abs(got - np.concatenate([ref_x, ref_v, [lam]])).max())
+    return errs
+
+
 class TestIntegrator:
+    """The one tracer, `trace_past_to_time`, and its march `_march`."""
+
     def test_flat_space_straight_line(self):
-        x0, v0 = np.zeros((1, 4)), np.array([[1.0, 0, 0, 1]])
-        rays = mf.integrate_null_rays(mf.MetricSpec.minkowski(), x0, v0, 3.0, 0.25)
-        for x, lam in zip(rays.x[:, 0], rays.lam[:, 0]):
-            assert np.allclose(x, lam * np.array([1, 0, 0, 1]), atol=1e-12)
-        assert not rays.boundary_hit[0]
+        m = mf.MetricSpec.minkowski()
+        x0, v0 = np.array([[3.0, 0, 0, 0]]), np.array([[1.0, 0, 0, 1]])
+        for level in (0.0, -1.0, -2.5):  # marched in t, exact on a line
+            res = mf.trace_past_to_time(m, x0, v0, level)
+            lam = 3.0 - level
+            assert np.allclose(res.x[0], x0[0] - lam * v0[0], atol=1e-12)
+            assert res.lam[0] == pytest.approx(lam, abs=1e-12)
+            assert res.ok[0] and not res.lost[0]
 
     def test_static_cosmology_reduces_to_flat(self):
         m = mf.MetricSpec.flrw(p=0.0)
-        x0, v0 = np.array([[1.0, 0, 0, 0]]), np.array([[1, 0.6, 0.8, 0]])
-        rays = mf.integrate_null_rays(m, x0, v0, 1.5, 1e-2)
-        b_exp = x0[0] + 1.5 * v0[0]
-        assert np.allclose(rays.x[rays.count[0] - 1, 0], b_exp, atol=1e-10)
+        x0, v0 = np.array([[1.5, 0, 0, 0]]), np.array([[1, 0.6, 0.8, 0]])
+        res = mf.trace_past_to_time(m, x0, v0, 0.0)
+        assert np.allclose(res.x[0], x0[0] - 1.5 * v0[0], atol=1e-10)
+        assert np.allclose(res.velocity(m), v0, atol=1e-12)
 
     def test_convergence_is_fourth_order(self, flrw):
         x0, v0 = np.array([1.0, 0, 0, 0]), np.array([1.0, 0, 0, 1.0])
-        ref_x, ref_v = mf.flrw_closed_form_ray(flrw, x0, v0, 0.4)
-        errs = []
-        for h in (0.02, 0.01, 0.005):
-            rays = mf.integrate_null_rays(flrw, x0[None], v0[None], 0.4, h)
-            end = rays.count[0] - 1
-            errs.append(
-                np.abs(
-                    np.concatenate([rays.x[end, 0] - ref_x, rays.v[end, 0] - ref_v])
-                ).max()
-            )
+        errs = _march_errors(flrw, x0, v0, 0.4, (8, 16, 32))
         assert errs[0] / errs[1] >= 12.0
         assert errs[1] / errs[2] >= 12.0
 
     def test_null_constraint_held_along_trajectory(self, flrw):
-        # full past span down to t = 0.1 at the stated step
         x0, v0 = np.array([[1.0, 0, 0, 0]]), np.array([[1.0, 0, 0.6, 0.8]])
-        lam_end = -(3.0 / 5.0) * (1.0 - 0.1 ** (5.0 / 3.0))
-        rays = mf.integrate_null_rays(flrw, x0, v0, lam_end, 1e-3)
-        assert rays.x[rays.count[0] - 1, 0, 0] == pytest.approx(0.1, rel=1e-6)
-        for x, v in zip(rays.x[:, 0], rays.v[:, 0]):
-            assert abs(flrw.norm(x, v)) <= 1e-8
+        for level in (0.9, 0.5, 0.1):
+            res = mf.trace_past_to_time(flrw, x0, v0, level)
+            assert res.ok[0] and res.x[0, 0] == level
+            v = res.velocity(flrw)[0]
+            assert abs(flrw.norm(res.x[0], v)) <= 1e-8 * np.abs(v).max() ** 2
             assert v[0] > 0.0
 
     def test_affine_rescaling_traces_same_point_set(self, flrw):
         kappa = 2.0
         x0 = np.array([[1.0, 0.2, 0, 0], [1.0, 0.2, 0, 0]])
         v0 = np.array([[1.0, 0, 0, 1.0], [kappa, 0, 0, kappa]])
-        rays = mf.integrate_null_rays(flrw, x0, v0, [0.5, 0.5 / kappa], 1e-3)
-        end0, end1 = rays.x[rays.count - 1, [0, 1]]
-        assert np.allclose(end0, end1, atol=1e-8)
+        res = mf.trace_past_to_time(flrw, x0, v0, 0.3)
+        assert np.allclose(res.x[0], res.x[1], atol=1e-12)
+        assert res.lam[0] == pytest.approx(kappa * res.lam[1], rel=1e-12)
 
     def test_boundary_stop_at_domain_edge(self):
+        # the ray stops at the first node past the z = 1 edge, not ok
         m = mf.MetricSpec.minkowski(
             bounds=[[-np.inf, np.inf], [-10, 10], [-10, 10], [-1.0, 1.0]]
         )
-        x0, v0 = np.zeros((1, 4)), np.array([[1.0, 0, 0, 1.0]])
-        rays = mf.integrate_null_rays(m, x0, v0, 5.0, 1e-2)
-        assert rays.boundary_hit[0]
-        assert rays.x[rays.count[0] - 1, 0, 3] == pytest.approx(1.0, abs=1e-9)
-
-    def test_coarse_steps_near_the_singular_region_lose_the_constraint(self, flrw):
-        a = float(flrw.scale_factor(0.2))
-        x0, v0 = np.array([[0.2, 0, 0, 0]]), np.array([[1.0, 0, 0, 1.0 / a]])
-        with pytest.raises(ConstraintLostError):
-            mf.integrate_null_rays(flrw, x0, v0, -5.0, 1e-2)
-
-    def test_rejects_non_null_initial_state(self, flrw):
-        with pytest.raises(ConstraintLostError):
-            mf.integrate_null_rays(flrw, [[1.0, 0, 0, 0]], [[1.0, 0, 0, 0]], 0.0, 1e-2)
+        x0, v0 = np.array([[3.0, 0, 0, 0]]), np.array([[1.0, 0, 0, -1.0]])
+        res = mf.trace_past_to_time(m, x0, v0, 0.0)
+        assert not res.ok[0] and not res.lost[0]
+        assert 1.0 < res.x[0, 3] <= 1.0 + 3.0 / mf.GRID_START
+        assert res.x[0, 0] == pytest.approx(3.0 - res.x[0, 3], abs=1e-12)
 
     def test_closed_form_matches_integrator_to_the_past(self, flrw):
         x0, v0 = np.array([1.0, 0, 0, 0]), np.array([1.0, 0.6, 0, 0.8])
         ref_x, _ = mf.flrw_closed_form_ray(flrw, x0, v0, -0.3)
-        rays = mf.integrate_null_rays(flrw, x0[None], v0[None], -0.3, 1e-3)
-        assert np.allclose(rays.x[rays.count[0] - 1, 0], ref_x, atol=1e-10)
+        res = mf.trace_past_to_time(flrw, x0[None], v0[None], ref_x[0])
+        ref = np.append(ref_x, 0.3)
+        err = np.abs(np.append(res.x[0], res.lam[0]) - ref).max()
+        assert err <= mf.GRID_TOL * np.abs(ref).max()
 
 
 BOUNDED_FLRW = mf.MetricSpec.flrw(
@@ -261,8 +267,8 @@ BOUNDED_FLRW = mf.MetricSpec.flrw(
 
 
 class TestBatchedIntegrator:
-    # Rows of different span lengths: a past span, a span of zero, a short
-    # future one, and one that runs into the z = 1 edge of the chart.
+    # Rows from different times down to t = 0.5; the fourth runs into the
+    # z = 1 edge of the chart.
     X0 = np.array(
         [
             [1.0, 0, 0, 0],
@@ -273,56 +279,49 @@ class TestBatchedIntegrator:
         ]
     )
     DIRS = np.array(
-        [[0, 0.6, 0.8], [0.6, 0, -0.8], [1.0, 0, 0], [0, 0, 1.0], [0, 1.0, 0]]
+        [[0, 0.6, 0.8], [0.6, 0, -0.8], [1.0, 0, 0], [0, 0, -1.0], [0, 1.0, 0]]
     )
-    SPANS = np.array([0.4, -0.3, 0.0, 0.5, 0.0123])
 
     def test_batch_matches_single_row_calls(self):
+        # the batch shares its number of nodes, so its rows agree with the
+        # single-row traces to the grid tolerance
         m = BOUNDED_FLRW
         v0 = mf.future_null_directions(m, self.X0, self.DIRS)
-        rays = mf.integrate_null_rays(m, self.X0, v0, self.SPANS, 1e-2)
-        assert rays.count.tolist() == [41, 31, 1, 12, 3]
-        assert rays.boundary_hit.tolist() == [False, False, False, True, False]
-        assert rays.x.shape == (41, 5, 4) and rays.lam.shape == (41, 5)
+        res = mf.trace_past_to_time(m, self.X0, v0, 0.5)
+        assert res.ok.tolist() == [True, True, True, False, True]
+        assert res.x[3, 3] > 1.0 and not np.any(res.lost)
         for b in range(len(self.X0)):
-            row = slice(b, b + 1)
-            one = mf.integrate_null_rays(m, self.X0[row], v0[row], self.SPANS[row], 1e-2)
-            n = rays.count[b]
-            assert one.count[0] == n and one.boundary_hit[0] == rays.boundary_hit[b]
-            assert np.array_equal(one.x[:, 0], rays.x[:n, b])
-            assert np.array_equal(one.v[:, 0], rays.v[:n, b])
-            assert np.array_equal(one.lam[:, 0], rays.lam[:n, b])
-            # frozen rows repeat their last state
-            assert np.all(rays.x[n:, b] == rays.x[n - 1, b])
-        assert rays.x[11, 3, 3] == pytest.approx(1.0, abs=1e-9)
-        assert rays.lam[-1, 1] == pytest.approx(-0.3, abs=1e-14)
+            one = mf.trace_past_to_time(m, self.X0[b : b + 1], v0[b : b + 1], 0.5)
+            assert one.ok[0] == res.ok[b] and one.lost[0] == res.lost[b]
+            if res.ok[b]:
+                end = np.append(res.x[b], res.lam[b])
+                err = np.abs(end - np.append(one.x[0], one.lam[0])).max()
+                assert err <= 2.0 * mf.GRID_TOL * max(1.0, np.abs(end).max())
 
     def test_one_metric_evaluation_per_lockstep_step(self, monkeypatch):
-        m = BOUNDED_FLRW
-        v0 = mf.future_null_directions(m, self.X0, self.DIRS)
-        calls = []
-        original = mf.MetricSpec.metric_diag
-        monkeypatch.setattr(
-            mf.MetricSpec,
-            "metric_diag",
-            lambda self, x: calls.append(1) or original(self, x),
+        # one jet per RK4 stage of each node, for the whole live batch, also
+        # after the rows that leave the chart are compacted away
+        m = mf.metric_from_config(
+            dict(README_METRIC, bounds=[[0, None], [None, None], [None, None], [-1, 1]])
         )
-        rays = mf.integrate_null_rays(m, self.X0, v0, self.SPANS, 1e-2)
-        # one evaluation for the start check, then one per lockstep step
-        assert len(calls) == len(rays.x)
+        v0 = mf.future_null_directions(m, self.X0, self.DIRS)
+        calls = _count_metric_calls(monkeypatch)
+        levels = _record_levels(monkeypatch)
+        res = mf.trace_past_to_time(m, self.X0, v0, 0.5)
+        assert res.ok.tolist() == [True, True, True, False, True]
+        assert calls == {"metric_diag": 1, "jet": 4 * sum(n for n, _ in levels)}
 
     def test_bad_inputs(self, flrw):
         x0 = np.array([[1.0, 0, 0, 0]])
         v0 = np.array([[1.0, 0, 0, 1.0]])
-        for step in (0.0, np.nan):
-            with pytest.raises(ValueError):
-                mf.integrate_null_rays(flrw, x0, v0, [0.5], step)
-        with pytest.raises(ValueError):
-            mf.integrate_null_rays(flrw, x0, v0, [np.nan], 1e-2)
-        with pytest.raises(ConstraintLostError):
-            mf.integrate_null_rays(flrw, x0, [[1.0, 0, 0, np.nan]], [0.5], 1e-2)
-        with pytest.raises(OutOfDomainError):
-            mf.integrate_null_rays(flrw, -x0, v0, [0.5], 1e-2)
+        with pytest.raises(ValueError, match="batched"):
+            mf.trace_past_to_time(flrw, x0[0], v0[0], 0.5)
+        with pytest.raises(OutOfDomainError, match="below the target"):
+            mf.trace_past_to_time(flrw, x0, v0, 1.5)
+        with pytest.raises(OutOfDomainError, match=re.escape("[-1.0, -0.0, -0.0, -0.0]")):
+            mf.trace_past_to_time(flrw, -x0, v0, -2.0)
+        res = mf.trace_past_to_time(flrw, x0, [[1.0, 0, 0, np.nan]], 0.5)
+        assert not res.ok[0]
 
 
 class TestConformalTime:
@@ -520,21 +519,7 @@ class TestCoordinateTimeGrid:
         else:
             m = mf.metric_from_config(README_METRIC)
         x0, v0 = _rays(m, [0.6, 1.0, 1.5, 0.7])
-        calls = {"metric_diag": 0, "jet": 0}
-
-        def counting(key, fn):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        monkeypatch.setattr(
-            mf.MetricSpec, "metric_diag", counting("metric_diag", mf.MetricSpec.metric_diag)
-        )
-        monkeypatch.setattr(
-            mf.MetricSpec, "_metric_jet", counting("jet", mf.MetricSpec._metric_jet)
-        )
+        calls = _count_metric_calls(monkeypatch)
         levels = _record_levels(monkeypatch)
         res = mf.trace_past_to_time(m, x0, v0, 0.5)
         assert np.all(res.ok)
@@ -699,15 +684,16 @@ class TestRunTimeSignatureGuard:
     BAND = dict(README_METRIC, coeffs=["1", "0.01 - (t-0.5)**2", "-1", "-1"])
 
     def test_integrator_names_the_first_wrong_node(self):
+        # marched in t to the level 0 in steps of 0.25, the first stage to
+        # reach the band is the second step's last, at t = 0.5
         m = mf.metric_from_config(self.BAND)
         x0 = np.array([[1.0, 0, 0, 0], [1.0, 0.2, 0, 0]])
         v0 = mf.future_null_directions(m, x0, np.array([[0, 1.0, 0], [0, 0, 1.0]]))
         message = re.escape("(+,-,-,-) at [0.5, 0.0, -0.5, 0.0]")
         with pytest.raises(ValueError, match=message):
-            mf.integrate_null_rays(m, x0, v0, [-0.75, -0.75], 0.125)
-        # the nodes above the band pass
-        rays = mf.integrate_null_rays(m, x0, v0, [-0.25, -0.25], 0.125)
-        assert rays.count.tolist() == [3, 3]
+            mf.trace_past_to_time(m, x0, v0, 0.0)
+        # every stage above the band passes
+        assert np.all(mf.trace_past_to_time(m, x0, v0, 0.625).ok)
 
     def test_tracer_raises_inside_the_bounds_only(self):
         m = mf.metric_from_config(self.BAND)

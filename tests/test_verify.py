@@ -24,9 +24,7 @@ class TestContactAnnihilation:
         spec = fr.FrameSpec(
             metric=mf.MetricSpec.minkowski(), target=fr.CauchySurface(0.0)
         )
-        rep = vf.check_contact_annihilation(
-            spec, [0.4, 0.2, -0.7, 0.1], [0.6, 0.8j], lam_end=-1.0
-        )
+        rep = vf.check_contact_annihilation(spec, [0.4, 0.2, -0.7, 0.1], [0.6, 0.8j])
         assert rep.passed
         assert rep.max_residual <= 1e-12
 
@@ -34,7 +32,8 @@ class TestContactAnnihilation:
         rep = vf.check_contact_annihilation(flrw_spec, [1.0, 0, 0, 0], [1.0, 0.0])
         assert rep.passed
         assert rep.extras["max_null_drift"] <= 1e-8
-        assert rep.extras["states"] > 100
+        # the start state and the end state of the traced ray
+        assert rep.extras["states"] == 2
 
     def test_probe_count_matches_residuals(self, flrw_spec):
         rep = vf.check_contact_annihilation(flrw_spec, [1.0, 0, 0, 0], [1.0, 0.0])
@@ -48,7 +47,7 @@ class TestContactAnnihilation:
         )
         reports = vf.suite_contact(5, n=4, frame=f)
         rng = np.random.default_rng(5)
-        xs = vf._random_events(rng, 4, t_floor=0.0 if flrw else None)
+        xs = vf._random_events(rng, 4, t_floor=f.target_time)
         xis = sky.sample_sky(4, scheme="random", seed=5).xi
         assert len(reports) == 4
         for x, xi, rep in zip(xs, xis, reports):
@@ -61,27 +60,40 @@ class TestContactAnnihilation:
         assert [r.extras["states"] for r in shared[1:]] == [reports[0].extras["states"]] * 3
 
     def test_suite_integrates_its_rays_in_one_batch(self, monkeypatch):
-        batches, diag_calls = [], []
-        integrate, diag = mf.integrate_null_rays, mf.MetricSpec.metric_diag
+        batches = []
+        trace = mf.trace_past_to_time
 
-        def counting_integrate(*args):
-            diag_calls.clear()
-            rays = integrate(*args)
-            batches.append((len(args[1]), len(diag_calls), len(rays.x)))
-            return rays
+        def counting_trace(m, x0, v0, t_target):
+            batches.append((len(x0), t_target))
+            return trace(m, x0, v0, t_target)
 
-        monkeypatch.setattr(mf, "integrate_null_rays", counting_integrate)
-        monkeypatch.setattr(
-            mf.MetricSpec,
-            "metric_diag",
-            lambda self, x: diag_calls.append(1) or diag(self, x),
-        )
+        monkeypatch.setattr(mf, "trace_past_to_time", counting_trace)
         reports = vf.suite_contact(7, n=8)
         assert len(reports) == 8 and all(r.passed for r in reports)
-        [(rays, evaluations, states)] = batches
-        # one call with 8 rays; one evaluation for the start check, then one
-        # per lockstep step
-        assert rays == 8 and evaluations == states
+        # one call with 8 rays, down to the singularity cutoff
+        assert batches == [(8, fr.SINGULARITY_CUTOFF)]
+
+    @pytest.mark.parametrize("case", ["rotated", "anisotropic"])
+    def test_end_state_is_taken_at_its_own_sky_point(self, case):
+        # with a rotated tetrad the end sky point is rotated back; in an
+        # anisotropic chart the sky point turns along the ray, and the start
+        # sky point missed the end state's kernel by up to 9.9e-3
+        if case == "rotated":
+            rotation = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))[0]
+            f = fr.FrameSpec(metric=FLRW, target=fr.Singularity(), tetrad_rotation=rotation)
+        else:
+            metric = mf.metric_from_config(
+                {
+                    "kind": "custom",
+                    "coeffs": ["1", "-1", "-(1 + 0.5*t)**2", "-1"],
+                    "bounds": [[0, None], [None, None], [None, None], [None, None]],
+                }
+            )
+            f = fr.FrameSpec(metric=metric, target=fr.CauchySurface(0.0))
+        reports = vf.suite_contact(7, n=8, frame=f)
+        assert all(r.passed for r in reports)
+        assert max(r.max_residual for r in reports) <= 1e-14
+        assert max(r.extras["max_null_drift"] for r in reports) <= 1e-14
 
 
 FLAT = mf.MetricSpec.minkowski()
