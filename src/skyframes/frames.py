@@ -64,7 +64,7 @@ class Singularity:
 
 
 class ProbeValues(NamedTuple):
-    """What a frame answers for B sky points of one event and k directions."""
+    """What a frame answers for B rows (event, sky point) and k directions."""
 
     theta: np.ndarray  # (B, k) contact-form values on the horizontal probes
     rates: np.ndarray  # (B, k) normal-projection rates along the event families
@@ -116,23 +116,22 @@ class FrameSpec:
         return self.target.t0
 
     def probe_values(self, x, xis, directions, h=None) -> ProbeValues:
-        """Probe values at the sky points xis (B, 2) of the event x (4,).
+        """Probe values at the sky points xis (B, 2) of the events x, one
+        event (4,) shared by every row or one per row (B, 4).
 
         Values are taken at the unit representatives.  One tangent_planes
         batch gives each row's oriented normal, the normal rates along the
         event families x +- h d for the directions (k, 4), and the normal
         projections of the sky-stencil Jacobian.
         """
-        x = np.asarray(x, dtype=float)
         xis = np.atleast_2d(np.asarray(xis, dtype=complex))
+        xs = np.broadcast_to(np.asarray(x, dtype=float), (len(xis), 4))
         dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-        tp = tangent_planes(
-            self, np.tile(x, (len(xis), 1)), xis, dirs, h=h, normals=True
-        )
+        tp = tangent_planes(self, xs, xis, dirs, h=h, normals=True)
         n_hat = tp.normals[:, :, None]
         rates = (tp.family / (2 * tp.family_h)[:, None, None]) @ n_hat
         return ProbeValues(
-            theta=theta_value(self, x, xis[:, None, :], dirs),
+            theta=theta_value(self, xs[:, None, :], xis[:, None, :], dirs),
             rates=rates[..., 0],
             vertical=(np.swapaxes(tp.jacobians, 1, 2) @ n_hat)[..., 0],
             regular=tp.family_ok & (tp.ranks == 2),
@@ -211,11 +210,9 @@ def _lam_closed_form(f: FrameSpec, times, t_target):
         return num / ((1.0 + p) * m.scale_factor(times))
     from scipy.integrate import quad
 
-    vals = []
-    for t in np.atleast_1d(times):
-        integral, _ = quad(lambda s: float(m.scale_factor(s)), t_target, float(t))
-        vals.append(integral / float(m.scale_factor(t)))
-    return np.asarray(vals)
+    distinct, inverse = np.unique(np.ravel(times), return_inverse=True)
+    vals = [quad(m.scale_factor, t_target, t)[0] / m.scale_factor(t) for t in distinct]
+    return np.asarray(vals)[inverse]
 
 
 def project_batch(f: FrameSpec, events, xis):
@@ -436,5 +433,4 @@ def theta_value(f: FrameSpec, x, xi, direction):
     d = sky_directions(f, skymod.unit_cospinor(xi))
     # A (1, 3) @ (3, 1) product per row sums like the vector dot product.
     dot = (d[..., None, :] @ w_tet[..., 1:, None])[..., 0, 0]
-    val = PAULI_FACTOR * (w_tet[..., 0] - dot)
-    return float(val) if np.ndim(val) == 0 else val
+    return PAULI_FACTOR * (w_tet[..., 0] - dot)

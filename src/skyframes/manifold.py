@@ -337,8 +337,8 @@ def conformal_time(m: MetricSpec, t):
     """eta(t): integral of 1/a from the initial singularity to cosmic time t.
 
     t is a float or an array of times.  Closed form for power-law scale
-    factors (p < 1); adaptive quadrature with relative error below 1e-10
-    otherwise.
+    factors (p < 1); otherwise adaptive quadrature with relative error below
+    1e-10, one per distinct time.
     """
     t = np.array(t, dtype=float) if np.ndim(t) else float(t)
     if m.kind == "minkowski":
@@ -353,7 +353,8 @@ def conformal_time(m: MetricSpec, t):
             raise DivergentIntegralError(f"integral of t^-{p} diverges at 0")
         return t ** (1.0 - p) / (1.0 - p)
     if np.ndim(t):
-        return np.array([conformal_time(m, s) for s in t.ravel()]).reshape(t.shape)
+        times, inverse = np.unique(t.ravel(), return_inverse=True)
+        return np.array([conformal_time(m, s) for s in times])[inverse].reshape(t.shape)
     from scipy import integrate
 
     def inverse_scale_factor(s):

@@ -138,7 +138,8 @@ class GraphFrame:
     target_time = None
 
     def probe_values(self, x, xis, directions, h=None) -> ProbeValues:
-        """Probe values at the sky points xis (B, 2) of the event x (4,).
+        """Probe values at the sky points xis (B, 2) of the events x, (4,)
+        or (B, 4).
 
         The contact form is evaluated through the null direction of each
         sky point; the image moves along an event family by the transform

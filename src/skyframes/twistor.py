@@ -5,6 +5,9 @@ projectively when comparing; pi != 0 marks the affine part.  The
 contraction sends a twistor to a complex (1,1)-homogeneous value over the
 sky point of pi, real exactly on null twistors.  The matched covector for
 comparisons with size fields is the componentwise conjugate of pi.
+
+All functions broadcast over leading axes as in `spinor`: omega, pi and
+tangents (..., 2), events (..., 4).  One row gives numpy scalars.
 """
 
 from __future__ import annotations
@@ -18,25 +21,29 @@ from .sky import celestial_eval
 from .spinor import pauli_transform
 
 
+def _pair(a, b):
+    """conj(a) . b over the last axis."""
+    return np.einsum("...a,...a->...", np.conj(a), b)
+
+
 @dataclass(frozen=True)
 class Twistor:
-    omega: np.ndarray  # (2,) complex
-    pi: np.ndarray  # (2,) complex
+    omega: np.ndarray  # (..., 2) complex
+    pi: np.ndarray  # (..., 2) complex
 
     def __post_init__(self):
         object.__setattr__(self, "omega", np.asarray(self.omega, dtype=complex))
         object.__setattr__(self, "pi", np.asarray(self.pi, dtype=complex))
 
     @property
-    def scale(self) -> float:
-        return max(
-            float(np.linalg.norm(self.pi) * np.linalg.norm(self.omega)), 1e-300
-        )
+    def scale(self):
+        norms = np.linalg.norm(self.pi, axis=-1) * np.linalg.norm(self.omega, axis=-1)
+        return np.maximum(norms, 1e-300)
 
 
 def _require_pi(pi):
     pi = np.asarray(pi, dtype=complex)
-    if np.linalg.norm(pi) < 1e-150:
+    if np.any(np.linalg.norm(pi, axis=-1) < 1e-150):
         raise ZeroPiError("affine twistor operations need pi != 0")
     return pi
 
@@ -44,16 +51,17 @@ def _require_pi(pi):
 def incidence(x, pi) -> Twistor:
     """Twistor lying on the lifted sky of x: omega = i (matrix of x) pi."""
     pi = _require_pi(pi)
-    return Twistor(omega=1j * pauli_transform(np.asarray(x, float)) @ pi, pi=pi)
+    omega = 1j * np.einsum("...ab,...b->...a", pauli_transform(x), pi)
+    return Twistor(omega=omega, pi=np.broadcast_to(pi, omega.shape))
 
 
-def null_constraint(z: Twistor) -> float:
+def null_constraint(z: Twistor):
     """conj(pi) . omega + conj of it; zero exactly on null twistors."""
-    return float(2.0 * np.real(np.conj(z.pi) @ z.omega))
+    return 2.0 * np.real(_pair(z.pi, z.omega))
 
 
-def is_null(z: Twistor, tol: float = 1e-10) -> bool:
-    return abs(null_constraint(z)) <= tol * z.scale
+def is_null(z: Twistor, tol: float = 1e-10):
+    return np.abs(null_constraint(z)) <= tol * z.scale
 
 
 @dataclass(frozen=True)
@@ -61,51 +69,46 @@ class TwistorContraction:
     """Value of the contraction at the representative pi of its sky point."""
 
     pi: np.ndarray
-    value: complex
+    value: complex | np.ndarray
 
     @property
     def xi(self) -> np.ndarray:
         """Matched covector on the un-conjugated sky: componentwise conjugate."""
         return np.conj(self.pi)
 
-    def is_real(self, tol: float = 1e-12) -> bool:
-        scale = max(abs(self.value), float(np.linalg.norm(self.pi)) ** 2, 1e-300)
-        return abs(self.value.imag) <= tol * scale
+    def is_real(self, tol: float = 1e-12):
+        scale = np.maximum(np.abs(self.value), np.linalg.norm(self.pi, axis=-1) ** 2)
+        return np.abs(self.value.imag) <= tol * np.maximum(scale, 1e-300)
 
 
 def contraction(z: Twistor) -> TwistorContraction:
     """The complex size -i conj(pi) . omega over the sky point of pi."""
     _require_pi(z.pi)
-    return TwistorContraction(pi=z.pi, value=complex(-1j * (np.conj(z.pi) @ z.omega)))
+    return TwistorContraction(pi=z.pi, value=-1j * _pair(z.pi, z.omega))
 
 
-def contact_form(z: Twistor, d_omega, d_pi, tol: float = 1e-10) -> complex:
+def contact_form(z: Twistor, d_omega, d_pi, tol: float = 1e-10):
     """-i (conj(pi) . d_omega + conj(omega) . d_pi) on a null affine twistor.
 
     Real-valued when (d_omega, d_pi) preserves the null constraint.
     """
     _require_pi(z.pi)
-    if not is_null(z, tol):
+    if not np.all(is_null(z, tol)):
         raise NotNullError("contact form lives on the null hypersurface")
-    d_omega = np.asarray(d_omega, dtype=complex)
-    d_pi = np.asarray(d_pi, dtype=complex)
-    return complex(-1j * (np.conj(z.pi) @ d_omega + np.conj(z.omega) @ d_pi))
+    return -1j * (_pair(z.pi, d_omega) + _pair(z.omega, d_pi))
 
 
 def project_to_constraint(z: Twistor, d_omega, d_pi):
     """Remove the component of a tangent that violates the null constraint.
 
     The constraint gradient with respect to the real inner product on C^4
-    is (pi, omega); the projection subtracts its multiple.
+    is (pi, omega); the projection subtracts its multiple.  A zero gradient
+    leaves the tangent as it is.
     """
-    d_omega = np.asarray(d_omega, dtype=complex)
-    d_pi = np.asarray(d_pi, dtype=complex)
     grad_o, grad_p = z.pi, z.omega
-    norm2 = float(np.linalg.norm(grad_o) ** 2 + np.linalg.norm(grad_p) ** 2)
-    if norm2 == 0.0:
-        return d_omega, d_pi
-    dn = 2.0 * np.real(np.conj(grad_o) @ d_omega + np.conj(grad_p) @ d_pi)
-    lam = dn / (2.0 * norm2)
+    norm2 = np.real(_pair(grad_o, grad_o) + _pair(grad_p, grad_p))
+    dn = 2.0 * np.real(_pair(grad_o, d_omega) + _pair(grad_p, d_pi))
+    lam = (dn / (2.0 * np.where(norm2 == 0.0, 1.0, norm2)))[..., None]
     return d_omega - lam * grad_o, d_pi - lam * grad_p
 
 
@@ -114,11 +117,9 @@ def twistor_for_sky_point(x, xi) -> Twistor:
     return incidence(x, np.conj(np.asarray(xi, dtype=complex)))
 
 
-def contraction_matches_transform(x, pi) -> float:
+def contraction_matches_transform(x, pi):
     """Residual of contraction(incidence(x, pi)) against the size field of x."""
-    z = incidence(x, pi)
-    tau = contraction(z)
-    lhs = tau.value
+    tau = contraction(incidence(x, pi))
     rhs = celestial_eval(np.asarray(x, float), tau.xi)
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    return abs(lhs - rhs) / scale
+    scale = np.maximum(np.maximum(np.abs(tau.value), np.abs(rhs)), 1e-300)
+    return np.abs(tau.value - rhs) / scale

@@ -10,8 +10,13 @@ the transform of the direction (the flow-of-time identity); and agreement
 of the twistor contraction composed with incidence against the transform
 of the event.
 
-The proportionality and flow checks take any frame that answers
-`probe_values(x, xis, directions, h)` and carries `PROBE_TOL` and
+Every check takes rows and makes one batch call for all of them: x is one
+event (4,) shared by every row or one event per row (n, 4), beside sky
+points xi (n, 2), a `SkySample` or twistor pis (n, 2).  The contact and
+proportionality checks give a list of one report per row, or one report
+for one sky point xi (2,); a row whose rays miss the target raises naming
+its event.  The proportionality and flow checks take any frame that
+answers `probe_values(x, xis, directions, h)` and carries `PROBE_TOL` and
 `target_time`: a `frames.FrameSpec` or a `minkowski.GraphFrame`.
 Probes are seeded and reports are deterministic given the frame and seed.
 """
@@ -74,9 +79,8 @@ def check_contact_annihilation(f: fr.FrameSpec, x, xi):
     and the velocity rebuilt from (n, E) and the legs.  The tracer's states
     are null by construction, so the residuals measure the round trip from
     the frame's sky dictionary to the tracer's state and back;
-    `max_null_drift` is the largest |g(v / v0, v / v0)|.  x is one event
-    (4,) shared by every sky point, or one event per sky point (n, 4).  One
-    sky point xi (2,) gives one report; xi (n, 2) gives a list of n reports.
+    `max_null_drift` is the largest |g(v / v0, v / v0)|.  A ray that leaves
+    the chart or turns non-finite raises `NoIntersectionError`.
     """
     m = f.metric
     xis = unit_cospinor(np.atleast_2d(xi))
@@ -86,6 +90,9 @@ def check_contact_annihilation(f: fr.FrameSpec, x, xi):
     end = mf.trace_past_to_time(m, xs, v0, stop_t)
     rotation = np.eye(3) if f.tetrad_rotation is None else f.tetrad_rotation
     xi_end = cospinor_for_direction(-end.n @ np.asarray(rotation, float))
+    if not end.ok.all():
+        event = xs[np.argmin(end.ok)].tolist()
+        raise NoIntersectionError(f"the ray from {event} did not reach the target")
     theta, drift = [], []
     for x_s, xi_s, v in ((xs, xis, v0), (end.x, xi_end, end.velocity(m))):
         v_hat = v / v[:, :1]
@@ -114,9 +121,7 @@ def _kept_ratios(theta, rates):
     return rates[keep] / theta[keep]
 
 
-def check_kernel_proportionality(
-    frame, x, xi, tol=None, event_h=None
-) -> VerificationReport:
+def check_kernel_proportionality(frame, x, xi, tol=None, event_h=None):
     """The two functionals on the 6-probe basis are positive multiples.
 
     The probes are the four coordinate event directions (horizontal) and
@@ -124,29 +129,37 @@ def check_kernel_proportionality(
     matrix has numerical rank one, all ratios over probes outside the
     kernel agree (the spread about the median is the reported residual),
     every such ratio is positive, and the normal projection vanishes on
-    vertical probes.
+    vertical probes.  All rows go to one `probe_values` call; a row whose
+    probes miss the target or are not regular raises naming its event.
     """
-    pv = frame.probe_values(x, unit_cospinor(xi)[None, :], _COORD_DIRS, h=event_h)
-    if not pv.arrived[0]:
-        raise NoIntersectionError("a probe ray misses the target surface")
-    if not pv.regular[0]:
-        raise DegenerateTangentPlaneError("probe point is not regular")
-    theta_h, p_h = pv.theta[0], pv.rates[0]
+    xis = unit_cospinor(np.atleast_2d(xi))
+    xs = np.broadcast_to(np.asarray(x, dtype=float), (len(xis), 4))
+    pv = frame.probe_values(xs, xis, _COORD_DIRS, h=event_h)
+    if not pv.arrived.all():
+        event = xs[np.argmin(pv.arrived)].tolist()
+        raise NoIntersectionError(f"a probe ray of {event} misses the target surface")
+    if not pv.regular.all():
+        event = xs[np.argmin(pv.regular)].tolist()
+        raise DegenerateTangentPlaneError(f"the probe point of {event} is not regular")
     tol = frame.PROBE_TOL if tol is None else tol
+    reports = [
+        _kernel_report(theta_h, p_h, vertical, tol)
+        for theta_h, p_h, vertical in zip(pv.theta, pv.rates, pv.vertical)
+    ]
+    return reports[0] if np.ndim(xi) == 1 else reports
 
+
+def _kernel_report(theta_h, p_h, vertical, tol) -> VerificationReport:
+    """One row's report from its probe values."""
     scale_t = max(float(np.abs(theta_h).max()), 1e-300)
     scale_p = max(float(np.abs(p_h).max()), 1e-300)
     ratios = _kept_ratios(theta_h, p_h)
     med = float(np.median(ratios))
     spread = float(np.abs(ratios - med).max() / abs(med))
-
-    mat = np.stack([theta_h / scale_t, p_h / scale_p])
-    sv = np.linalg.svd(mat, compute_uv=False)
-    rank_one_defect = float(sv[1] / sv[0])
-
-    vert_resid = float(np.abs(pv.vertical[0]).max() / max(scale_p, 1e-300))
+    sv = np.linalg.svd(np.stack([theta_h / scale_t, p_h / scale_p]), compute_uv=False)
+    vert_resid = float(np.abs(vertical).max() / scale_p)
     positive = bool(np.all(ratios > 0.0))
-    residuals = np.array([spread, rank_one_defect, vert_resid, 0.0 if positive else 1.0])
+    residuals = np.array([spread, sv[1] / sv[0], vert_resid, 0.0 if positive else 1.0])
     return VerificationReport(
         name="kernel_proportionality",
         residuals=residuals,
@@ -192,18 +205,11 @@ def check_flow_of_time(
 
 
 def check_contraction_identity(x, pis, tol=1e-12) -> VerificationReport:
-    """Contraction after incidence equals the transform of the event.
-
-    x is one event (4,) shared by every pi, or one event per pi (n, 4).
-    """
+    """Contraction after incidence equals the transform of the event."""
     pis = np.atleast_2d(np.asarray(pis, dtype=complex))
-    xs = np.broadcast_to(np.asarray(x, dtype=float), (len(pis), 4))
-    residuals = np.array(
-        [tw.contraction_matches_transform(xk, pi) for xk, pi in zip(xs, pis)]
-    )
     return VerificationReport(
         name="contraction_identity",
-        residuals=residuals,
+        residuals=tw.contraction_matches_transform(x, pis),
         tolerance=tol,
         probe_count=len(pis),
     )
@@ -229,24 +235,19 @@ def suite_twistor(seed, n=1000):
 
     # Null characterisation: incidence twistors have real contraction,
     # decisively non-null twistors do not.
-    im_null = []
-    misclassified = []
-    for x, pi in zip(xs, pis):
-        z = tw.incidence(x, pi)
-        tau = tw.contraction(z)
-        scale = max(abs(tau.value), float(np.linalg.norm(pi)) ** 2, 1e-300)
-        im_null.append(abs(tau.value.imag) / scale)
+    tau = tw.contraction(tw.incidence(xs, pis)).value
+    scale = np.maximum(np.abs(tau), np.linalg.norm(pis, axis=1) ** 2)
+    im_null = np.abs(tau.imag) / np.maximum(scale, 1e-300)
     omegas = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
-    for om, pi in zip(omegas, pis):
-        z = tw.Twistor(omega=om, pi=pi)
-        if abs(tw.null_constraint(z)) < 1e-3:
-            continue
-        misclassified.append(1.0 if tw.contraction(z).is_real() else 0.0)
+    z = tw.Twistor(omega=omegas, pi=pis)
+    decisive = np.abs(tw.null_constraint(z)) >= 1e-3
+    misclassified = tw.contraction(z).is_real()[decisive].astype(float)
+    residuals = np.concatenate([im_null, misclassified])
     rep_null = VerificationReport(
         name="null_characterization",
-        residuals=np.concatenate([np.asarray(im_null), np.asarray(misclassified)]),
+        residuals=residuals,
         tolerance=1e-12,
-        probe_count=len(im_null) + len(misclassified),
+        probe_count=len(residuals),
     )
     return [rep_tau, rep_null]
 
@@ -255,22 +256,21 @@ def _default_frame():
     return fr.FrameSpec(metric=mf.MetricSpec.flrw(p=2 / 3), target=fr.Singularity())
 
 
-def suite_contact(seed, n=20, frame=None):
-    frame = _default_frame() if frame is None else frame
+def _random_rows(seed, n, frame):
+    """n seeded events above the frame's target and n random sky points."""
     rng = np.random.default_rng(seed)
     xs = _random_events(rng, n, t_floor=frame.target_time)
-    xis = sample_sky(max(n, 4), scheme="random", seed=seed).xi[:n]
-    return check_contact_annihilation(frame, xs, xis)
+    return xs, sample_sky(max(n, 4), scheme="random", seed=seed).xi[:n]
+
+
+def suite_contact(seed, n=20, frame=None):
+    frame = _default_frame() if frame is None else frame
+    return check_contact_annihilation(frame, *_random_rows(seed, n, frame))
 
 
 def suite_kernel(seed, n=25, frame=None, tol=None):
     frame = _default_frame() if frame is None else frame
-    rng = np.random.default_rng(seed)
-    xs = _random_events(rng, n, t_floor=frame.target_time)
-    xis = sample_sky(max(n, 4), scheme="random", seed=seed).xi[:n]
-    return [
-        check_kernel_proportionality(frame, x, xi, tol=tol) for x, xi in zip(xs, xis)
-    ]
+    return check_kernel_proportionality(frame, *_random_rows(seed, n, frame), tol=tol)
 
 
 def suite_flow(seed, n_sky=25, frame=None, tol=None):

@@ -321,6 +321,26 @@ class TestVerify:
         payload = json.loads(out_path.read_text())
         assert payload["passed"] and len(payload["reports"]) == 4
 
+    @pytest.mark.parametrize("case", ["bounded-chart", "expression-scale-factor"])
+    def test_contact_rays_that_never_arrive_exit_1(self, capsys, tmp_path, case):
+        # the bounded chart passed all 25 reports, with theta taken where 2
+        # rays left it; the expression scale factor wrote NaN residuals (its
+        # central-difference a'(t) takes a at t < 0 near the cutoff)
+        out_path = tmp_path / "contact.json"
+        if case == "bounded-chart":
+            cfg = tmp_path / "bounded.json"
+            bounds = [[None, None], [-2.1, 2.1], [None, None], [None, None]]
+            cfg.write_text(json.dumps({"kind": "minkowski", "bounds": bounds}))
+            argv = ("--config", str(cfg), "verify", "--seed", "7", "--n", "25")
+        else:
+            argv = ("verify", "--metric", "flrw", "--a-expr", "t**0.6666666666666666",
+                    "--target", "singularity", "--n", "4")
+        code, out, err = run(capsys, *argv, "--suite", "contact", "--out", str(out_path))
+        assert code == 1 and out == ""
+        assert err.startswith("NoIntersectionError: the ray from [")
+        assert len(err.splitlines()) == 1
+        assert not out_path.exists()
+
     def test_twistor_suite_passes(self, capsys, tmp_path):
         out_path = tmp_path / "rep.json"
         code, out, _ = run(

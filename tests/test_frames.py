@@ -184,6 +184,28 @@ class TestSkyImage:
         assert len(rows) == 17
 
 
+class TestQuadrature:
+    def test_one_quadrature_per_distinct_time(self, monkeypatch):
+        # one quad per ray before: 81 for these 8 samples and their 32
+        # stencil rays
+        from scipy import integrate
+
+        calls = []
+        quad = integrate.quad
+
+        def counting(func, a, b, **kwargs):
+            calls.append((a, b))
+            return quad(func, a, b, **kwargs)
+
+        monkeypatch.setattr(integrate, "quad", counting)
+        metric = mf.metric_from_config({"kind": "flrw", "a_expr": "t**0.6666666666666666"})
+        spec = fr.FrameSpec(metric=metric, target=fr.Singularity())
+        img = fr.sky_image(spec, [1.0, 0, 0, 0], sky.sample_sky(8))
+        assert len(calls) <= 3
+        assert np.all(img.ok_mask) and np.all(img.ranks == 2)
+        assert np.abs(np.linalg.norm(img.m_points, axis=1) - 3.0).max() <= 1e-6
+
+
 class TestGeodesicFlowInvariance:
     def test_projection_constant_along_the_flow(self, flrw_frame):
         # moving the event along the null geodesic of a sky point leaves

@@ -358,6 +358,13 @@ class TestConformalTime:
         with pytest.raises(DivergentIntegralError):
             mf.conformal_time(m, 1.0)
 
+    def test_quadrature_over_an_array_of_repeated_times(self):
+        m = mf.metric_from_config({"kind": "flrw", "a_expr": "t**0.5"})
+        t = np.array([[1.0, 0.25, 1.0], [0.25, 4.0, 1.0]])
+        eta = mf.conformal_time(m, t)
+        assert eta.shape == t.shape
+        assert eta.tolist() == [[mf.conformal_time(m, s) for s in row] for row in t.tolist()]
+
     def test_steep_but_convergent_quadrature(self):
         m = mf.MetricSpec.flrw(a=lambda t: t**0.9)
         assert mf.conformal_time(m, 1.0) == pytest.approx(10.0, rel=1e-9)

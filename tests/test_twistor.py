@@ -166,3 +166,57 @@ class TestContactForm:
         z = tw.Twistor(omega=[1.0, 0.0], pi=[1.0, 0.0])
         with pytest.raises(NotNullError):
             tw.contact_form(z, [0, 0], [0, 0])
+
+
+class TestBroadcast:
+    def test_rows_equal_their_one_row_values(self):
+        rng = np.random.default_rng(12)
+        xs, pis, omegas = rng.normal(size=(6, 4)), random_pi(rng, 6), random_pi(rng, 6)
+        incident, plain = tw.incidence(xs, pis), tw.Twistor(omega=omegas, pi=pis)
+        d_omega, d_pi = random_pi(rng, 6), random_pi(rng, 6)
+        proj = tw.project_to_constraint(incident, d_omega, d_pi)
+        contact = tw.contact_form(incident, *proj)
+        residuals = tw.contraction_matches_transform(xs, pis)
+        for k in range(6):
+            one_inc = tw.incidence(xs[k], pis[k])
+            one = tw.Twistor(omega=omegas[k], pi=pis[k])
+            assert np.array_equal(incident.omega[k], one_inc.omega)
+            assert tw.null_constraint(plain)[k] == tw.null_constraint(one)
+            assert tw.is_null(incident)[k] == tw.is_null(one_inc)
+            assert plain.scale[k] == one.scale
+            assert tw.contraction(plain).value[k] == tw.contraction(one).value
+            assert tw.contraction(plain).is_real()[k] == tw.contraction(one).is_real()
+            one_proj = tw.project_to_constraint(one_inc, d_omega[k], d_pi[k])
+            assert np.array_equal(proj[0][k], one_proj[0])
+            assert np.array_equal(proj[1][k], one_proj[1])
+            assert contact[k] == tw.contact_form(one_inc, *one_proj)
+            assert residuals[k] == tw.contraction_matches_transform(xs[k], pis[k])
+
+    def test_one_event_or_one_pi_is_shared_by_the_rows(self):
+        rng = np.random.default_rng(13)
+        xs, pis = rng.normal(size=(5, 4)), random_pi(rng, 5)
+        for x, pi in ((xs[0], pis), (xs, pis[0])):
+            rows = np.broadcast_to(x, (5, 4)), np.broadcast_to(pi, (5, 2))
+            z, tiled = tw.incidence(x, pi), tw.incidence(*rows)
+            assert z.pi.shape == z.omega.shape == (5, 2)
+            assert np.array_equal(z.omega, tiled.omega)
+            assert np.array_equal(
+                tw.contraction_matches_transform(x, pi),
+                tw.contraction_matches_transform(*rows),
+            )
+
+    def test_one_row_gives_python_scalars(self):
+        rng = np.random.default_rng(14)
+        z = tw.incidence(rng.normal(size=4), random_pi(rng))
+        assert isinstance(z.scale, float)
+        assert isinstance(tw.null_constraint(z), float)
+        assert isinstance(tw.contraction(z).value, complex)
+        assert isinstance(tw.contact_form(z, random_pi(rng), np.zeros(2)), complex)
+        assert isinstance(tw.contraction_matches_transform(rng.normal(size=4), z.pi), float)
+
+    def test_a_zero_pi_in_any_row_raises(self):
+        pis = np.array([[1.0, 0.5j], [0.0, 0.0]])
+        with pytest.raises(ZeroPiError):
+            tw.incidence(np.zeros(4), pis)
+        with pytest.raises(ZeroPiError):
+            tw.contraction(tw.Twistor(omega=np.ones((2, 2)), pi=pis))

@@ -1,11 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from skyframes import frames as fr
 from skyframes import manifold as mf
-from skyframes import sky, verify as vf
+from skyframes import sky, spinor, verify as vf
 from skyframes.errors import DegenerateTangentPlaneError, NoIntersectionError
 from skyframes.minkowski import GraphFrame
 
@@ -95,6 +96,20 @@ class TestContactAnnihilation:
         assert max(r.max_residual for r in reports) <= 1e-14
         assert max(r.extras["max_null_drift"] for r in reports) <= 1e-14
 
+    def test_a_ray_that_leaves_the_chart_raises_naming_its_event(self):
+        # theta was taken at the state where the ray left the chart, and the
+        # check passed
+        bounded = mf.MetricSpec.minkowski(
+            bounds=[[-np.inf, np.inf], [-2.1, 2.1], [-np.inf, np.inf], [-np.inf, np.inf]]
+        )
+        f = fr.FrameSpec(metric=bounded, target=fr.CauchySurface(0.0))
+        xs = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0], [1.0, 2.05, 0.0, 0.0]])
+        # the past rays run along +x, so the last two leave at x = 2.1
+        xis = np.tile(spinor.cospinor_for_direction(np.array([-1.0, 0.0, 0.0])), (3, 1))
+        with pytest.raises(NoIntersectionError, match=re.escape("[1.0, 2.0, 0.0, 0.0]")):
+            vf.check_contact_annihilation(f, xs, xis)
+        assert vf.check_contact_annihilation(f, xs[0], xis[0]).passed
+
 
 FLAT = mf.MetricSpec.minkowski()
 FLRW = mf.MetricSpec.flrw(p=2 / 3)
@@ -105,6 +120,20 @@ PROTOCOL_FRAMES = {
     "p2/3-numeric": fr.FrameSpec(
         metric=FLRW, target=fr.Singularity(), tracer="numeric"
     ),
+}
+
+README_METRIC = mf.metric_from_config(
+    {
+        "kind": "custom",
+        "coeffs": ["1"] + ["-(1 + 0.1*t)**2"] * 3,
+        "bounds": [[0, None], [None, None], [None, None], [None, None]],
+    }
+)
+KERNEL_FRAMES = {
+    "graph": PROTOCOL_FRAMES["graph"],
+    "flat": PROTOCOL_FRAMES["flat"],
+    "p2/3": PROTOCOL_FRAMES["p2/3"],
+    "readme": fr.FrameSpec(metric=README_METRIC, target=fr.CauchySurface(0.0)),
 }
 
 
@@ -119,6 +148,22 @@ class TestFrameProtocol:
         assert pv.regular.shape == pv.arrived.shape == (5,)
         assert pv.regular.dtype == pv.arrived.dtype == bool
         assert np.all(pv.regular)
+
+    @pytest.mark.parametrize("name", sorted(PROTOCOL_FRAMES))
+    def test_one_event_per_row_or_shared(self, name):
+        frame = PROTOCOL_FRAMES[name]
+        xis = sky.sample_sky(4, scheme="random", seed=2).xi
+        x = np.array([0.9, 0.1, -0.2, 0.05])
+        xs = x + np.array([[0.0, 0, 0, 0], [0.1, 0.2, 0, 0], [0.3, 0, 0, -0.1], [0, 0, 0, 0]])
+        shared = frame.probe_values(x, xis, DIRECTIONS)
+        rows = frame.probe_values(xs, xis, DIRECTIONS)
+        for k in (0, 3):  # the rows at the shared event
+            for a, b in zip(shared, rows):
+                assert np.array_equal(a[k], b[k])
+        for k in (1, 2):
+            one = frame.probe_values(xs[k], xis[k : k + 1], DIRECTIONS)
+            for a, b in zip(one, rows):
+                assert np.allclose(a[0], b[k], rtol=1e-12, atol=1e-15)
 
     def test_default_tolerances(self):
         assert GraphFrame.PROBE_TOL == 1e-9
@@ -188,6 +233,57 @@ class TestKernelProportionality:
         with pytest.raises(DegenerateTangentPlaneError):
             vf.check_kernel_proportionality(coarse, [1.0, 0.2, -0.3, 0.1], [0.6, 0.8j])
 
+    @pytest.mark.parametrize("name", ["graph", "flat", "p2/3", "readme"])
+    def test_rows_give_the_one_row_reports(self, name):
+        frame = KERNEL_FRAMES[name]
+        xs, xis = vf._random_rows(7, 6, frame)
+        rows = vf.check_kernel_proportionality(frame, xs, xis)
+        assert len(rows) == 6 and all(r.passed for r in rows)
+        # the closed-form frames give the same bits; the others to rounding
+        tol = 0.0 if name in ("graph", "flat") else 1e-12
+        for x, xi, rep in zip(xs, xis, rows):
+            one = vf.check_kernel_proportionality(frame, x, xi)
+            assert np.abs(one.residuals - rep.residuals).max() <= tol
+            assert one.extras["empirical_factor"] == pytest.approx(
+                rep.extras["empirical_factor"], rel=tol, abs=0.0
+            )
+            assert np.allclose(one.extras["ratios"], rep.extras["ratios"], rtol=tol, atol=0)
+            assert one.tolerance == rep.tolerance and one.probe_count == rep.probe_count
+        # one event shared by every sky point
+        shared = vf.check_kernel_proportionality(frame, xs[0], xis)
+        assert np.abs(shared[0].residuals - rows[0].residuals).max() <= tol
+
+    @pytest.mark.parametrize("n", [1, 25])
+    def test_suite_makes_one_project_batch_call(self, monkeypatch, n):
+        calls = []
+        project = fr.project_batch
+
+        def counting(f, events, xis):
+            calls.append(len(events))
+            return project(f, events, xis)
+
+        monkeypatch.setattr(fr, "project_batch", counting)
+        reports = vf.suite_kernel(7, n=n)
+        assert len(reports) == n and all(r.passed for r in reports)
+        # per row: the base ray, 4 sky-stencil rays and 2 per coordinate axis
+        assert calls == [13 * n]
+
+    def test_batch_names_the_event_of_the_first_row_that_misses(self):
+        xs = np.array([[1.0, 0.2, -0.3, 0.1], [0.0, 0.3, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0]])
+        xis = np.tile([0.6, 0.8j], (3, 1))
+        with pytest.raises(NoIntersectionError, match=re.escape("[0.0, 0.3, 0.0, 0.0]")):
+            vf.check_kernel_proportionality(PROTOCOL_FRAMES["flat"], xs, xis)
+
+    def test_batch_names_the_event_of_the_first_degenerate_row(self):
+        # the image of an event 1e-8 above the slice is below rank_tol; the
+        # small event step keeps its family rays above the slice
+        xs = np.array([[1.0, 0.2, -0.3, 0.1], [1e-8, 0.2, -0.3, 0.1], [1e-8, 0.5, 0, 0]])
+        xis = np.tile([0.6, 0.8j], (3, 1))
+        flat = PROTOCOL_FRAMES["flat"]
+        with pytest.raises(DegenerateTangentPlaneError, match=re.escape("[1e-08, 0.2, -0.3, 0.1]")):
+            vf.check_kernel_proportionality(flat, xs, xis, event_h=1e-12)
+        assert vf.check_kernel_proportionality(flat, xs[0], xis[0], event_h=1e-12).passed
+
 
 class TestFlowOfTime:
     def test_graph_frame_identity_factor(self):
@@ -254,6 +350,30 @@ class TestSuites:
         assert all(r.passed for r in vf.suite_flow(5, n_sky=8, frame=flrw_spec))
         assert all(r.passed for r in vf.suite_kernel(5, n=4, frame=GraphFrame()))
         assert all(r.passed for r in vf.suite_flow(5, n_sky=8, frame=GraphFrame()))
+
+    def test_twistor_suite_matches_the_per_row_loop(self):
+        # the suite's array expressions against the loop over rows they
+        # replaced, written with plain matrix products
+        rep_tau, rep_null = vf.suite_twistor(7, n=200)
+        rng = np.random.default_rng(7)
+        xs = vf._random_events(rng, 200)
+        pis = rng.normal(size=(200, 2)) + 1j * rng.normal(size=(200, 2))
+        omegas = rng.normal(size=(200, 2)) + 1j * rng.normal(size=(200, 2))
+        tau_res, im_null, misclassified = [], [], []
+        for x, pi, om in zip(xs, pis, omegas):
+            tau = -1j * (np.conj(pi) @ (1j * spinor.pauli_transform(x) @ pi))
+            field = sky.celestial_eval(x, np.conj(pi))
+            tau_res.append(abs(tau - field) / max(abs(tau), abs(field), 1e-300))
+            im_null.append(abs(tau.imag) / max(abs(tau), np.linalg.norm(pi) ** 2))
+            if abs(2.0 * np.real(np.conj(pi) @ om)) >= 1e-3:
+                value = -1j * (np.conj(pi) @ om)
+                scale = max(abs(value), np.linalg.norm(pi) ** 2)
+                misclassified.append(float(abs(value.imag) <= 1e-12 * scale))
+        assert np.allclose(rep_tau.residuals, tau_res, rtol=0, atol=1e-14)
+        n_null = len(im_null)
+        assert np.allclose(rep_null.residuals[:n_null], im_null, rtol=0, atol=1e-14)
+        assert rep_null.residuals[n_null:].tolist() == misclassified
+        assert rep_null.probe_count == n_null + len(misclassified)
 
     def test_report_json_schema(self):
         rep = vf.suite_twistor(1, n=10)[0]
