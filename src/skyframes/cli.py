@@ -70,26 +70,9 @@ def _load_config(path):
     if "target" in cfg:  # parsed like the --target flag, whatever the frame
         cfg["target"] = target_surface(cfg["target"])
     if "metric" in cfg:  # the --metric flag's name for the kind
-        if cfg.setdefault("kind", cfg["metric"]) != cfg["metric"]:
+        if cfg.get("kind", cfg["metric"]) != cfg["metric"]:
             raise ValueError("config keys 'metric' and 'kind' disagree")
     return cfg
-
-
-def _setting(args, cfg, key, default=None):
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    return cfg.get(key, default)
-
-
-def _metric_from(args, cfg):
-    merged = dict(cfg)
-    for key in ("metric", "p", "a_expr"):
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key if key != "metric" else "kind"] = val
-    merged.setdefault("kind", "minkowski")
-    return mf.metric_from_config(merged)
 
 
 def target_surface(text):
@@ -101,18 +84,18 @@ def target_surface(text):
     raise ValueError(f"unknown target {text!r}")
 
 
-def _graph_frame(args, cfg, metric):
+def _graph_frame(opts, metric):
     """Whether the graph frame is asked for; it exists only over flat space."""
-    if _setting(args, cfg, "frame") != "graph":
+    if opts.get("frame") != "graph":
         return False
     if metric.kind != "minkowski":
         raise ValueError("the graph frame is defined over the flat metric")
     return True
 
 
-def _frame_spec(args, cfg, metric):
+def _frame_spec(opts, metric):
     default = fr.CauchySurface(0.0) if metric.kind == "minkowski" else fr.Singularity()
-    return fr.FrameSpec(metric=metric, target=_setting(args, cfg, "target", default))
+    return fr.FrameSpec(metric=metric, target=opts.get("target", default))
 
 
 def _write_json(path, payload):
@@ -124,10 +107,10 @@ def _write_json(path, payload):
             fh.write(text + "\n")
 
 
-def cmd_pauli(args, cfg):
-    vec = _parse_vec(args.vec)
+def cmd_pauli(opts):
+    vec = _parse_vec(opts["vec"])
     h = spinor.pauli_transform(vec)
-    psi = spinor.factor_null(vec) if args.factor else None
+    psi = spinor.factor_null(vec) if opts["factor"] else None
     scale = max(float(np.abs(vec).max()), 1.0)  # huge null vectors: 0, not inf - inf
     norm = float(spinor.minkowski_norm(vec / scale) * scale * scale)
     print("matrix:")
@@ -139,63 +122,37 @@ def cmd_pauli(args, cfg):
     return 0
 
 
-def cmd_sky_image(args, cfg):
-    n = int(_setting(args, cfg, "n", 500))
-    seed = _setting(args, cfg, "seed")
-    sample = sky.sample_sky(n, seed=seed)
-    event = _parse_vec(args.event)
-    fmt = _setting(args, cfg, "format", "json")
-    out = _setting(args, cfg, "out")
-
-    metric = _metric_from(args, cfg)
-    if _graph_frame(args, cfg, metric):
+def cmd_sky_image(opts):
+    sample = sky.sample_sky(int(opts.get("n", 500)), seed=opts.get("seed"))
+    event = _parse_vec(opts["event"])
+    metric = mf.metric_from_config(opts)
+    if _graph_frame(opts, metric):
         image = minkowski.sky_image_minkowski(event, sample)
-        payload = image.to_json_dict()
-        heights = image.heights
-        print(
-            f"samples: {sample.n}  height range: "
-            f"[{heights.min():.6g}, {heights.max():.6g}]"
-        )
-        if fmt == "csv":
-            _graph_csv(out or "sky_image.csv", image)
-        else:
-            _write_json(out, payload)
-        return 0
-
-    spec = _frame_spec(args, cfg, metric)
-    image = fr.sky_image(spec, event, sample)
-    regular = float(np.mean(image.regular_mask))
-    pts = image.m_points[image.ok_mask]
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
-    print(
-        f"samples: {sample.n}  regular fraction: {regular:.3f}  bounding box: "
-        f"[{lo[0]:.6g}, {lo[1]:.6g}, {lo[2]:.6g}] .. [{hi[0]:.6g}, {hi[1]:.6g}, {hi[2]:.6g}]"
-    )
-    if fmt == "csv":
-        image.write_csv(out or "sky_image.csv")
+        summary = f"height range: [{image.heights.min():.6g}, {image.heights.max():.6g}]"
     else:
-        _write_json(out, image.to_json_dict())
+        image = fr.sky_image(_frame_spec(opts, metric), event, sample)
+        pts = image.m_points[image.ok_mask]
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        summary = (
+            f"regular fraction: {float(np.mean(image.regular_mask)):.3f}  bounding box: "
+            f"[{lo[0]:.6g}, {lo[1]:.6g}, {lo[2]:.6g}] .. [{hi[0]:.6g}, {hi[1]:.6g}, {hi[2]:.6g}]"
+        )
+    print(f"samples: {sample.n}  {summary}")
+    if opts.get("format") == "csv":
+        image.write_csv(opts.get("out") or "sky_image.csv")
+    else:
+        _write_json(opts.get("out"), image.to_json_dict())
     return 0
 
 
-def _graph_csv(path, image):
-    import csv as _csv
-
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["d1", "d2", "d3", "height"])
-        for d, h in zip(image.sample.directions(), image.heights):
-            writer.writerow([repr(float(c)) for c in d] + [repr(float(h))])
-
-
-def cmd_causal(args, cfg):
-    x = _parse_vec(args.x)
-    y = _parse_vec(args.y)
-    metric = _metric_from(args, cfg)
-    if _graph_frame(args, cfg, metric):
+def cmd_causal(opts):
+    x = _parse_vec(opts["x"])
+    y = _parse_vec(opts["y"])
+    metric = mf.metric_from_config(opts)
+    if _graph_frame(opts, metric):
         print(minkowski.causal_compare(x, y).value)
         return 0
-    spec = _frame_spec(args, cfg, metric)
+    spec = _frame_spec(opts, metric)
     print(ca.causal_relation(spec, x, y).value)
     ball_x, ball_y = ca.analytic_region(spec, x), ca.analytic_region(spec, y)
     if ball_x is not None:
@@ -211,18 +168,18 @@ def cmd_causal(args, cfg):
     return 0
 
 
-def cmd_verify(args, cfg):
-    seed = int(_setting(args, cfg, "seed", 0))
-    n = int(_setting(args, cfg, "n", 200))
+def cmd_verify(opts):
+    seed = int(opts.get("seed", 0))
+    n = int(opts.get("n", 200))
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    tol = _setting(args, cfg, "tol")
+    tol = opts.get("tol")
     if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
-    metric = _metric_from(args, cfg)
-    suite = args.suite
-    graph = _graph_frame(args, cfg, metric)
-    spec = _frame_spec(args, cfg, metric)
+    metric = mf.metric_from_config(opts)
+    suite = opts["suite"]
+    graph = _graph_frame(opts, metric)
+    spec = _frame_spec(opts, metric)
     frame = GraphFrame() if graph else spec
 
     reports = []
@@ -241,8 +198,7 @@ def cmd_verify(args, cfg):
         "reports": [r.to_json_dict() for r in reports],
         "passed": all(r.passed for r in reports),
     }
-    out = _setting(args, cfg, "out", "verify_report.json")
-    _write_json(out, payload)
+    _write_json(opts.get("out", "verify_report.json"), payload)
     for r in reports:
         flag = "pass" if r.passed else "FAIL"
         print(f"{flag}  {r.name}: max residual {r.max_residual:.3e} <= {r.tolerance:.1e}")
@@ -297,10 +253,14 @@ def main(argv=None):
     except SystemExit as exc:
         return USAGE_ERROR if exc.code else 0
     try:
-        cfg = _load_config(args.config)
+        # One settings mapping: every flag given beats the config, which
+        # beats each command's defaults.
+        opts = _load_config(args.config)
+        opts.update((key, val) for key, val in vars(args).items() if val is not None)
+        opts["kind"] = opts.get("metric", opts.get("kind", "minkowski"))
         with np.errstate(over="raise", invalid="raise"):  # no inf or NaN results
             try:
-                return args.func(args, cfg)
+                return args.func(opts)
             except (FloatingPointError, OverflowError) as exc:  # numpy's or a float's
                 raise errors.OutOfDomainError(f"out of float range: {exc.args[-1]}")
     except (errors.BadCountError, ValueError, OSError, json.JSONDecodeError) as exc:

@@ -222,7 +222,8 @@ def project_batch(f: FrameSpec, events, xis):
     ok (B,) bool, lost (B,) bool); lost marks rays left unsettled by the
     tracer's grid.  Raises OutOfDomainError when an event leaves the chart
     or an arrived ray has no finite end point or affine length; rays whose
-    event lies below the target come back not ok.
+    event lies below the target, or whose end point lies outside the
+    chart's spatial bounds, come back not ok.
     """
     events = np.asarray(events, dtype=float)
     xis = np.asarray(xis, dtype=complex)
@@ -243,10 +244,8 @@ def project_batch(f: FrameSpec, events, xis):
         quiet = {k: "ignore" if v == "warn" else v for k, v in np.geterr().items()}
         with np.errstate(**quiet):
             eta = mf.conformal_time(f.metric, t)
-            # An array, so the target level takes the same arithmetic as eta
-            # (numpy and scalar powers can differ in the last bit).
-            eta_target = 0.0 if f.target.kind == "singularity" else float(
-                mf.conformal_time(f.metric, np.array([f.target.t0]))[0]
+            eta_target = 0.0 if f.target.kind == "singularity" else mf.conformal_time(
+                f.metric, f.target.t0
             )
             m_points = events[:, 1:] - (eta - eta_target)[:, None] * sky_directions(f, xis)
             lams = _lam_closed_form(f, t, t_target)
@@ -269,6 +268,11 @@ def project_batch(f: FrameSpec, events, xis):
         raise OutOfDomainError(
             f"the ray from {events[bad][0].tolist()} has no finite end point or length"
         )
+    # Arrived rays end inside the chart's spatial bounds (the strict test of
+    # _march); in the box chart a straight closed-form ray leaves it exactly
+    # when its end point does.
+    lo, hi = f.metric.bounds[1:, 0], f.metric.bounds[1:, 1]
+    ok &= np.all((m_points > lo) & (m_points < hi), axis=1)
     m_points[~ok] = np.nan
     return m_points, lams, ok, lost
 
@@ -277,16 +281,11 @@ def _close_singularity_gap(f: FrameSpec, res: mf.TraceResult):
     """End points and affine lengths of rays traced to the cutoff time,
     continued to eta = 0.  The tetrad direction n of a ray is conserved in
     a spatially flat cosmology, so the remaining displacement is exactly
-    the leftover conformal time times n."""
-    m, t_cut, lam = f.metric, res.x[:, 0], res.lam
-    pts = res.x[:, 1:] + mf.conformal_time(m, t_cut)[:, None] * res.n
-    if m.exponent is not None:
-        p = m.exponent
-        if p <= -1.0:  # the integral of a down to t = 0 diverges
-            return pts, np.full_like(lam, np.inf)
-        cmag = m.scale_factor(t_cut) * np.exp(res.log_e)
-        lam = lam + t_cut ** (1.0 + p) / ((1.0 + p) * np.maximum(cmag, 1e-300))
-    return pts, lam
+    the leftover conformal time times n; the affine length gains the
+    closed-form tail, scaled from v0 = 1 to the ray's energy E."""
+    t_cut = res.x[:, 0]
+    pts = res.x[:, 1:] + mf.conformal_time(f.metric, t_cut)[:, None] * res.n
+    return pts, res.lam + _lam_closed_form(f, t_cut, 0.0) * np.exp(-res.log_e)
 
 
 def _sky_stencil(xi):

@@ -336,23 +336,26 @@ def trace_past_to_time(m: MetricSpec, x0, v0, t_target):
 def conformal_time(m: MetricSpec, t):
     """eta(t): integral of 1/a from the initial singularity to cosmic time t.
 
-    t is a float or an array of times.  Closed form for power-law scale
-    factors (p < 1); otherwise adaptive quadrature with relative error below
-    1e-10, one per distinct time.
+    t is a float or an array of times; a float gives a float, computed with
+    the array's arithmetic (Python's float power can differ in the last
+    bit).  Closed form for power-law scale factors (p < 1); otherwise
+    adaptive quadrature with relative error below 1e-10, one per distinct
+    time.
     """
-    t = np.array(t, dtype=float) if np.ndim(t) else float(t)
+    t = np.array(t, dtype=float)
     if m.kind == "minkowski":
-        return t
+        return t if t.ndim else float(t)
     if m.kind != "flrw":
         raise ValueError("conformal time needs an expanding-cosmology metric")
-    if np.less_equal(t, 0.0).any():  # one ufunc call; np.any costs more on floats
+    if np.less_equal(t, 0.0).any():
         raise OutOfDomainError("conformal time is defined for t > 0")
     if m.exponent is not None:
         p = m.exponent
         if p >= 1.0:
             raise DivergentIntegralError(f"integral of t^-{p} diverges at 0")
-        return t ** (1.0 - p) / (1.0 - p)
-    if np.ndim(t):
+        eta = t ** (1.0 - p) / (1.0 - p)
+        return eta if t.ndim else float(eta)
+    if t.ndim:
         times, inverse = np.unique(t.ravel(), return_inverse=True)
         return np.array([conformal_time(m, s) for s in times])[inverse].reshape(t.shape)
     from scipy import integrate

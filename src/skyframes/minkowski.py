@@ -9,6 +9,7 @@ of graphs reproduces the causal order.
 
 from __future__ import annotations
 
+import csv
 import enum
 from dataclasses import dataclass
 
@@ -40,6 +41,13 @@ class GraphSkyImage:
                 for (x, y), h in zip(self.sample.xi, self.heights)
             ],
         }
+
+    def write_csv(self, path):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["d1", "d2", "d3", "height"])
+            for d, h in zip(self.sample.directions(), self.heights):
+                writer.writerow([repr(float(c)) for c in d] + [repr(float(h))])
 
 
 def sky_image_minkowski(x, sample: SkySample) -> GraphSkyImage:

@@ -14,10 +14,11 @@ Every check takes rows and makes one batch call for all of them: x is one
 event (4,) shared by every row or one event per row (n, 4), beside sky
 points xi (n, 2), a `SkySample` or twistor pis (n, 2).  The contact and
 proportionality checks give a list of one report per row, or one report
-for one sky point xi (2,); a row whose rays miss the target raises naming
-its event.  The proportionality and flow checks take any frame that
-answers `probe_values(x, xis, directions, h)` and carries `PROBE_TOL` and
-`target_time`: a `frames.FrameSpec` or a `minkowski.GraphFrame`.
+for one sky point xi (2,).  In every frame check a row whose rays miss the
+target raises naming its event.  The proportionality and flow checks take
+any frame that answers `probe_values(x, xis, directions, h)` and carries
+`PROBE_TOL` and `target_time`: a `frames.FrameSpec` or a
+`minkowski.GraphFrame`.
 Probes are seeded and reports are deterministic given the frame and seed.
 """
 
@@ -178,9 +179,13 @@ def check_flow_of_time(
     whose transform is outside the kernel band; the residual is the spread
     over directions at fixed sky point, relative to the per-point mean.
     The per-point mean profile is reported as the empirical frame factor.
+    A sample whose probe rays miss the target raises naming its event.
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     pv = frame.probe_values(x, sample.xi, directions, h=event_h)
+    if not pv.arrived.all():
+        event = np.broadcast_to(x, (sample.n, 4))[np.argmin(pv.arrived)].tolist()
+        raise NoIntersectionError(f"a probe ray of {event} misses the target surface")
     tol = frame.PROBE_TOL if tol is None else tol
 
     residuals = []

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skyframes
+from skyframes import sky
 from skyframes.cli import CHOICES, CONFIG_TYPES, main
 
 
@@ -108,6 +109,41 @@ class TestSkyImage:
         )
         assert code == 0
         assert len(out_path.read_text().strip().splitlines()) == 9
+
+
+    def test_graph_frame_csv(self, capsys, tmp_path):
+        # the graph frame's CSV had no test of its own
+        paths = tmp_path / "graph.json", tmp_path / "graph.csv"
+        for path, fmt in zip(paths, ("json", "csv")):
+            code, out, _ = run(
+                capsys, "sky-image", "--frame", "graph", "--event", "1,0.3,0,0",
+                "--n", "16", "--format", fmt, "--out", str(path),
+            )
+            assert code == 0 and out.startswith("samples: 16  height range: [")
+        rows = paths[1].read_text().splitlines()
+        assert rows[0] == "d1,d2,d3,height" and len(rows) == 17
+        heights = [s["height"] for s in json.loads(paths[0].read_text())["samples"]]
+        assert [float(row.split(",")[3]) for row in rows[1:]] == heights
+        directions = sky.sample_sky(16).directions()
+        assert np.array([[float(c) for c in row.split(",")[:3]] for row in rows[1:]]).tolist() == (
+            directions.tolist()
+        )
+
+    def test_closed_form_rays_stay_in_a_bounded_chart(self, capsys, tmp_path):
+        # all 50 samples came back ok, 23 of them with x >= 2.1
+        cfg = tmp_path / "bounded.json"
+        bounds = [[None, None], [-2.1, 2.1], [None, None], [None, None]]
+        cfg.write_text(json.dumps({"kind": "minkowski", "bounds": bounds}))
+        out_path = tmp_path / "img.json"
+        code, _, err = run(
+            capsys, "--config", str(cfg), "sky-image", "--event", "1,2,0,0", "--n", "50",
+            "--out", str(out_path),
+        )
+        assert code == 0, err
+        samples = json.loads(out_path.read_text())["samples"]
+        status = [s["status"] for s in samples]
+        assert status.count("ok") == 27 and status.count("no_intersection") == 23
+        assert all(-2.1 < s["m_point"][0] < 2.1 for s in samples if s["status"] == "ok")
 
 
 class TestCausal:
@@ -321,25 +357,53 @@ class TestVerify:
         payload = json.loads(out_path.read_text())
         assert payload["passed"] and len(payload["reports"]) == 4
 
-    @pytest.mark.parametrize("case", ["bounded-chart", "expression-scale-factor"])
+    @pytest.mark.parametrize(
+        "case",
+        ["bounded-chart", "expression-scale-factor", "bounded-chart-theorem1", "bounded-chart-flow"],
+    )
     def test_contact_rays_that_never_arrive_exit_1(self, capsys, tmp_path, case):
         # the bounded chart passed all 25 reports, with theta taken where 2
         # rays left it; the expression scale factor wrote NaN residuals (its
-        # central-difference a'(t) takes a at t < 0 near the cutoff)
-        out_path = tmp_path / "contact.json"
-        if case == "bounded-chart":
-            cfg = tmp_path / "bounded.json"
-            bounds = [[None, None], [-2.1, 2.1], [None, None], [None, None]]
-            cfg.write_text(json.dumps({"kind": "minkowski", "bounds": bounds}))
-            argv = ("--config", str(cfg), "verify", "--seed", "7", "--n", "25")
-        else:
+        # central-difference a'(t) takes a at t < 0 near the cutoff); theorem1
+        # passed on closed-form rays that ended outside the chart, and flow
+        # wrote NaN into its profile for probe rays that left it
+        out_path = tmp_path / "report.json"
+        cfg = tmp_path / "bounded.json"
+        bounds = [[None, None], [-2.1, 2.1], [None, None], [None, None]]
+        if case == "expression-scale-factor":
             argv = ("verify", "--metric", "flrw", "--a-expr", "t**0.6666666666666666",
-                    "--target", "singularity", "--n", "4")
-        code, out, err = run(capsys, *argv, "--suite", "contact", "--out", str(out_path))
+                    "--target", "singularity", "--n", "4", "--suite", "contact")
+        elif case == "bounded-chart-flow":
+            bounds[0][0] = 0
+            cfg.write_text(json.dumps({"kind": "custom", "coeffs": ["1", "-1", "-1", "-1"],
+                                       "bounds": bounds}))
+            argv = ("--config", str(cfg), "verify", "--target", "cauchy:0", "--seed", "7",
+                    "--n", "25", "--suite", "flow")
+        else:
+            cfg.write_text(json.dumps({"kind": "minkowski", "bounds": bounds}))
+            suite = "theorem1" if case.endswith("theorem1") else "contact"
+            argv = ("--config", str(cfg), "verify", "--seed", "7", "--n", "25", "--suite", suite)
+        code, out, err = run(capsys, *argv, "--out", str(out_path))
         assert code == 1 and out == ""
-        assert err.startswith("NoIntersectionError: the ray from [")
+        assert err.startswith("NoIntersectionError: ")
         assert len(err.splitlines()) == 1
         assert not out_path.exists()
+        if case in ("bounded-chart", "expression-scale-factor"):
+            assert err.startswith("NoIntersectionError: the ray from [")
+
+    def test_theorem1_names_the_event_of_the_contact_suite(self, capsys, tmp_path):
+        cfg = tmp_path / "bounded.json"
+        bounds = [[None, None], [-2.1, 2.1], [None, None], [None, None]]
+        cfg.write_text(json.dumps({"kind": "minkowski", "bounds": bounds}))
+        events = []
+        for suite in ("contact", "theorem1"):
+            code, _, err = run(
+                capsys, "--config", str(cfg), "verify", "--seed", "7", "--n", "25",
+                "--suite", suite, "--out", str(tmp_path / "report.json"),
+            )
+            assert code == 1
+            events.append(err[err.index("["):err.index("]") + 1])
+        assert events[0] == events[1]
 
     def test_twistor_suite_passes(self, capsys, tmp_path):
         out_path = tmp_path / "rep.json"
@@ -523,6 +587,59 @@ class TestConfigKeys:
         assert code == 2
         assert err.startswith("ValueError: ") and message in err
         assert err.count("\n") == 1 and out == ""
+
+
+def _radius_x(out, _):
+    return out.splitlines()[1].split()[1]
+
+
+def _report(field):
+    return lambda out, cwd: json.loads((cwd / "rep.json").read_text())[field]
+
+
+SKY = ("sky-image", "--frame", "graph", "--event", "1,0,0,0")
+TWISTOR = ("verify", "--suite", "twistor", "--n", "4")
+CAUSAL_RADII = ("causal", "--x", "1,0,0,0", "--y", "0.5,0,0,0")
+
+#: Per key: the config, the command, the flag, how to read the outcome, and
+#: the outcome under the config alone and under the flag.
+_PRECEDENCE = {
+    "n": ({"n": 8}, (*SKY, "--out", "img.json"), ("--n", "12"),
+          lambda out, cwd: len(json.loads((cwd / "img.json").read_text())["samples"]), 8, 12),
+    "seed": ({"seed": 3}, (*TWISTOR, "--out", "rep.json"), ("--seed", "5"), _report("seed"), 3, 5),
+    "format": ({"format": "csv"}, (*SKY, "--n", "8", "--out", "img.out"), ("--format", "json"),
+               lambda out, cwd: (cwd / "img.out").read_text()[0], "d", "{"),
+    "out": ({"out": "config.json"}, TWISTOR, ("--out", "flag.json"),
+            lambda out, cwd: sorted(p.name for p in cwd.glob("*.json") if p.name != "cfg.json"),
+            ["config.json"], ["flag.json"]),
+    "target": ({"target": "cauchy:0.25"}, CAUSAL_RADII, ("--target", "cauchy:0.5"),
+               _radius_x, "0.75", "0.5"),
+    "frame": ({"frame": "graph"}, CAUSAL_RADII, ("--frame", "geodesic"),
+              lambda out, cwd: len(out.splitlines()), 1, 3),
+    "metric": ({"metric": "flrw", "p": 0.5}, CAUSAL_RADII, ("--metric", "minkowski"),
+               _radius_x, "2", "1"),
+    "kind": ({"kind": "flrw", "p": 0.5}, CAUSAL_RADII, ("--metric", "minkowski"),
+             _radius_x, "2", "1"),
+    "p": ({"metric": "flrw", "p": 0.5}, CAUSAL_RADII, ("--p", "0.6666666666666666"),
+          _radius_x, "2", "3"),
+    "tol": ({"tol": 0.01}, (*FLOW, "--out", "rep.json"), ("--tol", "0.02"),
+            lambda out, cwd: json.loads((cwd / "rep.json").read_text())["reports"][0]["tolerance"],
+            0.01, 0.02),
+}
+
+
+@pytest.mark.parametrize("key", list(_PRECEDENCE))
+def test_a_flag_beats_the_config_which_beats_the_default(capsys, tmp_path, monkeypatch, key):
+    cfg, argv, flag, outcome, from_config, from_flag = _PRECEDENCE[key]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    for extra, expected in (((), from_config), (flag, from_flag)):
+        for path in tmp_path.iterdir():
+            if path.name != "cfg.json":
+                path.unlink()
+        code, out, err = run(capsys, "--config", "cfg.json", *argv, *extra)
+        assert code == 0, err
+        assert outcome(out, tmp_path) == expected
 
 
 _BOOLS, _TEXTS = st.booleans(), st.text(max_size=8)

@@ -165,6 +165,24 @@ class TestSkyImage:
         ok_pts = img.m_points[img.ok_mask]
         assert np.abs(ok_pts[:, 0]).max() <= 0.6 + 1e-9
 
+    def test_closed_form_rays_that_end_outside_the_bounds_fail(self):
+        # the closed form ignored the chart's spatial bounds: all 50 samples
+        # came back ok, 23 of them with x >= 2.1
+        inf = np.inf
+        metric = mf.MetricSpec.minkowski(bounds=[[-inf, inf], [-2.1, 2.1], [-inf, inf], [-inf, inf]])
+        sample = sky.sample_sky(50)
+        closed, numeric = (
+            fr.sky_image(
+                fr.FrameSpec(metric=metric, target=fr.CauchySurface(0.0), tracer=tracer),
+                [1.0, 2.0, 0, 0],
+                sample,
+            )
+            for tracer in ("closed_form", "numeric")
+        )
+        assert closed.status == numeric.status
+        assert closed.status.count("ok") == 27
+        assert np.abs(closed.m_points[closed.ok_mask, 0]).max() < 2.1
+
     def test_all_failures_raise(self):
         spec = fr.FrameSpec(
             metric=mf.MetricSpec.minkowski(), target=fr.CauchySurface(0.0)
@@ -204,6 +222,31 @@ class TestQuadrature:
         assert len(calls) <= 3
         assert np.all(img.ok_mask) and np.all(img.ranks == 2)
         assert np.abs(np.linalg.norm(img.m_points, axis=1) - 3.0).max() <= 1e-6
+
+
+class TestSingularityGap:
+    def test_expression_and_power_law_tails_agree(self):
+        # the affine-length tail was closed for power laws only, so the
+        # expression's lambda fell short by t_cut / (1.5 E) here
+        res = mf.TraceResult(
+            x=np.array([[0.01, 0.1, -0.2, 0.3], [0.01, 0.0, 0.5, 0.0]]),
+            n=np.array([[0.0, 0.0, 1.0], [0.6, 0.8, 0.0]]),
+            log_e=np.array([0.3, -0.2]),
+            lam=np.array([1.0, 2.0]),
+            ok=np.array([True, True]),
+            lost=np.array([False, False]),
+        )
+        ends = [
+            fr._close_singularity_gap(fr.FrameSpec(metric=metric, target=fr.Singularity()), res)
+            for metric in (
+                mf.MetricSpec.flrw(p=0.5),
+                mf.metric_from_config({"kind": "flrw", "a_expr": "t**0.5"}),
+            )
+        ]
+        (pts_p, lam_p), (pts_a, lam_a) = ends
+        assert np.abs(pts_a - pts_p).max() <= 1e-9
+        assert np.abs(lam_a - lam_p).max() <= 1e-9
+        assert lam_p[0] - 1.0 == pytest.approx(0.01 / (1.5 * np.exp(0.3)), rel=1e-12)
 
 
 class TestGeodesicFlowInvariance:

@@ -358,6 +358,16 @@ class TestConformalTime:
         with pytest.raises(DivergentIntegralError):
             mf.conformal_time(m, 1.0)
 
+    @pytest.mark.parametrize("p", [2 / 3, 0.5, -1.0])
+    def test_a_float_time_matches_its_element_of_the_array_call(self, p):
+        # Python's float power differed from numpy's array power in the last
+        # bit on about 4.6% of these times at p = 2/3
+        m = mf.MetricSpec.flrw(p=p)
+        times = np.random.default_rng(3).uniform(1e-3, 10.0, size=2000)
+        singles = [mf.conformal_time(m, t) for t in times.tolist()]
+        assert all(type(eta) is float for eta in singles)
+        assert singles == mf.conformal_time(m, times).tolist()
+
     def test_quadrature_over_an_array_of_repeated_times(self):
         m = mf.metric_from_config({"kind": "flrw", "a_expr": "t**0.5"})
         t = np.array([[1.0, 0.25, 1.0], [0.25, 4.0, 1.0]])
