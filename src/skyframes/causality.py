@@ -4,8 +4,10 @@ The past region of an event is its full sky image together with the
 interior.  For conformally flat charts the image is an exact comoving
 sphere, so regions are analytic balls and every query is closed form;
 elsewhere the skies of a query go out in one ray batch (`mesh_regions`),
-each image cloud is triangulated over the sky triangulation, and
-containment is ray-casting parity over the vertices of the inner mesh.
+each image cloud is triangulated over the outward-oriented sky
+triangulation, and containment is the generalized winding number of the
+outer mesh at the vertices of the inner one: 0 outside, +-1 inside and
+in between on the surface, so a mesh region, like a ball, is closed.
 
 Finite unions of regions form a join-semilattice under concatenation,
 with disjointness from a compact region as the basic open-set predicate.
@@ -31,17 +33,9 @@ from .sky import SkySample, sample_sky
 #: Closed-containment slack for analytic balls.
 BALL_TOL = 1e-9
 
-#: Points per ray-parity pass in Mesh.contains_points; bounds the
+#: Points per winding-number pass in Mesh.contains_points; bounds the
 #: (points x triangles) temporaries of a query.
 MESH_POINT_CHUNK = 128
-
-_RAY_DIRECTIONS = np.array(
-    [
-        [0.57735027, 0.57735027, 0.57735027],
-        [0.85065081, -0.52573111, 0.0],
-        [-0.23907380, 0.36604169, 0.89938078],
-    ]
-)
 
 
 @dataclass(frozen=True)
@@ -54,9 +48,9 @@ class Ball:
         if self.radius < 0.0:
             raise ValueError("ball radius must be non-negative")
 
-    def contains_points(self, pts, tol=BALL_TOL):
+    def contains_points(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.linalg.norm(pts - self.center, axis=-1) <= self.radius + tol
+        return np.linalg.norm(pts - self.center, axis=-1) <= self.radius + BALL_TOL
 
     def to_json_dict(self):
         return {
@@ -68,7 +62,7 @@ class Ball:
 
 @dataclass(frozen=True)
 class Mesh:
-    """Closed triangulated surface; containment is odd ray-crossing parity."""
+    """Closed oriented triangulated surface; containment is its winding number."""
 
     vertices: np.ndarray  # (nv, 3)
     triangles: np.ndarray  # (nt, 3) int
@@ -94,13 +88,21 @@ class Mesh:
         return center, radius
 
     def contains_points(self, pts):
+        """|w| > 1/4 for the generalized winding number w at each point: the
+        sum of the triangles' solid angles (Van Oosterom & Strackee) over 4 pi,
+        0 outside, +-1 inside and about +-1/2 on the surface itself."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        votes = np.zeros(len(pts), dtype=int)
+        corners = [self.vertices[self.triangles[:, i]] for i in range(3)]  # (nt, 3)
+        dot = lambda u, v: np.einsum("ptk,ptk->pt", u, v)
+        w = np.zeros(len(pts))
         for start in range(0, len(pts), MESH_POINT_CHUNK):
             chunk = slice(start, start + MESH_POINT_CHUNK)
-            for d in _RAY_DIRECTIONS:
-                votes[chunk] += _ray_parity(self, pts[chunk], d)
-        return votes >= 2
+            a, b, c = (v - pts[chunk, None, :] for v in corners)  # (points, nt, 3)
+            la, lb, lc = (np.sqrt(dot(v, v)) for v in (a, b, c))
+            # a point at a corner: atan2(0, 0) = 0 for the triangles that share it
+            denom = la * lb * lc + dot(a, b) * lc + dot(a, c) * lb + dot(b, c) * la
+            w[chunk] = np.arctan2(dot(a, np.cross(b, c)), denom).sum(axis=1)
+        return np.abs(w) / (2 * np.pi) > 0.25
 
     def to_json_dict(self):
         return {
@@ -108,34 +110,6 @@ class Mesh:
             "vertices": [[float(c) for c in v] for v in self.vertices],
             "triangles": [[int(i) for i in t] for t in self.triangles],
         }
-
-
-def _ray_parity(mesh: Mesh, pts, direction):
-    """1 where a ray from each point crosses the surface an odd number of times.
-
-    Vectorised Moller-Trumbore over (points x triangles).
-    """
-    v0 = mesh.vertices[mesh.triangles[:, 0]]
-    e1 = mesh.vertices[mesh.triangles[:, 1]] - v0
-    e2 = mesh.vertices[mesh.triangles[:, 2]] - v0
-    d = np.asarray(direction, dtype=float)
-    p = np.cross(d, e2)  # (nt, 3)
-    det = np.einsum("tk,tk->t", e1, p)
-    good = np.abs(det) > 1e-14
-    inv = np.where(good, 1.0 / np.where(good, det, 1.0), 0.0)
-    s = pts[:, None, :] - v0[None, :, :]  # (np, nt, 3)
-    uu = np.einsum("ptk,tk->pt", s, p) * inv
-    q = np.cross(s, e1[None, :, :])
-    vv = np.einsum("ptk,k->pt", q, d) * inv
-    tt = np.einsum("ptk,tk->pt", q, e2) * inv
-    hit = (
-        good[None, :]
-        & (uu >= 0.0)
-        & (vv >= 0.0)
-        & (uu + vv <= 1.0)
-        & (tt > 1e-12)
-    )
-    return hit.sum(axis=1) % 2
 
 
 Region = Ball | Mesh
@@ -172,10 +146,10 @@ def analytic_region(f: fr.FrameSpec, x) -> Ball | None:
 
 def mesh_regions(f: fr.FrameSpec, events, sample: SkySample | None = None) -> list[Mesh]:
     """Past regions of the events (k, 4), meshed over the convex hulls of
-    their arrived sky directions; the k skies (default: 400 Fibonacci
-    points each) go out in one project_batch call.  An event with under
-    90% of its samples arrived raises InsufficientSamplesError, or
-    NoIntersectionError with none."""
+    their arrived sky directions, each triangle turned outward; the k
+    skies (default: 400 Fibonacci points each) go out in one project_batch
+    call.  An event with under 90% of its samples arrived raises
+    InsufficientSamplesError, or NoIntersectionError with none."""
     from scipy.spatial import ConvexHull
 
     events = np.atleast_2d(np.asarray(events, dtype=float))
@@ -188,8 +162,11 @@ def mesh_regions(f: fr.FrameSpec, events, sample: SkySample | None = None) -> li
         if arrived.mean() < 0.9:
             error = InsufficientSamplesError if arrived.any() else NoIntersectionError
             raise error(f"{arrived.sum()}/{n} sky samples of {x.tolist()} arrived")
-        hull = ConvexHull(sample.directions()[arrived])
-        meshes.append(Mesh(vertices=cloud[arrived], triangles=hull.simplices))
+        dirs = sample.directions()[arrived]
+        triangles = ConvexHull(dirs).simplices
+        inward = np.linalg.det(dirs[triangles]) < 0  # the origin is inside the hull
+        triangles[inward] = triangles[inward, ::-1]
+        meshes.append(Mesh(vertices=cloud[arrived], triangles=triangles))
     return meshes
 
 
@@ -250,12 +227,6 @@ def _boundary_cloud(r: Region):
     return r.vertices
 
 
-def _strictly_inside(r: Region, pts):
-    if isinstance(r, Ball):
-        return r.contains_points(pts, tol=-BALL_TOL)
-    return r.contains_points(pts)
-
-
 def _sampled_disjoint(a: Region, b: Region) -> bool:
     ca, ra = _bounding(a)
     cb, rb = _bounding(b)
@@ -263,7 +234,7 @@ def _sampled_disjoint(a: Region, b: Region) -> bool:
         return True
     pa, pb = _boundary_cloud(a), _boundary_cloud(b)
     # Solid regions: mutual containment of boundary samples means overlap.
-    if np.any(_strictly_inside(b, pa)) or np.any(_strictly_inside(a, pb)):
+    if np.any(b.contains_points(pa)) or np.any(a.contains_points(pb)):
         return False
     sep = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=-1).min()
     return bool(sep > BALL_TOL)

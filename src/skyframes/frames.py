@@ -166,7 +166,7 @@ class SkyImage:
             "samples": [
                 {
                     "xi": [z.real, z.imag, w.real, w.imag],
-                    "m_point": [float(c) for c in m],
+                    "m_point": [float(c) for c in m] if s == "ok" else None,
                     "rank": int(r),
                     "lambda": float(l),
                     "status": s,

@@ -262,6 +262,50 @@ class TestMeshPath:
         assert exact == inside
         assert ca.in_causal_past(f, y, x, sky.sample_sky(48)) is inside
 
+    def test_custom_metric_event_is_in_its_own_past_region(self):
+        # the parity vote held 174 of the 400 vertices of this mesh
+        f = fr.FrameSpec(
+            metric=mf.metric_from_config(README_METRIC), target=fr.CauchySurface(0.3)
+        )
+        x = [0.6, 0.0, 0.0, 0.0]
+        assert ca.in_causal_past(f, x, x)
+        assert ca.causal_relation(f, x, x) is mk.CausalOrder.EQUAL
+
+    def test_dented_mesh_matches_its_radial_oracle(self):
+        mesh, radius = _dented_mesh(sky.sample_sky(400))
+        rng = np.random.default_rng(9)
+        pts = rng.uniform(-1.4, 1.4, size=(6000, 3))
+        norms = np.linalg.norm(pts, axis=1)
+        r = radius(pts / norms[:, None])
+        keep = np.abs(norms - r) > 0.05
+        assert np.array_equal(mesh.contains_points(pts[keep]), norms[keep] < r[keep])
+        assert np.all(mesh.contains_points(mesh.vertices))
+
+    def test_every_directed_edge_appears_once(self, flrw_frame):
+        [mesh] = ca.mesh_regions(flrw_frame, [[1.0, 0, 0, 0]], sky.sample_sky(200))
+        edges = mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        assert len(np.unique(edges, axis=0)) == len(edges)
+        assert set(map(tuple, edges)) == set(map(tuple, edges[:, ::-1]))
+
+    def test_no_points_give_an_empty_answer(self, flrw_frame):
+        [mesh] = ca.mesh_regions(flrw_frame, [[1.0, 0, 0, 0]], sky.sample_sky(60))
+        inside = mesh.contains_points(np.empty((0, 3)))
+        assert inside.shape == (0,) and inside.dtype == bool
+
+
+def _dented_mesh(sample):
+    """A star-shaped, non-convex mesh over the sky and its radius function."""
+    from scipy.spatial import ConvexHull
+
+    def radius(d):
+        return 1.0 - 0.4 * np.exp(-6.0 * np.sum((d - [1.0, 0.0, 0.0]) ** 2, axis=-1))
+
+    dirs = sample.directions()
+    triangles = ConvexHull(dirs).simplices
+    inward = np.linalg.det(dirs[triangles]) < 0
+    triangles[inward] = triangles[inward, ::-1]
+    return ca.Mesh(vertices=radius(dirs)[:, None] * dirs, triangles=triangles), radius
+
 
 README_METRIC = {
     "kind": "custom",

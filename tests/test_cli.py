@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skyframes
+from skyframes import frames as fr
+from skyframes import manifold as mf
 from skyframes import sky
 from skyframes.cli import CHOICES, CONFIG_TYPES, main
 
@@ -145,6 +147,30 @@ class TestSkyImage:
         assert status.count("ok") == 27 and status.count("no_intersection") == 23
         assert all(-2.1 < s["m_point"][0] < 2.1 for s in samples if s["status"] == "ok")
 
+    def test_failed_samples_write_null_points(self, capsys, tmp_path):
+        # the 23 failed samples wrote bare NaN tokens before
+        bounds = [[None, None], [-2.1, 2.1], [None, None], [None, None]]
+        cfg = tmp_path / "bounded.json"
+        cfg.write_text(json.dumps({"kind": "minkowski", "bounds": bounds}))
+        out_path = tmp_path / "img.json"
+        code, _, err = run(
+            capsys, "--config", str(cfg), "sky-image", "--event", "1,2,0,0", "--n", "50",
+            "--out", str(out_path),
+        )
+        assert code == 0, err
+
+        def refuse(token):
+            raise ValueError(f"non-finite JSON token {token}")
+
+        samples = json.loads(out_path.read_text(), parse_constant=refuse)["samples"]
+        failed = [s["m_point"] for s in samples if s["status"] != "ok"]
+        assert len(failed) == 23 and all(m is None for m in failed)
+        metric = mf.metric_from_config({"kind": "minkowski", "bounds": bounds})
+        f = fr.FrameSpec(metric=metric, target=fr.CauchySurface(0.0))
+        image = fr.sky_image(f, [1.0, 2.0, 0.0, 0.0], sky.sample_sky(50))
+        ok = [s["m_point"] for s in samples if s["status"] == "ok"]
+        assert ok == image.m_points[image.ok_mask].tolist()
+
 
 class TestCausal:
     def test_past_relation(self, capsys):
@@ -217,6 +243,16 @@ class TestCausalOneBatch:
         )
         assert code == 0 and out == "y_past_of_x\n"
         assert calls == [800]
+
+    def test_identical_events_on_the_custom_metric(self, capsys, tmp_path):
+        # the parity vote printed spacelike, where the ball path prints equal
+        cfg = tmp_path / "custom.json"
+        cfg.write_text(json.dumps(README_METRIC))
+        code, out, _ = run(
+            capsys, "--config", str(cfg), "causal", "--metric", "custom",
+            "--target", "cauchy:0.3", "--x", "0.6,0,0,0", "--y", "0.6,0,0,0",
+        )
+        assert code == 0 and out == "equal\n"
 
 
 class TestCausalErrors:
