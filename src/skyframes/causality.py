@@ -48,6 +48,9 @@ class Ball:
         if self.radius < 0.0:
             raise ValueError("ball radius must be non-negative")
 
+    def bounding_sphere(self):
+        return self.center, self.radius
+
     def contains_points(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return np.linalg.norm(pts - self.center, axis=-1) <= self.radius + BALL_TOL
@@ -129,18 +132,20 @@ def join(b1: ClosedSetUnion, b2: ClosedSetUnion) -> ClosedSetUnion:
 def analytic_region(f: fr.FrameSpec, x) -> Ball | None:
     """Exact ball region when the chart is conformally flat, else None.
 
-    Raises NoIntersectionError below the target, OutOfDomainError when
-    the radius overflows."""
+    Raises NoIntersectionError below the target or when the ball is not
+    strictly inside the chart's spatial bounds (the end-point test of
+    `project_batch`), OutOfDomainError when the radius overflows."""
     if f.metric.kind == "custom":
         return None
     x = np.asarray(x, dtype=float)
-    singular = f.target.kind == "singularity"
-    eta_t = 0.0 if singular else mf.conformal_time(f.metric, f.target.t0)
-    radius = mf.conformal_time(f.metric, float(x[0])) - eta_t
+    radius = mf.conformal_time(f.metric, float(x[0]), f.target_time)
     if radius < 0.0:
         raise NoIntersectionError(f"event {x.tolist()} lies below the target")
     if not math.isfinite(radius):
         raise OutOfDomainError(f"the past region of {x.tolist()} overflows")
+    spans = zip(x[1:].tolist(), f.metric.bounds[1:].tolist())
+    if not all(lo + radius < c < hi - radius for c, (lo, hi) in spans):
+        raise NoIntersectionError(f"the past region of {x.tolist()} leaves the chart")
     return Ball(center=x[1:], radius=radius)
 
 
@@ -214,12 +219,6 @@ def _regions_disjoint(a: Region, b: Region) -> bool:
     return _sampled_disjoint(a, b)
 
 
-def _bounding(r: Region):
-    if isinstance(r, Ball):
-        return r.center, r.radius
-    return r.bounding_sphere()
-
-
 def _boundary_cloud(r: Region):
     if isinstance(r, Ball):
         dirs = sample_sky(128).directions()
@@ -228,8 +227,7 @@ def _boundary_cloud(r: Region):
 
 
 def _sampled_disjoint(a: Region, b: Region) -> bool:
-    ca, ra = _bounding(a)
-    cb, rb = _bounding(b)
+    (ca, ra), (cb, rb) = a.bounding_sphere(), b.bounding_sphere()
     if float(np.linalg.norm(ca - cb)) > ra + rb + BALL_TOL:
         return True
     pa, pb = _boundary_cloud(a), _boundary_cloud(b)

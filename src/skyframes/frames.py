@@ -208,11 +208,8 @@ def _lam_closed_form(f: FrameSpec, times, t_target):
             return times * np.log(times / t_target)
         num = times ** (1.0 + p) - t_target ** (1.0 + p)
         return num / ((1.0 + p) * m.scale_factor(times))
-    from scipy.integrate import quad
-
     distinct, inverse = np.unique(np.ravel(times), return_inverse=True)
-    vals = [quad(m.scale_factor, t_target, t)[0] / m.scale_factor(t) for t in distinct]
-    return np.asarray(vals)[inverse]
+    return mf._integral(m.scale_factor_fn, t_target, distinct)[inverse] / m.scale_factor(times)
 
 
 def project_batch(f: FrameSpec, events, xis):
@@ -243,11 +240,8 @@ def project_batch(f: FrameSpec, events, xis):
         # state set to raise (the CLI's) still raises first
         quiet = {k: "ignore" if v == "warn" else v for k, v in np.geterr().items()}
         with np.errstate(**quiet):
-            eta = mf.conformal_time(f.metric, t)
-            eta_target = 0.0 if f.target.kind == "singularity" else mf.conformal_time(
-                f.metric, f.target.t0
-            )
-            m_points = events[:, 1:] - (eta - eta_target)[:, None] * sky_directions(f, xis)
+            eta = mf.conformal_time(f.metric, t, t_target)
+            m_points = events[:, 1:] - eta[:, None] * sky_directions(f, xis)
             lams = _lam_closed_form(f, t, t_target)
     else:
         m_points, lams = np.empty((len(events), 3)), np.zeros(len(events))
@@ -271,8 +265,7 @@ def project_batch(f: FrameSpec, events, xis):
     # Arrived rays end inside the chart's spatial bounds (the strict test of
     # _march); in the box chart a straight closed-form ray leaves it exactly
     # when its end point does.
-    lo, hi = f.metric.bounds[1:, 0], f.metric.bounds[1:, 1]
-    ok &= np.all((m_points > lo) & (m_points < hi), axis=1)
+    ok &= f.metric.in_domain(np.column_stack([t, m_points]))
     m_points[~ok] = np.nan
     return m_points, lams, ok, lost
 

@@ -11,7 +11,8 @@ of one), `trace_past_to_time`: it marches sky-bundle states (spatial
 point, tetrad direction of the ray, ln of its tetrad energy, affine
 length), null by construction, with a classical 4th-order step in t or
 graded ln t on a shared grid, sized by step doubling, that ends on the
-target level.
+target level.  `conformal_time` is the conformal interval from the target
+time t_from: closed form for power laws, else the tanh-sinh `_integral`.
 
 The spinor <-> direction dictionary at a curved point uses the fixed
 orthonormal tetrad aligned with the coordinate axes (well-defined for
@@ -23,15 +24,12 @@ from __future__ import annotations
 
 import ast
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import DivergentIntegralError, OutOfDomainError
-
-_TINY_T = 1e-30  # floor of the times at which scale factors are evaluated
 
 #: Grid of `trace_past_to_time`: the first level, the cap (rows unsettled
 #: there come back lost) and the step-doubling tolerance.
@@ -98,13 +96,13 @@ class MetricSpec:
     # -- evaluation --------------------------------------------------------
 
     def scale_factor(self, t):
-        t = np.maximum(np.asarray(t, dtype=float), _TINY_T)
+        t = np.asarray(t, dtype=float)
         if self.exponent is not None:
             return t**self.exponent
         return self.scale_factor_fn(t)
 
     def scale_factor_dot(self, t):
-        t = np.maximum(np.asarray(t, dtype=float), _TINY_T)
+        t = np.asarray(t, dtype=float)
         if self.exponent is not None:
             p = self.exponent
             return p * t ** (p - 1.0) if p != 0.0 else np.zeros_like(t)
@@ -333,45 +331,64 @@ def trace_past_to_time(m: MetricSpec, x0, v0, t_target):
 # Conformal chart utilities.
 
 
-def conformal_time(m: MetricSpec, t):
-    """eta(t): integral of 1/a from the initial singularity to cosmic time t.
+#: `_integral`: the node range in u, the first step, the levels, the level tolerance.
+_TS_RANGE, _TS_STEP, _TS_LEVELS, _TS_TOL = 6.5, 0.5, 8, 1e-13
 
-    t is a float or an array of times; a float gives a float, computed with
-    the array's arithmetic (Python's float power can differ in the last
-    bit).  Closed form for power-law scale factors (p < 1); otherwise
-    adaptive quadrature with relative error below 1e-10, one per distinct
-    time.
-    """
+
+def conformal_time(m: MetricSpec, t, t_from=0.0):
+    """The conformal interval from t_from (default: the initial singularity)
+    to t, the integral of 1/a over [t_from, t]; t - t_from in flat space.
+    t is a float or an array; a float gives a float, computed with the
+    array's arithmetic (Python's float power can differ in the last bit)."""
     t = np.array(t, dtype=float)
     if m.kind == "minkowski":
-        return t if t.ndim else float(t)
+        return t - t_from if t.ndim else float(t) - t_from
     if m.kind != "flrw":
         raise ValueError("conformal time needs an expanding-cosmology metric")
-    if np.less_equal(t, 0.0).any():
+    if t_from < 0.0 or np.less_equal(t, 0.0).any():
         raise OutOfDomainError("conformal time is defined for t > 0")
-    if m.exponent is not None:
-        p = m.exponent
-        if p >= 1.0:
-            raise DivergentIntegralError(f"integral of t^-{p} diverges at 0")
-        eta = t ** (1.0 - p) / (1.0 - p)
-        return eta if t.ndim else float(eta)
-    if t.ndim:
+    p = m.exponent
+    if p is None:  # one quadrature over the distinct times
         times, inverse = np.unique(t.ravel(), return_inverse=True)
-        return np.array([conformal_time(m, s) for s in times])[inverse].reshape(t.shape)
-    from scipy import integrate
+        eta = _integral(lambda s: 1 / m.scale_factor_fn(s), t_from, times)[inverse]
+        eta = eta.reshape(t.shape)
+    elif p >= 1.0 and t_from == 0.0:
+        raise DivergentIntegralError(f"integral of t^-{p} diverges at 0")
+    elif p == 1.0:
+        eta = np.log(t / t_from)
+    else:
+        eta = t ** (1.0 - p) / (1.0 - p) - (t_from and np.array(t_from) ** (1.0 - p) / (1.0 - p))
+    return eta if t.ndim else float(eta)
 
-    def inverse_scale_factor(s):
-        a = float(m.scale_factor(s))
-        if not a > 0.0:  # a zero (or a sign change) makes 1/a diverge
-            raise DivergentIntegralError(f"the scale factor is {a:.3g} at t = {s:.12g}")
-        return 1.0 / a
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(inverse_scale_factor, 0.0, t, limit=500, epsrel=1e-12)
-    if not math.isfinite(val) or err > 1e-10 * max(abs(val), 1.0):
-        raise DivergentIntegralError("quadrature did not converge")
-    return float(val)
+def _integral(fn, lo, hi):
+    """Integrals of fn >= 0 from lo to each time of the array hi: tanh-sinh
+    quadrature, one fn call per level for the times whose last two levels
+    differ.  With q = exp(-pi |sinh u|) a node lies gap = (hi - lo) q / (1 + q)
+    from its nearer end and weighs gap pi cosh u / (1 + q), so nodes reach
+    the float floor at a singular end and nothing overflows.  A negative or
+    non-finite term, or levels that never agree (terms that do not decay at
+    an end), raise DivergentIntegralError."""
+    rows, total = np.arange(len(hi)), np.zeros(len(hi))
+    for level in range(_TS_LEVELS):
+        h = _TS_STEP / 2**level
+        j = np.arange(-int(_TS_RANGE / h), int(_TS_RANGE / h) + 1)
+        u = h * (j if level == 0 else j[j % 2 == 1])  # new nodes only
+        q = np.exp(-np.pi * np.abs(np.sinh(u)))  # underflows to 0 before |u| = 6.2
+        gap = (hi[rows, None] - lo) * (q / (1 + q))
+        t = np.where(u <= 0, lo + gap, hi[rows, None] - gap)
+        with np.errstate(all="ignore"):  # nodes on an end are left out
+            f = np.where(gap != 0, fn(t), 0.0)
+            terms = gap * (np.pi * np.cosh(u) / (1 + q)) * f
+        bad = ~(np.isfinite(terms) & (f >= 0))
+        if np.any(bad):
+            raise DivergentIntegralError(f"integrand {f[bad][0]:.3g} at t = {t[bad][0]:.12g}")
+        new = total[rows] / 2 + h * terms.sum(axis=1)
+        settled = np.abs(new - total[rows]) <= _TS_TOL * np.abs(new)
+        total[rows], rows = new, rows[~settled]
+        if not len(rows):
+            return total
+    raise DivergentIntegralError("quadrature did not converge")
 
 
 def future_null_directions(m: MetricSpec, events, directions):

@@ -78,6 +78,34 @@ class TestBallErrors:
         with pytest.raises(NoIntersectionError, match=re.escape(f"event {x}")):
             ca.analytic_region(spec, x)
 
+    @pytest.mark.parametrize(
+        "p, radius",
+        [(1.5, (0.3**-0.5 - 1.0) / 0.5), (1.0, np.log(1.0 / 0.3))],
+        ids=["p1.5", "p1"],
+    )
+    def test_cauchy_slice_under_a_divergent_conformal_time(self, p, radius):
+        # raised DivergentIntegralError: eta was taken from t = 0
+        spec = fr.FrameSpec(metric=mf.MetricSpec.flrw(p=p), target=fr.CauchySurface(0.3))
+        region = ca.analytic_region(spec, [1.0, 0.5, 0.0, 0.0])
+        assert region.radius == pytest.approx(radius, rel=1e-14)
+        assert np.array_equal(region.center, [0.5, 0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "x, leaves",
+        [([1.0, 2.0, 0.0, 0.0], True), ([0.2, 2.05, 0.5, 0.0], True),
+         ([0.5, 0.0, 0.0, 0.0], False), ([1.0, 1.0, 5.0, 0.0], False)],
+    )
+    def test_ball_outside_the_spatial_bounds(self, x, leaves):
+        # the ball about x = 2 reached x = 3 in the box |x| < 2.1
+        bounds = [[-np.inf, np.inf], [-2.1, 2.1], [-np.inf, np.inf], [-np.inf, np.inf]]
+        spec = fr.FrameSpec(metric=mf.MetricSpec.minkowski(bounds), target=fr.CauchySurface(0.0))
+        if leaves:
+            with pytest.raises(NoIntersectionError, match=re.escape(f"region of {x}")):
+                ca.analytic_region(spec, x)
+        else:
+            region = ca.analytic_region(spec, x)
+            assert region.center.tolist() == x[1:] and region.radius == x[0]
+
     def test_radius_overflow(self, recwarn):
         spec = fr.FrameSpec(
             metric=mf.MetricSpec.minkowski(), target=fr.CauchySurface(-1.7e308)

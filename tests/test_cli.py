@@ -82,6 +82,26 @@ class TestSkyImage:
         pts = np.array([s["m_point"] for s in payload["samples"]])
         assert np.abs(np.linalg.norm(pts, axis=1) - 3.0).max() <= 1e-4
 
+    @pytest.mark.parametrize(
+        "flags, target, radius",
+        [
+            (("--p", "1.5"), "cauchy:0.3", (0.3**-0.5 - 1.0) / 0.5),
+            (("--p", "1"), "cauchy:0.3", np.log(1.0 / 0.3)),
+            (("--a-expr", "t-0.5"), "cauchy:0.6", np.log(5.0)),
+        ],
+        ids=["p1.5", "p1", "expr-t-0.5"],
+    )
+    def test_cauchy_slice_under_a_divergent_conformal_time(self, capsys, tmp_path, flags, target, radius):
+        # exited 1 with DivergentIntegralError: eta was taken from t = 0
+        out_path = tmp_path / "img.json"
+        code, _, err = run(
+            capsys, "sky-image", "--metric", "flrw", *flags, "--target", target,
+            "--event", "1,0,0,0", "--n", "50", "--out", str(out_path),
+        )
+        assert code == 0, err
+        pts = np.array([s["m_point"] for s in json.loads(out_path.read_text())["samples"]])
+        assert np.abs(np.linalg.norm(pts, axis=1) - radius).max() <= 1e-12
+
     def test_count_validation_exits_2(self, capsys):
         code, _, err = run(
             capsys, "sky-image", "--metric", "flrw", "--p", "0.67",
@@ -208,6 +228,23 @@ class TestCausal:
         assert code == 0
         assert out.splitlines()[0] == "y_past_of_x"
 
+    @pytest.mark.parametrize(
+        "p, radius",
+        [("1.5", lambda t: (t**-0.5 - 0.3**-0.5) / -0.5), ("1", lambda t: np.log(t / 0.3))],
+        ids=["p1.5", "p1"],
+    )
+    def test_cauchy_slice_under_a_divergent_conformal_time(self, capsys, p, radius):
+        code, out, err = run(
+            capsys, "causal", "--metric", "flrw", "--p", p, "--target", "cauchy:0.3",
+            "--x", "1,0,0,0", "--y", "0.5,0.1,0,0",
+        )
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[0] == "y_past_of_x"
+        assert lines[1] == (
+            f"radius_x: {radius(1.0):.12g}  radius_y: {radius(0.5):.12g}  separation: 0.1"
+        )
+
     def test_graph_frame_compare(self, capsys):
         code, out, _ = run(
             capsys, "causal", "--metric", "minkowski", "--frame", "graph",
@@ -276,6 +313,20 @@ class TestCausalErrors:
         assert code == 1 and out == ""
         assert err.startswith(f"{error}: ") and len(err.splitlines()) == 1
         assert not recwarn.list
+
+    def test_ball_outside_a_bounded_chart(self, capsys, tmp_path):
+        # printed y_past_of_x with a ball about x = 2 that reached x = 3
+        cfg = tmp_path / "bounded.json"
+        bounds = [[None, None], [-2.1, 2.1], [None, None], [None, None]]
+        cfg.write_text(json.dumps({"kind": "minkowski", "bounds": bounds}))
+        argv = ("--config", str(cfg), "causal", "--x", "1,2,0,0", "--y", "0.2,2.05,0.5,0")
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == (
+            "NoIntersectionError: the past region of [1.0, 2.0, 0.0, 0.0] leaves the chart\n"
+        )
+        code, out, _ = run(capsys, *argv[:3], "--x", "0.5,0,0,0", "--y", "0.2,0.1,0.1,0")
+        assert code == 0 and out.splitlines()[0] == "y_past_of_x"
 
 
 #: The flat geodesic frame, the graph frame and the p = 2/3 singularity frame.
@@ -774,6 +825,16 @@ class TestNonFiniteAndDegenerateInputs:
         assert code == 2
         assert f"must be finite, got {value}" in err and out == ""
 
+    def test_divergent_expression_to_the_singularity_exits_1(self, capsys, tmp_path):
+        # exited 0 with a sphere of radius 2: quad regularised the integral
+        code, out, err = run(
+            capsys, "sky-image", "--metric", "flrw", "--a-expr", "t**1.5",
+            "--target", "singularity", "--event", "1,0,0,0",
+            "--out", str(tmp_path / "img.json"),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("DivergentIntegralError: ") and len(err.splitlines()) == 1
+
     def test_vanishing_scale_factor_is_a_domain_error(self, capsys):
         code, _, err = run(
             capsys, "causal", "--metric", "flrw", "--a-expr", "t-0.5",
@@ -908,3 +969,27 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_expression_sky_image_leaves_scipy_integrate_unloaded(tmp_path):
+    # the conformal interval and the affine length used scipy.integrate.quad
+    src = str(Path(skyframes.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = [
+        "sky-image", "--metric", "flrw", "--a-expr", "t**0.6666666666666666",
+        "--target", "singularity", "--event", "1,0,0,0", "--n", "50",
+        "--out", str(tmp_path / "img.json"),
+    ]
+    code = (
+        "import sys; from skyframes.cli import main; "
+        f"assert main({argv!r}) == 0; print('scipy.integrate' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "False"

@@ -204,22 +204,25 @@ class TestSkyImage:
 
 class TestQuadrature:
     def test_one_quadrature_per_distinct_time(self, monkeypatch):
-        # one quad per ray before: 81 for these 8 samples and their 32
-        # stencil rays
-        from scipy import integrate
+        # one quad per ray once (81 for these 8 samples and their 32 stencil
+        # rays); now one array quadrature per integrand and ray batch
+        calls, batches = [], []
+        integral, project = mf._integral, fr.project_batch
 
-        calls = []
-        quad = integrate.quad
+        def counting_integral(fn, lo, hi):
+            calls.append(len(hi))
+            return integral(fn, lo, hi)
 
-        def counting(func, a, b, **kwargs):
-            calls.append((a, b))
-            return quad(func, a, b, **kwargs)
+        def counting_project(f, events, xis):
+            batches.append(len(events))
+            return project(f, events, xis)
 
-        monkeypatch.setattr(integrate, "quad", counting)
         metric = mf.metric_from_config({"kind": "flrw", "a_expr": "t**0.6666666666666666"})
         spec = fr.FrameSpec(metric=metric, target=fr.Singularity())
+        monkeypatch.setattr(mf, "_integral", counting_integral)
+        monkeypatch.setattr(fr, "project_batch", counting_project)
         img = fr.sky_image(spec, [1.0, 0, 0, 0], sky.sample_sky(8))
-        assert len(calls) <= 3
+        assert batches == [40] and calls == [1, 1]  # 1/a and a, over the one time
         assert np.all(img.ok_mask) and np.all(img.ranks == 2)
         assert np.abs(np.linalg.norm(img.m_points, axis=1) - 3.0).max() <= 1e-6
 

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -374,6 +375,45 @@ class TestConformalTime:
         eta = mf.conformal_time(m, t)
         assert eta.shape == t.shape
         assert eta.tolist() == [[mf.conformal_time(m, s) for s in row] for row in t.tolist()]
+
+    @pytest.mark.parametrize(
+        "cfg, t_from, expected",
+        [
+            ({"p": 1.5}, 0.3, (0.3**-0.5 - 1.0) / 0.5),
+            ({"p": 1.0}, 0.3, math.log(1.0 / 0.3)),
+            ({"a_expr": "t**1.5"}, 0.3, (0.3**-0.5 - 1.0) / 0.5),
+            ({"a_expr": "t-0.5"}, 0.6, math.log(5.0)),
+        ],
+        ids=["p1.5", "p1", "expr-t**1.5", "expr-t-0.5"],
+    )
+    def test_interval_from_a_cauchy_slice(self, cfg, t_from, expected):
+        # each used to raise, as eta was taken from t = 0, where it diverges
+        m = mf.metric_from_config(dict(cfg, kind="flrw"))
+        assert mf.conformal_time(m, 1.0, t_from) == pytest.approx(expected, rel=1e-13)
+        assert mf.conformal_time(m, t_from, 1.0) == pytest.approx(-expected, rel=1e-13)
+        assert mf.conformal_time(m, t_from, t_from) == 0.0
+
+    def test_negative_scale_factor_is_refused(self):
+        # 1/a is finite on [0, 1], so only the sign check stops -ln 2
+        m = mf.metric_from_config({"kind": "flrw", "a_expr": "-1-t"})
+        with pytest.raises(DivergentIntegralError, match="integrand -1 at t = "):
+            mf.conformal_time(m, 1.0)
+
+    @pytest.mark.parametrize("p", [2 / 3, 0.5, -1.0])
+    def test_power_law_interval_is_the_difference_of_its_ends(self, p):
+        # the closed-form images keep their bytes
+        m = mf.MetricSpec.flrw(p=p)
+        times = np.random.default_rng(5).uniform(0.3, 10.0, size=200)
+        eta = mf.conformal_time(m, times, 0.3)
+        assert eta.tolist() == (mf.conformal_time(m, times) - mf.conformal_time(m, 0.3)).tolist()
+
+    @pytest.mark.parametrize(
+        "a", [lambda t: t**1.5, lambda t: 1e20 * t], ids=["t**1.5", "1e20*t"]
+    )
+    def test_divergent_quadrature_never_comes_back_finite(self, a):
+        # quad's extrapolation returned -2.0 for t**1.5
+        with pytest.raises(DivergentIntegralError):
+            mf.conformal_time(mf.MetricSpec.flrw(a=a), 1.0)
 
     def test_steep_but_convergent_quadrature(self):
         m = mf.MetricSpec.flrw(a=lambda t: t**0.9)
