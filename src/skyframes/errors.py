@@ -42,7 +42,7 @@ class OutOfDomainError(SkyframesError):
 
 
 class DivergentIntegralError(SkyframesError):
-    """Conformal-time integral does not converge."""
+    """A scale-factor integral does not converge."""
 
 
 class NoIntersectionError(SkyframesError):

@@ -194,33 +194,16 @@ def sky_directions(f: FrameSpec, xis):
     return d
 
 
-def _lam_closed_form(f: FrameSpec, times, t_target):
-    """Affine length of the past ray from t down to t_target, v0(start) = 1."""
-    m = f.metric
-    times = np.asarray(times, float)
-    if m.kind == "minkowski":
-        return times - t_target
-    if m.exponent is not None:
-        p = m.exponent
-        if p <= -1.0 and t_target == 0.0:  # the integral of a from 0 diverges
-            return np.full_like(times, np.inf)
-        if p == -1.0:  # a = 1/t integrates to a logarithm
-            return times * np.log(times / t_target)
-        num = times ** (1.0 + p) - t_target ** (1.0 + p)
-        return num / ((1.0 + p) * m.scale_factor(times))
-    distinct, inverse = np.unique(np.ravel(times), return_inverse=True)
-    return mf._integral(m.scale_factor_fn, t_target, distinct)[inverse] / m.scale_factor(times)
-
-
 def project_batch(f: FrameSpec, events, xis):
     """Project rays (one event + sky point each) onto the target surface.
 
     events: (B, 4), xis: (B, 2).  Returns (m_points (B, 3), lams (B,),
     ok (B,) bool, lost (B,) bool); lost marks rays left unsettled by the
     tracer's grid.  Raises OutOfDomainError when an event leaves the chart
-    or an arrived ray has no finite end point or affine length; rays whose
-    event lies below the target, or whose end point lies outside the
-    chart's spatial bounds, come back not ok.
+    or an arrived ray has no finite end point or affine length, and
+    DivergentIntegralError when the affine length to the target diverges;
+    rays whose event lies below the target, or whose end point lies
+    outside the chart's spatial bounds, come back not ok.
     """
     events = np.asarray(events, dtype=float)
     xis = np.asarray(xis, dtype=complex)
@@ -242,7 +225,7 @@ def project_batch(f: FrameSpec, events, xis):
         with np.errstate(**quiet):
             eta = mf.conformal_time(f.metric, t, t_target)
             m_points = events[:, 1:] - eta[:, None] * sky_directions(f, xis)
-            lams = _lam_closed_form(f, t, t_target)
+            lams = mf.affine_length(f.metric, t, t_target)
     else:
         m_points, lams = np.empty((len(events), 3)), np.zeros(len(events))
         march = ok & ~on_surface
@@ -278,7 +261,7 @@ def _close_singularity_gap(f: FrameSpec, res: mf.TraceResult):
     closed-form tail, scaled from v0 = 1 to the ray's energy E."""
     t_cut = res.x[:, 0]
     pts = res.x[:, 1:] + mf.conformal_time(f.metric, t_cut)[:, None] * res.n
-    return pts, res.lam + _lam_closed_form(f, t_cut, 0.0) * np.exp(-res.log_e)
+    return pts, res.lam + mf.affine_length(f.metric, t_cut, 0.0) * np.exp(-res.log_e)
 
 
 def _sky_stencil(xi):

@@ -11,8 +11,10 @@ of one), `trace_past_to_time`: it marches sky-bundle states (spatial
 point, tetrad direction of the ray, ln of its tetrad energy, affine
 length), null by construction, with a classical 4th-order step in t or
 graded ln t on a shared grid, sized by step doubling, that ends on the
-target level.  `conformal_time` is the conformal interval from the target
-time t_from: closed form for power laws, else the tanh-sinh `_integral`.
+target level.  The two integrals of the scale factor share one ladder:
+`conformal_time`, the conformal interval from the target time t_from, and
+`affine_length`, the affine length of a ray down to it; closed form for
+power laws, else the tanh-sinh `_integral`.
 
 The spinor <-> direction dictionary at a curved point uses the fixed
 orthonormal tetrad aligned with the coordinate axes (well-defined for
@@ -340,25 +342,41 @@ def conformal_time(m: MetricSpec, t, t_from=0.0):
     to t, the integral of 1/a over [t_from, t]; t - t_from in flat space.
     t is a float or an array; a float gives a float, computed with the
     array's arithmetic (Python's float power can differ in the last bit)."""
+    return _scale_integral(m, t, t_from, -1)
+
+
+def affine_length(m: MetricSpec, t, t_from):
+    """The affine length of the past null ray from t (an array) down to
+    t_from, with dt/dlambda = 1 at t: the integral of a over [t_from, t],
+    over a(t); t - t_from in flat space."""
+    lam = _scale_integral(m, t, t_from, 1)
+    return lam / m.scale_factor(t) if m.kind == "flrw" else lam
+
+
+def _scale_integral(m: MetricSpec, t, t_from, k):
+    """The integral of a^k over [t_from, t] for k = -1 or +1; floats and
+    arrays as in `conformal_time`.  A power law t^p integrates to t^q / q
+    with q = 1 + k p (ln(t / t_from) at q = 0), which diverges from 0 for
+    q <= 0; an expression takes one `_integral` over the distinct times."""
     t = np.array(t, dtype=float)
     if m.kind == "minkowski":
         return t - t_from if t.ndim else float(t) - t_from
     if m.kind != "flrw":
-        raise ValueError("conformal time needs an expanding-cosmology metric")
+        raise ValueError("scale-factor integrals need an expanding-cosmology metric")
     if t_from < 0.0 or np.less_equal(t, 0.0).any():
-        raise OutOfDomainError("conformal time is defined for t > 0")
-    p = m.exponent
+        raise OutOfDomainError("scale-factor integrals are defined for t > 0")
+    p, fn = m.exponent, m.scale_factor_fn
     if p is None:  # one quadrature over the distinct times
         times, inverse = np.unique(t.ravel(), return_inverse=True)
-        eta = _integral(lambda s: 1 / m.scale_factor_fn(s), t_from, times)[inverse]
-        eta = eta.reshape(t.shape)
-    elif p >= 1.0 and t_from == 0.0:
-        raise DivergentIntegralError(f"integral of t^-{p} diverges at 0")
-    elif p == 1.0:
-        eta = np.log(t / t_from)
+        integrand = fn if k > 0 else lambda s: 1 / fn(s)
+        out = _integral(integrand, t_from, times)[inverse].reshape(t.shape)
+    elif (q := 1.0 + k * p) <= 0.0 and t_from == 0.0:
+        raise DivergentIntegralError(f"integral of t^{k * p} diverges at 0")
+    elif q == 0.0:
+        out = np.log(t / t_from)
     else:
-        eta = t ** (1.0 - p) / (1.0 - p) - (t_from and np.array(t_from) ** (1.0 - p) / (1.0 - p))
-    return eta if t.ndim else float(eta)
+        out = t**q / q - (t_from and np.array(t_from) ** q / q)
+    return out if t.ndim else float(out)
 
 
 def _integral(fn, lo, hi):
@@ -457,10 +475,11 @@ _EXPR_NAMES = ("t", "x", "y", "z")
 _EVAL_GLOBALS = {"__builtins__": {}, "_log": np.log}
 
 
-def _parse_expression(src: str):
-    """The AST body of an arithmetic expression of t, x, y, z.
+def _parse_expression(src: str, names=_EXPR_NAMES):
+    """The AST body of an arithmetic expression of the chart variables
+    names, a leading part of t, x, y, z.
 
-    Grammar: numbers, the four names, +, -, *, /, ** and unary minus.
+    Grammar: numbers, the names, +, -, *, /, ** and unary minus.
     """
     if not isinstance(src, str):
         raise ValueError(f"metric expression {src!r} is not a string")
@@ -468,8 +487,9 @@ def _parse_expression(src: str):
     for node in ast.walk(tree):
         if not isinstance(node, _ALLOWED_NODES):
             raise ValueError(f"disallowed syntax in metric expression: {src!r}")
-        if isinstance(node, ast.Name) and node.id not in _EXPR_NAMES:
-            raise ValueError(f"unknown name {node.id!r} in metric expression")
+        if isinstance(node, ast.Name) and node.id not in names:
+            known = ", ".join(names)
+            raise ValueError(f"unknown name {node.id!r} in {src!r}, an expression of {known}")
         if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
             raise ValueError("only numeric constants are allowed")
     return tree.body
@@ -478,21 +498,6 @@ def _parse_expression(src: str):
 def _compile(body):
     tree = ast.fix_missing_locations(ast.Expression(body=body))
     return compile(tree, "<metric-expression>", "eval")
-
-
-def _chart_names(xpt):
-    return {name: xpt[..., k] for k, name in enumerate(_EXPR_NAMES)}
-
-
-def compile_expression(src: str):
-    """Compile an arithmetic expression of t, x, y, z into a chart-point fn."""
-    code = _compile(_parse_expression(src))
-
-    def fn(xpt):
-        xpt = np.asarray(xpt, dtype=float)
-        return eval(code, _EVAL_GLOBALS, _chart_names(xpt))  # noqa: S307 - AST-filtered
-
-    return fn
 
 
 # Symbolic derivatives over the same grammar.  The builders fold the
@@ -619,10 +624,12 @@ class _FusedExpressions:
         self.code = _compile(ast.Tuple(elts=elts, ctx=ast.Load()))
 
     def __call__(self, xpt):
-        """Every body's value at the chart points xpt (..., 4), with the
-        slots along the last axis."""
+        """Every body's value at the chart points xpt (..., 4), or (..., k)
+        for bodies of the first k variables, with the slots along the last
+        axis."""
         out = np.zeros(xpt.shape[:-1] + (self.slots,))
-        values = eval(self.code, _EVAL_GLOBALS, _chart_names(xpt))  # noqa: S307
+        names = {name: xpt[..., k] for k, name in enumerate(_EXPR_NAMES[: xpt.shape[-1]])}
+        values = eval(self.code, _EVAL_GLOBALS, names)  # noqa: S307
         for slot, value in self.constants:
             out[..., slot] = value
         for slot, index in self.computed:
@@ -664,8 +671,8 @@ def metric_from_config(cfg: dict) -> MetricSpec:
         if "p" in cfg and cfg["p"] is not None:
             return MetricSpec.flrw(p=float(cfg["p"]), bounds=bounds)
         if "a_expr" in cfg and cfg["a_expr"] is not None:
-            fn = compile_expression(cfg["a_expr"])
-            a = lambda t: fn(np.stack([t, t * 0, t * 0, t * 0], axis=-1))
+            fused = _FusedExpressions([_parse_expression(cfg["a_expr"], names=("t",))])
+            a = lambda t: fused(np.asarray(t, dtype=float)[..., None])[..., 0]
             return MetricSpec.flrw(a=a, bounds=bounds)
         raise ValueError("flrw metric needs 'p' or 'a_expr'")
     if kind == "custom":

@@ -359,24 +359,29 @@ def test_causal_on_any_finite_events_ends_in_an_exit_code(frame, x, y):
 
 class TestNonFiniteResults:
     @pytest.mark.parametrize(
-        "argv",
+        "argv, error",
         [
-            ("causal", "--metric", "flrw", "--p", "-1", "--target", "cauchy:1",
-             "--x=1e308,0,0,0", "--y=1,0,0,0"),
-            ("pauli", "--vec=1e308,0,0,1e308"),
-            ("sky-image", "--frame", "graph", "--event=1e308,0,0,1e308", "--n", "8"),
-            ("sky-image", "--metric", "flrw", "--p", "0.5", "--event=1e308,0,0,0"),
-            ("sky-image", "--metric", "flrw", "--p", "-1.5", "--event=1,0,0,0", "--n", "8"),
+            (("causal", "--metric", "flrw", "--p", "-1", "--target", "cauchy:1",
+              "--x=1e308,0,0,0", "--y=1,0,0,0"), "OutOfDomainError"),
+            (("pauli", "--vec=1e308,0,0,1e308"), "OutOfDomainError"),
+            (("sky-image", "--frame", "graph", "--event=1e308,0,0,1e308", "--n", "8"),
+             "OutOfDomainError"),
+            (("sky-image", "--metric", "flrw", "--p", "0.5", "--event=1e308,0,0,0"),
+             "OutOfDomainError"),
+            (("sky-image", "--metric", "flrw", "--p", "-1.5", "--event=1,0,0,0", "--n", "8"),
+             "DivergentIntegralError"),
         ],
         ids=["conformal-time-power", "pauli", "graph-heights", "affine-length",
              "divergent-affine-length"],
     )
-    def test_typed_error_and_exit_1(self, capsys, recwarn, argv):
+    def test_typed_error_and_exit_1(self, capsys, recwarn, argv, error):
         # a raw OverflowError (or, for the affine length to the singularity
-        # at p < -1, ZeroDivisionError) traceback, and inf or NaN with exit 0
+        # at p < -1, ZeroDivisionError) traceback, and inf or NaN with exit 0;
+        # the divergent affine length then raised OutOfDomainError, where the
+        # same integral of an expression raises DivergentIntegralError
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
-        assert err.startswith("OutOfDomainError: ") and len(err.splitlines()) == 1
+        assert err.startswith(f"{error}: ") and len(err.splitlines()) == 1
         assert not recwarn.list
 
 
@@ -534,6 +539,25 @@ class TestVerify:
         )
         assert code == 0
         assert out.splitlines()[0] == "y_past_of_x"
+
+    @pytest.mark.parametrize(
+        "a_expr, code, error",
+        [("2", 0, None), ("1/0", 2, "ValueError"), ("0", 1, "DivergentIntegralError")],
+        ids=["constant", "no-finite-value", "vanishing"],
+    )
+    def test_constant_scale_factor_expressions(self, capsys, tmp_path, a_expr, code, error):
+        # a raw TypeError (a constant a(t) came back as a Python int) and raw
+        # ZeroDivisionError tracebacks
+        out_path = tmp_path / "rep.json"
+        result, out, err = run(
+            capsys, "verify", "--metric", "flrw", "--a-expr", a_expr, "--target", "cauchy:0.5",
+            "--suite", "theorem1", "--n", "4", "--out", str(out_path),
+        )
+        assert result == code and "Traceback" not in err
+        if error is None:
+            assert err == "" and json.loads(out_path.read_text())["passed"]
+        else:
+            assert err.startswith(f"{error}: ") and len(err.splitlines()) == 1
 
     def test_unknown_suite_exits_2(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "nonsense")

@@ -8,7 +8,7 @@ import pytest
 from skyframes import frames as fr
 from skyframes import manifold as mf
 from skyframes import sky, spinor
-from skyframes.errors import NoIntersectionError, OutOfDomainError
+from skyframes.errors import DivergentIntegralError, NoIntersectionError, OutOfDomainError
 
 XI_TO_ZHAT = np.array([1.0 + 0j, 0.0])  # past travel direction +z
 
@@ -88,12 +88,19 @@ class TestProjectEvent:
         assert np.allclose(lams["numeric"], expected, rtol=1e-5)
         # toward the singularity the length diverges for p <= -1; the
         # numeric tracer's gap closing came back ok with inf (p = -1) or a
-        # negative length (p = -1.5)
-        for p in (-1.0, -1.5):
-            for tracer in ("closed_form", "numeric"):
-                metric = mf.MetricSpec.flrw(p=p)
+        # negative length (p = -1.5), then both tracers raised
+        # OutOfDomainError where the expression 1/t raised
+        # DivergentIntegralError (the expression stays off the numeric
+        # tracer, whose finite-difference a'(t) loses its rays at the cutoff)
+        both = ("closed_form", "numeric")
+        for metric, tracers in (
+            (mf.MetricSpec.flrw(p=-1.0), both),
+            (mf.MetricSpec.flrw(p=-1.5), both),
+            (mf.metric_from_config({"kind": "flrw", "a_expr": "1/t"}), both[:1]),
+        ):
+            for tracer in tracers:
                 f = fr.FrameSpec(metric=metric, target=fr.Singularity(), tracer=tracer)
-                with pytest.raises(OutOfDomainError, match="no finite end point or length"):
+                with pytest.raises(DivergentIntegralError):
                     fr.project_batch(f, events, xis)
 
     def test_closed_form_overflow_names_the_event(self):
@@ -225,6 +232,20 @@ class TestQuadrature:
         assert batches == [40] and calls == [1, 1]  # 1/a and a, over the one time
         assert np.all(img.ok_mask) and np.all(img.ranks == 2)
         assert np.abs(np.linalg.norm(img.m_points, axis=1) - 3.0).max() <= 1e-6
+
+    def test_expression_affine_length_against_its_antiderivative(self):
+        # the integral of a = 1 + 0.1 t from t0 is t + 0.05 t^2 - t0 - 0.05 t0^2
+        metric = mf.metric_from_config({"kind": "flrw", "a_expr": "1 + 0.1*t"})
+        rng = np.random.default_rng(5)
+        events = np.column_stack([rng.uniform(0.4, 2.0, 6), rng.normal(size=(6, 3))])
+        xis = sky.sample_sky(6, scheme="random", seed=6).xi
+        t, t0 = events[:, 0], 0.3
+        expected = (t + 0.05 * t**2 - t0 - 0.05 * t0**2) / (1 + 0.1 * t)
+        for tracer, rtol in (("closed_form", 1e-12), ("numeric", 1e-5)):
+            f = fr.FrameSpec(metric=metric, target=fr.CauchySurface(t0), tracer=tracer)
+            _, lams, ok, _ = fr.project_batch(f, events, xis)
+            assert np.all(ok)
+            np.testing.assert_allclose(lams, expected, rtol=rtol, atol=0)
 
 
 class TestSingularityGap:

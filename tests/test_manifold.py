@@ -496,12 +496,14 @@ class TestConfig:
         assert g[1] == pytest.approx(-1.44)
 
     def test_expression_rejects_calls(self):
-        with pytest.raises(ValueError):
-            mf.compile_expression("__import__('os')")
+        with pytest.raises(ValueError, match="disallowed syntax"):
+            mf.metric_from_config({"kind": "flrw", "a_expr": "__import__('os')"})
 
     def test_expression_rejects_unknown_names(self):
-        with pytest.raises(ValueError):
-            mf.compile_expression("t + q")
+        # a scale factor is a function of t only; x was read as 0
+        for src, name in (("t + q", "q"), ("t + x", "x")):
+            with pytest.raises(ValueError, match=f"unknown name '{name}'"):
+                mf.metric_from_config({"kind": "flrw", "a_expr": src})
 
     def test_signature_checked_on_grid(self):
         with pytest.raises(ValueError):
