@@ -175,7 +175,7 @@ def mesh_regions(f: fr.FrameSpec, events, sample: SkySample | None = None) -> li
     return meshes
 
 
-def _regions(f: fr.FrameSpec, x, y, sample):
+def past_regions(f: fr.FrameSpec, x, y, sample: SkySample | None = None):
     """The past regions of x and y: analytic balls, or meshes from one batch."""
     balls = analytic_region(f, x), analytic_region(f, y)
     return tuple(mesh_regions(f, [x, y], sample)) if balls[0] is None else balls
@@ -198,12 +198,11 @@ def in_causal_past(f: fr.FrameSpec, y, x, sample: SkySample | None = None) -> bo
     Conformally flat charts compare the exact image spheres; other frames
     test every arrived image sample of y against the mesh of x.
     """
-    return _contains(*_regions(f, x, y, sample))
+    return _contains(*past_regions(f, x, y, sample))
 
 
-def causal_relation(f: fr.FrameSpec, x, y, sample: SkySample | None = None):
-    """The CausalOrder of x and y from one pair of past regions."""
-    rx, ry = _regions(f, x, y, sample)
+def causal_relation(rx: Region, ry: Region) -> CausalOrder:
+    """The CausalOrder of two events from their past regions rx and ry."""
     return CausalOrder.of(_contains(rx, ry), _contains(ry, rx))
 
 

@@ -153,17 +153,17 @@ def cmd_causal(opts):
         print(minkowski.causal_compare(x, y).value)
         return 0
     spec = _frame_spec(opts, metric)
-    print(ca.causal_relation(spec, x, y).value)
-    ball_x, ball_y = ca.analytic_region(spec, x), ca.analytic_region(spec, y)
-    if ball_x is not None:
-        gap = float(np.linalg.norm(ball_x.center - ball_y.center))
+    rx, ry = ca.past_regions(spec, x, y)
+    print(ca.causal_relation(rx, ry).value)
+    if isinstance(rx, ca.Ball):
+        gap = float(np.linalg.norm(rx.center - ry.center))
         print(
-            f"radius_x: {ball_x.radius:.12g}  radius_y: {ball_y.radius:.12g}  "
+            f"radius_x: {rx.radius:.12g}  radius_y: {ry.radius:.12g}  "
             f"separation: {gap:.12g}"
         )
         print(
-            f"margin_y_in_x: {ball_x.radius - ball_y.radius - gap:.12g}  "
-            f"margin_x_in_y: {ball_y.radius - ball_x.radius - gap:.12g}"
+            f"margin_y_in_x: {rx.radius - ry.radius - gap:.12g}  "
+            f"margin_x_in_y: {ry.radius - rx.radius - gap:.12g}"
         )
     return 0
 

@@ -7,11 +7,11 @@ the past-directed null geodesic it represents; regularity of the image is
 the numerical rank of the map's Jacobian in the two sky parameters.
 
 One kernel, `tangent_planes`, traces a batch of rows with their sky
-stencils and event-family pairs in a single `project_batch` call, and
-ranks the Jacobians with one batched SVD; it also gives the oriented
-normals and the event-family differences.  Sky images and the verifier's
-probe values (`FrameSpec.probe_values`) are built on it; a caller with one
-row passes a batch of one and reads row 0.
+stencils and event-family pairs in a single `project_batch` call; it
+ranks the Jacobians and orients their normals in closed form from their
+two columns, and gives the event-family differences.  Sky images and the
+verifier's probe values (`FrameSpec.probe_values`) are built on it; a
+caller with one row passes a batch of one and reads row 0.
 
 Two tracers are available: a conformal-chart closed form (flat space and
 spatially flat cosmologies project onto straight comoving lines) and the
@@ -304,10 +304,11 @@ def tangent_planes(f: FrameSpec, events, xis, directions=None, h=None, normals=F
     family direction d in directions (k, 4), the pair x +- h d; stencil
     and family rays use the unit representative of xi.  h defaults per
     row to EVENT_FD_STEP * max(1, |x|).  The rank counts singular values
-    of the central-difference Jacobian above rank_tol * max(1, sigma_max).
-    With normals, rank-2 rows get the unit normal of the image surface,
-    oriented so that moving the event to the future along the time axis
-    (traced for this unless it is among the directions) is positive.
+    of the central-difference Jacobian above rank_tol * max(1, sigma_max),
+    in closed form from its columns c1, c2.  With normals, rank-2 rows get
+    the unit normal c1 x c2 / |c1 x c2| of the image surface, oriented so
+    that moving the event to the future along the time axis (traced for
+    this unless it is among the directions) is positive.
     """
     events = np.asarray(events, dtype=float)
     b = events.shape[0]
@@ -335,22 +336,26 @@ def tangent_planes(f: FrameSpec, events, xis, directions=None, h=None, normals=F
 
     diffs = [stencil[:, 0] - stencil[:, 1], stencil[:, 2] - stencil[:, 3]]
     jac = np.stack(diffs, axis=-1) / (2 * SKY_FD_STEP)
-    ranks = np.zeros(b, dtype=int)
-    good = ok[:b] & stencil_ok
-    if np.any(good):
-        sv = np.linalg.svd(jac[good], compute_uv=False)
-        thresh = f.rank_tol * np.maximum(1.0, sv.max(axis=-1))
-        ranks[good] = np.sum(sv > thresh[:, None], axis=-1)
+    # Singular values s1 >= s2 of each Jacobian from its columns c1, c2, in
+    # units of its largest entry so that no square overflows:
+    # s1 s2 = |c1 x c2| and s1^2 - s2^2 = hypot(|c1|^2 - |c2|^2, 2 c1.c2).
+    scale = np.abs(jac).max(axis=(1, 2))
+    scale = np.where(scale > 0.0, scale, 1.0)
+    c1, c2 = np.moveaxis(jac / scale[:, None, None], 2, 0)
+    cross = np.cross(c1, c2)
+    area = np.linalg.norm(cross, axis=1)
+    sq1, sq2 = np.einsum("rk,rk->r", c1, c1), np.einsum("rk,rk->r", c2, c2)
+    gap = np.hypot(sq1 - sq2, 2.0 * np.einsum("rk,rk->r", c1, c2))
+    s1 = np.sqrt((sq1 + sq2 + gap) / 2.0)
+    s2 = area / np.where(s1 > 0.0, s1, 1.0)
+    thresh = f.rank_tol * np.maximum(1.0 / scale, s1)  # rank_tol * max(1, sigma1)
+    ranks = np.where(ok[:b] & stencil_ok, (s1 > thresh).astype(int) + (s2 > thresh), 0)
     n_hat = None
     if normals:
-        n_hat = np.full((b, 3), np.nan)
-        reg = ranks == 2
-        if np.any(reg):
-            u = np.linalg.svd(jac[reg])[0][..., 2]
-            orient = np.flatnonzero(np.all(dirs == _TIME_AXIS, axis=1))[0]
-            flip = np.einsum("rk,rk->r", u, family[reg, orient]) < 0.0
-            u[flip] = -u[flip]
-            n_hat[reg] = u
+        n_hat = cross / np.where(ranks == 2, area, np.nan)[:, None]
+        orient = np.flatnonzero(np.all(dirs == _TIME_AXIS, axis=1))[0]
+        flip = np.einsum("rk,rk->r", n_hat, family[:, orient]) < 0.0
+        n_hat[flip] = -n_hat[flip]
     return TangentPlanes(
         m_points=pts[:b],
         lams=lams[:b],

@@ -122,7 +122,7 @@ class TestBallErrors:
         with pytest.raises(OutOfDomainError):
             ca.in_causal_past(spec, y, x)
         with pytest.raises(OutOfDomainError):
-            ca.causal_relation(spec, x, y)
+            ca.causal_relation(*ca.past_regions(spec, x, y))
         assert not recwarn.list
 
 
@@ -217,7 +217,7 @@ class TestInCausalPast:
             expected = mk.CausalOrder.of(
                 ca.in_causal_past(spec, y, x), ca.in_causal_past(spec, x, y)
             )
-            assert ca.causal_relation(spec, x, y) is expected
+            assert ca.causal_relation(*ca.past_regions(spec, x, y)) is expected
 
 
 def _point_in_past(rng, x, p=2 / 3):
@@ -297,7 +297,7 @@ class TestMeshPath:
         )
         x = [0.6, 0.0, 0.0, 0.0]
         assert ca.in_causal_past(f, x, x)
-        assert ca.causal_relation(f, x, x) is mk.CausalOrder.EQUAL
+        assert ca.causal_relation(*ca.past_regions(f, x, x)) is mk.CausalOrder.EQUAL
 
     def test_dented_mesh_matches_its_radial_oracle(self):
         mesh, radius = _dented_mesh(sky.sample_sky(400))
@@ -376,7 +376,7 @@ class TestOneRayBatch:
     )
     def test_relation_from_one_batch(self, project_calls, y, expected):
         x = [0.65, 0.0, 0.0, 0.0]
-        assert ca.causal_relation(self.F, x, y, sky.sample_sky(48)) is expected
+        assert ca.causal_relation(*ca.past_regions(self.F, x, y, sky.sample_sky(48))) is expected
         assert project_calls == [2 * 48]
 
     def test_mesh_regions_default_to_400_samples(self, project_calls):

@@ -203,6 +203,25 @@ class TestCausal:
         assert out.splitlines()[0] == "y_past_of_x"
         assert "radius_x: 3" in out
 
+    def test_each_past_region_is_built_once(self, capsys, monkeypatch):
+        times = []
+        conformal_time = mf.conformal_time
+
+        def counting(m, t, *rest):
+            times.append((t, *rest))
+            return conformal_time(m, t, *rest)
+
+        monkeypatch.setattr(mf, "conformal_time", counting)
+        code, out, _ = run(
+            capsys,
+            "causal", "--metric", "flrw", "--p", "0.6666666666666666",
+            "--x", "1,0,0,0", "--y", "0.125,0,0,0",
+        )
+        assert code == 0 and "radius_y: 1.5" in out
+        # the frame's check that the singularity is reachable, then one
+        # radius per event (the verdict and the radii share the two balls)
+        assert times == [(1.0,), (1.0, 0.0), (0.125, 0.0)]
+
     def test_identical_events(self, capsys):
         code, out, _ = run(
             capsys, "causal", "--metric", "flrw", "--p", "0.67",

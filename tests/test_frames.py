@@ -503,6 +503,15 @@ _EQUIVALENCE_CASES = {
         [5e-8, 0.3, -0.2, 0.5],
         sky.sample_sky(200, scheme="random", seed=4),
     ),
+    # A threshold just under sigma1 in a conformal sky map, where sigma2 is
+    # within 2e-11 of sigma1: a sigma2 that cancels in sigma1^2 - sigma2^2
+    # drops to rank 1.
+    "near_conformal": (
+        dict(metric=mf.MetricSpec.minkowski(), target=fr.CauchySurface(0.25),
+             rank_tol=1.0 - 1e-9),
+        [1.7, 0.3, -0.2, 0.5],
+        sky.sample_sky(300, scheme="random", seed=4),
+    ),
     "rank_zero": (
         dict(metric=mf.MetricSpec.minkowski(), target=fr.CauchySurface(0.0),
              rank_tol=1e3),
@@ -520,6 +529,28 @@ _EQUIVALENCE_CASES = {
         [1.0, 0.0, 0.0, 0.0],
         sky.sample_sky(60),
     ),
+    # Jacobian entries near 1e160, whose squares overflow.
+    "far_event": (
+        dict(metric=mf.MetricSpec.minkowski(), target=fr.CauchySurface(0.0)),
+        [1e160, 0.0, 0.0, 0.0],
+        sky.sample_sky(50),
+    ),
+    # The only slice whose chart metric is not Euclidean, so the sky map is
+    # not conformal: sigma2 / sigma1 ranges from about 0.67 to 1.
+    "anisotropic_slice": (
+        dict(
+            metric=mf.metric_from_config(
+                {
+                    "kind": "custom",
+                    "coeffs": ["1", "-1", "-(1 + 0.5*t)**2", "-1"],
+                    "bounds": [[0, None], [None, None], [None, None], [None, None]],
+                }
+            ),
+            target=fr.CauchySurface(1.0),
+        ),
+        [2.0, 0.1, 0.0, -0.2],
+        sky.sample_sky(40, scheme="random", seed=3),
+    ),
 }
 
 
@@ -529,7 +560,9 @@ class TestTangentPlaneKernel:
         kwargs, x, sample = _EQUIVALENCE_CASES[case]
         spec = fr.FrameSpec(**kwargs)
         pts, ranks, lams, status = _reference_sky_image(spec, x, sample)
-        img = fr.sky_image(spec, x, sample)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no division by zero or overflow in any case
+            img = fr.sky_image(spec, x, sample)
         assert np.array_equal(img.m_points, pts, equal_nan=True)
         assert np.array_equal(img.ranks, ranks)
         assert np.array_equal(img.lams, lams)
@@ -560,6 +593,7 @@ class TestTangentPlaneKernel:
             "flrw_cauchy",
             "tetrad_rotation",
             "flrw_numeric",
+            "anisotropic_slice",
         ],
     )
     def test_normal_frame_and_derivative_match_reference(self, case):
