@@ -97,6 +97,9 @@ class FrameSpec:
                 raise ValueError("singularity target needs an flrw metric")
             # eta(0+) must be finite for the boundary to be reachable.
             mf.conformal_time(self.metric, 1.0)
+        elif not self.metric.bounds[0, 0] <= self.target.t0 <= self.metric.bounds[0, 1]:
+            lo, hi = self.metric.bounds[0]
+            raise ValueError(f"target time {self.target.t0} is outside the chart's [{lo}, {hi}]")
         elif self.metric.kind == "flrw" and self.target.t0 <= 0.0:
             raise ValueError("cauchy slice of an flrw chart needs t0 > 0")
         if self.tracer not in ("auto", "closed_form", "numeric"):
@@ -199,11 +202,11 @@ def project_batch(f: FrameSpec, events, xis):
 
     events: (B, 4), xis: (B, 2).  Returns (m_points (B, 3), lams (B,),
     ok (B,) bool, lost (B,) bool); lost marks rays left unsettled by the
-    tracer's grid.  Raises OutOfDomainError when an event leaves the chart
-    or an arrived ray has no finite end point or affine length, and
-    DivergentIntegralError when the affine length to the target diverges;
-    rays whose event lies below the target, or whose end point lies
-    outside the chart's spatial bounds, come back not ok.
+    tracer's grid.  Raises ZeroSpinorError for a zero xi, OutOfDomainError
+    when an event leaves the chart or an arrived ray has no finite end point
+    or affine length, and DivergentIntegralError when the affine length to
+    the target diverges; rays whose event lies below the target, or whose
+    end point lies outside the chart's spatial bounds, come back not ok.
     """
     events = np.asarray(events, dtype=float)
     xis = np.asarray(xis, dtype=complex)
@@ -218,20 +221,20 @@ def project_batch(f: FrameSpec, events, xis):
     below = t < t_target - t_tol
 
     ok, lost = ~below, np.zeros(len(events), dtype=bool)
+    dirs = sky_directions(f, xis)
     if f.resolved_tracer() == "closed_form":
         # numpy's warnings off, as a non-finite ray raises below; an error
         # state set to raise (the CLI's) still raises first
         quiet = {k: "ignore" if v == "warn" else v for k, v in np.geterr().items()}
         with np.errstate(**quiet):
             eta = mf.conformal_time(f.metric, t, t_target)
-            m_points = events[:, 1:] - eta[:, None] * sky_directions(f, xis)
+            m_points = events[:, 1:] - eta[:, None] * dirs
             lams = mf.affine_length(f.metric, t, t_target)
     else:
         m_points, lams = np.empty((len(events), 3)), np.zeros(len(events))
         march = ok & ~on_surface
         if np.any(march):
-            dirs = sky_directions(f, xis[march])
-            v0 = mf.future_null_directions(f.metric, events[march], dirs)
+            v0 = mf.future_null_directions(f.metric, events[march], dirs[march])
             singular = f.target.kind == "singularity"
             stop_t = SINGULARITY_CUTOFF if singular else t_target
             res = mf.trace_past_to_time(f.metric, events[march], v0, stop_t)

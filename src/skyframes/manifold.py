@@ -426,23 +426,23 @@ def future_null_directions(m: MetricSpec, events, directions):
 
 def flrw_closed_form_ray(m: MetricSpec, x0, v0, lam):
     """Exact power-law ray (x, v) at affine parameter lam from the event x0
-    (4,) with the future null velocity v0 (4,) at lam = 0 (oracle quality)."""
+    (4,) with the future null velocity v0 (4,) at lam = 0 (oracle quality);
+    p = -1 and p = 1 take the logarithmic forms of `_scale_integral`."""
     if m.kind != "flrw" or m.exponent is None:
         raise ValueError("closed form needs a power-law scale factor")
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     p = m.exponent
     t0 = float(x0[0])
-    a0 = t0**p
-    cmag = a0 * float(v0[0])
+    cmag = t0**p * float(v0[0])
     uhat = v0[1:] / np.linalg.norm(v0[1:])
     tp = t0 ** (1.0 + p) + (1.0 + p) * cmag * lam
     if tp <= 0.0:
         raise OutOfDomainError("closed-form ray leaves t > 0")
-    t = tp ** (1.0 / (1.0 + p))
-    eta0 = t0 ** (1.0 - p) / (1.0 - p)
-    eta1 = t ** (1.0 - p) / (1.0 - p)
-    xs = x0[1:] + (eta1 - eta0) * uhat
+    t = t0 * math.exp(cmag * lam) if p == -1.0 else tp ** (1.0 / (1.0 + p))
+    q = 1.0 - p
+    eta = math.log(t / t0) if q == 0.0 else t**q / q - t0**q / q
+    xs = x0[1:] + eta * uhat
     v = np.empty(4)
     v[0] = cmag / t**p
     v[1:] = (cmag / t ** (2.0 * p)) * uhat

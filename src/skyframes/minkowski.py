@@ -19,7 +19,7 @@ from . import sky as skymod
 from . import spinor
 from .errors import OutOfDomainError
 from .frames import ProbeValues
-from .sky import SkySample, celestial_eval, celestial_transform, dominates
+from .sky import SkySample, celestial_eval
 
 
 @dataclass(frozen=True)
@@ -95,30 +95,19 @@ class CausalOrder(enum.Enum):
 
 
 def causal_compare(x, y) -> CausalOrder:
-    """Order two events by pointwise comparison of their size-field graphs;
-    OutOfDomainError where their difference overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        sx, sy = celestial_transform(x), celestial_transform(y)
-        eigenvalues = skymod.hermitian_eigenvalues(sx.matrix - sy.matrix)
-    if not np.all(np.isfinite(eigenvalues)):
-        raise OutOfDomainError("the graphs of x and y differ beyond float range")
-    return CausalOrder.of(dominates(sx, sy), dominates(sy, sx))
+    """Order two events by pointwise comparison of their size-field graphs,
+    as a batch of one; OutOfDomainError where their difference overflows."""
+    return list(CausalOrder)[int(causal_compare_batch(x, y))]
 
 
 def causal_compare_batch(xs, ys, tol=1e-12):
     """Vectorised causal_compare; returns integer codes (0=equal, 1=y past,
-    2=x past, 3=spacelike) using the same eigenvalue tolerance."""
-    d = spinor.pauli_transform(np.asarray(xs, float) - np.asarray(ys, float))
-    scale = np.maximum(np.abs(d).reshape(d.shape[:-2] + (4,)).max(axis=-1), 1.0)
-    lo = skymod.hermitian_eigenvalues(d)[..., 0]
-    hi = skymod.hermitian_eigenvalues(-d)[..., 0]
-    x_over = lo >= -tol * scale
-    y_over = hi >= -tol * scale
-    return np.select(
-        [x_over & y_over, x_over, y_over],
-        [0, 1, 2],
-        default=3,
-    )
+    2=x past, 3=spacelike), the positions of the CausalOrder members, from
+    the field of x - y being >= 0 or <= 0 on the sky (`sky.semidefinite`)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = spinor.pauli_transform(np.asarray(xs, float) - np.asarray(ys, float))
+    y_past, x_past = skymod.semidefinite(d, tol)
+    return np.select([y_past & x_past, y_past, x_past], [0, 1, 2], default=3)
 
 
 def interval_compare_batch(xs, ys):

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spinor
-from .errors import BadCountError, UnsupportedSignatureError, ZeroSpinorError
+from .errors import BadCountError, OutOfDomainError, UnsupportedSignatureError
+from .errors import ZeroSpinorError
 
 #: Bidegrees of homogeneity with a supported evaluation rule.
 SUPPORTED_SIGNATURES = {(1, 0), (0, 1), (1, 1), (2, 0)}
@@ -84,13 +85,13 @@ def eval_homogeneous(coeffs, signature, xi):
     if signature == (0, 1):
         return np.conj(xi) @ coeffs
     if signature == (1, 1):
-        return np.einsum("...a,ab,...b->...", xi, coeffs, np.conj(xi))
+        return _contract(coeffs, xi)
     return (xi @ coeffs[0]) * (xi @ coeffs[1])
 
 
 def _contract(matrix, xi):
-    """xi H xi^dagger for unit or non-unit xi rows (..., 2)."""
-    return np.einsum("...a,ab,...b->...", xi, matrix, np.conj(xi))
+    """xi H xi^dagger for matrices (..., 2, 2) and complex xi rows (..., 2)."""
+    return np.einsum("...a,...ab,...b->...", xi, matrix, np.conj(xi))
 
 
 @dataclass(frozen=True)
@@ -126,12 +127,7 @@ def celestial_transform(v):
 
 def celestial_eval(v, xi):
     """Direct evaluation of the transform of v (..., 4) at xi (..., 2)."""
-    return np.einsum(
-        "...a,...ab,...b->...",
-        np.asarray(xi, dtype=complex),
-        spinor.pauli_transform(v),
-        np.conj(xi),
-    ).real
+    return _contract(spinor.pauli_transform(v), np.asarray(xi, dtype=complex)).real
 
 
 def modulus_squared(zeta):
@@ -148,15 +144,22 @@ def hermitian_eigenvalues(h):
     return np.stack([(tr - disc) / 2.0, (tr + disc) / 2.0], axis=-1)
 
 
-def dominates(a: SizeField, b: SizeField, tol=1e-12) -> bool:
-    """Pointwise a >= b on the sky, via positive semidefiniteness.
+def semidefinite(d, tol=1e-12):
+    """Bool arrays (d >= 0, d <= 0) on the sky for Hermitian differences d
+    (..., 2, 2): the extreme eigenvalues against tol times the largest entry
+    (at least 1), so the boundary counts as dominated; OutOfDomainError
+    where an eigenvalue is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        eig = hermitian_eigenvalues(d)
+    if not np.all(np.isfinite(eig)):
+        raise OutOfDomainError("a size-field difference exceeds float range")
+    scale = np.maximum(np.abs(d).max(axis=(-2, -1)), 1.0)
+    return eig[..., 0] >= -tol * scale, eig[..., 1] <= tol * scale
 
-    The tolerance is applied to the smallest eigenvalue of the difference
-    matrix, scaled by its largest entry; the boundary counts as dominated.
-    """
-    d = a.matrix - b.matrix
-    scale = max(float(np.abs(d).max()), 1.0)
-    return bool(hermitian_eigenvalues(d)[..., 0] >= -tol * scale)
+
+def dominates(a: SizeField, b: SizeField, tol=1e-12) -> bool:
+    """Pointwise a >= b on the sky: the difference is semidefinite."""
+    return bool(semidefinite(a.matrix - b.matrix, tol)[0])
 
 
 def unit_cospinor(xi):

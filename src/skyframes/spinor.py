@@ -23,6 +23,7 @@ from .errors import (
     NotFutureDirectedError,
     NotNullError,
     NotUnimodularError,
+    ZeroSpinorError,
 )
 
 #: Real factor of the vector -> Hermitian matrix map.  Other common choices
@@ -175,18 +176,21 @@ def null_vector_for_cospinor(xi):
     This is the direction at which the (1,1)-homogeneous field of the
     returned vector vanishes, so the contact form evaluated at xi kills it.
     """
-    xi = np.asarray(xi, dtype=complex)
-    nrm = np.sqrt(np.abs(xi[..., 0]) ** 2 + np.abs(xi[..., 1]) ** 2)
-    psi = spinor_for_cospinor(xi / nrm[..., None])
+    psi = spinor_for_cospinor(_unit(np.asarray(xi, dtype=complex)))
     # trace(psi psi^dagger) = 1 for unit psi, so inverse_pauli gives v0 = 1.
     return inverse_pauli(outer_square(psi))
 
 
 def cospinor_for_null_vector(v, tol=NULL_TOL):
     """Unit covector representing the sky point of the future null vector v."""
-    psi = factor_null(v, tol)
-    xi = cospinor_for_spinor(psi)
+    return _unit(cospinor_for_spinor(factor_null(v, tol)))
+
+
+def _unit(xi):
+    """Rows xi (..., 2) over their norms; ZeroSpinorError where one is zero."""
     nrm = np.sqrt(np.abs(xi[..., 0]) ** 2 + np.abs(xi[..., 1]) ** 2)
+    if np.any(nrm == 0.0):
+        raise ZeroSpinorError("a sky point needs a nonzero covector")
     return xi / nrm[..., None]
 
 

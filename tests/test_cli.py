@@ -970,6 +970,19 @@ class TestCustomMetric:
             "ValueError: coefficients do not have signature (+,-,-,-) at [0.5, "
         )
 
+    def test_target_below_the_chart_exits_2(self, capsys, tmp_path):
+        # the rays were traced through t < 0, where the signature is never
+        # checked, and the image exited 0
+        cfg = tmp_path / "custom.json"
+        cfg.write_text(json.dumps(README_METRIC))
+        code, out, err = run(
+            capsys, "--config", str(cfg), "sky-image", "--metric", "custom",
+            "--target", "cauchy:-5", "--event", "1,0,0,0", "--n", "8",
+            "--out", str(tmp_path / "img.json"),
+        )
+        assert code == 2 and out == ""
+        assert err == "ValueError: target time -5.0 is outside the chart's [0.0, inf]\n"
+
     @pytest.mark.parametrize("step", ["0", "-0.01"])
     def test_bad_step_exits_2(self, capsys, tmp_path, step):
         # the tracer sizes its own grid, and the contact check runs on it,

@@ -8,7 +8,12 @@ import pytest
 from skyframes import frames as fr
 from skyframes import manifold as mf
 from skyframes import sky, spinor
-from skyframes.errors import DivergentIntegralError, NoIntersectionError, OutOfDomainError
+from skyframes.errors import (
+    DivergentIntegralError,
+    NoIntersectionError,
+    OutOfDomainError,
+    ZeroSpinorError,
+)
 
 XI_TO_ZHAT = np.array([1.0 + 0j, 0.0])  # past travel direction +z
 
@@ -71,6 +76,16 @@ class TestProjectEvent:
         with pytest.raises(OutOfDomainError):
             fr.project_batch(flrw_frame, events, np.tile(XI_TO_ZHAT, (2, 1)))
 
+    @pytest.mark.parametrize("tracer", ["closed_form", "numeric"])
+    def test_zero_sky_point_raises(self, tracer):
+        # the closed form raised "no finite end point" and the numeric
+        # tracer came back with a silent not-ok ray
+        f = fr.FrameSpec(
+            metric=mf.MetricSpec.flrw(p=2 / 3), target=fr.CauchySurface(0.5), tracer=tracer
+        )
+        events = np.array([[1.0, 0, 0, 0], [1.0, 0.1, 0, 0]])
+        with pytest.raises(ZeroSpinorError):
+            fr.project_batch(f, events, np.array([XI_TO_ZHAT, [0, 0]]))
 
     def test_affine_length_at_p_minus_1(self):
         # a = 1/t: the power-law formula divided 0 by 0; the length from t
@@ -123,6 +138,29 @@ class TestFrameSpec:
                 target=fr.CauchySurface(0.0),
                 step=step,
             )
+
+    @pytest.mark.parametrize(
+        "metric, t0",
+        [
+            (mf.MetricSpec.minkowski(bounds=[[0, 5]] + [[-np.inf, np.inf]] * 3), 5.5),
+            (mf.MetricSpec.minkowski(bounds=[[0, 5]] + [[-np.inf, np.inf]] * 3), -0.5),
+            (mf.MetricSpec.flrw(p=0.5, bounds=[[0, 2]] + [[-np.inf, np.inf]] * 3), 3.0),
+            (mf.metric_from_config({"kind": "custom", "coeffs": ["1", "-1", "-1", "-1"],
+                                    "bounds": [[0, None]] + [[None, None]] * 3}), -5.0),
+        ],
+        ids=["flat-above", "flat-below", "flrw-above", "custom-below"],
+    )
+    def test_target_outside_the_time_range_is_refused(self, metric, t0):
+        # the custom and flat charts traced to the slice outside the chart
+        with pytest.raises(ValueError, match="outside the chart"):
+            fr.FrameSpec(metric=metric, target=fr.CauchySurface(t0))
+
+    def test_target_on_the_ends_of_the_time_range(self):
+        metric = mf.MetricSpec.minkowski(bounds=[[0, 5]] + [[-np.inf, np.inf]] * 3)
+        for t0 in (0.0, 5.0):
+            fr.FrameSpec(metric=metric, target=fr.CauchySurface(t0))
+        with pytest.raises(ValueError, match="t0 > 0"):
+            fr.FrameSpec(metric=mf.MetricSpec.flrw(p=0.5), target=fr.CauchySurface(0.0))
 
 
 class TestSkyImage:

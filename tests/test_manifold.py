@@ -658,6 +658,22 @@ class TestCoordinateTimeGrid:
             for name, value in frozen.items():
                 assert np.array_equal(getattr(res, name), value), name
 
+    @pytest.mark.parametrize("p", [1.0, -1.0, 2 / 3])
+    def test_closed_form_ray_against_the_scale_integrals(self, p):
+        # p = 1 and p = -1 divided by zero; the past ray from t0 (v0 = 1)
+        # moves by the conformal interval along its direction and has the
+        # affine length from t0 down to its time
+        m = mf.MetricSpec.flrw(p=p)
+        x0, n = np.array([1.3, 0.1, -0.2, 0.4]), np.array([0.6, 0.0, 0.8])
+        v0 = mf.future_null_directions(m, x0[None], n[None])[0]
+        for lam in (-0.05, -0.3, -0.6):
+            x, v = mf.flrw_closed_form_ray(m, x0, v0, lam)
+            assert 0.0 < x[0] < x0[0]
+            eta = mf.conformal_time(m, x[0], x0[0])
+            assert np.allclose(x[1:], x0[1:] + eta * n, rtol=0, atol=1e-14)
+            assert mf.affine_length(m, x0[0], x[0]) == pytest.approx(-lam, rel=1e-13)
+            assert abs(m.norm(x, v)) <= 1e-14 and v[0] > 0.0
+
     def test_cauchy_trace_matches_the_closed_form(self):
         m = mf.MetricSpec.flrw(p=2 / 3)
         p, t_target = 2 / 3, 0.25

@@ -149,9 +149,12 @@ class TestCausalCompare:
         ],
     )
     def test_overflowing_graphs_are_out_of_domain(self, recwarn, x, y):
-        # these used to answer spacelike with overflow warnings
+        # these used to answer spacelike with overflow warnings, and the
+        # batch kept answering spacelike (code 3) without them
         with pytest.raises(OutOfDomainError):
             mk.causal_compare(x, y)
+        with pytest.raises(OutOfDomainError):
+            mk.causal_compare_batch([x], [y])
         assert not recwarn.list
 
     def test_boundary_counts_as_causal(self):
@@ -168,6 +171,26 @@ class TestCausalCompare:
         ys = np.zeros((200, 4))
         assert np.all(mk.causal_compare_batch(xs, ys) == 1)
         assert np.all(mk.interval_compare_batch(xs, ys) == 1)
+
+    def test_scalar_and_batch_agree_on_exact_null_and_equal_pairs(self):
+        # far from the origin on a 2^-32 grid, x - y is exact and null while
+        # the sums of the transform of x round; the scalar subtracted the two
+        # transforms and answered spacelike for some of these pairs
+        rng = np.random.default_rng(8)
+        n = 400
+        ys = rng.uniform(2**20, 1.5 * 2**20, size=(n, 4))
+        a = np.round(rng.uniform(0.1, 3.0, size=n) * 2**32) / 2**32
+        d = np.zeros((n, 4))
+        d[:, 0] = a
+        d[np.arange(n), rng.integers(1, 4, size=n)] = np.where(rng.random(n) < 0.5, a, -a)
+        xs = ys + d
+        assert np.array_equal(xs - ys, d)
+        orders = list(CausalOrder)
+        for xs_, ys_, code in ((xs, ys, 1), (ys, xs, 2), (xs, xs, 0)):
+            assert np.all(mk.interval_compare_batch(xs_, ys_) == code)
+            assert np.all(mk.causal_compare_batch(xs_, ys_) == code)
+            scalar = {mk.causal_compare(x, y) for x, y in zip(xs_, ys_)}
+            assert scalar == {orders[code]}
 
     def test_agrees_with_interval_criterion(self):
         rng = np.random.default_rng(5)

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from skyframes import sky, spinor
-from skyframes.errors import BadCountError, UnsupportedSignatureError
+from skyframes.errors import BadCountError, OutOfDomainError, UnsupportedSignatureError
 
 
 class TestSampleSky:
@@ -172,6 +172,15 @@ class TestDominates:
         b = sky.celestial_transform([0, 0, 0, 0])
         assert not sky.dominates(a, b)
         assert not sky.dominates(b, a)
+
+    def test_overflowing_difference_is_out_of_domain(self, recwarn):
+        # the difference is finite but its eigenvalues are not; this came
+        # back False (not dominated) after overflow warnings
+        a = sky.celestial_transform([1e308, 0, 0, 0])
+        b = sky.celestial_transform([-1e308, 0, 0, 0])
+        with pytest.raises(OutOfDomainError):
+            sky.dominates(a, b)
+        assert not recwarn.list
 
     def test_partial_order_on_random_triples(self):
         rng = np.random.default_rng(5)

@@ -9,6 +9,7 @@ from skyframes.errors import (
     NotFutureDirectedError,
     NotNullError,
     NotUnimodularError,
+    ZeroSpinorError,
 )
 
 COMPONENTS = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
@@ -189,3 +190,18 @@ class TestSkyDictionary:
         d /= np.linalg.norm(d, axis=-1, keepdims=True)
         xi = spinor.cospinor_for_direction(d)
         assert np.allclose(spinor.direction_for_cospinor(xi), d, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "fn, arg",
+        [
+            (spinor.direction_for_cospinor, [0, 0]),
+            (spinor.null_vector_for_cospinor, [[1, 0], [0, 0]]),
+            (spinor.cospinor_for_null_vector, [0, 0, 0, 0]),
+        ],
+        ids=["direction", "null-vector", "zero-vector"],
+    )
+    def test_zero_sky_point_raises(self, recwarn, fn, arg):
+        # these returned NaN after a division warning
+        with pytest.raises(ZeroSpinorError):
+            fn(np.array(arg))
+        assert not recwarn.list
