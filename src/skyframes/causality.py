@@ -7,7 +7,8 @@ elsewhere the skies of a query go out in one ray batch (`mesh_regions`),
 each image cloud is triangulated over the outward-oriented sky
 triangulation, and containment is the generalized winding number of the
 outer mesh at the vertices of the inner one: 0 outside, +-1 inside and
-in between on the surface, so a mesh region, like a ball, is closed.
+in between on the surface, so a mesh region, like a ball, is closed.  Two
+balls about the mesh's vertex centroid decide most points without it.
 
 Finite unions of regions form a join-semilattice under concatenation,
 with disjointness from a compact region as the basic open-set predicate.
@@ -36,6 +37,10 @@ BALL_TOL = 1e-9
 #: Points per winding-number pass in Mesh.contains_points; bounds the
 #: (points x triangles) temporaries of a query.
 MESH_POINT_CHUNK = 128
+
+#: Relative widening of both radii of the shell in Mesh.contains_points
+#: that the winding pass decides, far above the rounding of a distance.
+MESH_BALL_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -91,10 +96,43 @@ class Mesh:
         return center, radius
 
     def contains_points(self, pts):
-        """|w| > 1/4 for the generalized winding number w at each point: the
-        sum of the triangles' solid angles (Van Oosterom & Strackee) over 4 pi,
-        0 outside, +-1 inside and about +-1/2 on the surface itself."""
+        """Whether each point lies in the closed region the mesh bounds.
+
+        Two balls about the vertex centroid c decide most points: beyond
+        the bounding radius R a point is outside, and nearer than r, a lower
+        bound on the distance from c to the surface, it has c's winding
+        number.  In the shell between them a point that equals a vertex is
+        on the surface, so contained, and the rest take the winding pass."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        center, radius = self.bounding_sphere()
+        dist = np.linalg.norm(pts - center, axis=-1)
+        # r: along its computed normal n a triangle lies between the heights
+        # of its corners, so a rounded n still bounds its distance from c
+        # from below; a plane through c or a degenerate triangle gives 0
+        corners = self.vertices[self.triangles] - center  # (nt, 3, 3)
+        normal = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+        height = np.einsum("tck,tk->tc", corners, normal)
+        gap = np.maximum(np.maximum(height.min(axis=1), -height.max(axis=1)), 0.0)
+        gap /= np.maximum(np.linalg.norm(normal, axis=1), np.finfo(float).tiny)
+        inner = gap.min(initial=radius)
+        # the shell is widened by MESH_BALL_SLACK on both sides, so that
+        # rounding in the distances never takes a point out of the pass
+        out = dist <= radius * (1.0 + MESH_BALL_SLACK)
+        core = dist < inner * (1.0 - MESH_BALL_SLACK)
+        if np.any(core):
+            out[core] = self._winding_contains(center[None])[0]
+        shell = np.flatnonzero(out & ~core)
+        if len(shell):
+            vertices = set(map(tuple, self.vertices.tolist()))
+            off = [p not in vertices for p in map(tuple, pts[shell].tolist())]
+            shell = shell[np.array(off, dtype=bool)]
+        out[shell] = self._winding_contains(pts[shell])
+        return out
+
+    def _winding_contains(self, pts):
+        """|w| > 1/4 for the generalized winding number w at each point (k, 3):
+        the sum of the triangles' solid angles (Van Oosterom & Strackee) over
+        4 pi, 0 outside, +-1 inside and about +-1/2 on the surface itself."""
         corners = [self.vertices[self.triangles[:, i]] for i in range(3)]  # (nt, 3)
         dot = lambda u, v: np.einsum("ptk,ptk->pt", u, v)
         w = np.zeros(len(pts))

@@ -126,7 +126,7 @@ class MetricSpec:
             out[..., 1] = out[..., 2] = out[..., 3] = 1.0
             out[..., 1:] *= -a2[..., None]
             return out
-        return self._expressions.values(x)
+        return np.moveaxis(self._expressions.values(np.moveaxis(x, -1, 0)), 0, -1)
 
     def norm(self, x, v):
         """g(v, v) at x; broadcasts over leading axes."""
@@ -147,12 +147,12 @@ class MetricSpec:
 
     # -- differential structure --------------------------------------------
 
-    def _metric_jet(self, x):
-        """(g, dg) of an expression metric: the coefficients (..., 4 [a])
-        and their exact partials d g_aa / d x^b (..., 4 [b], 4 [a])."""
-        x = np.asarray(x, dtype=float)
-        jet = self._expressions.jet(x)
-        return jet[..., :4], jet[..., 4:].reshape(x.shape[:-1] + (4, 4))
+    def _metric_jet(self, rows):
+        """(g, dg) of an expression metric at the points whose coordinates
+        are the rows t, x, y, z (4, ...): the coefficients (4 [a], ...) and
+        their exact partials d g_aa / d x^b (4 [b], 4 [a], ...)."""
+        jet = self._expressions.jet(rows)
+        return jet[:4], jet[4:].reshape((4, 4) + jet.shape[1:])
 
     def geodesic_acceleration(self, x, v):
         """-Gamma^a_{bc} v^b v^c for the diagonal metric; vectorised.  No
@@ -168,26 +168,33 @@ class MetricSpec:
             acc[..., 0] = -a * ad * np.sum(v[..., 1:] ** 2, axis=-1)
             acc[..., 1:] = (-2.0 * ad / a * v[..., 0])[..., None] * v[..., 1:]
             return acc
-        g, dg = self._metric_jet(x)  # dg is (..., b, a)
-        v_dot_grad = np.einsum("...b,...ba->...a", v, dg)
-        grad_quad = np.einsum("...ab,...b->...a", dg, v**2)
-        return -(2.0 * v * v_dot_grad - grad_quad) / (2.0 * g)
+        g, dg = self._metric_jet(np.moveaxis(np.asarray(x, dtype=float), -1, 0))
+        v = np.moveaxis(v, -1, 0)  # rows, as g (a, ...) and dg (b, a, ...)
+        v_dot_grad = np.einsum("b...,ba...->a...", v, dg)
+        grad_quad = np.einsum("ab...,b...->a...", dg, v**2)
+        return np.moveaxis(-(2.0 * v * v_dot_grad - grad_quad) / (2.0 * g), 0, -1)
 
     def _check_signature(self):
         box = np.clip(self.bounds, -2.0, 2.0)
         lo = box[:, 0] + 1e-3 * (box[:, 1] - box[:, 0])
         hi = box[:, 1] - 1e-3 * (box[:, 1] - box[:, 0])
         axes = [np.linspace(lo[k], hi[k], 3) for k in range(4)]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
-        _require_signature(self, grid, self.metric_diag(grid))
+        grid = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(4, -1)
+        _require_signature(self, grid, self.metric_diag(grid.T).T)
 
 
-def _require_signature(m: MetricSpec, x, g):
-    """Raise ValueError at the first point of x (B, 4) inside the bounds
-    whose coefficients g are not (+, -, -, -)."""
-    signed = g * [1.0, -1.0, -1.0, -1.0]
+#: The signs of the (+, -, -, -) signature, one per coefficient row.
+_SIGNATURE = np.array([[1.0], [-1.0], [-1.0], [-1.0]])
+
+
+def _require_signature(m: MetricSpec, rows, g):
+    """Raise ValueError naming the first point inside the bounds whose
+    coefficients g (4, B) are not (+, -, -, -); the coordinates of the
+    points are the rows t, x, y, z (4, B)."""
+    signed = g * _SIGNATURE
     if not signed.min(initial=1.0) > 0.0:  # a row is wrong or NaN
-        wrong = np.any(signed <= 0.0, axis=-1) & m.in_domain(x)
+        x = np.column_stack(rows)
+        wrong = np.any(signed <= 0.0, axis=0) & m.in_domain(x)
         if np.any(wrong):
             point = x[wrong][0].tolist()
             raise ValueError(f"coefficients do not have signature (+,-,-,-) at {point}")
@@ -238,14 +245,14 @@ def _bundle_slope(m: MetricSpec, s, y, log):
     t = np.exp(s) if log else s
     n, e0, speed, dn, dlog_e = y[3:6], 1.0, 1.0, 0.0, 0.0  # flat space
     if m.kind == "custom":
-        x = np.column_stack([t, y[:3].T])
-        g, dg = m._metric_jet(x)  # dg is (B, b, a)
-        _require_signature(m, x, g)
+        rows = (t, *y[:3])
+        g, dg = m._metric_jet(rows)  # g is (a, B) and dg (b, a, B)
+        _require_signature(m, rows, g)
         e = np.sqrt(np.abs(g))
-        ut = np.column_stack([-1.0 / e[:, 0], n.T / e[:, 1:]])  # u / E
-        quad, dot = np.einsum("rac,rc->ra", dg, ut**2), np.einsum("rc,rca->ra", ut, dg)
-        w, e0 = (e * (quad - ut * dot) / (2.0 * g)).T, e[:, 0]
-        speed, dn, dlog_e = e0 / e[:, 1:].T, -e0 * (w[1:] + n * w[0]), e0 * w[0]
+        ut = np.concatenate([-1.0 / e[:1], n / e[1:]])  # u / E
+        quad, dot = np.einsum("acr,cr->ar", dg, ut**2), np.einsum("cr,car->ar", ut, dg)
+        w, e0 = e * (quad - ut * dot) / (2.0 * g), e[0]
+        speed, dn, dlog_e = e0 / e[1:], -e0 * (w[1:] + n * w[0]), e0 * w[0]
     elif m.kind == "flrw":  # n is conserved and ln E falls with ln a
         speed = 1.0 / m.scale_factor(t)
         dlog_e = -m.scale_factor_dot(t) * speed
@@ -623,17 +630,16 @@ class _FusedExpressions:
         elts = [body for _, body in distinct.values()]
         self.code = _compile(ast.Tuple(elts=elts, ctx=ast.Load()))
 
-    def __call__(self, xpt):
-        """Every body's value at the chart points xpt (..., 4), or (..., k)
-        for bodies of the first k variables, with the slots along the last
-        axis."""
-        out = np.zeros(xpt.shape[:-1] + (self.slots,))
-        names = {name: xpt[..., k] for k, name in enumerate(_EXPR_NAMES[: xpt.shape[-1]])}
-        values = eval(self.code, _EVAL_GLOBALS, names)  # noqa: S307
+    def __call__(self, rows):
+        """Every body's value at the chart points whose coordinates are the
+        rows t, x, y, z (4, ...), or the first k rows for bodies of the
+        first k variables, with the slots along the first axis (slots, ...)."""
+        out = np.zeros((self.slots,) + np.shape(rows[0]))
+        values = eval(self.code, _EVAL_GLOBALS, dict(zip(_EXPR_NAMES, rows)))  # noqa: S307
         for slot, value in self.constants:
-            out[..., slot] = value
+            out[slot] = value
         for slot, index in self.computed:
-            out[..., slot] = values[index]
+            out[slot] = values[index]
         return out
 
 
@@ -672,7 +678,7 @@ def metric_from_config(cfg: dict) -> MetricSpec:
             return MetricSpec.flrw(p=float(cfg["p"]), bounds=bounds)
         if "a_expr" in cfg and cfg["a_expr"] is not None:
             fused = _FusedExpressions([_parse_expression(cfg["a_expr"], names=("t",))])
-            a = lambda t: fused(np.asarray(t, dtype=float)[..., None])[..., 0]
+            a = lambda t: fused([np.asarray(t, dtype=float)])[0]
             return MetricSpec.flrw(a=a, bounds=bounds)
         raise ValueError("flrw metric needs 'p' or 'a_expr'")
     if kind == "custom":

@@ -166,6 +166,6 @@ def unit_cospinor(xi):
     """Normalise a covector representative; reject (numerically) zero ones."""
     xi = np.asarray(xi, dtype=complex)
     nrm = np.linalg.norm(xi, axis=-1)
-    if np.any(nrm < 1e-150):
+    if np.any(nrm < spinor.ZERO_NORM):
         raise ZeroSpinorError("sky point needs a nonzero covector")
     return xi / nrm[..., None]

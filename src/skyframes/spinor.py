@@ -36,6 +36,10 @@ HERMITIAN_TOL = 1e-12
 #: Nullity tolerance for factorisation, relative to (largest component)^2.
 NULL_TOL = 1e-10
 
+#: Norm below which a covector counts as zero: its squares are subnormal,
+#: so no normalisation of it is accurate.
+ZERO_NORM = 1e-150
+
 
 def _scale(a, floor=1.0):
     """Largest absolute entry over the trailing axes, floored for tiny input."""
@@ -187,9 +191,10 @@ def cospinor_for_null_vector(v, tol=NULL_TOL):
 
 
 def _unit(xi):
-    """Rows xi (..., 2) over their norms; ZeroSpinorError where one is zero."""
+    """Rows xi (..., 2) over their norms; ZeroSpinorError where a norm is
+    below ZERO_NORM."""
     nrm = np.sqrt(np.abs(xi[..., 0]) ** 2 + np.abs(xi[..., 1]) ** 2)
-    if np.any(nrm == 0.0):
+    if np.any(nrm < ZERO_NORM):
         raise ZeroSpinorError("a sky point needs a nonzero covector")
     return xi / nrm[..., None]
 

@@ -321,18 +321,131 @@ class TestMeshPath:
         assert inside.shape == (0,) and inside.dtype == bool
 
 
-def _dented_mesh(sample):
-    """A star-shaped, non-convex mesh over the sky and its radius function."""
+def _radial_mesh(sample, radius, center=(0.0, 0.0, 0.0)):
+    """The outward-oriented sky triangulation with the vertex of each sky
+    direction d at center + radius(d) d."""
     from scipy.spatial import ConvexHull
-
-    def radius(d):
-        return 1.0 - 0.4 * np.exp(-6.0 * np.sum((d - [1.0, 0.0, 0.0]) ** 2, axis=-1))
 
     dirs = sample.directions()
     triangles = ConvexHull(dirs).simplices
     inward = np.linalg.det(dirs[triangles]) < 0
     triangles[inward] = triangles[inward, ::-1]
-    return ca.Mesh(vertices=radius(dirs)[:, None] * dirs, triangles=triangles), radius
+    return ca.Mesh(vertices=np.add(center, radius(dirs)[:, None] * dirs), triangles=triangles)
+
+
+def _dented_mesh(sample):
+    """A star-shaped, non-convex mesh over the sky and its radius function."""
+
+    def radius(d):
+        return 1.0 - 0.4 * np.exp(-6.0 * np.sum((d - [1.0, 0.0, 0.0]) ** 2, axis=-1))
+
+    return _radial_mesh(sample, radius), radius
+
+
+def _sphere(sample, radius=1.0, center=(0.0, 0.0, 0.0)):
+    return _radial_mesh(sample, lambda d: np.full(len(d), radius), center)
+
+
+def _plane_radius(mesh):
+    """The least distance from the vertex centroid to a triangle's plane."""
+    c = mesh.vertices.mean(axis=0)
+    a, b, d = (mesh.vertices[mesh.triangles[:, i]] for i in range(3))
+    n = np.cross(b - a, d - a)
+    return float(np.min(np.abs(np.sum(n * (a - c), axis=1)) / np.linalg.norm(n, axis=1)))
+
+
+@pytest.fixture
+def pass_points(monkeypatch):
+    """Points per winding pass of Mesh.contains_points."""
+    calls = []
+    original = ca.Mesh._winding_contains
+
+    def counting(mesh, pts):
+        calls.append(len(pts))
+        return original(mesh, pts)
+
+    monkeypatch.setattr(ca.Mesh, "_winding_contains", counting)
+    return calls
+
+
+#: 11^3 points over a box around the unit sphere.
+GRID = np.stack(np.meshgrid(*[np.linspace(-1.3, 1.3, 11)] * 3), axis=-1).reshape(-1, 3)
+
+
+class TestBallPrefilter:
+    """Mesh.contains_points against the winding pass alone."""
+
+    @staticmethod
+    def _agrees(mesh, pts):
+        got = mesh.contains_points(pts)
+        assert np.array_equal(got, mesh._winding_contains(pts))
+        return got
+
+    def test_balls_decide_the_points_off_the_shell(self, pass_points):
+        mesh = _sphere(sky.sample_sky(200))
+        got = self._agrees(mesh, GRID)
+        # the centroid once, then the shell points alone
+        assert pass_points[0] == 1 and pass_points[1] < 0.05 * len(GRID)
+        assert 0 < got.sum() < len(GRID)
+
+    def test_shell_point_and_points_at_distance_r(self, pass_points):
+        mesh = _sphere(sky.sample_sky(200))
+        c, big = mesh.bounding_sphere()
+        r = _plane_radius(mesh)
+        assert 0.9 < r < big
+        u = np.array([0.6, 0.0, 0.8])
+        shell = c + np.outer([r, r * (1 + 1e-6), (r + big) / 2], u)
+        assert np.all(self._agrees(mesh, shell)[:2])
+        assert pass_points[0] == 3
+        core = (c + r * (1 - 1e-6) * u)[None]
+        assert np.all(self._agrees(mesh, core))
+        assert pass_points[2] == 1  # the centroid alone
+
+    def test_points_beyond_the_bounding_radius_are_outside(self, pass_points):
+        mesh = _sphere(sky.sample_sky(200))
+        c, big = mesh.bounding_sphere()
+        dirs = sky.sample_sky(50).directions()
+        pts = c + big * np.concatenate([(1 + 1e-6) * dirs, 3.0 * dirs, 1e6 * dirs])
+        assert not np.any(self._agrees(mesh, pts))
+        assert pass_points[0] == 0
+
+    def test_dented_mesh(self):
+        mesh, _ = _dented_mesh(sky.sample_sky(400))
+        got = self._agrees(mesh, GRID)
+        assert 0 < got.sum() < len(GRID)
+
+    def test_two_spheres_whose_centroid_is_outside(self, pass_points):
+        sample = sky.sample_sky(120)
+        left, right = (_sphere(sample, 0.5, (x, 0.0, 0.0)) for x in (-0.7, 0.7))
+        mesh = ca.Mesh(
+            vertices=np.vstack([left.vertices, right.vertices]),
+            triangles=np.vstack([left.triangles, right.triangles + len(left.vertices)]),
+        )
+        c, _ = mesh.bounding_sphere()
+        assert not mesh._winding_contains(c[None])[0]
+        got = self._agrees(mesh, GRID)
+        assert pass_points[1] == 1  # the centroid decided points near it
+        assert 0 < got.sum() < len(GRID)
+
+    def test_mesh_with_a_degenerate_triangle(self, pass_points):
+        # a vertex on an edge of the first triangle, which splits into two,
+        # with the sliver (b, m, a) closing the surface
+        mesh = _sphere(sky.sample_sky(200))
+        (a, b, d), m = mesh.triangles[0], len(mesh.vertices)
+        sliver = ca.Mesh(
+            vertices=np.vstack([mesh.vertices, (mesh.vertices[a] + mesh.vertices[b]) / 2]),
+            triangles=np.vstack([mesh.triangles[1:], [[a, m, d], [m, b, d], [b, m, a]]]),
+        )
+        assert sliver.is_closed()
+        c, big = sliver.bounding_sphere()
+        self._agrees(sliver, GRID)
+        # r is 0, so every point within R takes the pass
+        assert pass_points[0] == np.count_nonzero(np.linalg.norm(GRID - c, axis=1) <= big)
+
+    def test_vertices_are_contained_without_the_pass(self, pass_points):
+        mesh, _ = _dented_mesh(sky.sample_sky(400))
+        assert np.all(mesh.contains_points(mesh.vertices))
+        assert pass_points == [0]
 
 
 README_METRIC = {

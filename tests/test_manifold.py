@@ -75,10 +75,12 @@ class TestMetricJet:
         m = mf.metric_from_config(cfg)
         rng = np.random.default_rng(5)
         x = rng.uniform([0.2, 0.2, -0.8, 0.2], [0.9, 0.9, 0.8, 0.9], size=(40, 4))
-        g, dg = m._metric_jet(x)
-        assert g.shape == (40, 4) and dg.shape == (40, 4, 4)
-        assert np.array_equal(g, m.metric_diag(x))
-        np.testing.assert_allclose(dg, _central_differences(m, x), rtol=1e-6, atol=1e-9)
+        g, dg = m._metric_jet(x.T)  # the rows t, x, y, z
+        assert g.shape == (4, 40) and dg.shape == (4, 4, 40)
+        assert np.array_equal(g.T, m.metric_diag(x))
+        np.testing.assert_allclose(
+            np.moveaxis(dg, -1, 0), _central_differences(m, x), rtol=1e-6, atol=1e-9
+        )
 
     def test_every_partial_of_the_operator_metric_is_exercised(self):
         m = mf.metric_from_config(EVERY_OPERATOR_METRIC)
@@ -89,9 +91,9 @@ class TestMetricJet:
     def test_constant_coefficients_broadcast(self):
         m = mf.metric_from_config(README_METRIC)
         x = np.full((3, 2, 4), 0.5)
-        g, dg = m._metric_jet(x)
-        assert g.shape == (3, 2, 4) and dg.shape == (3, 2, 4, 4)
-        assert np.all(g[..., 0] == 1.0) and np.all(dg[..., 1:, :] == 0.0)
+        g, dg = m._metric_jet(np.moveaxis(x, -1, 0))
+        assert g.shape == (4, 3, 2) and dg.shape == (4, 4, 3, 2)
+        assert np.all(g[0] == 1.0) and np.all(dg[1:] == 0.0)
         assert m.metric_diag(x).shape == (3, 2, 4)
         one_g, one_dg = m._metric_jet(np.array([2.0, 0, 0, 0]))
         assert one_g.shape == (4,) and one_dg.shape == (4, 4)
@@ -132,6 +134,37 @@ class TestMetricJet:
         )
         m.geodesic_acceleration(np.full((7, 4), 0.5), np.ones((7, 4)))
         assert calls == {"jet": 1, "values": 0, "metric_diag": 0}
+
+
+ANISOTROPIC_METRIC = dict(README_METRIC, coeffs=["1", "-1", "-(1 + 0.5*t)**2", "-1"])
+
+
+def _point_major_slope(m, s, y):
+    """The custom-metric sky-bundle slope in ln t, computed point by point:
+    the jet as (B, 4) coefficients and (B, 4 [b], 4 [a]) partials."""
+    t, n = np.exp(s), y[3:6]
+    g, dg = m._metric_jet(np.vstack([t, y[:3]]))
+    g, dg = g.T, np.moveaxis(dg, -1, 0)
+    e = np.sqrt(np.abs(g))
+    ut = np.column_stack([-1.0 / e[:, 0], n.T / e[:, 1:]])
+    quad, dot = np.einsum("rac,rc->ra", dg, ut**2), np.einsum("rc,rca->ra", ut, dg)
+    w, e0 = (e * (quad - ut * dot) / (2.0 * g)).T, e[:, 0]
+    out = np.empty_like(y)
+    out[:3], out[3:6] = -(e0 / e[:, 1:].T) * n, -e0 * (w[1:] + n * w[0])
+    out[6], out[7] = e0 * w[0], -e0 * np.exp(-y[6])
+    return t * out
+
+
+class TestBundleSlope:
+    @pytest.mark.parametrize("cfg", [README_METRIC, ANISOTROPIC_METRIC], ids=["readme", "aniso"])
+    def test_row_layout_matches_the_point_major_formula(self, cfg):
+        m = mf.metric_from_config(cfg)
+        rng = np.random.default_rng(11)
+        y = np.vstack([rng.uniform(-1, 1, (3, 160)), rng.normal(size=(5, 160))])
+        y[3:6] /= np.linalg.norm(y[3:6], axis=0)
+        s = np.log(rng.uniform(0.3, 0.6, 160))
+        got, want = mf._bundle_slope(m, s, y, True), _point_major_slope(m, s, y)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want).max(axis=1, keepdims=True))
 
 
 class TestExpressionDerivatives:

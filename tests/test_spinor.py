@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skyframes import spinor
+from skyframes import sky, spinor
 from skyframes.errors import (
     NonHermitianError,
     NotFutureDirectedError,
@@ -205,3 +205,11 @@ class TestSkyDictionary:
         with pytest.raises(ZeroSpinorError):
             fn(np.array(arg))
         assert not recwarn.list
+
+    @pytest.mark.parametrize("size", [1e-155, 1e-160])
+    @pytest.mark.parametrize("fn", [spinor.direction_for_cospinor, sky.unit_cospinor])
+    def test_covector_with_subnormal_squares_is_zero(self, fn, size):
+        # its squares are subnormal: the direction came back with length
+        # 1.0000636 at 1e-160, while unit_cospinor already refused it
+        with pytest.raises(ZeroSpinorError):
+            fn(np.array([1.0, 0.3 + 0.2j]) * size)
