@@ -413,7 +413,7 @@ def theta_value(f: FrameSpec, x, xi, direction):
     """
     x = np.asarray(x, dtype=float)
     w_tet = f.metric.tetrad_diag(x) * np.asarray(direction, dtype=float)
-    d = sky_directions(f, skymod.unit_cospinor(xi))
+    d = sky_directions(f, xi)
     # A (1, 3) @ (3, 1) product per row sums like the vector dot product.
     dot = (d[..., None, :] @ w_tet[..., 1:, None])[..., 0, 0]
     return PAULI_FACTOR * (w_tet[..., 0] - dot)

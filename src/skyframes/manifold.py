@@ -180,7 +180,8 @@ class MetricSpec:
         hi = box[:, 1] - 1e-3 * (box[:, 1] - box[:, 0])
         axes = [np.linspace(lo[k], hi[k], 3) for k in range(4)]
         grid = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(4, -1)
-        _require_signature(self, grid, self.metric_diag(grid.T).T)
+        with np.errstate(invalid="ignore"):  # a NaN coefficient fails the check
+            _require_signature(self, grid, self.metric_diag(grid.T).T)
 
 
 #: The signs of the (+, -, -, -) signature, one per coefficient row.
@@ -194,7 +195,7 @@ def _require_signature(m: MetricSpec, rows, g):
     signed = g * _SIGNATURE
     if not signed.min(initial=1.0) > 0.0:  # a row is wrong or NaN
         x = np.column_stack(rows)
-        wrong = np.any(signed <= 0.0, axis=0) & m.in_domain(x)
+        wrong = ~np.all(signed > 0.0, axis=0) & m.in_domain(x)
         if np.any(wrong):
             point = x[wrong][0].tolist()
             raise ValueError(f"coefficients do not have signature (+,-,-,-) at {point}")

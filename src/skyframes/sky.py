@@ -14,7 +14,7 @@ import numpy as np
 
 from . import spinor
 from .errors import BadCountError, OutOfDomainError, UnsupportedSignatureError
-from .errors import ZeroSpinorError
+from .spinor import unit_cospinor  # the one covector normaliser, re-exported
 
 #: Bidegrees of homogeneity with a supported evaluation rule.
 SUPPORTED_SIGNATURES = {(1, 0), (0, 1), (1, 1), (2, 0)}
@@ -63,8 +63,7 @@ def sample_sky(n, scheme="fibonacci", seed=None):
         xi = z
     else:
         raise ValueError(f"unknown sampling scheme {scheme!r}")
-    xi = xi / np.linalg.norm(xi, axis=-1, keepdims=True)
-    return SkySample(xi=xi, scheme=scheme, seed=seed)
+    return SkySample(xi=unit_cospinor(xi), scheme=scheme, seed=seed)
 
 
 def eval_homogeneous(coeffs, signature, xi):
@@ -160,12 +159,3 @@ def semidefinite(d, tol=1e-12):
 def dominates(a: SizeField, b: SizeField, tol=1e-12) -> bool:
     """Pointwise a >= b on the sky: the difference is semidefinite."""
     return bool(semidefinite(a.matrix - b.matrix, tol)[0])
-
-
-def unit_cospinor(xi):
-    """Normalise a covector representative; reject (numerically) zero ones."""
-    xi = np.asarray(xi, dtype=complex)
-    nrm = np.linalg.norm(xi, axis=-1)
-    if np.any(nrm < spinor.ZERO_NORM):
-        raise ZeroSpinorError("sky point needs a nonzero covector")
-    return xi / nrm[..., None]

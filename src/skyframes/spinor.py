@@ -159,7 +159,9 @@ def random_sl2(rng, n=None):
 # Dictionary between sky covectors, spinors and null directions.
 #
 # cospinor_for_spinor and spinor_for_cospinor are mutual annihilators under
-# the dual pairing xi_A psi^A; the composition round-trips exactly.
+# the dual pairing xi_A psi^A; the composition round-trips exactly.  The unit
+# xi = (a, b) names the null vector (1, d) with Pauli image psi psi^dagger,
+# psi = (-b, a), and d is written out so no ray builds that matrix.
 
 
 def spinor_for_cospinor(xi):
@@ -174,34 +176,37 @@ def cospinor_for_spinor(psi):
     return np.stack([psi[..., 1], -psi[..., 0]], axis=-1)
 
 
-def null_vector_for_cospinor(xi):
-    """Future null 4-vector of the sky point P(xi), time component scaled to 1.
-
-    This is the direction at which the (1,1)-homogeneous field of the
-    returned vector vanishes, so the contact form evaluated at xi kills it.
-    """
-    psi = spinor_for_cospinor(_unit(np.asarray(xi, dtype=complex)))
-    # trace(psi psi^dagger) = 1 for unit psi, so inverse_pauli gives v0 = 1.
-    return inverse_pauli(outer_square(psi))
-
-
-def cospinor_for_null_vector(v, tol=NULL_TOL):
-    """Unit covector representing the sky point of the future null vector v."""
-    return _unit(cospinor_for_spinor(factor_null(v, tol)))
-
-
-def _unit(xi):
-    """Rows xi (..., 2) over their norms; ZeroSpinorError where a norm is
-    below ZERO_NORM."""
-    nrm = np.sqrt(np.abs(xi[..., 0]) ** 2 + np.abs(xi[..., 1]) ** 2)
+def unit_cospinor(xi):
+    """Rows xi (..., 2) over their norms hypot(|xi1|, |xi2|), which cannot
+    overflow; ZeroSpinorError where a norm is below ZERO_NORM."""
+    xi = np.asarray(xi, dtype=complex)
+    nrm = np.hypot(np.abs(xi[..., 0]), np.abs(xi[..., 1]))
     if np.any(nrm < ZERO_NORM):
         raise ZeroSpinorError("a sky point needs a nonzero covector")
     return xi / nrm[..., None]
 
 
 def direction_for_cospinor(xi):
-    """Unit spatial direction (..., 3) of the null vector of P(xi)."""
-    return null_vector_for_cospinor(xi)[..., 1:]
+    """Unit spatial direction (..., 3) of the null vector of P(xi): the
+    Pauli components of psi psi^dagger for the unit xi = (a, b)."""
+    xi = unit_cospinor(xi)
+    # real arithmetic: numpy rounds a batch of complex products unlike one row
+    ar, ai, br, bi = xi[..., 0].real, xi[..., 0].imag, xi[..., 1].real, xi[..., 1].imag
+    cr, ci = br * ar + bi * ai, bi * ar - br * ai  # xi2 conj(xi1) = cr + i ci
+    return np.stack([-2.0 * cr, -2.0 * ci, (br * br + bi * bi) - (ar * ar + ai * ai)], -1)
+
+
+def null_vector_for_cospinor(xi):
+    """Future null 4-vector (1, d) of the sky point P(xi): the direction at
+    which the (1,1)-homogeneous field of the returned vector vanishes, so the
+    contact form evaluated at xi kills it."""
+    d = direction_for_cospinor(xi)
+    return np.concatenate([np.ones(d.shape[:-1] + (1,)), d], axis=-1)
+
+
+def cospinor_for_null_vector(v, tol=NULL_TOL):
+    """Unit covector representing the sky point of the future null vector v."""
+    return unit_cospinor(cospinor_for_spinor(factor_null(v, tol)))
 
 
 def cospinor_for_direction(d):

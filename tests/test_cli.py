@@ -970,6 +970,20 @@ class TestCustomMetric:
             "ValueError: coefficients do not have signature (+,-,-,-) at [0.5, "
         )
 
+    def test_nan_coefficient_inside_the_chart_exits_2(self, capsys, tmp_path):
+        # (1+t)**1.2 is NaN for t < -1; the image exited 1 with
+        # "OutOfDomainError: out of float range: invalid value ..."
+        cfg = tmp_path / "nan.json"
+        coeffs = ["1", "-(1+t)**2", "-(1+t)**1.2", "-(1+t)**0.5"]
+        cfg.write_text(json.dumps({"kind": "custom", "coeffs": coeffs}))
+        code, out, err = run(
+            capsys, "--config", str(cfg), "sky-image", "--metric", "custom",
+            "--target", "cauchy:-1.8", "--event=-0.5,0,0,0",
+            "--out", str(tmp_path / "img.json"),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("ValueError: coefficients do not have signature (+,-,-,-) at [-")
+
     def test_target_below_the_chart_exits_2(self, capsys, tmp_path):
         # the rays were traced through t < 0, where the signature is never
         # checked, and the image exited 0

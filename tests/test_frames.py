@@ -128,6 +128,16 @@ class TestProjectEvent:
             with pytest.raises(OutOfDomainError, match=re.escape("[1e+308, 0.0, 0.0, 0.0]")):
                 fr.project_batch(f, events, np.tile(XI_TO_ZHAT, (2, 1)))
 
+    @pytest.mark.parametrize("scale", [1e-140, 1.0, 1e160, 1e300])
+    def test_huge_covector_ray_ends_at_distance_one(self, mink_frame, scale):
+        # at 1e160 the ray ended at the origin, with ok = True
+        xi = np.array([[1.0, 0.3 + 0.2j]]) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pts, _, ok, _ = fr.project_batch(mink_frame, np.array([[1.0, 0, 0, 0]]), xi)
+        assert ok[0]
+        assert np.linalg.norm(pts[0]) == pytest.approx(1.0, abs=1e-15)
+
 
 class TestFrameSpec:
     @pytest.mark.parametrize("step", [0.0, -0.01, np.nan, np.inf])
@@ -245,6 +255,18 @@ class TestSkyImage:
         img.write_csv(path)
         rows = path.read_text().strip().splitlines()
         assert len(rows) == 17
+
+    def test_rays_build_no_pauli_matrix(self, flrw_frame, sample100, monkeypatch):
+        # each ray's direction comes straight from its covector
+        def refuse(*args, **kwargs):
+            raise AssertionError("a ray went through the Pauli matrix")
+
+        for name in ("inverse_pauli", "outer_square", "check_hermitian"):
+            monkeypatch.setattr(spinor, name, refuse)
+        image = fr.sky_image(flrw_frame, np.array([1.0, 0, 0, 0]), sample100)
+        assert np.all(image.ranks == 2)
+        pv = flrw_frame.probe_values([1.0, 0, 0, 0], sample100.xi[:3], np.eye(4))
+        assert np.all(np.isfinite(pv.rates))
 
 
 class TestQuadrature:

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -538,6 +539,16 @@ class TestConfig:
             with pytest.raises(ValueError, match=f"unknown name '{name}'"):
                 mf.metric_from_config({"kind": "flrw", "a_expr": src})
 
+    def test_nan_coefficient_is_a_lost_signature(self):
+        # (1+t)**1.2 is NaN for t < -1: the chart was built, with warnings,
+        # and the first ray there raised OutOfDomainError
+        cfg = {"kind": "custom", "coeffs": ["1", "-(1+t)**2", "-(1+t)**1.2", "-(1+t)**0.5"]}
+        with warnings.catch_warnings(), pytest.raises(ValueError) as err:
+            warnings.simplefilter("error")
+            mf.metric_from_config(cfg)
+        point = re.search(r"at \[([^,]+),", str(err.value))
+        assert "do not have signature" in str(err.value) and float(point[1]) < -1.0
+
     def test_signature_checked_on_grid(self):
         with pytest.raises(ValueError):
             mf.MetricSpec.custom_diagonal(["-1"] * 4)
@@ -802,6 +813,17 @@ class TestRunTimeSignatureGuard:
             mf.trace_past_to_time(m, x0, v0, 0.0)
         # every stage above the band passes
         assert np.all(mf.trace_past_to_time(m, x0, v0, 0.625).ok)
+
+    def test_integrator_names_a_nan_node(self):
+        # g11 is NaN for 0.4 < t < 0.6, between the construction-time grid
+        # points; the rays turned NaN and came back not ok, with no reason
+        m = mf.metric_from_config(
+            dict(README_METRIC, coeffs=["1", "-((t-0.5)**2 - 0.01)**0.5 - 1", "-1", "-1"])
+        )
+        x0 = np.array([[1.0, 0, 0, 0], [1.0, 0.2, 0, 0]])
+        v0 = mf.future_null_directions(m, x0, np.array([[0, 1.0, 0], [0, 0, 1.0]]))
+        with pytest.raises(ValueError, match=re.escape("(+,-,-,-) at [0.5, ")):
+            mf.trace_past_to_time(m, x0, v0, 0.0)
 
     def test_tracer_raises_inside_the_bounds_only(self):
         m = mf.metric_from_config(self.BAND)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -213,3 +215,36 @@ class TestSkyDictionary:
         # 1.0000636 at 1e-160, while unit_cospinor already refused it
         with pytest.raises(ZeroSpinorError):
             fn(np.array([1.0, 0.3 + 0.2j]) * size)
+
+
+class TestClosedFormDirection:
+    def test_matches_the_pauli_route(self):
+        rng = np.random.default_rng(21)
+        xi = rng.normal(size=(10_000, 2)) + 1j * rng.normal(size=(10_000, 2))
+        psi = spinor.spinor_for_cospinor(spinor.unit_cospinor(xi))
+        reference = spinor.inverse_pauli(spinor.outer_square(psi))[..., 1:]
+        assert np.abs(spinor.direction_for_cospinor(xi) - reference).max() <= 4.5e-16
+
+    def test_time_component_is_exactly_one(self):
+        rng = np.random.default_rng(22)
+        xi = rng.normal(size=(1000, 2)) + 1j * rng.normal(size=(1000, 2))
+        assert np.all(spinor.null_vector_for_cospinor(xi)[..., 0] == 1.0)
+
+    def test_sky_normaliser_is_the_spinor_one(self):
+        assert sky.unit_cospinor is spinor.unit_cospinor
+
+
+class TestHugeCovectors:
+    XI = np.array([1.0, 0.3 + 0.2j])
+
+    @pytest.mark.parametrize("scale", [1e-140, 1.0, 1e160, 1e300])
+    def test_scaled_covector_names_the_same_direction(self, scale):
+        # above about 1e154 the squared norm overflowed: the direction came
+        # back (0, 0, 0) with overflow warnings and the unit row was zero
+        expected = spinor.direction_for_cospinor(self.XI)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = spinor.direction_for_cospinor(self.XI * scale)
+            unit = sky.unit_cospinor(self.XI * scale)
+        assert np.abs(d - expected).max() <= 1e-15
+        assert np.linalg.norm(unit) == pytest.approx(1.0, abs=1e-15)
