@@ -42,6 +42,11 @@ MESH_POINT_CHUNK = 128
 #: that the winding pass decides, far above the rounding of a distance.
 MESH_BALL_SLACK = 1e-9
 
+#: Distance from a triangle, relative to the bounding radius, within which
+#: a shell point of Mesh.contains_points lies on the surface, so contained;
+#: at most MESH_BALL_SLACK, so that every such point is in the shell.
+MESH_SURFACE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Ball:
@@ -101,8 +106,9 @@ class Mesh:
         Two balls about the vertex centroid c decide most points: beyond
         the bounding radius R a point is outside, and nearer than r, a lower
         bound on the distance from c to the surface, it has c's winding
-        number.  In the shell between them a point that equals a vertex is
-        on the surface, so contained, and the rest take the winding pass."""
+        number.  In the shell between them a point within MESH_SURFACE_TOL
+        R of a triangle is on the surface, so contained, also on a sharp
+        edge, and the rest take the winding pass."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         center, radius = self.bounding_sphere()
         dist = np.linalg.norm(pts - center, axis=-1)
@@ -122,11 +128,31 @@ class Mesh:
         if np.any(core):
             out[core] = self._winding_contains(center[None])[0]
         shell = np.flatnonzero(out & ~core)
-        if len(shell):
-            vertices = set(map(tuple, self.vertices.tolist()))
-            off = [p not in vertices for p in map(tuple, pts[shell].tolist())]
-            shell = shell[np.array(off, dtype=bool)]
+        shell = shell[self._surface_distance(pts[shell]) > MESH_SURFACE_TOL * radius]
         out[shell] = self._winding_contains(pts[shell])
+        return out
+
+    def _surface_distance(self, pts):
+        """The least distance from each point (k, 3) to a triangle: to its
+        plane where the point projects inside it, else to its nearest edge
+        (a degenerate triangle has its edges alone)."""
+        corners = [self.vertices[self.triangles[:, i]] for i in range(3)]  # (nt, 3)
+        normal = np.cross(corners[1] - corners[0], corners[2] - corners[0])
+        area = np.linalg.norm(normal, axis=1)
+        edges = [(u, v - u) for u, v in zip(corners, corners[1:] + corners[:1])]
+        dot = lambda u, v: np.einsum("ptk,tk->pt", u, v)
+        out = np.empty(len(pts))
+        for start in range(0, len(pts), MESH_POINT_CHUNK):
+            p = pts[start : start + MESH_POINT_CHUNK, None, :]  # (points, 1, 3)
+            inside, dist = area > 0.0, np.inf
+            for u, e in edges:
+                w = p - u  # (points, nt, 3)
+                inside = inside & (dot(np.cross(e, w), normal) >= 0.0)
+                along = dot(w, e) / np.maximum(np.einsum("tk,tk->t", e, e), np.finfo(float).tiny)
+                foot = np.clip(along, 0.0, 1.0)[..., None] * e
+                dist = np.minimum(dist, np.linalg.norm(w - foot, axis=-1))
+            height = np.abs(dot(p - corners[0], normal)) / np.where(area > 0.0, area, 1.0)
+            out[start : start + MESH_POINT_CHUNK] = np.where(inside, height, dist).min(axis=1)
         return out
 
     def _winding_contains(self, pts):

@@ -216,7 +216,7 @@ def project_batch(f: FrameSpec, events, xis):
         raise OutOfDomainError("an event lies outside the chart domain")
     t = events[:, 0]
     t_target = f.target_time
-    t_tol = 1e-12 * max(1.0, float(np.abs(t).max()))
+    t_tol = 1e-12 * max(1.0, float(np.abs(t).max(initial=0.0)))
     on_surface = np.abs(t - t_target) <= t_tol
     below = t < t_target - t_tol
 

@@ -11,10 +11,14 @@ of one), `trace_past_to_time`: it marches sky-bundle states (spatial
 point, tetrad direction of the ray, ln of its tetrad energy, affine
 length), null by construction, with a classical 4th-order step in t or
 graded ln t on a shared grid, sized by step doubling, that ends on the
-target level.  The two integrals of the scale factor share one ladder:
-`conformal_time`, the conformal interval from the target time t_from, and
-`affine_length`, the affine length of a ray down to it; closed form for
-power laws, else the tanh-sinh `_integral`.
+target level.  The states are row-major (8, B) arrays, one contiguous row
+per variable: a refined level gathers its rows with `np.take` and the
+rows that leave are compacted out with `np.compress`, both along axis 1,
+as a fancy index `y[:, rows]` would come back column-major.  The two
+integrals of the scale factor share one ladder: `conformal_time`, the
+conformal interval from the target time t_from, and `affine_length`, the
+affine length of a ray down to it; closed form for power laws, else the
+tanh-sinh `_integral`.
 
 The spinor <-> direction dictionary at a curved point uses the fixed
 orthonormal tetrad aligned with the coordinate axes (well-defined for
@@ -232,11 +236,13 @@ class TraceResult:
 
 
 def _bundle_start(m: MetricSpec, x0, v0):
-    """Sky-bundle states (8, B) of the future null rays (x0, v0) (B, 4):
-    the past-directed tangent -v0 in the tetrad, and lambda = 0."""
+    """Row-major sky-bundle states (8, B) of the future null rays (x0, v0)
+    (B, 4): the past-directed tangent -v0 in the tetrad, and lambda = 0."""
     u0 = -(m.tetrad_diag(x0) * np.asarray(v0, dtype=float)).T
-    n0 = u0[1:] / np.linalg.norm(u0[1:], axis=0)
-    return np.vstack([x0[:, 1:].T, n0, np.log(-u0[0]), np.zeros(len(x0))])
+    y = np.empty((8, len(x0)))
+    y[:3], y[3:6] = x0[:, 1:].T, u0[1:] / np.linalg.norm(u0[1:], axis=0)
+    y[6], y[7] = np.log(-u0[0]), 0.0
+    return y
 
 
 def _bundle_slope(m: MetricSpec, s, y, log):
@@ -263,10 +269,10 @@ def _bundle_slope(m: MetricSpec, s, y, log):
 
 
 def _march(m: MetricSpec, t0, y0, t_target, n):
-    """March past-directed rays from the times t0 (B,) and the states y0
-    (8, B): the spatial point, the unit tetrad direction n of the tangent,
-    ln E for the tetrad energy E = e0 |u0|, and lambda.  n steps of s lead
-    to t_target: ln t above a level > 0, node k at the fraction (k/n)^2 of
+    """March past-directed rays from the times t0 (B,) and the row-major
+    states y0 (8, B): the spatial point, the unit tetrad direction n of the
+    tangent, ln E for the tetrad energy E = e0 |u0|, and lambda.  n steps
+    of s lead to t_target: ln t above a level > 0, node k at the fraction (k/n)^2 of
     each row's span, else t in equal steps.  The last node is the level
     itself; a node's accept is n /= |n|.  ok marks the rows that arrived.
     A level above t0 runs the same rays to the future, lambda falling."""
@@ -285,7 +291,7 @@ def _march(m: MetricSpec, t0, y0, t_target, n):
         if not keep.all():  # rows leave with their state at this node
             gone = live[~keep]
             y[:, gone], t[gone] = yl[:, ~keep], (np.exp(s + hk) if log else s + hk)[~keep]
-            live, yl, s0, span = live[keep], yl[:, keep], s0[keep], span[keep]
+            live, yl, s0, span = live[keep], np.compress(keep, yl, 1), s0[keep], span[keep]
     y[:, live] = yl
     ok = np.isin(np.arange(len(t0)), live)
     x, lost = np.column_stack([t, y[:3].T]), np.zeros(len(t0), dtype=bool)
@@ -322,7 +328,7 @@ def trace_past_to_time(m: MetricSpec, x0, v0, t_target):
     res = {k: np.copy(v) for k, v in vars(_march(m, x0[:, 0], y0, t_target, n)).items()}
     while len(rows) and n < GRID_CAP:
         n *= 2
-        fine = _march(m, x0[rows, 0], y0[:, rows], t_target, n)
+        fine = _march(m, x0[rows, 0], np.take(y0, rows, 1), t_target, n)
         both = res["ok"][rows] & fine.ok
         coarse = rows[both]
         end = np.column_stack([fine.x[both, 1:], fine.lam[both]])

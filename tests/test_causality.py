@@ -448,6 +448,49 @@ class TestBallPrefilter:
         assert pass_points == [0]
 
 
+#: A closed outward-oriented tetrahedron whose edge (0, 0, 0)-(1, 0, 0) has
+#: an interior dihedral angle of 0.1 rad, so its winding number there is
+#: about 0.1 / 2 pi, below the pass's 1/4.
+SHARP = ca.Mesh(
+    vertices=[[0, 0, 0], [1.0, 0, 0], [0.5, 1.0, 0.05], [0.5, 1.0, -0.05]],
+    triangles=[[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]],
+)
+
+
+class TestSurfacePoints:
+    """A shell point within MESH_SURFACE_TOL of a triangle is on the surface."""
+
+    def test_sharp_tetrahedron_is_closed_and_outward(self):
+        assert SHARP.is_closed()
+        assert SHARP._winding_contains(np.array([[0.5, 0.5, 0.0]]))[0]
+        a, b, c = (SHARP.vertices[SHARP.triangles[:, i]] for i in range(3))
+        assert np.einsum("tk,tk->t", a, np.cross(b, c)).sum() > 0.0  # six times the volume
+
+    def test_midpoint_of_a_sharp_edge_is_contained(self, pass_points):
+        edge = np.array([[0.5, 0.0, 0.0]])
+        assert not SHARP._winding_contains(edge)[0]
+        assert SHARP.contains_points(edge).tolist() == [True]
+        assert pass_points[-1] == 0
+
+    def test_face_centre_is_contained(self, pass_points):
+        centre = SHARP.vertices[SHARP.triangles[0]].mean(axis=0)[None]
+        assert SHARP.contains_points(centre).tolist() == [True]
+        assert pass_points[-1] == 0
+
+    def test_points_off_the_surface_take_the_pass(self, pass_points):
+        _, radius = SHARP.bounding_sphere()
+        off = 10 * ca.MESH_SURFACE_TOL * radius
+        pts = np.array([[0.5, -off, 0.0], [0.5, 0.5, 0.0], [0.5, 0.0, 0.1]])
+        assert SHARP.contains_points(pts).tolist() == [False, True, False]
+        assert pass_points[-1] == 2  # (0.5, 0.5, 0) is the centroid c, in the core
+
+    def test_distance_to_a_degenerate_triangle_is_to_its_edges(self):
+        mesh = ca.Mesh(vertices=[[0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]], triangles=[[0, 1, 2]])
+        pts = np.array([[0.5, 0.0, 0.0], [1.5, 2.0, 0.0], [3.0, 0.0, 0.0]])
+        with np.errstate(all="raise"):
+            assert np.allclose(mesh._surface_distance(pts), [0.0, 2.0, 1.0], rtol=0, atol=1e-15)
+
+
 README_METRIC = {
     "kind": "custom",
     "coeffs": ["1"] + ["-(1 + 0.1*t)**2"] * 3,

@@ -138,6 +138,19 @@ class TestProjectEvent:
         assert ok[0]
         assert np.linalg.norm(pts[0]) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("tracer", ["closed_form", "numeric"])
+    def test_zero_rows_give_empty_results(self, tracer):
+        # np.abs(t).max() raised numpy's "zero-size array to reduction" error
+        f = fr.FrameSpec(metric=mf.MetricSpec.flrw(p=2 / 3), target=fr.Singularity(), tracer=tracer)
+        events, xis = np.zeros((0, 4)), np.zeros((0, 2), dtype=complex)
+        pts, lams, ok, lost = fr.project_batch(f, events, xis)
+        assert pts.shape == (0, 3) and lams.shape == ok.shape == lost.shape == (0,)
+        assert ok.dtype == lost.dtype == bool
+        tp = fr.tangent_planes(f, events, xis, np.eye(4)[1:], normals=True)
+        assert tp.m_points.shape == tp.normals.shape == (0, 3)
+        assert tp.jacobians.shape == (0, 3, 2) and tp.family.shape == (0, 3, 3)
+        assert tp.ranks.shape == tp.ok.shape == tp.stencil_ok.shape == (0,)
+
 
 class TestFrameSpec:
     @pytest.mark.parametrize("step", [0.0, -0.01, np.nan, np.inf])

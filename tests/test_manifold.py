@@ -797,6 +797,52 @@ class TestCoordinateTimeGrid:
         assert not np.any(res.ok) and np.all(res.lost)
 
 
+class TestRowMajorStates:
+    # The README chart cut at x = 0.4652002: the ray along +x ends at
+    # 0.46520033 on the first level and at 0.46520017 on the second, so it
+    # leaves at the last node first and then arrives, and refines alone;
+    # the ray from x = 0.3 along +x leaves halfway on every level
+    BOUNDED = dict(README_METRIC, bounds=[[0, None], [-1, 0.4652002], [None, None], [None, None]])
+    X0 = np.array([[1.0, 0, 0, 0], [1.0, 0, 0, 0], [1.0, 0.3, 0, 0]])
+    DIRS = np.array([[-1.0, 0, 0], [0, 1.0, 0], [-1.0, 0, 0]])
+
+    def test_every_stepped_state_is_row_major(self, monkeypatch):
+        seen, level = [], [0]  # (level, rows, C-contiguous) per RK4 stage
+        march, rk4 = mf._march, mf._rk4_step
+
+        def marching(m, t0, y0, t_target, n):
+            level[0] = n
+            return march(m, t0, y0, t_target, n)
+
+        def stepping(rhs, y, h):
+            def spy(c, y):
+                seen.append((level[0], y.shape[1], y.flags.c_contiguous))
+                return rhs(c, y)
+
+            return rk4(spy, y, h)
+
+        monkeypatch.setattr(mf, "_march", marching)
+        monkeypatch.setattr(mf, "_rk4_step", stepping)
+        m = mf.metric_from_config(self.BOUNDED)
+        res = mf.trace_past_to_time(m, self.X0, mf.future_null_directions(m, self.X0, self.DIRS), 0.5)
+        assert res.ok.tolist() == [True, True, False] and not np.any(res.lost)
+        widths = {n: [w for k, w, _ in seen if k == n] for n, _, _ in seen}
+        assert list(widths) == [4, 8, 16]
+        first, compacted, gathered = widths[4][0] == 3, min(widths[4]) == 2, widths[16][0] == 1
+        assert first and compacted and gathered
+        assert all(contiguous for _, _, contiguous in seen)
+
+    def test_a_column_major_start_marches_to_the_same_bits(self):
+        m = mf.metric_from_config(self.BOUNDED)
+        y0 = mf._bundle_start(m, self.X0, mf.future_null_directions(m, self.X0, self.DIRS))
+        assert y0.flags.c_contiguous
+        rows = mf._march(m, self.X0[:, 0], y0, 0.5, 8)
+        cols = mf._march(m, self.X0[:, 0], np.asfortranarray(y0), 0.5, 8)
+        assert rows.ok.tolist() == [True, True, False]
+        for name, value in vars(rows).items():
+            assert getattr(cols, name).tobytes() == value.tobytes(), name
+
+
 class TestRunTimeSignatureGuard:
     # g11 is positive for 0.4 < t < 0.6 and negative on every point of the
     # construction-time grid (t = 0.002, 1, 1.998)
