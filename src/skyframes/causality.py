@@ -202,14 +202,15 @@ def analytic_region(f: fr.FrameSpec, x) -> Ball | None:
     if f.metric.kind == "custom":
         return None
     x = np.asarray(x, dtype=float)
-    radius = mf.conformal_time(f.metric, float(x[0]), f.target_time)
+    t, *center = event = x.tolist()
+    radius = mf.conformal_time(f.metric, t, f.target_time)
     if radius < 0.0:
-        raise NoIntersectionError(f"event {x.tolist()} lies below the target")
+        raise NoIntersectionError(f"event {event} lies below the target")
     if not math.isfinite(radius):
-        raise OutOfDomainError(f"the past region of {x.tolist()} overflows")
-    spans = zip(x[1:].tolist(), f.metric.bounds[1:].tolist())
+        raise OutOfDomainError(f"the past region of {event} overflows")
+    spans = zip(center, f.metric.bounds[1:].tolist())
     if not all(lo + radius < c < hi - radius for c, (lo, hi) in spans):
-        raise NoIntersectionError(f"the past region of {x.tolist()} leaves the chart")
+        raise NoIntersectionError(f"the past region of {event} leaves the chart")
     return Ball(center=x[1:], radius=radius)
 
 
@@ -249,7 +250,8 @@ def _contains(outer: Region, inner: Region) -> bool:
     """Whether the inner region lies in the outer one (closed)."""
     if isinstance(outer, Ball):
         with np.errstate(over="ignore", invalid="ignore"):
-            reach = float(np.linalg.norm(outer.center - inner.center)) + inner.radius
+            d = outer.center - inner.center
+        reach = math.sqrt(d.dot(d)) + inner.radius  # np.linalg.norm's own sum
         if not math.isfinite(reach):
             raise OutOfDomainError("the separation of the past regions overflows")
         return reach <= outer.radius + BALL_TOL

@@ -13,6 +13,15 @@ two columns, and gives the event-family differences.  Sky images and the
 verifier's probe values (`FrameSpec.probe_values`) are built on it; a
 caller with one row passes a batch of one and reads row 0.
 
+Reductions over a short trailing axis of a batch (coordinates, stencil
+rays, Jacobian entries) are column chains, `functools.reduce` of an
+elementwise ufunc over the columns, as numpy reduces such an axis one row
+at a time.  The chains keep numpy's bits: max and `and` are exact in any
+order, a sum adds its columns left to right as numpy does, and a norm is
+the square root of the summed `(x.conj() * x).real`, which is what
+`np.linalg.norm` computes.  A chain over no columns starts from its
+identity.
+
 Two tracers are available: a conformal-chart closed form (flat space and
 spatially flat cosmologies project onto straight comoving lines) and the
 numeric `manifold.trace_past_to_time`, which marches a batch in t (ln t
@@ -27,6 +36,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -243,7 +253,7 @@ def project_batch(f: FrameSpec, events, xis):
             ok[march], lost[march] = res.ok, res.lost
     m_points[on_surface] = events[on_surface, 1:]
     lams[on_surface] = 0.0
-    bad = ok & ~(np.isfinite(lams) & np.all(np.isfinite(m_points), axis=1))
+    bad = ok & ~reduce(np.logical_and, map(np.isfinite, m_points.T), np.isfinite(lams))
     if np.any(bad):
         raise OutOfDomainError(
             f"the ray from {events[bad][0].tolist()} has no finite end point or length"
@@ -276,7 +286,9 @@ def _sky_stencil(xi):
         [xi + h * delta, xi - h * delta, xi + 1j * h * delta, xi - 1j * h * delta],
         axis=-2,
     )
-    return raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+    sq = (raw.conj() * raw).real  # the squares np.linalg.norm sums
+    raw /= np.sqrt(sq[..., 0] + sq[..., 1])[..., None]  # in place: no third copy
+    return raw
 
 
 _TIME_AXIS = np.array([1.0, 0.0, 0.0, 0.0])
@@ -321,7 +333,7 @@ def tangent_planes(f: FrameSpec, events, xis, directions=None, h=None, normals=F
     if normals and not np.any(np.all(dirs == _TIME_AXIS, axis=1)):
         dirs = np.vstack([dirs, _TIME_AXIS])
     if h is None:
-        h = EVENT_FD_STEP * np.maximum(1.0, np.abs(events).max(axis=1))
+        h = EVENT_FD_STEP * np.maximum(1.0, reduce(np.maximum, np.abs(events).T))
     h = np.broadcast_to(np.asarray(h, dtype=float), (b,))
     shift = h[:, None, None] * np.asarray(dirs, dtype=float)[None]
     fam_events = np.stack([events[:, None] + shift, events[:, None] - shift], axis=2)
@@ -334,19 +346,20 @@ def tangent_planes(f: FrameSpec, events, xis, directions=None, h=None, normals=F
     stencil = pts[b : 5 * b].reshape(b, 4, 3)
     fam_pts = pts[5 * b :].reshape(b, len(dirs), 2, 3)
     family = fam_pts[:, :, 0] - fam_pts[:, :, 1]
-    stencil_ok = ok[b : 5 * b].reshape(b, 4).all(axis=1)
-    family_ok = ok[5 * b :].reshape(b, 2 * len(dirs)).all(axis=1)
+    stencil_ok = reduce(np.logical_and, ok[b : 5 * b].reshape(b, 4).T)
+    every = np.ones(b, dtype=bool)  # the chain's identity, for no directions
+    family_ok = reduce(np.logical_and, ok[5 * b :].reshape(b, 2 * len(dirs)).T, every)
 
     diffs = [stencil[:, 0] - stencil[:, 1], stencil[:, 2] - stencil[:, 3]]
     jac = np.stack(diffs, axis=-1) / (2 * SKY_FD_STEP)
     # Singular values s1 >= s2 of each Jacobian from its columns c1, c2, in
     # units of its largest entry so that no square overflows:
     # s1 s2 = |c1 x c2| and s1^2 - s2^2 = hypot(|c1|^2 - |c2|^2, 2 c1.c2).
-    scale = np.abs(jac).max(axis=(1, 2))
+    scale = reduce(np.maximum, np.abs(jac).reshape(b, 6).T)
     scale = np.where(scale > 0.0, scale, 1.0)
     c1, c2 = np.moveaxis(jac / scale[:, None, None], 2, 0)
     cross = np.cross(c1, c2)
-    area = np.linalg.norm(cross, axis=1)
+    area = np.sqrt(reduce(np.add, (cross * cross).T))
     sq1, sq2 = np.einsum("rk,rk->r", c1, c1), np.einsum("rk,rk->r", c2, c2)
     gap = np.hypot(sq1 - sq2, 2.0 * np.einsum("rk,rk->r", c1, c2))
     s1 = np.sqrt((sq1 + sq2 + gap) / 2.0)

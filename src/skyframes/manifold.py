@@ -31,6 +31,7 @@ from __future__ import annotations
 import ast
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -143,11 +144,12 @@ class MetricSpec:
         return np.sqrt(np.abs(g))
 
     def in_domain(self, x):
-        """Strict interior test; NaN coordinates count as outside."""
+        """Strict interior test; NaN coordinates count as outside.  The
+        verdicts of the four coordinates are chained column by column, as in
+        `frames`."""
         x = np.asarray(x, dtype=float)
-        lo, hi = self.bounds[:, 0], self.bounds[:, 1]
-        inside = (x > lo) & (x < hi)
-        return np.all(inside, axis=-1)
+        inside = (x > self.bounds[:, 0]) & (x < self.bounds[:, 1])
+        return reduce(np.logical_and, [inside[..., k] for k in range(4)])
 
     # -- differential structure --------------------------------------------
 
@@ -307,11 +309,12 @@ def trace_past_to_time(m: MetricSpec, x0, v0, t_target):
     The batch shares the number N of steps, doubling from GRID_START: a
     level settles the rows that arrived at it and at the level before once
     every such row's step-doubling estimate |fine - coarse| / 15 (end point
-    and lambda) is within GRID_TOL * max(1, |end|), and the rows that
-    failed at both.  The others refine alone; at GRID_CAP they come back
-    not ok and lost.  Rows that leave the spatial domain or turn non-finite
-    come back not ok.  Raises OutOfDomainError for a start event outside
-    the domain or below the level.
+    and lambda) is within GRID_TOL * max(1, |end|), and, whatever the
+    estimate, the rows that failed at both, which keep this level's state.
+    The others refine alone; at GRID_CAP they come back not ok and lost.
+    Rows that leave the spatial domain or turn non-finite come back not
+    ok.  Raises OutOfDomainError for a start event outside the domain or
+    below the level.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 1:
@@ -334,8 +337,8 @@ def trace_past_to_time(m: MetricSpec, x0, v0, t_target):
         end = np.column_stack([fine.x[both, 1:], fine.lam[both]])
         err = np.abs(end - np.column_stack([res["x"][coarse, 1:], res["lam"][coarse]]))
         scale = np.maximum(np.abs(end).max(axis=-1, initial=0.0), 1.0)
-        done = both | ~(res["ok"][rows] | fine.ok)
-        done &= np.all(err.max(axis=-1, initial=0.0) <= 15.0 * GRID_TOL * scale)
+        estimate_ok = np.all(err.max(axis=-1, initial=0.0) <= 15.0 * GRID_TOL * scale)
+        done = (both & estimate_ok) | ~(res["ok"][rows] | fine.ok)
         for name, value in vars(fine).items():
             res[name][rows] = value
         rows = rows[~done]
@@ -377,7 +380,7 @@ def _scale_integral(m: MetricSpec, t, t_from, k):
         return t - t_from if t.ndim else float(t) - t_from
     if m.kind != "flrw":
         raise ValueError("scale-factor integrals need an expanding-cosmology metric")
-    if t_from < 0.0 or np.less_equal(t, 0.0).any():
+    if t_from < 0.0 or (np.less_equal(t, 0.0).any() if t.ndim else float(t) <= 0.0):
         raise OutOfDomainError("scale-factor integrals are defined for t > 0")
     p, fn = m.exponent, m.scale_factor_fn
     if p is None:  # one quadrature over the distinct times

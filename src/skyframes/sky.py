@@ -9,6 +9,7 @@ coefficient matrix, and that matrix is the one representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -152,7 +153,9 @@ def semidefinite(d, tol=1e-12):
         eig = hermitian_eigenvalues(d)
     if not np.all(np.isfinite(eig)):
         raise OutOfDomainError("a size-field difference exceeds float range")
-    scale = np.maximum(np.abs(d).max(axis=(-2, -1)), 1.0)
+    a = np.abs(d)
+    entries = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    scale = np.maximum(reduce(np.maximum, entries), 1.0)
     return eig[..., 0] >= -tol * scale, eig[..., 1] <= tol * scale
 
 

@@ -126,6 +126,26 @@ class TestBallErrors:
         assert not recwarn.list
 
 
+class TestBallContainment:
+    def test_reach_is_numpys_norm_bit_for_bit(self):
+        # the outer radius is set to the reach by np.linalg.norm, give or take
+        # an ulp, so any other rounding of the separation flips verdicts
+        rng = np.random.default_rng(4)
+        verdicts = []
+        for _ in range(2000):
+            a = ca.Ball(rng.uniform(-4, 4, 3) * 10.0 ** rng.integers(-3, 4), rng.uniform(0, 2))
+            gap = rng.normal(size=3) * 10.0 ** rng.integers(-8, 2)
+            b = ca.Ball(a.center + gap, rng.uniform(0, 2))
+            reach = float(np.linalg.norm(a.center - b.center)) + b.radius
+            edge = reach - ca.BALL_TOL
+            for radius in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)):
+                outer = ca.Ball(a.center, max(radius, 0.0))
+                expected = reach <= outer.radius + ca.BALL_TOL
+                assert ca._contains(outer, b) == expected
+                verdicts.append(expected)
+        assert 0.2 < np.mean(verdicts) < 0.9
+
+
 class TestInCausalPast:
     def test_conformal_criterion_agreement(self, flrw_frame):
         rng = np.random.default_rng(0)

@@ -475,12 +475,14 @@ class TestThetaBroadcast:
 # The batched tangent-plane kernel against the per-sample chain it replaced.
 
 
-def _reference_stencil(f, xi):
-    xi = sky.unit_cospinor(xi)
-    delta = np.array([-np.conj(xi[1]), np.conj(xi[0])])
+def _reference_stencil(unit):
+    """The four stencil covectors (..., 4, 2) of the unit covectors (..., 2),
+    normalised by np.linalg.norm."""
+    delta = np.stack([-np.conj(unit[..., 1]), np.conj(unit[..., 0])], axis=-1)
     h = fr.SKY_FD_STEP
     raw = np.stack(
-        [xi + h * delta, xi - h * delta, xi + 1j * h * delta, xi - 1j * h * delta]
+        [unit + h * delta, unit - h * delta, unit + 1j * h * delta, unit - 1j * h * delta],
+        axis=-2,
     )
     return raw / np.linalg.norm(raw, axis=-1, keepdims=True)
 
@@ -494,7 +496,7 @@ def _reference_sky_image(f, x, sample):
     x = np.asarray(x, dtype=float)
     events = np.tile(x, (sample.n, 1))
     pts, lams, ok, lost = fr.project_batch(f, events, sample.xi)
-    stencils = np.concatenate([_reference_stencil(f, xi) for xi in sample.xi])
+    stencils = _reference_stencil(sky.unit_cospinor(sample.xi)).reshape(-1, 2)
     spts, _, sok, _ = fr.project_batch(f, np.repeat(events, 4, axis=0), stencils)
     ranks = np.zeros(sample.n, dtype=int)
     for k in range(sample.n):
@@ -515,7 +517,8 @@ def _reference_sky_image(f, x, sample):
 def _reference_derivative(f, x, xi, direction, h=None):
     """Oriented normal and normal family derivative, one small batch each."""
     x = np.asarray(x, dtype=float)
-    spts, _, _, _ = fr.project_batch(f, np.tile(x, (4, 1)), _reference_stencil(f, xi))
+    stencil = _reference_stencil(sky.unit_cospinor(xi))
+    spts, _, _, _ = fr.project_batch(f, np.tile(x, (4, 1)), stencil)
     n_hat = np.linalg.svd(_reference_jacobian(spts, fr.SKY_FD_STEP))[0][:, 2]
 
     def displacement(d, step):
@@ -709,3 +712,142 @@ class TestTangentPlaneKernel:
         # the image is the comoving sphere of radius 3 about x: outward normals
         radial = (tp.m_points - x[1:]) / 3.0
         assert np.allclose(tp.normals, radial, atol=1e-6)
+
+
+# Column chains against numpy's own reductions over the short trailing axes.
+
+
+def _numpy_planes(f, tp, events, xis, ok):
+    """h, the arrival masks, ranks and oriented normals of tangent_planes
+    with numpy's reductions, from its Jacobians and the arrival mask ok of
+    its ray batch; the last direction is the time axis."""
+    b = len(events)
+    h = fr.EVENT_FD_STEP * np.maximum(1.0, np.abs(events).max(axis=1))
+    stencil_ok = ok[b : 5 * b].reshape(b, 4).all(axis=1)
+    family_ok = ok[5 * b :].reshape(b, -1).all(axis=1)
+    jac = tp.jacobians
+    scale = np.abs(jac).max(axis=(1, 2))
+    scale = np.where(scale > 0.0, scale, 1.0)
+    c1, c2 = np.moveaxis(jac / scale[:, None, None], 2, 0)
+    cross = np.cross(c1, c2)
+    area = np.linalg.norm(cross, axis=1)
+    sq1, sq2 = np.einsum("rk,rk->r", c1, c1), np.einsum("rk,rk->r", c2, c2)
+    gap = np.hypot(sq1 - sq2, 2.0 * np.einsum("rk,rk->r", c1, c2))
+    s1 = np.sqrt((sq1 + sq2 + gap) / 2.0)
+    s2 = area / np.where(s1 > 0.0, s1, 1.0)
+    thresh = f.rank_tol * np.maximum(1.0 / scale, s1)
+    ranks = np.where(tp.ok & stencil_ok, (s1 > thresh).astype(int) + (s2 > thresh), 0)
+    normals = cross / np.where(ranks == 2, area, np.nan)[:, None]
+    flip = np.einsum("rk,rk->r", normals, tp.family[:, -1]) < 0.0
+    normals[flip] = -normals[flip]
+    return h, stencil_ok, family_ok, ranks, normals
+
+
+def _bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestColumnChains:
+    #: A flat chart cut at |x| < 1.6, so some stencil and family rays fail
+    #: and their Jacobians hold NaN.
+    CUT = [[-np.inf, np.inf], [-1.6, 1.6], [-np.inf, np.inf], [-np.inf, np.inf]]
+    BOUNDED = fr.FrameSpec(
+        metric=mf.MetricSpec.minkowski(bounds=CUT), target=fr.CauchySurface(0.0)
+    )
+
+    @pytest.mark.parametrize("shape", [(0,), (1,), (500,), (3, 7)])
+    def test_sky_stencil_matches_the_numpy_norm(self, shape):
+        rng = np.random.default_rng(sum(shape) + 1)
+        xi = rng.normal(size=shape + (2,)) + 1j * rng.normal(size=shape + (2,))
+        special = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(np.nan, 1.0)]
+        special += [complex(np.inf, 0.0), complex(0.0, -np.inf)]
+        pick = rng.random(xi.shape) < 0.2
+        xi[pick] = rng.choice(special, size=int(pick.sum()))
+        with np.errstate(all="ignore"):
+            assert _bits(fr._sky_stencil(xi), _reference_stencil(xi))
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_tangent_planes_match_numpy_reductions(self, k, monkeypatch):
+        rng = np.random.default_rng(k)
+        b = 400
+        events = np.column_stack(
+            [rng.uniform(0.5, 2.5, b), rng.uniform(-1.0, 1.0, b), rng.uniform(-3.0, 3.0, (b, 2))]
+        )
+        events[rng.random((b, 4)) < 0.1] = -0.0  # on the target too
+        xis = rng.normal(size=(b, 2)) + 1j * rng.normal(size=(b, 2))
+        xis[rng.random(b) < 0.1, rng.integers(2)] = -0.0
+        dirs = np.vstack([rng.normal(size=(k, 4)), [1.0, 0.0, 0.0, 0.0]])
+        batches, project = [], fr.project_batch
+
+        def dropping(f, events, xis):  # and a few arrived rays in every column
+            pts, lams, ok, lost = project(f, events, xis)
+            ok &= rng.random(len(ok)) < 0.97
+            batches.append((xis, ok))
+            return pts, lams, ok, lost
+
+        monkeypatch.setattr(fr, "project_batch", dropping)
+        tp = fr.tangent_planes(self.BOUNDED, events, xis, dirs, normals=True)
+        (rays, ok), = batches
+        stencil = _reference_stencil(sky.unit_cospinor(xis)).reshape(-1, 2)
+        assert _bits(rays[b : 5 * b], stencil)
+        h, stencil_ok, family_ok, ranks, normals = _numpy_planes(self.BOUNDED, tp, events, xis, ok)
+        assert _bits(tp.family_h, h) and np.any(h > fr.EVENT_FD_STEP)
+        assert np.array_equal(tp.stencil_ok, stencil_ok)
+        assert np.array_equal(tp.family_ok, family_ok)
+        assert np.array_equal(tp.ranks, ranks) and _bits(tp.normals, normals)
+        # every mask and rank occurs, so each chain decides something
+        assert set(tp.ranks.tolist()) == {0, 2} and 0 < tp.stencil_ok.sum() < b
+        assert 0 < tp.family_ok.sum() < b and np.isnan(tp.jacobians).any()
+
+    def test_no_directions_leave_every_family_arrived(self):
+        events = np.array([[1.0, 1.5, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+        tp = fr.tangent_planes(self.BOUNDED, events, np.tile(XI_TO_ZHAT, (2, 1)))
+        assert tp.family_ok.tolist() == [True, True] and tp.family.shape == (2, 0, 3)
+        assert tp.family_h.tolist() == (fr.EVENT_FD_STEP * np.array([1.5, 1.0])).tolist()
+        tp = fr.tangent_planes(self.BOUNDED, np.zeros((0, 4)), np.zeros((0, 2), dtype=complex))
+        assert tp.family_ok.shape == tp.stencil_ok.shape == tp.family_h.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_events_are_outside_the_chart(self, bad):
+        events = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, bad, 0.0]])
+        lo, hi = self.BOUNDED.metric.bounds.T
+        assert not np.all(np.all((events > lo) & (events < hi), axis=-1))
+        with pytest.raises(OutOfDomainError, match="outside the chart domain"):
+            fr.tangent_planes(self.BOUNDED, events, np.tile(XI_TO_ZHAT, (2, 1)))
+
+    def test_project_batch_masks_match_numpy_reductions(self):
+        # p = 1/2 to the singularity: rays end at x - 2 sqrt(t) d; huge
+        # times overflow, and only an arrived ray with no finite end raises
+        f = fr.FrameSpec(
+            metric=mf.MetricSpec.flrw(p=0.5, bounds=[[0, np.inf]] + self.CUT[1:]),
+            target=fr.Singularity(),
+        )
+        rng = np.random.default_rng(7)
+        b = 3000
+        events = np.column_stack([rng.uniform(0.01, 0.5, b), rng.uniform(-1.0, 1.0, (b, 3))])
+        events[rng.random((b, 4)) < 0.1] *= -0.0
+        events[:, 0] = np.abs(events[:, 0]) + 0.01
+        xis = rng.normal(size=(b, 2)) + 1j * rng.normal(size=(b, 2))
+        pts, lams, ok, _ = fr.project_batch(f, events, xis)
+        ends = events[:, 1:] - 2.0 * np.sqrt(events[:, :1]) * fr.sky_directions(f, xis)
+        lo, hi = f.metric.bounds.T
+        reached = np.column_stack([events[:, 0], ends])
+        inside = np.all((reached > lo) & (reached < hi), axis=-1)
+        assert np.array_equal(ok, inside) and 0 < ok.sum() < b
+        assert np.allclose(pts[ok], ends[ok], rtol=0.0, atol=1e-14)
+        # an arrived ray whose end overflows along one axis alone: the event
+        # and the conformal time are 1e308, the direction is minus that axis
+        for axis in range(3):
+            event = np.array([1e308, 0.0, 0.0, 0.0])
+            event[1 + axis] = 1e308
+            flat = fr.FrameSpec(metric=mf.MetricSpec.minkowski(), target=fr.CauchySurface(0.0))
+            xi = spinor.cospinor_for_direction(-np.eye(3)[axis])
+            with pytest.raises(OutOfDomainError, match="no finite end point or length"):
+                fr.project_batch(flat, np.array([[1.0, 0, 0, 0], event]), np.array([xi, xi]))
+        huge = np.array([[1e300, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+        with np.errstate(all="ignore"):
+            end = fr.sky_directions(f, xis[:2]) * 2.0 * np.sqrt(1e300)
+            lam = mf.affine_length(f.metric, huge[:, 0], 0.0)
+        assert np.all(np.isfinite(end)) and not np.all(np.isfinite(lam))
+        with pytest.raises(OutOfDomainError, match="no finite end point or length"):
+            fr.project_batch(f, huge, xis[:2])

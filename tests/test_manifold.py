@@ -301,6 +301,31 @@ BOUNDED_FLRW = mf.MetricSpec.flrw(
 )
 
 
+#: Coordinates on, inside and beyond the bounds of BOX, and non-finite ones.
+SPECIAL_COORDS = [0.0, -0.0, 1.0, -1.0, 2.9, -2.9, 3.5, np.nan, np.inf, -np.inf]
+BOX = [[0, np.inf]] + [[-2.9, 2.9]] * 3
+
+
+class TestInDomain:
+    # the four coordinate tests are chained column by column; they must
+    # give numpy's own all() over the last axis
+
+    @pytest.mark.parametrize("shape", [(0, 4), (4,), (1, 4), (2000, 4), (7, 5, 4)])
+    def test_matches_numpy_all(self, shape):
+        m = mf.MetricSpec.flrw(p=2 / 3, bounds=BOX)
+        rng = np.random.default_rng(len(shape) * 10 + shape[0])
+        x = np.where(
+            rng.random(shape) < 0.5,
+            rng.choice(SPECIAL_COORDS, size=shape),
+            rng.uniform(-4.0, 4.0, size=shape),
+        )
+        lo, hi = m.bounds[:, 0], m.bounds[:, 1]
+        expected = np.all((x > lo) & (x < hi), axis=-1)
+        got = m.in_domain(x)
+        assert np.shape(got) == expected.shape and np.asarray(got).dtype == bool
+        assert np.array_equal(got, expected)
+
+
 class TestBatchedIntegrator:
     # Rows from different times down to t = 0.5; the fourth runs into the
     # z = 1 edge of the chart.
@@ -402,6 +427,36 @@ class TestConformalTime:
         singles = [mf.conformal_time(m, t) for t in times.tolist()]
         assert all(type(eta) is float for eta in singles)
         assert singles == mf.conformal_time(m, times).tolist()
+
+    @pytest.mark.parametrize(
+        "metric",
+        [mf.MetricSpec.minkowski(), mf.MetricSpec.flrw(p=2 / 3), mf.MetricSpec.flrw(p=-1.0)],
+        ids=["minkowski", "p2/3", "p-1"],
+    )
+    def test_a_float_a_0d_and_a_1_element_array_agree_bit_for_bit(self, metric):
+        # the scalar path tests t <= 0 on the float; its arithmetic is the array's
+        bits = lambda v: np.float64(v).tobytes()
+        for t in np.random.default_rng(8).uniform(1e-3, 10.0, size=300).tolist() + [np.nan]:
+            for t_from in (0.0, 0.3):
+                got = [mf.conformal_time(metric, s, t_from) for s in (t, np.array(t))]
+                one = mf.conformal_time(metric, np.array([t]), t_from)
+                assert [type(v) for v in got] == [float, float] and one.shape == (1,)
+                assert bits(got[0]) == bits(got[1]) == bits(one[0])
+
+    @pytest.mark.parametrize("t", [0.0, -0.0, -1e-300, -np.inf], ids=repr)
+    def test_times_at_or_below_zero_raise_on_every_path(self, t, recwarn):
+        m = mf.MetricSpec.flrw(p=2 / 3)
+        for s in (t, np.array(t), np.array([t]), np.array([1.0, t])):
+            with pytest.raises(OutOfDomainError, match="defined for t > 0"):
+                mf.conformal_time(m, s)
+        assert not recwarn.list
+
+    def test_nan_time_gives_nan_without_a_warning(self, recwarn):
+        m = mf.MetricSpec.flrw(p=2 / 3)
+        assert math.isnan(mf.conformal_time(m, math.nan))
+        assert math.isnan(mf.conformal_time(m, np.array(math.nan)))
+        assert np.isnan(mf.conformal_time(m, np.array([math.nan, 1.0]))).tolist() == [True, False]
+        assert not recwarn.list
 
     def test_quadrature_over_an_array_of_repeated_times(self):
         m = mf.metric_from_config({"kind": "flrw", "a_expr": "t**0.5"})
@@ -783,6 +838,26 @@ class TestCoordinateTimeGrid:
         assert full.ok.tolist() == stay.tolist() and not np.any(full.lost)
         for name in ("x", "n", "log_e", "lam", "ok", "lost"):
             assert np.array_equal(getattr(full, name)[stay], getattr(kept, name))
+
+    def test_rows_that_failed_at_both_levels_settle(self, monkeypatch):
+        # a matter-era chart cut at |x|, |y|, |z| < 2.9, to the singularity
+        # cutoff: row 0 leaves it at N = 4 and at N = 8 while the arrived
+        # rows' estimate still fails; it used to march again at 16 and 32
+        m = mf.MetricSpec.flrw(p=2 / 3, bounds=BOX)
+        x0 = np.tile([1.0, 0.1, -0.2, 0.3], (6, 1))
+        dirs = sky.sample_sky(6, scheme="random", seed=0).directions()
+        v0 = mf.future_null_directions(m, x0, dirs)
+        levels = _record_levels(monkeypatch)
+        res = mf.trace_past_to_time(m, x0, v0, 1e-9)
+        assert [(n, len(r.ok)) for n, r in levels] == [(4, 6), (8, 6), (16, 5), (32, 5)]
+        assert not np.any(levels[0][1].ok[:1] | levels[1][1].ok[:1])
+        assert res.ok.tolist() == [False] + [True] * 5 and not np.any(res.lost)
+        assert res.lam[0] == levels[1][1].lam[0]  # from the level that settled it
+        levels.clear()
+        alone = mf.trace_past_to_time(m, x0[1:], v0[1:], 1e-9)
+        assert [n for n, _ in levels] == [4, 8, 16, 32]
+        for name, value in vars(alone).items():
+            assert getattr(res, name)[1:].tobytes() == value.tobytes(), name
 
     def test_rows_unsettled_at_the_cap_come_back_lost(self, monkeypatch):
         # no step-doubling estimate passes a negative tolerance, so no row

@@ -210,3 +210,52 @@ class TestDominates:
             elif margin[k] < -1e-9:
                 # a dense-sample violation can only certify non-domination
                 assert not dom
+
+
+class TestSemidefiniteScale:
+    # the scale, the largest entry modulus, is a chain over the four entries;
+    # it must give numpy's own max over the last two axes
+
+    @staticmethod
+    def _expected(d, tol=1e-12):
+        eig = sky.hermitian_eigenvalues(d)
+        scale = np.maximum(np.abs(d).max(axis=(-2, -1)), 1.0)
+        return eig[..., 0] >= -tol * scale, eig[..., 1] <= tol * scale
+
+    @pytest.mark.parametrize("shape", [(), (1,), (3000,), (6, 7)])
+    def test_matches_numpy_max(self, shape):
+        # rank-one fields of sizes up to 1e6 (or 0) plus perturbations of a
+        # few tol times the scale, so both verdicts turn on the scale
+        rng = np.random.default_rng(len(shape) + sum(shape))
+        psi = rng.normal(size=shape + (2,)) + 1j * rng.normal(size=shape + (2,))
+        size = 10.0 ** rng.uniform(-2.0, 6.0, size=shape)
+        size = np.where(rng.random(shape) < 0.1, 0.0, size)  # shift * identity alone
+        d = size[..., None, None] * np.einsum("...a,...b->...ab", psi, psi.conj())
+        d *= rng.choice([-1.0, 1.0], size=shape)[..., None, None]
+        scale = np.maximum(np.abs(d).max(axis=(-2, -1)), 1.0)
+        shift = rng.uniform(-3e-12, 3e-12, size=shape) * scale
+        d = d + shift[..., None, None] * np.eye(2)
+        d[..., 0, 1] = np.where(rng.random(shape) < 0.1, -0.0, d[..., 0, 1])
+        got, expected = sky.semidefinite(d), self._expected(d)
+        for g, e in zip(got, expected):
+            assert np.shape(g) == np.shape(e) and np.array_equal(g, e)
+        if shape == (3000,):  # both verdicts occur, with and without each other
+            assert {(bool(a), bool(b)) for a, b in zip(*got)} == {
+                (True, False), (False, True), (True, True), (False, False)
+            }
+
+    def test_zero_rows(self):
+        ge, le = sky.semidefinite(np.zeros((0, 2, 2), dtype=complex))
+        assert ge.shape == le.shape == (0,) and ge.dtype == le.dtype == bool
+
+    def test_negative_zero_entries(self):
+        d = np.array([[-0.0, -0.0], [-0.0, -0.0]], dtype=complex)
+        assert [bool(v) for v in sky.semidefinite(d)] == [True, True]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_raise(self, bad, recwarn):
+        d = np.zeros((4, 2, 2), dtype=complex)
+        d[2, 1, 1] = bad
+        with pytest.raises(OutOfDomainError):
+            sky.semidefinite(d)
+        assert not recwarn.list
