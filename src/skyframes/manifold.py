@@ -12,9 +12,14 @@ point, tetrad direction of the ray, ln of its tetrad energy, affine
 length), null by construction, with a classical 4th-order step in t or
 graded ln t on a shared grid, sized by step doubling, that ends on the
 target level.  The states are row-major (8, B) arrays, one contiguous row
-per variable: a refined level gathers its rows with `np.take` and the
-rows that leave are compacted out with `np.compress`, both along axis 1,
-as a fancy index `y[:, rows]` would come back column-major.  The two
+per variable: a refined level gathers its rows with `np.take`, along
+axis 1, as a fancy index `y[:, rows]` would come back column-major.  On a
+flat or FLRW chart the slope depends on t alone, n is conserved and a ray
+is a straight comoving line, so `_t_march` marches the displacement
+along n, ln E and lambda once per distinct start, all nodes of a block
+in array operations, and tests each ray's nodes at once; a custom chart
+steps every state node by node with `_bundle_slope`, compacting the rows
+that leave with `np.compress`.  The two
 integrals of the scale factor share one ladder: `conformal_time`, the
 conformal interval from the target time t_from, and `affine_length`, the
 affine length of a ray down to it; closed form for power laws, else the
@@ -41,6 +46,10 @@ from .errors import DivergentIntegralError, OutOfDomainError
 #: Grid of `trace_past_to_time`: the first level, the cap (rows unsettled
 #: there come back lost) and the step-doubling tolerance.
 GRID_START, GRID_CAP, GRID_TOL = 4, 2**15, 1e-5
+
+#: Nodes times (rays + starts) in one block of `_t_march`, which bounds
+#: its memory whatever the number of nodes.
+_BLOCK_CELLS = 2**16
 
 
 def _default_bounds(t_open_zero):
@@ -248,48 +257,76 @@ def _bundle_start(m: MetricSpec, x0, v0):
 
 
 def _bundle_slope(m: MetricSpec, s, y, log):
-    """d/ds of sky-bundle states y (8, B) at s (B,), t = e^s if log else s.
-    With the legs e_a = sqrt|g_aa|, the tetrad components (-E, E n) of the
-    past-directed tangent u change at d/dlambda = E^2 W, W quadratic in u/E."""
+    """d/ds of sky-bundle states y (8, B) on a custom chart at s (B,), t =
+    e^s if log else s.  With the legs e_a = sqrt|g_aa|, the tetrad
+    components (-E, E n) of the past-directed tangent u change at d/dlambda
+    = E^2 W, W quadratic in u/E.  Flat and FLRW charts take `_t_slope`."""
+    t, n = np.exp(s) if log else s, y[3:6]
+    rows = (t, *y[:3])
+    g, dg = m._metric_jet(rows)  # g is (a, B) and dg (b, a, B)
+    _require_signature(m, rows, g)
+    e = np.sqrt(np.abs(g))
+    ut = np.concatenate([-1.0 / e[:1], n / e[1:]])  # u / E
+    quad, dot = np.einsum("acr,cr->ar", dg, ut**2), np.einsum("cr,car->ar", ut, dg)
+    w, e0 = e * (quad - ut * dot) / (2.0 * g), e[0]
+    out = np.empty_like(y)
+    out[:3], out[3:6], out[6] = -(e0 / e[1:]) * n, -e0 * (w[1:] + n * w[0]), e0 * w[0]
+    out[7] = -e0 * np.exp(-y[6])
+    return (t if log else 1.0) * out  # dt/ds d/dt
+
+
+def _t_slope(m: MetricSpec, s, y, log):
+    """d/ds of the t-only rows y (3, R) of a flat or FLRW chart at s (R,),
+    t = e^s if log else s: the displacement D along the tetrad direction n,
+    which is conserved, ln E, which falls with ln a, and lambda."""
     t = np.exp(s) if log else s
-    n, e0, speed, dn, dlog_e = y[3:6], 1.0, 1.0, 0.0, 0.0  # flat space
-    if m.kind == "custom":
-        rows = (t, *y[:3])
-        g, dg = m._metric_jet(rows)  # g is (a, B) and dg (b, a, B)
-        _require_signature(m, rows, g)
-        e = np.sqrt(np.abs(g))
-        ut = np.concatenate([-1.0 / e[:1], n / e[1:]])  # u / E
-        quad, dot = np.einsum("acr,cr->ar", dg, ut**2), np.einsum("cr,car->ar", ut, dg)
-        w, e0 = e * (quad - ut * dot) / (2.0 * g), e[0]
-        speed, dn, dlog_e = e0 / e[1:], -e0 * (w[1:] + n * w[0]), e0 * w[0]
-    elif m.kind == "flrw":  # n is conserved and ln E falls with ln a
+    speed, dlog_e = 1.0, 0.0  # flat space
+    if m.kind == "flrw":
         speed = 1.0 / m.scale_factor(t)
         dlog_e = -m.scale_factor_dot(t) * speed
     out = np.empty_like(y)
-    out[:3], out[3:6], out[6], out[7] = -speed * n, dn, dlog_e, -e0 * np.exp(-y[6])
+    out[0], out[1], out[2] = -speed, dlog_e, -1.0 * np.exp(-y[1])  # unary - flips a NaN sign
     return (t if log else 1.0) * out  # dt/ds d/dt
+
+
+def _inside(m: MetricSpec, points):
+    """Strict spatial bounds test of the points whose coordinates are the
+    rows x, y, z (3, B), chained row by row; NaN counts as outside."""
+    return reduce(np.logical_and, (points > m.bounds[1:, :1]) & (points < m.bounds[1:, 1:]))
+
+
+def _node_keep(m: MetricSpec, y):
+    """The rows of the sky-bundle states y (8, B) that march on after a
+    node: the point inside the spatial bounds, n, ln E and lambda finite."""
+    return _inside(m, y[:3]) & reduce(np.logical_and, np.isfinite(y[3:]))
 
 
 def _march(m: MetricSpec, t0, y0, t_target, n):
     """March past-directed rays from the times t0 (B,) and the row-major
     states y0 (8, B): the spatial point, the unit tetrad direction n of the
     tangent, ln E for the tetrad energy E = e0 |u0|, and lambda.  n steps
-    of s lead to t_target: ln t above a level > 0, node k at the fraction (k/n)^2 of
-    each row's span, else t in equal steps.  The last node is the level
-    itself; a node's accept is n /= |n|.  ok marks the rows that arrived.
-    A level above t0 runs the same rays to the future, lambda falling."""
+    of s lead to t_target: ln t above a level > 0, node k at the fraction
+    (k/n)^2 of each row's span, else t in equal steps.  The last node is the
+    level itself.  A row leaves, with its state and time at that node, at
+    the first node where its point is outside the spatial bounds or its n,
+    ln E or lambda is not finite; ok marks the rows that arrived.  A level
+    above t0 runs the same rays to the future, lambda falling.
+
+    Flat and FLRW charts take `_t_march`.  A custom chart steps the (8, B)
+    states node by node with `_bundle_slope`; a node's accept is n /= |n|."""
     log = t_target > 0.0
+    nodes = (np.arange(n + 1) / n) ** (2 if log else 1)
+    if m.kind != "custom":
+        return _t_march(m, t0, y0, t_target, log, nodes)
     s0 = np.log(t0) if log else t0
     span = (math.log(t_target) if log else t_target) - s0
-    nodes = (np.arange(n + 1) / n) ** (2 if log else 1)
     y, t = y0.copy(), np.full(len(t0), float(t_target))
     live, yl = np.arange(len(t0)), y0  # the rows still marching, and their states
     for k in range(1, n + 1):
         s, hk = s0 + nodes[k - 1] * span, (nodes[k] - nodes[k - 1]) * span
         yl = _rk4_step(lambda c, y: _bundle_slope(m, s + c * hk, y, log), yl, hk)
         yl[3:6] /= np.sqrt(np.sum(yl[3:6] ** 2, axis=0))
-        inside = (yl[:3].T > m.bounds[1:, 0]) & (yl[:3].T < m.bounds[1:, 1])
-        keep = np.all(inside, axis=1) & np.all(np.isfinite(yl[3:]), axis=0)
+        keep = _node_keep(m, yl)
         if not keep.all():  # rows leave with their state at this node
             gone = live[~keep]
             y[:, gone], t[gone] = yl[:, ~keep], (np.exp(s + hk) if log else s + hk)[~keep]
@@ -298,6 +335,57 @@ def _march(m: MetricSpec, t0, y0, t_target, n):
     ok = np.isin(np.arange(len(t0)), live)
     x, lost = np.column_stack([t, y[:3].T]), np.zeros(len(t0), dtype=bool)
     return TraceResult(x, y[3:6].T, y[6], y[7], ok, lost)
+
+
+def _t_march(m: MetricSpec, t0, y0, t_target, log, nodes):
+    """`_march` on a flat or FLRW chart, whose slope depends on t alone.  n
+    is conserved, so a ray's node points are its start point plus n times
+    a displacement D, and the rows D, ln E and lambda are marched once per
+    distinct start (t0, ln E, lambda), the nodes of a block side by side in
+    one row.  The first `_rk4_step` gives the increments of D and ln E,
+    which do not depend on the state, and `np.cumsum` adds them in the
+    node-by-node order, so ln E has the bits of a node-by-node march; the
+    second starts from ln E at each node and gives the increments of
+    lambda, likewise.  Each ray leaves at its first node that fails the
+    test of `_node_keep`.  The blocks carry the three rows on and hold
+    O(block (B + starts)) floats, `_BLOCK_CELLS` in all."""
+    keys = np.column_stack([t0, y0[6], y0[7]]).view(np.dtype((np.void, 24)))  # bit for bit
+    _, first, start = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    b, u = len(t0), len(first)
+    s0 = np.log(t0[first]) if log else t0[first]
+    span = (math.log(t_target) if log else t_target) - s0
+    x0, n = y0[:3], y0[3:6] / np.sqrt(np.sum(y0[3:6] ** 2, axis=0))
+    state = np.vstack([np.zeros(u), y0[6:, first]])[:, None]  # D, ln E, lambda at node 0
+    t, end = np.full(b, float(t_target)), np.empty((3, b))  # time and state where rays stop
+    live = np.arange(b)  # the rays still marching; a non-finite n shows in their points
+    block = max(1, _BLOCK_CELLS // (b + u + 1))
+    for k0 in range(0, len(nodes) - 1, block):
+        if not len(live):
+            break
+        k1 = min(len(nodes) - 1, k0 + block)
+        s = (s0 + nodes[k0:k1, None] * span).ravel()  # (nodes x starts)
+        h = ((nodes[k0 + 1 : k1 + 1] - nodes[k0:k1])[:, None] * span).ravel()
+        rhs = lambda c, y: _t_slope(m, s + c * h, y, log)
+        state = np.concatenate([state[:, -1:], np.empty((3, k1 - k0, u))], axis=1)
+        y = np.full((3, len(h)), -0.0)  # -0.0 + dy is dy
+        state[:2, 1:] = _rk4_step(rhs, y, h)[:2].reshape(2, -1, u)
+        np.cumsum(state[:2], axis=1, out=state[:2])
+        y[1] = state[1, :-1].ravel()
+        state[2, 1:] = _rk4_step(rhs, y, h)[2].reshape(-1, u)
+        np.cumsum(state[2], axis=0, out=state[2])
+        at = start[live]
+        d = state[0, 1:][:, at]
+        points = x0[:, None, live] + n[:, None, live] * d  # (3, nodes, rays)
+        finite = (np.isfinite(state[1, 1:]) & np.isfinite(state[2, 1:]))[:, at]
+        left = ~(_inside(m, points.reshape(3, -1)).reshape(d.shape) & finite)
+        gone = left.any(axis=0)
+        k, g, at = left.argmax(axis=0)[gone], live[gone], at[gone]
+        t_end = s.reshape(-1, u)[k, at] + h.reshape(-1, u)[k, at]
+        t[g], end[:, g] = np.exp(t_end) if log else t_end, state[:, k + 1, at]
+        live = live[~gone]
+    end[:, live] = state[:, -1, start[live]]
+    ok, x = np.isin(np.arange(b), live), np.column_stack([t, (x0 + n * end[0]).T])
+    return TraceResult(x, n.T, end[1], end[2], ok, np.zeros(b, dtype=bool))
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")

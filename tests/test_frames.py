@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -344,6 +345,27 @@ class TestSingularityGap:
         assert np.abs(pts_a - pts_p).max() <= 1e-9
         assert np.abs(lam_a - lam_p).max() <= 1e-9
         assert lam_p[0] - 1.0 == pytest.approx(0.01 / (1.5 * np.exp(0.3)), rel=1e-12)
+
+
+class TestUnsettledNumericImage:
+    def test_grid_cap_image_stays_small(self, monkeypatch):
+        # a = 1/t to the singularity: the central-difference a'(t) reaches
+        # t < 0 near the cutoff, so no level settles and all 320 rays march
+        # up to GRID_CAP; the affine tail from the cutoff to t = 0 diverges
+        m = mf.metric_from_config({"kind": "flrw", "a_expr": "1/t"})
+        spec = fr.FrameSpec(metric=m, target=fr.Singularity(), tracer="numeric")
+        sample = sky.sample_sky(64, scheme="random", seed=0)
+        levels, march = [], mf._march
+        monkeypatch.setattr(mf, "_march", lambda *a: levels.append(a[-1]) or march(*a))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DivergentIntegralError):
+                fr.sky_image(spec, np.array([1.0, 0.1, -0.2, 0.3]), sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert levels[-1] == mf.GRID_CAP
+        assert peak < 64 * 2**20
 
 
 class TestGeodesicFlowInvariance:

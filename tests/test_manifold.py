@@ -918,6 +918,189 @@ class TestRowMajorStates:
             assert getattr(cols, name).tobytes() == value.tobytes(), name
 
 
+def _node_by_node_slope(m, s, y, log):
+    """The flat and FLRW slope of whole (8, B) sky-bundle states, for the
+    node-by-node reference march."""
+    t = np.exp(s) if log else s
+    n, e0, speed, dn, dlog_e = y[3:6], 1.0, 1.0, 0.0, 0.0  # flat space
+    if m.kind == "flrw":
+        speed = 1.0 / m.scale_factor(t)
+        dlog_e = -m.scale_factor_dot(t) * speed
+    out = np.empty_like(y)
+    out[:3], out[3:6], out[6], out[7] = -speed * n, dn, dlog_e, -e0 * np.exp(-y[6])
+    return (t if log else 1.0) * out
+
+
+def _node_by_node_march(m, t0, y0, t_target, n):
+    """The reference of `_t_march`: the per-node loop that stepped the
+    (8, B) states of flat and FLRW charts, with its numpy axis reductions."""
+    log = t_target > 0.0
+    s0 = np.log(t0) if log else t0
+    span = (math.log(t_target) if log else t_target) - s0
+    nodes = (np.arange(n + 1) / n) ** (2 if log else 1)
+    y, t = y0.copy(), np.full(len(t0), float(t_target))
+    live, yl = np.arange(len(t0)), y0
+    for k in range(1, n + 1):
+        s, hk = s0 + nodes[k - 1] * span, (nodes[k] - nodes[k - 1]) * span
+        yl = mf._rk4_step(lambda c, y: _node_by_node_slope(m, s + c * hk, y, log), yl, hk)
+        yl[3:6] /= np.sqrt(np.sum(yl[3:6] ** 2, axis=0))
+        inside = (yl[:3].T > m.bounds[1:, 0]) & (yl[:3].T < m.bounds[1:, 1])
+        keep = np.all(inside, axis=1) & np.all(np.isfinite(yl[3:]), axis=0)
+        if not keep.all():
+            gone = live[~keep]
+            y[:, gone], t[gone] = yl[:, ~keep], (np.exp(s + hk) if log else s + hk)[~keep]
+            live, yl, s0, span = live[keep], np.compress(keep, yl, 1), s0[keep], span[keep]
+    y[:, live] = yl
+    ok = np.isin(np.arange(len(t0)), live)
+    x, lost = np.column_stack([t, y[:3].T]), np.zeros(len(t0), dtype=bool)
+    return mf.TraceResult(x, y[3:6].T, y[6], y[7], ok, lost)
+
+
+#: (metric, target level, start times) of the t-only march checks; the
+#: starts repeat and differ, and on BOX some rays leave the chart.
+T_ONLY_CASES = {
+    "flat-0": (lambda: mf.MetricSpec.minkowski(), 0.0, [3.0, 1.0, 1.0, 0.5, 2.0, 3.0]),
+    "p0.667-cutoff": (lambda: mf.MetricSpec.flrw(p=2 / 3), 1e-9, [1.0, 1.0, 0.8, 1.3, 1.0, 2.0]),
+    "p0.5-cauchy0.2": (lambda: mf.MetricSpec.flrw(p=0.5), 0.2, [1.0, 0.8, 1.3, 1.0, 0.5, 0.2]),
+    "a_expr-0.3": (
+        lambda: mf.metric_from_config({"kind": "flrw", "a_expr": "t**0.6666666666666666"}),
+        0.3,
+        [1.1, 1.1, 0.9, 2.0, 0.5, 1.1],
+    ),
+    "box-cutoff": (lambda: mf.MetricSpec.flrw(p=2 / 3, bounds=BOX), 1e-9, [1.0] * 4 + [1.5, 2.0]),
+}
+
+
+def _t_only_rays(name, nan_v0=False):
+    """(metric, level, x0, v0) of a case: points in (-2.5, 2.5)^3, seeded
+    directions; with nan_v0 the third ray's velocity is NaN."""
+    make, level, times = T_ONLY_CASES[name]
+    m = make()
+    rng = np.random.default_rng(1)
+    x0 = np.column_stack([times, rng.uniform(-2.5, 2.5, (len(times), 3))])
+    v0 = mf.future_null_directions(m, x0, sky.sample_sky(len(times), seed=2).directions())
+    if nan_v0:
+        v0[2] = np.nan
+    return m, level, x0, v0
+
+
+def _assert_matches_node_by_node(got, want):
+    """ln E, lambda, ok, lost and the times byte-equal; end points and n
+    within 1e-14 max(1, |end|), NaN where the reference has NaN."""
+    for name in ("log_e", "lam", "ok", "lost"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.x[:, 0].tobytes() == want.x[:, 0].tobytes()
+    for name in ("x", "n"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.array_equal(np.isnan(a), np.isnan(b)), name
+        gap = np.abs(np.nan_to_num(a) - np.nan_to_num(b))
+        assert np.all(gap <= 1e-14 * np.maximum(1.0, np.abs(np.nan_to_num(b)))), name
+
+
+class TestTOnlyMarch:
+    """Flat and FLRW charts march each distinct start once (`_t_march`)."""
+
+    @pytest.mark.parametrize("nan_v0", [False, True], ids=["finite", "nan-v0"])
+    @pytest.mark.parametrize("case", list(T_ONLY_CASES))
+    def test_matches_the_node_by_node_march(self, case, nan_v0):
+        m, level, x0, v0 = _t_only_rays(case, nan_v0)
+        with np.errstate(all="ignore"):
+            y0 = mf._bundle_start(m, x0, v0)
+            for n in (4, 8, 16, 32):
+                got = mf._march(m, x0[:, 0], y0, level, n)
+                want = _node_by_node_march(m, x0[:, 0], y0, level, n)
+                _assert_matches_node_by_node(got, want)
+        if case == "box-cutoff":
+            assert 0 < np.count_nonzero(got.ok) < len(got.ok)
+        assert not (nan_v0 and got.ok[2])
+
+    def test_a_negative_zero_start_keeps_its_sign(self):
+        # flat space adds -0.0 to ln E on the way down to 0; starts that
+        # differ only in the sign of a zero ln E are marched apart
+        m, level, x0, v0 = _t_only_rays("flat-0")
+        y0 = mf._bundle_start(m, x0, v0)
+        y0[6, ::2] = -0.0
+        got = mf._march(m, x0[:, 0], y0, level, 4)
+        _assert_matches_node_by_node(got, _node_by_node_march(m, x0[:, 0], y0, level, 4))
+        assert np.signbit(got.log_e).tolist() == [True, False] * 3
+
+    @pytest.mark.parametrize("case", list(T_ONLY_CASES))
+    def test_traces_match_the_node_by_node_march(self, monkeypatch, case):
+        m, level, x0, v0 = _t_only_rays(case, nan_v0=True)
+        got = mf.trace_past_to_time(m, x0, v0, level)
+        monkeypatch.setattr(mf, "_march", _node_by_node_march)
+        want = mf.trace_past_to_time(m, x0, v0, level)
+        _assert_matches_node_by_node(got, want)
+
+    @pytest.mark.parametrize("case", ["flat-0", "p0.667-cutoff", "box-cutoff"])
+    def test_a_row_does_not_depend_on_its_companions(self, case):
+        m, level, x0, v0 = _t_only_rays(case)
+        y0 = mf._bundle_start(m, x0, v0)
+        batches = {
+            "alone": [0],
+            "duplicates": [0, 0, 0, 0, 0],
+            "distinct starts": [3, 4, 0, 5, 2],
+        }
+        for n in (4, 16):
+            rows = {}
+            for name, index in batches.items():
+                res = mf._march(m, x0[index, 0], np.take(y0, index, 1), level, n)
+                rows[name] = [getattr(res, f)[index.index(0)].tobytes() for f in vars(res)]
+            assert rows["duplicates"] == rows["alone"]
+            assert rows["distinct starts"] == rows["alone"]
+
+    def test_rk4_steps_per_level_do_not_grow_with_nodes(self, monkeypatch):
+        m, level, x0, v0 = _t_only_rays("p0.667-cutoff")
+        y0 = mf._bundle_start(m, x0, v0)
+        steps = []
+        rk4 = mf._rk4_step
+        monkeypatch.setattr(
+            mf, "_rk4_step", lambda rhs, y, h: steps.append(h.size) or rk4(rhs, y, h)
+        )
+        sizes = (4, 16, 64, 256, 1024)
+        assert sizes[-1] * (len(x0) + 5) <= mf._BLOCK_CELLS  # one block each
+        counts = []
+        for n in sizes:
+            steps.clear()
+            mf._march(m, x0[:, 0], y0, level, n)
+            counts.append(len(steps))
+            assert all(size == 4 * n for size in steps)  # 4 distinct starts
+        assert counts == [2] * len(sizes)
+
+    @pytest.mark.parametrize("case", ["p0.5-cauchy0.2", "box-cutoff"])
+    def test_blocks_carry_the_rows_to_the_same_bits(self, monkeypatch, case):
+        m, level, x0, v0 = _t_only_rays(case, nan_v0=True)
+        y0 = mf._bundle_start(m, x0, v0)
+        whole = mf._march(m, x0[:, 0], y0, level, 64)
+        monkeypatch.setattr(mf, "_BLOCK_CELLS", 3 * (len(x0) + 5))  # a few nodes a block
+        blocked = mf._march(m, x0[:, 0], y0, level, 64)
+        for name, value in vars(whole).items():
+            assert getattr(blocked, name).tobytes() == value.tobytes(), name
+
+
+class TestNodeKeepChains:
+    # the per-node test of the custom-chart loop chains its rows; it must
+    # give numpy's axis reductions on the (B, 3) transpose and the rows
+
+    @pytest.mark.parametrize("bounds", [BOX, None], ids=["box", "unbounded"])
+    @pytest.mark.parametrize("width", [0, 1, 7, 500])
+    def test_matches_the_axis_reductions(self, bounds, width):
+        m = mf.MetricSpec.minkowski(bounds=bounds)
+        rng = np.random.default_rng(width)
+        y = np.where(
+            rng.random((8, width)) < 0.3,
+            rng.choice(SPECIAL_COORDS, size=(8, width)),
+            rng.uniform(-4.0, 4.0, size=(8, width)),
+        )
+        if width:
+            y[:, 0] = 0.0  # a zero row
+        inside = (y[:3].T > m.bounds[1:, 0]) & (y[:3].T < m.bounds[1:, 1])
+        expected = np.all(inside, axis=1) & np.all(np.isfinite(y[3:]), axis=0)
+        got = mf._node_keep(m, y)
+        assert got.dtype == bool and got.tobytes() == expected.tobytes()
+        assert width < 500 or 0 < np.count_nonzero(got) < width
+
+
 class TestRunTimeSignatureGuard:
     # g11 is positive for 0.4 < t < 0.6 and negative on every point of the
     # construction-time grid (t = 0.002, 1, 1.998)
