@@ -14,12 +14,14 @@ graded ln t on a shared grid, sized by step doubling, that ends on the
 target level.  The states are row-major (8, B) arrays, one contiguous row
 per variable: a refined level gathers its rows with `np.take`, along
 axis 1, as a fancy index `y[:, rows]` would come back column-major.  On a
-flat or FLRW chart the slope depends on t alone, n is conserved and a ray
-is a straight comoving line, so `_t_march` marches the displacement
-along n, ln E and lambda once per distinct start, all nodes of a block
-in array operations, and tests each ray's nodes at once; a custom chart
-steps every state node by node with `_bundle_slope`, compacting the rows
-that leave with `np.compress`.  The two
+flat or FLRW chart, or a custom chart of t alone with three equal spatial
+coefficients (FLRW with a lapse, ds^2 = N(t)^2 dt^2 - A(t)^2 dx.dx,
+detected when the metric is built), the slope depends on t alone, n is
+conserved and a ray is a straight comoving line, so `_t_march` marches
+the displacement along n, ln E and lambda once per distinct start, all
+nodes of a block in array operations, and tests each ray's nodes at
+once; any other custom chart steps every state node by node with
+`_bundle_slope`, compacting the rows that leave with `np.compress`.  The two
 integrals of the scale factor share one ladder: `conformal_time`, the
 conformal interval from the target time t_from, and `affine_length`, the
 affine length of a ray down to it; closed form for power laws, else the
@@ -260,7 +262,9 @@ def _bundle_slope(m: MetricSpec, s, y, log):
     """d/ds of sky-bundle states y (8, B) on a custom chart at s (B,), t =
     e^s if log else s.  With the legs e_a = sqrt|g_aa|, the tetrad
     components (-E, E n) of the past-directed tangent u change at d/dlambda
-    = E^2 W, W quadratic in u/E.  Flat and FLRW charts take `_t_slope`."""
+    = E^2 W, W quadratic in u/E.  Only the charts that `_march` steps node
+    by node come here; flat, FLRW and isotropic charts of t alone take
+    `_t_rates`, this slope with t-partials only."""
     t, n = np.exp(s) if log else s, y[3:6]
     rows = (t, *y[:3])
     g, dg = m._metric_jet(rows)  # g is (a, B) and dg (b, a, B)
@@ -275,18 +279,66 @@ def _bundle_slope(m: MetricSpec, s, y, log):
     return (t if log else 1.0) * out  # dt/ds d/dt
 
 
-def _t_slope(m: MetricSpec, s, y, log):
-    """d/ds of the t-only rows y (3, R) of a flat or FLRW chart at s (R,),
-    t = e^s if log else s: the displacement D along the tetrad direction n,
-    which is conserved, ln E, which falls with ln a, and lambda."""
+def _t_rates(m: MetricSpec, s, log):
+    """The slope factors of a chart of t alone at the stage times s (R,),
+    t = e^s if log else s: the rows d/ds of the displacement D along the
+    tetrad direction n, d/ds of ln E and -e0 dt/ds, the factor of e^-ln E
+    in d lambda / ds (3, R); and the coefficients (g00, g11) if some of
+    them lack the signature (+, -, -, -), else None.
+
+    This is `_bundle_slope` with t-partials only.  With the legs e0 =
+    sqrt(g00) and A = sqrt(-g11), D moves at -e0 / A and ln E at -(d g11 /
+    dt) / (2 g11) = -d ln A / dt, while the slope of n, w[1:] + n w0,
+    cancels identically, so n is conserved.  Flat space has e0 = A = 1 and
+    FLRW e0 = 1, A = a."""
     t = np.exp(s) if log else s
-    speed, dlog_e = 1.0, 0.0  # flat space
-    if m.kind == "flrw":
-        speed = 1.0 / m.scale_factor(t)
-        dlog_e = -m.scale_factor_dot(t) * speed
+    rates, wrong = np.empty((3, len(s))), None
+    if m.kind == "custom":
+        g00, g11, dg11 = m._expressions.t_jet((t,))
+        e0 = np.sqrt(g00)
+        rates[0], rates[1], rates[2] = -(e0 / np.sqrt(-g11)), -dg11 / (2.0 * g11), -e0
+        if not (g00.min(initial=np.inf) > 0.0 and g11.max(initial=-np.inf) < 0.0):
+            wrong = (g00, g11)  # a wrong sign or NaN
+    else:
+        speed, dlog_e = 1.0, 0.0  # flat space
+        if m.kind == "flrw":
+            speed = 1.0 / m.scale_factor(t)
+            dlog_e = -m.scale_factor_dot(t) * speed
+        rates[0], rates[1], rates[2] = -speed, dlog_e, -1.0
+    return (t if log else 1.0) * rates, wrong  # dt/ds d/dt
+
+
+def _t_slope(rates, y):
+    """d/ds of the rows ln E and lambda y (2, R) of `_t_march` at a stage
+    whose `_t_rates` rows are rates: d lambda / dt = -e0 e^-ln E."""
     out = np.empty_like(y)
-    out[0], out[1], out[2] = -speed, dlog_e, -1.0 * np.exp(-y[1])  # unary - flips a NaN sign
-    return (t if log else 1.0) * out  # dt/ds d/dt
+    out[0], out[1] = rates[1], rates[2] * np.exp(-y[0])
+    return out
+
+
+def _require_stage_signature(m: MetricSpec, rate, s, h, log, d, x0, n, at, left):
+    """`_require_signature` over the RK4 stages of a `_t_march` block, at
+    the stage points of the rays still live there, in the order of the
+    per-node loop: node, stage, ray.  rate maps c to the `_t_rates` at the
+    stage times s + c h (nodes x starts); d (nodes, starts) holds D at the
+    start of each step; the rays x0 + n D (3, rays) take their D from the
+    starts at, and left (nodes, rays) marks the nodes they fail.  The
+    stages of a step sit at c = 0, 1/2, 1/2, 1 and at D, D + h k1 / 2, D +
+    h k2 / 2 and D + h k3."""
+    cells = lambda v: np.reshape(v, d.shape)[:, at]  # (nodes, rays)
+    k1, k2 = rate[0.0][0][0], rate[0.5][0][0]  # the D slopes at c = 0 and 1/2
+    right = (np.ones(len(h)), -np.ones(len(h)))
+    rows, g = [], []
+    for c, step in ((0.0, 0.0), (0.5, 0.5 * h * k1), (0.5, 0.5 * h * k2), (1.0, h * k2)):
+        t, (g00, g11) = s + c * h, rate[c][1] or right
+        points = x0[:, None] + n[:, None] * cells(d.ravel() + step)
+        rows.append([cells(np.exp(t) if log else t), *points])
+        g.append([cells(g00)] + [cells(g11)] * 3)
+    live = np.ones(left.shape, dtype=bool)  # at each step
+    live[1:] = ~np.logical_or.accumulate(left, axis=0)[:-1]
+    live = np.broadcast_to(live[:, None], (len(live), 4, live.shape[1]))  # (node, stage, ray)
+    rows, g = (np.transpose(v, (1, 2, 0, 3))[:, live] for v in (np.array(rows), np.array(g)))
+    _require_signature(m, rows, g)
 
 
 def _inside(m: MetricSpec, points):
@@ -312,11 +364,13 @@ def _march(m: MetricSpec, t0, y0, t_target, n):
     ln E or lambda is not finite; ok marks the rows that arrived.  A level
     above t0 runs the same rays to the future, lambda falling.
 
-    Flat and FLRW charts take `_t_march`.  A custom chart steps the (8, B)
-    states node by node with `_bundle_slope`; a node's accept is n /= |n|."""
+    Flat, FLRW and isotropic custom charts of t alone (`t_jet`) take
+    `_t_march`.  Any other custom chart, anisotropic or depending on x, y
+    or z, steps the (8, B) states node by node with `_bundle_slope`; a
+    node's accept is n /= |n|."""
     log = t_target > 0.0
     nodes = (np.arange(n + 1) / n) ** (2 if log else 1)
-    if m.kind != "custom":
+    if m.kind != "custom" or m._expressions.t_jet is not None:
         return _t_march(m, t0, y0, t_target, log, nodes)
     s0 = np.log(t0) if log else t0
     span = (math.log(t_target) if log else t_target) - s0
@@ -338,17 +392,22 @@ def _march(m: MetricSpec, t0, y0, t_target, n):
 
 
 def _t_march(m: MetricSpec, t0, y0, t_target, log, nodes):
-    """`_march` on a flat or FLRW chart, whose slope depends on t alone.  n
-    is conserved, so a ray's node points are its start point plus n times
-    a displacement D, and the rows D, ln E and lambda are marched once per
-    distinct start (t0, ln E, lambda), the nodes of a block side by side in
-    one row.  The first `_rk4_step` gives the increments of D and ln E,
-    which do not depend on the state, and `np.cumsum` adds them in the
-    node-by-node order, so ln E has the bits of a node-by-node march; the
-    second starts from ln E at each node and gives the increments of
-    lambda, likewise.  Each ray leaves at its first node that fails the
-    test of `_node_keep`.  The blocks carry the three rows on and hold
-    O(block (B + starts)) floats, `_BLOCK_CELLS` in all."""
+    """`_march` on a chart whose slope depends on t alone: flat, FLRW, or
+    custom and isotropic in t alone.  n is conserved, so a ray's node
+    points are its start point plus n times a displacement D, and the rows
+    D, ln E and lambda are marched once per distinct start (t0, ln E,
+    lambda), the nodes of a block side by side in one row.  The slope
+    factors `_t_rates` are evaluated once per block at each stage fraction
+    c = 0, 1/2 and 1, and both steps look them up.  The first `_rk4_step`
+    gives the increments of D and ln E, which do not depend on the state,
+    and `np.cumsum` adds them in the node-by-node order, so ln E has the
+    bits of a node-by-node march; the second starts from ln E at each node
+    and gives the increments of lambda, likewise.  Each ray leaves at its
+    first node that fails the test of `_node_keep`.  Where a custom chart's
+    coefficients lose their signature at a stage,
+    `_require_stage_signature` raises for a live ray's stage point inside
+    the domain.  The blocks carry the three rows on and hold O(block (B +
+    starts)) floats, `_BLOCK_CELLS` in all."""
     keys = np.column_stack([t0, y0[6], y0[7]]).view(np.dtype((np.void, 24)))  # bit for bit
     _, first, start = np.unique(keys.ravel(), return_index=True, return_inverse=True)
     b, u = len(t0), len(first)
@@ -365,19 +424,23 @@ def _t_march(m: MetricSpec, t0, y0, t_target, log, nodes):
         k1 = min(len(nodes) - 1, k0 + block)
         s = (s0 + nodes[k0:k1, None] * span).ravel()  # (nodes x starts)
         h = ((nodes[k0 + 1 : k1 + 1] - nodes[k0:k1])[:, None] * span).ravel()
-        rhs = lambda c, y: _t_slope(m, s + c * h, y, log)
+        rate = {c: _t_rates(m, s + c * h, log) for c in (0.0, 0.5, 1.0)}
         state = np.concatenate([state[:, -1:], np.empty((3, k1 - k0, u))], axis=1)
-        y = np.full((3, len(h)), -0.0)  # -0.0 + dy is dy
-        state[:2, 1:] = _rk4_step(rhs, y, h)[:2].reshape(2, -1, u)
+        y = np.full((2, len(h)), -0.0)  # -0.0 + dy is dy
+        state[:2, 1:] = _rk4_step(lambda c, y: rate[c][0][:2], y, h).reshape(2, -1, u)
         np.cumsum(state[:2], axis=1, out=state[:2])
-        y[1] = state[1, :-1].ravel()
-        state[2, 1:] = _rk4_step(rhs, y, h)[2].reshape(-1, u)
+        y[0] = state[1, :-1].ravel()  # ln E at each node, lambda from -0.0
+        state[2, 1:] = _rk4_step(lambda c, y: _t_slope(rate[c][0], y), y, h)[1].reshape(-1, u)
         np.cumsum(state[2], axis=0, out=state[2])
         at = start[live]
         d = state[0, 1:][:, at]
         points = x0[:, None, live] + n[:, None, live] * d  # (3, nodes, rays)
         finite = (np.isfinite(state[1, 1:]) & np.isfinite(state[2, 1:]))[:, at]
         left = ~(_inside(m, points.reshape(3, -1)).reshape(d.shape) & finite)
+        if any(r[1] is not None for r in rate.values()):  # a lost signature
+            _require_stage_signature(
+                m, rate, s, h, log, state[0, :-1], x0[:, live], n[:, live], at, left
+            )
         gone = left.any(axis=0)
         k, g, at = left.argmax(axis=0)[gone], live[gone], at[gone]
         t_end = s.reshape(-1, u)[k, at] + h.reshape(-1, u)[k, at]
@@ -744,7 +807,11 @@ class _FusedExpressions:
 class _ExpressionMetric:
     """Compiled coefficient expressions of a diagonal metric: `values`
     gives the 4 coefficients, `jet` the coefficients followed by their
-    16 partials d g_aa / d x^b in (b, a) order."""
+    16 partials d g_aa / d x^b in (b, a) order.  On an isotropic chart of
+    t alone, ds^2 = g00(t) dt^2 + g11(t) dx.dx (the coefficients name t
+    only, so every x, y and z partial folds to 0, and the three spatial
+    ones parse to the same tree), `t_jet` gives (g00, g11, d g11 / dt)
+    from the row t; on any other chart it is None."""
 
     def __init__(self, sources):
         if len(sources) != 4:
@@ -753,6 +820,10 @@ class _ExpressionMetric:
         partials = [_diff(c, name) for name in _EXPR_NAMES for c in coeffs]
         self.values = _FusedExpressions(coeffs)
         self.jet = _FusedExpressions(coeffs + partials)
+        names = {n.id for c in coeffs for n in ast.walk(c) if isinstance(n, ast.Name)}
+        isotropic = len({ast.dump(c) for c in coeffs[1:]}) == 1
+        t_only = names <= {"t"} and isotropic
+        self.t_jet = _FusedExpressions([coeffs[0], coeffs[1], partials[1]]) if t_only else None
 
 
 def metric_from_config(cfg: dict) -> MetricSpec:

@@ -139,6 +139,10 @@ class TestMetricJet:
 
 ANISOTROPIC_METRIC = dict(README_METRIC, coeffs=["1", "-1", "-(1 + 0.5*t)**2", "-1"])
 
+#: FLRW with a lapse: ds^2 = A^2 (dt^2 - dx.dx), A = 1 + 0.1 t, so e0 = A;
+#: its null rays are straight lines at unit coordinate speed.
+LAPSE_METRIC = dict(README_METRIC, coeffs=["(1 + 0.1*t)**2"] + ["-(1 + 0.1*t)**2"] * 3)
+
 
 def _point_major_slope(m, s, y):
     """The custom-metric sky-bundle slope in ln t, computed point by point:
@@ -360,9 +364,10 @@ class TestBatchedIntegrator:
 
     def test_one_metric_evaluation_per_lockstep_step(self, monkeypatch):
         # one jet per RK4 stage of each node, for the whole live batch, also
-        # after the rows that leave the chart are compacted away
+        # after the rows that leave the chart are compacted away; the
+        # anisotropic chart takes the per-node loop
         m = mf.metric_from_config(
-            dict(README_METRIC, bounds=[[0, None], [None, None], [None, None], [-1, 1]])
+            dict(ANISOTROPIC_METRIC, bounds=[[0, None], [None, None], [None, None], [-1, 1]])
         )
         v0 = mf.future_null_directions(m, self.X0, self.DIRS)
         calls = _count_metric_calls(monkeypatch)
@@ -670,12 +675,12 @@ def _rays(m, times, seed=0):
 
 
 class TestCoordinateTimeGrid:
-    @pytest.mark.parametrize("metric", ["flrw", "readme"])
+    @pytest.mark.parametrize("metric", ["flrw", "aniso"])
     def test_one_metric_evaluation_per_grid_node(self, monkeypatch, metric):
         if metric == "flrw":
             m = mf.MetricSpec.flrw(p=2 / 3)
         else:
-            m = mf.metric_from_config(README_METRIC)
+            m = mf.metric_from_config(ANISOTROPIC_METRIC)
         x0, v0 = _rays(m, [0.6, 1.0, 1.5, 0.7])
         calls = _count_metric_calls(monkeypatch)
         levels = _record_levels(monkeypatch)
@@ -683,16 +688,16 @@ class TestCoordinateTimeGrid:
         assert np.all(res.ok)
         sizes = [n for n, _ in levels]
         assert sizes[:2] == [mf.GRID_START, 2 * mf.GRID_START]
-        # metric_diag for the start legs only; at each grid node a custom
-        # metric's jet once per RK4 stage, FLRW's slope in closed form
+        # metric_diag for the start legs only; at each grid node the per-node
+        # loop's jet once per RK4 stage, FLRW's slope in closed form
         assert calls["metric_diag"] == 1
-        assert calls["jet"] == (4 * sum(sizes) if metric == "readme" else 0)
+        assert calls["jet"] == (4 * sum(sizes) if metric == "aniso" else 0)
 
     @pytest.mark.parametrize("t_target, graded", [(0.5, True), (0.0, False)])
     def test_levels_start_at_four_and_ln_t_nodes_are_graded(
         self, monkeypatch, t_target, graded
     ):
-        m = mf.metric_from_config(README_METRIC)
+        m = mf.metric_from_config(ANISOTROPIC_METRIC)  # one step per node
         x0, v0 = _rays(m, [1.0, 0.8])
         steps = []
         rk4 = mf._rk4_step
@@ -790,18 +795,24 @@ class TestCoordinateTimeGrid:
 
     @pytest.mark.parametrize(
         "metric, t_target",
-        [("readme", 0.3), ("readme", 0.0), (2 / 3, 0.25), (0.5, 0.2), (2 / 3, 1e-9),
-         (0.5, 1e-9)],
-        ids=["readme-0.3", "readme-0", "p0.667-0.25", "p0.5-0.2", "p0.667-cutoff",
-             "p0.5-cutoff"],
+        [("readme", 0.3), ("readme", 0.0), ("lapse", 0.3), ("lapse", 0.0), (2 / 3, 0.25),
+         (0.5, 0.2), (2 / 3, 1e-9), (0.5, 1e-9)],
+        ids=["readme-0.3", "readme-0", "lapse-0.3", "lapse-0", "p0.667-0.25", "p0.5-0.2",
+             "p0.667-cutoff", "p0.5-cutoff"],
     )
     def test_end_points_match_the_exact_references(self, metric, t_target):
         # conformally flat charts: the end point lies eta(t0) - eta(t_target)
-        # along the start direction, and lambda integrates a(t) / (a(t0) v0)
+        # along the start direction, and lambda integrates e0 a(t) / (a(t0) v0),
+        # with the lapse e0 = a on the lapse chart
         if metric == "readme":
             m = mf.metric_from_config(README_METRIC)
             eta = lambda t: 10.0 * np.log1p(0.1 * t)
             lam = lambda t0, t1: (t0 - t1 + 0.05 * (t0**2 - t1**2)) / (1 + 0.1 * t0)
+        elif metric == "lapse":
+            m = mf.metric_from_config(LAPSE_METRIC)
+            eta = lambda t: t
+            cube = lambda t: (1 + 0.1 * t) ** 3 / 0.3
+            lam = lambda t0, t1: (cube(t0) - cube(t1)) / (1 + 0.1 * t0) ** 2
         else:
             p = metric
             m = mf.MetricSpec.flrw(p=p)
@@ -873,11 +884,17 @@ class TestCoordinateTimeGrid:
 
 
 class TestRowMajorStates:
-    # The README chart cut at x = 0.4652002: the ray along +x ends at
-    # 0.46520033 on the first level and at 0.46520017 on the second, so it
-    # leaves at the last node first and then arrives, and refines alone;
-    # the ray from x = 0.3 along +x leaves halfway on every level
-    BOUNDED = dict(README_METRIC, bounds=[[0, None], [-1, 0.4652002], [None, None], [None, None]])
+    # The README chart's scale on x alone, an anisotropic chart that takes
+    # the per-node loop, cut at x = 0.4652002: the ray along +x moves as on
+    # the README chart and ends at 0.46520033 on the first level and at
+    # 0.46520017 on the second, so it leaves at the last node first and
+    # then arrives, and refines alone; the ray from x = 0.3 along +x leaves
+    # halfway on every level
+    BOUNDED = dict(
+        README_METRIC,
+        coeffs=["1", "-(1 + 0.1*t)**2", "-1", "-1"],
+        bounds=[[0, None], [-1, 0.4652002], [None, None], [None, None]],
+    )
     X0 = np.array([[1.0, 0, 0, 0], [1.0, 0, 0, 0], [1.0, 0.3, 0, 0]])
     DIRS = np.array([[-1.0, 0, 0], [0, 1.0, 0], [-1.0, 0, 0]])
 
@@ -1078,6 +1095,105 @@ class TestTOnlyMarch:
             assert getattr(blocked, name).tobytes() == value.tobytes(), name
 
 
+def _two_pass_slope(m, s, y, log):
+    """The flat and FLRW slope of the rows D, ln E and lambda (3, R) that
+    the two-pass reference evaluates at every stage of both steps."""
+    t = np.exp(s) if log else s
+    speed, dlog_e = 1.0, 0.0  # flat space
+    if m.kind == "flrw":
+        speed = 1.0 / m.scale_factor(t)
+        dlog_e = -m.scale_factor_dot(t) * speed
+    out = np.empty_like(y)
+    out[0], out[1], out[2] = -speed, dlog_e, -1.0 * np.exp(-y[1])
+    return (t if log else 1.0) * out
+
+
+def _two_pass_march(m, t0, y0, t_target, n):
+    """The reference of the stage lookups in `_t_march`: the t-only march
+    whose two `_rk4_step` calls evaluate the slope at each of their eight
+    stages, a(t) and a'(t) included."""
+    log = t_target > 0.0
+    nodes = (np.arange(n + 1) / n) ** (2 if log else 1)
+    keys = np.column_stack([t0, y0[6], y0[7]]).view(np.dtype((np.void, 24)))
+    _, first, start = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    b, u = len(t0), len(first)
+    s0 = np.log(t0[first]) if log else t0[first]
+    span = (math.log(t_target) if log else t_target) - s0
+    x0, n = y0[:3], y0[3:6] / np.sqrt(np.sum(y0[3:6] ** 2, axis=0))
+    state = np.vstack([np.zeros(u), y0[6:, first]])[:, None]
+    t, end = np.full(b, float(t_target)), np.empty((3, b))
+    live = np.arange(b)
+    block = max(1, mf._BLOCK_CELLS // (b + u + 1))
+    for k0 in range(0, len(nodes) - 1, block):
+        if not len(live):
+            break
+        k1 = min(len(nodes) - 1, k0 + block)
+        s = (s0 + nodes[k0:k1, None] * span).ravel()
+        h = ((nodes[k0 + 1 : k1 + 1] - nodes[k0:k1])[:, None] * span).ravel()
+        rhs = lambda c, y: _two_pass_slope(m, s + c * h, y, log)
+        state = np.concatenate([state[:, -1:], np.empty((3, k1 - k0, u))], axis=1)
+        y = np.full((3, len(h)), -0.0)
+        state[:2, 1:] = mf._rk4_step(rhs, y, h)[:2].reshape(2, -1, u)
+        np.cumsum(state[:2], axis=1, out=state[:2])
+        y[1] = state[1, :-1].ravel()
+        state[2, 1:] = mf._rk4_step(rhs, y, h)[2].reshape(-1, u)
+        np.cumsum(state[2], axis=0, out=state[2])
+        at = start[live]
+        d = state[0, 1:][:, at]
+        points = x0[:, None, live] + n[:, None, live] * d
+        finite = (np.isfinite(state[1, 1:]) & np.isfinite(state[2, 1:]))[:, at]
+        left = ~(mf._inside(m, points.reshape(3, -1)).reshape(d.shape) & finite)
+        gone = left.any(axis=0)
+        k, g, at = left.argmax(axis=0)[gone], live[gone], at[gone]
+        t_end = s.reshape(-1, u)[k, at] + h.reshape(-1, u)[k, at]
+        t[g], end[:, g] = np.exp(t_end) if log else t_end, state[:, k + 1, at]
+        live = live[~gone]
+    end[:, live] = state[:, -1, start[live]]
+    ok, x = np.isin(np.arange(b), live), np.column_stack([t, (x0 + n * end[0]).T])
+    return mf.TraceResult(x, n.T, end[1], end[2], ok, np.zeros(b, dtype=bool))
+
+
+class TestStageLookups:
+    """`_t_march` evaluates its slope factors once per stage time and both
+    steps look them up; flat and FLRW traces keep every bit."""
+
+    @pytest.mark.parametrize("nan_v0", [False, True], ids=["finite", "nan-v0"])
+    @pytest.mark.parametrize("case", list(T_ONLY_CASES))
+    def test_matches_the_two_pass_march_bit_for_bit(self, case, nan_v0):
+        m, level, x0, v0 = _t_only_rays(case, nan_v0)
+        with np.errstate(all="ignore"):
+            y0 = mf._bundle_start(m, x0, v0)
+            for n in (4, 8, 16, 32, 64):
+                got = mf._march(m, x0[:, 0], y0, level, n)
+                want = _two_pass_march(m, x0[:, 0], y0, level, n)
+                for name, value in vars(want).items():
+                    assert getattr(got, name).tobytes() == value.tobytes(), (name, n)
+
+    @pytest.mark.parametrize("case", ["p0.5-cauchy0.2", "box-cutoff"])
+    def test_blocks_match_the_two_pass_march_bit_for_bit(self, monkeypatch, case):
+        m, level, x0, v0 = _t_only_rays(case, nan_v0=True)
+        monkeypatch.setattr(mf, "_BLOCK_CELLS", 3 * (len(x0) + 5))  # a few nodes a block
+        with np.errstate(all="ignore"):
+            y0 = mf._bundle_start(m, x0, v0)
+            got = mf._march(m, x0[:, 0], y0, level, 64)
+            want = _two_pass_march(m, x0[:, 0], y0, level, 64)
+        for name, value in vars(want).items():
+            assert getattr(got, name).tobytes() == value.tobytes(), name
+
+    @pytest.mark.parametrize("case", ["p0.667-cutoff", "a_expr-0.3"])
+    def test_three_scale_factor_evaluations_per_node(self, monkeypatch, case):
+        # a(t) once per stage time c = 0, 1/2, 1, over all nodes x starts
+        # of the block at once; the two steps used to evaluate it 8 times
+        m, level, x0, v0 = _t_only_rays(case)
+        y0 = mf._bundle_start(m, x0, v0)
+        sizes, scale = [], mf.MetricSpec.scale_factor
+        counting = lambda self, t: sizes.append(np.size(t)) or scale(self, t)
+        monkeypatch.setattr(mf.MetricSpec, "scale_factor", counting)
+        mf._march(m, x0[:, 0], y0, level, 64)
+        starts = len(np.unique(np.column_stack([x0[:, 0], y0[6]]), axis=0))
+        assert sizes == [64 * starts] * 3
+
+
 class TestNodeKeepChains:
     # the per-node test of the custom-chart loop chains its rows; it must
     # give numpy's axis reductions on the (B, 3) transpose and the rows
@@ -1148,3 +1264,166 @@ class TestRunTimeSignatureGuard:
         res = mf.trace_past_to_time(m, x0, v0, 0.5)
         assert res.ok.tolist() == [False, True]
         assert m.metric_diag(res.x[0])[1] > 0.0 and not m.in_domain(res.x[0])
+
+
+def _on_the_loop(cfg):
+    """The metric of cfg with its t-only route switched off, so that
+    `_march` steps it node by node with `_bundle_slope`."""
+    m = mf.metric_from_config(cfg)
+    m._expressions.t_jet = None
+    return m
+
+
+def _count_routes(monkeypatch):
+    """Counts of the `_t_march` calls and of the `_metric_jet` calls (the
+    per-node loop's) made from now on."""
+    calls = _count_metric_calls(monkeypatch)
+    t_march = mf._t_march
+    calls["t_march"] = 0
+
+    def counting(*args):
+        calls["t_march"] += 1
+        return t_march(*args)
+
+    monkeypatch.setattr(mf, "_t_march", counting)
+    return calls
+
+
+def _assert_matches_the_loop(got, want):
+    """ok, lost and the times equal; end points, n, ln E and lambda within
+    1e-14 max(1, |end|), NaN where the loop has NaN."""
+    for name in ("ok", "lost"):
+        assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
+    assert got.x[:, 0].tobytes() == want.x[:, 0].tobytes()
+    for name in ("x", "n", "log_e", "lam"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.array_equal(np.isnan(a), np.isnan(b)), name
+        gap = np.abs(np.nan_to_num(a) - np.nan_to_num(b))
+        assert np.all(gap <= 1e-14 * np.maximum(1.0, np.abs(np.nan_to_num(b)))), name
+
+
+class TestIsotropicCustomCharts:
+    """Custom charts of t alone with three equal spatial coefficients take
+    `_t_march`; the others keep the per-node loop."""
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            README_METRIC["coeffs"],
+            LAPSE_METRIC["coeffs"],
+            ["1", "-1", "-1", "-1"],
+            ["1", "-(1 + 0.1*t)**2", "-(1+0.1*t)**2", "- ( 1 + 0.1 * t ) ** 2 "],
+        ],
+        ids=["readme", "lapse", "flat", "whitespace"],
+    )
+    def test_take_the_t_only_march(self, monkeypatch, coeffs):
+        m = mf.metric_from_config(dict(README_METRIC, coeffs=coeffs))
+        assert m._expressions.t_jet is not None
+        x0, v0 = _rays(m, [1.0, 0.8])
+        calls = _count_routes(monkeypatch)
+        assert np.all(mf.trace_past_to_time(m, x0, v0, 0.3).ok)
+        assert calls["t_march"] >= 2 and calls["jet"] == 0
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ANISOTROPIC_METRIC,
+            dict(
+                README_METRIC,
+                coeffs=["1", "x*x - 0.0901", "-1", "-1"],
+                bounds=[[0, None], [-0.3, 0.3], [None, None], [None, None]],
+            ),
+        ],
+        ids=["aniso", "x-dependent"],
+    )
+    def test_other_charts_keep_the_loop(self, monkeypatch, cfg):
+        m = mf.metric_from_config(cfg)
+        assert m._expressions.t_jet is None
+        x0, v0 = _rays(m, [1.0, 0.8])
+        x0[:, 1] = 0.0
+        calls = _count_routes(monkeypatch)
+        mf.trace_past_to_time(m, x0, v0, 0.5)
+        assert calls["t_march"] == 0 and calls["jet"] > 0
+
+    @pytest.mark.parametrize(
+        "cfg, level",
+        [(README_METRIC, 0.3), (dict(README_METRIC, bounds=BOX), 0.0),
+         (LAPSE_METRIC, 1e-9), (dict(LAPSE_METRIC, bounds=BOX), 0.3)],
+        ids=["readme", "readme-box", "lapse", "lapse-box"],
+    )
+    @pytest.mark.parametrize("nan_v0", [False, True], ids=["finite", "nan-v0"])
+    def test_matches_the_per_node_loop(self, monkeypatch, cfg, level, nan_v0):
+        m, loop = mf.metric_from_config(cfg), _on_the_loop(cfg)
+        times = [1.0, 1.0, 0.8, 1.3, 1.0, 2.0]
+        rng = np.random.default_rng(1)
+        x0 = np.column_stack([times, rng.uniform(-2.5, 2.5, (len(times), 3))])
+        v0 = mf.future_null_directions(m, x0, sky.sample_sky(len(times), seed=2).directions())
+        if nan_v0:
+            v0[2] = np.nan
+        with np.errstate(all="ignore"):
+            y0 = mf._bundle_start(m, x0, v0)
+            for n in (4, 8, 16, 32):
+                got = mf._march(m, x0[:, 0], y0, level, n)
+                _assert_matches_the_loop(got, mf._march(loop, x0[:, 0], y0, level, n))
+        got = mf.trace_past_to_time(m, x0, v0, level)
+        _assert_matches_the_loop(got, mf.trace_past_to_time(loop, x0, v0, level))
+        if cfg["bounds"] is BOX:
+            assert 0 < np.count_nonzero(got.ok) < len(got.ok)
+        assert not (nan_v0 and got.ok[2])
+
+    def test_three_coefficient_evaluations_per_node(self, monkeypatch):
+        # (g00, g11, d g11 / dt) once per stage time c = 0, 1/2, 1, over
+        # all nodes x starts at once
+        m = mf.metric_from_config(README_METRIC)
+        x0, v0 = _rays(m, [1.0, 1.0, 0.8])
+        y0 = mf._bundle_start(m, x0, v0)
+        sizes, jet = [], m._expressions.t_jet
+        monkeypatch.setattr(
+            m._expressions, "t_jet", lambda rows: sizes.append(rows[0].size) or jet(rows)
+        )
+        mf._march(m, x0[:, 0], y0, 0.3, 64)
+        assert sizes == [64 * 2] * 3
+
+
+class TestIsotropicSignatureGuard:
+    # g11 = g22 = g33 is positive for 0.4 < t < 0.6 and negative on every
+    # point of the construction-time grid (t = 0.002, 1, 1.998)
+    BAND = dict(README_METRIC, coeffs=["1"] + ["0.01 - (t-0.5)**2"] * 3)
+
+    def test_names_a_live_stage_point_as_the_loop_does(self):
+        # marched in t to the level 0 in steps of 0.25, the first stage to
+        # reach the band is the second step's last, at t = 0.5
+        x0 = np.array([[1.0, 0, 0, 0], [1.0, 0.2, 0, 0]])
+        named = []
+        for m in (mf.metric_from_config(self.BAND), _on_the_loop(self.BAND)):
+            v0 = mf.future_null_directions(m, x0, np.array([[0, 1.0, 0], [0, 0, 1.0]]))
+            with pytest.raises(ValueError, match=re.escape("(+,-,-,-) at [0.5, ")) as err:
+                mf.trace_past_to_time(m, x0, v0, 0.0)
+            point = re.search(r"at \[(.*)\]", str(err.value))[1]
+            named.append(np.array(point.split(", "), dtype=float))
+            # every stage above the band passes
+            assert np.all(mf.trace_past_to_time(m, x0, v0, 0.625).ok)
+        assert np.allclose(named[0], named[1], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("route", ["t-only", "loop"])
+    def test_rays_that_left_the_chart_do_not_raise(self, route):
+        # rays along x leave |x| < 0.3 at the first node of each level,
+        # long before the band
+        cfg = dict(self.BAND, bounds=[[0, None], [-0.3, 0.3], [None, None], [None, None]])
+        m = mf.metric_from_config(cfg) if route == "t-only" else _on_the_loop(cfg)
+        x0 = np.array([[1.0, 0.1, 0, 0], [1.0, -0.1, 0.5, 0]])
+        v0 = mf.future_null_directions(m, x0, np.array([[-1.0, 0, 0], [1.0, 0, 0]]))
+        res = mf.trace_past_to_time(m, x0, v0, 0.0)
+        assert not np.any(res.ok) and np.all(res.x[:, 0] == 0.875)
+        assert np.all(np.abs(res.x[:, 1]) > 0.3)
+        with pytest.raises(ValueError, match="do not have signature"):
+            mf.trace_past_to_time(m, x0, mf.future_null_directions(m, x0, np.eye(3)[1:]), 0.0)
+
+    @pytest.mark.parametrize("route", ["t-only", "loop"])
+    def test_a_ray_whose_affine_length_overflowed_does_not_raise(self, route):
+        # E = 1e-308 makes lambda infinite at the first node; the ray has left
+        # there, inside the chart, before its later stages reach the band
+        m = mf.metric_from_config(self.BAND) if route == "t-only" else _on_the_loop(self.BAND)
+        x0, v0 = np.array([[1.0, 0, 0, 0]]), np.array([[1e-308, 0, 1.0, 0]])
+        res = mf.trace_past_to_time(m, x0, v0, 0.0)
+        assert not res.ok[0] and res.lam[0] == np.inf and m.in_domain(res.x[0])
