@@ -17,11 +17,14 @@ axis 1, as a fancy index `y[:, rows]` would come back column-major.  On a
 flat or FLRW chart, or a custom chart of t alone with three equal spatial
 coefficients (FLRW with a lapse, ds^2 = N(t)^2 dt^2 - A(t)^2 dx.dx,
 detected when the metric is built), the slope depends on t alone, n is
-conserved and a ray is a straight comoving line, so `_t_march` marches
-the displacement along n, ln E and lambda once per distinct start, all
-nodes of a block in array operations, and tests each ray's nodes at
-once; any other custom chart steps every state node by node with
-`_bundle_slope`, compacting the rows that leave with `np.compress`.  The two
+conserved and a ray is a straight comoving line.  There the tracer keys
+the distinct starts (t0, ln E, lambda) once, and each level of the ladder
+(`_t_level`) marches the displacement along n, ln E and lambda of the
+starts of its rays, all nodes of a block in array operations, and places
+each ray at x0 + n D; a ray inside and finite at a block's last node was
+so at every node, and only the others scan the block's nodes.  Any other
+custom chart steps every state node by node with `_bundle_slope`,
+compacting the rows that leave with `np.compress`.  The two
 integrals of the scale factor share one ladder: `conformal_time`, the
 conformal interval from the target time t_from, and `affine_length`, the
 affine length of a ray down to it; closed form for power laws, else the
@@ -49,7 +52,7 @@ from .errors import DivergentIntegralError, OutOfDomainError
 #: there come back lost) and the step-doubling tolerance.
 GRID_START, GRID_CAP, GRID_TOL = 4, 2**15, 1e-5
 
-#: Nodes times (rays + starts) in one block of `_t_march`, which bounds
+#: Nodes times (rays + starts) in one block of `_t_level`, which bounds
 #: its memory whatever the number of nodes.
 _BLOCK_CELLS = 2**16
 
@@ -207,12 +210,12 @@ _SIGNATURE = np.array([[1.0], [-1.0], [-1.0], [-1.0]])
 
 def _require_signature(m: MetricSpec, rows, g):
     """Raise ValueError naming the first point inside the bounds whose
-    coefficients g (4, B) are not (+, -, -, -); the coordinates of the
-    points are the rows t, x, y, z (4, B)."""
+    coefficients g (4, B) are not finite with signature (+, -, -, -); the
+    coordinates of the points are the rows t, x, y, z (4, B)."""
     signed = g * _SIGNATURE
-    if not signed.min(initial=1.0) > 0.0:  # a row is wrong or NaN
+    if not 0.0 < signed.min(initial=1.0) <= signed.max(initial=1.0) < np.inf:  # wrong, inf or NaN
         x = np.column_stack(rows)
-        wrong = ~np.all(signed > 0.0, axis=0) & m.in_domain(x)
+        wrong = ~np.all((signed > 0.0) & (signed < np.inf), axis=0) & m.in_domain(x)
         if np.any(wrong):
             point = x[wrong][0].tolist()
             raise ValueError(f"coefficients do not have signature (+,-,-,-) at {point}")
@@ -284,7 +287,7 @@ def _t_rates(m: MetricSpec, s, log):
     t = e^s if log else s: the rows d/ds of the displacement D along the
     tetrad direction n, d/ds of ln E and -e0 dt/ds, the factor of e^-ln E
     in d lambda / ds (3, R); and the coefficients (g00, g11) if some of
-    them lack the signature (+, -, -, -), else None.
+    them are not finite with the signature (+, -, -, -), else None.
 
     This is `_bundle_slope` with t-partials only.  With the legs e0 =
     sqrt(g00) and A = sqrt(-g11), D moves at -e0 / A and ln E at -(d g11 /
@@ -297,8 +300,10 @@ def _t_rates(m: MetricSpec, s, log):
         g00, g11, dg11 = m._expressions.t_jet((t,))
         e0 = np.sqrt(g00)
         rates[0], rates[1], rates[2] = -(e0 / np.sqrt(-g11)), -dg11 / (2.0 * g11), -e0
-        if not (g00.min(initial=np.inf) > 0.0 and g11.max(initial=-np.inf) < 0.0):
-            wrong = (g00, g11)  # a wrong sign or NaN
+        finite_signs = 0.0 < g00.min(initial=1.0) <= g00.max(initial=1.0) < np.inf
+        finite_signs &= -np.inf < g11.min(initial=-1.0) <= g11.max(initial=-1.0) < 0.0
+        if not finite_signs:
+            wrong = (g00, g11)  # a wrong sign, inf or NaN
     else:
         speed, dlog_e = 1.0, 0.0  # flat space
         if m.kind == "flrw":
@@ -309,7 +314,7 @@ def _t_rates(m: MetricSpec, s, log):
 
 
 def _t_slope(rates, y):
-    """d/ds of the rows ln E and lambda y (2, R) of `_t_march` at a stage
+    """d/ds of the rows ln E and lambda y (2, R) of `_t_level` at a stage
     whose `_t_rates` rows are rates: d lambda / dt = -e0 e^-ln E."""
     out = np.empty_like(y)
     out[0], out[1] = rates[1], rates[2] * np.exp(-y[0])
@@ -317,7 +322,7 @@ def _t_slope(rates, y):
 
 
 def _require_stage_signature(m: MetricSpec, rate, s, h, log, d, x0, n, at, left):
-    """`_require_signature` over the RK4 stages of a `_t_march` block, at
+    """`_require_signature` over the RK4 stages of a `_t_level` block, at
     the stage points of the rays still live there, in the order of the
     per-node loop: node, stage, ray.  rate maps c to the `_t_rates` at the
     stage times s + c h (nodes x starts); d (nodes, starts) holds D at the
@@ -353,6 +358,12 @@ def _node_keep(m: MetricSpec, y):
     return _inside(m, y[:3]) & reduce(np.logical_and, np.isfinite(y[3:]))
 
 
+def _t_only(m: MetricSpec):
+    """Whether the slope of m depends on t alone: flat, FLRW, or custom and
+    isotropic in t alone (`t_jet`)."""
+    return m.kind != "custom" or m._expressions.t_jet is not None
+
+
 def _march(m: MetricSpec, t0, y0, t_target, n):
     """March past-directed rays from the times t0 (B,) and the row-major
     states y0 (8, B): the spatial point, the unit tetrad direction n of the
@@ -364,14 +375,15 @@ def _march(m: MetricSpec, t0, y0, t_target, n):
     ln E or lambda is not finite; ok marks the rows that arrived.  A level
     above t0 runs the same rays to the future, lambda falling.
 
-    Flat, FLRW and isotropic custom charts of t alone (`t_jet`) take
-    `_t_march`.  Any other custom chart, anisotropic or depending on x, y
-    or z, steps the (8, B) states node by node with `_bundle_slope`; a
-    node's accept is n /= |n|."""
+    On a chart of t alone (`_t_only`) this is one `_t_level` of the starts
+    keyed by `_key_starts` (the ladder of `trace_past_to_time` keys them
+    once and calls `_t_level` itself).  Any other custom chart, anisotropic or
+    depending on x, y or z, steps the (8, B) states node by node with
+    `_bundle_slope`; a node's accept is n /= |n|."""
+    if _t_only(m):
+        return _t_level(m, _key_starts(t0, y0, t_target), np.arange(len(t0)), n)
     log = t_target > 0.0
     nodes = (np.arange(n + 1) / n) ** (2 if log else 1)
-    if m.kind != "custom" or m._expressions.t_jet is not None:
-        return _t_march(m, t0, y0, t_target, log, nodes)
     s0 = np.log(t0) if log else t0
     span = (math.log(t_target) if log else t_target) - s0
     y, t = y0.copy(), np.full(len(t0), float(t_target))
@@ -391,40 +403,79 @@ def _march(m: MetricSpec, t0, y0, t_target, n):
     return TraceResult(x, y[3:6].T, y[6], y[7], ok, lost)
 
 
-def _t_march(m: MetricSpec, t0, y0, t_target, log, nodes):
-    """`_march` on a chart whose slope depends on t alone: flat, FLRW, or
-    custom and isotropic in t alone.  n is conserved, so a ray's node
-    points are its start point plus n times a displacement D, and the rows
-    D, ln E and lambda are marched once per distinct start (t0, ln E,
-    lambda), the nodes of a block side by side in one row.  The slope
-    factors `_t_rates` are evaluated once per block at each stage fraction
-    c = 0, 1/2 and 1, and both steps look them up.  The first `_rk4_step`
-    gives the increments of D and ln E, which do not depend on the state,
-    and `np.cumsum` adds them in the node-by-node order, so ln E has the
-    bits of a node-by-node march; the second starts from ln E at each node
-    and gives the increments of lambda, likewise.  Each ray leaves at its
-    first node that fails the test of `_node_keep`.  Where a custom chart's
-    coefficients lose their signature at a stage,
-    `_require_stage_signature` raises for a live ray's stage point inside
-    the domain.  The blocks carry the three rows on and hold O(block (B +
-    starts)) floats, `_BLOCK_CELLS` in all."""
-    keys = np.column_stack([t0, y0[6], y0[7]]).view(np.dtype((np.void, 24)))  # bit for bit
+@dataclass(frozen=True)
+class _Starts:
+    """A batch of rays on a chart of t alone, keyed by `_key_starts`."""
+
+    start: np.ndarray  # (B,) each ray's start
+    s0: np.ndarray  # (U,) s of each start
+    span: np.ndarray  # (U,) from s0 to the level
+    y0: np.ndarray  # (3, U) D = 0, ln E and lambda at node 0
+    x0: np.ndarray  # (3, B) the rays' start points
+    n: np.ndarray  # (3, B) their unit tetrad directions
+    t_target: float
+    log: bool
+
+
+def _key_starts(t0, y0, t_target):
+    """The rays of the times t0 (B,) and states y0 (8, B), keyed once by
+    their distinct starts (t0, ln E, lambda), bit for bit, for the levels
+    `_t_level` marches to t_target."""
+    log = t_target > 0.0
+    keys = np.column_stack([t0, y0[6], y0[7]]).view(np.dtype((np.void, 24)))
     _, first, start = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-    b, u = len(t0), len(first)
     s0 = np.log(t0[first]) if log else t0[first]
     span = (math.log(t_target) if log else t_target) - s0
-    x0, n = y0[:3], y0[3:6] / np.sqrt(np.sum(y0[3:6] ** 2, axis=0))
-    state = np.vstack([np.zeros(u), y0[6:, first]])[:, None]  # D, ln E, lambda at node 0
-    t, end = np.full(b, float(t_target)), np.empty((3, b))  # time and state where rays stop
-    live = np.arange(b)  # the rays still marching; a non-finite n shows in their points
+    n = y0[3:6] / np.sqrt(np.sum(y0[3:6] ** 2, axis=0))
+    state = np.vstack([np.zeros(len(first)), y0[6:, first]])
+    return _Starts(start, s0, span, state, y0[:3], n, float(t_target), log)
+
+
+def _t_level(m: MetricSpec, st: _Starts, rows, n):
+    """`_march` of n nodes for the rays rows of st on a chart whose slope
+    depends on t alone: flat, FLRW, or custom and isotropic in t alone.  n
+    is conserved, so a ray's node points are its start point plus n times
+    a displacement D, and the rows D, ln E and lambda are marched once per
+    start of the rays, the nodes of a block side by side in one row.  The
+    slope factors `_t_rates` are evaluated once per block at each stage
+    fraction c = 0, 1/2 and 1, and both steps look them up.  The first
+    `_rk4_step` gives the increments of D and ln E, which do not depend on
+    the state, and `np.cumsum` adds them in the node-by-node order, so ln E
+    has the bits of a node-by-node march; the second starts from ln E at
+    each node and gives the increments of lambda, likewise.
+
+    Each ray leaves at its first node that fails the test of `_node_keep`,
+    and the rays are placed from their start's states.  A ray is tested on
+    the block's last node first.  Unless some D slope of the block is > 0
+    (a scale factor that turns negative), every D increment of a start has
+    the sign of its step, so each coordinate of x0 + n D moves one way (IEEE
+    rounding is monotone; a NaN increment leaves D NaN up to the last node),
+    and a non-finite ln E or lambda stays so: a ray inside the bounds at
+    the node before the block (or at its start, which `trace_past_to_time`
+    checks) and inside and finite at the last node was inside at every
+    node.  Only the other rays scan the block node by node for the one they
+    leave at.  Where a D slope is > 0, or a custom chart's coefficients
+    lose their signature at a stage, every live ray scans, and then
+    `_require_stage_signature` raises for a live ray's stage point inside
+    the domain.  The blocks carry the three rows on and hold O(block (rays
+    + starts)) floats, `_BLOCK_CELLS` in all, scan included."""
+    nodes = (np.arange(n + 1) / n) ** (2 if st.log else 1)
+    used = np.zeros(len(st.s0), dtype=bool)
+    used[st.start[rows]] = True
+    at = (np.cumsum(used) - 1)[st.start[rows]]  # each ray's column among the marched starts
+    s0, span, state = st.s0[used], st.span[used], st.y0[:, used][:, None]
+    x0, dirs = np.take(st.x0, rows, 1), np.take(st.n, rows, 1)  # a non-finite n shows in x0 + n D
+    b, u = len(rows), len(s0)
+    t, end = np.full(b, st.t_target), np.empty((3, b))  # time and state where rays stop
+    alive = np.ones(b, dtype=bool)  # the rays still marching
     block = max(1, _BLOCK_CELLS // (b + u + 1))
-    for k0 in range(0, len(nodes) - 1, block):
-        if not len(live):
+    for k0 in range(0, n, block):
+        if not alive.any():
             break
-        k1 = min(len(nodes) - 1, k0 + block)
+        k1 = min(n, k0 + block)
         s = (s0 + nodes[k0:k1, None] * span).ravel()  # (nodes x starts)
         h = ((nodes[k0 + 1 : k1 + 1] - nodes[k0:k1])[:, None] * span).ravel()
-        rate = {c: _t_rates(m, s + c * h, log) for c in (0.0, 0.5, 1.0)}
+        rate = {c: _t_rates(m, s + c * h, st.log) for c in (0.0, 0.5, 1.0)}
         state = np.concatenate([state[:, -1:], np.empty((3, k1 - k0, u))], axis=1)
         y = np.full((2, len(h)), -0.0)  # -0.0 + dy is dy
         state[:2, 1:] = _rk4_step(lambda c, y: rate[c][0][:2], y, h).reshape(2, -1, u)
@@ -432,23 +483,31 @@ def _t_march(m: MetricSpec, t0, y0, t_target, log, nodes):
         y[0] = state[1, :-1].ravel()  # ln E at each node, lambda from -0.0
         state[2, 1:] = _rk4_step(lambda c, y: _t_slope(rate[c][0], y), y, h)[1].reshape(-1, u)
         np.cumsum(state[2], axis=0, out=state[2])
-        at = start[live]
-        d = state[0, 1:][:, at]
-        points = x0[:, None, live] + n[:, None, live] * d  # (3, nodes, rays)
-        finite = (np.isfinite(state[1, 1:]) & np.isfinite(state[2, 1:]))[:, at]
-        left = ~(_inside(m, points.reshape(3, -1)).reshape(d.shape) & finite)
-        if any(r[1] is not None for r in rate.values()):  # a lost signature
+        finite = np.isfinite(state[1, 1:]) & np.isfinite(state[2, 1:])  # (nodes, starts)
+        lost = any(r[1] is not None for r in rate.values())  # a lost signature
+        if lost or any(r[0][0].max() > 0.0 for r in rate.values()):  # D may turn back
+            scan = np.flatnonzero(alive)
+        else:  # the rays that may leave in this block
+            last = x0 + dirs * state[0, -1, at]
+            scan = np.flatnonzero(alive & ~(_inside(m, last) & finite[-1, at]))
+        if not len(scan):
+            continue
+        a = at[scan]
+        d = state[0, 1:][:, a]
+        points = x0[:, None, scan] + dirs[:, None, scan] * d  # (3, nodes, rays)
+        left = ~(_inside(m, points.reshape(3, -1)).reshape(d.shape) & finite[:, a])
+        if lost:
             _require_stage_signature(
-                m, rate, s, h, log, state[0, :-1], x0[:, live], n[:, live], at, left
+                m, rate, s, h, st.log, state[0, :-1], x0[:, scan], dirs[:, scan], a, left
             )
         gone = left.any(axis=0)
-        k, g, at = left.argmax(axis=0)[gone], live[gone], at[gone]
-        t_end = s.reshape(-1, u)[k, at] + h.reshape(-1, u)[k, at]
-        t[g], end[:, g] = np.exp(t_end) if log else t_end, state[:, k + 1, at]
-        live = live[~gone]
-    end[:, live] = state[:, -1, start[live]]
-    ok, x = np.isin(np.arange(b), live), np.column_stack([t, (x0 + n * end[0]).T])
-    return TraceResult(x, n.T, end[1], end[2], ok, np.zeros(b, dtype=bool))
+        k, g, a = left.argmax(axis=0)[gone], scan[gone], a[gone]
+        t_end = s.reshape(-1, u)[k, a] + h.reshape(-1, u)[k, a]
+        t[g], end[:, g] = np.exp(t_end) if st.log else t_end, state[:, k + 1, a]
+        alive[g] = False
+    end[:, alive] = state[:, -1, at[alive]]
+    x = np.column_stack([t, (x0 + dirs * end[0]).T])
+    return TraceResult(x, dirs.T, end[1], end[2], alive, np.zeros(b, dtype=bool))
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -464,7 +523,10 @@ def trace_past_to_time(m: MetricSpec, x0, v0, t_target):
     estimate, the rows that failed at both, which keep this level's state.
     The others refine alone; at GRID_CAP they come back not ok and lost.
     Rows that leave the spatial domain or turn non-finite come back not
-    ok.  Raises OutOfDomainError for a start event outside the domain or
+    ok.  On a chart of t alone the starts are keyed once, and each level
+    marches the starts of the unsettled rows and places those rows
+    (`_t_level`); on any other chart each level is a `_march` of those
+    rows.  Raises OutOfDomainError for a start event outside the domain or
     below the level.
     """
     x0 = np.asarray(x0, dtype=float)
@@ -477,12 +539,17 @@ def trace_past_to_time(m: MetricSpec, x0, v0, t_target):
     if np.any(x0[:, 0] < t_target - t_tol):
         raise OutOfDomainError("some start events lie below the target level")
     y0 = _bundle_start(m, x0, v0)
+    if _t_only(m):
+        starts = _key_starts(x0[:, 0], y0, t_target)
+        level = lambda rows, n: _t_level(m, starts, rows, n)
+    else:
+        level = lambda rows, n: _march(m, x0[rows, 0], np.take(y0, rows, 1), t_target, n)
 
     n, rows = GRID_START, np.arange(len(x0))
-    res = {k: np.copy(v) for k, v in vars(_march(m, x0[:, 0], y0, t_target, n)).items()}
+    res = {k: np.copy(v) for k, v in vars(level(rows, n)).items()}
     while len(rows) and n < GRID_CAP:
         n *= 2
-        fine = _march(m, x0[rows, 0], np.take(y0, rows, 1), t_target, n)
+        fine = level(rows, n)
         both = res["ok"][rows] & fine.ok
         coarse = rows[both]
         end = np.column_stack([fine.x[both, 1:], fine.lam[both]])
@@ -651,7 +718,12 @@ def _parse_expression(src: str, names=_EXPR_NAMES):
     """
     if not isinstance(src, str):
         raise ValueError(f"metric expression {src!r} is not a string")
-    tree = ast.parse(src, mode="eval")
+    try:
+        tree = ast.parse(src, mode="eval")
+    except SyntaxError as exc:  # IndentationError too
+        raise ValueError(f"metric expression {src!r} does not parse: {exc.msg}") from exc
+    except (RecursionError, MemoryError) as exc:  # the parser's stack limits
+        raise ValueError(f"metric expression {src!r} nests too deeply to parse") from exc
     for node in ast.walk(tree):
         if not isinstance(node, _ALLOWED_NODES):
             raise ValueError(f"disallowed syntax in metric expression: {src!r}")
@@ -817,9 +889,12 @@ class _ExpressionMetric:
         if len(sources) != 4:
             raise ValueError("custom metric needs four coefficient expressions")
         coeffs = [_parse_expression(src) for src in sources]
-        partials = [_diff(c, name) for name in _EXPR_NAMES for c in coeffs]
-        self.values = _FusedExpressions(coeffs)
-        self.jet = _FusedExpressions(coeffs + partials)
+        try:
+            partials = [_diff(c, name) for name in _EXPR_NAMES for c in coeffs]
+            self.values = _FusedExpressions(coeffs)
+            self.jet = _FusedExpressions(coeffs + partials)
+        except RecursionError as exc:
+            raise ValueError(f"metric expressions {list(sources)!r} nest too deeply") from exc
         names = {n.id for c in coeffs for n in ast.walk(c) if isinstance(n, ast.Name)}
         isotropic = len({ast.dump(c) for c in coeffs[1:]}) == 1
         t_only = names <= {"t"} and isotropic

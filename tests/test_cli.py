@@ -984,6 +984,38 @@ class TestCustomMetric:
         assert code == 2 and out == ""
         assert err.startswith("ValueError: coefficients do not have signature (+,-,-,-) at [-")
 
+    @pytest.mark.parametrize(
+        "src",
+        [" 1", "1 +", "", "+".join(["t"] * 3000)],
+        ids=["indent", "dangling", "empty", "sum-3000"],
+    )
+    def test_malformed_coefficient_exits_2(self, capsys, tmp_path, src):
+        # " 1" printed an IndentationError traceback and exited 1
+        cfg = tmp_path / "malformed.json"
+        cfg.write_text(json.dumps(dict(README_METRIC, coeffs=[src, "-1", "-1", "-1"])))
+        code, out, err = run(
+            capsys, "--config", str(cfg), "causal", "--metric", "custom",
+            "--target", "cauchy:0.3", "--x", "0.6,0,0,0", "--y", "0.45,0.05,0,0",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"ValueError: metric expression {src!r} ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("slots", [1, 3], ids=["per-node", "isotropic"])
+    def test_infinite_coefficient_exits_2(self, capsys, tmp_path, slots):
+        # g = -inf on the chart exited 1 with "0/400 sky samples ... arrived"
+        cfg = tmp_path / "infinite.json"
+        coeffs = ["1"] + ["-1e400*t*t-1"] * slots + ["-1"] * (3 - slots)
+        cfg.write_text(json.dumps(dict(README_METRIC, coeffs=coeffs)))
+        code, out, err = run(
+            capsys, "--config", str(cfg), "causal", "--metric", "custom",
+            "--target", "cauchy:0.3", "--x", "0.6,0,0,0", "--y", "0.45,0.05,0,0",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(
+            "ValueError: coefficients do not have signature (+,-,-,-) at [0.002, "
+        )
+
     def test_target_below_the_chart_exits_2(self, capsys, tmp_path):
         # the rays were traced through t < 0, where the signature is never
         # checked, and the image exited 0

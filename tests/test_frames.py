@@ -355,8 +355,8 @@ class TestUnsettledNumericImage:
         m = mf.metric_from_config({"kind": "flrw", "a_expr": "1/t"})
         spec = fr.FrameSpec(metric=m, target=fr.Singularity(), tracer="numeric")
         sample = sky.sample_sky(64, scheme="random", seed=0)
-        levels, march = [], mf._march
-        monkeypatch.setattr(mf, "_march", lambda *a: levels.append(a[-1]) or march(*a))
+        levels, level = [], mf._t_level  # the levels of a chart of t alone
+        monkeypatch.setattr(mf, "_t_level", lambda *a: levels.append(a[-1]) or level(*a))
         tracemalloc.start()
         try:
             with pytest.raises(DivergentIntegralError):

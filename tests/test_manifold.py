@@ -202,6 +202,20 @@ class TestExpressionDerivatives:
         with pytest.raises(ValueError):
             mf.metric_from_config({"kind": "custom", "coeffs": coeffs})
 
+    @pytest.mark.parametrize(
+        "src",
+        [" 1", "1 +", "", "+".join(["t"] * 3000), "**".join(["t"] * 3000),
+         "*".join(["t"] * 600)],
+        ids=["indent", "dangling", "empty", "sum-3000", "power-3000", "product-600"],
+    )
+    def test_malformed_sources_raise_a_value_error_naming_them(self, src):
+        # an IndentationError, two SyntaxErrors, a RecursionError and a
+        # MemoryError from the parser, and a RecursionError from the
+        # derivatives got through as such
+        with pytest.raises(ValueError, match="metric expression") as err:
+            mf.metric_from_config({"kind": "custom", "coeffs": [src, "-1", "-1", "-1"]})
+        assert repr(src)[:12] in str(err.value)
+
 
 def _count_metric_calls(monkeypatch):
     """Counts of the `metric_diag` and `_metric_jet` calls made from now on."""
@@ -643,17 +657,21 @@ class TestTracePastToTime:
 
 def _record_levels(monkeypatch):
     """(n, result) of every grid level the tracer marches, in order, with
-    the arrays copied as they were returned."""
+    the arrays copied as they were returned: a `_t_level` of the keyed
+    starts on a chart of t alone, else a `_march`; both take n last."""
     levels = []
-    march = mf._march
 
-    def recording(*args):
-        res = march(*args)
-        frozen = {k: np.copy(v) for k, v in vars(res).items()}
-        levels.append((args[-1], mf.TraceResult(**frozen)))
-        return res
+    def recording(level):
+        def wrapper(*args):
+            res = level(*args)
+            frozen = {k: np.copy(v) for k, v in vars(res).items()}
+            levels.append((args[-1], mf.TraceResult(**frozen)))
+            return res
 
-    monkeypatch.setattr(mf, "_march", recording)
+        return wrapper
+
+    for name in ("_march", "_t_level"):
+        monkeypatch.setattr(mf, name, recording(getattr(mf, name)))
     return levels
 
 
@@ -748,14 +766,14 @@ class TestCoordinateTimeGrid:
         m = mf.MetricSpec.flrw(p=2 / 3)
         x0, v0 = _rays(m, [1.0] * 6, seed=3)
         returned = []
-        march = mf._march
+        level = mf._t_level  # the levels of a chart of t alone
 
         def keeping(*args):
-            res = march(*args)
+            res = level(*args)
             returned.append((res, {k: np.copy(v) for k, v in vars(res).items()}))
             return res
 
-        monkeypatch.setattr(mf, "_march", keeping)
+        monkeypatch.setattr(mf, "_t_level", keeping)
         mf.trace_past_to_time(m, x0, v0, 1e-9)
         assert len(returned) >= 2
         for res, frozen in returned:
@@ -949,7 +967,7 @@ def _node_by_node_slope(m, s, y, log):
 
 
 def _node_by_node_march(m, t0, y0, t_target, n):
-    """The reference of `_t_march`: the per-node loop that stepped the
+    """The reference of `_t_level`: the per-node loop that stepped the
     (8, B) states of flat and FLRW charts, with its numpy axis reductions."""
     log = t_target > 0.0
     s0 = np.log(t0) if log else t0
@@ -1015,7 +1033,7 @@ def _assert_matches_node_by_node(got, want):
 
 
 class TestTOnlyMarch:
-    """Flat and FLRW charts march each distinct start once (`_t_march`)."""
+    """Flat and FLRW charts march each distinct start once (`_t_level`)."""
 
     @pytest.mark.parametrize("nan_v0", [False, True], ids=["finite", "nan-v0"])
     @pytest.mark.parametrize("case", list(T_ONLY_CASES))
@@ -1045,6 +1063,7 @@ class TestTOnlyMarch:
     def test_traces_match_the_node_by_node_march(self, monkeypatch, case):
         m, level, x0, v0 = _t_only_rays(case, nan_v0=True)
         got = mf.trace_past_to_time(m, x0, v0, level)
+        monkeypatch.setattr(mf, "_t_only", lambda m: False)  # each level a `_march`
         monkeypatch.setattr(mf, "_march", _node_by_node_march)
         want = mf.trace_past_to_time(m, x0, v0, level)
         _assert_matches_node_by_node(got, want)
@@ -1109,7 +1128,7 @@ def _two_pass_slope(m, s, y, log):
 
 
 def _two_pass_march(m, t0, y0, t_target, n):
-    """The reference of the stage lookups in `_t_march`: the t-only march
+    """The reference of the stage lookups in `_t_level`: the t-only march
     whose two `_rk4_step` calls evaluate the slope at each of their eight
     stages, a(t) and a'(t) included."""
     log = t_target > 0.0
@@ -1154,7 +1173,7 @@ def _two_pass_march(m, t0, y0, t_target, n):
 
 
 class TestStageLookups:
-    """`_t_march` evaluates its slope factors once per stage time and both
+    """`_t_level` evaluates its slope factors once per stage time and both
     steps look them up; flat and FLRW traces keep every bit."""
 
     @pytest.mark.parametrize("nan_v0", [False, True], ids=["finite", "nan-v0"])
@@ -1275,17 +1294,17 @@ def _on_the_loop(cfg):
 
 
 def _count_routes(monkeypatch):
-    """Counts of the `_t_march` calls and of the `_metric_jet` calls (the
+    """Counts of the `_t_level` calls and of the `_metric_jet` calls (the
     per-node loop's) made from now on."""
     calls = _count_metric_calls(monkeypatch)
-    t_march = mf._t_march
-    calls["t_march"] = 0
+    t_level = mf._t_level
+    calls["t_level"] = 0
 
     def counting(*args):
-        calls["t_march"] += 1
-        return t_march(*args)
+        calls["t_level"] += 1
+        return t_level(*args)
 
-    monkeypatch.setattr(mf, "_t_march", counting)
+    monkeypatch.setattr(mf, "_t_level", counting)
     return calls
 
 
@@ -1304,7 +1323,7 @@ def _assert_matches_the_loop(got, want):
 
 class TestIsotropicCustomCharts:
     """Custom charts of t alone with three equal spatial coefficients take
-    `_t_march`; the others keep the per-node loop."""
+    `_t_level`; the others keep the per-node loop."""
 
     @pytest.mark.parametrize(
         "coeffs",
@@ -1322,7 +1341,7 @@ class TestIsotropicCustomCharts:
         x0, v0 = _rays(m, [1.0, 0.8])
         calls = _count_routes(monkeypatch)
         assert np.all(mf.trace_past_to_time(m, x0, v0, 0.3).ok)
-        assert calls["t_march"] >= 2 and calls["jet"] == 0
+        assert calls["t_level"] >= 2 and calls["jet"] == 0
 
     @pytest.mark.parametrize(
         "cfg",
@@ -1343,7 +1362,7 @@ class TestIsotropicCustomCharts:
         x0[:, 1] = 0.0
         calls = _count_routes(monkeypatch)
         mf.trace_past_to_time(m, x0, v0, 0.5)
-        assert calls["t_march"] == 0 and calls["jet"] > 0
+        assert calls["t_level"] == 0 and calls["jet"] > 0
 
     @pytest.mark.parametrize(
         "cfg, level",
@@ -1427,3 +1446,199 @@ class TestIsotropicSignatureGuard:
         x0, v0 = np.array([[1.0, 0, 0, 0]]), np.array([[1e-308, 0, 1.0, 0]])
         res = mf.trace_past_to_time(m, x0, v0, 0.0)
         assert not res.ok[0] and res.lam[0] == np.inf and m.in_domain(res.x[0])
+
+
+#: g11 overflows to -inf for |t - 0.5| < 0.048 and is -1 on every point of
+#: the construction-time grid (t = 0.002, 1, 1.998).
+OVERFLOW_BAND = "-1 - 10**(400 - 40000*(t-0.5)**2)"
+
+
+class TestInfiniteCoefficients:
+    """A coefficient of the right sign that is infinite inside the chart
+    fails the signature guards; the rays turned NaN and came back not ok,
+    with no reason."""
+
+    @pytest.mark.parametrize("slots", [1, 3], ids=["per-node", "isotropic"])
+    def test_construction_names_the_point(self, slots):
+        coeffs = ["1"] + ["-1e400*t*t-1"] * slots + ["-1"] * (3 - slots)
+        with pytest.raises(ValueError, match=re.escape("(+,-,-,-) at [0.002, ")):
+            mf.metric_from_config(dict(README_METRIC, coeffs=coeffs))
+
+    @pytest.mark.parametrize("route", ["per-node", "t-only", "isotropic-loop"])
+    def test_tracer_names_the_first_infinite_stage(self, route):
+        # marched in t to the level 0 in steps of 0.25, the first stage in
+        # the band is the second step's last, at t = 0.5
+        slots = 1 if route == "per-node" else 3
+        cfg = dict(README_METRIC, coeffs=["1"] + [OVERFLOW_BAND] * slots + ["-1"] * (3 - slots))
+        m = _on_the_loop(cfg) if route == "isotropic-loop" else mf.metric_from_config(cfg)
+        assert (m._expressions.t_jet is not None) == (route == "t-only")
+        x0 = np.array([[1.0, 0, 0, 0], [1.0, 0.2, 0, 0]])
+        v0 = mf.future_null_directions(m, x0, np.array([[0, 1.0, 0], [0, 0, 1.0]]))
+        with pytest.raises(ValueError, match=re.escape("(+,-,-,-) at [0.5, 0.0, -0.5, 0.0]")):
+            mf.trace_past_to_time(m, x0, v0, 0.0)
+        assert np.all(mf.trace_past_to_time(m, x0, v0, 0.625).ok)  # above the band
+
+    @pytest.mark.parametrize("route", ["t-only", "loop"])
+    def test_an_infinite_lapse_names_the_first_stage(self, route):
+        # g00 = +inf in the band
+        cfg = dict(README_METRIC, coeffs=["1 + 10**(400 - 40000*(t-0.5)**2)", "-1", "-1", "-1"])
+        m = mf.metric_from_config(cfg) if route == "t-only" else _on_the_loop(cfg)
+        x0 = np.array([[1.0, 0, 0, 0], [1.0, 0.2, 0, 0]])
+        v0 = mf.future_null_directions(m, x0, np.array([[0, 1.0, 0], [0, 0, 1.0]]))
+        with pytest.raises(ValueError, match=re.escape("(+,-,-,-) at [0.5, 0.0, -0.5, 0.0]")):
+            mf.trace_past_to_time(m, x0, v0, 0.0)
+
+    @pytest.mark.parametrize("route", ["t-only", "loop"])
+    def test_an_infinite_coefficient_on_an_open_bound_is_exempt(self, route):
+        # g11 = -1/t is -inf at t = 0, the open end of [0, null]; the last
+        # stage of the march to the level 0 sits there, and the rays leave
+        # at that node with ln E NaN instead of raising
+        cfg = dict(README_METRIC, coeffs=["1"] + ["-1/t"] * 3)
+        m = mf.metric_from_config(cfg) if route == "t-only" else _on_the_loop(cfg)
+        x0 = np.array([[1.0, 0, 0, 0], [1.0, 0.2, 0, 0]])
+        v0 = mf.future_null_directions(m, x0, np.array([[0, 1.0, 0], [0, 0, 1.0]]))
+        res = mf.trace_past_to_time(m, x0, v0, 0.0)
+        assert not np.any(res.ok) and res.x[:, 0].tolist() == [0.0, 0.0]
+
+    def test_the_band_chart_still_raises(self):
+        m = mf.metric_from_config(dict(README_METRIC, coeffs=["1", "-(t-0.5)**2", "-1", "-1"]))
+        x0 = np.array([[1.0, 0, 0, 0]])
+        v0 = mf.future_null_directions(m, x0, np.array([[0, 1.0, 0]]))
+        with pytest.raises(ValueError, match=re.escape("(+,-,-,-) at [0.5, 0.0, -0.5, 0.0]")):
+            mf.trace_past_to_time(m, x0, v0, 0.0)
+
+
+class TestLadderOnStarts:
+    """On a chart of t alone the ladder keys the starts once, and each level
+    marches the starts of its rays and places the rays, testing each on the
+    last node of a block first; the levels keep the bits of the march that
+    tests every node (`_two_pass_march`)."""
+
+    # a = 1 + t^2 to the level 0 from t = 1: the past ray along +x moves
+    # D = 0.78539813 on the first level and 0.78539816 on the second, so
+    # under x < 0.78539815 the ray from x = 0 arrives at N = 4 and leaves
+    # at the last node of N = 8 only; from x = 0.001 it leaves at the last
+    # node of both, from x = 0.3 at an interior node of both, and along -y
+    # it stays
+    CFG = {
+        "kind": "flrw",
+        "a_expr": "1 + t*t",
+        "bounds": [[0, None], [-2.0, 0.78539815], [-2.0, 2.0], [None, None]],
+    }
+    X0 = np.array([[1.0, 0, 0, 0], [1.0, 0.3, 0, 0], [1.0, 0, 0, 0], [1.0, 0.001, 0, 0]])
+    DIRS = np.array([[-1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [-1.0, 0, 0]])
+
+    def test_rays_leave_at_the_last_node_an_interior_node_or_the_finer_level(
+        self, monkeypatch
+    ):
+        m = mf.metric_from_config(self.CFG)
+        v0 = mf.future_null_directions(m, self.X0, self.DIRS)
+        y0 = mf._bundle_start(m, self.X0, v0)
+        levels = _record_levels(monkeypatch)
+        got = mf.trace_past_to_time(m, self.X0, v0, 0.0)
+        (n4, coarse), (n8, fine) = levels[:2]
+        assert (n4, n8) == (4, 8) and len(fine.ok) == 4
+        assert coarse.ok.tolist() == [True, False, True, False]
+        assert fine.ok.tolist() == [False, False, True, False]
+        assert coarse.x[1, 0] > 0.0 and fine.x[1, 0] > 0.0  # interior nodes
+        assert coarse.x[3, 0] == fine.x[3, 0] == fine.x[0, 0] == 0.0  # the last ones
+        for n, level in levels[:2]:
+            want = _two_pass_march(m, self.X0[:, 0], y0, 0.0, n)
+            for name, value in vars(want).items():
+                assert getattr(level, name).tobytes() == value.tobytes(), (name, n)
+        assert got.ok.tolist() == [False, False, True, False]
+        monkeypatch.setattr(mf, "_t_only", lambda m: False)  # each level a `_march`
+        monkeypatch.setattr(mf, "_march", _two_pass_march)
+        want = mf.trace_past_to_time(m, self.X0, v0, 0.0)
+        for name, value in vars(want).items():
+            assert getattr(got, name).tobytes() == value.tobytes(), name
+
+    def test_a_scale_factor_that_changes_sign_scans_every_node(self, monkeypatch):
+        # a = t - 0.55 turns D back at t = 0.55: on the first level the ray
+        # along +x is at x = 0.176, 0.862, 2.782 and 0.756, so it leaves at
+        # the third node although its last one is inside |x| < 1
+        bounds = [[0, None], [-1, 1], [None, None], [None, None]]
+        m = mf.metric_from_config({"kind": "flrw", "a_expr": "t - 0.55", "bounds": bounds})
+        x0 = np.array([[1.0, 0, 0, 0], [1.0, 0, 0, 0]])
+        v0 = mf.future_null_directions(m, x0, np.array([[-1.0, 0, 0], [0, 1.0, 0]]))
+        levels = _record_levels(monkeypatch)
+        got = mf.trace_past_to_time(m, x0, v0, 0.3)
+        n, first = levels[0]
+        assert n == 4 and first.ok.tolist() == [False, True]
+        assert first.x[0, 1] == pytest.approx(2.782, abs=1e-3) and first.x[0, 0] > 0.3
+        monkeypatch.setattr(mf, "_t_only", lambda m: False)  # each level a `_march`
+        monkeypatch.setattr(mf, "_march", _two_pass_march)
+        want = mf.trace_past_to_time(m, x0, v0, 0.3)
+        for name, value in vars(want).items():
+            assert getattr(got, name).tobytes() == value.tobytes(), name
+
+    @pytest.mark.parametrize("cells", [None, 40], ids=["one-block", "blocks"])
+    @pytest.mark.parametrize("case", ["flat-0", "p0.5-cauchy0.2", "box-cutoff"])
+    def test_one_start_per_ray_keeps_the_bits(self, monkeypatch, case, cells):
+        # the contact suite's shape: each ray its own start
+        make, level, _ = T_ONLY_CASES[case]
+        m, rng = make(), np.random.default_rng(4)
+        times = np.linspace(1.0, 2.0, 24)
+        x0 = np.column_stack([times, rng.uniform(-2.5, 2.5, (24, 3))])
+        v0 = mf.future_null_directions(m, x0, sky.sample_sky(24, seed=5).directions())
+        v0[3], v0[5, 0] = np.nan, 1e-308  # E = 1e-308: lambda overflows inside the chart
+        if cells:
+            monkeypatch.setattr(mf, "_BLOCK_CELLS", cells)  # a node or two a block
+        got = mf.trace_past_to_time(m, x0, v0, level)
+        with np.errstate(invalid="ignore"):
+            assert len(mf._key_starts(x0[:, 0], mf._bundle_start(m, x0, v0), level).s0) == 24
+        monkeypatch.setattr(mf, "_t_only", lambda m: False)
+        monkeypatch.setattr(mf, "_march", _two_pass_march)
+        want = mf.trace_past_to_time(m, x0, v0, level)
+        for name, value in vars(want).items():
+            assert getattr(got, name).tobytes() == value.tobytes(), name
+        assert not (got.ok[3] or got.ok[5]) and got.lam[5] == np.inf
+        if case == "box-cutoff":
+            assert 0 < np.count_nonzero(got.ok) < 23
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [[[0, None]] + [[-2.2, 2.2]] * 3, [[0, None], [-2.1, 2.1], [None, None], [None, None]]],
+        ids=["box", "slab"],
+    )
+    @pytest.mark.parametrize("level", [0.3, 0.0, 1e-9])
+    def test_a_flat_custom_chart_matches_the_per_node_loop(self, bounds, level):
+        # the isotropic chart on the ladder and forced onto the loop
+        cfg = {"kind": "custom", "coeffs": ["1", "-1", "-1", "-1"], "bounds": bounds}
+        m, loop = mf.metric_from_config(cfg), _on_the_loop(cfg)
+        times = [1.0] * 8 + [1.5, 0.9, 1.2, 1.0]
+        rng = np.random.default_rng(1)
+        x0 = np.column_stack([times, rng.uniform(-2.0, 2.0, (len(times), 3))])
+        v0 = mf.future_null_directions(m, x0, sky.sample_sky(len(times), seed=2).directions())
+        got, want = (mf.trace_past_to_time(c, x0, v0, level) for c in (m, loop))
+        assert got.ok.tolist() == want.ok.tolist() and got.lost.tolist() == want.lost.tolist()
+        for name in ("log_e", "lam"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert np.all(np.abs(got.x - want.x) <= 1e-14 * np.maximum(1.0, np.abs(want.x)))
+        assert 0 < np.count_nonzero(got.ok) < len(times)
+
+    @pytest.mark.parametrize("route", ["t-only", "loop"])
+    def test_a_lapse_that_vanishes_names_the_point(self, route):
+        # g00 = (t - 0.5)^2 vanishes at the stage t = 0.5 of the march to 0
+        # in steps of 0.25, where every slope stays finite; the last nodes
+        # of the rays pass, and their stages are checked all the same
+        cfg = dict(README_METRIC, coeffs=["(t-0.5)**2", "-1", "-1", "-1"])
+        m = mf.metric_from_config(cfg) if route == "t-only" else _on_the_loop(cfg)
+        x0 = np.array([[1.0, 0, 0, 0], [1.0, 0.2, 0, 0]])
+        v0 = mf.future_null_directions(m, x0, np.array([[0, 1.0, 0], [0, 0, 1.0]]))
+        with pytest.raises(ValueError, match=re.escape("(+,-,-,-) at [0.5, 0.0, ")):
+            mf.trace_past_to_time(m, x0, v0, 0.0)
+
+    @pytest.mark.parametrize("route", ["t-only", "loop"])
+    def test_the_band_chart_names_a_live_stage_point(self, route):
+        # ray 0 has E = 1e-308, so its lambda overflows at the first node,
+        # inside the chart; its stage at t = 0.5 comes first in the order
+        # node, stage, ray but has left, and ray 1's is named
+        cfg = TestIsotropicSignatureGuard.BAND
+        m = mf.metric_from_config(cfg) if route == "t-only" else _on_the_loop(cfg)
+        x0 = np.array([[1.0, 0.2, 0, 0], [1.0, 0, 0, 0]])
+        v0 = mf.future_null_directions(m, x0, np.array([[0, 1.0, 0], [0, 1.0, 0]]))
+        v0[0] *= 1e-308
+        with pytest.raises(ValueError, match=re.escape("(+,-,-,-) at [0.5, 0.0, -")):
+            mf.trace_past_to_time(m, x0, v0, 0.0)
+        assert not mf.trace_past_to_time(m, x0[:1], v0[:1], 0.0).ok[0]
