@@ -55,6 +55,9 @@ SINGULARITY_CUTOFF = 1e-9
 #: Central-difference steps: the sky stencil, and event families per max(1, |x|).
 SKY_FD_STEP, EVENT_FD_STEP = 1e-5, 1e-4
 
+#: Rank threshold of a sky Jacobian's singular values, times max(1, sigma_max).
+RANK_TOL = 1e-7
+
 
 @dataclass(frozen=True)
 class CauchySurface:
@@ -85,7 +88,7 @@ class ProbeValues(NamedTuple):
 
 @dataclass(frozen=True)
 class FrameSpec:
-    """A metric, a target surface and the projection/differencing settings."""
+    """A metric, a target surface and the tracer that projects onto it."""
 
     #: Default verifier tolerance: probe values are finite differences.
     PROBE_TOL = 1e-3
@@ -94,8 +97,6 @@ class FrameSpec:
     target: CauchySurface | Singularity
     step: float = 1e-3  # read by nothing; kept, checked, while perfbench passes it
     tracer: str = "auto"  # auto | closed_form | numeric
-    rank_tol: float = 1e-7
-    tetrad_rotation: np.ndarray | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.step) and self.step > 0.0):
@@ -199,14 +200,6 @@ class SkyImage:
                     writer.writerow([repr(float(c)) for c in m])
 
 
-def sky_directions(f: FrameSpec, xis):
-    """Unit spatial tetrad directions (..., 3) of the sky points xis (..., 2)."""
-    d = spinor.direction_for_cospinor(np.asarray(xis, dtype=complex))
-    if f.tetrad_rotation is not None:
-        d = d @ np.asarray(f.tetrad_rotation, float).T
-    return d
-
-
 def project_batch(f: FrameSpec, events, xis):
     """Project rays (one event + sky point each) onto the target surface.
 
@@ -231,7 +224,7 @@ def project_batch(f: FrameSpec, events, xis):
     below = t < t_target - t_tol
 
     ok, lost = ~below, np.zeros(len(events), dtype=bool)
-    dirs = sky_directions(f, xis)
+    dirs = spinor.direction_for_cospinor(xis)
     if f.resolved_tracer() == "closed_form":
         # numpy's warnings off, as a non-finite ray raises below; an error
         # state set to raise (the CLI's) still raises first
@@ -319,7 +312,7 @@ def tangent_planes(f: FrameSpec, events, xis, directions=None, h=None, normals=F
     family direction d in directions (k, 4), the pair x +- h d; stencil
     and family rays use the unit representative of xi.  h defaults per
     row to EVENT_FD_STEP * max(1, |x|).  The rank counts singular values
-    of the central-difference Jacobian above rank_tol * max(1, sigma_max),
+    of the central-difference Jacobian above RANK_TOL * max(1, sigma_max),
     in closed form from its columns c1, c2.  With normals, rank-2 rows get
     the unit normal c1 x c2 / |c1 x c2| of the image surface, oriented so
     that moving the event to the future along the time axis (traced for
@@ -364,7 +357,7 @@ def tangent_planes(f: FrameSpec, events, xis, directions=None, h=None, normals=F
     gap = np.hypot(sq1 - sq2, 2.0 * np.einsum("rk,rk->r", c1, c2))
     s1 = np.sqrt((sq1 + sq2 + gap) / 2.0)
     s2 = area / np.where(s1 > 0.0, s1, 1.0)
-    thresh = f.rank_tol * np.maximum(1.0 / scale, s1)  # rank_tol * max(1, sigma1)
+    thresh = RANK_TOL * np.maximum(1.0 / scale, s1)  # RANK_TOL * max(1, sigma1)
     ranks = np.where(ok[:b] & stencil_ok, (s1 > thresh).astype(int) + (s2 > thresh), 0)
     n_hat = None
     if normals:
@@ -420,13 +413,12 @@ def theta_value(f: FrameSpec, x, xi, direction):
     """Contact-form value on a horizontal probe, at the unit representative.
 
     Evaluates the (1,1)-homogeneous field of the probe's orthonormal-frame
-    components at the sky point, honouring the frame's tetrad rotation.
-    Broadcasts over the leading axes of x (..., 4), xi (..., 2) and
-    direction (..., 4); a single row gives a float.
+    components at the sky point.  Broadcasts over the leading axes of x
+    (..., 4), xi (..., 2) and direction (..., 4); a single row gives a float.
     """
     x = np.asarray(x, dtype=float)
     w_tet = f.metric.tetrad_diag(x) * np.asarray(direction, dtype=float)
-    d = sky_directions(f, xi)
+    d = spinor.direction_for_cospinor(xi)
     # A (1, 3) @ (3, 1) product per row sums like the vector dot product.
     dot = (d[..., None, :] @ w_tet[..., 1:, None])[..., 0, 0]
     return PAULI_FACTOR * (w_tet[..., 0] - dot)

@@ -32,8 +32,8 @@ tanh-sinh `_integral`.
 
 The spinor <-> direction dictionary at a curved point uses the fixed
 orthonormal tetrad aligned with the coordinate axes (well-defined for
-diagonal metrics); derived quantities are checked elsewhere to be
-independent of that choice.
+diagonal metrics); a rotated tetrad is the same frame with relabelled sky
+points.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ class MetricSpec:
     kind: str
     exponent: float | None = None
     scale_factor_fn: Callable | None = None
-    coeff_sources: tuple | None = None
     bounds: np.ndarray = field(default_factory=lambda: _default_bounds(False))
     _expressions: _ExpressionMetric | None = field(
         default=None, repr=False, compare=False
@@ -105,12 +104,7 @@ class MetricSpec:
         evaluation.
         """
         b = _default_bounds(False) if bounds is None else np.asarray(bounds, float)
-        m = MetricSpec(
-            kind="custom",
-            coeff_sources=tuple(sources),
-            bounds=b,
-            _expressions=_ExpressionMetric(sources),
-        )
+        m = MetricSpec(kind="custom", bounds=b, _expressions=_ExpressionMetric(sources))
         m._check_signature()
         return m
 
@@ -145,7 +139,10 @@ class MetricSpec:
             out[..., 1] = out[..., 2] = out[..., 3] = 1.0
             out[..., 1:] *= -a2[..., None]
             return out
-        return np.moveaxis(self._expressions.values(np.moveaxis(x, -1, 0)), 0, -1)
+        # a pole or an overflow gives inf or NaN, which the signature guards name
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            g = self._expressions.values(np.moveaxis(x, -1, 0))
+        return np.moveaxis(g, 0, -1)
 
     def norm(self, x, v):
         """g(v, v) at x; broadcasts over leading axes."""
@@ -200,8 +197,7 @@ class MetricSpec:
         hi = box[:, 1] - 1e-3 * (box[:, 1] - box[:, 0])
         axes = [np.linspace(lo[k], hi[k], 3) for k in range(4)]
         grid = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(4, -1)
-        with np.errstate(invalid="ignore"):  # a NaN coefficient fails the check
-            _require_signature(self, grid, self.metric_diag(grid.T).T)
+        _require_signature(self, grid, self.metric_diag(grid.T).T)
 
 
 #: The signs of the (+, -, -, -) signature, one per coefficient row.

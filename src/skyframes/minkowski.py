@@ -21,6 +21,9 @@ from .errors import OutOfDomainError
 from .frames import ProbeValues
 from .sky import SkySample, celestial_eval
 
+#: Slack of `hyperplane_contains`, relative to max(|y|, |chi|, 1).
+HYPERPLANE_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class GraphSkyImage:
@@ -74,10 +77,10 @@ def hyperplane_through(x, xi) -> NullHyperplane:
     return NullHyperplane(xi=xi, chi=float(celestial_eval(x, xi)))
 
 
-def hyperplane_contains(h: NullHyperplane, y, tol=1e-10) -> bool:
+def hyperplane_contains(h: NullHyperplane, y) -> bool:
     y = np.asarray(y, dtype=float)
     scale = max(float(np.abs(y).max(initial=0.0)), abs(h.chi), 1.0)
-    return bool(abs(float(celestial_eval(y, h.xi)) - h.chi) <= tol * scale)
+    return bool(abs(float(celestial_eval(y, h.xi)) - h.chi) <= HYPERPLANE_TOL * scale)
 
 
 class CausalOrder(enum.Enum):
@@ -100,13 +103,13 @@ def causal_compare(x, y) -> CausalOrder:
     return list(CausalOrder)[int(causal_compare_batch(x, y))]
 
 
-def causal_compare_batch(xs, ys, tol=1e-12):
+def causal_compare_batch(xs, ys):
     """Vectorised causal_compare; returns integer codes (0=equal, 1=y past,
     2=x past, 3=spacelike), the positions of the CausalOrder members, from
     the field of x - y being >= 0 or <= 0 on the sky (`sky.semidefinite`)."""
     with np.errstate(over="ignore", invalid="ignore"):
         d = spinor.pauli_transform(np.asarray(xs, float) - np.asarray(ys, float))
-    y_past, x_past = skymod.semidefinite(d, tol)
+    y_past, x_past = skymod.semidefinite(d)
     return np.select([y_past & x_past, y_past, x_past], [0, 1, 2], default=3)
 
 

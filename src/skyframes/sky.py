@@ -20,6 +20,9 @@ from .spinor import unit_cospinor  # the one covector normaliser, re-exported
 #: Bidegrees of homogeneity with a supported evaluation rule.
 SUPPORTED_SIGNATURES = {(1, 0), (0, 1), (1, 1), (2, 0)}
 
+#: Slack of `semidefinite`, relative to the largest entry (at least 1).
+SEMIDEFINITE_TOL = 1e-12
+
 _GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
 
@@ -144,11 +147,11 @@ def hermitian_eigenvalues(h):
     return np.stack([(tr - disc) / 2.0, (tr + disc) / 2.0], axis=-1)
 
 
-def semidefinite(d, tol=1e-12):
+def semidefinite(d):
     """Bool arrays (d >= 0, d <= 0) on the sky for Hermitian differences d
-    (..., 2, 2): the extreme eigenvalues against tol times the largest entry
-    (at least 1), so the boundary counts as dominated; OutOfDomainError
-    where an eigenvalue is not finite."""
+    (..., 2, 2): the extreme eigenvalues against SEMIDEFINITE_TOL times the
+    largest entry (at least 1), so the boundary counts as dominated;
+    OutOfDomainError where an eigenvalue is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         eig = hermitian_eigenvalues(d)
     if not np.all(np.isfinite(eig)):
@@ -156,9 +159,10 @@ def semidefinite(d, tol=1e-12):
     a = np.abs(d)
     entries = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
     scale = np.maximum(reduce(np.maximum, entries), 1.0)
-    return eig[..., 0] >= -tol * scale, eig[..., 1] <= tol * scale
+    slack = SEMIDEFINITE_TOL * scale
+    return eig[..., 0] >= -slack, eig[..., 1] <= slack
 
 
-def dominates(a: SizeField, b: SizeField, tol=1e-12) -> bool:
+def dominates(a: SizeField, b: SizeField) -> bool:
     """Pointwise a >= b on the sky: the difference is semidefinite."""
-    return bool(semidefinite(a.matrix - b.matrix, tol)[0])
+    return bool(semidefinite(a.matrix - b.matrix)[0])

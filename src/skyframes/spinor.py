@@ -36,6 +36,9 @@ HERMITIAN_TOL = 1e-12
 #: Nullity tolerance for factorisation, relative to (largest component)^2.
 NULL_TOL = 1e-10
 
+#: Tolerance of |det C - 1| for an SL(2, C) element C.
+UNIMODULAR_TOL = 1e-12
+
 #: Norm below which a covector counts as zero: its squares are subnormal,
 #: so no normalisation of it is accurate.
 ZERO_NORM = 1e-150
@@ -61,19 +64,19 @@ def pauli_transform(v):
     return h
 
 
-def check_hermitian(h, tol=HERMITIAN_TOL):
-    """Raise NonHermitianError unless h equals its conjugate transpose."""
+def check_hermitian(h):
+    """Raise NonHermitianError unless h is Hermitian within HERMITIAN_TOL."""
     h = np.asarray(h, dtype=complex)
     dev = np.abs(h - np.conj(np.swapaxes(h, -1, -2))).max()
-    bound = tol * float(np.maximum(np.abs(h).max(initial=0.0), 1.0))
+    bound = HERMITIAN_TOL * float(np.maximum(np.abs(h).max(initial=0.0), 1.0))
     if dev > bound:
         raise NonHermitianError(f"deviation {dev:.3e} exceeds {bound:.3e}")
     return h
 
 
-def inverse_pauli(h, tol=HERMITIAN_TOL):
-    """Invert pauli_transform.  Input must be Hermitian within tol."""
-    h = check_hermitian(h, tol)
+def inverse_pauli(h):
+    """Invert pauli_transform.  Input must be Hermitian (`check_hermitian`)."""
+    h = check_hermitian(h)
     v = np.empty(h.shape[:-2] + (4,), dtype=float)
     v[..., 0] = (h[..., 0, 0].real + h[..., 1, 1].real) / (2.0 * PAULI_FACTOR)
     v[..., 3] = (h[..., 0, 0].real - h[..., 1, 1].real) / (2.0 * PAULI_FACTOR)
@@ -95,20 +98,20 @@ def outer_square(psi):
     return psi[..., :, None] * np.conj(psi[..., None, :])
 
 
-def factor_null(v, tol=NULL_TOL):
+def factor_null(v):
     """Factor a future null vector as psi psi^dagger = pauli_transform(v).
 
     The zero vector maps to the zero spinor.  Raises NotNullError when
-    eta(v,v) exceeds tol relative to the squared component scale, and
+    eta(v,v) exceeds NULL_TOL relative to the squared component scale, and
     NotFutureDirectedError for v0 < 0.
     """
     v = np.asarray(v, dtype=float)
     scale = _scale(v)
     # The norm of v / scale cannot overflow, where eta(v, v) and scale**2 can.
     rel = np.abs(minkowski_norm(v / np.expand_dims(scale, -1)))
-    if np.any(rel > tol):
-        raise NotNullError(f"relative norm {float(rel.max()):.3e} exceeds {tol:.1e}")
-    if np.any(v[..., 0] < -tol * scale):
+    if np.any(rel > NULL_TOL):
+        raise NotNullError(f"relative norm {float(rel.max()):.3e} exceeds {NULL_TOL:.1e}")
+    if np.any(v[..., 0] < -NULL_TOL * scale):
         raise NotFutureDirectedError("time component is negative")
 
     h = pauli_transform(v)
@@ -134,11 +137,11 @@ def factor_null(v, tol=NULL_TOL):
     return psi * phase[..., None]
 
 
-def sl2_act(c, h, tol=1e-12):
+def sl2_act(c, h):
     """Conjugate a Hermitian matrix by an SL(2, C) element: C h C^dagger."""
     c = np.asarray(c, dtype=complex)
     det = c[..., 0, 0] * c[..., 1, 1] - c[..., 0, 1] * c[..., 1, 0]
-    if np.any(np.abs(det - 1.0) > tol):
+    if np.any(np.abs(det - 1.0) > UNIMODULAR_TOL):
         raise NotUnimodularError(f"det deviates by {np.abs(det - 1.0).max():.3e}")
     h = np.asarray(h, dtype=complex)
     return c @ h @ np.conj(np.swapaxes(c, -1, -2))
@@ -204,9 +207,9 @@ def null_vector_for_cospinor(xi):
     return np.concatenate([np.ones(d.shape[:-1] + (1,)), d], axis=-1)
 
 
-def cospinor_for_null_vector(v, tol=NULL_TOL):
+def cospinor_for_null_vector(v):
     """Unit covector representing the sky point of the future null vector v."""
-    return unit_cospinor(cospinor_for_spinor(factor_null(v, tol)))
+    return unit_cospinor(cospinor_for_spinor(factor_null(v)))
 
 
 def cospinor_for_direction(d):

@@ -20,6 +20,9 @@ from .errors import NotNullError, ZeroPiError
 from .sky import celestial_eval
 from .spinor import pauli_transform
 
+#: Slack of `is_null`, relative to |pi| |omega|.
+NULL_TWISTOR_TOL = 1e-10
+
 
 def _pair(a, b):
     """conj(a) . b over the last axis."""
@@ -60,8 +63,8 @@ def null_constraint(z: Twistor):
     return 2.0 * np.real(_pair(z.pi, z.omega))
 
 
-def is_null(z: Twistor, tol: float = 1e-10):
-    return np.abs(null_constraint(z)) <= tol * z.scale
+def is_null(z: Twistor):
+    return np.abs(null_constraint(z)) <= NULL_TWISTOR_TOL * z.scale
 
 
 @dataclass(frozen=True)
@@ -87,13 +90,13 @@ def contraction(z: Twistor) -> TwistorContraction:
     return TwistorContraction(pi=z.pi, value=-1j * _pair(z.pi, z.omega))
 
 
-def contact_form(z: Twistor, d_omega, d_pi, tol: float = 1e-10):
+def contact_form(z: Twistor, d_omega, d_pi):
     """-i (conj(pi) . d_omega + conj(omega) . d_pi) on a null affine twistor.
 
     Real-valued when (d_omega, d_pi) preserves the null constraint.
     """
     _require_pi(z.pi)
-    if not np.all(is_null(z, tol)):
+    if not np.all(is_null(z)):
         raise NotNullError("contact form lives on the null hypersurface")
     return -1j * (_pair(z.pi, d_omega) + _pair(z.omega, d_pi))
 

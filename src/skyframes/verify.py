@@ -33,11 +33,14 @@ from . import manifold as mf
 from . import twistor as tw
 from .errors import DegenerateTangentPlaneError, NoIntersectionError
 from .sky import SkySample, sample_sky, unit_cospinor
-from .spinor import cospinor_for_direction
+from .spinor import cospinor_for_direction, direction_for_cospinor
 
 #: Probe values of the transform below this (relative) size are treated as
 #: lying in the kernel and skipped when forming ratios.
 KERNEL_SKIP_TOL = 1e-8
+
+#: Tolerance of the contraction identity, relative to the larger side.
+CONTRACTION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -76,21 +79,19 @@ def check_contact_annihilation(f: fr.FrameSpec, x, xi):
     the frame's target (to `frames.SINGULARITY_CUTOFF` toward the
     singularity).  theta is evaluated on v / v0: at the start with the given
     sky point and velocity; at the end with the sky point of the traced
-    future direction -n (rotated back through the frame's tetrad rotation)
-    and the velocity rebuilt from (n, E) and the legs.  The tracer's states
-    are null by construction, so the residuals measure the round trip from
-    the frame's sky dictionary to the tracer's state and back;
-    `max_null_drift` is the largest |g(v / v0, v / v0)|.  A ray that leaves
-    the chart or turns non-finite raises `NoIntersectionError`.
+    future direction -n and the velocity rebuilt from (n, E) and the legs.
+    The tracer's states are null by construction, so the residuals measure
+    the round trip from the frame's sky dictionary to the tracer's state
+    and back; `max_null_drift` is the largest |g(v / v0, v / v0)|.  A ray
+    that leaves the chart or turns non-finite raises `NoIntersectionError`.
     """
     m = f.metric
     xis = unit_cospinor(np.atleast_2d(xi))
     xs = np.broadcast_to(np.asarray(x, dtype=float), (len(xis), 4))
-    v0 = mf.future_null_directions(m, xs, fr.sky_directions(f, xis))
+    v0 = mf.future_null_directions(m, xs, direction_for_cospinor(xis))
     stop_t = fr.SINGULARITY_CUTOFF if f.target.kind == "singularity" else f.target_time
     end = mf.trace_past_to_time(m, xs, v0, stop_t)
-    rotation = np.eye(3) if f.tetrad_rotation is None else f.tetrad_rotation
-    xi_end = cospinor_for_direction(-end.n @ np.asarray(rotation, float))
+    xi_end = cospinor_for_direction(-end.n)
     if not end.ok.all():
         event = xs[np.argmin(end.ok)].tolist()
         raise NoIntersectionError(f"the ray from {event} did not reach the target")
@@ -170,9 +171,7 @@ def _kernel_report(theta_h, p_h, vertical, tol) -> VerificationReport:
     )
 
 
-def check_flow_of_time(
-    frame, x, directions, sample: SkySample, tol=None, event_h=None
-) -> VerificationReport:
+def check_flow_of_time(frame, x, directions, sample: SkySample, tol=None) -> VerificationReport:
     """Ratio of image derivative to the transform of the direction.
 
     At each regular sky sample the ratio is formed for every direction
@@ -182,7 +181,7 @@ def check_flow_of_time(
     A sample whose probe rays miss the target raises naming its event.
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    pv = frame.probe_values(x, sample.xi, directions, h=event_h)
+    pv = frame.probe_values(x, sample.xi, directions)
     if not pv.arrived.all():
         event = np.broadcast_to(x, (sample.n, 4))[np.argmin(pv.arrived)].tolist()
         raise NoIntersectionError(f"a probe ray of {event} misses the target surface")
@@ -209,13 +208,13 @@ def check_flow_of_time(
     )
 
 
-def check_contraction_identity(x, pis, tol=1e-12) -> VerificationReport:
+def check_contraction_identity(x, pis) -> VerificationReport:
     """Contraction after incidence equals the transform of the event."""
     pis = np.atleast_2d(np.asarray(pis, dtype=complex))
     return VerificationReport(
         name="contraction_identity",
         residuals=tw.contraction_matches_transform(x, pis),
-        tolerance=tol,
+        tolerance=CONTRACTION_TOL,
         probe_count=len(pis),
     )
 
@@ -257,10 +256,6 @@ def suite_twistor(seed, n=1000):
     return [rep_tau, rep_null]
 
 
-def _default_frame():
-    return fr.FrameSpec(metric=mf.MetricSpec.flrw(p=2 / 3), target=fr.Singularity())
-
-
 def _random_rows(seed, n, frame):
     """n seeded events above the frame's target and n random sky points."""
     rng = np.random.default_rng(seed)
@@ -268,18 +263,15 @@ def _random_rows(seed, n, frame):
     return xs, sample_sky(max(n, 4), scheme="random", seed=seed).xi[:n]
 
 
-def suite_contact(seed, n=20, frame=None):
-    frame = _default_frame() if frame is None else frame
+def suite_contact(seed, frame, n=20):
     return check_contact_annihilation(frame, *_random_rows(seed, n, frame))
 
 
-def suite_kernel(seed, n=25, frame=None, tol=None):
-    frame = _default_frame() if frame is None else frame
+def suite_kernel(seed, frame, n=25, tol=None):
     return check_kernel_proportionality(frame, *_random_rows(seed, n, frame), tol=tol)
 
 
-def suite_flow(seed, n_sky=25, frame=None, tol=None):
-    frame = _default_frame() if frame is None else frame
+def suite_flow(seed, frame, n_sky=25, tol=None):
     rng = np.random.default_rng(seed)
     x = _random_events(rng, 1, t_floor=frame.target_time)[0]
     dirs = np.array(

@@ -1016,6 +1016,51 @@ class TestCustomMetric:
             "ValueError: coefficients do not have signature (+,-,-,-) at [0.002, "
         )
 
+    @pytest.mark.parametrize("command", ["causal", "sky-image"])
+    @pytest.mark.parametrize(
+        "coeff",
+        ["-1-x**-2", "-1-(x-0.3)**-2", "-1-(x*1e200)**2"],
+        ids=["pole-on-the-grid", "pole-at-the-event", "overflow"],
+    )
+    def test_non_finite_coefficient_exits_2_in_one_line(
+        self, capsys, recwarn, tmp_path, command, coeff
+    ):
+        # a pole printed numpy's "divide by zero" RuntimeWarning before the
+        # exit-2 line, and an overflowing square exited 1 with
+        # "OutOfDomainError: out of float range"
+        cfg = tmp_path / "non_finite.json"
+        cfg.write_text(json.dumps({"kind": "custom", "coeffs": ["1", coeff, "-1", "-1"]}))
+        where = {
+            "causal": ("--x", "1,0.3,0,0", "--y", "0.5,0.3,0,0"),
+            "sky-image": ("--event", "1,0.3,0,0", "--n", "20", "--out", str(tmp_path / "i.json")),
+        }[command]
+        code, out, err = run(
+            capsys, "--config", str(cfg), command, "--metric", "custom",
+            "--target", "cauchy:0", *where,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("ValueError: coefficients do not have signature (+,-,-,-) at [")
+        assert len(err.splitlines()) == 1
+        assert not recwarn.list
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: rays of the compactified chart run out to x ~ 5e82, "
+        "where its coefficients underflow to 0, and the signature guard names that point",
+    )
+    def test_compactified_minkowski_chart_is_lorentzian_everywhere(self, capsys, tmp_path):
+        # the Einstein static universe's chart ["1", -4/(1+r^2)^2 x 3] has the
+        # signature at every point, yet its sky image exits 2
+        cfg = tmp_path / "compactified.json"
+        coeffs = ["1"] + ["-4/(1+x*x+y*y+z*z)**2"] * 3
+        cfg.write_text(json.dumps({"kind": "custom", "coeffs": coeffs}))
+        code, _, err = run(
+            capsys, "--config", str(cfg), "sky-image", "--metric", "custom",
+            "--target", "cauchy:0", "--event", "2.5,0.6,0.4,-0.3", "--n", "100",
+            "--out", str(tmp_path / "img.json"),
+        )
+        assert code != 2, err
+
     def test_target_below_the_chart_exits_2(self, capsys, tmp_path):
         # the rays were traced through t < 0, where the signature is never
         # checked, and the image exited 0

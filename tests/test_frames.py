@@ -375,7 +375,7 @@ class TestGeodesicFlowInvariance:
         x = np.array([1.0, 0.1, -0.3, 0.2])
         for k in (3, 11, 29):
             xi = sky.sample_sky(64).xi[k]
-            d = fr.sky_directions(flrw_frame, xi[None, :])
+            d = spinor.direction_for_cospinor(xi[None, :])
             v = mf.future_null_directions(flrw_frame.metric, x[None, :], d)
             # the event moves back along the traced past ray
             moved = mf.trace_past_to_time(flrw_frame.metric, x[None, :], v, 0.95).x[0]
@@ -431,7 +431,7 @@ class TestSkyImageDerivative:
         x = np.array([1.0, 0, 0, 0])
         xi = sky.unit_cospinor(np.array([0.6, 0.8j]))
         v = mf.future_null_directions(
-            flrw_frame.metric, x[None, :], fr.sky_directions(flrw_frame, xi[None, :])
+            flrw_frame.metric, x[None, :], spinor.direction_for_cospinor(xi[None, :])
         )[0]
         deriv = flrw_frame.probe_values(x, xi[None], v).rates[0, 0]
         assert abs(deriv) <= 1e-7
@@ -447,32 +447,6 @@ class TestSkyImageDerivative:
             deriv = flrw_frame.probe_values(x, xi[None], d, h).rates[0, 0]
             res.append(abs(deriv / theta - exact_ratio))
         assert res[0] / res[1] == pytest.approx(4.0, rel=0.35)
-
-    def test_independent_of_tetrad_rotation(self, flrw_frame):
-        # a rotated spatial tetrad relabels sky points; values at matched
-        # labels agree to the differencing order
-        theta_rot = 0.7
-        rot = np.array(
-            [
-                [np.cos(theta_rot), -np.sin(theta_rot), 0],
-                [np.sin(theta_rot), np.cos(theta_rot), 0],
-                [0, 0, 1.0],
-            ]
-        )
-        spec_rot = fr.FrameSpec(
-            metric=flrw_frame.metric, target=fr.Singularity(), tetrad_rotation=rot
-        )
-        x = np.array([1.0, 0.2, 0.0, -0.3])
-        xi = sky.unit_cospinor(np.array([0.3 + 0.4j, 0.85]))
-        d_lab = spinor.direction_for_cospinor(xi)
-        xi_plain = sky.unit_cospinor(spinor.cospinor_for_direction(rot @ d_lab))
-        direction = np.array([1.0, -0.2, 0.4, 0.3])
-        a = spec_rot.probe_values(x, xi[None], direction).rates[0, 0]
-        b = flrw_frame.probe_values(x, xi_plain[None], direction).rates[0, 0]
-        assert a == pytest.approx(b, rel=1e-6, abs=1e-8)
-        ta = fr.theta_value(spec_rot, x, xi, direction)
-        tb = fr.theta_value(flrw_frame, x, xi_plain, direction)
-        assert ta == pytest.approx(tb, rel=1e-12)
 
 
 class TestThetaBroadcast:
@@ -526,7 +500,7 @@ def _reference_sky_image(f, x, sample):
             continue
         jac = _reference_jacobian(spts[4 * k : 4 * k + 4], fr.SKY_FD_STEP)
         sv = np.linalg.svd(jac, compute_uv=False)
-        ranks[k] = int(np.sum(sv > f.rank_tol * max(1.0, float(sv.max()))))
+        ranks[k] = int(np.sum(sv > fr.RANK_TOL * max(1.0, float(sv.max()))))
     status = tuple(
         "ok" if good else ("integrator_failure" if bad else "no_intersection")
         for good, bad in zip(ok, lost)
@@ -556,10 +530,8 @@ def _reference_derivative(f, x, xi, direction, h=None):
     return n_hat, float(n_hat @ displacement(np.asarray(direction, float), step))
 
 
-_ROT = np.array(
-    [[np.cos(0.7), -np.sin(0.7), 0.0], [np.sin(0.7), np.cos(0.7), 0.0], [0.0, 0.0, 1.0]]
-)
-
+#: Frame keywords, event and sample of each case; a "rank_tol" key is the
+#: case's `frames.RANK_TOL` (`_equivalence_case`).
 _EQUIVALENCE_CASES = {
     "minkowski": (
         dict(metric=mf.MetricSpec.minkowski(), target=fr.CauchySurface(0.25)),
@@ -577,12 +549,6 @@ _EQUIVALENCE_CASES = {
         [1.2, 0.1, 0.0, 0.0],
         sky.sample_sky(16, scheme="random", seed=2),
     ),
-    "tetrad_rotation": (
-        dict(metric=mf.MetricSpec.flrw(p=2 / 3), target=fr.Singularity(),
-             tetrad_rotation=_ROT),
-        [1.0, 0.2, 0.0, -0.3],
-        sky.sample_sky(500),
-    ),
     "on_surface": (
         dict(metric=mf.MetricSpec.minkowski(), target=fr.CauchySurface(0.0)),
         [0.0, 0.4, -0.2, 0.7],
@@ -593,11 +559,10 @@ _EQUIVALENCE_CASES = {
         [0.9, 0.1, 0.2, -0.1],
         sky.sample_sky(200, scheme="random", seed=4),
     ),
-    # Close to the surface the singular values sit at rank_tol, up to
+    # Close to the surface the singular values sit at RANK_TOL, up to
     # rounding, so the three ranks all occur.
     "rank_threshold": (
-        dict(metric=mf.MetricSpec.minkowski(), target=fr.CauchySurface(0.0),
-             rank_tol=1e-7),
+        dict(metric=mf.MetricSpec.minkowski(), target=fr.CauchySurface(0.0)),
         [5e-8, 0.3, -0.2, 0.5],
         sky.sample_sky(200, scheme="random", seed=4),
     ),
@@ -652,11 +617,22 @@ _EQUIVALENCE_CASES = {
 }
 
 
+_RANK_TOL = fr.RANK_TOL
+
+
+def _equivalence_case(case, monkeypatch):
+    """The frame, event and sample of a case, with its RANK_TOL set (the
+    module's own unless the case names one)."""
+    kwargs, x, sample = _EQUIVALENCE_CASES[case]
+    kwargs = dict(kwargs)
+    monkeypatch.setattr(fr, "RANK_TOL", kwargs.pop("rank_tol", _RANK_TOL))
+    return fr.FrameSpec(**kwargs), x, sample
+
+
 class TestTangentPlaneKernel:
     @pytest.mark.parametrize("case", sorted(_EQUIVALENCE_CASES))
-    def test_sky_image_matches_per_sample_reference(self, case):
-        kwargs, x, sample = _EQUIVALENCE_CASES[case]
-        spec = fr.FrameSpec(**kwargs)
+    def test_sky_image_matches_per_sample_reference(self, case, monkeypatch):
+        spec, x, sample = _equivalence_case(case, monkeypatch)
         pts, ranks, lams, status = _reference_sky_image(spec, x, sample)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no division by zero or overflow in any case
@@ -666,10 +642,11 @@ class TestTangentPlaneKernel:
         assert np.array_equal(img.lams, lams)
         assert img.status == status
 
-    def test_reference_cases_cover_every_rank_and_status(self):
+    def test_reference_cases_cover_every_rank_and_status(self, monkeypatch):
         ranks, status = set(), set()
-        for kwargs, x, sample in _EQUIVALENCE_CASES.values():
-            img = fr.sky_image(fr.FrameSpec(**kwargs), x, sample)
+        for case in _EQUIVALENCE_CASES:
+            spec, x, sample = _equivalence_case(case, monkeypatch)
+            img = fr.sky_image(spec, x, sample)
             ranks |= set(img.ranks.tolist())
             status |= set(img.status)
         assert ranks == {0, 1, 2}
@@ -689,14 +666,12 @@ class TestTangentPlaneKernel:
             "minkowski",
             "flrw_closed_form",
             "flrw_cauchy",
-            "tetrad_rotation",
             "flrw_numeric",
             "anisotropic_slice",
         ],
     )
-    def test_normal_frame_and_derivative_match_reference(self, case):
-        kwargs, x, _ = _EQUIVALENCE_CASES[case]
-        spec = fr.FrameSpec(**kwargs)
+    def test_normal_frame_and_derivative_match_reference(self, case, monkeypatch):
+        spec, x, _ = _equivalence_case(case, monkeypatch)
         rng = np.random.default_rng(11)
         for h in (None, 2e-3):
             xi = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -757,7 +732,7 @@ def _numpy_planes(f, tp, events, xis, ok):
     gap = np.hypot(sq1 - sq2, 2.0 * np.einsum("rk,rk->r", c1, c2))
     s1 = np.sqrt((sq1 + sq2 + gap) / 2.0)
     s2 = area / np.where(s1 > 0.0, s1, 1.0)
-    thresh = f.rank_tol * np.maximum(1.0 / scale, s1)
+    thresh = fr.RANK_TOL * np.maximum(1.0 / scale, s1)
     ranks = np.where(tp.ok & stencil_ok, (s1 > thresh).astype(int) + (s2 > thresh), 0)
     normals = cross / np.where(ranks == 2, area, np.nan)[:, None]
     flip = np.einsum("rk,rk->r", normals, tp.family[:, -1]) < 0.0
@@ -851,7 +826,7 @@ class TestColumnChains:
         events[:, 0] = np.abs(events[:, 0]) + 0.01
         xis = rng.normal(size=(b, 2)) + 1j * rng.normal(size=(b, 2))
         pts, lams, ok, _ = fr.project_batch(f, events, xis)
-        ends = events[:, 1:] - 2.0 * np.sqrt(events[:, :1]) * fr.sky_directions(f, xis)
+        ends = events[:, 1:] - 2.0 * np.sqrt(events[:, :1]) * spinor.direction_for_cospinor(xis)
         lo, hi = f.metric.bounds.T
         reached = np.column_stack([events[:, 0], ends])
         inside = np.all((reached > lo) & (reached < hi), axis=-1)
@@ -868,7 +843,7 @@ class TestColumnChains:
                 fr.project_batch(flat, np.array([[1.0, 0, 0, 0], event]), np.array([xi, xi]))
         huge = np.array([[1e300, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
         with np.errstate(all="ignore"):
-            end = fr.sky_directions(f, xis[:2]) * 2.0 * np.sqrt(1e300)
+            end = spinor.direction_for_cospinor(xis[:2]) * 2.0 * np.sqrt(1e300)
             lam = mf.affine_length(f.metric, huge[:, 0], 0.0)
         assert np.all(np.isfinite(end)) and not np.all(np.isfinite(lam))
         with pytest.raises(OutOfDomainError, match="no finite end point or length"):

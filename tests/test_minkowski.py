@@ -40,9 +40,7 @@ class TestGraphImage:
         rng = np.random.default_rng(1)
         c = spinor.random_sl2(rng)
         x = rng.normal(size=4)
-        x_boost = spinor.inverse_pauli(
-            spinor.sl2_act(c, spinor.pauli_transform(x)), tol=1e-9
-        )
+        x_boost = spinor.inverse_pauli(spinor.sl2_act(c, spinor.pauli_transform(x)))
         cinv = np.linalg.inv(c)
         matched = sample.xi @ cinv
         weights = np.linalg.norm(matched, axis=-1) ** 2

@@ -143,7 +143,7 @@ class TestSl2Action:
         det_in = np.linalg.det(h)
         det_out = np.linalg.det(out)
         assert np.all(np.abs(det_in - det_out) <= 1e-10 * np.maximum(1, np.abs(det_in)))
-        norm_out = spinor.minkowski_norm(spinor.inverse_pauli(out, tol=1e-9))
+        norm_out = spinor.minkowski_norm(spinor.inverse_pauli(out))
         norm_in = spinor.minkowski_norm(v)
         assert np.allclose(norm_out, norm_in, rtol=0, atol=1e-10 * np.abs(v).max() ** 2)
 
@@ -152,7 +152,7 @@ class TestSl2Action:
         c = spinor.random_sl2(rng, 200)
         psis = rng.normal(size=(200, 2)) + 1j * rng.normal(size=(200, 2))
         v = spinor.inverse_pauli(spinor.outer_square(psis))
-        out = spinor.inverse_pauli(spinor.sl2_act(c, spinor.pauli_transform(v)), tol=1e-9)
+        out = spinor.inverse_pauli(spinor.sl2_act(c, spinor.pauli_transform(v)))
         assert np.all(out[:, 0] > 0)
 
 

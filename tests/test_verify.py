@@ -60,7 +60,7 @@ class TestContactAnnihilation:
         assert np.array_equal(shared[0].residuals, reports[0].residuals)
         assert [r.extras["states"] for r in shared[1:]] == [reports[0].extras["states"]] * 3
 
-    def test_suite_integrates_its_rays_in_one_batch(self, monkeypatch):
+    def test_suite_integrates_its_rays_in_one_batch(self, monkeypatch, flrw_spec):
         batches = []
         trace = mf.trace_past_to_time
 
@@ -69,28 +69,23 @@ class TestContactAnnihilation:
             return trace(m, x0, v0, t_target)
 
         monkeypatch.setattr(mf, "trace_past_to_time", counting_trace)
-        reports = vf.suite_contact(7, n=8)
+        reports = vf.suite_contact(7, flrw_spec, n=8)
         assert len(reports) == 8 and all(r.passed for r in reports)
         # one call with 8 rays, down to the singularity cutoff
         assert batches == [(8, fr.SINGULARITY_CUTOFF)]
 
-    @pytest.mark.parametrize("case", ["rotated", "anisotropic"])
+    @pytest.mark.parametrize("case", ["anisotropic"])
     def test_end_state_is_taken_at_its_own_sky_point(self, case):
-        # with a rotated tetrad the end sky point is rotated back; in an
-        # anisotropic chart the sky point turns along the ray, and the start
-        # sky point missed the end state's kernel by up to 9.9e-3
-        if case == "rotated":
-            rotation = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))[0]
-            f = fr.FrameSpec(metric=FLRW, target=fr.Singularity(), tetrad_rotation=rotation)
-        else:
-            metric = mf.metric_from_config(
-                {
-                    "kind": "custom",
-                    "coeffs": ["1", "-1", "-(1 + 0.5*t)**2", "-1"],
-                    "bounds": [[0, None], [None, None], [None, None], [None, None]],
-                }
-            )
-            f = fr.FrameSpec(metric=metric, target=fr.CauchySurface(0.0))
+        # in an anisotropic chart the sky point turns along the ray, and the
+        # start sky point missed the end state's kernel by up to 9.9e-3
+        metric = mf.metric_from_config(
+            {
+                "kind": "custom",
+                "coeffs": ["1", "-1", "-(1 + 0.5*t)**2", "-1"],
+                "bounds": [[0, None], [None, None], [None, None], [None, None]],
+            }
+        )
+        f = fr.FrameSpec(metric=metric, target=fr.CauchySurface(0.0))
         reports = vf.suite_contact(7, n=8, frame=f)
         assert all(r.passed for r in reports)
         assert max(r.max_residual for r in reports) <= 1e-14
@@ -228,10 +223,11 @@ class TestKernelProportionality:
         with pytest.raises(NoIntersectionError):
             vf.check_kernel_proportionality(flat, [0.0, 0.3, 0, 0], [0.6, 0.8j])
 
-    def test_rank_deficient_probe_raises_degenerate(self):
-        coarse = fr.FrameSpec(metric=FLAT, target=fr.CauchySurface(0.0), rank_tol=1e3)
+    def test_rank_deficient_probe_raises_degenerate(self, monkeypatch):
+        monkeypatch.setattr(fr, "RANK_TOL", 1e3)
+        flat = PROTOCOL_FRAMES["flat"]
         with pytest.raises(DegenerateTangentPlaneError):
-            vf.check_kernel_proportionality(coarse, [1.0, 0.2, -0.3, 0.1], [0.6, 0.8j])
+            vf.check_kernel_proportionality(flat, [1.0, 0.2, -0.3, 0.1], [0.6, 0.8j])
 
     @pytest.mark.parametrize("name", ["graph", "flat", "p2/3", "readme"])
     def test_rows_give_the_one_row_reports(self, name):
@@ -254,7 +250,7 @@ class TestKernelProportionality:
         assert np.abs(shared[0].residuals - rows[0].residuals).max() <= tol
 
     @pytest.mark.parametrize("n", [1, 25])
-    def test_suite_makes_one_project_batch_call(self, monkeypatch, n):
+    def test_suite_makes_one_project_batch_call(self, monkeypatch, n, flrw_spec):
         calls = []
         project = fr.project_batch
 
@@ -263,7 +259,7 @@ class TestKernelProportionality:
             return project(f, events, xis)
 
         monkeypatch.setattr(fr, "project_batch", counting)
-        reports = vf.suite_kernel(7, n=n)
+        reports = vf.suite_kernel(7, flrw_spec, n=n)
         assert len(reports) == n and all(r.passed for r in reports)
         # per row: the base ray, 4 sky-stencil rays and 2 per coordinate axis
         assert calls == [13 * n]
@@ -275,7 +271,7 @@ class TestKernelProportionality:
             vf.check_kernel_proportionality(PROTOCOL_FRAMES["flat"], xs, xis)
 
     def test_batch_names_the_event_of_the_first_degenerate_row(self):
-        # the image of an event 1e-8 above the slice is below rank_tol; the
+        # the image of an event 1e-8 above the slice is below RANK_TOL; the
         # small event step keeps its family rays above the slice
         xs = np.array([[1.0, 0.2, -0.3, 0.1], [1e-8, 0.2, -0.3, 0.1], [1e-8, 0.5, 0, 0]])
         xis = np.tile([0.6, 0.8j], (3, 1))
@@ -345,7 +341,7 @@ class TestSuites:
 
     def test_all_mini_suites_pass(self, flrw_spec):
         assert all(r.passed for r in vf.suite_twistor(5, n=100))
-        assert all(r.passed for r in vf.suite_contact(5, n=4))
+        assert all(r.passed for r in vf.suite_contact(5, flrw_spec, n=4))
         assert all(r.passed for r in vf.suite_kernel(5, n=4, frame=flrw_spec))
         assert all(r.passed for r in vf.suite_flow(5, n_sky=8, frame=flrw_spec))
         assert all(r.passed for r in vf.suite_kernel(5, n=4, frame=GraphFrame()))
