@@ -196,20 +196,24 @@ def join(b1: ClosedSetUnion, b2: ClosedSetUnion) -> ClosedSetUnion:
 def analytic_region(f: fr.FrameSpec, x) -> Ball | None:
     """Exact ball region when the chart is conformally flat, else None.
 
-    Raises NoIntersectionError below the target or when the ball is not
-    strictly inside the chart's spatial bounds (the end-point test of
-    `project_batch`), OutOfDomainError when the radius overflows."""
+    Raises OutOfDomainError for an event outside the chart's time bounds
+    (the ball test bounds its spatial coordinates) or when the radius
+    overflows, and NoIntersectionError below the target or when the ball
+    is not strictly inside the chart's spatial bounds (the end-point test
+    of `project_batch`)."""
     if f.metric.kind == "custom":
         return None
     x = np.asarray(x, dtype=float)
     t, *center = event = x.tolist()
+    (t_lo, t_hi), *spans = f.metric.bounds.tolist()
+    if not t_lo < t < t_hi:
+        raise OutOfDomainError("an event lies outside the chart domain")
     radius = mf.conformal_time(f.metric, t, f.target_time)
     if radius < 0.0:
         raise NoIntersectionError(f"event {event} lies below the target")
     if not math.isfinite(radius):
         raise OutOfDomainError(f"the past region of {event} overflows")
-    spans = zip(center, f.metric.bounds[1:].tolist())
-    if not all(lo + radius < c < hi - radius for c, (lo, hi) in spans):
+    if not all(lo + radius < c < hi - radius for c, (lo, hi) in zip(center, spans)):
         raise NoIntersectionError(f"the past region of {event} leaves the chart")
     return Ball(center=x[1:], radius=radius)
 

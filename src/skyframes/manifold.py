@@ -23,8 +23,10 @@ the distinct starts (t0, ln E, lambda) once, and each level of the ladder
 starts of its rays, all nodes of a block in array operations, and places
 each ray at x0 + n D; a ray inside and finite at a block's last node was
 so at every node, and only the others scan the block's nodes.  Any other
-custom chart steps every state node by node with `_bundle_slope`,
-compacting the rows that leave with `np.compress`.  The two
+custom chart, and a level of one of t alone that loses its signature,
+steps every state node by node with `_bundle_slope` (`_march`, the one
+place that names where a ray meets a lost signature), compacting the
+rows that leave with `np.compress`.  The two
 integrals of the scale factor share one ladder: `conformal_time`, the
 conformal interval from the target time t_from, and `affine_length`, the
 affine length of a ray down to it; closed form for power laws, else the
@@ -261,9 +263,9 @@ def _bundle_slope(m: MetricSpec, s, y, log):
     """d/ds of sky-bundle states y (8, B) on a custom chart at s (B,), t =
     e^s if log else s.  With the legs e_a = sqrt|g_aa|, the tetrad
     components (-E, E n) of the past-directed tangent u change at d/dlambda
-    = E^2 W, W quadratic in u/E.  Only the charts that `_march` steps node
-    by node come here; flat, FLRW and isotropic charts of t alone take
-    `_t_rates`, this slope with t-partials only."""
+    = E^2 W, W quadratic in u/E.  Only `_march` comes here; flat, FLRW and
+    isotropic charts of t alone take `_t_rates`, this slope with t-partials
+    only, on every level that keeps its signature."""
     t, n = np.exp(s) if log else s, y[3:6]
     rows = (t, *y[:3])
     g, dg = m._metric_jet(rows)  # g is (a, B) and dg (b, a, B)
@@ -282,8 +284,8 @@ def _t_rates(m: MetricSpec, s, log):
     """The slope factors of a chart of t alone at the stage times s (R,),
     t = e^s if log else s: the rows d/ds of the displacement D along the
     tetrad direction n, d/ds of ln E and -e0 dt/ds, the factor of e^-ln E
-    in d lambda / ds (3, R); and the coefficients (g00, g11) if some of
-    them are not finite with the signature (+, -, -, -), else None.
+    in d lambda / ds (3, R); and whether some of the coefficients (g00,
+    g11) are not finite with the signature (+, -, -, -).
 
     This is `_bundle_slope` with t-partials only.  With the legs e0 =
     sqrt(g00) and A = sqrt(-g11), D moves at -e0 / A and ln E at -(d g11 /
@@ -291,22 +293,20 @@ def _t_rates(m: MetricSpec, s, log):
     cancels identically, so n is conserved.  Flat space has e0 = A = 1 and
     FLRW e0 = 1, A = a."""
     t = np.exp(s) if log else s
-    rates, wrong = np.empty((3, len(s))), None
+    rates, lost = np.empty((3, len(s))), False
     if m.kind == "custom":
         g00, g11, dg11 = m._expressions.t_jet((t,))
         e0 = np.sqrt(g00)
         rates[0], rates[1], rates[2] = -(e0 / np.sqrt(-g11)), -dg11 / (2.0 * g11), -e0
-        finite_signs = 0.0 < g00.min(initial=1.0) <= g00.max(initial=1.0) < np.inf
-        finite_signs &= -np.inf < g11.min(initial=-1.0) <= g11.max(initial=-1.0) < 0.0
-        if not finite_signs:
-            wrong = (g00, g11)  # a wrong sign, inf or NaN
+        lost = not 0.0 < g00.min(initial=1.0) <= g00.max(initial=1.0) < np.inf
+        lost |= not -np.inf < g11.min(initial=-1.0) <= g11.max(initial=-1.0) < 0.0
     else:
         speed, dlog_e = 1.0, 0.0  # flat space
         if m.kind == "flrw":
             speed = 1.0 / m.scale_factor(t)
             dlog_e = -m.scale_factor_dot(t) * speed
         rates[0], rates[1], rates[2] = -speed, dlog_e, -1.0
-    return (t if log else 1.0) * rates, wrong  # dt/ds d/dt
+    return (t if log else 1.0) * rates, lost  # dt/ds d/dt
 
 
 def _t_slope(rates, y):
@@ -315,31 +315,6 @@ def _t_slope(rates, y):
     out = np.empty_like(y)
     out[0], out[1] = rates[1], rates[2] * np.exp(-y[0])
     return out
-
-
-def _require_stage_signature(m: MetricSpec, rate, s, h, log, d, x0, n, at, left):
-    """`_require_signature` over the RK4 stages of a `_t_level` block, at
-    the stage points of the rays still live there, in the order of the
-    per-node loop: node, stage, ray.  rate maps c to the `_t_rates` at the
-    stage times s + c h (nodes x starts); d (nodes, starts) holds D at the
-    start of each step; the rays x0 + n D (3, rays) take their D from the
-    starts at, and left (nodes, rays) marks the nodes they fail.  The
-    stages of a step sit at c = 0, 1/2, 1/2, 1 and at D, D + h k1 / 2, D +
-    h k2 / 2 and D + h k3."""
-    cells = lambda v: np.reshape(v, d.shape)[:, at]  # (nodes, rays)
-    k1, k2 = rate[0.0][0][0], rate[0.5][0][0]  # the D slopes at c = 0 and 1/2
-    right = (np.ones(len(h)), -np.ones(len(h)))
-    rows, g = [], []
-    for c, step in ((0.0, 0.0), (0.5, 0.5 * h * k1), (0.5, 0.5 * h * k2), (1.0, h * k2)):
-        t, (g00, g11) = s + c * h, rate[c][1] or right
-        points = x0[:, None] + n[:, None] * cells(d.ravel() + step)
-        rows.append([cells(np.exp(t) if log else t), *points])
-        g.append([cells(g00)] + [cells(g11)] * 3)
-    live = np.ones(left.shape, dtype=bool)  # at each step
-    live[1:] = ~np.logical_or.accumulate(left, axis=0)[:-1]
-    live = np.broadcast_to(live[:, None], (len(live), 4, live.shape[1]))  # (node, stage, ray)
-    rows, g = (np.transpose(v, (1, 2, 0, 3))[:, live] for v in (np.array(rows), np.array(g)))
-    _require_signature(m, rows, g)
 
 
 def _inside(m: MetricSpec, points):
@@ -371,13 +346,11 @@ def _march(m: MetricSpec, t0, y0, t_target, n):
     ln E or lambda is not finite; ok marks the rows that arrived.  A level
     above t0 runs the same rays to the future, lambda falling.
 
-    On a chart of t alone (`_t_only`) this is one `_t_level` of the starts
-    keyed by `_key_starts` (the ladder of `trace_past_to_time` keys them
-    once and calls `_t_level` itself).  Any other custom chart, anisotropic or
-    depending on x, y or z, steps the (8, B) states node by node with
-    `_bundle_slope`; a node's accept is n /= |n|."""
-    if _t_only(m):
-        return _t_level(m, _key_starts(t0, y0, t_target), np.arange(len(t0)), n)
+    The per-node loop of a custom chart, for every level of one that is
+    anisotropic or depends on x, y or z, and of the levels that `_t_level`
+    gives None for: the (8, B) states step node by node with `_bundle_slope`,
+    which names the first stage point (node, stage, row) inside the domain
+    that loses the signature; a node's accept is n /= |n|."""
     log = t_target > 0.0
     nodes = (np.arange(n + 1) / n) ** (2 if log else 1)
     s0 = np.log(t0) if log else t0
@@ -428,17 +401,18 @@ def _key_starts(t0, y0, t_target):
 
 
 def _t_level(m: MetricSpec, st: _Starts, rows, n):
-    """`_march` of n nodes for the rays rows of st on a chart whose slope
-    depends on t alone: flat, FLRW, or custom and isotropic in t alone.  n
-    is conserved, so a ray's node points are its start point plus n times
-    a displacement D, and the rows D, ln E and lambda are marched once per
-    start of the rays, the nodes of a block side by side in one row.  The
-    slope factors `_t_rates` are evaluated once per block at each stage
-    fraction c = 0, 1/2 and 1, and both steps look them up.  The first
-    `_rk4_step` gives the increments of D and ln E, which do not depend on
-    the state, and `np.cumsum` adds them in the node-by-node order, so ln E
-    has the bits of a node-by-node march; the second starts from ln E at
-    each node and gives the increments of lambda, likewise.
+    """The march of n nodes (as `_march` steps it) for the rays rows of st
+    on a chart whose slope depends on t alone: flat, FLRW, or custom and
+    isotropic in t alone; None if the coefficients lose their signature at
+    a stage, for `_march` to name the point.  n is conserved, so a ray's
+    node points are its start point plus n times a displacement D, and the
+    rows D, ln E and lambda are marched once per start of the rays, the
+    nodes of a block side by side in one row.  The slope factors `_t_rates`
+    are evaluated once per block at each stage fraction c = 0, 1/2 and 1.
+    The slopes of D and ln E do not depend on the state, so their RK4
+    increments are h/6 (k1 + 2 k2 + 2 k2 + k4), which `np.cumsum` adds in
+    the node-by-node order, so ln E has the bits of a node-by-node march;
+    an `_rk4_step` from ln E at each node gives the lambda increments.
 
     Each ray leaves at its first node that fails the test of `_node_keep`,
     and the rays are placed from their start's states.  A ray is tested on
@@ -450,11 +424,9 @@ def _t_level(m: MetricSpec, st: _Starts, rows, n):
     the node before the block (or at its start, which `trace_past_to_time`
     checks) and inside and finite at the last node was inside at every
     node.  Only the other rays scan the block node by node for the one they
-    leave at.  Where a D slope is > 0, or a custom chart's coefficients
-    lose their signature at a stage, every live ray scans, and then
-    `_require_stage_signature` raises for a live ray's stage point inside
-    the domain.  The blocks carry the three rows on and hold O(block (rays
-    + starts)) floats, `_BLOCK_CELLS` in all, scan included."""
+    leave at.  Where a D slope is > 0, every live ray scans.  The blocks
+    carry the three rows on and hold O(block (rays + starts)) floats,
+    `_BLOCK_CELLS` in all, scan included."""
     nodes = (np.arange(n + 1) / n) ** (2 if st.log else 1)
     used = np.zeros(len(st.s0), dtype=bool)
     used[st.start[rows]] = True
@@ -471,17 +443,21 @@ def _t_level(m: MetricSpec, st: _Starts, rows, n):
         k1 = min(n, k0 + block)
         s = (s0 + nodes[k0:k1, None] * span).ravel()  # (nodes x starts)
         h = ((nodes[k0 + 1 : k1 + 1] - nodes[k0:k1])[:, None] * span).ravel()
-        rate = {c: _t_rates(m, s + c * h, st.log) for c in (0.0, 0.5, 1.0)}
+        rate = {}
+        for c in (0.0, 0.5, 1.0):
+            rate[c], lost = _t_rates(m, s + c * h, st.log)
+            if lost:
+                return None
         state = np.concatenate([state[:, -1:], np.empty((3, k1 - k0, u))], axis=1)
-        y = np.full((2, len(h)), -0.0)  # -0.0 + dy is dy
-        state[:2, 1:] = _rk4_step(lambda c, y: rate[c][0][:2], y, h).reshape(2, -1, u)
+        r0, rh, r1 = (rate[c][:2] for c in (0.0, 0.5, 1.0))  # the D and ln E slopes
+        state[:2, 1:] = ((h / 6.0) * (r0 + 2.0 * rh + 2.0 * rh + r1)).reshape(2, -1, u)
         np.cumsum(state[:2], axis=1, out=state[:2])
+        y = np.full((2, len(h)), -0.0)  # -0.0 + dy is dy
         y[0] = state[1, :-1].ravel()  # ln E at each node, lambda from -0.0
-        state[2, 1:] = _rk4_step(lambda c, y: _t_slope(rate[c][0], y), y, h)[1].reshape(-1, u)
+        state[2, 1:] = _rk4_step(lambda c, y: _t_slope(rate[c], y), y, h)[1].reshape(-1, u)
         np.cumsum(state[2], axis=0, out=state[2])
         finite = np.isfinite(state[1, 1:]) & np.isfinite(state[2, 1:])  # (nodes, starts)
-        lost = any(r[1] is not None for r in rate.values())  # a lost signature
-        if lost or any(r[0][0].max() > 0.0 for r in rate.values()):  # D may turn back
+        if any(r[0].max() > 0.0 for r in rate.values()):  # D may turn back
             scan = np.flatnonzero(alive)
         else:  # the rays that may leave in this block
             last = x0 + dirs * state[0, -1, at]
@@ -492,10 +468,6 @@ def _t_level(m: MetricSpec, st: _Starts, rows, n):
         d = state[0, 1:][:, a]
         points = x0[:, None, scan] + dirs[:, None, scan] * d  # (3, nodes, rays)
         left = ~(_inside(m, points.reshape(3, -1)).reshape(d.shape) & finite[:, a])
-        if lost:
-            _require_stage_signature(
-                m, rate, s, h, st.log, state[0, :-1], x0[:, scan], dirs[:, scan], a, left
-            )
         gone = left.any(axis=0)
         k, g, a = left.argmax(axis=0)[gone], scan[gone], a[gone]
         t_end = s.reshape(-1, u)[k, a] + h.reshape(-1, u)[k, a]
@@ -521,8 +493,9 @@ def trace_past_to_time(m: MetricSpec, x0, v0, t_target):
     Rows that leave the spatial domain or turn non-finite come back not
     ok.  On a chart of t alone the starts are keyed once, and each level
     marches the starts of the unsettled rows and places those rows
-    (`_t_level`); on any other chart each level is a `_march` of those
-    rows.  Raises OutOfDomainError for a start event outside the domain or
+    (`_t_level`); on any other chart, and at a level that `_t_level` gives
+    None for (a lost signature), each level is a `_march` of those rows.
+    Raises OutOfDomainError for a start event outside the domain or
     below the level.
     """
     x0 = np.asarray(x0, dtype=float)
@@ -535,11 +508,10 @@ def trace_past_to_time(m: MetricSpec, x0, v0, t_target):
     if np.any(x0[:, 0] < t_target - t_tol):
         raise OutOfDomainError("some start events lie below the target level")
     y0 = _bundle_start(m, x0, v0)
+    level = march = lambda rows, n: _march(m, x0[rows, 0], np.take(y0, rows, 1), t_target, n)
     if _t_only(m):
         starts = _key_starts(x0[:, 0], y0, t_target)
-        level = lambda rows, n: _t_level(m, starts, rows, n)
-    else:
-        level = lambda rows, n: _march(m, x0[rows, 0], np.take(y0, rows, 1), t_target, n)
+        level = lambda rows, n: _t_level(m, starts, rows, n) or march(rows, n)
 
     n, rows = GRID_START, np.arange(len(x0))
     res = {k: np.copy(v) for k, v in vars(level(rows, n)).items()}

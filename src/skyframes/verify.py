@@ -24,7 +24,7 @@ Probes are seeded and reports are deterministic given the frame and seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -256,11 +256,17 @@ def suite_twistor(seed, n=1000):
     return [rep_tau, rep_null]
 
 
+def _random_sky(seed, n):
+    """n seeded random sky points, any n >= 1: the first n of a draw of at
+    least the four that `sample_sky` needs."""
+    sample = sample_sky(max(n, 4), scheme="random", seed=seed)
+    return replace(sample, xi=sample.xi[:n])
+
+
 def _random_rows(seed, n, frame):
     """n seeded events above the frame's target and n random sky points."""
     rng = np.random.default_rng(seed)
-    xs = _random_events(rng, n, t_floor=frame.target_time)
-    return xs, sample_sky(max(n, 4), scheme="random", seed=seed).xi[:n]
+    return _random_events(rng, n, t_floor=frame.target_time), _random_sky(seed, n).xi
 
 
 def suite_contact(seed, frame, n=20):
@@ -277,5 +283,4 @@ def suite_flow(seed, frame, n_sky=25, tol=None):
     dirs = np.array(
         [[1.0, 0, 0, 0], [1.0, 0.5, 0, 0], [1.0, 0, -0.4, 0.3], [2.0, 0.3, 0.3, -0.3]]
     )
-    sample = sample_sky(n_sky, scheme="random", seed=seed)
-    return [check_flow_of_time(frame, x, dirs, sample, tol=tol)]
+    return [check_flow_of_time(frame, x, dirs, _random_sky(seed, n_sky), tol=tol)]

@@ -347,6 +347,18 @@ class TestCausalErrors:
         code, out, _ = run(capsys, *argv[:3], "--x", "0.5,0,0,0", "--y", "0.2,0.1,0.1,0")
         assert code == 0 and out.splitlines()[0] == "y_past_of_x"
 
+    def test_event_after_the_chart_exits_1(self, capsys, tmp_path):
+        # printed y_past_of_x for x at t = 5 on a chart of 0 < t < 2, whose
+        # sky image exits 1
+        cfg = tmp_path / "slab.json"
+        bounds = [[0, 2], [None, None], [None, None], [None, None]]
+        cfg.write_text(json.dumps({"kind": "minkowski", "bounds": bounds}))
+        for command in (CAUSAL[:1] + ("--x", "5,0,0,0", "--y", "1,0,0,0"),
+                        ("sky-image", "--event", "5,0,0,0", "--n", "20")):
+            code, out, err = run(capsys, "--config", str(cfg), *command, "--target", "cauchy:0")
+            assert code == 1 and out == ""
+            assert err == "OutOfDomainError: an event lies outside the chart domain\n"
+
 
 #: The flat geodesic frame, the graph frame and the p = 2/3 singularity frame.
 _CAUSAL_FRAMES = (
@@ -537,6 +549,17 @@ class TestVerify:
         assert code == 0
         payload = json.loads(out_path.read_text())
         assert payload["reports"][0]["max_residual"] <= 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_flow_suite_under_four_samples(self, capsys, tmp_path, n):
+        # exited 2 with BadCountError: the sample was drawn n sky points
+        # long; it is now the first n of the four-point draw
+        out_path = tmp_path / "rep.json"
+        code, _, err = run(capsys, "verify", "--suite", "flow", "--n", str(n),
+                           "--out", str(out_path))
+        assert code == 0 and err == ""
+        (report,) = json.loads(out_path.read_text())["reports"]
+        assert report["probe_count"] == 4 * n  # n sky points, four directions
 
     def test_reports_byte_identical(self, capsys, tmp_path):
         a = tmp_path / "a.json"

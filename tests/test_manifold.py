@@ -237,15 +237,21 @@ def _count_metric_calls(monkeypatch):
     return calls
 
 
+def _t_march(m, t0, y0, t_target, n):
+    """The march of n nodes on a chart of t alone, as a level of the ladder
+    runs it: one `_t_level` of every ray, the starts keyed by `_key_starts`."""
+    return mf._t_level(m, mf._key_starts(t0, y0, t_target), np.arange(len(t0)), n)
+
+
 def _march_errors(m, x0, v0, lam, levels):
-    """Largest end-point errors (x, v, lambda) of `_march` at each number
+    """Largest end-point errors (x, v, lambda) of `_t_march` at each number
     of nodes against the power-law ray at the affine parameter lam > 0; the
     march runs up to the reference time, lambda falling."""
     ref_x, ref_v = mf.flrw_closed_form_ray(m, x0, v0, lam)
     y0 = mf._bundle_start(m, x0[None], v0[None])
     errs = []
     for n in levels:
-        res = mf._march(m, x0[:1], y0, ref_x[0], n)
+        res = _t_march(m, x0[:1], y0, ref_x[0], n)
         got = np.concatenate([res.x[0], res.velocity(m)[0], -res.lam])
         errs.append(np.abs(got - np.concatenate([ref_x, ref_v, [lam]])).max())
     return errs
@@ -1042,7 +1048,7 @@ class TestTOnlyMarch:
         with np.errstate(all="ignore"):
             y0 = mf._bundle_start(m, x0, v0)
             for n in (4, 8, 16, 32):
-                got = mf._march(m, x0[:, 0], y0, level, n)
+                got = _t_march(m, x0[:, 0], y0, level, n)
                 want = _node_by_node_march(m, x0[:, 0], y0, level, n)
                 _assert_matches_node_by_node(got, want)
         if case == "box-cutoff":
@@ -1055,7 +1061,7 @@ class TestTOnlyMarch:
         m, level, x0, v0 = _t_only_rays("flat-0")
         y0 = mf._bundle_start(m, x0, v0)
         y0[6, ::2] = -0.0
-        got = mf._march(m, x0[:, 0], y0, level, 4)
+        got = _t_march(m, x0[:, 0], y0, level, 4)
         _assert_matches_node_by_node(got, _node_by_node_march(m, x0[:, 0], y0, level, 4))
         assert np.signbit(got.log_e).tolist() == [True, False] * 3
 
@@ -1080,7 +1086,7 @@ class TestTOnlyMarch:
         for n in (4, 16):
             rows = {}
             for name, index in batches.items():
-                res = mf._march(m, x0[index, 0], np.take(y0, index, 1), level, n)
+                res = _t_march(m, x0[index, 0], np.take(y0, index, 1), level, n)
                 rows[name] = [getattr(res, f)[index.index(0)].tobytes() for f in vars(res)]
             assert rows["duplicates"] == rows["alone"]
             assert rows["distinct starts"] == rows["alone"]
@@ -1098,18 +1104,19 @@ class TestTOnlyMarch:
         counts = []
         for n in sizes:
             steps.clear()
-            mf._march(m, x0[:, 0], y0, level, n)
+            _t_march(m, x0[:, 0], y0, level, n)
             counts.append(len(steps))
             assert all(size == 4 * n for size in steps)  # 4 distinct starts
-        assert counts == [2] * len(sizes)
+        # the lambda pass; the D and ln E increments take no stage states
+        assert counts == [1] * len(sizes)
 
     @pytest.mark.parametrize("case", ["p0.5-cauchy0.2", "box-cutoff"])
     def test_blocks_carry_the_rows_to_the_same_bits(self, monkeypatch, case):
         m, level, x0, v0 = _t_only_rays(case, nan_v0=True)
         y0 = mf._bundle_start(m, x0, v0)
-        whole = mf._march(m, x0[:, 0], y0, level, 64)
+        whole = _t_march(m, x0[:, 0], y0, level, 64)
         monkeypatch.setattr(mf, "_BLOCK_CELLS", 3 * (len(x0) + 5))  # a few nodes a block
-        blocked = mf._march(m, x0[:, 0], y0, level, 64)
+        blocked = _t_march(m, x0[:, 0], y0, level, 64)
         for name, value in vars(whole).items():
             assert getattr(blocked, name).tobytes() == value.tobytes(), name
 
@@ -1183,7 +1190,7 @@ class TestStageLookups:
         with np.errstate(all="ignore"):
             y0 = mf._bundle_start(m, x0, v0)
             for n in (4, 8, 16, 32, 64):
-                got = mf._march(m, x0[:, 0], y0, level, n)
+                got = _t_march(m, x0[:, 0], y0, level, n)
                 want = _two_pass_march(m, x0[:, 0], y0, level, n)
                 for name, value in vars(want).items():
                     assert getattr(got, name).tobytes() == value.tobytes(), (name, n)
@@ -1194,7 +1201,7 @@ class TestStageLookups:
         monkeypatch.setattr(mf, "_BLOCK_CELLS", 3 * (len(x0) + 5))  # a few nodes a block
         with np.errstate(all="ignore"):
             y0 = mf._bundle_start(m, x0, v0)
-            got = mf._march(m, x0[:, 0], y0, level, 64)
+            got = _t_march(m, x0[:, 0], y0, level, 64)
             want = _two_pass_march(m, x0[:, 0], y0, level, 64)
         for name, value in vars(want).items():
             assert getattr(got, name).tobytes() == value.tobytes(), name
@@ -1208,7 +1215,7 @@ class TestStageLookups:
         sizes, scale = [], mf.MetricSpec.scale_factor
         counting = lambda self, t: sizes.append(np.size(t)) or scale(self, t)
         monkeypatch.setattr(mf.MetricSpec, "scale_factor", counting)
-        mf._march(m, x0[:, 0], y0, level, 64)
+        _t_march(m, x0[:, 0], y0, level, 64)
         starts = len(np.unique(np.column_stack([x0[:, 0], y0[6]]), axis=0))
         assert sizes == [64 * starts] * 3
 
@@ -1295,16 +1302,17 @@ def _on_the_loop(cfg):
 
 def _count_routes(monkeypatch):
     """Counts of the `_t_level` calls and of the `_metric_jet` calls (the
-    per-node loop's) made from now on."""
+    per-node loop's) made from now on, and the n of each `_march` call."""
     calls = _count_metric_calls(monkeypatch)
-    t_level = mf._t_level
-    calls["t_level"] = 0
+    t_level, march = mf._t_level, mf._march
+    calls.update(t_level=0, march=[])
 
     def counting(*args):
         calls["t_level"] += 1
         return t_level(*args)
 
     monkeypatch.setattr(mf, "_t_level", counting)
+    monkeypatch.setattr(mf, "_march", lambda *a: calls["march"].append(a[-1]) or march(*a))
     return calls
 
 
@@ -1341,7 +1349,7 @@ class TestIsotropicCustomCharts:
         x0, v0 = _rays(m, [1.0, 0.8])
         calls = _count_routes(monkeypatch)
         assert np.all(mf.trace_past_to_time(m, x0, v0, 0.3).ok)
-        assert calls["t_level"] >= 2 and calls["jet"] == 0
+        assert calls["t_level"] >= 2 and calls["jet"] == 0 and calls["march"] == []
 
     @pytest.mark.parametrize(
         "cfg",
@@ -1382,7 +1390,7 @@ class TestIsotropicCustomCharts:
         with np.errstate(all="ignore"):
             y0 = mf._bundle_start(m, x0, v0)
             for n in (4, 8, 16, 32):
-                got = mf._march(m, x0[:, 0], y0, level, n)
+                got = _t_march(m, x0[:, 0], y0, level, n)
                 _assert_matches_the_loop(got, mf._march(loop, x0[:, 0], y0, level, n))
         got = mf.trace_past_to_time(m, x0, v0, level)
         _assert_matches_the_loop(got, mf.trace_past_to_time(loop, x0, v0, level))
@@ -1400,7 +1408,7 @@ class TestIsotropicCustomCharts:
         monkeypatch.setattr(
             m._expressions, "t_jet", lambda rows: sizes.append(rows[0].size) or jet(rows)
         )
-        mf._march(m, x0[:, 0], y0, 0.3, 64)
+        _t_march(m, x0[:, 0], y0, 0.3, 64)
         assert sizes == [64 * 2] * 3
 
 
@@ -1411,7 +1419,8 @@ class TestIsotropicSignatureGuard:
 
     def test_names_a_live_stage_point_as_the_loop_does(self):
         # marched in t to the level 0 in steps of 0.25, the first stage to
-        # reach the band is the second step's last, at t = 0.5
+        # reach the band is the second step's last, at t = 0.5; the chart of
+        # t alone hands that level to the loop, which names the point
         x0 = np.array([[1.0, 0, 0, 0], [1.0, 0.2, 0, 0]])
         named = []
         for m in (mf.metric_from_config(self.BAND), _on_the_loop(self.BAND)):
@@ -1422,7 +1431,18 @@ class TestIsotropicSignatureGuard:
             named.append(np.array(point.split(", "), dtype=float))
             # every stage above the band passes
             assert np.all(mf.trace_past_to_time(m, x0, v0, 0.625).ok)
-        assert np.allclose(named[0], named[1], rtol=1e-12, atol=0)
+        assert named[0].tolist() == named[1].tolist()
+
+    def test_the_band_level_takes_the_per_node_loop(self, monkeypatch):
+        # the first level meets the band, and `_t_level` hands it to `_march`
+        # (Lorentzian charts of t alone never reach it: TestIsotropicCustomCharts)
+        m = mf.metric_from_config(self.BAND)
+        x0 = np.array([[1.0, 0, 0, 0], [1.0, 0.2, 0, 0]])
+        v0 = mf.future_null_directions(m, x0, np.array([[0, 1.0, 0], [0, 0, 1.0]]))
+        calls = _count_routes(monkeypatch)
+        with pytest.raises(ValueError, match="do not have signature"):
+            mf.trace_past_to_time(m, x0, v0, 0.0)
+        assert calls["t_level"] == 1 and calls["march"] == [mf.GRID_START] and calls["jet"] > 0
 
     @pytest.mark.parametrize("route", ["t-only", "loop"])
     def test_rays_that_left_the_chart_do_not_raise(self, route):
