@@ -251,15 +251,16 @@ def past_regions(f: fr.FrameSpec, x, y, sample: SkySample | None = None):
 
 
 def _contains(outer: Region, inner: Region) -> bool:
-    """Whether the inner region lies in the outer one (closed)."""
-    if isinstance(outer, Ball):
+    """Whether the inner region lies in the outer one (closed): exactly for
+    two balls, else at the inner region's `_boundary_cloud` points."""
+    if isinstance(outer, Ball) and isinstance(inner, Ball):
         with np.errstate(over="ignore", invalid="ignore"):
             d = outer.center - inner.center
         reach = math.sqrt(d.dot(d)) + inner.radius  # np.linalg.norm's own sum
         if not math.isfinite(reach):
             raise OutOfDomainError("the separation of the past regions overflows")
         return reach <= outer.radius + BALL_TOL
-    return bool(np.all(outer.contains_points(inner.vertices)))
+    return bool(np.all(outer.contains_points(_boundary_cloud(inner))))
 
 
 def in_causal_past(f: fr.FrameSpec, y, x, sample: SkySample | None = None) -> bool:

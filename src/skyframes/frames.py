@@ -23,12 +23,12 @@ the square root of the summed `(x.conj() * x).real`, which is what
 identity.
 
 Two tracers are available: a conformal-chart closed form (flat space and
-spatially flat cosmologies project onto straight comoving lines) and the
-numeric `manifold.trace_past_to_time`, which marches a batch in t (ln t
-toward the singularity) on one grid and lands on the target level.  Toward
-the singularity it stops at a small cutoff time and closes the rest along
-the ray's conserved direction in conformal time, far below the image
-tolerances.
+spatially flat cosmologies project onto straight comoving lines), which
+`tracer="auto"` takes there, and the numeric `manifold.trace_past_to_time`
+behind `_trace`, which marches a batch in t (ln t toward the singularity)
+on one grid and lands on the target level.  Toward the singularity it
+stops at a small cutoff time and closes the rest along the ray's
+conserved direction in conformal time, far below the image tolerances.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ class FrameSpec:
     metric: mf.MetricSpec
     target: CauchySurface | Singularity
     step: float = 1e-3  # read by nothing; kept, checked, while perfbench passes it
-    tracer: str = "auto"  # auto | closed_form | numeric
+    tracer: str = "auto"  # auto (closed form unless custom) | numeric
 
     def __post_init__(self):
         if not (math.isfinite(self.step) and self.step > 0.0):
@@ -113,15 +113,8 @@ class FrameSpec:
             raise ValueError(f"target time {self.target.t0} is outside the chart's [{lo}, {hi}]")
         elif self.metric.kind == "flrw" and self.target.t0 <= 0.0:
             raise ValueError("cauchy slice of an flrw chart needs t0 > 0")
-        if self.tracer not in ("auto", "closed_form", "numeric"):
+        if self.tracer not in ("auto", "numeric"):
             raise ValueError(f"unknown tracer {self.tracer!r}")
-        if self.tracer == "closed_form" and self.metric.kind == "custom":
-            raise ValueError("closed-form tracing needs a conformally flat chart")
-
-    def resolved_tracer(self) -> str:
-        if self.tracer != "auto":
-            return self.tracer
-        return "numeric" if self.metric.kind == "custom" else "closed_form"
 
     @property
     def target_time(self) -> float:
@@ -225,7 +218,7 @@ def project_batch(f: FrameSpec, events, xis):
 
     ok, lost = ~below, np.zeros(len(events), dtype=bool)
     dirs = spinor.direction_for_cospinor(xis)
-    if f.resolved_tracer() == "closed_form":
+    if f.tracer == "auto" and f.metric.kind != "custom":
         # numpy's warnings off, as a non-finite ray raises below; an error
         # state set to raise (the CLI's) still raises first
         quiet = {k: "ignore" if v == "warn" else v for k, v in np.geterr().items()}
@@ -237,10 +230,8 @@ def project_batch(f: FrameSpec, events, xis):
         m_points, lams = np.empty((len(events), 3)), np.zeros(len(events))
         march = ok & ~on_surface
         if np.any(march):
-            v0 = mf.future_null_directions(f.metric, events[march], dirs[march])
+            _, res = _trace(f, events[march], dirs[march])
             singular = f.target.kind == "singularity"
-            stop_t = SINGULARITY_CUTOFF if singular else t_target
-            res = mf.trace_past_to_time(f.metric, events[march], v0, stop_t)
             ends = _close_singularity_gap(f, res) if singular else (res.x[:, 1:], res.lam)
             m_points[march], lams[march] = ends
             ok[march], lost[march] = res.ok, res.lost
@@ -257,6 +248,15 @@ def project_batch(f: FrameSpec, events, xis):
     ok &= f.metric.in_domain(np.column_stack([t, m_points]))
     m_points[~ok] = np.nan
     return m_points, lams, ok, lost
+
+
+def _trace(f: FrameSpec, events, dirs):
+    """Trace rays from the events (B, 4) along the future null directions
+    dirs (B, 3) to the target level (SINGULARITY_CUTOFF toward the
+    singularity) in one batch; returns v0 (B, 4) and the TraceResult."""
+    v0 = mf.future_null_directions(f.metric, events, dirs)
+    stop_t = SINGULARITY_CUTOFF if f.target.kind == "singularity" else f.target_time
+    return v0, mf.trace_past_to_time(f.metric, events, v0, stop_t)
 
 
 def _close_singularity_gap(f: FrameSpec, res: mf.TraceResult):

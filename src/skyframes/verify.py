@@ -1,8 +1,8 @@
 """Numerical checks of the frame identities.
 
 Four check families: annihilation of the contact form on the geodesic
-flow, at the start and the end of rays traced by the one tracer
-`manifold.trace_past_to_time`, each state at its own sky point;
+flow, at the start and the end of rays traced by the frame's one numeric
+ray batch `frames._trace`, each state at its own sky point;
 proportionality (with positive ratio) of the contact form and the normal
 projection on probe bases of the 6-dimensional tangent of the skies
 bundle; direction-independence of the ratio between image derivatives and
@@ -29,7 +29,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import frames as fr
-from . import manifold as mf
 from . import twistor as tw
 from .errors import DegenerateTangentPlaneError, NoIntersectionError
 from .sky import SkySample, sample_sky, unit_cospinor
@@ -75,22 +74,21 @@ def check_contact_annihilation(f: fr.FrameSpec, x, xi):
     """Contact form on the flow direction at the start and the end of each
     ray, each at its own point of the skies bundle.
 
-    The rays are traced in one `manifold.trace_past_to_time` batch down to
-    the frame's target (to `frames.SINGULARITY_CUTOFF` toward the
-    singularity).  theta is evaluated on v / v0: at the start with the given
-    sky point and velocity; at the end with the sky point of the traced
-    future direction -n and the velocity rebuilt from (n, E) and the legs.
-    The tracer's states are null by construction, so the residuals measure
-    the round trip from the frame's sky dictionary to the tracer's state
-    and back; `max_null_drift` is the largest |g(v / v0, v / v0)|.  A ray
-    that leaves the chart or turns non-finite raises `NoIntersectionError`.
+    The rays go out in one `frames._trace` batch, numeric whatever the
+    frame's tracer ("auto" or "numeric"), down to the frame's target (to
+    the singularity cutoff toward the singularity).  theta is evaluated on
+    v / v0: at the start with the given sky point and velocity; at the end
+    with the sky point of the traced future direction -n and the velocity
+    rebuilt from (n, E) and the legs.  The tracer's states are null by
+    construction, so the residuals measure the round trip from the frame's
+    sky dictionary to the tracer's state and back; `max_null_drift` is the
+    largest |g(v / v0, v / v0)|.  A ray that leaves the chart or turns
+    non-finite raises `NoIntersectionError`.
     """
     m = f.metric
     xis = unit_cospinor(np.atleast_2d(xi))
     xs = np.broadcast_to(np.asarray(x, dtype=float), (len(xis), 4))
-    v0 = mf.future_null_directions(m, xs, direction_for_cospinor(xis))
-    stop_t = fr.SINGULARITY_CUTOFF if f.target.kind == "singularity" else f.target_time
-    end = mf.trace_past_to_time(m, xs, v0, stop_t)
+    v0, end = fr._trace(f, xs, direction_for_cospinor(xis))
     xi_end = cospinor_for_direction(-end.n)
     if not end.ok.all():
         event = xs[np.argmin(end.ok)].tolist()

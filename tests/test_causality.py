@@ -319,6 +319,32 @@ class TestMeshPath:
         assert ca.in_causal_past(f, x, x)
         assert ca.causal_relation(*ca.past_regions(f, x, x)) is mk.CausalOrder.EQUAL
 
+    @pytest.mark.parametrize(
+        "ball, ball_holds_mesh, mesh_holds_ball",
+        [
+            (ca.Ball([0, 0, 0], 2.0), True, False),  # the mesh deep inside the ball
+            (ca.Ball([0, 0, 0], 0.1), False, True),  # the ball deep inside the mesh
+            (ca.Ball([3, 0, 0], 0.5), False, False),  # apart
+            (ca.Ball([0.3, 0, 0], 0.1), False, False),  # across the mesh's surface
+        ],
+        ids=["mesh-in-ball", "ball-in-mesh", "apart", "across"],
+    )
+    def test_a_ball_and_a_mesh_compare_in_both_orders(
+        self, ball, ball_holds_mesh, mesh_holds_ball
+    ):
+        # (Ball, Mesh) raised AttributeError on Mesh.center and (Mesh, Ball)
+        # on Ball.vertices; the mesh is the sky image of radius
+        # 10 ln(1.06 / 1.03) = 0.287 about the origin
+        f = fr.FrameSpec(
+            metric=mf.metric_from_config(README_METRIC), target=fr.CauchySurface(0.3)
+        )
+        [mesh] = ca.mesh_regions(f, [[0.6, 0.0, 0.0, 0.0]], sky.sample_sky(48))
+        radii = np.linalg.norm(mesh.vertices, axis=1)
+        assert np.allclose(radii, 10.0 * np.log(1.06 / 1.03), rtol=1e-6)
+        order = mk.CausalOrder.of(ball_holds_mesh, mesh_holds_ball)
+        assert ca.causal_relation(ball, mesh) is order
+        assert ca.causal_relation(mesh, ball) is mk.CausalOrder.of(mesh_holds_ball, ball_holds_mesh)
+
     def test_dented_mesh_matches_its_radial_oracle(self):
         mesh, radius = _dented_mesh(sky.sample_sky(400))
         rng = np.random.default_rng(9)

@@ -9,6 +9,7 @@ import pytest
 from skyframes import frames as fr
 from skyframes import manifold as mf
 from skyframes import sky, spinor
+from skyframes import verify as vf
 from skyframes.errors import (
     DivergentIntegralError,
     NoIntersectionError,
@@ -77,7 +78,7 @@ class TestProjectEvent:
         with pytest.raises(OutOfDomainError):
             fr.project_batch(flrw_frame, events, np.tile(XI_TO_ZHAT, (2, 1)))
 
-    @pytest.mark.parametrize("tracer", ["closed_form", "numeric"])
+    @pytest.mark.parametrize("tracer", ["auto", "numeric"])
     def test_zero_sky_point_raises(self, tracer):
         # the closed form raised "no finite end point" and the numeric
         # tracer came back with a silent not-ok ray
@@ -95,12 +96,12 @@ class TestProjectEvent:
         events = np.array([[2.0, 0.1, 0, 0], [1.5, 0, 0.3, 0]])
         xis = sky.sample_sky(4, scheme="random", seed=1).xi[:2]
         lams = {}
-        for tracer in ("closed_form", "numeric"):
+        for tracer in ("auto", "numeric"):
             f = fr.FrameSpec(metric=metric, target=fr.CauchySurface(1.0), tracer=tracer)
             _, lams[tracer], ok, _ = fr.project_batch(f, events, xis)
             assert np.all(ok)
         expected = events[:, 0] * np.log(events[:, 0])
-        assert np.allclose(lams["closed_form"], expected, rtol=1e-14)
+        assert np.allclose(lams["auto"], expected, rtol=1e-14)
         assert np.allclose(lams["numeric"], expected, rtol=1e-5)
         # toward the singularity the length diverges for p <= -1; the
         # numeric tracer's gap closing came back ok with inf (p = -1) or a
@@ -108,7 +109,7 @@ class TestProjectEvent:
         # OutOfDomainError where the expression 1/t raised
         # DivergentIntegralError (the expression stays off the numeric
         # tracer, whose finite-difference a'(t) loses its rays at the cutoff)
-        both = ("closed_form", "numeric")
+        both = ("auto", "numeric")
         for metric, tracers in (
             (mf.MetricSpec.flrw(p=-1.0), both),
             (mf.MetricSpec.flrw(p=-1.5), both),
@@ -139,7 +140,7 @@ class TestProjectEvent:
         assert ok[0]
         assert np.linalg.norm(pts[0]) == pytest.approx(1.0, abs=1e-15)
 
-    @pytest.mark.parametrize("tracer", ["closed_form", "numeric"])
+    @pytest.mark.parametrize("tracer", ["auto", "numeric"])
     def test_zero_rows_give_empty_results(self, tracer):
         # np.abs(t).max() raised numpy's "zero-size array to reduction" error
         f = fr.FrameSpec(metric=mf.MetricSpec.flrw(p=2 / 3), target=fr.Singularity(), tracer=tracer)
@@ -185,6 +186,26 @@ class TestFrameSpec:
             fr.FrameSpec(metric=metric, target=fr.CauchySurface(t0))
         with pytest.raises(ValueError, match="t0 > 0"):
             fr.FrameSpec(metric=mf.MetricSpec.flrw(p=0.5), target=fr.CauchySurface(0.0))
+
+    @pytest.mark.parametrize("metric", [mf.MetricSpec.minkowski(), mf.MetricSpec.flrw(p=0.5)])
+    def test_closed_form_is_not_a_tracer_value(self, metric):
+        # "closed_form" was an alias of "auto" on flat and FLRW charts
+        with pytest.raises(ValueError, match="unknown tracer 'closed_form'"):
+            fr.FrameSpec(metric=metric, target=fr.CauchySurface(1.0), tracer="closed_form")
+
+    def test_the_contact_check_and_project_batch_share_one_trace(self, monkeypatch):
+        # both asked manifold for their start directions and their stop
+        # level on their own; now each makes one _trace call
+        f = fr.FrameSpec(
+            metric=mf.MetricSpec.flrw(p=0.5), target=fr.Singularity(), tracer="numeric"
+        )
+        calls, trace = [], fr._trace
+        monkeypatch.setattr(fr, "_trace", lambda *a: calls.append(len(a[1])) or trace(*a))
+        events = np.array([[1.0, 0, 0, 0], [1.5, 0.2, -0.1, 0.3]])
+        xis = sky.sample_sky(4, scheme="random", seed=2).xi[:2]
+        fr.project_batch(f, events, xis)
+        vf.check_contact_annihilation(f, events, xis)
+        assert calls == [2, 2]
 
 
 class TestSkyImage:
@@ -246,7 +267,7 @@ class TestSkyImage:
                 [1.0, 2.0, 0, 0],
                 sample,
             )
-            for tracer in ("closed_form", "numeric")
+            for tracer in ("auto", "numeric")
         )
         assert closed.status == numeric.status
         assert closed.status.count("ok") == 27
@@ -315,7 +336,7 @@ class TestQuadrature:
         xis = sky.sample_sky(6, scheme="random", seed=6).xi
         t, t0 = events[:, 0], 0.3
         expected = (t + 0.05 * t**2 - t0 - 0.05 * t0**2) / (1 + 0.1 * t)
-        for tracer, rtol in (("closed_form", 1e-12), ("numeric", 1e-5)):
+        for tracer, rtol in (("auto", 1e-12), ("numeric", 1e-5)):
             f = fr.FrameSpec(metric=metric, target=fr.CauchySurface(t0), tracer=tracer)
             _, lams, ok, _ = fr.project_batch(f, events, xis)
             assert np.all(ok)
@@ -345,6 +366,48 @@ class TestSingularityGap:
         assert np.abs(pts_a - pts_p).max() <= 1e-9
         assert np.abs(lam_a - lam_p).max() <= 1e-9
         assert lam_p[0] - 1.0 == pytest.approx(0.01 / (1.5 * np.exp(0.3)), rel=1e-12)
+
+
+def _stereographic(p):
+    """The point of the unit 3-sphere in R^4 whose stereographic image is p (k, 3)."""
+    r2 = np.einsum("ki,ki->k", p, p)
+    return np.column_stack([(1.0 - r2) / (1.0 + r2), 2.0 * p / (1.0 + r2)[:, None]])
+
+
+class TestCompactifiedMinkowskiOracle:
+    """ds^2 = dT^2 - 4 |dx|^2 / (1 + |x|^2)^2 is the Einstein static universe
+    R x S^3 in stereographic coordinates: a past null ray from (T, p) runs
+    along a great circle at unit angular speed, so each image point m on
+    T = T_T lies at the angle T - T_T from p on the sphere, and the affine
+    length with dT/dlambda = 1 is T - T_T.  The chart depends on x, y and
+    z, so every ray takes the per-node loop."""
+
+    COEFFS = ["1"] + ["-4/(1+x*x+y*y+z*z)**2"] * 3
+
+    @pytest.mark.parametrize(
+        "event, t0, bounds, arrived",
+        [
+            ([1.0, 0.0, 0.0, 0.0], 0.0, None, 400),
+            ([1.2, 0.3, -0.2, 0.1], 0.0, None, 400),
+            ([2.0, 0.5, 0.4, -0.3], 0.5, None, 400),
+            ([0.8, -0.6, 0.2, 0.4], -0.4, None, 400),
+            # rays that pass near the pole run out of the box and leave
+            ([2.5, 0.6, 0.4, -0.3], 0.0, [[None, None]] + [[-50, 50]] * 3, 395),
+        ],
+    )
+    def test_image_points_lie_at_the_elapsed_angle(self, event, t0, bounds, arrived):
+        config = {"kind": "custom", "coeffs": self.COEFFS}
+        if bounds is not None:
+            config["bounds"] = bounds
+        f = fr.FrameSpec(metric=mf.metric_from_config(config), target=fr.CauchySurface(t0))
+        event = np.array(event)
+        xis = sky.sample_sky(400).xi
+        pts, lams, ok, lost = fr.project_batch(f, np.tile(event, (len(xis), 1)), xis)
+        assert ok.sum() == arrived and not lost.any()
+        cosine = _stereographic(pts[ok]) @ _stereographic(event[None, 1:])[0]
+        elapsed = event[0] - t0
+        assert np.abs(np.arccos(np.clip(cosine, -1.0, 1.0)) - elapsed).max() <= 1e-5
+        assert np.abs(lams[ok] - elapsed).max() <= 1e-7
 
 
 class TestUnsettledNumericImage:
