@@ -23,9 +23,9 @@ from .minkowski import GraphFrame
 
 USAGE_ERROR, DOMAIN_ERROR = 2, 1
 
-#: The JSON type of each key a config file may hold: the common flags, plus
-#: the metric schema of `manifold.metric_from_config` (`metric` and `kind`
-#: both name the kind).
+#: The JSON type of each key a config file may hold: the flags of every
+#: command, as one file serves them all, plus the metric schema of
+#: `manifold.metric_from_config` (`metric` and `kind` both name the kind).
 CONFIG_TYPES = {
     "metric": "string", "p": "number", "a_expr": "string", "target": "string",
     "frame": "string", "n": "integer", "seed": "integer", "tol": "number",
@@ -123,7 +123,7 @@ def cmd_pauli(opts):
 
 
 def cmd_sky_image(opts):
-    sample = sky.sample_sky(int(opts.get("n", 500)), seed=opts.get("seed"))
+    sample = sky.sample_sky(int(opts.get("n", 500)))
     event = _parse_vec(opts["event"])
     metric = mf.metric_from_config(opts)
     if _graph_frame(opts, metric):
@@ -210,33 +210,35 @@ def build_parser():
     parser.add_argument("--config", help="JSON config file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--metric", choices=CHOICES["metric"])
-    common.add_argument("--p", type=float, help="power-law scale-factor exponent")
-    common.add_argument("--a-expr", dest="a_expr", help="scale factor a(t) expression")
-    common.add_argument("--target", type=target_surface, help="cauchy:t0 or singularity")
-    common.add_argument("--frame", choices=CHOICES["frame"])
-    common.add_argument("--n", type=int)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--tol", type=float)
-    common.add_argument("--out")
-    common.add_argument("--format", choices=CHOICES["format"])
+    frame_flags = argparse.ArgumentParser(add_help=False)  # the metric and frame of a command
+    frame_flags.add_argument("--metric", choices=CHOICES["metric"])
+    frame_flags.add_argument("--p", type=float, help="power-law scale-factor exponent")
+    frame_flags.add_argument("--a-expr", dest="a_expr", help="scale factor a(t) expression")
+    frame_flags.add_argument("--target", type=target_surface, help="cauchy:t0 or singularity")
+    frame_flags.add_argument("--frame", choices=CHOICES["frame"])
 
-    p = sub.add_parser("pauli", parents=[common], help="transform a 4-vector")
+    p = sub.add_parser("pauli", help="transform a 4-vector")
     p.add_argument("--vec", required=True, help="four comma-separated components")
     p.add_argument("--factor", action="store_true", help="also factor a null vector")
     p.set_defaults(func=cmd_pauli)
 
-    p = sub.add_parser("sky-image", parents=[common], help="project a sky to M")
+    p = sub.add_parser("sky-image", parents=[frame_flags], help="project a sky to M")
+    p.add_argument("--n", type=int)
+    p.add_argument("--out")
+    p.add_argument("--format", choices=CHOICES["format"])
     p.add_argument("--event", required=True)
     p.set_defaults(func=cmd_sky_image)
 
-    p = sub.add_parser("causal", parents=[common], help="order two events")
+    p = sub.add_parser("causal", parents=[frame_flags], help="order two events")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.set_defaults(func=cmd_causal)
 
-    p = sub.add_parser("verify", parents=[common], help="run verification suites")
+    p = sub.add_parser("verify", parents=[frame_flags], help="run verification suites")
+    p.add_argument("--n", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--out")
     p.add_argument(
         "--suite",
         required=True,
@@ -249,9 +251,13 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code else 0
+    if unknown:  # a flag the command does not take: one line, not the usage
+        print(f"skyframes {args.command}: error: unrecognized arguments: {' '.join(unknown)}",
+              file=sys.stderr)
+        return USAGE_ERROR
     try:
         # One settings mapping: every flag given beats the config, which
         # beats each command's defaults.

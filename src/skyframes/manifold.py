@@ -42,9 +42,9 @@ from __future__ import annotations
 
 import ast
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Callable
 
 import numpy as np
 
@@ -70,9 +70,9 @@ class MetricSpec:
 
     kind: str
     exponent: float | None = None
-    scale_factor_fn: Callable | None = None
     bounds: np.ndarray = field(default_factory=lambda: _default_bounds(False))
-    _expressions: _ExpressionMetric | None = field(
+    # compiled: the coefficients of a custom metric, or a(t) of an FLRW one
+    _expressions: _ExpressionMetric | _FusedExpressions | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -84,19 +84,18 @@ class MetricSpec:
         return MetricSpec(kind="minkowski", bounds=b)
 
     @staticmethod
-    def flrw(p=None, a=None, bounds=None):
-        """Spatially flat cosmology ds^2 = dt^2 - a(t)^2 dx.dx, t > 0."""
-        if (p is None) == (a is None):
-            raise ValueError("give exactly one of the exponent p or a callable a")
+    def flrw(p=None, a_expr=None, bounds=None):
+        """Spatially flat cosmology ds^2 = dt^2 - a(t)^2 dx.dx, t > 0, with
+        a = t^p or the expression a_expr of t, compiled once."""
+        if (p is None) == (a_expr is None):
+            raise ValueError("give exactly one of the exponent p or the expression a_expr")
         if p is not None and not math.isfinite(float(p)):
             raise ValueError(f"exponent p must be finite, got {p}")
         b = _default_bounds(True) if bounds is None else np.asarray(bounds, float)
-        return MetricSpec(
-            kind="flrw",
-            exponent=None if p is None else float(p),
-            scale_factor_fn=a,
-            bounds=b,
-        )
+        if p is not None:
+            return MetricSpec(kind="flrw", exponent=float(p), bounds=b)
+        a = _FusedExpressions([_parse_expression(a_expr, names=("t",))])
+        return MetricSpec(kind="flrw", bounds=b, _expressions=a)
 
     @staticmethod
     def custom_diagonal(sources, bounds=None):
@@ -116,7 +115,7 @@ class MetricSpec:
         t = np.asarray(t, dtype=float)
         if self.exponent is not None:
             return t**self.exponent
-        return self.scale_factor_fn(t)
+        return self._expressions([t])[0]
 
     def scale_factor_dot(self, t):
         t = np.asarray(t, dtype=float)
@@ -124,7 +123,8 @@ class MetricSpec:
             p = self.exponent
             return p * t ** (p - 1.0) if p != 0.0 else np.zeros_like(t)
         h = 1e-7 * np.maximum(1.0, np.abs(t))
-        return (self.scale_factor_fn(t + h) - self.scale_factor_fn(t - h)) / (2 * h)
+        a = self._expressions
+        return (a([t + h])[0] - a([t - h])[0]) / (2 * h)
 
     def metric_diag(self, x):
         """Diagonal metric coefficients at chart points x (..., 4)."""
@@ -568,7 +568,7 @@ def _scale_integral(m: MetricSpec, t, t_from, k):
         raise ValueError("scale-factor integrals need an expanding-cosmology metric")
     if t_from < 0.0 or (np.less_equal(t, 0.0).any() if t.ndim else float(t) <= 0.0):
         raise OutOfDomainError("scale-factor integrals are defined for t > 0")
-    p, fn = m.exponent, m.scale_factor_fn
+    p, fn = m.exponent, m.scale_factor
     if p is None:  # one quadrature over the distinct times
         times, inverse = np.unique(t.ravel(), return_inverse=True)
         integrand = fn if k > 0 else lambda s: 1 / fn(s)
@@ -678,34 +678,74 @@ _EXPR_NAMES = ("t", "x", "y", "z")
 _EVAL_GLOBALS = {"__builtins__": {}, "_log": np.log}
 
 
+def _power(a, b):
+    """a ** b; an integer power past the float range is refused before it
+    is computed (10**10**10 would take minutes and gigabytes)."""
+    if isinstance(a, int) and isinstance(b, int) and b > 0 and abs(a) > 1:
+        if b * (abs(a).bit_length() - 1) > 1024:
+            raise OverflowError("integer power past the float range")
+    return a**b
+
+
+#: The Python operation of each operator of the grammar.
+_OPS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.Pow: _power, ast.USub: operator.neg,
+    ast.UAdd: operator.pos,
+}
+
+
+def _value(node):
+    """The value of a tree as its compiled code computes it (Python int and
+    float arithmetic), or None if it names a variable.  Every part without
+    names is computed once, and one with no real float value (0/0, 0**-9,
+    (-1)**0.5, an integer past the float range such as 10**400) raises
+    ArithmeticError naming the part; inf and NaN pass."""
+    if isinstance(node, ast.Name):
+        return None
+    args = ()
+    if not isinstance(node, ast.Constant):
+        parts = (node.operand,) if isinstance(node, ast.UnaryOp) else (node.left, node.right)
+        args = [_value(part) for part in parts]
+        if None in args:
+            return None
+    try:
+        value = node.value if isinstance(node, ast.Constant) else _OPS[type(node.op)](*args)
+        float(value)  # TypeError if complex, OverflowError past the float range
+    except (ArithmeticError, TypeError):
+        raise ArithmeticError(ast.unparse(node)) from None
+    return value
+
+
 def _parse_expression(src: str, names=_EXPR_NAMES):
     """The AST body of an arithmetic expression of the chart variables
     names, a leading part of t, x, y, z.
 
-    Grammar: numbers, the names, +, -, *, /, ** and unary minus.
+    Grammar: numbers, the names, +, -, *, /, ** and unary minus.  Every
+    part without names must have a real float value (`_value`); the tree
+    keeps its own constants.
     """
     if not isinstance(src, str):
         raise ValueError(f"metric expression {src!r} is not a string")
     try:
         tree = ast.parse(src, mode="eval")
+        for node in ast.walk(tree):
+            if not isinstance(node, _ALLOWED_NODES):
+                raise ValueError(f"disallowed syntax in metric expression: {src!r}")
+            if isinstance(node, ast.Name) and node.id not in names:
+                known = ", ".join(names)
+                raise ValueError(f"unknown name {node.id!r} in {src!r}, an expression of {known}")
+            if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
+                raise ValueError("only numeric constants are allowed")
+        _value(tree.body)
     except SyntaxError as exc:  # IndentationError too
         raise ValueError(f"metric expression {src!r} does not parse: {exc.msg}") from exc
-    except (RecursionError, MemoryError) as exc:  # the parser's stack limits
+    except (RecursionError, MemoryError) as exc:  # the stack limits of the parser or `_value`
         raise ValueError(f"metric expression {src!r} nests too deeply to parse") from exc
-    for node in ast.walk(tree):
-        if not isinstance(node, _ALLOWED_NODES):
-            raise ValueError(f"disallowed syntax in metric expression: {src!r}")
-        if isinstance(node, ast.Name) and node.id not in names:
-            known = ", ".join(names)
-            raise ValueError(f"unknown name {node.id!r} in {src!r}, an expression of {known}")
-        if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
-            raise ValueError("only numeric constants are allowed")
+    except ArithmeticError as exc:  # a part named by `_value`
+        message = f"metric expression {src!r} has a part {exc.args[0]!r} with no real float value"
+        raise ValueError(message) from exc
     return tree.body
-
-
-def _compile(body):
-    tree = ast.fix_missing_locations(ast.Expression(body=body))
-    return compile(tree, "<metric-expression>", "eval")
 
 
 # Symbolic derivatives over the same grammar.  The builders fold the
@@ -725,9 +765,8 @@ def _constant(node):
     if any(isinstance(n, ast.Name) for n in ast.walk(node)):
         return None
     try:
-        value = eval(_compile(node), _EVAL_GLOBALS)  # noqa: S307 - AST-filtered
-        value = float(value)
-    except (ArithmeticError, TypeError):
+        value = float(_value(node))
+    except ArithmeticError:
         value = math.nan
     if not math.isfinite(value):
         raise ValueError(f"metric expression {ast.unparse(node)!r} has no finite value")
@@ -829,7 +868,8 @@ class _FusedExpressions:
             index = distinct.setdefault(ast.dump(body), (len(distinct), body))[0]
             self.computed.append((slot, index))
         elts = [body for _, body in distinct.values()]
-        self.code = _compile(ast.Tuple(elts=elts, ctx=ast.Load()))
+        tree = ast.Expression(body=ast.Tuple(elts=elts, ctx=ast.Load()))
+        self.code = compile(ast.fix_missing_locations(tree), "<metric-expression>", "eval")
 
     def __call__(self, rows):
         """Every body's value at the chart points whose coordinates are the
@@ -886,13 +926,7 @@ def metric_from_config(cfg: dict) -> MetricSpec:
     if kind == "minkowski":
         return MetricSpec.minkowski(bounds=bounds)
     if kind == "flrw":
-        if "p" in cfg and cfg["p"] is not None:
-            return MetricSpec.flrw(p=float(cfg["p"]), bounds=bounds)
-        if "a_expr" in cfg and cfg["a_expr"] is not None:
-            fused = _FusedExpressions([_parse_expression(cfg["a_expr"], names=("t",))])
-            a = lambda t: fused([np.asarray(t, dtype=float)])[0]
-            return MetricSpec.flrw(a=a, bounds=bounds)
-        raise ValueError("flrw metric needs 'p' or 'a_expr'")
+        return MetricSpec.flrw(p=cfg.get("p"), a_expr=cfg.get("a_expr"), bounds=bounds)
     if kind == "custom":
         sources = tuple(cfg.get("coeffs") or ())
         return MetricSpec.custom_diagonal(sources, bounds=bounds)

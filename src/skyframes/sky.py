@@ -47,10 +47,13 @@ class SkySample:
 
 
 def sample_sky(n, scheme="fibonacci", seed=None):
-    """Draw n distinct unit covectors; fibonacci is quasi-uniform on S^2."""
+    """Draw n distinct unit covectors; fibonacci is quasi-uniform on S^2 and
+    draws nothing, so it takes no seed."""
     if n < 4:
         raise BadCountError(f"need at least 4 sky samples, got {n}")
     if scheme == "fibonacci":
+        if seed is not None:
+            raise ValueError("the fibonacci sky draws nothing, so it takes no seed")
         i = np.arange(n)
         theta = 2.0 * np.pi * i / _GOLDEN
         cos_phi = 1.0 - 2.0 * (i + 0.5) / n

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import skyframes
 from skyframes import frames as fr
 from skyframes import manifold as mf
-from skyframes import sky
+from skyframes import cli, sky
 from skyframes.cli import CHOICES, CONFIG_TYPES, main
 
 
@@ -643,13 +643,124 @@ class TestGraphFrameNeedsFlatSpace:
     )
     def test_non_flat_metric_exits_2(self, capsys, tmp_path, argv):
         # verify and causal used to run the flat graph frame or the geodesic one
+        out_flag = [] if argv[0] == "causal" else ["--out", str(tmp_path / "out.json")]
         code, out, err = run(
-            capsys, *argv, "--frame", "graph", "--metric", "flrw", "--p", "0.5",
-            "--out", str(tmp_path / "out.json"),
+            capsys, *argv, "--frame", "graph", "--metric", "flrw", "--p", "0.5", *out_flag
         )
         assert code == 2
         assert "the graph frame is defined over the flat metric" in err
         assert not (tmp_path / "out.json").exists()
+
+
+class _ReadKeys(dict):
+    """Settings that record each key a command looks up."""
+
+    def __init__(self, opts, read):
+        super().__init__(opts)
+        self.read = read
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
+#: Runs that between them give each command every flag it takes.
+_FLAG_RUNS = {
+    "pauli": [("--vec", "1,0,0,1", "--factor")],
+    "sky-image": [
+        ("--metric", "flrw", "--p", "0.5", "--target", "cauchy:0.5", "--frame", "geodesic",
+         "--n", "8", "--out", "img.csv", "--format", "csv", "--event", "1,0,0,0"),
+        ("--metric", "flrw", "--a-expr", "t**0.5", "--event", "1,0,0,0", "--n", "8",
+         "--out", "img.json"),
+    ],
+    "causal": [
+        ("--metric", "flrw", "--p", "0.5", "--target", "singularity", "--frame", "geodesic",
+         "--x", "1,0,0,0", "--y", "0.25,0,0,0"),
+        ("--metric", "flrw", "--a-expr", "t**0.5", *CAUSAL[1:]),
+    ],
+    "verify": [
+        ("--metric", "flrw", "--p", "0.5", "--target", "cauchy:0.5", "--frame", "geodesic",
+         "--n", "4", "--seed", "3", "--tol", "1e-3", "--out", "rep.json", "--suite", "all"),
+        ("--metric", "flrw", "--a-expr", "t**0.5", "--suite", "twistor", "--n", "4",
+         "--out", "rep.json"),
+    ],
+}
+
+
+#: Per command: a run it takes, and each flag it no longer takes (18 of
+#: the 46), with a value the flag took.
+_NOT_TAKEN = {
+    ("pauli", "--vec", "1,0,0,1"): (
+        "--metric flrw", "--p 0.5", "--a-expr t", "--target singularity", "--frame graph",
+        "--n 5", "--seed 1", "--tol -1", "--out x.json", "--format csv",
+    ),
+    ("sky-image", "--event", "1,0,0,0", "--n", "8"): ("--seed 3", "--tol 1"),
+    CAUSAL: ("--n 2", "--seed 1", "--tol nan", "--out x.json", "--format csv"),
+    ("verify", "--suite", "twistor", "--n", "4"): ("--format csv",),
+}
+
+
+def _flags(parser):
+    """The destinations of a parser's flags, --help aside."""
+    return [action.dest for action in parser._actions if action.dest != "help"]
+
+
+class TestFlagsPerCommand:
+    def test_each_command_reads_every_flag_it_takes(self, monkeypatch, tmp_path, capsys):
+        # every command took all ten common flags, read or not (46 in all)
+        monkeypatch.chdir(tmp_path)
+        commands = cli.build_parser()._subparsers._group_actions[0].choices
+        counts = {}
+        for name, parser in commands.items():
+            func, read, given = parser.get_default("func"), set(), set()
+            monkeypatch.setattr(cli, func.__name__, lambda opts, f=func: f(_ReadKeys(opts, read)))
+            for argv in _FLAG_RUNS[name]:
+                read.clear()
+                assert main([name, *argv]) == 0, capsys.readouterr().err
+                flags = {flag[2:].replace("-", "_") for flag in argv if flag.startswith("--")}
+                looked_up = {"metric" if key == "kind" else key for key in read}  # main's merge
+                assert flags <= looked_up, (name, flags - looked_up)
+                given |= flags
+            assert given == set(_flags(parser)), name
+            counts[name] = len(given)
+        assert counts == {"pauli": 2, "sky-image": 9, "causal": 7, "verify": 10}
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            pytest.param(argv, flag, id=f"{argv[0]} {flag}")
+            for argv, flags in _NOT_TAKEN.items()
+            for flag in flags
+        ],
+    )
+    def test_a_flag_the_command_does_not_take_exits_2(self, monkeypatch, tmp_path, capsys,
+                                                       argv, flag):
+        # each exited 0 with the flag ignored: causal --out wrote nothing,
+        # sky-image --seed drew the same sky, verify --format csv wrote JSON
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv, *flag.split())
+        assert code == 2 and out == "" and list(tmp_path.iterdir()) == []
+        assert err == f"skyframes {argv[0]}: error: unrecognized arguments: {flag}\n"
+
+    def test_p_and_a_expr_together_exit_2(self, capsys, tmp_path):
+        # p won, from a flag or from the config: the radius was 2, of p = 0.5
+        argv = ("causal", "--metric", "flrw", "--a-expr", "t**0.6666666666666666",
+                "--target", "singularity", "--x", "1,0,0,0", "--y", "0.125,0,0,0")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"metric": "flrw", "p": 0.5}))
+        message = "ValueError: give exactly one of the exponent p or the expression a_expr\n"
+        for both in (run(capsys, *argv, "--p", "0.5"), run(capsys, "--config", str(cfg), *argv)):
+            assert both == (2, "", message)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.splitlines()[1].startswith("radius_x: 3  ")
 
 
 class TestConfigKeys:
@@ -862,6 +973,39 @@ def test_string_config_values_end_in_an_exit_code(tmp_path_factory, values):
 
 
 class TestNonFiniteAndDegenerateInputs:
+    @pytest.mark.parametrize(
+        "key, src, part",
+        [
+            ("a_expr", "t+0/0", "0 / 0"),
+            ("a_expr", "t+0**-9", "0 ** (-9)"),
+            ("a_expr", "t-(-1)**0.5+2", "(-1) ** 0.5"),
+            ("a_expr", "t*10**10**10", "10 ** 10 ** 10"),
+            ("a_expr", "t*10**400", "10 ** 400"),
+            ("a_expr", "t*(10**300*10**300)**10**300", "10 ** 300 * 10 ** 300"),
+            ("coeffs", "-1-(-1)**0.5*0-t*t", "(-1) ** 0.5"),
+        ],
+    )
+    def test_constant_part_without_a_real_value_exits_2_in_one_line(
+        self, capsys, recwarn, tmp_path, key, src, part
+    ):
+        # 0/0 and 0**-9 raised ZeroDivisionError; (-1)**0.5 printed numpy's
+        # ComplexWarning and exited 0 with the imaginary part dropped;
+        # 10**10**10 ran as an integer power that did not finish in minutes,
+        # and 10**400 exited 1 as out of float range.  In float arithmetic
+        # the last product would be inf and its power would pass
+        if key == "coeffs":
+            cfg = tmp_path / "custom.json"
+            cfg.write_text(json.dumps({"kind": "custom", "coeffs": ["1", src, "-1", "-1"]}))
+            argv = ("--config", str(cfg), *CAUSAL)
+        else:
+            argv = ("sky-image", "--metric", "flrw", "--a-expr", src, "--event", "1,0,0,0",
+                    "--target", "cauchy:0.5", "--n", "8", "--out", str(tmp_path / "i.json"))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and not recwarn.list
+        message = f"metric expression {src!r} has a part {part!r} with no real float value"
+        assert err == f"ValueError: {message}\n"
+        assert not (tmp_path / "i.json").exists()
+
     def test_nan_vector_exits_2(self, capsys):
         code, out, err = run(capsys, "pauli", "--vec", "1,0,0,nan", "--factor")
         assert code == 2

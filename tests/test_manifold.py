@@ -1,3 +1,4 @@
+import ast
 import math
 import re
 import warnings
@@ -184,8 +185,6 @@ class TestExpressionDerivatives:
         ],
     )
     def test_rules_and_folding(self, src, name, expected):
-        import ast
-
         assert ast.unparse(mf._diff(mf._parse_expression(src), name)) == expected
 
     @pytest.mark.parametrize(
@@ -424,7 +423,7 @@ class TestConformalTime:
         )
 
     def test_quadrature_path_matches_closed_form(self):
-        m = mf.MetricSpec.flrw(a=lambda t: t ** (2 / 3))
+        m = mf.MetricSpec.flrw(a_expr="t ** (2 / 3)")
         assert mf.conformal_time(m, 1.0) == pytest.approx(3.0, rel=1e-9)
 
     def test_divergent_exponent(self):
@@ -433,7 +432,7 @@ class TestConformalTime:
 
     def test_divergent_quadrature(self):
         with pytest.raises(DivergentIntegralError):
-            mf.conformal_time(mf.MetricSpec.flrw(a=lambda t: t), 1.0)
+            mf.conformal_time(mf.MetricSpec.flrw(a_expr="t"), 1.0)
 
     @pytest.mark.parametrize("a_expr", ["t-0.5", "t-0.3"])
     def test_scale_factor_through_zero_diverges(self, a_expr):
@@ -522,15 +521,15 @@ class TestConformalTime:
         assert eta.tolist() == (mf.conformal_time(m, times) - mf.conformal_time(m, 0.3)).tolist()
 
     @pytest.mark.parametrize(
-        "a", [lambda t: t**1.5, lambda t: 1e20 * t], ids=["t**1.5", "1e20*t"]
+        "a_expr", ["t**1.5", "1e20 * t"], ids=["t**1.5", "1e20*t"]
     )
-    def test_divergent_quadrature_never_comes_back_finite(self, a):
+    def test_divergent_quadrature_never_comes_back_finite(self, a_expr):
         # quad's extrapolation returned -2.0 for t**1.5
         with pytest.raises(DivergentIntegralError):
-            mf.conformal_time(mf.MetricSpec.flrw(a=a), 1.0)
+            mf.conformal_time(mf.MetricSpec.flrw(a_expr=a_expr), 1.0)
 
     def test_steep_but_convergent_quadrature(self):
-        m = mf.MetricSpec.flrw(a=lambda t: t**0.9)
+        m = mf.MetricSpec.flrw(a_expr="t**0.9")
         assert mf.conformal_time(m, 1.0) == pytest.approx(10.0, rel=1e-9)
 
     def test_needs_positive_time(self):
@@ -544,7 +543,7 @@ class TestConformalTime:
         [
             mf.MetricSpec.minkowski(),
             mf.MetricSpec.flrw(p=2 / 3),
-            mf.MetricSpec.flrw(a=lambda t: t**0.5),
+            mf.MetricSpec.flrw(a_expr="t**0.5"),
         ],
     )
     def test_arrays_match_scalar_calls(self, metric):
@@ -618,6 +617,23 @@ class TestConfig:
         for src, name in (("t + q", "q"), ("t + x", "x")):
             with pytest.raises(ValueError, match=f"unknown name '{name}'"):
                 mf.metric_from_config({"kind": "flrw", "a_expr": src})
+
+    @pytest.mark.parametrize("cfg", [{"p": 0.5, "a_expr": "t**0.5"}, {}], ids=["both", "neither"])
+    def test_flrw_takes_exactly_one_scale_factor(self, cfg):
+        # with both, p won and the expression was dropped
+        with pytest.raises(ValueError, match="give exactly one of the exponent p"):
+            mf.metric_from_config(dict(cfg, kind="flrw"))
+
+    @pytest.mark.parametrize("src", ["t*2**3/7", "-1e400*t*t-1", "t+1e400-1e400"])
+    def test_constant_parts_are_checked_not_folded(self, src):
+        # the check evaluates parts in float arithmetic; the tree keeps its
+        # constants, and an infinite or NaN part passes to the signature guards
+        assert ast.dump(mf._parse_expression(src)) == ast.dump(ast.parse(src, mode="eval").body)
+
+    @pytest.mark.parametrize("src", ["2**0.5/3", "-(7/3)**-2", "2**1023*1.5", "3**40+1"])
+    def test_constant_values_are_pythons(self, src):
+        # folded constants keep the value the compiled expression computes
+        assert mf._constant(mf._parse_expression(f"t+({src})").right) == float(eval(src))
 
     def test_nan_coefficient_is_a_lost_signature(self):
         # (1+t)**1.2 is NaN for t < -1: the chart was built, with warnings,
@@ -1019,7 +1035,7 @@ def _t_only_rays(name, nan_v0=False):
     m = make()
     rng = np.random.default_rng(1)
     x0 = np.column_stack([times, rng.uniform(-2.5, 2.5, (len(times), 3))])
-    v0 = mf.future_null_directions(m, x0, sky.sample_sky(len(times), seed=2).directions())
+    v0 = mf.future_null_directions(m, x0, sky.sample_sky(len(times)).directions())
     if nan_v0:
         v0[2] = np.nan
     return m, level, x0, v0
@@ -1384,7 +1400,7 @@ class TestIsotropicCustomCharts:
         times = [1.0, 1.0, 0.8, 1.3, 1.0, 2.0]
         rng = np.random.default_rng(1)
         x0 = np.column_stack([times, rng.uniform(-2.5, 2.5, (len(times), 3))])
-        v0 = mf.future_null_directions(m, x0, sky.sample_sky(len(times), seed=2).directions())
+        v0 = mf.future_null_directions(m, x0, sky.sample_sky(len(times)).directions())
         if nan_v0:
             v0[2] = np.nan
         with np.errstate(all="ignore"):
@@ -1600,7 +1616,7 @@ class TestLadderOnStarts:
         m, rng = make(), np.random.default_rng(4)
         times = np.linspace(1.0, 2.0, 24)
         x0 = np.column_stack([times, rng.uniform(-2.5, 2.5, (24, 3))])
-        v0 = mf.future_null_directions(m, x0, sky.sample_sky(24, seed=5).directions())
+        v0 = mf.future_null_directions(m, x0, sky.sample_sky(24).directions())
         v0[3], v0[5, 0] = np.nan, 1e-308  # E = 1e-308: lambda overflows inside the chart
         if cells:
             monkeypatch.setattr(mf, "_BLOCK_CELLS", cells)  # a node or two a block
@@ -1629,7 +1645,7 @@ class TestLadderOnStarts:
         times = [1.0] * 8 + [1.5, 0.9, 1.2, 1.0]
         rng = np.random.default_rng(1)
         x0 = np.column_stack([times, rng.uniform(-2.0, 2.0, (len(times), 3))])
-        v0 = mf.future_null_directions(m, x0, sky.sample_sky(len(times), seed=2).directions())
+        v0 = mf.future_null_directions(m, x0, sky.sample_sky(len(times)).directions())
         got, want = (mf.trace_past_to_time(c, x0, v0, level) for c in (m, loop))
         assert got.ok.tolist() == want.ok.tolist() and got.lost.tolist() == want.lost.tolist()
         for name in ("log_e", "lam"):

@@ -20,6 +20,11 @@ class TestSampleSky:
         with pytest.raises(BadCountError):
             sky.sample_sky(3)
 
+    def test_fibonacci_scheme_takes_no_seed(self):
+        # the seed was ignored: the points draw nothing
+        with pytest.raises(ValueError, match="takes no seed"):
+            sky.sample_sky(8, seed=1)
+
     def test_random_scheme_is_seed_deterministic(self):
         a = sky.sample_sky(32, scheme="random", seed=4)
         b = sky.sample_sky(32, scheme="random", seed=4)
