@@ -31,7 +31,8 @@ from .errors import InsufficientSamplesError, NoIntersectionError, OutOfDomainEr
 from .minkowski import CausalOrder
 from .sky import SkySample, sample_sky
 
-#: Closed-containment slack for analytic balls.
+#: Closed-containment slack for analytic balls, relative to the radius, so
+#: that verdicts do not depend on the scale of the events.
 BALL_TOL = 1e-9
 
 #: Points per winding-number pass in Mesh.contains_points; bounds the
@@ -63,7 +64,7 @@ class Ball:
 
     def contains_points(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.linalg.norm(pts - self.center, axis=-1) <= self.radius + BALL_TOL
+        return np.linalg.norm(pts - self.center, axis=-1) <= self.radius * (1.0 + BALL_TOL)
 
     def to_json_dict(self):
         return {
@@ -259,7 +260,7 @@ def _contains(outer: Region, inner: Region) -> bool:
         reach = math.sqrt(d.dot(d)) + inner.radius  # np.linalg.norm's own sum
         if not math.isfinite(reach):
             raise OutOfDomainError("the separation of the past regions overflows")
-        return reach <= outer.radius + BALL_TOL
+        return reach <= outer.radius * (1.0 + BALL_TOL)
     return bool(np.all(outer.contains_points(_boundary_cloud(inner))))
 
 
@@ -285,7 +286,7 @@ def locale_disjoint(b: ClosedSetUnion, k: Region) -> bool:
 def _regions_disjoint(a: Region, b: Region) -> bool:
     if isinstance(a, Ball) and isinstance(b, Ball):
         gap = float(np.linalg.norm(a.center - b.center))
-        return gap > a.radius + b.radius + BALL_TOL
+        return gap > (a.radius + b.radius) * (1.0 + BALL_TOL)
     return _sampled_disjoint(a, b)
 
 

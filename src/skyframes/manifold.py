@@ -18,11 +18,14 @@ flat or FLRW chart, or a custom chart of t alone with three equal spatial
 coefficients (FLRW with a lapse, ds^2 = N(t)^2 dt^2 - A(t)^2 dx.dx,
 detected when the metric is built), the slope depends on t alone, n is
 conserved and a ray is a straight comoving line.  There the tracer keys
-the distinct starts (t0, ln E, lambda) once, and each level of the ladder
-(`_t_level`) marches the displacement along n, ln E and lambda of the
-starts of its rays, all nodes of a block in array operations, and places
-each ray at x0 + n D; a ray inside and finite at a block's last node was
-so at every node, and only the others scan the block's nodes.  Any other
+the distinct starts (t0, ln E, lambda) once (a sky image's rays share
+one), and each level of the ladder (`_t_level`) marches the displacement
+along n, ln E and lambda of those starts, all nodes of a block in array
+operations, and places each ray at x0 + n D; a ray inside and finite at a
+block's last node was so at every node, and only the others scan the
+block's nodes.  Each level's result holds the unsettled rows only, and the
+ladder writes a row out, and re-keys the starts, only when rows settle, so
+a batch that settles whole on one level is that level's result.  Any other
 custom chart, and a level of one of t alone that loses its signature,
 steps every state node by node with `_bundle_slope` (`_march`, the one
 place that names where a ray meets a lost signature), compacting the
@@ -43,7 +46,7 @@ from __future__ import annotations
 import ast
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 
 import numpy as np
@@ -374,7 +377,8 @@ def _march(m: MetricSpec, t0, y0, t_target, n):
 
 @dataclass(frozen=True)
 class _Starts:
-    """A batch of rays on a chart of t alone, keyed by `_key_starts`."""
+    """A batch of rays on a chart of t alone, keyed by `_key_starts`: every
+    start is the start of one of the rays at least."""
 
     start: np.ndarray  # (B,) each ray's start
     s0: np.ndarray  # (U,) s of each start
@@ -385,14 +389,36 @@ class _Starts:
     t_target: float
     log: bool
 
+    def keep(self, rays):
+        """The rays of the mask rays (B,), keyed by their starts only, in
+        order; the columns are gathered with `np.compress` (row-major)."""
+        used = np.zeros(len(self.s0), dtype=bool)
+        used[self.start[rays]] = True
+        return replace(
+            self,
+            start=(np.cumsum(used) - 1)[self.start[rays]],
+            s0=self.s0[used],
+            span=self.span[used],
+            y0=np.compress(used, self.y0, 1),
+            x0=np.compress(rays, self.x0, 1),
+            n=np.compress(rays, self.n, 1),
+        )
+
 
 def _key_starts(t0, y0, t_target):
     """The rays of the times t0 (B,) and states y0 (8, B), keyed once by
     their distinct starts (t0, ln E, lambda), bit for bit, for the levels
-    `_t_level` marches to t_target."""
+    `_t_level` marches to t_target.  A batch whose 24-byte keys are all
+    equal, as every sky image's are, is one start without a sort; any
+    other goes to `np.unique`."""
     log = t_target > 0.0
-    keys = np.column_stack([t0, y0[6], y0[7]]).view(np.dtype((np.void, 24)))
-    _, first, start = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    keys = np.column_stack([t0, y0[6], y0[7]])
+    bits = keys.view(np.uint64)  # (B, 3)
+    if len(bits) and (bits == bits[0]).all():
+        first, start = np.zeros(1, dtype=np.intp), np.zeros(len(bits), dtype=np.intp)
+    else:
+        keys = keys.view(np.dtype((np.void, 24))).ravel()
+        _, first, start = np.unique(keys, return_index=True, return_inverse=True)
     s0 = np.log(t0[first]) if log else t0[first]
     span = (math.log(t_target) if log else t_target) - s0
     n = y0[3:6] / np.sqrt(np.sum(y0[3:6] ** 2, axis=0))
@@ -400,16 +426,16 @@ def _key_starts(t0, y0, t_target):
     return _Starts(start, s0, span, state, y0[:3], n, float(t_target), log)
 
 
-def _t_level(m: MetricSpec, st: _Starts, rows, n):
-    """The march of n nodes (as `_march` steps it) for the rays rows of st
-    on a chart whose slope depends on t alone: flat, FLRW, or custom and
+def _t_level(m: MetricSpec, st: _Starts, n):
+    """The march of n nodes (as `_march` steps it) for the rays of st on a
+    chart whose slope depends on t alone: flat, FLRW, or custom and
     isotropic in t alone; None if the coefficients lose their signature at
     a stage, for `_march` to name the point.  n is conserved, so a ray's
     node points are its start point plus n times a displacement D, and the
-    rows D, ln E and lambda are marched once per start of the rays, the
-    nodes of a block side by side in one row.  The slope factors `_t_rates`
-    are evaluated once per block at each stage fraction c = 0, 1/2 and 1.
-    The slopes of D and ln E do not depend on the state, so their RK4
+    rows D, ln E and lambda are marched once per start, the nodes of a
+    block side by side in one row.  The slope factors `_t_rates` are
+    evaluated once per block at each stage fraction c = 0, 1/2 and 1.  The
+    slopes of D and ln E do not depend on the state, so their RK4
     increments are h/6 (k1 + 2 k2 + 2 k2 + k4), which `np.cumsum` adds in
     the node-by-node order, so ln E has the bits of a node-by-node march;
     an `_rk4_step` from ln E at each node gives the lambda increments.
@@ -428,13 +454,11 @@ def _t_level(m: MetricSpec, st: _Starts, rows, n):
     carry the three rows on and hold O(block (rays + starts)) floats,
     `_BLOCK_CELLS` in all, scan included."""
     nodes = (np.arange(n + 1) / n) ** (2 if st.log else 1)
-    used = np.zeros(len(st.s0), dtype=bool)
-    used[st.start[rows]] = True
-    at = (np.cumsum(used) - 1)[st.start[rows]]  # each ray's column among the marched starts
-    s0, span, state = st.s0[used], st.span[used], st.y0[:, used][:, None]
-    x0, dirs = np.take(st.x0, rows, 1), np.take(st.n, rows, 1)  # a non-finite n shows in x0 + n D
-    b, u = len(rows), len(s0)
-    t, end = np.full(b, st.t_target), np.empty((3, b))  # time and state where rays stop
+    at, s0, span, state = st.start, st.s0, st.span, st.y0[:, None]
+    x0, dirs = st.x0, st.n  # a non-finite n shows in x0 + n D
+    b, u = len(at), len(s0)
+    x, end = np.empty((b, 4)), np.empty((3, b))  # end points, and the state where rays stop
+    x[:, 0] = st.t_target
     alive = np.ones(b, dtype=bool)  # the rays still marching
     block = max(1, _BLOCK_CELLS // (b + u + 1))
     for k0 in range(0, n, block):
@@ -471,10 +495,10 @@ def _t_level(m: MetricSpec, st: _Starts, rows, n):
         gone = left.any(axis=0)
         k, g, a = left.argmax(axis=0)[gone], scan[gone], a[gone]
         t_end = s.reshape(-1, u)[k, a] + h.reshape(-1, u)[k, a]
-        t[g], end[:, g] = np.exp(t_end) if st.log else t_end, state[:, k + 1, a]
+        x[g, 0], end[:, g] = np.exp(t_end) if st.log else t_end, state[:, k + 1, a]
         alive[g] = False
-    end[:, alive] = state[:, -1, at[alive]]
-    x = np.column_stack([t, (x0 + dirs * end[0]).T])
+    np.copyto(end, np.take(state[:, -1], at, 1), where=alive)
+    x[:, 1:] = (x0 + dirs * end[0]).T
     return TraceResult(x, dirs.T, end[1], end[2], alive, np.zeros(b, dtype=bool))
 
 
@@ -491,12 +515,16 @@ def trace_past_to_time(m: MetricSpec, x0, v0, t_target):
     estimate, the rows that failed at both, which keep this level's state.
     The others refine alone; at GRID_CAP they come back not ok and lost.
     Rows that leave the spatial domain or turn non-finite come back not
-    ok.  On a chart of t alone the starts are keyed once, and each level
-    marches the starts of the unsettled rows and places those rows
-    (`_t_level`); on any other chart, and at a level that `_t_level` gives
-    None for (a lost signature), each level is a `_march` of those rows.
-    Raises OutOfDomainError for a start event outside the domain or
-    below the level.
+    ok.  Each level gives the unsettled rows only (`_settled` compares it
+    with the level before), and each row comes back with the state of the
+    level that settled it: a batch that settles whole on one level is that
+    level's result, and only a batch whose rows settle apart is assembled.
+    On a chart of t alone the starts are keyed once, and re-keyed to those
+    of the unsettled rows when some settle; each level marches them and
+    places the rows (`_t_level`).  On any other chart, and at a level that
+    `_t_level` gives None for (a lost signature), each level is a `_march`
+    of the unsettled rows.  Raises OutOfDomainError for a start event
+    outside the domain or below the level.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 1:
@@ -508,28 +536,58 @@ def trace_past_to_time(m: MetricSpec, x0, v0, t_target):
     if np.any(x0[:, 0] < t_target - t_tol):
         raise OutOfDomainError("some start events lie below the target level")
     y0 = _bundle_start(m, x0, v0)
-    level = march = lambda rows, n: _march(m, x0[rows, 0], np.take(y0, rows, 1), t_target, n)
-    if _t_only(m):
-        starts = _key_starts(x0[:, 0], y0, t_target)
-        level = lambda rows, n: _t_level(m, starts, rows, n) or march(rows, n)
+    live = np.arange(len(x0))  # the rows of the batch not yet settled
+    starts = _key_starts(x0[:, 0], y0, t_target) if _t_only(m) else None
 
-    n, rows = GRID_START, np.arange(len(x0))
-    res = {k: np.copy(v) for k, v in vars(level(rows, n)).items()}
-    while len(rows) and n < GRID_CAP:
+    def level(n):
+        res = None if starts is None else _t_level(m, starts, n)
+        return res or _march(m, x0[live, 0], np.take(y0, live, 1), t_target, n)
+
+    parts, n = [], GRID_START  # (rows of the batch, their result) as they settle
+    coarse = level(n)
+    while len(live) and n < GRID_CAP:
         n *= 2
-        fine = level(rows, n)
-        both = res["ok"][rows] & fine.ok
-        coarse = rows[both]
-        end = np.column_stack([fine.x[both, 1:], fine.lam[both]])
-        err = np.abs(end - np.column_stack([res["x"][coarse, 1:], res["lam"][coarse]]))
-        scale = np.maximum(np.abs(end).max(axis=-1, initial=0.0), 1.0)
-        estimate_ok = np.all(err.max(axis=-1, initial=0.0) <= 15.0 * GRID_TOL * scale)
-        done = (both & estimate_ok) | ~(res["ok"][rows] | fine.ok)
-        for name, value in vars(fine).items():
-            res[name][rows] = value
-        rows = rows[~done]
-    res["ok"][rows], res["lost"][rows] = False, True
-    return TraceResult(**res)
+        fine = level(n)
+        done = _settled(coarse, fine)
+        if done.all():  # the common case: every live row settles on this level
+            parts.append((live, fine))
+            live = live[:0]
+        elif done.any():
+            parts.append((live[done], _rows(fine, done)))
+            live, fine = live[~done], _rows(fine, ~done)
+            if starts is not None:
+                starts = starts.keep(~done)
+        coarse = fine
+    if len(live):  # unsettled at GRID_CAP: the last level's state, not ok and lost
+        lost = np.ones(len(live), dtype=bool)
+        parts.append((live, replace(coarse, ok=~lost, lost=lost)))
+    if len(parts) == 1:
+        return parts[0][1]
+    fields = vars(coarse).values()
+    out = TraceResult(*(np.empty((len(x0),) + v.shape[1:], v.dtype) for v in fields))
+    for rows, res in parts:
+        for name, value in vars(res).items():
+            getattr(out, name)[rows] = value
+    return out
+
+
+def _settled(coarse: TraceResult, fine: TraceResult):
+    """The rows (B,) that the level fine settles after the level coarse:
+    all the rows that arrived at both, once every one of them passes the
+    step-doubling estimate, and the rows that failed at both.  The
+    estimate's maxima over the end point and lambda are column chains."""
+    both = coarse.ok & fine.ok
+    end = (fine.x[:, 1], fine.x[:, 2], fine.x[:, 3], fine.lam)
+    ref = (coarse.x[:, 1], coarse.x[:, 2], coarse.x[:, 3], coarse.lam)
+    err = reduce(np.maximum, [np.abs(e - r) for e, r in zip(end, ref)])
+    scale = np.maximum(reduce(np.maximum, [np.abs(e) for e in end]), 1.0)
+    estimate_ok = np.all((err <= 15.0 * GRID_TOL * scale) | ~both)
+    return (both & estimate_ok) | ~(coarse.ok | fine.ok)
+
+
+def _rows(res: TraceResult, mask):
+    """The rows of res where mask (B,) is set."""
+    return TraceResult(*(np.compress(mask, v, 0) for v in vars(res).values()))
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +618,11 @@ def _scale_integral(m: MetricSpec, t, t_from, k):
     """The integral of a^k over [t_from, t] for k = -1 or +1; floats and
     arrays as in `conformal_time`.  A power law t^p integrates to t^q / q
     with q = 1 + k p (ln(t / t_from) at q = 0), which diverges from 0 for
-    q <= 0; an expression takes one `_integral` over the distinct times."""
+    q <= 0; an expression takes one `_integral` over the distinct times,
+    and must be finite at each of them and at t_from > 0 (an infinite a,
+    as of 't*1e308*10', raises DivergentIntegralError naming the time).
+    The singularity end t_from = 0 is exempt: there a may overflow, as 1/t
+    does at the quadrature node nearest 0, whose 1/a is then its limit 0."""
     t = np.array(t, dtype=float)
     if m.kind == "minkowski":
         return t - t_from if t.ndim else float(t) - t_from
@@ -571,6 +633,13 @@ def _scale_integral(m: MetricSpec, t, t_from, k):
     p, fn = m.exponent, m.scale_factor
     if p is None:  # one quadrature over the distinct times
         times, inverse = np.unique(t.ravel(), return_inverse=True)
+        ends = np.append(times, t_from) if t_from > 0.0 else times  # inside the chart
+        with np.errstate(over="ignore", invalid="ignore"):  # named below
+            a = fn(ends)
+        bad = ~np.isfinite(a)  # 1 / a of an infinite a would pass as 0
+        if np.any(bad):
+            message = f"scale factor {a[bad][0]} at t = {ends[bad][0]:.12g} is not finite"
+            raise DivergentIntegralError(message)
         integrand = fn if k > 0 else lambda s: 1 / fn(s)
         out = _integral(integrand, t_from, times)[inverse].reshape(t.shape)
     elif (q := 1.0 + k * p) <= 0.0 and t_from == 0.0:

@@ -20,7 +20,7 @@ from .spinor import unit_cospinor  # the one covector normaliser, re-exported
 #: Bidegrees of homogeneity with a supported evaluation rule.
 SUPPORTED_SIGNATURES = {(1, 0), (0, 1), (1, 1), (2, 0)}
 
-#: Slack of `semidefinite`, relative to the largest entry (at least 1).
+#: Slack of `semidefinite`, relative to the largest entry.
 SEMIDEFINITE_TOL = 1e-12
 
 _GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -153,7 +153,7 @@ def hermitian_eigenvalues(h):
 def semidefinite(d):
     """Bool arrays (d >= 0, d <= 0) on the sky for Hermitian differences d
     (..., 2, 2): the extreme eigenvalues against SEMIDEFINITE_TOL times the
-    largest entry (at least 1), so the boundary counts as dominated;
+    largest entry, so the boundary counts as dominated at every scale;
     OutOfDomainError where an eigenvalue is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         eig = hermitian_eigenvalues(d)
@@ -161,8 +161,7 @@ def semidefinite(d):
         raise OutOfDomainError("a size-field difference exceeds float range")
     a = np.abs(d)
     entries = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
-    scale = np.maximum(reduce(np.maximum, entries), 1.0)
-    slack = SEMIDEFINITE_TOL * scale
+    slack = SEMIDEFINITE_TOL * reduce(np.maximum, entries)
     return eig[..., 0] >= -slack, eig[..., 1] <= slack
 
 

@@ -237,7 +237,7 @@ def test_criterion_10_integrator_order():
         for n in (8, 16, 32):
             # one ladder level of n nodes, run up to the reference time;
             # its lambda runs along the past-directed tangent
-            res = mf._t_level(metric, mf._key_starts(x0[:1], y0, ref_x[0]), np.arange(1), n)
+            res = mf._t_level(metric, mf._key_starts(x0[:1], y0, ref_x[0]), n)
             end = np.concatenate([res.x[0], res.velocity(metric)[0], -res.lam])
             errs.append(np.abs(end - ref).max())
         assert errs[0] / errs[1] >= 12.0

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skyframes import causality as ca
 from skyframes import frames as fr
@@ -137,13 +139,50 @@ class TestBallContainment:
             gap = rng.normal(size=3) * 10.0 ** rng.integers(-8, 2)
             b = ca.Ball(a.center + gap, rng.uniform(0, 2))
             reach = float(np.linalg.norm(a.center - b.center)) + b.radius
-            edge = reach - ca.BALL_TOL
+            edge = reach / (1.0 + ca.BALL_TOL)
             for radius in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)):
                 outer = ca.Ball(a.center, max(radius, 0.0))
-                expected = reach <= outer.radius + ca.BALL_TOL
+                expected = reach <= outer.radius * (1.0 + ca.BALL_TOL)
                 assert ca._contains(outer, b) == expected
                 verdicts.append(expected)
         assert 0.2 < np.mean(verdicts) < 0.9
+
+
+class TestVerdictsAtEveryScale:
+    """Both causal paths, the balls of the flat frame on t = 0 and the
+    spinor fields of `causal_compare_batch`, give the interval verdict of
+    pairs clear of the null cone by 1e-3 of their scale, at every scale:
+    their slacks are relative (an absolute slack of 1e-9 made every ball
+    contain every other below about 1e-9, and the spinor path's floor of 1
+    called spacelike pairs equal below about 1e-12)."""
+
+    FLAT = fr.FrameSpec(metric=mf.MetricSpec.minkowski(), target=fr.CauchySurface(0.0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(-12, 9), st.integers(0, 2**32 - 1))
+    def test_both_paths_match_the_interval_criterion(self, exponent, seed):
+        scale, rng = 10.0**exponent, np.random.default_rng(seed)
+        events = np.empty((2, 200, 4))
+        events[..., 0] = rng.uniform(0.01, 1.0, (2, 200)) * scale
+        events[..., 1:] = rng.uniform(-0.5, 0.5, (2, 200, 3)) * scale
+        d = events[0] - events[1]
+        clear = np.abs(np.abs(d[:, 0]) - np.linalg.norm(d[:, 1:], axis=1)) > 1e-3 * scale
+        xs, ys = events[0, clear], events[1, clear]
+        expected = mk.interval_compare_batch(xs, ys)
+        assert np.array_equal(mk.causal_compare_batch(xs, ys), expected)
+        orders = list(mk.CausalOrder)
+        balls = [orders.index(ca.causal_relation(*ca.past_regions(self.FLAT, x, y)))
+                 for x, y in zip(xs, ys)]
+        assert balls == expected.tolist()
+
+    def test_ball_slacks_at_a_small_scale(self):
+        a, b = ca.Ball([0.0, 0, 0], 1e-12), ca.Ball([3e-12, 0, 0], 1e-12)
+        assert not a.contains_points([[2e-12, 0, 0]])[0]
+        assert a.contains_points([[1e-12, 0, 0]])[0]
+        assert ca._regions_disjoint(a, b)
+        assert not ca._regions_disjoint(a, ca.Ball([2e-12, 0, 0], 1e-12))
+        spacelike = mk.causal_compare([1e-14, 0, 0, 0], [0.5e-14, 0, 2e-14, 0])
+        assert spacelike is mk.CausalOrder.SPACELIKE
 
 
 class TestInCausalPast:

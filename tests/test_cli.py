@@ -264,6 +264,32 @@ class TestCausal:
             f"radius_x: {radius(1.0):.12g}  radius_y: {radius(0.5):.12g}  separation: 0.1"
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--metric", "minkowski", "--target", "cauchy:0",
+             "--x", "1e-10,0,0,0", "--y", "0.5e-10,0,0,0"),
+            ("--metric", "flrw", "--a-expr", "1e12*t", "--target", "cauchy:0.5",
+             "--x", "1,0,0,0", "--y", "0.75,0,0,0"),
+        ],
+        ids=["flat-1e-10", "radii-1e-13"],
+    )
+    def test_timelike_pair_of_small_balls(self, capsys, argv):
+        # printed equal: an absolute slack of 1e-9 made each ball contain the other
+        code, out, err = run(capsys, "causal", *argv)
+        assert code == 0, err
+        assert out.splitlines()[0] == "y_past_of_x"
+
+    def test_infinite_scale_factor_exits_1(self, capsys):
+        # printed equal with radius_x: 0, as 1 / a(t) was 0 at every node
+        code, out, err = run(
+            capsys, "causal", "--metric", "flrw", "--a-expr", "t*1e308*10",
+            "--target", "cauchy:0.5", "--x", "1,0,0,0", "--y", "0.75,0,0,0",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("DivergentIntegralError: ") and len(err.splitlines()) == 1
+        assert "scale factor inf at t = 1 " in err
+
     def test_graph_frame_compare(self, capsys):
         code, out, _ = run(
             capsys, "causal", "--metric", "minkowski", "--frame", "graph",

@@ -239,7 +239,7 @@ def _count_metric_calls(monkeypatch):
 def _t_march(m, t0, y0, t_target, n):
     """The march of n nodes on a chart of t alone, as a level of the ladder
     runs it: one `_t_level` of every ray, the starts keyed by `_key_starts`."""
-    return mf._t_level(m, mf._key_starts(t0, y0, t_target), np.arange(len(t0)), n)
+    return mf._t_level(m, mf._key_starts(t0, y0, t_target), n)
 
 
 def _march_errors(m, x0, v0, lam, levels):
@@ -505,6 +505,18 @@ class TestConformalTime:
         assert mf.conformal_time(m, 1.0, t_from) == pytest.approx(expected, rel=1e-13)
         assert mf.conformal_time(m, t_from, 1.0) == pytest.approx(-expected, rel=1e-13)
         assert mf.conformal_time(m, t_from, t_from) == 0.0
+
+    @pytest.mark.parametrize("a_expr", ["t*1e308*10", "-t*1e308*10"])
+    def test_infinite_scale_factor_is_refused(self, a_expr):
+        # 1/a was 0 at every node, so the interval came back 0
+        m = mf.metric_from_config({"kind": "flrw", "a_expr": a_expr})
+        with pytest.raises(DivergentIntegralError, match=r"inf at t = 0\.75 is not finite"):
+            mf.conformal_time(m, np.array([1.0, 0.75]), 0.5)
+
+    def test_infinite_scale_factor_at_the_singularity_is_left_out(self):
+        # the end t = 0 is not in the chart: a = 1/sqrt(t) is inf there
+        m = mf.metric_from_config({"kind": "flrw", "a_expr": "t**-0.5"})
+        assert mf.conformal_time(m, 1.0) == pytest.approx(2 / 3, rel=1e-12)
 
     def test_negative_scale_factor_is_refused(self):
         # 1/a is finite on [0, 1], so only the sign check stops -ln 2
@@ -1607,6 +1619,61 @@ class TestLadderOnStarts:
         want = mf.trace_past_to_time(m, x0, v0, 0.3)
         for name, value in vars(want).items():
             assert getattr(got, name).tobytes() == value.tobytes(), name
+
+    @pytest.mark.parametrize("case", list(T_ONLY_CASES))
+    def test_one_start_keeps_the_bits_of_many(self, case):
+        # a sky image's rays share one start, which `_key_starts` spots
+        # without `np.unique`; keyed among the rays of other starts, they
+        # go through `np.unique` and must come back with the same bytes
+        m, level, others, v_others = _t_only_rays(case, nan_v0=True)
+        x0 = np.tile(others[0], (24, 1))
+        v0 = mf.future_null_directions(m, x0, sky.sample_sky(24).directions())
+        x, v = np.concatenate([others, x0]), np.concatenate([v_others, v0])
+        with np.errstate(all="ignore"):
+            one = mf._key_starts(x0[:, 0], mf._bundle_start(m, x0, v0), level)
+            many = mf._key_starts(x[:, 0], mf._bundle_start(m, x, v), level)
+            assert len(one.s0) == 1 and len(many.s0) > 1
+            for n in (4, 8, 16, 32):
+                got, among = mf._t_level(m, one, n), mf._t_level(m, many, n)
+                for name, value in vars(got).items():
+                    assert value.tobytes() == getattr(among, name)[6:].tobytes(), (name, n)
+
+    @pytest.mark.parametrize(
+        "cfg, level",
+        [
+            ({"kind": "flrw", "p": 2 / 3, "bounds": BOX}, 1e-9),
+            ({"kind": "flrw", "a_expr": "1/t"}, 1e-9),
+        ],
+        ids=["box-cutoff", "grid-cap"],
+    )
+    def test_each_row_is_the_level_that_settled_it(self, monkeypatch, cfg, level):
+        # rows that fail at two levels settle early, the others when their
+        # estimate passes, or never (a = 1/t: the central-difference a'(t)
+        # reaches t < 0 near the level); each level holds the unsettled
+        # rows only, and each row of the result is, byte for byte, the
+        # level that settled it (or, unsettled, the last one, lost)
+        m, rng = mf.metric_from_config(cfg), np.random.default_rng(2)
+        x0 = np.column_stack([np.ones(12), rng.uniform(-2.5, 2.5, (12, 3))])
+        v0 = mf.future_null_directions(m, x0, sky.sample_sky(12).directions())
+        v0[3] = np.nan
+        levels = _record_levels(monkeypatch)
+        with np.errstate(all="ignore"):
+            got = mf.trace_past_to_time(m, x0, v0, level)
+        live, coarse, settled_at = np.arange(12), levels[0][1], np.zeros(12, dtype=int)
+        for n, fine in levels[1:]:
+            assert len(fine.ok) == len(live)
+            done = (coarse.ok & fine.ok & _passes(coarse, fine)) | ~(coarse.ok | fine.ok)
+            for name, value in vars(fine).items():
+                assert getattr(got, name)[live[done]].tobytes() == value[done].tobytes(), name
+            settled_at[live[done]] = n
+            live, coarse = live[~done], mf.TraceResult(*(v[~done] for v in vars(fine).values()))
+        for name in ("x", "n", "log_e", "lam"):
+            assert getattr(got, name)[live].tobytes() == getattr(coarse, name).tobytes(), name
+        assert not got.ok[live].any() and got.lost[live].all()
+        assert not got.lost[settled_at > 0].any()
+        assert len(np.unique(settled_at)) >= 2  # rows settled apart (0: never)
+        if cfg.get("a_expr"):
+            assert levels[-1][0] == mf.GRID_CAP and 0 < len(live) < 12
 
     @pytest.mark.parametrize("cells", [None, 40], ids=["one-block", "blocks"])
     @pytest.mark.parametrize("case", ["flat-0", "p0.5-cauchy0.2", "box-cutoff"])

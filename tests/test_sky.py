@@ -224,7 +224,7 @@ class TestSemidefiniteScale:
     @staticmethod
     def _expected(d, tol=1e-12):
         eig = sky.hermitian_eigenvalues(d)
-        scale = np.maximum(np.abs(d).max(axis=(-2, -1)), 1.0)
+        scale = np.abs(d).max(axis=(-2, -1))
         return eig[..., 0] >= -tol * scale, eig[..., 1] <= tol * scale
 
     @pytest.mark.parametrize("shape", [(), (1,), (3000,), (6, 7)])
@@ -234,10 +234,10 @@ class TestSemidefiniteScale:
         rng = np.random.default_rng(len(shape) + sum(shape))
         psi = rng.normal(size=shape + (2,)) + 1j * rng.normal(size=shape + (2,))
         size = 10.0 ** rng.uniform(-2.0, 6.0, size=shape)
-        size = np.where(rng.random(shape) < 0.1, 0.0, size)  # shift * identity alone
+        size = np.where(rng.random(shape) < 0.1, 0.0, size)  # zero fields: both verdicts
         d = size[..., None, None] * np.einsum("...a,...b->...ab", psi, psi.conj())
         d *= rng.choice([-1.0, 1.0], size=shape)[..., None, None]
-        scale = np.maximum(np.abs(d).max(axis=(-2, -1)), 1.0)
+        scale = np.abs(d).max(axis=(-2, -1))
         shift = rng.uniform(-3e-12, 3e-12, size=shape) * scale
         d = d + shift[..., None, None] * np.eye(2)
         d[..., 0, 1] = np.where(rng.random(shape) < 0.1, -0.0, d[..., 0, 1])
