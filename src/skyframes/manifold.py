@@ -634,7 +634,7 @@ def _scale_integral(m: MetricSpec, t, t_from, k):
     if p is None:  # one quadrature over the distinct times
         times, inverse = np.unique(t.ravel(), return_inverse=True)
         ends = np.append(times, t_from) if t_from > 0.0 else times  # inside the chart
-        with np.errstate(over="ignore", invalid="ignore"):  # named below
+        with np.errstate(all="ignore"):  # a non-finite value is named below
             a = fn(ends)
         bad = ~np.isfinite(a)  # 1 / a of an infinite a would pass as 0
         if np.any(bad):
