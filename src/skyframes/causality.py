@@ -299,11 +299,12 @@ def _boundary_cloud(r: Region):
 
 def _sampled_disjoint(a: Region, b: Region) -> bool:
     (ca, ra), (cb, rb) = a.bounding_sphere(), b.bounding_sphere()
-    if float(np.linalg.norm(ca - cb)) > ra + rb + BALL_TOL:
+    slack = (ra + rb) * BALL_TOL
+    if float(np.linalg.norm(ca - cb)) > ra + rb + slack:
         return True
     pa, pb = _boundary_cloud(a), _boundary_cloud(b)
     # Solid regions: mutual containment of boundary samples means overlap.
     if np.any(b.contains_points(pa)) or np.any(a.contains_points(pb)):
         return False
     sep = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=-1).min()
-    return bool(sep > BALL_TOL)
+    return bool(sep > slack)

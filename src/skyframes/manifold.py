@@ -619,10 +619,11 @@ def _scale_integral(m: MetricSpec, t, t_from, k):
     arrays as in `conformal_time`.  A power law t^p integrates to t^q / q
     with q = 1 + k p (ln(t / t_from) at q = 0), which diverges from 0 for
     q <= 0; an expression takes one `_integral` over the distinct times,
-    and must be finite at each of them and at t_from > 0 (an infinite a,
-    as of 't*1e308*10', raises DivergentIntegralError naming the time).
-    The singularity end t_from = 0 is exempt: there a may overflow, as 1/t
-    does at the quadrature node nearest 0, whose 1/a is then its limit 0."""
+    and must be finite at each of them (an infinite a, as of 't*1e308*10',
+    raises DivergentIntegralError naming the time).  The end t_from is
+    exempt, as the quadrature leaves out its end nodes: there a may
+    overflow (1/t at 0, 1/(t - 0.5) at 0.5) while the integral of 1/a
+    converges."""
     t = np.array(t, dtype=float)
     if m.kind == "minkowski":
         return t - t_from if t.ndim else float(t) - t_from
@@ -633,12 +634,11 @@ def _scale_integral(m: MetricSpec, t, t_from, k):
     p, fn = m.exponent, m.scale_factor
     if p is None:  # one quadrature over the distinct times
         times, inverse = np.unique(t.ravel(), return_inverse=True)
-        ends = np.append(times, t_from) if t_from > 0.0 else times  # inside the chart
         with np.errstate(all="ignore"):  # a non-finite value is named below
-            a = fn(ends)
+            a = fn(times)
         bad = ~np.isfinite(a)  # 1 / a of an infinite a would pass as 0
         if np.any(bad):
-            message = f"scale factor {a[bad][0]} at t = {ends[bad][0]:.12g} is not finite"
+            message = f"scale factor {a[bad][0]} at t = {times[bad][0]:.12g} is not finite"
             raise DivergentIntegralError(message)
         integrand = fn if k > 0 else lambda s: 1 / fn(s)
         out = _integral(integrand, t_from, times)[inverse].reshape(t.shape)

@@ -181,6 +181,12 @@ class TestVerdictsAtEveryScale:
         assert a.contains_points([[1e-12, 0, 0]])[0]
         assert ca._regions_disjoint(a, b)
         assert not ca._regions_disjoint(a, ca.Ball([2e-12, 0, 0], 1e-12))
+        # the sampled path, which meshes take, slacks the same way at
+        # every scale
+        for scale in (1e-12, 1.0, 1e9):
+            unit = ca.Ball([0.0, 0, 0], scale)
+            assert ca._sampled_disjoint(unit, ca.Ball([3 * scale, 0, 0], scale))
+            assert not ca._sampled_disjoint(unit, ca.Ball([1.5 * scale, 0, 0], scale))
         spacelike = mk.causal_compare([1e-14, 0, 0, 0], [0.5e-14, 0, 2e-14, 0])
         assert spacelike is mk.CausalOrder.SPACELIKE
 

@@ -290,6 +290,17 @@ class TestCausal:
         assert err.startswith("DivergentIntegralError: ") and len(err.splitlines()) == 1
         assert "scale factor inf at t = 1 " in err
 
+    def test_pole_of_the_scale_factor_at_the_target_is_allowed(self, capsys):
+        # a = 1/(t - 0.5) is inf at the target time, where 1/a integrates
+        code, out, _ = run(
+            capsys, "causal", "--metric", "flrw", "--a-expr", "1/(t-0.5)",
+            "--target", "cauchy:0.5", "--x", "1,0,0,0", "--y", "0.75,0,0,0",
+        )
+        assert code == 0
+        verdict, radii = out.splitlines()[:2]
+        assert verdict == "y_past_of_x"
+        assert radii == "radius_x: 0.125  radius_y: 0.03125  separation: 0"
+
     def test_graph_frame_compare(self, capsys):
         code, out, _ = run(
             capsys, "causal", "--metric", "minkowski", "--frame", "graph",

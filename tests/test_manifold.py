@@ -513,10 +513,16 @@ class TestConformalTime:
         with pytest.raises(DivergentIntegralError, match=r"inf at t = 0\.75 is not finite"):
             mf.conformal_time(m, np.array([1.0, 0.75]), 0.5)
 
-    def test_infinite_scale_factor_at_the_singularity_is_left_out(self):
-        # the end t = 0 is not in the chart: a = 1/sqrt(t) is inf there
-        m = mf.metric_from_config({"kind": "flrw", "a_expr": "t**-0.5"})
-        assert mf.conformal_time(m, 1.0) == pytest.approx(2 / 3, rel=1e-12)
+    @pytest.mark.parametrize(
+        "a_expr, t_from, interval",
+        [("t**-0.5", 0.0, 2 / 3), ("1/(t-0.5)", 0.5, 0.125)],
+        ids=["singularity", "target"],
+    )
+    def test_infinite_scale_factor_at_the_lower_end_is_left_out(self, a_expr, t_from, interval):
+        # a is inf at t_from (the singularity 0, or a target time), where
+        # 1/a still integrates
+        m = mf.metric_from_config({"kind": "flrw", "a_expr": a_expr})
+        assert mf.conformal_time(m, 1.0, t_from) == pytest.approx(interval, rel=1e-12)
 
     def test_negative_scale_factor_is_refused(self):
         # 1/a is finite on [0, 1], so only the sign check stops -ln 2

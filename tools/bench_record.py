@@ -6,9 +6,9 @@ Run from the repository root:
     python3 tools/bench_record.py --compare BENCH_31.json
 
 The record mode runs `perfbench/run.py` on every workload of
-BENCHMARK.json, --runs times each, the workloads in turn within each
-round, at the benchmark's run length unless --seconds says otherwise.  It
-writes BENCH_<label>.json at the repository root, which holds:
+BENCHMARK.json, RUNS times each at seed SEED, the workloads in turn within
+each round, at the benchmark's run length.  It writes BENCH_<label>.json
+at the repository root, which holds:
 
 * per workload, the median over the runs of each metric of the final JSON
   line, and of each op kind's median reference milliseconds (the `ref ms`
@@ -17,7 +17,7 @@ writes BENCH_<label>.json at the repository root, which holds:
   and scipy versions, `nproc` and the interpreter's path, since per-kind
   times of small ops shift with how the interpreter is started;
 * cold-process wall times of the README `causal` and `sky-image`
-  commands, the median of --cold fresh interpreters each.
+  commands, the median of COLD fresh interpreters each.
 
 The compare mode prints, for every metric the two records share, the
 ratio of the given record's value to that of the newest earlier record
@@ -45,6 +45,10 @@ ROOT = Path(__file__).resolve().parent.parent
 #: A change worse than this share of the earlier value is flagged.
 REGRESSION = 0.20
 
+#: The seed of every run, the runs per workload, and the fresh interpreters
+#: per cold command; a record keeps them in its provenance.
+SEED, RUNS, COLD = 3, 3, 5
+
 #: The README commands timed from a cold interpreter; {tmp} is a scratch
 #: directory for their output files.
 COLD_COMMANDS = {
@@ -68,23 +72,23 @@ def _benchmark():
         return json.load(fh)
 
 
-def _run_workload(workload, seed, seconds):
+def _run_workload(workload, seconds):
     """The final JSON line and the per-kind median ref ms of one run."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds)]
+            "--seed", str(SEED), "--seconds", str(seconds)]
     out = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=True).stdout
     lines = out.strip().splitlines()
     kinds = {m[1]: float(m[2]) for m in map(KIND_LINE.match, lines) if m}
     return json.loads(lines[-1]), kinds
 
 
-def _cold_seconds(argv, repeats):
+def _cold_seconds(argv):
     """Wall times of `python -m skyframes.cli argv` in fresh interpreters."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     times = []
     with tempfile.TemporaryDirectory() as tmp:
         command = [sys.executable, "-m", "skyframes.cli"] + [a.format(tmp=tmp) for a in argv]
-        for _ in range(repeats):
+        for _ in range(COLD):
             t0 = perf_counter()
             subprocess.run(command, env=env, capture_output=True, check=True)
             times.append(perf_counter() - t0)
@@ -99,7 +103,7 @@ def _git(*args):
     return out.stdout.strip() if out.returncode == 0 else None
 
 
-def _provenance(seed, seconds, runs):
+def _provenance(seconds):
     import numpy
     import scipy
 
@@ -112,9 +116,9 @@ def _provenance(seed, seconds, runs):
         "nproc": os.cpu_count(),
         "python": sys.executable,
         "python_version": sys.version.split()[0],
-        "seed": seed,
+        "seed": SEED,
         "seconds": seconds,
-        "runs": runs,
+        "runs": RUNS,
     }
 
 
@@ -122,16 +126,16 @@ def _median_entry(values):
     return {"median": statistics.median(values), "runs": values}
 
 
-def record(label, seed, seconds, runs, cold):
+def record(label):
     """Measure and write BENCH_<label>.json; returns its path."""
     bench = _benchmark()
-    seconds = bench["run_seconds"] if seconds is None else seconds
+    seconds = bench["run_seconds"]
     names = [w["name"] for w in bench["workloads"]]
     lines = {name: [] for name in names}
     kinds = {name: [] for name in names}
-    for _ in range(runs):
+    for _ in range(RUNS):
         for name in names:
-            line, per_kind = _run_workload(name, seed, seconds)
+            line, per_kind = _run_workload(name, seconds)
             lines[name].append(line)
             kinds[name].append(per_kind)
     workloads = {}
@@ -143,10 +147,10 @@ def record(label, seed, seconds, runs, cold):
         ref_ms = {kind: _median_entry([k[kind] for k in kinds[name]]) for kind in kinds[name][0]}
         failed = sum(line["failed"] for line in lines[name])
         workloads[name] = {"metrics": metrics, "ref_ms": ref_ms, "failed": failed}
-    cold_s = {name: _median_entry(_cold_seconds(a, cold)) for name, a in COLD_COMMANDS.items()}
+    cold_s = {name: _median_entry(_cold_seconds(a)) for name, a in COLD_COMMANDS.items()}
     out = {
         "label": label,
-        "provenance": _provenance(seed, seconds, runs),
+        "provenance": _provenance(seconds),
         "workloads": workloads,
         "cold_cli_s": cold_s,
     }
@@ -218,15 +222,11 @@ def main(argv=None):
     mode = ap.add_mutually_exclusive_group(required=True)
     mode.add_argument("--label", type=int, help="measure and write BENCH_<label>.json")
     mode.add_argument("--compare", metavar="BENCH_FILE", help="compare a record")
-    ap.add_argument("--seed", type=int, default=3)
-    ap.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's)")
-    ap.add_argument("--runs", type=int, default=3, help="runs per workload")
-    ap.add_argument("--cold", type=int, default=5, help="fresh interpreters per command")
     args = ap.parse_args(argv)
     if args.compare:
         compare(args.compare)
         return 0
-    path = record(args.label, args.seed, args.seconds, args.runs, args.cold)
+    path = record(args.label)
     print(f"wrote {path.name}")
     compare(path)
     return 0
