@@ -27,6 +27,7 @@ import numpy as np
 
 from . import frames as fr
 from . import manifold as mf
+from . import spinor
 from .errors import InsufficientSamplesError, NoIntersectionError, OutOfDomainError
 from .minkowski import CausalOrder
 from .sky import SkySample, sample_sky
@@ -251,13 +252,21 @@ def past_regions(f: fr.FrameSpec, x, y, sample: SkySample | None = None):
     return tuple(mesh_regions(f, [x, y], sample)) if balls[0] is None else balls
 
 
+def separation(a: Ball, b: Ball) -> float:
+    """The distance between the centres of two balls: np.linalg.norm's, bit
+    for bit, down to `spinor.SQUARE_UNDERFLOW`, below which the squares
+    underflow and `spinor.euclidean_norm` scales them; inf where it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = a.center - b.center
+    gap = math.sqrt(d.dot(d))  # np.linalg.norm's own sum
+    return gap if gap >= spinor.SQUARE_UNDERFLOW else float(spinor.euclidean_norm(d))
+
+
 def _contains(outer: Region, inner: Region) -> bool:
     """Whether the inner region lies in the outer one (closed): exactly for
     two balls, else at the inner region's `_boundary_cloud` points."""
     if isinstance(outer, Ball) and isinstance(inner, Ball):
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = outer.center - inner.center
-        reach = math.sqrt(d.dot(d)) + inner.radius  # np.linalg.norm's own sum
+        reach = separation(outer, inner) + inner.radius
         if not math.isfinite(reach):
             raise OutOfDomainError("the separation of the past regions overflows")
         return reach <= outer.radius * (1.0 + BALL_TOL)

@@ -40,10 +40,11 @@ CHOICES = {"metric": ("minkowski", "flrw", "custom"), "frame": ("geodesic", "gra
            "format": ("json", "csv")}
 
 
-def _parse_vec(text, length=4):
+def _parse_vec(text):
+    """The four finite components of an event or a vector."""
     parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != length:
-        raise ValueError(f"expected {length} components, got {len(parts)}")
+    if len(parts) != 4:
+        raise ValueError(f"expected 4 components, got {len(parts)}")
     vec = np.array([float(p) for p in parts])
     if not np.all(np.isfinite(vec)):
         raise ValueError(f"components must be finite, got {text!r}")
@@ -156,7 +157,7 @@ def cmd_causal(opts):
     rx, ry = ca.past_regions(spec, x, y)
     print(ca.causal_relation(rx, ry).value)
     if isinstance(rx, ca.Ball):
-        gap = float(np.linalg.norm(rx.center - ry.center))
+        gap = ca.separation(rx, ry)
         print(
             f"radius_x: {rx.radius:.12g}  radius_y: {ry.radius:.12g}  "
             f"separation: {gap:.12g}"

@@ -21,19 +21,22 @@ conserved and a ray is a straight comoving line.  There the tracer keys
 the distinct starts (t0, ln E, lambda) once (a sky image's rays share
 one), and each level of the ladder (`_t_level`) marches the displacement
 along n, ln E and lambda of those starts, all nodes of a block in array
-operations, and places each ray at x0 + n D; a ray inside and finite at a
-block's last node was so at every node, and only the others scan the
-block's nodes.  Each level's result holds the unsettled rows only, and the
-ladder writes a row out, and re-keys the starts, only when rows settle, so
-a batch that settles whole on one level is that level's result.  Any other
-custom chart, and a level of one of t alone that loses its signature,
-steps every state node by node with `_bundle_slope` (`_march`, the one
-place that names where a ray meets a lost signature), compacting the
-rows that leave with `np.compress`.  The two
-integrals of the scale factor share one ladder: `conformal_time`, the
+operations, and places each ray at x0 + n D; as every leg is positive
+(an FLRW scale factor is, `MetricSpec.scale_factor`), D only grows, so a
+ray inside and finite at a block's last node was so at every node, and
+only the others scan the block's nodes.  Each level's result holds the
+unsettled rows only, and the ladder writes a row out, and re-keys the
+starts, only when rows settle, so a batch that settles whole on one level
+is that level's result.  Any other custom chart, and a level of one of t
+alone that loses its signature, steps every state node by node with
+`_bundle_slope` (`_march`, the one place that names where a ray meets a
+lost signature), compacting the rows that leave with `np.compress`.  The
+two integrals of the scale factor share one ladder: `conformal_time`, the
 conformal interval from the target time t_from, and `affine_length`, the
 affine length of a ray down to it; closed form for power laws, else the
-tanh-sinh `_integral`.
+tanh-sinh `_integral`.  Every reader of an FLRW scale factor goes through
+`MetricSpec.scale_factor`, the one place that refuses a(t) <= 0 or NaN,
+so the two tracers refuse the same charts with the same error.
 
 The spinor <-> direction dictionary at a curved point uses the fixed
 orthonormal tetrad aligned with the coordinate axes (well-defined for
@@ -115,10 +118,21 @@ class MetricSpec:
     # -- evaluation --------------------------------------------------------
 
     def scale_factor(self, t):
+        """a(t) at the times t.  The FLRW frame needs a > 0: a value <= 0 or
+        NaN raises DivergentIntegralError naming the first such time, as
+        every reader of a (the legs, the tracer's slopes, the integrals)
+        comes here.  +inf passes: 1/a = 0 is the limit at the lower end of a
+        conformal interval, and `_scale_integral` refuses it at event times."""
         t = np.asarray(t, dtype=float)
-        if self.exponent is not None:
-            return t**self.exponent
-        return self._expressions([t])[0]
+        a = t**self.exponent if self.exponent is not None else self._expressions([t])[0]
+        if not a.min(initial=np.inf) > 0.0:  # also for NaN
+            a, t = np.broadcast_arrays(a, t)
+            bad = ~(a > 0.0)
+            value, at = a[bad][0], t[bad][0]
+            word = "positive" if math.isfinite(value) else "finite"
+            message = f"scale factor {value:.12g} at t = {at:.12g} is not {word}"
+            raise DivergentIntegralError(message)
+        return a
 
     def scale_factor_dot(self, t):
         t = np.asarray(t, dtype=float)
@@ -442,17 +456,19 @@ def _t_level(m: MetricSpec, st: _Starts, n):
 
     Each ray leaves at its first node that fails the test of `_node_keep`,
     and the rays are placed from their start's states.  A ray is tested on
-    the block's last node first.  Unless some D slope of the block is > 0
-    (a scale factor that turns negative), every D increment of a start has
-    the sign of its step, so each coordinate of x0 + n D moves one way (IEEE
-    rounding is monotone; a NaN increment leaves D NaN up to the last node),
-    and a non-finite ln E or lambda stays so: a ray inside the bounds at
-    the node before the block (or at its start, which `trace_past_to_time`
-    checks) and inside and finite at the last node was inside at every
-    node.  Only the other rays scan the block node by node for the one they
-    leave at.  Where a D slope is > 0, every live ray scans.  The blocks
-    carry the three rows on and hold O(block (rays + starts)) floats,
-    `_BLOCK_CELLS` in all, scan included."""
+    the block's last node only, and scans the block only if it fails there.
+    Every D slope, -e0 / A, is <= 0 (both legs are positive: a level of a
+    custom chart that loses its signature gives None, and
+    `MetricSpec.scale_factor` refuses an FLRW a <= 0), so the D increments
+    of a start all have one sign and D only grows toward the past: each
+    coordinate of x0 + n D moves one way (IEEE rounding is monotone; a NaN
+    increment leaves D NaN up to the last node), and a non-finite ln E or
+    lambda stays so.  A ray inside the bounds at the node before the block
+    (or at its start, which `trace_past_to_time` checks) and inside and
+    finite at the last node was inside at every node; the others scan the
+    block node by node for the one they leave at.  The blocks carry the
+    three rows on and hold O(block (rays + starts)) floats, `_BLOCK_CELLS`
+    in all, scan included."""
     nodes = (np.arange(n + 1) / n) ** (2 if st.log else 1)
     at, s0, span, state = st.start, st.s0, st.span, st.y0[:, None]
     x0, dirs = st.x0, st.n  # a non-finite n shows in x0 + n D
@@ -481,11 +497,8 @@ def _t_level(m: MetricSpec, st: _Starts, n):
         state[2, 1:] = _rk4_step(lambda c, y: _t_slope(rate[c], y), y, h)[1].reshape(-1, u)
         np.cumsum(state[2], axis=0, out=state[2])
         finite = np.isfinite(state[1, 1:]) & np.isfinite(state[2, 1:])  # (nodes, starts)
-        if any(r[0].max() > 0.0 for r in rate.values()):  # D may turn back
-            scan = np.flatnonzero(alive)
-        else:  # the rays that may leave in this block
-            last = x0 + dirs * state[0, -1, at]
-            scan = np.flatnonzero(alive & ~(_inside(m, last) & finite[-1, at]))
+        last = x0 + dirs * state[0, -1, at]  # the rays that may leave in this block
+        scan = np.flatnonzero(alive & ~(_inside(m, last) & finite[-1, at]))
         if not len(scan):
             continue
         a = at[scan]
@@ -636,7 +649,7 @@ def _scale_integral(m: MetricSpec, t, t_from, k):
         times, inverse = np.unique(t.ravel(), return_inverse=True)
         with np.errstate(all="ignore"):  # a non-finite value is named below
             a = fn(times)
-        bad = ~np.isfinite(a)  # 1 / a of an infinite a would pass as 0
+        bad = ~np.isfinite(a)  # +inf passes `scale_factor`, and 1 / a would pass as 0
         if np.any(bad):
             message = f"scale factor {a[bad][0]} at t = {times[bad][0]:.12g} is not finite"
             raise DivergentIntegralError(message)
@@ -656,9 +669,11 @@ def _integral(fn, lo, hi):
     quadrature, one fn call per level for the times whose last two levels
     differ.  With q = exp(-pi |sinh u|) a node lies gap = (hi - lo) q / (1 + q)
     from its nearer end and weighs gap pi cosh u / (1 + q), so nodes reach
-    the float floor at a singular end and nothing overflows.  A negative or
-    non-finite term, or levels that never agree (terms that do not decay at
-    an end), raise DivergentIntegralError."""
+    the float floor at a singular end and nothing overflows.  A node on an
+    end (gap 0) weighs 0 and fn is not called there, so a(0) = 0 at the
+    singularity is never read.  A non-finite term, or levels that never
+    agree (terms that do not decay at an end), raise DivergentIntegralError;
+    the sign of fn is the caller's (`MetricSpec.scale_factor`)."""
     rows, total = np.arange(len(hi)), np.zeros(len(hi))
     for level in range(_TS_LEVELS):
         h = _TS_STEP / 2**level
@@ -667,10 +682,11 @@ def _integral(fn, lo, hi):
         q = np.exp(-np.pi * np.abs(np.sinh(u)))  # underflows to 0 before |u| = 6.2
         gap = (hi[rows, None] - lo) * (q / (1 + q))
         t = np.where(u <= 0, lo + gap, hi[rows, None] - gap)
-        with np.errstate(all="ignore"):  # nodes on an end are left out
-            f = np.where(gap != 0, fn(t), 0.0)
+        inner, f = gap != 0, np.zeros(t.shape)  # nodes on an end are left out
+        with np.errstate(all="ignore"):  # a non-finite term is named below
+            f[inner] = fn(t[inner])
             terms = gap * (np.pi * np.cosh(u) / (1 + q)) * f
-        bad = ~(np.isfinite(terms) & (f >= 0))
+        bad = ~np.isfinite(terms)
         if np.any(bad):
             raise DivergentIntegralError(f"integrand {f[bad][0]:.3g} at t = {t[bad][0]:.12g}")
         new = total[rows] / 2 + h * terms.sum(axis=1)

@@ -117,7 +117,7 @@ def interval_compare_batch(xs, ys):
     """Classical interval criterion, same codes; the independent oracle."""
     d = np.asarray(xs, float) - np.asarray(ys, float)
     dt = d[..., 0]
-    dr = np.linalg.norm(d[..., 1:], axis=-1)
+    dr = spinor.euclidean_norm(d[..., 1:])
     equal = (dt == 0.0) & (dr == 0.0)
     y_past = (dt >= dr) & ~equal
     x_past = (-dt >= dr) & ~equal

@@ -31,8 +31,6 @@ class SkySample:
     """A finite set of unit covector representatives of sky points."""
 
     xi: np.ndarray  # (n, 2) complex, unit rows
-    scheme: str = "fibonacci"
-    seed: int | None = None
 
     @property
     def n(self) -> int:
@@ -41,9 +39,6 @@ class SkySample:
     def directions(self) -> np.ndarray:
         """Unit vectors on S^2: spatial parts of the sampled null directions."""
         return spinor.direction_for_cospinor(self.xi)
-
-    def __iter__(self):
-        return iter(self.xi)
 
 
 def sample_sky(n, scheme="fibonacci", seed=None):
@@ -70,7 +65,7 @@ def sample_sky(n, scheme="fibonacci", seed=None):
         xi = z
     else:
         raise ValueError(f"unknown sampling scheme {scheme!r}")
-    return SkySample(xi=unit_cospinor(xi), scheme=scheme, seed=seed)
+    return SkySample(xi=unit_cospinor(xi))
 
 
 def eval_homogeneous(coeffs, signature, xi):
@@ -154,14 +149,20 @@ def semidefinite(d):
     """Bool arrays (d >= 0, d <= 0) on the sky for Hermitian differences d
     (..., 2, 2): the extreme eigenvalues against SEMIDEFINITE_TOL times the
     largest entry, so the boundary counts as dominated at every scale;
-    OutOfDomainError where an eigenvalue is not finite."""
+    OutOfDomainError where an eigenvalue is not finite.  A nonzero d whose
+    largest entry is below `spinor.SQUARE_UNDERFLOW` is divided by it
+    first, as its squares would underflow."""
     with np.errstate(over="ignore", invalid="ignore"):
+        a = np.abs(d)
+        scale = reduce(np.maximum, (a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]))
+        small = (scale > 0.0) & (scale < spinor.SQUARE_UNDERFLOW)
+        if np.any(small):
+            d = d / np.where(small, scale, 1.0)[..., None, None]
+            scale = np.where(small, 1.0, scale)
         eig = hermitian_eigenvalues(d)
     if not np.all(np.isfinite(eig)):
         raise OutOfDomainError("a size-field difference exceeds float range")
-    a = np.abs(d)
-    entries = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
-    slack = SEMIDEFINITE_TOL * reduce(np.maximum, entries)
+    slack = SEMIDEFINITE_TOL * scale
     return eig[..., 0] >= -slack, eig[..., 1] <= slack
 
 

@@ -16,6 +16,8 @@ Conventions used throughout the toolkit:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -43,13 +45,31 @@ UNIMODULAR_TOL = 1e-12
 #: so no normalisation of it is accurate.
 ZERO_NORM = 1e-150
 
+#: Magnitude below which a square is subnormal or 0 (about 1.5e-154), so a
+#: length or an eigenvalue taken from squares loses its bits (1e-170 reads 0).
+SQUARE_UNDERFLOW = math.sqrt(np.finfo(float).tiny)
 
-def _scale(a, floor=1.0):
-    """Largest absolute entry over the trailing axes, floored for tiny input."""
+
+def _scale(a):
+    """Largest absolute entry over the trailing axes, at least 1."""
     a = np.asarray(a)
     flat = np.abs(a).reshape(a.shape[: a.ndim - 1] + (-1,)) if a.ndim else np.abs(a)
     s = flat.max(axis=-1) if a.ndim else flat
-    return np.maximum(s, floor)
+    return np.maximum(s, 1.0)
+
+
+def euclidean_norm(v):
+    """Euclidean norms over the last axis of v (..., k), those of
+    np.linalg.norm(v, axis=-1) bit for bit down to SQUARE_UNDERFLOW; a row
+    whose norm is below it is divided by its largest entry first."""
+    v = np.asarray(v, dtype=float)
+    out = np.linalg.norm(v, axis=-1)
+    small = out < SQUARE_UNDERFLOW
+    if np.any(small):
+        big = np.abs(v).max(axis=-1, keepdims=True)
+        big[big == 0.0] = 1.0  # a zero row stays 0
+        out = np.where(small, big[..., 0] * np.linalg.norm(v / big, axis=-1), out)
+    return out
 
 
 def pauli_transform(v):

@@ -24,7 +24,7 @@ Probes are seeded and reports are deterministic given the frame and seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -221,9 +221,10 @@ def check_contraction_identity(x, pis) -> VerificationReport:
 # Seeded suites (shared by the CLI and the acceptance tests).
 
 
-def _random_events(rng, n, box=2.0, t_floor=None):
-    """Events in a box; with t_floor the times lie in t_floor + [0.3, 1.5]."""
-    x = rng.uniform(-box, box, size=(n, 4))
+def _random_events(rng, n, t_floor=None):
+    """Events in the box [-2, 2]^4; with t_floor the times lie in t_floor +
+    [0.3, 1.5]."""
+    x = rng.uniform(-2.0, 2.0, size=(n, 4))
     if t_floor is not None:
         x[:, 0] = rng.uniform(t_floor + 0.3, t_floor + 1.5, size=n)
     return x
@@ -257,8 +258,7 @@ def suite_twistor(seed, n=1000):
 def _random_sky(seed, n):
     """n seeded random sky points, any n >= 1: the first n of a draw of at
     least the four that `sample_sky` needs."""
-    sample = sample_sky(max(n, 4), scheme="random", seed=seed)
-    return replace(sample, xi=sample.xi[:n])
+    return SkySample(sample_sky(max(n, 4), scheme="random", seed=seed).xi[:n])
 
 
 def _random_rows(seed, n, frame):

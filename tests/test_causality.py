@@ -175,6 +175,25 @@ class TestVerdictsAtEveryScale:
                  for x, y in zip(xs, ys)]
         assert balls == expected.tolist()
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-300])
+    def test_separations_whose_squares_underflow(self, scale):
+        # below about 1.5e-154 a squared separation is subnormal or 0, and
+        # the three verdicts called the spacelike pairs equal
+        pairs = [
+            ([2.0, 0, 0, 0], [2.0, 1.0, 0, 0], 3),
+            ([2.0, 0, 0, 0], [1.0, 0, 0.5, 0], 1),
+            ([1.0, 0.5, 0, 0], [2.0, 0, 0, 0], 2),
+            ([1.0, 0, 0, 0], [1.0, 0, 0, 1e30], 3),
+        ]
+        xs, ys, codes = zip(*pairs)
+        xs, ys = np.array(xs) * scale, np.array(ys) * scale
+        assert mk.interval_compare_batch(xs, ys).tolist() == list(codes)
+        assert mk.causal_compare_batch(xs, ys).tolist() == list(codes)
+        orders = list(mk.CausalOrder)
+        balls = [orders.index(ca.causal_relation(*ca.past_regions(self.FLAT, x, y)))
+                 for x, y in zip(xs, ys)]
+        assert balls == list(codes)
+
     def test_ball_slacks_at_a_small_scale(self):
         a, b = ca.Ball([0.0, 0, 0], 1e-12), ca.Ball([3e-12, 0, 0], 1e-12)
         assert not a.contains_points([[2e-12, 0, 0]])[0]

@@ -203,6 +203,21 @@ class TestCausal:
         assert out.splitlines()[0] == "y_past_of_x"
         assert "radius_x: 3" in out
 
+    @pytest.mark.parametrize("frame", [(), ("--frame", "graph")], ids=["flat", "graph"])
+    def test_separation_whose_square_underflows(self, capsys, frame):
+        # 1e-170 squared is 0: both frames printed equal, with separation: 0
+        code, out, _ = run(
+            capsys, "causal", "--metric", "minkowski", *frame, "--target", "cauchy:0",
+            "--x", "1e-200,0,0,0", "--y", "1e-200,1e-170,0,0",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "spacelike"
+        assert lines[1:] == ([] if frame else [
+            "radius_x: 1e-200  radius_y: 1e-200  separation: 1e-170",
+            "margin_y_in_x: -1e-170  margin_x_in_y: -1e-170",
+        ])
+
     def test_each_past_region_is_built_once(self, capsys, monkeypatch):
         times = []
         conformal_time = mf.conformal_time
@@ -494,6 +509,19 @@ class TestVerify:
         assert code == 0, err
         payload = json.loads(out_path.read_text())
         assert payload["passed"] and len(payload["reports"]) == 4
+
+    @pytest.mark.parametrize("a_expr", ["-1", "t-2", "0"])
+    def test_non_positive_scale_factor_exits_1(self, capsys, recwarn, tmp_path, a_expr):
+        # -1 (flat space, as g11 = -a^2) and t-2 passed on rays the numeric
+        # tracer marched the wrong way; 0 warned of a division by zero first
+        out_path = tmp_path / "contact.json"
+        code, out, err = run(
+            capsys, "verify", "--suite", "contact", "--metric", "flrw", f"--a-expr={a_expr}",
+            "--target", "cauchy:0.5", "--n", "4", "--out", str(out_path),
+        )
+        assert code == 1 and out == "" and not out_path.exists()
+        assert err.startswith("DivergentIntegralError: ") and len(err.splitlines()) == 1
+        assert not recwarn.list
 
     def test_graph_frame_checks_the_target(self, capsys, tmp_path):
         # the geodesic frame of the contact suite is built for every suite

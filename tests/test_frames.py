@@ -14,6 +14,7 @@ from skyframes.errors import (
     DivergentIntegralError,
     NoIntersectionError,
     OutOfDomainError,
+    SkyframesError,
     ZeroSpinorError,
 )
 
@@ -302,6 +303,40 @@ class TestSkyImage:
         assert np.all(image.ranks == 2)
         pv = flrw_frame.probe_values([1.0, 0, 0, 0], sample100.xi[:3], np.eye(4))
         assert np.all(np.isfinite(pv.rates))
+
+
+class TestNonPositiveScaleFactor:
+    """An FLRW scale factor is positive (`MetricSpec.scale_factor`): both
+    tracers refuse a(t) <= 0 where they first read it, with one error."""
+
+    RNG = np.random.default_rng(11)
+    EVENTS = np.column_stack([RNG.uniform(0.8, 2.0, 6), RNG.uniform(-2.0, 2.0, (6, 3))])
+    XIS = sky.sample_sky(6, scheme="random", seed=6).xi
+
+    def _frame(self, a_expr, tracer):
+        metric = mf.metric_from_config({"kind": "flrw", "a_expr": a_expr})
+        return fr.FrameSpec(metric=metric, target=fr.CauchySurface(0.5), tracer=tracer)
+
+    @pytest.mark.parametrize("a_expr", ["-1", "t-2", "0"])
+    def test_both_tracers_refuse(self, a_expr):
+        # "-1" is flat space (g11 = -a^2), yet the numeric tracer gave the
+        # point-mirrored image, and traced "t-2" too; "0" divided by zero
+        raised = []
+        for tracer in ("numeric", "auto"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SkyframesError) as info:
+                    fr.project_batch(self._frame(a_expr, tracer), self.EVENTS, self.XIS)
+            raised.append(type(info.value))
+        assert raised == [DivergentIntegralError, DivergentIntegralError]
+
+    def test_a_falling_positive_scale_factor_agrees(self):
+        numeric, closed = (
+            fr.project_batch(self._frame("2-t", tracer), self.EVENTS, self.XIS)
+            for tracer in ("numeric", "auto")
+        )
+        assert np.all(numeric[2]) and np.all(closed[2])
+        assert np.abs(numeric[0] - closed[0]).max() <= mf.GRID_TOL
 
 
 class TestQuadrature:

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from skyframes import frames as fr
 from skyframes import manifold as mf
 from skyframes import sky, spinor
 from skyframes.errors import DivergentIntegralError, OutOfDomainError
@@ -527,7 +528,8 @@ class TestConformalTime:
     def test_negative_scale_factor_is_refused(self):
         # 1/a is finite on [0, 1], so only the sign check stops -ln 2
         m = mf.metric_from_config({"kind": "flrw", "a_expr": "-1-t"})
-        with pytest.raises(DivergentIntegralError, match="integrand -1 at t = "):
+        refusal = "scale factor -2 at t = 1 is not positive"
+        with pytest.raises(DivergentIntegralError, match=refusal):
             mf.conformal_time(m, 1.0)
 
     @pytest.mark.parametrize("p", [2 / 3, 0.5, -1.0])
@@ -1607,24 +1609,19 @@ class TestLadderOnStarts:
         for name, value in vars(want).items():
             assert getattr(got, name).tobytes() == value.tobytes(), name
 
-    def test_a_scale_factor_that_changes_sign_scans_every_node(self, monkeypatch):
-        # a = t - 0.55 turns D back at t = 0.55: on the first level the ray
-        # along +x is at x = 0.176, 0.862, 2.782 and 0.756, so it leaves at
-        # the third node although its last one is inside |x| < 1
+    @pytest.mark.parametrize("tracer", ["numeric", "auto"])
+    def test_a_scale_factor_that_changes_sign_is_refused(self, tracer):
+        # a = t - 0.55 turned D back at t = 0.55, so the ray along +x left
+        # |x| < 1 at an interior node of a block whose last node was inside,
+        # and every ray scanned every node; now both tracers refuse the
+        # chart where they first read a <= 0
         bounds = [[0, None], [-1, 1], [None, None], [None, None]]
         m = mf.metric_from_config({"kind": "flrw", "a_expr": "t - 0.55", "bounds": bounds})
-        x0 = np.array([[1.0, 0, 0, 0], [1.0, 0, 0, 0]])
-        v0 = mf.future_null_directions(m, x0, np.array([[-1.0, 0, 0], [0, 1.0, 0]]))
-        levels = _record_levels(monkeypatch)
-        got = mf.trace_past_to_time(m, x0, v0, 0.3)
-        n, first = levels[0]
-        assert n == 4 and first.ok.tolist() == [False, True]
-        assert first.x[0, 1] == pytest.approx(2.782, abs=1e-3) and first.x[0, 0] > 0.3
-        monkeypatch.setattr(mf, "_t_only", lambda m: False)  # each level a `_march`
-        monkeypatch.setattr(mf, "_march", _two_pass_march)
-        want = mf.trace_past_to_time(m, x0, v0, 0.3)
-        for name, value in vars(want).items():
-            assert getattr(got, name).tobytes() == value.tobytes(), name
+        f = fr.FrameSpec(metric=m, target=fr.CauchySurface(0.3), tracer=tracer)
+        xis = spinor.cospinor_for_direction(np.array([[-1.0, 0, 0], [0, 1.0, 0]]))
+        refusal = r"scale factor -\S+ at t = \S+ is not positive"
+        with pytest.raises(DivergentIntegralError, match=refusal):
+            fr.project_batch(f, np.array([[1.0, 0, 0, 0], [1.0, 0, 0, 0]]), xis)
 
     @pytest.mark.parametrize("case", list(T_ONLY_CASES))
     def test_one_start_keeps_the_bits_of_many(self, case):
