@@ -153,15 +153,14 @@ def semidefinite(d):
     largest entry is below `spinor.SQUARE_UNDERFLOW` is divided by it
     first, as its squares would underflow."""
     with np.errstate(over="ignore", invalid="ignore"):
-        a = np.abs(d)
-        scale = reduce(np.maximum, (a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]))
-        small = (scale > 0.0) & (scale < spinor.SQUARE_UNDERFLOW)
-        if np.any(small):
-            d = d / np.where(small, scale, 1.0)[..., None, None]
-            scale = np.where(small, 1.0, scale)
         eig = hermitian_eigenvalues(d)
     if not np.all(np.isfinite(eig)):
         raise OutOfDomainError("a size-field difference exceeds float range")
+    a = np.abs(d)
+    scale = reduce(np.maximum, (a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]))
+    if scale.min(initial=np.inf) < spinor.SQUARE_UNDERFLOW:  # other rows divide by 1.0, exactly
+        unit = np.where((scale > 0.0) & (scale < spinor.SQUARE_UNDERFLOW), scale, 1.0)
+        eig, scale = hermitian_eigenvalues(d / unit[..., None, None]), scale / unit
     slack = SEMIDEFINITE_TOL * scale
     return eig[..., 0] >= -slack, eig[..., 1] <= slack
 

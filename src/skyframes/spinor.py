@@ -64,11 +64,10 @@ def euclidean_norm(v):
     whose norm is below it is divided by its largest entry first."""
     v = np.asarray(v, dtype=float)
     out = np.linalg.norm(v, axis=-1)
-    small = out < SQUARE_UNDERFLOW
-    if np.any(small):
+    if out.min(initial=np.inf) < SQUARE_UNDERFLOW:
         big = np.abs(v).max(axis=-1, keepdims=True)
         big[big == 0.0] = 1.0  # a zero row stays 0
-        out = np.where(small, big[..., 0] * np.linalg.norm(v / big, axis=-1), out)
+        out = np.where(out < SQUARE_UNDERFLOW, big[..., 0] * np.linalg.norm(v / big, axis=-1), out)
     return out
 
 
