@@ -149,9 +149,9 @@ def semidefinite(d):
     """Bool arrays (d >= 0, d <= 0) on the sky for Hermitian differences d
     (..., 2, 2): the extreme eigenvalues against SEMIDEFINITE_TOL times the
     largest entry, so the boundary counts as dominated at every scale;
-    OutOfDomainError where an eigenvalue is not finite.  A nonzero d whose
-    largest entry is below `spinor.SQUARE_UNDERFLOW` is divided by it
-    first, as its squares would underflow."""
+    OutOfDomainError where an eigenvalue is not finite.  Where the largest
+    entry is nonzero and below `spinor.SQUARE_UNDERFLOW`, whose squares
+    underflow, the eigenvalues are those of d over that entry."""
     with np.errstate(over="ignore", invalid="ignore"):
         eig = hermitian_eigenvalues(d)
     if not np.all(np.isfinite(eig)):
