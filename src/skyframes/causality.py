@@ -10,6 +10,11 @@ outer mesh at the vertices of the inner one: 0 outside, +-1 inside and
 in between on the surface, so a mesh region, like a ball, is closed.  Two
 balls about the mesh's vertex centroid decide most points without it.
 
+Every distance between points or centres is `separation` (two balls) or
+`spinor.euclidean_norm` (rows), scaled where its squares would underflow,
+and every verdict widens by one relative slack, `BALL_TOL`.  Regions have
+no JSON form.
+
 Finite unions of regions form a join-semilattice under concatenation,
 with disjointness from a compact region as the basic open-set predicate.
 
@@ -32,22 +37,14 @@ from .errors import InsufficientSamplesError, NoIntersectionError, OutOfDomainEr
 from .minkowski import CausalOrder
 from .sky import SkySample, sample_sky
 
-#: Closed-containment slack for analytic balls, relative to the radius, so
+#: The one slack of every region verdict, relative to the radii: it widens
+#: a ball, both radii of a mesh's shell and the surface band of a mesh, so
 #: that verdicts do not depend on the scale of the events.
 BALL_TOL = 1e-9
 
 #: Points per winding-number pass in Mesh.contains_points; bounds the
 #: (points x triangles) temporaries of a query.
 MESH_POINT_CHUNK = 128
-
-#: Relative widening of both radii of the shell in Mesh.contains_points
-#: that the winding pass decides, far above the rounding of a distance.
-MESH_BALL_SLACK = 1e-9
-
-#: Distance from a triangle, relative to the bounding radius, within which
-#: a shell point of Mesh.contains_points lies on the surface, so contained;
-#: at most MESH_BALL_SLACK, so that every such point is in the shell.
-MESH_SURFACE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -65,14 +62,7 @@ class Ball:
 
     def contains_points(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.linalg.norm(pts - self.center, axis=-1) <= self.radius * (1.0 + BALL_TOL)
-
-    def to_json_dict(self):
-        return {
-            "kind": "ball",
-            "center": [float(c) for c in self.center],
-            "radius": float(self.radius),
-        }
+        return spinor.euclidean_norm(pts - self.center) <= self.radius * (1.0 + BALL_TOL)
 
 
 @dataclass(frozen=True)
@@ -99,7 +89,7 @@ class Mesh:
 
     def bounding_sphere(self):
         center = self.vertices.mean(axis=0)
-        radius = float(np.linalg.norm(self.vertices - center, axis=-1).max())
+        radius = float(spinor.euclidean_norm(self.vertices - center).max())
         return center, radius
 
     def contains_points(self, pts):
@@ -108,12 +98,13 @@ class Mesh:
         Two balls about the vertex centroid c decide most points: beyond
         the bounding radius R a point is outside, and nearer than r, a lower
         bound on the distance from c to the surface, it has c's winding
-        number.  In the shell between them a point within MESH_SURFACE_TOL
-        R of a triangle is on the surface, so contained, also on a sharp
-        edge, and the rest take the winding pass."""
+        number.  In the shell between them, both radii widened by BALL_TOL,
+        a point within BALL_TOL R of a triangle is on the surface, so
+        contained, also on a sharp edge, and the rest take the winding
+        pass."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         center, radius = self.bounding_sphere()
-        dist = np.linalg.norm(pts - center, axis=-1)
+        dist = spinor.euclidean_norm(pts - center)
         # r: along its computed normal n a triangle lies between the heights
         # of its corners, so a rounded n still bounds its distance from c
         # from below; a plane through c or a degenerate triangle gives 0
@@ -123,14 +114,14 @@ class Mesh:
         gap = np.maximum(np.maximum(height.min(axis=1), -height.max(axis=1)), 0.0)
         gap /= np.maximum(np.linalg.norm(normal, axis=1), np.finfo(float).tiny)
         inner = gap.min(initial=radius)
-        # the shell is widened by MESH_BALL_SLACK on both sides, so that
-        # rounding in the distances never takes a point out of the pass
-        out = dist <= radius * (1.0 + MESH_BALL_SLACK)
-        core = dist < inner * (1.0 - MESH_BALL_SLACK)
+        # the shell is widened by BALL_TOL on both sides, far above the
+        # rounding of a distance, so it holds the whole surface band
+        out = dist <= radius * (1.0 + BALL_TOL)
+        core = dist < inner * (1.0 - BALL_TOL)
         if np.any(core):
             out[core] = self._winding_contains(center[None])[0]
         shell = np.flatnonzero(out & ~core)
-        shell = shell[self._surface_distance(pts[shell]) > MESH_SURFACE_TOL * radius]
+        shell = shell[self._surface_distance(pts[shell]) > BALL_TOL * radius]
         out[shell] = self._winding_contains(pts[shell])
         return out
 
@@ -172,13 +163,6 @@ class Mesh:
             denom = la * lb * lc + dot(a, b) * lc + dot(a, c) * lb + dot(b, c) * la
             w[chunk] = np.arctan2(dot(a, np.cross(b, c)), denom).sum(axis=1)
         return np.abs(w) / (2 * np.pi) > 0.25
-
-    def to_json_dict(self):
-        return {
-            "kind": "mesh",
-            "vertices": [[float(c) for c in v] for v in self.vertices],
-            "triangles": [[int(i) for i in t] for t in self.triangles],
-        }
 
 
 Region = Ball | Mesh
@@ -294,8 +278,7 @@ def locale_disjoint(b: ClosedSetUnion, k: Region) -> bool:
 
 def _regions_disjoint(a: Region, b: Region) -> bool:
     if isinstance(a, Ball) and isinstance(b, Ball):
-        gap = float(np.linalg.norm(a.center - b.center))
-        return gap > (a.radius + b.radius) * (1.0 + BALL_TOL)
+        return separation(a, b) > (a.radius + b.radius) * (1.0 + BALL_TOL)
     return _sampled_disjoint(a, b)
 
 
@@ -308,12 +291,11 @@ def _boundary_cloud(r: Region):
 
 def _sampled_disjoint(a: Region, b: Region) -> bool:
     (ca, ra), (cb, rb) = a.bounding_sphere(), b.bounding_sphere()
-    slack = (ra + rb) * BALL_TOL
-    if float(np.linalg.norm(ca - cb)) > ra + rb + slack:
+    if _regions_disjoint(Ball(ca, ra), Ball(cb, rb)):
         return True
     pa, pb = _boundary_cloud(a), _boundary_cloud(b)
     # Solid regions: mutual containment of boundary samples means overlap.
     if np.any(b.contains_points(pa)) or np.any(a.contains_points(pb)):
         return False
-    sep = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=-1).min()
-    return bool(sep > slack)
+    sep = spinor.euclidean_norm(pa[:, None, :] - pb[None, :, :]).min()
+    return bool(sep > (ra + rb) * BALL_TOL)

@@ -121,7 +121,7 @@ def _kept_ratios(theta, rates):
     return rates[keep] / theta[keep]
 
 
-def check_kernel_proportionality(frame, x, xi, tol=None, event_h=None):
+def check_kernel_proportionality(frame, x, xi, tol=None):
     """The two functionals on the 6-probe basis are positive multiples.
 
     The probes are the four coordinate event directions (horizontal) and
@@ -134,7 +134,7 @@ def check_kernel_proportionality(frame, x, xi, tol=None, event_h=None):
     """
     xis = unit_cospinor(np.atleast_2d(xi))
     xs = np.broadcast_to(np.asarray(x, dtype=float), (len(xis), 4))
-    pv = frame.probe_values(xs, xis, _COORD_DIRS, h=event_h)
+    pv = frame.probe_values(xs, xis, _COORD_DIRS)
     if not pv.arrived.all():
         event = xs[np.argmin(pv.arrived)].tolist()
         raise NoIntersectionError(f"a probe ray of {event} misses the target surface")

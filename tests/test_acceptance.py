@@ -121,7 +121,7 @@ def test_criterion_5_cosmology_sky_images():
         assert abs(mf.conformal_time(metric, 1.0) - 3.0) <= 1e-10
 
 
-def test_criterion_6_kernel_proportionality():
+def test_criterion_6_kernel_proportionality(monkeypatch):
     with _Budget("6 contact/normal proportionality on probe bases", 60.0):
         rng = np.random.default_rng(106)
         graph = GraphFrame()
@@ -140,13 +140,12 @@ def test_criterion_6_kernel_proportionality():
             rep = vf.check_kernel_proportionality(geo, x, xi, tol=1e-3)
             assert rep.passed, rep.max_residual
         # convergence: halving the event step shrinks the residual >= 3x
-        coarse = fine = 0.0
-        for x, xi in probes[:10]:
-            r1 = vf.check_kernel_proportionality(geo, x, xi, tol=1.0, event_h=4e-3)
-            r2 = vf.check_kernel_proportionality(geo, x, xi, tol=1.0, event_h=2e-3)
-            coarse = max(coarse, r1.residuals[0])
-            fine = max(fine, r2.residuals[0])
-        assert coarse / fine >= 3.0
+        spreads = []
+        for step in (4e-3, 2e-3):
+            monkeypatch.setattr(fr, "EVENT_FD_STEP", step)
+            reps = [vf.check_kernel_proportionality(geo, x, xi, tol=1.0) for x, xi in probes[:10]]
+            spreads.append(max(r.residuals[0] for r in reps))
+        assert spreads[0] / spreads[1] >= 3.0
 
 
 def test_criterion_7_flow_of_time():

@@ -210,6 +210,47 @@ class TestVerdictsAtEveryScale:
         assert spacelike is mk.CausalOrder.SPACELIKE
 
 
+def _octahedron(scale):
+    """The closed outward-oriented octahedron with vertices at +-scale e_i."""
+    vertices = scale * np.vstack([np.eye(3), -np.eye(3)])
+    triangles = []
+    for sx, sy, sz in np.ndindex(2, 2, 2):
+        tri = [sx * 3, 1 + sy * 3, 2 + sz * 3]
+        triangles.append(tri if (sx + sy + sz) % 2 == 0 else tri[::-1])
+    return ca.Mesh(vertices=vertices, triangles=triangles)
+
+
+class TestDistancesWhoseSquaresUnderflow:
+    """Every distance between points or centres scales below
+    `spinor.SQUARE_UNDERFLOW`: two 1e-200 regions 1e-170 apart are disjoint,
+    where an unscaled norm read the gap as 0."""
+
+    NEAR, FAR = ca.Ball([0.0, 0, 0], 1e-200), ca.Ball([1e-170, 0, 0], 1e-200)
+
+    def test_ball_containment_of_a_far_point(self):
+        assert self.NEAR.contains_points([[1e-170, 0, 0]]).tolist() == [False]
+        assert self.NEAR.contains_points([[0.5e-200, 0, 0]]).tolist() == [True]
+
+    def test_two_balls_are_disjoint(self):
+        assert ca._regions_disjoint(self.NEAR, self.FAR)
+        assert not ca._regions_disjoint(self.NEAR, ca.Ball([1.5e-200, 0, 0], 1e-200))
+
+    def test_the_sampled_path(self):
+        assert ca._sampled_disjoint(self.NEAR, self.FAR)
+
+    def test_the_locale(self):
+        assert ca.locale_disjoint(ca.ClosedSetUnion(regions=(self.NEAR,)), self.FAR)
+
+    def test_a_small_mesh_holds_no_far_point(self):
+        mesh = _octahedron(1e-200)
+        assert mesh.is_closed()
+        assert mesh.bounding_sphere()[1] == 1e-200
+        assert mesh.contains_points([[1e-170, 0, 0]]).tolist() == [False]
+
+    def test_a_small_mesh_and_a_far_ball_are_disjoint(self):
+        assert ca._regions_disjoint(_octahedron(1e-200), self.FAR)
+
+
 class TestInCausalPast:
     def test_conformal_criterion_agreement(self, flrw_frame):
         rng = np.random.default_rng(0)
@@ -568,7 +609,7 @@ SHARP = ca.Mesh(
 
 
 class TestSurfacePoints:
-    """A shell point within MESH_SURFACE_TOL of a triangle is on the surface."""
+    """A shell point within BALL_TOL R of a triangle is on the surface."""
 
     def test_sharp_tetrahedron_is_closed_and_outward(self):
         assert SHARP.is_closed()
@@ -589,7 +630,7 @@ class TestSurfacePoints:
 
     def test_points_off_the_surface_take_the_pass(self, pass_points):
         _, radius = SHARP.bounding_sphere()
-        off = 10 * ca.MESH_SURFACE_TOL * radius
+        off = 10 * ca.BALL_TOL * radius
         pts = np.array([[0.5, -off, 0.0], [0.5, 0.5, 0.0], [0.5, 0.0, 0.1]])
         assert SHARP.contains_points(pts).tolist() == [False, True, False]
         assert pass_points[-1] == 2  # (0.5, 0.5, 0) is the centroid c, in the core
@@ -698,14 +739,3 @@ class TestLocale:
         assert ca.locale_disjoint(ca.ClosedSetUnion(regions=(mesh_far,)), big)
         assert not ca.locale_disjoint(ca.ClosedSetUnion(regions=(mesh_in,)), big)
 
-
-class TestSerialisation:
-    def test_ball_json(self):
-        d = ca.Ball(center=[1, 2, 3], radius=0.5).to_json_dict()
-        assert d == {"kind": "ball", "center": [1.0, 2.0, 3.0], "radius": 0.5}
-
-    def test_mesh_json(self, flrw_frame):
-        [mesh] = ca.mesh_regions(flrw_frame, [[1.0, 0, 0, 0]], sky.sample_sky(60))
-        d = mesh.to_json_dict()
-        assert d["kind"] == "mesh"
-        assert len(d["vertices"]) == 60

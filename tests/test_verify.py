@@ -191,12 +191,14 @@ class TestKernelProportionality:
             assert rep.extras["empirical_factor"] == pytest.approx(expected, rel=1e-6)
             assert np.all(rep.extras["ratios"] > 0)
 
-    def test_richardson_convergence(self, flrw_spec):
-        x = np.array([0.8, 0.1, -0.2, 0.05])
+    def test_richardson_convergence(self, flrw_spec, monkeypatch):
+        x = np.array([0.8, 0.1, -0.2, 0.05])  # |x| < 1, so the event step is EVENT_FD_STEP
         xi = sky.unit_cospinor(np.array([0.7, 0.1 - 0.6j]))
-        r1 = vf.check_kernel_proportionality(flrw_spec, x, xi, event_h=4e-3)
-        r2 = vf.check_kernel_proportionality(flrw_spec, x, xi, event_h=2e-3)
-        assert r1.residuals[0] / r2.residuals[0] >= 3.0
+        spreads = []
+        for step in (4e-3, 2e-3):
+            monkeypatch.setattr(fr, "EVENT_FD_STEP", step)
+            spreads.append(vf.check_kernel_proportionality(flrw_spec, x, xi).residuals[0])
+        assert spreads[0] / spreads[1] >= 3.0
 
     def test_numeric_tracer_frame(self):
         geo = fr.FrameSpec(
@@ -270,15 +272,16 @@ class TestKernelProportionality:
         with pytest.raises(NoIntersectionError, match=re.escape("[0.0, 0.3, 0.0, 0.0]")):
             vf.check_kernel_proportionality(PROTOCOL_FRAMES["flat"], xs, xis)
 
-    def test_batch_names_the_event_of_the_first_degenerate_row(self):
+    def test_batch_names_the_event_of_the_first_degenerate_row(self, monkeypatch):
         # the image of an event 1e-8 above the slice is below RANK_TOL; the
         # small event step keeps its family rays above the slice
+        monkeypatch.setattr(fr, "EVENT_FD_STEP", 1e-12)
         xs = np.array([[1.0, 0.2, -0.3, 0.1], [1e-8, 0.2, -0.3, 0.1], [1e-8, 0.5, 0, 0]])
         xis = np.tile([0.6, 0.8j], (3, 1))
         flat = PROTOCOL_FRAMES["flat"]
         with pytest.raises(DegenerateTangentPlaneError, match=re.escape("[1e-08, 0.2, -0.3, 0.1]")):
-            vf.check_kernel_proportionality(flat, xs, xis, event_h=1e-12)
-        assert vf.check_kernel_proportionality(flat, xs[0], xis[0], event_h=1e-12).passed
+            vf.check_kernel_proportionality(flat, xs, xis)
+        assert vf.check_kernel_proportionality(flat, xs[0], xis[0]).passed
 
 
 class TestFlowOfTime:
