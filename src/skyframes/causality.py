@@ -101,10 +101,18 @@ class Mesh:
         number.  In the shell between them, both radii widened by BALL_TOL,
         a point within BALL_TOL R of a triangle is on the surface, so
         contained, also on a sharp edge, and the rest take the winding
-        pass."""
+        pass.  That geometry multiplies up to four lengths, so a mesh whose
+        fourth powers would underflow decides the points in its bounding
+        ball on a copy scaled about c by a power of 2, to a radius near 1."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         center, radius = self.bounding_sphere()
         dist = spinor.euclidean_norm(pts - center)
+        out = dist <= radius * (1.0 + BALL_TOL)
+        if 0.0 < radius < math.sqrt(spinor.SQUARE_UNDERFLOW):
+            exp = -math.frexp(radius)[1]
+            unit = Mesh(np.ldexp(self.vertices - center, exp), self.triangles)
+            out[out] = unit.contains_points(np.ldexp(pts[out] - center, exp))
+            return out
         # r: along its computed normal n a triangle lies between the heights
         # of its corners, so a rounded n still bounds its distance from c
         # from below; a plane through c or a degenerate triangle gives 0
@@ -116,7 +124,6 @@ class Mesh:
         inner = gap.min(initial=radius)
         # the shell is widened by BALL_TOL on both sides, far above the
         # rounding of a distance, so it holds the whole surface band
-        out = dist <= radius * (1.0 + BALL_TOL)
         core = dist < inner * (1.0 - BALL_TOL)
         if np.any(core):
             out[core] = self._winding_contains(center[None])[0]

@@ -206,7 +206,7 @@ def cmd_verify(opts):
     return 0 if payload["passed"] else DOMAIN_ERROR
 
 
-def build_parser():
+def _build_parser():
     parser = argparse.ArgumentParser(prog="skyframes")
     parser.add_argument("--config", help="JSON config file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -249,10 +249,14 @@ def build_parser():
     return parser
 
 
+#: The one parser of the process: each parse makes a fresh namespace and
+#: reads nothing a parse before it left behind.
+PARSER = _build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args, unknown = parser.parse_known_args(argv)
+        args, unknown = PARSER.parse_known_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code else 0
     if unknown:  # a flag the command does not take: one line, not the usage

@@ -122,7 +122,12 @@ def twistor_for_sky_point(x, xi) -> Twistor:
 
 def contraction_matches_transform(x, pi):
     """Residual of contraction(incidence(x, pi)) against the size field of x."""
-    tau = contraction(incidence(x, pi))
+    return contraction_residual(x, contraction(incidence(x, pi)))
+
+
+def contraction_residual(x, tau: TwistorContraction):
+    """Residual of tau, the contraction of an incidence twistor of x,
+    against the size field of x at the sky point of tau."""
     rhs = celestial_eval(np.asarray(x, float), tau.xi)
     scale = np.maximum(np.maximum(np.abs(tau.value), np.abs(rhs)), 1e-300)
     return np.abs(tau.value - rhs) / scale

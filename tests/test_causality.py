@@ -250,6 +250,15 @@ class TestDistancesWhoseSquaresUnderflow:
     def test_a_small_mesh_and_a_far_ball_are_disjoint(self):
         assert ca._regions_disjoint(_octahedron(1e-200), self.FAR)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-100, 1e-150, 1e-200, 1e-300])
+    def test_a_small_mesh_holds_what_it_holds_at_scale_1(self, scale):
+        # at 1e-100, 1e-200 and 1e-300 the point just outside a face read as
+        # inside, and at 1e-150 the points off the vertices read as outside:
+        # the triangle geometry's products of four lengths rounded to 0
+        pts = np.array([[0.55, 0.55, 0.55], [0.3, 0.3, 0.3], [0.1, -0.2, 0.05], [1.0, 0, 0]])
+        inside = [False, True, True, True]
+        assert _octahedron(scale).contains_points(pts * scale).tolist() == inside
+
 
 class TestInCausalPast:
     def test_conformal_criterion_agreement(self, flrw_frame):

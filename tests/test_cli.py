@@ -696,6 +696,30 @@ class TestVerify:
         assert "tol must be finite and non-negative" in err and out == ""
 
 
+class TestOneParserPerProcess:
+    def test_in_process_calls_stay_independent(self, capsys, tmp_path, monkeypatch):
+        # main() parses with the module's one parser: what one call gives or
+        # reads (a config target, a flag's value) reaches no later call
+        monkeypatch.chdir(tmp_path)
+        verify = ["verify", "--suite", "all", "--seed", "3", "--n", "8"]
+        parsed = vars(cli.PARSER.parse_args(verify))
+        assert parsed["target"] is None and parsed["metric"] is None
+        first = run(capsys, *verify, "--out", "first.json")
+        assert first[0] == 0 and first[2] == ""
+        code, out, _ = run(capsys, "sky-image", "--event", "1,0,0,0")
+        assert code == 0 and out.startswith("samples: 500  ")
+        code, out, err = run(capsys, "verify", "--suite", "all", "--format", "csv")
+        assert (code, out) == (2, "") and "unrecognized arguments: --format csv" in err
+        (tmp_path / "cfg.json").write_text(json.dumps({"target": "cauchy:0.2", "metric": "flrw",
+                                                      "p": 0.5, "seed": 5, "n": 3}))
+        code, out, _ = run(capsys, "--config", "cfg.json", *verify[:3], "--out", "cfg.json.out")
+        assert code == 0
+        assert json.loads((tmp_path / "cfg.json.out").read_text())["seed"] == 5
+        assert run(capsys, *verify, "--out", "again.json") == first
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "first.json").read_bytes()
+        assert vars(cli.PARSER.parse_args(verify)) == parsed
+
+
 class TestGraphFrameNeedsFlatSpace:
     @pytest.mark.parametrize(
         "argv",
@@ -782,11 +806,12 @@ class TestFlagsPerCommand:
     def test_each_command_reads_every_flag_it_takes(self, monkeypatch, tmp_path, capsys):
         # every command took all ten common flags, read or not (46 in all)
         monkeypatch.chdir(tmp_path)
-        commands = cli.build_parser()._subparsers._group_actions[0].choices
+        commands = cli.PARSER._subparsers._group_actions[0].choices
         counts = {}
         for name, parser in commands.items():
             func, read, given = parser.get_default("func"), set(), set()
-            monkeypatch.setattr(cli, func.__name__, lambda opts, f=func: f(_ReadKeys(opts, read)))
+            wrapped = lambda opts, f=func: f(_ReadKeys(opts, read))  # noqa: E731
+            monkeypatch.setitem(parser._defaults, "func", wrapped)
             for argv in _FLAG_RUNS[name]:
                 read.clear()
                 assert main([name, *argv]) == 0, capsys.readouterr().err

@@ -7,6 +7,7 @@ import pytest
 from skyframes import frames as fr
 from skyframes import manifold as mf
 from skyframes import sky, spinor, verify as vf
+from skyframes import twistor as tw
 from skyframes.errors import DegenerateTangentPlaneError, NoIntersectionError
 from skyframes.minkowski import GraphFrame
 
@@ -311,6 +312,133 @@ class TestFlowOfTime:
         assert np.nanmean(profile) == pytest.approx(2.0, rel=1e-6)
 
 
+class _EditedProbes:
+    """A verifier frame whose probe values are those of `frame`, changed by
+    `edit(pv) -> pv`."""
+
+    def __init__(self, frame, edit):
+        self.frame, self.edit = frame, edit
+        self.PROBE_TOL, self.target_time = frame.PROBE_TOL, frame.target_time
+
+    def probe_values(self, x, xis, directions, h=None):
+        return self.edit(self.frame.probe_values(x, xis, directions, h))
+
+
+def _reference_kernel(pv):
+    """Each row's kernel residuals, ratios and median, one row at a time."""
+    rows = []
+    for theta, rates, vertical in zip(pv.theta, pv.rates, pv.vertical):
+        scale_t = max(float(np.abs(theta).max()), 1e-300)
+        scale_p = max(float(np.abs(rates).max()), 1e-300)
+        keep = np.abs(theta) > vf.KERNEL_SKIP_TOL * scale_t
+        ratios = rates[keep] / theta[keep]
+        med = float(np.median(ratios))
+        sv = np.linalg.svd(np.stack([theta / scale_t, rates / scale_p]), compute_uv=False)
+        residuals = [
+            float(np.abs(ratios - med).max() / abs(med)),
+            sv[1] / sv[0],
+            float(np.abs(vertical).max() / scale_p),
+            0.0 if np.all(ratios > 0.0) else 1.0,
+        ]
+        rows.append((np.array(residuals), ratios, med))
+    return rows
+
+
+def _reference_flow(pv):
+    """The flow residuals and mean profile, one sample at a time."""
+    residuals, profile = [], []
+    for theta, rates, regular in zip(pv.theta, pv.rates, pv.regular):
+        keep = np.abs(theta) > vf.KERNEL_SKIP_TOL * max(float(np.abs(theta).max()), 1e-300)
+        ratios = rates[keep] / theta[keep] if regular else ()
+        if len(ratios) == 0:
+            profile.append(np.nan)
+            continue
+        mean = float(np.mean(ratios))
+        profile.append(mean)
+        residuals.append(float(np.abs(ratios - mean).max() / abs(mean)))
+    return np.array(residuals), np.array(profile)
+
+
+def _same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def _drop(theta, b, dropped, factor=1e-12):
+    """Move the `dropped` smallest |theta| of row b to factor times its largest."""
+    order = np.argsort(-np.abs(theta[b]))
+    theta[b, order[len(order) - dropped:]] = factor * np.abs(theta[b]).max()
+
+
+def _edit_kernel_rows(pv):
+    """Rows 0-2 keep 1, 2 and 3 ratios (the others fall 1e-12 below the
+    largest |theta|), row 4 has a probe exactly on the edge of the kernel
+    band, and row 5 a negative ratio; a batch of one row keeps 2 ratios."""
+    theta, rates = pv.theta.copy(), pv.rates.copy()
+    if len(theta) == 1:
+        _drop(theta, 0, 2)
+    else:
+        for b, dropped in ((0, 3), (1, 2), (2, 1)):
+            _drop(theta, b, dropped)
+        _drop(theta, 4, 1, vf.KERNEL_SKIP_TOL)
+        rates[5, 0] = -rates[5, 0]
+    return pv._replace(theta=theta, rates=rates)
+
+
+def _edit_flow_rows(pv):
+    """Row 1 is not regular, row 2 keeps one ratio and row 3 has a probe on
+    the edge of the kernel band; a batch of one row is not regular."""
+    theta, rates, regular = pv.theta.copy(), pv.rates.copy(), pv.regular.copy()
+    if len(theta) == 1:
+        regular[0], rates[0] = False, np.nan
+    else:
+        regular[1], rates[1] = False, np.nan
+        _drop(theta, 2, 3)
+        _drop(theta, 3, 1, vf.KERNEL_SKIP_TOL)
+    return pv._replace(theta=theta, rates=rates, regular=regular)
+
+
+ROW_FRAMES = {"graph": GraphFrame(), "p2/3": PROTOCOL_FRAMES["p2/3"]}
+
+
+class TestRowReportsMatchThePerRowReference:
+    """The row operations of the kernel and flow checks give the bits of a
+    loop over rows that takes np.median and np.mean of each row's kept
+    ratios."""
+
+    @pytest.mark.parametrize("name", sorted(ROW_FRAMES))
+    def test_kernel_rows(self, name):
+        frame = _EditedProbes(ROW_FRAMES[name], _edit_kernel_rows)
+        xs, xis = vf._random_rows(7, 6, frame)
+        reports = vf.check_kernel_proportionality(frame, xs, xis)
+        reference = _reference_kernel(frame.probe_values(xs, xis, np.eye(4)))
+        assert [len(ratios) for _, ratios, _ in reference] == [1, 2, 3, 4, 3, 4]
+        assert [res[3] for res, _, _ in reference] == [0.0] * 5 + [1.0]
+        # one row given as xi (2,), keeping 2 ratios
+        one = vf.check_kernel_proportionality(frame, xs[2], xis[2])
+        reports.append(one)
+        reference += _reference_kernel(frame.probe_values(xs[2], xis[2:3], np.eye(4)))
+        assert len(reference[-1][1]) == 2
+        for rep, (residuals, ratios, med) in zip(reports, reference, strict=True):
+            assert _same_bits(rep.residuals, residuals)
+            assert _same_bits(rep.extras["ratios"], ratios)
+            assert _same_bits(rep.extras["empirical_factor"], med)
+            assert rep.max_residual == residuals.max()
+
+    @pytest.mark.parametrize("name", sorted(ROW_FRAMES))
+    def test_flow_rows(self, name):
+        frame = _EditedProbes(ROW_FRAMES[name], _edit_flow_rows)
+        x = vf._random_events(np.random.default_rng(3), 1, t_floor=frame.target_time)[0]
+        sample = vf._random_sky(3, 8)
+        rep = vf.check_flow_of_time(frame, x, DIRECTIONS, sample)
+        residuals, profile = _reference_flow(frame.probe_values(x, sample.xi, DIRECTIONS))
+        assert len(residuals) == 7 and np.isnan(profile[1])
+        assert _same_bits(rep.residuals, residuals)
+        assert _same_bits(rep.extras["empirical_factor_profile"], profile)
+        # a sample of one sky point, not regular
+        with pytest.raises(DegenerateTangentPlaneError, match="no regular samples"):
+            vf.check_flow_of_time(frame, x, DIRECTIONS, sky.SkySample(sample.xi[:1]))
+
+
 class TestContractionIdentity:
     def test_origin_is_exact(self):
         rng = np.random.default_rng(2)
@@ -373,6 +501,14 @@ class TestSuites:
         assert np.allclose(rep_null.residuals[:n_null], im_null, rtol=0, atol=1e-14)
         assert rep_null.residuals[n_null:].tolist() == misclassified
         assert rep_null.probe_count == n_null + len(misclassified)
+
+    def test_twistor_suite_builds_its_incidence_twistors_once(self, monkeypatch):
+        # the contraction check built them, then the null characterisation
+        # built them again
+        calls, incidence = [], tw.incidence
+        monkeypatch.setattr(tw, "incidence", lambda x, pi: calls.append(len(pi)) or incidence(x, pi))
+        assert len(vf.suite_twistor(7, n=20)) == 2
+        assert calls == [20]
 
     def test_report_json_schema(self):
         rep = vf.suite_twistor(1, n=10)[0]
