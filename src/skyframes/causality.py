@@ -54,7 +54,7 @@ class Ball:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if self.radius < 0.0:
+        if not self.radius >= 0.0:  # also for NaN
             raise ValueError("ball radius must be non-negative")
 
     def bounding_sphere(self):
@@ -189,11 +189,11 @@ def join(b1: ClosedSetUnion, b2: ClosedSetUnion) -> ClosedSetUnion:
 def analytic_region(f: fr.FrameSpec, x) -> Ball | None:
     """Exact ball region when the chart is conformally flat, else None.
 
-    Raises OutOfDomainError for an event outside the chart's time bounds
-    (the ball test bounds its spatial coordinates) or when the radius
-    overflows, and NoIntersectionError below the target or when the ball
-    is not strictly inside the chart's spatial bounds (the end-point test
-    of `project_batch`)."""
+    Raises OutOfDomainError for an event outside the chart domain (the
+    `in_domain` test of `project_batch`, on all four coordinates, before
+    any other) or when the radius overflows, and NoIntersectionError below
+    the target or when the ball is not strictly inside the chart's spatial
+    bounds (the end-point test of `project_batch`)."""
     if f.metric.kind == "custom":
         return None
     x = np.asarray(x, dtype=float)
@@ -202,13 +202,19 @@ def analytic_region(f: fr.FrameSpec, x) -> Ball | None:
     if not t_lo < t < t_hi:
         raise OutOfDomainError("an event lies outside the chart domain")
     radius = mf.conformal_time(f.metric, t, f.target_time)
+    if 0.0 <= radius < math.inf and all(
+        lo + radius < c < hi - radius for c, (lo, hi) in zip(center, spans)
+    ):
+        return Ball(center=x[1:], radius=radius)
+    # A ball inside the spatial bounds has its centre inside them, so only a
+    # failed ball test needs the spatial part of the domain test.
+    if not all(lo < c < hi for c, (lo, hi) in zip(center, spans)):  # NaN is outside
+        raise OutOfDomainError("an event lies outside the chart domain")
     if radius < 0.0:
         raise NoIntersectionError(f"event {event} lies below the target")
     if not math.isfinite(radius):
         raise OutOfDomainError(f"the past region of {event} overflows")
-    if not all(lo + radius < c < hi - radius for c, (lo, hi) in zip(center, spans)):
-        raise NoIntersectionError(f"the past region of {event} leaves the chart")
-    return Ball(center=x[1:], radius=radius)
+    raise NoIntersectionError(f"the past region of {event} leaves the chart")
 
 
 def mesh_regions(f: fr.FrameSpec, events, sample: SkySample | None = None) -> list[Mesh]:

@@ -7,7 +7,9 @@ the past-directed null geodesic it represents; regularity of the image is
 the numerical rank of the map's Jacobian in the two sky parameters.
 
 One kernel, `tangent_planes`, traces a batch of rows with their sky
-stencils and event-family pairs in a single `project_batch` call; it
+stencils and event-family pairs in a single `project_batch` call (one
+event may be shared by every ray, as in a sky image, and the closed form
+then does its per-event work once); it
 ranks the Jacobians and orients their normals in closed form from their
 two columns, and gives the event-family differences.  Sky images and the
 verifier's probe values (`FrameSpec.probe_values`) are built on it; a
@@ -194,60 +196,74 @@ class SkyImage:
 
 
 def project_batch(f: FrameSpec, events, xis):
-    """Project rays (one event + sky point each) onto the target surface.
+    """Project rays (an event and a sky point each) onto the target surface.
 
-    events: (B, 4), xis: (B, 2).  Returns (m_points (B, 3), lams (B,),
-    ok (B,) bool, lost (B,) bool); lost marks rays left unsettled by the
-    tracer's grid.  Raises ZeroSpinorError for a zero xi, OutOfDomainError
-    when an event leaves the chart or an arrived ray has no finite end point
-    or affine length, and DivergentIntegralError when the affine length to
-    the target diverges; rays whose event lies below the target, or whose
-    end point lies outside the chart's spatial bounds, come back not ok.
+    events: one event (4,) shared by every ray, or (B, 4), one per ray;
+    xis: (B, 2).  Returns (m_points (B, 3), lams (B,), ok (B,) bool, lost
+    (B,) bool); lost marks rays left unsettled by the tracer's grid.  The
+    closed form does its per-event work once per event row and broadcasts
+    it over the rays, with the bits of the tiled rows.  Raises
+    ZeroSpinorError for a zero xi, OutOfDomainError when an event leaves
+    the chart or an arrived ray has no finite end point or affine length,
+    and DivergentIntegralError when the affine length to the target
+    diverges; rays whose event lies below the target, or whose end point
+    lies outside the chart's spatial bounds, come back not ok.
     """
     events = np.asarray(events, dtype=float)
     xis = np.asarray(xis, dtype=complex)
-    if events.ndim != 2:
-        raise ValueError("project_batch expects (B, 4) events")
+    if events.shape[-1:] != (4,) or events.ndim > 2:
+        raise ValueError("project_batch expects one event (4,) or (B, 4) events")
     if not np.all(f.metric.in_domain(events)):
         raise OutOfDomainError("an event lies outside the chart domain")
-    t = events[:, 0]
+    b = len(xis)
+    closed = f.tracer == "auto" and f.metric.kind != "custom"
+    rows = events.reshape(-1, 4)  # (1, 4) when one event is shared
+    if not closed and len(rows) != b:  # the tracer takes one row per ray
+        rows = np.broadcast_to(rows, (b, 4))
+    t = rows[:, 0]
     t_target = f.target_time
     t_tol = 1e-12 * max(1.0, float(np.abs(t).max(initial=0.0)))
     on_surface = np.abs(t - t_target) <= t_tol
     below = t < t_target - t_tol
 
-    ok, lost = ~below, np.zeros(len(events), dtype=bool)
+    ok, lost = _per_ray(~below, b), np.zeros(b, dtype=bool)
     dirs = spinor.direction_for_cospinor(xis)
-    if f.tracer == "auto" and f.metric.kind != "custom":
+    if closed:
         # numpy's warnings off, as a non-finite ray raises below; an error
         # state set to raise (the CLI's) still raises first
         quiet = {k: "ignore" if v == "warn" else v for k, v in np.geterr().items()}
         with np.errstate(**quiet):
             eta = mf.conformal_time(f.metric, t, t_target)
-            m_points = events[:, 1:] - eta[:, None] * dirs
+            m_points = rows[:, 1:] - eta[:, None] * dirs
             lams = mf.affine_length(f.metric, t, t_target)
     else:
-        m_points, lams = np.empty((len(events), 3)), np.zeros(len(events))
+        m_points, lams = np.empty((b, 3)), np.zeros(b)
         march = ok & ~on_surface
         if np.any(march):
-            _, res = _trace(f, events[march], dirs[march])
+            _, res = _trace(f, rows[march], dirs[march])
             singular = f.target.kind == "singularity"
             ends = _close_singularity_gap(f, res) if singular else (res.x[:, 1:], res.lam)
             m_points[march], lams[march] = ends
             ok[march], lost[march] = res.ok, res.lost
-    m_points[on_surface] = events[on_surface, 1:]
+    np.copyto(m_points, rows[:, 1:], where=on_surface[:, None])
     lams[on_surface] = 0.0
+    lams = _per_ray(lams, b)
     bad = ok & ~reduce(np.logical_and, map(np.isfinite, m_points.T), np.isfinite(lams))
     if np.any(bad):
-        raise OutOfDomainError(
-            f"the ray from {events[bad][0].tolist()} has no finite end point or length"
-        )
+        ray = _per_ray(rows, b)[bad][0]
+        raise OutOfDomainError(f"the ray from {ray.tolist()} has no finite end point or length")
     # Arrived rays end inside the chart's spatial bounds (the strict test of
     # _march); in the box chart a straight closed-form ray leaves it exactly
     # when its end point does.
-    ok &= f.metric.in_domain(np.column_stack([t, m_points]))
+    ok &= f.metric.in_domain(np.column_stack([_per_ray(t, b), m_points]))
     m_points[~ok] = np.nan
     return m_points, lams, ok, lost
+
+
+def _per_ray(a, b):
+    """The per-event array a (E, ...) over b rays: itself when E = b, else
+    its one row repeated."""
+    return a if len(a) == b else np.repeat(a, b, axis=0)
 
 
 def _trace(f: FrameSpec, events, dirs):
@@ -307,11 +323,13 @@ class TangentPlanes:
 def tangent_planes(f: FrameSpec, events, xis, directions=None, h=None, normals=False):
     """Project B (event, sky point) rows together with their tangent planes.
 
-    events: (B, 4), xis: (B, 2).  One project_batch call traces each row's
-    base ray (xi as given), four sky-stencil rays and, for every event
-    family direction d in directions (k, 4), the pair x +- h d; stencil
-    and family rays use the unit representative of xi.  h defaults per
-    row to EVENT_FD_STEP * max(1, |x|).  The rank counts singular values
+    events: one event (4,) shared by every row, or (B, 4); xis: (B, 2).
+    One project_batch call traces each row's base ray (xi as given), four
+    sky-stencil rays and, for every event family direction d in directions
+    (k, 4), the pair x +- h d; stencil and family rays use the unit
+    representative of xi.  Without family directions a shared event goes
+    to project_batch once, for all 5B rays.  h defaults per row to
+    EVENT_FD_STEP * max(1, |x|).  The rank counts singular values
     of the central-difference Jacobian above RANK_TOL * max(1, sigma_max),
     in closed form from its columns c1, c2.  With normals, rank-2 rows get
     the unit normal c1 x c2 / |c1 x c2| of the image surface, oriented so
@@ -319,22 +337,25 @@ def tangent_planes(f: FrameSpec, events, xis, directions=None, h=None, normals=F
     this unless it is among the directions) is positive.
     """
     events = np.asarray(events, dtype=float)
-    b = events.shape[0]
     unit = skymod.unit_cospinor(xis)
+    b = len(unit)
+    rows = np.broadcast_to(events, (b, 4))
     dirs = np.atleast_2d(np.zeros((0, 4)) if directions is None else directions)
     k = dirs.shape[0]
     if normals and not np.any(np.all(dirs == _TIME_AXIS, axis=1)):
         dirs = np.vstack([dirs, _TIME_AXIS])
     if h is None:
-        h = EVENT_FD_STEP * np.maximum(1.0, reduce(np.maximum, np.abs(events).T))
+        h = EVENT_FD_STEP * np.maximum(1.0, reduce(np.maximum, np.abs(rows).T))
     h = np.broadcast_to(np.asarray(h, dtype=float), (b,))
-    shift = h[:, None, None] * np.asarray(dirs, dtype=float)[None]
-    fam_events = np.stack([events[:, None] + shift, events[:, None] - shift], axis=2)
     stencil_xis = _sky_stencil(unit).reshape(-1, 2)
+    if events.ndim == 1 and not len(dirs):
+        ray_events = events
+    else:
+        shift = h[:, None, None] * np.asarray(dirs, dtype=float)[None]
+        fam_events = np.stack([rows[:, None] + shift, rows[:, None] - shift], axis=2)
+        ray_events = np.concatenate([rows, np.repeat(rows, 4, 0), fam_events.reshape(-1, 4)])
     pts, lams, ok, lost = project_batch(
-        f,
-        np.concatenate([events, np.repeat(events, 4, 0), fam_events.reshape(-1, 4)]),
-        np.concatenate([xis, stencil_xis, np.repeat(unit, 2 * len(dirs), 0)]),
+        f, ray_events, np.concatenate([xis, stencil_xis, np.repeat(unit, 2 * len(dirs), 0)])
     )
     stencil = pts[b : 5 * b].reshape(b, 4, 3)
     fam_pts = pts[5 * b :].reshape(b, len(dirs), 2, 3)
@@ -383,18 +404,18 @@ def tangent_planes(f: FrameSpec, events, xis, directions=None, h=None, normals=F
 def sky_image(f: FrameSpec, x, sample: SkySample, with_rank=True) -> SkyImage:
     """Project every sample of the sky of x, keeping singular samples flagged.
 
-    With ranks the base and stencil rays go out as one batch of 5n rays."""
+    The event x goes to project_batch once, shared by every ray; with ranks
+    the base and stencil rays go out as one batch of 5n rays."""
     x = np.asarray(x, dtype=float)
-    events = np.tile(x, (sample.n, 1))
     if with_rank:
-        tp = tangent_planes(f, events, sample.xi)
+        tp = tangent_planes(f, x, sample.xi)
         pts, lams, ok, lost, ranks = tp.m_points, tp.lams, tp.ok, tp.lost, tp.ranks
     else:
-        pts, lams, ok, lost = project_batch(f, events, sample.xi)
+        pts, lams, ok, lost = project_batch(f, x, sample.xi)
         ranks = np.zeros(sample.n, dtype=int)
     status = tuple(
         "ok" if good else ("integrator_failure" if bad else "no_intersection")
-        for good, bad in zip(ok, lost)
+        for good, bad in zip(ok.tolist(), lost.tolist())
     )
     if not np.any(ok):
         raise NoIntersectionError("every sky sample failed to reach the target")

@@ -26,6 +26,10 @@ def eta(t, p=2 / 3):
     return t ** (1 - p) / (1 - p)
 
 
+#: A sky point (a unit covector) for a one-ray batch.
+XI_ONE = np.array([[1.0 + 0j, 0.0 + 0j]])
+
+
 def random_flrw_events(rng, n):
     out = np.empty((n, 4))
     out[:, 0] = rng.uniform(0.05, 1.5, size=n)
@@ -107,6 +111,36 @@ class TestBallErrors:
         else:
             region = ca.analytic_region(spec, x)
             assert region.center.tolist() == x[1:] and region.radius == x[0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    def test_non_finite_spatial_coordinate_is_out_of_domain(self, flrw_frame, bad, axis):
+        # raised NoIntersectionError ("leaves the chart") while the ray path
+        # raised OutOfDomainError for the same event
+        x = [1.0, 0.0, 0.0, 0.0]
+        x[axis] = bad
+        message = "an event lies outside the chart domain"
+        with pytest.raises(OutOfDomainError, match=message):
+            fr.project_batch(flrw_frame, [x], XI_ONE)
+        with pytest.raises(OutOfDomainError, match=message):
+            ca.analytic_region(flrw_frame, x)
+        with pytest.raises(OutOfDomainError, match=message):
+            ca.in_causal_past(flrw_frame, [0.5, 0.0, 0.0, 0.0], x)
+
+    def test_event_outside_a_box_chart_is_out_of_domain(self):
+        bounds = [[-np.inf, np.inf], [-2.1, 2.1], [-np.inf, np.inf], [-np.inf, np.inf]]
+        spec = fr.FrameSpec(metric=mf.MetricSpec.minkowski(bounds), target=fr.CauchySurface(0.0))
+        with pytest.raises(OutOfDomainError, match="an event lies outside the chart domain"):
+            ca.analytic_region(spec, [1.0, 3.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("radius", [np.nan, -1.0, -1e-300])
+    def test_ball_refuses_a_nan_or_negative_radius(self, radius):
+        # a NaN radius constructed: the check was radius < 0
+        with pytest.raises(ValueError, match="ball radius must be non-negative"):
+            ca.Ball([0.0, 0.0, 0.0], radius)
+
+    def test_ball_takes_a_zero_radius(self):
+        assert ca.Ball([0.0, 0.0, 0.0], 0.0).radius == 0.0
 
     def test_radius_overflow(self, recwarn):
         spec = fr.FrameSpec(

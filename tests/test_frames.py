@@ -351,7 +351,7 @@ class TestQuadrature:
             return integral(fn, lo, hi)
 
         def counting_project(f, events, xis):
-            batches.append(len(events))
+            batches.append(len(xis))  # rays: a sky image shares its one event
             return project(f, events, xis)
 
         metric = mf.metric_from_config({"kind": "flrw", "a_expr": "t**0.6666666666666666"})
@@ -785,7 +785,7 @@ class TestTangentPlaneKernel:
         project = fr.project_batch
 
         def counting(f, events, xis):
-            rows.append(len(events))
+            rows.append(len(xis))  # rays: a sky image shares its one event
             return project(f, events, xis)
 
         monkeypatch.setattr(fr, "project_batch", counting)
@@ -807,6 +807,128 @@ class TestTangentPlaneKernel:
         # the image is the comoving sphere of radius 3 about x: outward normals
         radial = (tp.m_points - x[1:]) / 3.0
         assert np.allclose(tp.normals, radial, atol=1e-6)
+
+
+# One event shared by every ray against its tiled (B, 4) rows.
+
+_README_CHART = {
+    "kind": "custom",
+    "coeffs": ["1", "-(1 + 0.1*t)**2", "-(1 + 0.1*t)**2", "-(1 + 0.1*t)**2"],
+    "bounds": [[0, None], [None, None], [None, None], [None, None]],
+}
+
+#: A frame and its events: above the target, on it (lambda = 0) where the
+#: target is a slice, and below it (no_intersection).
+_SHARED_CASES = {
+    "flat_cauchy0": (
+        dict(metric=mf.MetricSpec.minkowski(), target=fr.CauchySurface(0.0)),
+        [[1.3, 0.2, -0.1, 0.4], [0.0, 0.2, -0.1, 0.4], [-0.5, 0.2, -0.1, 0.4]],
+    ),
+    "p2/3_singularity": (
+        dict(metric=mf.MetricSpec.flrw(p=2 / 3), target=fr.Singularity()),
+        [[1.0, 0.2, -0.1, 0.4], [0.05, 1.0, 2.0, -3.0]],
+    ),
+    "p2/3_cauchy0.25": (
+        dict(metric=mf.MetricSpec.flrw(p=2 / 3), target=fr.CauchySurface(0.25)),
+        [[0.9, 0.2, -0.1, 0.4], [0.25, 0.2, -0.1, 0.4], [0.1, 0.2, -0.1, 0.4]],
+    ),
+    "a_expr_cauchy0.3": (
+        dict(
+            metric=mf.metric_from_config({"kind": "flrw", "a_expr": "t**0.6666666666666666"}),
+            target=fr.CauchySurface(0.3),
+        ),
+        [[1.1, 0.2, -0.1, 0.4], [0.3, 0.2, -0.1, 0.4], [0.2, 0.2, -0.1, 0.4]],
+    ),
+    "readme_custom_numeric": (
+        dict(metric=mf.metric_from_config(_README_CHART), target=fr.CauchySurface(0.3)),
+        [[1.0, 0.2, -0.1, 0.4], [0.3, 0.2, -0.1, 0.4], [0.1, 0.2, -0.1, 0.4]],
+    ),
+}
+
+
+def _int_view(a):
+    a = np.ascontiguousarray(a)
+    return a.view(np.int64) if a.dtype == float else a
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(_int_view(a), _int_view(b))
+
+
+def _plane_fields(tp):
+    return {k: getattr(tp, k) for k in fr.TangentPlanes.__dataclass_fields__}
+
+
+class TestSharedEvent:
+    @pytest.mark.parametrize("case", sorted(_SHARED_CASES))
+    def test_one_event_gives_the_bits_of_its_tiled_rows(self, case):
+        kwargs, events = _SHARED_CASES[case]
+        spec = fr.FrameSpec(**kwargs)
+        sample = sky.sample_sky(24, scheme="random", seed=7)
+        dirs = np.array([[0.0, 1.0, 0.0, 0.0], [0.3, 0.0, -0.2, 1.0]])
+        statuses = set()
+        for x in map(np.array, events):
+            rows = np.tile(x, (sample.n, 1))
+            shared = fr.project_batch(spec, x, sample.xi)
+            tiled = fr.project_batch(spec, rows, sample.xi)
+            assert all(map(_same_bits, shared, tiled))
+            for kw in ({}, dict(directions=dirs, normals=True)):
+                one = _plane_fields(fr.tangent_planes(spec, x, sample.xi, **kw))
+                many = _plane_fields(fr.tangent_planes(spec, rows, sample.xi, **kw))
+                assert one.keys() == many.keys()
+                for key, value in one.items():
+                    assert (value is None) == (many[key] is None), key
+                    assert value is None or _same_bits(value, many[key]), key
+            for with_rank in (True, False):
+                pts, lams, ok, lost = tiled
+                ranks = np.zeros(sample.n, dtype=int)
+                if with_rank:
+                    tp = fr.tangent_planes(spec, rows, sample.xi)
+                    pts, lams, ok, lost, ranks = tp.m_points, tp.lams, tp.ok, tp.lost, tp.ranks
+                if not np.any(ok):
+                    with pytest.raises(NoIntersectionError, match="every sky sample failed"):
+                        fr.sky_image(spec, x, sample, with_rank=with_rank)
+                    statuses.add("no_intersection")
+                    continue
+                img = fr.sky_image(spec, x, sample, with_rank=with_rank)
+                assert _same_bits(img.event, x)
+                assert img.target == spec.target and img.sample is sample
+                assert _same_bits(img.m_points, pts) and _same_bits(img.lams, lams)
+                assert _same_bits(img.ranks, ranks)
+                failed = np.where(lost, "integrator_failure", "no_intersection")
+                assert img.status == tuple(np.where(ok, "ok", failed).tolist())
+                statuses |= set(img.status)
+                if x[0] == spec.target_time:
+                    assert np.all(img.lams == 0.0)
+        assert statuses == {"ok", "no_intersection"} or case == "p2/3_singularity"
+
+    @pytest.mark.parametrize("case", sorted(_SHARED_CASES))
+    @pytest.mark.parametrize("x", [[1.0, np.nan, 0.0, 0.0], [1.0, 0.0, np.inf, 0.0]])
+    def test_an_event_outside_the_chart_raises_the_same_text(self, case, x):
+        spec = fr.FrameSpec(**_SHARED_CASES[case][0])
+        sample = sky.sample_sky(6)
+        message = "^an event lies outside the chart domain$"
+        for events in (np.array(x), np.tile(x, (sample.n, 1))):
+            with pytest.raises(OutOfDomainError, match=message):
+                fr.project_batch(spec, events, sample.xi)
+            with pytest.raises(OutOfDomainError, match=message):
+                fr.tangent_planes(spec, events, sample.xi)
+        with pytest.raises(OutOfDomainError, match=message):
+            fr.sky_image(spec, x, sample)
+
+    def test_a_ray_with_no_finite_end_names_the_event(self):
+        spec = fr.FrameSpec(metric=mf.MetricSpec.minkowski(), target=fr.CauchySurface(-1.7e308))
+        x, sample = np.array([1e308, 0.0, 0.0, 0.0]), sky.sample_sky(6)
+        message = re.escape(f"the ray from {x.tolist()} has no finite end point or length")
+        for events in (x, np.tile(x, (sample.n, 1))):
+            with pytest.raises(OutOfDomainError, match=message), np.errstate(over="ignore"):
+                fr.project_batch(spec, events, sample.xi)
+
+    @pytest.mark.parametrize("events", [np.zeros(3), np.zeros((2, 3)), np.zeros((1, 2, 4))])
+    def test_events_of_another_shape_are_refused(self, mink_frame, events):
+        with pytest.raises(ValueError, match="one event"):
+            fr.project_batch(mink_frame, events, sky.sample_sky(4).xi)
 
 
 # Column chains against numpy's own reductions over the short trailing axes.
