@@ -139,9 +139,6 @@ class TestBallErrors:
         with pytest.raises(ValueError, match="ball radius must be non-negative"):
             ca.Ball([0.0, 0.0, 0.0], radius)
 
-    def test_ball_takes_a_zero_radius(self):
-        assert ca.Ball([0.0, 0.0, 0.0], 0.0).radius == 0.0
-
     def test_radius_overflow(self, recwarn):
         spec = fr.FrameSpec(
             metric=mf.MetricSpec.minkowski(), target=fr.CauchySurface(-1.7e308)
