@@ -60,6 +60,9 @@ SKY_FD_STEP, EVENT_FD_STEP = 1e-5, 1e-4
 #: Rank threshold of a sky Jacobian's singular values, times max(1, sigma_max).
 RANK_TOL = 1e-7
 
+#: The sky-image status of each reason code of `manifold.TraceResult`.
+_STATUS = np.array(["ok"] + ["no_intersection"] * 3 + ["integrator_failure"], dtype=object)
+
 
 @dataclass(frozen=True)
 class CauchySurface:
@@ -162,11 +165,11 @@ class SkyImage:
 
     @property
     def regular_mask(self):
-        return (self.ranks == 2) & (np.array(self.status) == "ok")
+        return (self.ranks == 2) & self.ok_mask
 
     @property
     def ok_mask(self):
-        return np.array(self.status) == "ok"
+        return np.array(self.status, dtype=object) == "ok"
 
     def to_json_dict(self):
         return {
@@ -199,15 +202,15 @@ def project_batch(f: FrameSpec, events, xis):
     """Project rays (an event and a sky point each) onto the target surface.
 
     events: one event (4,) shared by every ray, or (B, 4), one per ray;
-    xis: (B, 2).  Returns (m_points (B, 3), lams (B,), ok (B,) bool, lost
-    (B,) bool); lost marks rays left unsettled by the tracer's grid.  The
-    closed form does its per-event work once per event row and broadcasts
-    it over the rays, with the bits of the tiled rows.  Raises
-    ZeroSpinorError for a zero xi, OutOfDomainError when an event leaves
-    the chart or an arrived ray has no finite end point or affine length,
-    and DivergentIntegralError when the affine length to the target
-    diverges; rays whose event lies below the target, or whose end point
-    lies outside the chart's spatial bounds, come back not ok.
+    xis: (B, 2).  Returns (m_points (B, 3), lams (B,), ok (B,) bool, reason
+    (B,) int8), ok = reason == ARRIVED, in the codes of `manifold`: below
+    the target BELOW_TARGET, a traced ray the tracer's code, an end point
+    outside the chart's spatial bounds LEFT_BOUNDS.  The closed form does
+    its per-event work once per event row and broadcasts it over the rays,
+    with the bits of the tiled rows.  Raises ZeroSpinorError for a zero xi,
+    OutOfDomainError when an event leaves the chart or an arrived ray has
+    no finite end point or affine length, and DivergentIntegralError when
+    the affine length to the target diverges.
     """
     events = np.asarray(events, dtype=float)
     xis = np.asarray(xis, dtype=complex)
@@ -226,7 +229,7 @@ def project_batch(f: FrameSpec, events, xis):
     on_surface = np.abs(t - t_target) <= t_tol
     below = t < t_target - t_tol
 
-    ok, lost = _per_ray(~below, b), np.zeros(b, dtype=bool)
+    reason = _per_ray(np.where(below, np.int8(mf.BELOW_TARGET), np.int8(mf.ARRIVED)), b)
     dirs = spinor.direction_for_cospinor(xis)
     if closed:
         # numpy's warnings off, as a non-finite ray raises below; an error
@@ -238,26 +241,27 @@ def project_batch(f: FrameSpec, events, xis):
             lams = mf.affine_length(f.metric, t, t_target)
     else:
         m_points, lams = np.empty((b, 3)), np.zeros(b)
-        march = ok & ~on_surface
+        march = ~below & ~on_surface
         if np.any(march):
             _, res = _trace(f, rows[march], dirs[march])
             singular = f.target.kind == "singularity"
             ends = _close_singularity_gap(f, res) if singular else (res.x[:, 1:], res.lam)
             m_points[march], lams[march] = ends
-            ok[march], lost[march] = res.ok, res.lost
+            reason[march] = res.reason
     np.copyto(m_points, rows[:, 1:], where=on_surface[:, None])
     lams[on_surface] = 0.0
     lams = _per_ray(lams, b)
+    ok = reason == mf.ARRIVED
     bad = ok & ~reduce(np.logical_and, map(np.isfinite, m_points.T), np.isfinite(lams))
     if np.any(bad):
         ray = _per_ray(rows, b)[bad][0]
         raise OutOfDomainError(f"the ray from {ray.tolist()} has no finite end point or length")
-    # Arrived rays end inside the chart's spatial bounds (the strict test of
-    # _march); in the box chart a straight closed-form ray leaves it exactly
-    # when its end point does.
-    ok &= f.metric.in_domain(np.column_stack([_per_ray(t, b), m_points]))
+    # An arrived end point outside the spatial bounds left them: a straight
+    # closed-form ray leaves the box exactly when its end point does.
+    reason[ok & ~mf._inside(f.metric, m_points.T)] = mf.LEFT_BOUNDS
+    ok = reason == mf.ARRIVED
     m_points[~ok] = np.nan
-    return m_points, lams, ok, lost
+    return m_points, lams, ok, reason
 
 
 def _per_ray(a, b):
@@ -309,8 +313,7 @@ class TangentPlanes:
 
     m_points: np.ndarray  # (B, 3) base points, NaN where the base ray failed
     lams: np.ndarray  # (B,)
-    ok: np.ndarray  # (B,) bool, the base ray reached the target
-    lost: np.ndarray  # (B,) bool, the base ray was unsettled at the tracer's grid cap
+    reason: np.ndarray  # (B,) int8, the base ray's reason code (project_batch)
     stencil_ok: np.ndarray  # (B,) bool, all four sky-stencil rays arrived
     jacobians: np.ndarray  # (B, 3, 2), M-point against the sky parameters
     ranks: np.ndarray  # (B,) int, 0 unless the base and stencil rays arrived
@@ -354,7 +357,7 @@ def tangent_planes(f: FrameSpec, events, xis, directions=None, h=None, normals=F
         shift = h[:, None, None] * np.asarray(dirs, dtype=float)[None]
         fam_events = np.stack([rows[:, None] + shift, rows[:, None] - shift], axis=2)
         ray_events = np.concatenate([rows, np.repeat(rows, 4, 0), fam_events.reshape(-1, 4)])
-    pts, lams, ok, lost = project_batch(
+    pts, lams, ok, reason = project_batch(
         f, ray_events, np.concatenate([xis, stencil_xis, np.repeat(unit, 2 * len(dirs), 0)])
     )
     stencil = pts[b : 5 * b].reshape(b, 4, 3)
@@ -389,8 +392,7 @@ def tangent_planes(f: FrameSpec, events, xis, directions=None, h=None, normals=F
     return TangentPlanes(
         m_points=pts[:b],
         lams=lams[:b],
-        ok=ok[:b],
-        lost=lost[:b],
+        reason=reason[:b],
         stencil_ok=stencil_ok,
         jacobians=jac,
         ranks=ranks,
@@ -409,25 +411,13 @@ def sky_image(f: FrameSpec, x, sample: SkySample, with_rank=True) -> SkyImage:
     x = np.asarray(x, dtype=float)
     if with_rank:
         tp = tangent_planes(f, x, sample.xi)
-        pts, lams, ok, lost, ranks = tp.m_points, tp.lams, tp.ok, tp.lost, tp.ranks
+        pts, lams, reason, ranks = tp.m_points, tp.lams, tp.reason, tp.ranks
     else:
-        pts, lams, ok, lost = project_batch(f, x, sample.xi)
+        pts, lams, _, reason = project_batch(f, x, sample.xi)
         ranks = np.zeros(sample.n, dtype=int)
-    status = tuple(
-        "ok" if good else ("integrator_failure" if bad else "no_intersection")
-        for good, bad in zip(ok.tolist(), lost.tolist())
-    )
-    if not np.any(ok):
+    if not np.any(reason == mf.ARRIVED):
         raise NoIntersectionError("every sky sample failed to reach the target")
-    return SkyImage(
-        event=x,
-        target=f.target,
-        sample=sample,
-        m_points=pts,
-        ranks=ranks,
-        lams=lams,
-        status=status,
-    )
+    return SkyImage(x, f.target, sample, pts, ranks, lams, tuple(_STATUS[reason]))
 
 
 def theta_value(f: FrameSpec, x, xi, direction):

@@ -30,7 +30,10 @@ starts, only when rows settle, so a batch that settles whole on one level
 is that level's result.  Any other custom chart, and a level of one of t
 alone that loses its signature, steps every state node by node with
 `_bundle_slope` (`_march`, the one place that names where a ray meets a
-lost signature), compacting the rows that leave with `np.compress`.  The
+lost signature), compacting the rows that leave with `np.compress`.  A ray
+comes back with one int8 reason code: ARRIVED, BELOW_TARGET (its event,
+in `frames.project_batch`), LEFT_BOUNDS, NON_FINITE (its point, n, ln E or
+lambda where it left, whatever its bounds) or UNSETTLED (at GRID_CAP).  The
 two integrals of the scale factor share one ladder: `conformal_time`, the
 conformal interval from the target time t_from, and `affine_length`, the
 affine length of a ray down to it; closed form for power laws, else the
@@ -57,7 +60,7 @@ import numpy as np
 from .errors import DivergentIntegralError, OutOfDomainError
 
 #: Grid of `trace_past_to_time`: the first level, the cap (rows unsettled
-#: there come back lost) and the step-doubling tolerance.
+#: there come back UNSETTLED) and the step-doubling tolerance.
 GRID_START, GRID_CAP, GRID_TOL = 4, 2**15, 1e-5
 
 #: Nodes times (rays + starts) in one block of `_t_level`, which bounds
@@ -249,15 +252,21 @@ def _rk4_step(rhs, y, h):
 # ---------------------------------------------------------------------------
 # Batched tracing of past-directed rays to a coordinate-time level.
 
+#: The reason codes of `TraceResult.reason`, named in the module docstring.
+ARRIVED, BELOW_TARGET, LEFT_BOUNDS, NON_FINITE, UNSETTLED = range(5)
+
 
 @dataclass(frozen=True)
 class TraceResult:
+    """Where the rays of a batch stopped, and why: one reason code each."""
+
     x: np.ndarray  # (B, 4) end points
     n: np.ndarray  # (B, 3) unit tetrad directions of the past-directed tangents
     log_e: np.ndarray  # (B,) ln of the tetrad energies E = e0 |u0|
     lam: np.ndarray  # (B,) affine length along the past-directed tangent
-    ok: np.ndarray  # (B,) bool
-    lost: np.ndarray  # (B,) bool, unsettled at GRID_CAP
+    reason: np.ndarray  # (B,) int8
+    ok = property(lambda self: self.reason == ARRIVED)  # (B,) bool masks of two codes
+    lost = property(lambda self: self.reason == UNSETTLED)
 
     def velocity(self, m: MetricSpec):
         """Future chart velocities (B, 4) of the rays: the tetrad components
@@ -340,10 +349,12 @@ def _inside(m: MetricSpec, points):
     return reduce(np.logical_and, (points > m.bounds[1:, :1]) & (points < m.bounds[1:, 1:]))
 
 
-def _node_keep(m: MetricSpec, y):
-    """The rows of the sky-bundle states y (8, B) that march on after a
-    node: the point inside the spatial bounds, n, ln E and lambda finite."""
-    return _inside(m, y[:3]) & reduce(np.logical_and, np.isfinite(y[3:]))
+def _node_fate(m: MetricSpec, y):
+    """The codes of rays at a node from their rows there y (k, B), point, n
+    (`_t_level` leaves it out), ln E and lambda: NON_FINITE if one is not
+    finite, else LEFT_BOUNDS outside the spatial bounds, else ARRIVED."""
+    finite = reduce(np.logical_and, np.isfinite(y))
+    return np.where(finite, np.where(_inside(m, y[:3]), ARRIVED, LEFT_BOUNDS), NON_FINITE)
 
 
 def _t_only(m: MetricSpec):
@@ -360,7 +371,7 @@ def _march(m: MetricSpec, t0, y0, t_target, n):
     (k/n)^2 of each row's span, else t in equal steps.  The last node is the
     level itself.  A row leaves, with its state and time at that node, at
     the first node where its point is outside the spatial bounds or its n,
-    ln E or lambda is not finite; ok marks the rows that arrived.  A level
+    ln E or lambda is not finite, with its code (`_node_fate`).  A level
     above t0 runs the same rays to the future, lambda falling.
 
     The per-node loop of a custom chart, for every level of one that is
@@ -373,20 +384,20 @@ def _march(m: MetricSpec, t0, y0, t_target, n):
     s0 = np.log(t0) if log else t0
     span = (math.log(t_target) if log else t_target) - s0
     y, t = y0.copy(), np.full(len(t0), float(t_target))
+    reason = np.full(len(t0), ARRIVED, dtype=np.int8)
     live, yl = np.arange(len(t0)), y0  # the rows still marching, and their states
     for k in range(1, n + 1):
         s, hk = s0 + nodes[k - 1] * span, (nodes[k] - nodes[k - 1]) * span
         yl = _rk4_step(lambda c, y: _bundle_slope(m, s + c * hk, y, log), yl, hk)
         yl[3:6] /= np.sqrt(np.sum(yl[3:6] ** 2, axis=0))
-        keep = _node_keep(m, yl)
+        keep = (fate := _node_fate(m, yl)) == ARRIVED
         if not keep.all():  # rows leave with their state at this node
             gone = live[~keep]
             y[:, gone], t[gone] = yl[:, ~keep], (np.exp(s + hk) if log else s + hk)[~keep]
+            reason[gone] = fate[~keep]
             live, yl, s0, span = live[keep], np.compress(keep, yl, 1), s0[keep], span[keep]
     y[:, live] = yl
-    ok = np.isin(np.arange(len(t0)), live)
-    x, lost = np.column_stack([t, y[:3].T]), np.zeros(len(t0), dtype=bool)
-    return TraceResult(x, y[3:6].T, y[6], y[7], ok, lost)
+    return TraceResult(np.column_stack([t, y[:3].T]), y[3:6].T, y[6], y[7], reason)
 
 
 @dataclass(frozen=True)
@@ -454,8 +465,8 @@ def _t_level(m: MetricSpec, st: _Starts, n):
     the node-by-node order, so ln E has the bits of a node-by-node march;
     an `_rk4_step` from ln E at each node gives the lambda increments.
 
-    Each ray leaves at its first node that fails the test of `_node_keep`,
-    and the rays are placed from their start's states.  A ray is tested on
+    Each ray leaves, with its code, at its first node not ARRIVED by
+    `_node_fate`, and is placed from its start's states.  A ray is tested on
     the block's last node only, and scans the block only if it fails there.
     Every D slope, -e0 / A, is <= 0 (both legs are positive: a level of a
     custom chart that loses its signature gives None, and
@@ -475,10 +486,10 @@ def _t_level(m: MetricSpec, st: _Starts, n):
     b, u = len(at), len(s0)
     x, end = np.empty((b, 4)), np.empty((3, b))  # end points, and the state where rays stop
     x[:, 0] = st.t_target
-    alive = np.ones(b, dtype=bool)  # the rays still marching
+    reason = np.full(b, ARRIVED, dtype=np.int8)  # ARRIVED: still marching
     block = max(1, _BLOCK_CELLS // (b + u + 1))
     for k0 in range(0, n, block):
-        if not alive.any():
+        if not np.any(reason == ARRIVED):
             break
         k1 = min(n, k0 + block)
         s = (s0 + nodes[k0:k1, None] * span).ravel()  # (nodes x starts)
@@ -498,7 +509,7 @@ def _t_level(m: MetricSpec, st: _Starts, n):
         np.cumsum(state[2], axis=0, out=state[2])
         finite = np.isfinite(state[1, 1:]) & np.isfinite(state[2, 1:])  # (nodes, starts)
         last = x0 + dirs * state[0, -1, at]  # the rays that may leave in this block
-        scan = np.flatnonzero(alive & ~(_inside(m, last) & finite[-1, at]))
+        scan = np.flatnonzero((reason == ARRIVED) & ~(_inside(m, last) & finite[-1, at]))
         if not len(scan):
             continue
         a = at[scan]
@@ -509,10 +520,10 @@ def _t_level(m: MetricSpec, st: _Starts, n):
         k, g, a = left.argmax(axis=0)[gone], scan[gone], a[gone]
         t_end = s.reshape(-1, u)[k, a] + h.reshape(-1, u)[k, a]
         x[g, 0], end[:, g] = np.exp(t_end) if st.log else t_end, state[:, k + 1, a]
-        alive[g] = False
-    np.copyto(end, np.take(state[:, -1], at, 1), where=alive)
+        reason[g] = _node_fate(m, np.vstack([points[:, k, np.flatnonzero(gone)], end[1:, g]]))
+    np.copyto(end, np.take(state[:, -1], at, 1), where=reason == ARRIVED)
     x[:, 1:] = (x0 + dirs * end[0]).T
-    return TraceResult(x, dirs.T, end[1], end[2], alive, np.zeros(b, dtype=bool))
+    return TraceResult(x, dirs.T, end[1], end[2], reason)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -526,10 +537,9 @@ def trace_past_to_time(m: MetricSpec, x0, v0, t_target):
     every such row's step-doubling estimate |fine - coarse| / 15 (end point
     and lambda) is within GRID_TOL * max(1, |end|), and, whatever the
     estimate, the rows that failed at both, which keep this level's state.
-    The others refine alone; at GRID_CAP they come back not ok and lost.
-    Rows that leave the spatial domain or turn non-finite come back not
-    ok.  Each level gives the unsettled rows only (`_settled` compares it
-    with the level before), and each row comes back with the state of the
+    The others refine alone; at GRID_CAP they come back UNSETTLED.  Each
+    level gives the unsettled rows only (`_settled` compares it with the
+    level before), and each row comes back with the state and code of the
     level that settled it: a batch that settles whole on one level is that
     level's result, and only a batch whose rows settle apart is assembled.
     On a chart of t alone the starts are keyed once, and re-keyed to those
@@ -571,9 +581,8 @@ def trace_past_to_time(m: MetricSpec, x0, v0, t_target):
             if starts is not None:
                 starts = starts.keep(~done)
         coarse = fine
-    if len(live):  # unsettled at GRID_CAP: the last level's state, not ok and lost
-        lost = np.ones(len(live), dtype=bool)
-        parts.append((live, replace(coarse, ok=~lost, lost=lost)))
+    if len(live):  # unsettled at GRID_CAP: the last level's state
+        parts.append((live, replace(coarse, reason=np.full(len(live), UNSETTLED, np.int8))))
     if len(parts) == 1:
         return parts[0][1]
     fields = vars(coarse).values()

@@ -324,6 +324,17 @@ class TestCausal:
         assert code == 0
         assert out.strip() == "y_past_of_x"
 
+    def test_graph_frame_compare_of_subnormal_events(self, capsys):
+        # the rescale of the subnormal difference overflowed: exit 1 with
+        # OutOfDomainError, where the ball path answers y_past_of_x
+        for frame in (("--frame", "graph"), ()):
+            code, out, err = run(
+                capsys, "causal", "--metric", "minkowski", *frame,
+                "--x", "1e-312,0,0,0", "--y", "5e-313,1e-313,0,0",
+            )
+            assert (code, err) == (0, "")
+            assert out.splitlines()[0] == "y_past_of_x"
+
 
 README_METRIC = {
     "kind": "custom",

@@ -1,0 +1,53 @@
+"""tools/digests.py: the same tree gives the same digests twice."""
+
+import importlib.util
+import io
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "digests.py"
+
+
+@pytest.fixture(scope="module")
+def digests():
+    spec = importlib.util.spec_from_file_location("digests", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_two_runs_of_the_working_tree_agree(digests):
+    # the smallest image of every chart, each run in a fresh interpreter
+    pattern = "sky/*/n16/e0"
+    first, second = (digests.digests(ROOT / "src", pattern) for _ in range(2))
+    assert set(first) == {f"sky/{chart}/n16/e0" for chart in digests.CHARTS}
+    assert first == second and digests.differences(first, second) == {}
+    for outputs in first.values():  # every image ran: no error in place of its outputs
+        assert "error" not in outputs and "planes.jacobians" in outputs
+        assert len(set(outputs.values())) > 1
+
+
+def test_the_matrix_covers_both_tracers_errors_and_the_cli(digests):
+    names = list(digests.cases())
+    assert len(names) == len(set(names)) == 9 * 3 * 3 + 4 + len(digests.CLI)
+    assert {digests.CHARTS[c][2] for c in digests.CHARTS} == {"auto", "numeric"}
+    assert sum(name.startswith("cli/verify/") for name in names) == 6
+
+
+def test_differences_name_the_outputs_that_moved(digests):
+    old = {"a": {"x": "1", "y": "2"}, "b": {"x": "1"}, "gone": {"x": "1"}}
+    new = {"a": {"x": "1", "y": "3"}, "b": {"x": "1"}, "new": {"error": "4"}}
+    assert digests.differences(new, old) == {"a": ["y"], "gone": ["x"], "new": ["error"]}
+
+
+def test_one_line_per_case_without_against(digests, monkeypatch):
+    runs = {"sky/flat/n16/e0": {"x": "1"}, "error/nan-event": {"error": "2"}}
+    monkeypatch.setattr(digests, "digests", lambda src, pattern: runs)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert digests.main([]) == 0
+    lines = out.getvalue().splitlines()
+    assert [line.split()[0] for line in lines] == ["error/nan-event", "sky/flat/n16/e0"]

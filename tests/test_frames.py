@@ -49,25 +49,25 @@ class TestProjectEvent:
             x = np.array([rng.uniform(0.2, 3.0), *rng.normal(size=3)])
             xi = sky.unit_cospinor(rng.normal(size=2) + 1j * rng.normal(size=2))
             tp = fr.tangent_planes(mink_frame, x[None], xi[None])
-            assert tp.ok[0] and tp.stencil_ok[0]
+            assert tp.reason[0] == mf.ARRIVED and tp.stencil_ok[0]
             assert np.linalg.norm(tp.m_points[0] - x[1:]) == pytest.approx(x[0])
 
     def test_cosmology_comoving_radius(self, flrw_frame):
         tp = fr.tangent_planes(flrw_frame, np.array([[1.0, 0, 0, 0]]), XI_TO_ZHAT[None])
-        assert tp.ok[0] and tp.stencil_ok[0]
+        assert tp.reason[0] == mf.ARRIVED and tp.stencil_ok[0]
         assert np.linalg.norm(tp.m_points[0]) == pytest.approx(3.0, abs=1e-10)
 
     def test_event_on_target_surface(self, mink_frame):
         x = np.array([0.0, 0.4, -0.2, 0.7])
         tp = fr.tangent_planes(mink_frame, x[None], XI_TO_ZHAT[None])
-        assert tp.ok[0] and tp.stencil_ok[0]
+        assert tp.reason[0] == mf.ARRIVED and tp.stencil_ok[0]
         assert np.allclose(tp.m_points[0], [0.4, -0.2, 0.7])
         assert tp.lams[0] == 0.0
 
     def test_event_below_surface_fails(self, mink_frame):
         x = np.array([-1.0, 0, 0, 0])
         tp = fr.tangent_planes(mink_frame, x[None], XI_TO_ZHAT[None])
-        assert not tp.ok[0] and not tp.stencil_ok[0]
+        assert tp.reason[0] == mf.BELOW_TARGET and not tp.stencil_ok[0]
         assert np.all(np.isnan(tp.m_points[0]))
 
     def test_outside_domain_fails(self, flrw_frame):
@@ -146,13 +146,65 @@ class TestProjectEvent:
         # np.abs(t).max() raised numpy's "zero-size array to reduction" error
         f = fr.FrameSpec(metric=mf.MetricSpec.flrw(p=2 / 3), target=fr.Singularity(), tracer=tracer)
         events, xis = np.zeros((0, 4)), np.zeros((0, 2), dtype=complex)
-        pts, lams, ok, lost = fr.project_batch(f, events, xis)
-        assert pts.shape == (0, 3) and lams.shape == ok.shape == lost.shape == (0,)
-        assert ok.dtype == lost.dtype == bool
+        pts, lams, ok, reason = fr.project_batch(f, events, xis)
+        assert pts.shape == (0, 3) and lams.shape == ok.shape == reason.shape == (0,)
+        assert ok.dtype == bool and reason.dtype == np.int8
         tp = fr.tangent_planes(f, events, xis, np.eye(4)[1:], normals=True)
         assert tp.m_points.shape == tp.normals.shape == (0, 3)
         assert tp.jacobians.shape == (0, 3, 2) and tp.family.shape == (0, 3, 3)
-        assert tp.ranks.shape == tp.ok.shape == tp.stencil_ok.shape == (0,)
+        assert tp.ranks.shape == tp.reason.shape == tp.stencil_ok.shape == (0,)
+
+
+class TestReasonCodes:
+    """One reason code per ray, from where it failed to the sky image."""
+
+    SLAB = [[None, None], [-2.1, 2.1], [None, None], [None, None]]
+
+    @pytest.mark.parametrize("tracer", ["auto", "numeric"])
+    def test_arrived_and_below_target(self, tracer):
+        m = mf.MetricSpec.minkowski()
+        f = fr.FrameSpec(metric=m, target=fr.CauchySurface(0.5), tracer=tracer)
+        events = np.array([[1.0, 0, 0, 0], [0.5, 0, 0, 0], [0.2, 0, 0, 0]])
+        pts, _, ok, reason = fr.project_batch(f, events, np.tile(XI_TO_ZHAT, (3, 1)))
+        assert reason.dtype == np.int8 and np.array_equal(ok, reason == mf.ARRIVED)
+        assert reason.tolist() == [mf.ARRIVED, mf.ARRIVED, mf.BELOW_TARGET]
+        assert np.isnan(pts[2]).all()
+
+    @pytest.mark.parametrize("tracer", ["auto", "numeric"])
+    def test_left_bounds_on_both_tracers(self, tracer):
+        # from x = 2 on the slab |x| < 2.1, rays with a past x over 0.1 leave
+        m = mf.metric_from_config({"kind": "minkowski", "bounds": self.SLAB})
+        f = fr.FrameSpec(metric=m, target=fr.CauchySurface(0.0), tracer=tracer)
+        sample = sky.sample_sky(50)
+        pts, _, ok, reason = fr.project_batch(f, np.array([1.0, 2.0, 0, 0]), sample.xi)
+        assert set(reason[~ok].tolist()) == {mf.LEFT_BOUNDS} and 0 < ok.sum() < 50
+        assert np.array_equal(~ok, np.isnan(pts).all(axis=1))
+
+    def test_non_finite_state_at_the_last_node(self):
+        # d g11 / dt = -(t**t)(ln t + 1) is NaN at t = 0, the last node, so
+        # n and ln E turn NaN there on every ray of this anisotropic chart
+        cfg = {"kind": "custom", "coeffs": ["1", "-(1+t**t)", "-1", "-1"],
+               "bounds": [[0, None], [None, None], [None, None], [None, None]]}
+        f = fr.FrameSpec(metric=mf.metric_from_config(cfg), target=fr.CauchySurface(0.0))
+        sample = sky.sample_sky(50)
+        _, _, ok, reason = fr.project_batch(f, np.array([1.0, 0, 0, 0]), sample.xi)
+        assert reason.tolist() == [mf.NON_FINITE] * 50
+        with pytest.raises(NoIntersectionError):
+            fr.sky_image(f, np.array([1.0, 0, 0, 0]), sample)
+
+    def test_sky_image_maps_each_code_to_its_status(self, monkeypatch, mink_frame):
+        codes = np.arange(5, dtype=np.int8)
+        assert codes.tolist() == [
+            mf.ARRIVED, mf.BELOW_TARGET, mf.LEFT_BOUNDS, mf.NON_FINITE, mf.UNSETTLED
+        ]
+        batch = (np.zeros((5, 3)), np.zeros(5), codes == mf.ARRIVED, codes)
+        monkeypatch.setattr(fr, "project_batch", lambda f, x, xis: batch)
+        img = fr.sky_image(mink_frame, [1.0, 0, 0, 0], sky.sample_sky(5), with_rank=False)
+        failed = ("no_intersection",) * 3
+        assert img.status == ("ok", *failed, "integrator_failure")
+        assert all(type(s) is str for s in img.status)
+        assert img.ok_mask.tolist() == [True, False, False, False, False]
+        assert img.ok_mask.dtype == img.regular_mask.dtype == bool and not img.regular_mask.any()
 
 
 class TestFrameSpec:
@@ -387,8 +439,7 @@ class TestSingularityGap:
             n=np.array([[0.0, 0.0, 1.0], [0.6, 0.8, 0.0]]),
             log_e=np.array([0.3, -0.2]),
             lam=np.array([1.0, 2.0]),
-            ok=np.array([True, True]),
-            lost=np.array([False, False]),
+            reason=np.zeros(2, dtype=np.int8),
         )
         ends = [
             fr._close_singularity_gap(fr.FrameSpec(metric=metric, target=fr.Singularity()), res)
@@ -437,8 +488,8 @@ class TestCompactifiedMinkowskiOracle:
         f = fr.FrameSpec(metric=mf.metric_from_config(config), target=fr.CauchySurface(t0))
         event = np.array(event)
         xis = sky.sample_sky(400).xi
-        pts, lams, ok, lost = fr.project_batch(f, np.tile(event, (len(xis), 1)), xis)
-        assert ok.sum() == arrived and not lost.any()
+        pts, lams, ok, reason = fr.project_batch(f, np.tile(event, (len(xis), 1)), xis)
+        assert ok.sum() == arrived and np.all(reason[~ok] == mf.LEFT_BOUNDS)
         cosine = _stereographic(pts[ok]) @ _stereographic(event[None, 1:])[0]
         elapsed = event[0] - t0
         assert np.abs(np.arccos(np.clip(cosine, -1.0, 1.0)) - elapsed).max() <= 1e-5
@@ -478,7 +529,7 @@ class TestGeodesicFlowInvariance:
             # the event moves back along the traced past ray
             moved = mf.trace_past_to_time(flrw_frame.metric, x[None, :], v, 0.95).x[0]
             tp = fr.tangent_planes(flrw_frame, np.stack([x, moved]), np.stack([xi, xi]))
-            assert np.all(tp.ok) and np.all(tp.stencil_ok)
+            assert np.all(tp.reason == mf.ARRIVED) and np.all(tp.stencil_ok)
             assert np.linalg.norm(tp.m_points[1] - tp.m_points[0]) <= 1e-6
 
 
@@ -589,7 +640,7 @@ def _reference_sky_image(f, x, sample):
     """Base rays, one stencil batch, then a Jacobian and an SVD per sample."""
     x = np.asarray(x, dtype=float)
     events = np.tile(x, (sample.n, 1))
-    pts, lams, ok, lost = fr.project_batch(f, events, sample.xi)
+    pts, lams, ok, reason = fr.project_batch(f, events, sample.xi)
     stencils = _reference_stencil(sky.unit_cospinor(sample.xi)).reshape(-1, 2)
     spts, _, sok, _ = fr.project_batch(f, np.repeat(events, 4, axis=0), stencils)
     ranks = np.zeros(sample.n, dtype=int)
@@ -601,7 +652,7 @@ def _reference_sky_image(f, x, sample):
         ranks[k] = int(np.sum(sv > fr.RANK_TOL * max(1.0, float(sv.max()))))
     status = tuple(
         "ok" if good else ("integrator_failure" if bad else "no_intersection")
-        for good, bad in zip(ok, lost)
+        for good, bad in zip(ok, reason == mf.UNSETTLED)
     )
     if not np.any(ok):
         raise NoIntersectionError("every sky sample failed to reach the target")
@@ -881,11 +932,12 @@ class TestSharedEvent:
                     assert (value is None) == (many[key] is None), key
                     assert value is None or _same_bits(value, many[key]), key
             for with_rank in (True, False):
-                pts, lams, ok, lost = tiled
+                pts, lams, ok, reason = tiled
                 ranks = np.zeros(sample.n, dtype=int)
                 if with_rank:
                     tp = fr.tangent_planes(spec, rows, sample.xi)
-                    pts, lams, ok, lost, ranks = tp.m_points, tp.lams, tp.ok, tp.lost, tp.ranks
+                    pts, lams, reason, ranks = tp.m_points, tp.lams, tp.reason, tp.ranks
+                    ok = reason == mf.ARRIVED
                 if not np.any(ok):
                     with pytest.raises(NoIntersectionError, match="every sky sample failed"):
                         fr.sky_image(spec, x, sample, with_rank=with_rank)
@@ -896,7 +948,7 @@ class TestSharedEvent:
                 assert img.target == spec.target and img.sample is sample
                 assert _same_bits(img.m_points, pts) and _same_bits(img.lams, lams)
                 assert _same_bits(img.ranks, ranks)
-                failed = np.where(lost, "integrator_failure", "no_intersection")
+                failed = np.where(reason == mf.UNSETTLED, "integrator_failure", "no_intersection")
                 assert img.status == tuple(np.where(ok, "ok", failed).tolist())
                 statuses |= set(img.status)
                 if x[0] == spec.target_time:
@@ -953,7 +1005,8 @@ def _numpy_planes(f, tp, events, xis, ok):
     s1 = np.sqrt((sq1 + sq2 + gap) / 2.0)
     s2 = area / np.where(s1 > 0.0, s1, 1.0)
     thresh = fr.RANK_TOL * np.maximum(1.0 / scale, s1)
-    ranks = np.where(tp.ok & stencil_ok, (s1 > thresh).astype(int) + (s2 > thresh), 0)
+    arrived = (tp.reason == mf.ARRIVED) & stencil_ok
+    ranks = np.where(arrived, (s1 > thresh).astype(int) + (s2 > thresh), 0)
     normals = cross / np.where(ranks == 2, area, np.nan)[:, None]
     flip = np.einsum("rk,rk->r", normals, tp.family[:, -1]) < 0.0
     normals[flip] = -normals[flip]
@@ -997,10 +1050,11 @@ class TestColumnChains:
         batches, project = [], fr.project_batch
 
         def dropping(f, events, xis):  # and a few arrived rays in every column
-            pts, lams, ok, lost = project(f, events, xis)
+            pts, lams, ok, reason = project(f, events, xis)
             ok &= rng.random(len(ok)) < 0.97
+            reason[~ok & (reason == mf.ARRIVED)] = mf.LEFT_BOUNDS
             batches.append((xis, ok))
-            return pts, lams, ok, lost
+            return pts, lams, ok, reason
 
         monkeypatch.setattr(fr, "project_batch", dropping)
         tp = fr.tangent_planes(self.BOUNDED, events, xis, dirs, normals=True)

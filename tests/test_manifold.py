@@ -941,6 +941,7 @@ class TestCoordinateTimeGrid:
         res = mf.trace_past_to_time(m, x0, v0, 0.5)
         assert [n for n, _ in levels] == [mf.GRID_START * 2**k for k in range(3)]
         assert not np.any(res.ok) and np.all(res.lost)
+        assert res.reason.dtype == np.int8 and np.all(res.reason == mf.UNSETTLED)
 
 
 class TestRowMajorStates:
@@ -1016,6 +1017,7 @@ def _node_by_node_march(m, t0, y0, t_target, n):
     span = (math.log(t_target) if log else t_target) - s0
     nodes = (np.arange(n + 1) / n) ** (2 if log else 1)
     y, t = y0.copy(), np.full(len(t0), float(t_target))
+    reason = np.full(len(t0), mf.ARRIVED, dtype=np.int8)
     live, yl = np.arange(len(t0)), y0
     for k in range(1, n + 1):
         s, hk = s0 + nodes[k - 1] * span, (nodes[k] - nodes[k - 1]) * span
@@ -1026,11 +1028,11 @@ def _node_by_node_march(m, t0, y0, t_target, n):
         if not keep.all():
             gone = live[~keep]
             y[:, gone], t[gone] = yl[:, ~keep], (np.exp(s + hk) if log else s + hk)[~keep]
+            finite = np.all(np.isfinite(y[:, gone]), axis=0)
+            reason[gone] = np.where(finite, mf.LEFT_BOUNDS, mf.NON_FINITE)
             live, yl, s0, span = live[keep], np.compress(keep, yl, 1), s0[keep], span[keep]
     y[:, live] = yl
-    ok = np.isin(np.arange(len(t0)), live)
-    x, lost = np.column_stack([t, y[:3].T]), np.zeros(len(t0), dtype=bool)
-    return mf.TraceResult(x, y[3:6].T, y[6], y[7], ok, lost)
+    return mf.TraceResult(np.column_stack([t, y[:3].T]), y[3:6].T, y[6], y[7], reason)
 
 
 #: (metric, target level, start times) of the t-only march checks; the
@@ -1184,6 +1186,7 @@ def _two_pass_march(m, t0, y0, t_target, n):
     x0, n = y0[:3], y0[3:6] / np.sqrt(np.sum(y0[3:6] ** 2, axis=0))
     state = np.vstack([np.zeros(u), y0[6:, first]])[:, None]
     t, end = np.full(b, float(t_target)), np.empty((3, b))
+    reason = np.full(b, mf.ARRIVED, dtype=np.int8)
     live = np.arange(b)
     block = max(1, mf._BLOCK_CELLS // (b + u + 1))
     for k0 in range(0, len(nodes) - 1, block):
@@ -1209,10 +1212,13 @@ def _two_pass_march(m, t0, y0, t_target, n):
         k, g, at = left.argmax(axis=0)[gone], live[gone], at[gone]
         t_end = s.reshape(-1, u)[k, at] + h.reshape(-1, u)[k, at]
         t[g], end[:, g] = np.exp(t_end) if log else t_end, state[:, k + 1, at]
+        rows = np.vstack([x0[:, g] + n[:, g] * end[0, g], end[1:, g]])
+        finite = np.all(np.isfinite(rows), axis=0)
+        reason[g] = np.where(finite, mf.LEFT_BOUNDS, mf.NON_FINITE)
         live = live[~gone]
     end[:, live] = state[:, -1, start[live]]
-    ok, x = np.isin(np.arange(b), live), np.column_stack([t, (x0 + n * end[0]).T])
-    return mf.TraceResult(x, n.T, end[1], end[2], ok, np.zeros(b, dtype=bool))
+    x = np.column_stack([t, (x0 + n * end[0]).T])
+    return mf.TraceResult(x, n.T, end[1], end[2], reason)
 
 
 class TestStageLookups:
@@ -1273,10 +1279,13 @@ class TestNodeKeepChains:
         if width:
             y[:, 0] = 0.0  # a zero row
         inside = (y[:3].T > m.bounds[1:, 0]) & (y[:3].T < m.bounds[1:, 1])
-        expected = np.all(inside, axis=1) & np.all(np.isfinite(y[3:]), axis=0)
-        got = mf._node_keep(m, y)
-        assert got.dtype == bool and got.tobytes() == expected.tobytes()
-        assert width < 500 or 0 < np.count_nonzero(got) < width
+        keep = np.all(inside, axis=1) & np.all(np.isfinite(y[3:]), axis=0)
+        finite = np.all(np.isfinite(y), axis=0)
+        codes = np.where(keep, mf.ARRIVED, np.where(finite, mf.LEFT_BOUNDS, mf.NON_FINITE))
+        got = mf._node_fate(m, y)
+        assert np.array_equal(got == mf.ARRIVED, keep) and np.array_equal(got, codes)
+        every = {mf.ARRIVED, mf.NON_FINITE} | ({mf.LEFT_BOUNDS} if bounds else set())
+        assert width < 500 or set(got.tolist()) == every
 
 
 class TestRunTimeSignatureGuard:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,25 @@ class TestCausalCompare:
         a = mk.causal_compare_batch(xs[keep], ys[keep])
         b = mk.interval_compare_batch(xs[keep], ys[keep])
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("k", [-1028, -1040])
+    def test_subnormal_pairs_keep_their_verdicts(self, k):
+        # both events scaled by 2^k, into the subnormal range; on a 2^-8 grid
+        # the scaled differences and their transforms are exact.  Dividing
+        # the differences by their subnormal largest entry overflowed, and
+        # every timelike pair read spacelike
+        rng = np.random.default_rng(18)
+        xs, ys = (rng.integers(-512, 513, (60, 4)) / 256.0 for _ in range(2))
+        xs[:, 0] += 4.0  # most pairs timelike, y in the past of x
+        xs[:20], ys[:20] = ys[:20], xs[:20].copy()  # and some x in the past of y
+        want = mk.causal_compare_batch(xs, ys)  # 30, 16 and 14 pairs of codes 1, 2, 3
+        assert set(want.tolist()) == {1, 2, 3}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = np.ldexp(xs, k), np.ldexp(ys, k)
+            assert np.array_equal(mk.causal_compare_batch(*scaled), want)
+            orders = [mk.causal_compare(x, y) for x, y in zip(*scaled)]
+        assert orders == [list(CausalOrder)[code] for code in want]
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(6)

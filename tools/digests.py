@@ -1,0 +1,301 @@
+"""Digests of a fixed matrix of outputs, to show that a change keeps their
+bits, or to list the cases whose bits it moves.
+
+Run from the repository root:
+
+    python3 tools/digests.py                   # one line per case of this tree
+    python3 tools/digests.py --against HEAD~1  # the cases that differ from HEAD~1
+
+A case is a sky image, a CLI command or an expected error on one chart.
+Its digest holds, per output, the SHA-256 of an array's dtype, shape and
+bytes, of a file's or stdout's bytes, or of an error's type and message.
+The outputs are read through names that older trees have too, so that
+`--against` compares like with like: `project_batch(...)` items 0 to 2,
+the fields of `TangentPlanes` other than the base ray's fate, the fields
+and JSON bytes of `SkyImage`, and the CLI's exit codes, stdout, stderr
+and output files.
+
+`--against REV` unpacks REV's `src/` with `git archive` into a temporary
+directory and runs the matrix on each tree in a fresh interpreter.  It
+prints the cases that differ, with the outputs that differ in each, and
+exits 0 whatever it finds.  Commit no digests: numpy's SIMD loops may give
+other last bits on another CPU, so compare two trees on one host.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import fnmatch
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: Sky sizes of every chart, and its three events (those of the conformally
+#: flat W chart; the slab events start at x = 2, by the slab's edge).
+SIZES = (16, 200, 2000)
+EVENTS = ((1.0, 0.0, 0.0, 0.0), (1.5, 0.3, -0.4, 0.2), (2.2, -0.5, 0.6, 0.1))
+SLAB_EVENTS = ((1.0, 2.0, 0.0, 0.0), (1.5, 2.0, -0.4, 0.2), (2.2, 1.9, 0.6, 0.1))
+
+P23 = {"kind": "flrw", "p": 0.6666666666666666}
+README_CHART = {
+    "kind": "custom",
+    "coeffs": ["1", "-(1 + 0.1*t)**2", "-(1 + 0.1*t)**2", "-(1 + 0.1*t)**2"],
+    "bounds": [[0, None], [None, None], [None, None], [None, None]],
+}
+ANISOTROPIC = {
+    "kind": "custom",
+    "coeffs": ["1", "-1", "-(1 + 0.5*t)**2", "-1"],
+    "bounds": [[0, None], [None, None], [None, None], [None, None]],
+}
+W = "1+0.3*x*x+0.1*y*y+0.2*t+0.1*x*z"
+W_CHART = {
+    "kind": "custom",
+    "coeffs": [W, f"-({W})", f"-({W})", f"-({W})"],
+    "bounds": [[0, None], [-3, 3], [-3, 3], [-3, 3]],
+}
+SLAB = {"kind": "minkowski", "bounds": [[None, None], [-2.1, 2.1], [None, None], [None, None]]}
+
+#: name: (metric config, target, tracer, events).  The custom charts take
+#: the numeric tracer: the README chart's levels march in array operations
+#: (`_t_level`), the anisotropic and W charts node by node (`_march`).
+CHARTS = {
+    "flat": ({"kind": "minkowski"}, "cauchy:0", "auto", EVENTS),
+    "p2/3": (P23, "singularity", "auto", EVENTS),
+    "p2/3-numeric": (P23, "singularity", "numeric", EVENTS),
+    "a_expr": ({"kind": "flrw", "a_expr": "t**0.6666666666666666"}, "cauchy:0.3", "auto", EVENTS),
+    "readme": (README_CHART, "cauchy:0.3", "auto", EVENTS),
+    "anisotropic": (ANISOTROPIC, "cauchy:0", "auto", EVENTS),
+    "W": (W_CHART, "cauchy:0.2", "auto", EVENTS),
+    "slab": (SLAB, "cauchy:0", "auto", SLAB_EVENTS),
+    "slab-numeric": (SLAB, "cauchy:0", "numeric", SLAB_EVENTS),
+}
+
+#: Event families of the tangent planes with families.
+DIRECTIONS = ((0.0, 1.0, 0.0, 0.0), (0.3, 0.0, -0.2, 1.0))
+
+#: The fields of `TangentPlanes` that every tree has.
+PLANE_FIELDS = (
+    "m_points", "lams", "stencil_ok", "jacobians", "ranks", "normals", "family",
+    "family_ok", "family_h",
+)
+
+#: name: (config file or None, argv); {tmp} is the case's scratch directory.
+CLI = {
+    "sky-image/p2/3-n500": (None, ["sky-image", "--metric", "flrw", "--p", "0.6666666666666666",
+                                   "--event", "1,0,0,0", "--target", "singularity", "--n",
+                                   "500", "--out", "{tmp}/out"]),
+    "sky-image/slab-csv": (SLAB, ["sky-image", "--event", "1,2,0,0", "--n", "50", "--format",
+                                  "csv", "--out", "{tmp}/out"]),
+    "sky-image/readme-n200": (README_CHART, ["sky-image", "--target", "cauchy:0.3", "--event",
+                                             "0.6,0,0,0", "--n", "200", "--out", "{tmp}/out"]),
+    "sky-image/graph": (None, ["sky-image", "--metric", "minkowski", "--frame", "graph",
+                               "--event", "0,0,0,0", "--n", "50"]),
+    "causal/p2/3-ball": (None, ["causal", "--metric", "flrw", "--p", "0.6666666666666666",
+                                "--x", "1,0,0,0", "--y", "0.125,0,0,0"]),
+    "causal/readme-mesh": (README_CHART, ["causal", "--target", "cauchy:0.3", "--x", "0.6,0,0,0",
+                                          "--y", "0.45,0.05,0,0"]),
+    "causal/readme-mesh-spacelike": (README_CHART, ["causal", "--target", "cauchy:0.3", "--x",
+                                                    "0.6,0,0,0", "--y", "0.6,0.3,0,0"]),
+    "causal/graph": (None, ["causal", "--metric", "minkowski", "--frame", "graph", "--x",
+                            "1,0,0,0", "--y", "0.5,0.3,0,0"]),
+    "causal/slab-error": (SLAB, ["causal", "--x", "1,2,0,0", "--y", "0.2,2.05,0.5,0"]),
+}
+for _seed in (1, 3, 7):
+    for _name, _flags in (("flat", []), ("p2/3", ["--metric", "flrw", "--p", str(P23["p"])])):
+        CLI[f"verify/{_name}-seed{_seed}"] = (None, ["verify", "--suite", "all", "--seed",
+                                                    str(_seed), *_flags, "--out", "{tmp}/out"])
+
+
+def _digest(value):
+    """The SHA-256 of an array's dtype, shape and bytes, of text, or of None."""
+    import numpy as np
+
+    if value is None or isinstance(value, str):
+        data = str(value).encode()
+    else:
+        a = np.ascontiguousarray(value)
+        data = f"{a.dtype.str}{a.shape}".encode() + a.tobytes()
+    return hashlib.sha256(data).hexdigest()
+
+
+def _frame(config, target, tracer):
+    from skyframes import frames as fr
+    from skyframes import manifold as mf
+    from skyframes.cli import target_surface
+
+    return fr.FrameSpec(metric=mf.metric_from_config(config), target=target_surface(target),
+                        tracer=tracer)
+
+
+def _sky_case(chart, n, k):
+    """The outputs of a sky image of the chart's k-th event with n samples."""
+    import numpy as np
+    from skyframes import frames as fr
+    from skyframes import sky
+
+    config, target, tracer, events = CHARTS[chart]
+    f, x, sample = _frame(config, target, tracer), np.array(events[k]), sky.sample_sky(n)
+    out = _batch(fr.project_batch(f, x, sample.xi))
+    if n < 2000:  # the image's 5n rays are these planes' rays
+        tp = fr.tangent_planes(f, x, sample.xi)
+        out.update((f"planes.{name}", getattr(tp, name)) for name in PLANE_FIELDS)
+        rows = np.tile(x, (n, 1))
+        tp = fr.tangent_planes(f, rows, sample.xi, np.array(DIRECTIONS), normals=True)
+        out.update((f"families.{name}", getattr(tp, name)) for name in PLANE_FIELDS)
+    img = fr.sky_image(f, x, sample)
+    out.update(("image." + name, getattr(img, name)) for name in ("m_points", "ranks", "lams"))
+    out["image.status"] = "\n".join(img.status)
+    out["image.json"] = json.dumps(img.to_json_dict(), sort_keys=True)
+    return out
+
+
+def _batch(out):
+    """Items 0 to 2 of a `project_batch` result, by name."""
+    return {f"project_batch[{i}]": value for i, value in enumerate(out[:3])}
+
+
+def _error_case(name):
+    """A batch or image that raises (its error is the output), or whose
+    rays all fail."""
+    from skyframes import frames as fr
+    from skyframes import sky
+
+    sample = sky.sample_sky(16)
+    frame = {chart: _frame(*CHARTS[chart][:3]) for chart in ("flat", "p2/3", "a_expr")}
+    if name == "nan-event":
+        return _batch(fr.project_batch(frame["flat"], [1.0, float("nan"), 0, 0], sample.xi))
+    if name == "inf-event":
+        tp = fr.tangent_planes(frame["p2/3"], [1.0, 0, float("inf"), 0], sample.xi)
+        return {"planes.m_points": tp.m_points}
+    if name == "below-target":
+        image = fr.sky_image(frame["a_expr"], [0.2, 0, 0, 0], sample)
+        return {"image.status": "\n".join(image.status)}
+    # d g11 / dt is NaN at t = 0, the level, so every ray turns non-finite there
+    t_to_the_t = _frame(dict(ANISOTROPIC, coeffs=["1", "-(1+t**t)", "-1", "-1"]), "cauchy:0",
+                        "auto")
+    return _batch(fr.project_batch(t_to_the_t, [1.0, 0, 0, 0], sample.xi))
+
+
+def _cli_case(name):
+    """A command's exit code, stdout, stderr and output file."""
+    from skyframes.cli import main
+
+    config, argv = CLI[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        prefix = []
+        if config is not None:
+            Path(tmp, "config.json").write_text(json.dumps(config))
+            prefix = ["--config", str(Path(tmp, "config.json"))]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(prefix + [a.format(tmp=tmp) for a in argv])
+        out = {"exit": str(code), "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+        if Path(tmp, "out").exists():
+            out["file"] = Path(tmp, "out").read_text()
+    return out
+
+
+def cases():
+    """The case names, in order, each with its function of no arguments."""
+    table = {}
+    for chart in CHARTS:
+        for n in SIZES:
+            for k in range(3):
+                table[f"sky/{chart}/n{n}/e{k}"] = lambda c=chart, n=n, k=k: _sky_case(c, n, k)
+    for name in ("nan-event", "inf-event", "below-target", "non-finite"):
+        table[f"error/{name}"] = lambda name=name: _error_case(name)
+    for name in CLI:
+        table[f"cli/{name}"] = lambda name=name: _cli_case(name)
+    return table
+
+
+def _run_cases(pattern):
+    """{case: {output: digest}} of this interpreter's skyframes; a case that
+    raises gives its error's type and message as its one output."""
+    out = {}
+    for name, case in cases().items():
+        if not fnmatch.fnmatchcase(name, pattern):
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                values = case()
+            except Exception as exc:  # noqa: BLE001 - the error text is the output
+                values = {"error": f"{type(exc).__name__}: {exc}"}
+        out[name] = {key: _digest(value) for key, value in values.items()}
+    return out
+
+
+def digests(src, pattern="*"):
+    """Run the cases matching pattern on the package under src in a fresh
+    interpreter; returns {case: {output: digest}}."""
+    src = Path(src).resolve()
+    argv = [sys.executable, str(Path(__file__).resolve()), "--worker", str(src), "--cases",
+            pattern]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # no bytecode files in either tree
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, cwd=tempfile.gettempdir())
+    if done.returncode:
+        raise RuntimeError(f"the cases did not run on {src}:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def differences(new, old):
+    """{case: [outputs that differ]} of two runs; a case in one run only
+    differs in every output."""
+    out = {}
+    for case in sorted(set(new) | set(old)):
+        a, b = new.get(case, {}), old.get(case, {})
+        moved = sorted(key for key in set(a) | set(b) if a.get(key) != b.get(key))
+        if moved:
+            out[case] = moved
+    return out
+
+
+def _archive(rev, into):
+    """Unpack the src/ tree of the git revision rev under into."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+                         capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(into)], input=tar, check=True)
+    return Path(into, "src")
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--against", metavar="REV", help="compare with the src/ of a git revision")
+    ap.add_argument("--cases", default="*", help="only the cases whose names match this glob")
+    ap.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.worker:  # in the fresh interpreter: the package under SRC, nothing else
+        sys.path.insert(0, args.worker)
+        import skyframes
+
+        if not Path(skyframes.__file__).resolve().is_relative_to(args.worker):
+            raise RuntimeError(f"skyframes came from {skyframes.__file__}, not {args.worker}")
+        print(json.dumps(_run_cases(args.cases), sort_keys=True))
+        return 0
+    new = digests(ROOT / "src", args.cases)
+    if args.against is None:
+        for case, outputs in sorted(new.items()):
+            print(case, _digest(json.dumps(outputs, sort_keys=True)))
+        return 0
+    with tempfile.TemporaryDirectory() as tmp:
+        old = digests(_archive(args.against, tmp), args.cases)
+    moved = differences(new, old)
+    print(f"{len(new)} cases of this tree against {args.against}")
+    for case, outputs in moved.items():
+        print(f"differs: {case}: {', '.join(outputs)}")
+    print(f"{len(moved)} of {len(set(new) | set(old))} cases differ")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
