@@ -88,8 +88,9 @@ class Mesh:
         return len(self.vertices) - len(self._edge_counts()) + len(self.triangles)
 
     def bounding_sphere(self):
-        center = self.vertices.mean(axis=0)
-        radius = float(spinor.euclidean_norm(self.vertices - center).max())
+        with np.errstate(over="ignore", invalid="ignore"):  # inf beyond float range
+            center = self.vertices.mean(axis=0)
+            radius = float(spinor.euclidean_norm(self.vertices - center).max())
         return center, radius
 
     def contains_points(self, pts):
@@ -101,14 +102,19 @@ class Mesh:
         number.  In the shell between them, both radii widened by BALL_TOL,
         a point within BALL_TOL R of a triangle is on the surface, so
         contained, also on a sharp edge, and the rest take the winding
-        pass.  That geometry multiplies up to four lengths, so a mesh whose
-        fourth powers would underflow decides the points in its bounding
-        ball on a copy scaled about c by a power of 2, to a radius near 1."""
+        pass.  That geometry multiplies up to four lengths of up to 2 R, so a
+        mesh whose fourth powers would underflow or overflow (R above 2^250)
+        decides the points in its bounding ball on a copy scaled about c by a
+        power of 2, to a radius near 1; an R beyond float range raises
+        OutOfDomainError."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         center, radius = self.bounding_sphere()
-        dist = spinor.euclidean_norm(pts - center)
+        if not radius < math.inf:
+            raise OutOfDomainError("the bounding radius of a mesh exceeds float range")
+        with np.errstate(over="ignore", invalid="ignore"):  # a point that far is outside
+            dist = spinor.euclidean_norm(pts - center)
         out = dist <= radius * (1.0 + BALL_TOL)
-        if 0.0 < radius < math.sqrt(spinor.SQUARE_UNDERFLOW):
+        if 0.0 < radius < math.sqrt(spinor.SQUARE_UNDERFLOW) or radius > 2.0**250:
             exp = -math.frexp(radius)[1]
             unit = Mesh(np.ldexp(self.vertices - center, exp), self.triangles)
             out[out] = unit.contains_points(np.ldexp(pts[out] - center, exp))
@@ -255,7 +261,7 @@ def separation(a: Ball, b: Ball) -> float:
     underflow and `spinor.euclidean_norm` scales them; inf where it overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         d = a.center - b.center
-    gap = math.sqrt(d.dot(d))  # np.linalg.norm's own sum
+        gap = math.sqrt(d.dot(d))  # np.linalg.norm's own sum
     return gap if gap >= spinor.SQUARE_UNDERFLOW else float(spinor.euclidean_norm(d))
 
 

@@ -2,12 +2,16 @@
 
 Exit codes: 0 on success, 1 on a domain or verification failure, 2 on a
 usage or configuration error.  All randomness is seeded; reports with the
-same configuration and seed are byte-identical.
+same configuration and seed are byte-identical.  This is the one module
+that writes files: the JSON of both sky-image types and of the verify
+report, and both CSV layouts, built from the arrays the library returns.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
 import json
 import math
 import sys
@@ -108,6 +112,49 @@ def _write_json(path, payload):
             fh.write(text + "\n")
 
 
+def _image_json(image):
+    """The JSON payload of a sky image of either frame, built column by
+    column: per sample its covector (Re, Im of both components) and the
+    graph's height, or its M point (null unless ok), rank, affine length
+    and status."""
+    xi = image.sample.xi
+    columns = {"xi": np.stack([xi.real, xi.imag], axis=-1).reshape(-1, 4).tolist()}
+    head = {"event": image.event.tolist()}
+    if isinstance(image, minkowski.GraphSkyImage):
+        columns["height"] = image.heights.tolist()
+    else:
+        head["target"] = dataclasses.asdict(image.target)
+        ok = image.ok_mask.tolist()
+        columns |= {"m_point": [m if k else None for m, k in zip(image.m_points.tolist(), ok)],
+                    "rank": image.ranks.tolist(), "lambda": image.lams.tolist(),
+                    "status": image.status}
+    return {**head, "samples": [dict(zip(columns, row)) for row in zip(*columns.values())]}
+
+
+def _write_csv(path, image):
+    """A sky image's CSV: the graph's directions and heights, or the M
+    points of the ok samples, each value its float repr."""
+    if isinstance(image, minkowski.GraphSkyImage):
+        header = ["d1", "d2", "d3", "height"]
+        rows = np.column_stack([image.sample.directions(), image.heights])
+    else:
+        header, rows = ["m1", "m2", "m3"], image.m_points[image.ok_mask]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(c) for c in row] for row in rows.tolist())
+
+
+def _report_json(report):
+    """The JSON payload of a `verify.VerificationReport`."""
+    return dict(
+        name=report.name, passed=bool(report.passed), max_residual=report.max_residual,
+        tolerance=report.tolerance, probe_count=report.probe_count,
+        residuals=np.asarray(report.residuals, dtype=float).ravel().tolist(),
+        extras={k: np.asarray(v).tolist() for k, v in report.extras.items()},
+    )
+
+
 def cmd_pauli(opts):
     vec = _parse_vec(opts["vec"])
     h = spinor.pauli_transform(vec)
@@ -140,9 +187,9 @@ def cmd_sky_image(opts):
         )
     print(f"samples: {sample.n}  {summary}")
     if opts.get("format") == "csv":
-        image.write_csv(opts.get("out") or "sky_image.csv")
+        _write_csv(opts.get("out") or "sky_image.csv", image)
     else:
-        _write_json(opts.get("out"), image.to_json_dict())
+        _write_json(opts.get("out"), _image_json(image))
     return 0
 
 
@@ -196,7 +243,7 @@ def cmd_verify(opts):
     payload = {
         "suite": suite,
         "seed": seed,
-        "reports": [r.to_json_dict() for r in reports],
+        "reports": [_report_json(r) for r in reports],
         "passed": all(r.passed for r in reports),
     }
     _write_json(opts.get("out", "verify_report.json"), payload)

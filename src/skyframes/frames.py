@@ -35,9 +35,8 @@ conserved direction in conformal time, far below the image tolerances.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import reduce
 from typing import NamedTuple
 
@@ -69,16 +68,10 @@ class CauchySurface:
     t0: float
     kind: str = field(default="cauchy", init=False)
 
-    def to_json_dict(self):
-        return {"kind": "cauchy", "t0": self.t0}
-
 
 @dataclass(frozen=True)
 class Singularity:
     kind: str = field(default="singularity", init=False)
-
-    def to_json_dict(self):
-        return {"kind": "singularity"}
 
 
 class ProbeValues(NamedTuple):
@@ -151,7 +144,7 @@ class FrameSpec:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SkyImage:
     """Sampled image of a sky in M, kept in full including singular samples."""
 
@@ -161,41 +154,19 @@ class SkyImage:
     m_points: np.ndarray  # (n, 3)
     ranks: np.ndarray  # (n,) int
     lams: np.ndarray  # (n,)
-    status: tuple  # (n,) of str
+    reason: np.ndarray  # (n,) int8, each ray's code (`manifold`); `status` maps them
 
-    @property
-    def regular_mask(self):
-        return (self.ranks == 2) & self.ok_mask
+    def __init__(self, event, target, sample, m_points, ranks, lams, reason, status=None):
+        # status strings in place of the codes (`dataclasses.replace(image,
+        # status=...)`) give each sample the first code of its string
+        if status is not None:
+            reason = np.array([list(_STATUS).index(s) for s in status], dtype=np.int8)
+        for f, value in zip(fields(self), (event, target, sample, m_points, ranks, lams, reason)):
+            object.__setattr__(self, f.name, value)
 
-    @property
-    def ok_mask(self):
-        return np.array(self.status, dtype=object) == "ok"
-
-    def to_json_dict(self):
-        return {
-            "event": [float(c) for c in self.event],
-            "target": self.target.to_json_dict(),
-            "samples": [
-                {
-                    "xi": [z.real, z.imag, w.real, w.imag],
-                    "m_point": [float(c) for c in m] if s == "ok" else None,
-                    "rank": int(r),
-                    "lambda": float(l),
-                    "status": s,
-                }
-                for (z, w), m, r, l, s in zip(
-                    self.sample.xi, self.m_points, self.ranks, self.lams, self.status
-                )
-            ],
-        }
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["m1", "m2", "m3"])
-            for m, s in zip(self.m_points, self.status):
-                if s == "ok":
-                    writer.writerow([repr(float(c)) for c in m])
+    status = property(lambda self: tuple(_STATUS[self.reason]))  # (n,) str
+    ok_mask = property(lambda self: self.reason == mf.ARRIVED)
+    regular_mask = property(lambda self: (self.ranks == 2) & self.ok_mask)
 
 
 def project_batch(f: FrameSpec, events, xis):
@@ -226,15 +197,16 @@ def project_batch(f: FrameSpec, events, xis):
     t = rows[:, 0]
     t_target = f.target_time
     t_tol = 1e-12 * max(1.0, float(np.abs(t).max(initial=0.0)))
-    on_surface = np.abs(t - t_target) <= t_tol
+    # numpy's warnings off, as a non-finite ray raises below; an error state
+    # set to raise (the CLI's) still raises first
+    quiet = {k: "ignore" if v == "warn" else v for k, v in np.geterr().items()}
+    with np.errstate(**quiet):
+        on_surface = np.abs(t - t_target) <= t_tol
     below = t < t_target - t_tol
 
     reason = _per_ray(np.where(below, np.int8(mf.BELOW_TARGET), np.int8(mf.ARRIVED)), b)
     dirs = spinor.direction_for_cospinor(xis)
     if closed:
-        # numpy's warnings off, as a non-finite ray raises below; an error
-        # state set to raise (the CLI's) still raises first
-        quiet = {k: "ignore" if v == "warn" else v for k, v in np.geterr().items()}
         with np.errstate(**quiet):
             eta = mf.conformal_time(f.metric, t, t_target)
             m_points = rows[:, 1:] - eta[:, None] * dirs
@@ -417,7 +389,7 @@ def sky_image(f: FrameSpec, x, sample: SkySample, with_rank=True) -> SkyImage:
         ranks = np.zeros(sample.n, dtype=int)
     if not np.any(reason == mf.ARRIVED):
         raise NoIntersectionError("every sky sample failed to reach the target")
-    return SkyImage(x, f.target, sample, pts, ranks, lams, tuple(_STATUS[reason]))
+    return SkyImage(x, f.target, sample, pts, ranks, lams, reason)
 
 
 def theta_value(f: FrameSpec, x, xi, direction):

@@ -9,7 +9,6 @@ of graphs reproduces the causal order.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
 
@@ -32,25 +31,6 @@ class GraphSkyImage:
     event: np.ndarray  # (4,)
     sample: SkySample
     heights: np.ndarray  # (n,) real
-
-    def to_json_dict(self):
-        return {
-            "event": [float(c) for c in self.event],
-            "samples": [
-                {
-                    "xi": [x.real, x.imag, y.real, y.imag],
-                    "height": float(h),
-                }
-                for (x, y), h in zip(self.sample.xi, self.heights)
-            ],
-        }
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["d1", "d2", "d3", "height"])
-            for d, h in zip(self.sample.directions(), self.heights):
-                writer.writerow([repr(float(c)) for c in d] + [repr(float(h))])
 
 
 def sky_image_minkowski(x, sample: SkySample) -> GraphSkyImage:
@@ -108,14 +88,17 @@ def causal_compare_batch(xs, ys):
     2=x past, 3=spacelike), the positions of the CausalOrder members, from
     the field of x - y being >= 0 or <= 0 on the sky (`sky.semidefinite`)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        d = spinor.pauli_transform(np.asarray(xs, float) - np.asarray(ys, float))
+        # 2 (x - y) has the verdict of x - y, and its transform halves it exactly
+        d = spinor.pauli_transform(2.0 * (np.asarray(xs, float) - np.asarray(ys, float)))
     y_past, x_past = skymod.semidefinite(d)
     return np.select([y_past & x_past, y_past, x_past], [0, 1, 2], default=3)
 
 
 def interval_compare_batch(xs, ys):
-    """Classical interval criterion, same codes; the independent oracle."""
+    """Classical interval criterion, same codes; the independent oracle.  Each
+    difference is scaled exactly, by a power of two, so no square overflows."""
     d = np.asarray(xs, float) - np.asarray(ys, float)
+    d = np.ldexp(d, -np.frexp(np.abs(d).max(axis=-1, keepdims=True))[1])
     dt = d[..., 0]
     dr = spinor.euclidean_norm(d[..., 1:])
     equal = (dt == 0.0) & (dr == 0.0)

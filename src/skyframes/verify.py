@@ -53,24 +53,13 @@ class VerificationReport:
     probe_count: int
     extras: dict = field(default_factory=dict)
 
-    @cached_property  # read by passed, the JSON and the CLI's summary line
+    @cached_property  # read by passed and the CLI's report and summary line
     def max_residual(self) -> float:
         return float(np.max(self.residuals)) if len(self.residuals) else 0.0
 
     @property
     def passed(self) -> bool:
         return self.max_residual <= self.tolerance
-
-    def to_json_dict(self):
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "probe_count": self.probe_count,
-            "residuals": [float(r) for r in np.asarray(self.residuals).ravel()],
-            "extras": {k: np.asarray(v).tolist() for k, v in self.extras.items()},
-        }
 
 
 def check_contact_annihilation(f: fr.FrameSpec, x, xi):

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,18 @@ class TestBallErrors:
             ca.causal_relation(*ca.past_regions(spec, x, y))
         assert not recwarn.list
 
+    def test_separation_whose_square_overflows(self):
+        # finite centres 2^520 apart: d.dot(d) overflowed outside the quiet
+        # block, so a RuntimeWarning came before the typed error
+        x, y = np.ldexp([2.0, 1.0, 0, 0], 520), np.ldexp([1.0, 0.0, 0, 0], 520)
+        spec = fr.FrameSpec(metric=mf.MetricSpec.minkowski(), target=fr.CauchySurface(0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rx, ry = ca.past_regions(spec, x, y)
+            assert ca.separation(rx, ry) == np.inf
+            with pytest.raises(OutOfDomainError, match="separation of the past regions"):
+                ca.causal_relation(rx, ry)
+
 
 class TestBallContainment:
     def test_reach_is_numpys_norm_bit_for_bit(self):
@@ -239,6 +252,110 @@ class TestVerdictsAtEveryScale:
             assert not ca._sampled_disjoint(unit, ca.Ball([1.5 * scale, 0, 0], scale))
         spacelike = mk.causal_compare([1e-14, 0, 0, 0], [0.5e-14, 0, 2e-14, 0])
         assert spacelike is mk.CausalOrder.SPACELIKE
+
+
+class TestPowersOfTwo:
+    """Flat space on t = 0 is scale-invariant: seeded events on a 2^-4 grid,
+    of size at most 4, scaled by 2^k for k from -1070 to 1016, with warnings
+    as errors.  Such a scaling is exact (2^k times them is a multiple of
+    2^-1074 below 2^1019) and keeps the causal order, so the oracle is the
+    k = 0 answer: every answer equals it, or the call raises
+    OutOfDomainError, as the causal paths and meshes do once squares of
+    lengths overflow (coordinates of about 2^511 and up, README)."""
+
+    K = range(-1070, 1017)
+    FLAT = fr.FrameSpec(metric=mf.MetricSpec.minkowski(), target=fr.CauchySurface(0.0))
+    ANSWERED_BELOW = 509  # no refusal below it: coordinates under 2^511
+
+    @staticmethod
+    def _pairs(seed, n):
+        rng = np.random.default_rng(seed)
+        xs, ys = (rng.integers(-32, 33, (n, 4)) / 16.0 for _ in range(2))
+        xs[:, 0], ys[:, 0] = rng.integers(1, 65, (2, n)) / 16.0  # above t = 0
+        xs[: n // 4], ys[: n // 4] = ys[: n // 4], xs[: n // 4].copy()
+        return xs, ys
+
+    @staticmethod
+    def _answers(call, k, *args):
+        """call on the arguments scaled by 2^k, with warnings as errors; None
+        where it refuses them with OutOfDomainError."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                return call(*(np.ldexp(a, k) for a in args))
+            except OutOfDomainError:
+                return None
+
+    def _check(self, call, ks, want, *args):
+        refused = []
+        for k in ks:
+            got = self._answers(call, k, *args)
+            if got is None:
+                refused.append(k)
+            else:
+                assert np.array_equal(got, want), k
+        assert min(refused, default=np.inf) >= self.ANSWERED_BELOW
+        return refused
+
+    def test_spinor_and_interval_verdicts(self):
+        xs, ys = self._pairs(37, 40)
+        want = mk.interval_compare_batch(xs, ys)
+        assert set(want.tolist()) == {1, 2, 3}
+        assert np.array_equal(mk.causal_compare_batch(xs, ys), want)
+        # every k below the refusals in one batch, then each k above
+        split = self.K.index(self.ANSWERED_BELOW)
+        low, top = self.K[:split], self.K[split:]
+        scaled = [np.concatenate([np.ldexp(a, k) for k in low]) for a in (xs, ys)]
+        for compare in (mk.interval_compare_batch, mk.causal_compare_batch):
+            assert np.array_equal(self._answers(compare, 0, *scaled), np.tile(want, len(low)))
+        assert self._check(mk.interval_compare_batch, top, want, xs, ys) == []
+        refused = self._check(mk.causal_compare_batch, top, want, xs, ys)
+        assert refused == list(range(refused[0], self.K[-1] + 1))
+
+    def test_ball_verdicts(self):
+        xs, ys = self._pairs(38, 12)
+        orders = list(mk.CausalOrder)
+        relation = lambda x, y: orders.index(ca.causal_relation(*ca.past_regions(self.FLAT, x, y)))
+        for x, y in zip(xs, ys):
+            want = relation(x, y)
+            refused = self._check(relation, self.K[::7], want, x, y)
+            assert self.K[-1] in refused  # distinct centres 2^1012 apart and more
+
+    def test_mesh_containment(self):
+        # inside the octahedron |x| + |y| + |z| <= 2 by 1/2, or outside by 1/2
+        rng = np.random.default_rng(39)
+        outer = rng.integers(-48, 49, (60, 3)) / 16.0
+        outer = outer[np.abs(outer).sum(axis=1) >= 2.5][:20]
+        pts = np.concatenate([rng.integers(-8, 9, (20, 3)) / 16.0, outer])
+        want = np.arange(40) < 20
+        mesh = _octahedron(2.0)
+        assert np.array_equal(mesh.contains_points(pts), want)
+        contains = lambda vertices, p: ca.Mesh(vertices, mesh.triangles).contains_points(p)
+        refused = self._check(contains, self.K[::7], want, mesh.vertices, pts)
+        assert self.K[-1] in refused
+
+    def test_meshes_whose_fourth_powers_overflow(self):
+        # from a bounding radius of 2^256 the winding and surface geometry
+        # overflowed, and points read outside; beyond float range it refuses
+        pts = np.array([[1.0, 0.5, 0.75], [0.5, 0.5, 0.5], [1.25, 0.25, 0.25]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (255, 400):
+                got = _octahedron(2.0 ** (k + 1)).contains_points(np.ldexp(pts, k))
+                assert got.tolist() == [False, True, True]
+            with pytest.raises(OutOfDomainError, match="bounding radius"):
+                _octahedron(2.0**600).contains_points(pts)
+
+    def test_sky_image_points(self):
+        # every product t d and every point stays a normal float from about
+        # k = -970 up, but project_batch snaps an event within an absolute
+        # 1e-12 of the target onto it, so the points scale exactly from
+        # k = -40 (t = 1.5 * 2^-40 > 1e-12) to the top
+        x, xis = np.array([1.5, 0.25, -0.5, 0.75]), sky.sample_sky(50).xi
+        want = fr.project_batch(self.FLAT, x, xis)[0]
+        for k in range(-40, self.K[-1] + 1, 3):
+            got = self._answers(lambda e: fr.project_batch(self.FLAT, e, xis)[0], k, x)
+            assert np.array_equal(got, np.ldexp(want, k)), k
 
 
 def _octahedron(scale):

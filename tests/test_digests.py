@@ -27,6 +27,7 @@ def test_two_runs_of_the_working_tree_agree(digests):
     assert first == second and digests.differences(first, second) == {}
     for outputs in first.values():  # every image ran: no error in place of its outputs
         assert "error" not in outputs and "planes.jacobians" in outputs
+        assert "image.json" in outputs
         assert len(set(outputs.values())) > 1
 
 
@@ -35,6 +36,8 @@ def test_the_matrix_covers_both_tracers_errors_and_the_cli(digests):
     assert len(names) == len(set(names)) == 9 * 3 * 3 + 4 + len(digests.CLI)
     assert {digests.CHARTS[c][2] for c in digests.CHARTS} == {"auto", "numeric"}
     assert sum(name.startswith("cli/verify/") for name in names) == 6
+    # mesh-path verdicts on the two curved charts of x, y and z
+    assert {digests.CLI[f"causal/{c}-mesh"][0]["kind"] for c in ("W", "S3")} == {"custom"}
 
 
 def test_differences_name_the_outputs_that_moved(digests):

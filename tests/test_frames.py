@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -6,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from skyframes import cli
 from skyframes import frames as fr
 from skyframes import manifold as mf
 from skyframes import sky, spinor
@@ -200,9 +202,13 @@ class TestReasonCodes:
         batch = (np.zeros((5, 3)), np.zeros(5), codes == mf.ARRIVED, codes)
         monkeypatch.setattr(fr, "project_batch", lambda f, x, xis: batch)
         img = fr.sky_image(mink_frame, [1.0, 0, 0, 0], sky.sample_sky(5), with_rank=False)
+        assert img.reason is codes  # the image keeps the codes, not a tuple of strings
         failed = ("no_intersection",) * 3
         assert img.status == ("ok", *failed, "integrator_failure")
         assert all(type(s) is str for s in img.status)
+        # status strings in place of the codes take the first code of each
+        assert dataclasses.replace(img, status=img.status).reason.tolist() == [0, 1, 1, 1, 4]
+        assert dataclasses.replace(img, ranks=img.ranks).reason is codes
         assert img.ok_mask.tolist() == [True, False, False, False, False]
         assert img.ok_mask.dtype == img.regular_mask.dtype == bool and not img.regular_mask.any()
 
@@ -334,13 +340,15 @@ class TestSkyImage:
             fr.sky_image(spec, [-2.0, 0, 0, 0], sky.sample_sky(8))
 
     def test_json_and_csv_serialisation(self, mink_frame, tmp_path):
+        # the CLI writes an image from its arrays
         img = fr.sky_image(mink_frame, [1.0, 0, 0, 0], sky.sample_sky(16))
-        d = img.to_json_dict()
+        d = cli._image_json(img)
         assert set(d) == {"event", "target", "samples"}
+        assert d["target"] == {"kind": "cauchy", "t0": 0.0}
         assert set(d["samples"][0]) == {"xi", "m_point", "rank", "lambda", "status"}
         json.dumps(d)
         path = tmp_path / "img.csv"
-        img.write_csv(path)
+        cli._write_csv(path, img)
         rows = path.read_text().strip().splitlines()
         assert len(rows) == 17
 
@@ -974,7 +982,9 @@ class TestSharedEvent:
         x, sample = np.array([1e308, 0.0, 0.0, 0.0]), sky.sample_sky(6)
         message = re.escape(f"the ray from {x.tolist()} has no finite end point or length")
         for events in (x, np.tile(x, (sample.n, 1))):
-            with pytest.raises(OutOfDomainError, match=message), np.errstate(over="ignore"):
+            # no numpy warning first: t - t0 overflowed outside the quiet block
+            with pytest.raises(OutOfDomainError, match=message), warnings.catch_warnings():
+                warnings.simplefilter("error")
                 fr.project_batch(spec, events, sample.xi)
 
     @pytest.mark.parametrize("events", [np.zeros(3), np.zeros((2, 3)), np.zeros((1, 2, 4))])

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from skyframes import cli
 from skyframes import minkowski as mk
 from skyframes import sky, spinor
 from skyframes.errors import OutOfDomainError, ZeroSpinorError
@@ -68,10 +69,15 @@ class TestGraphImage:
                 assert abs((plus - minus) / (2 * h)) <= 1e-8
 
     def test_json_schema(self, sample):
-        d = mk.sky_image_minkowski([1, 2, 3, 4], sample).to_json_dict()
+        # the CLI writes a graph image from its arrays
+        image = mk.sky_image_minkowski([1, 2, 3, 4], sample)
+        d = cli._image_json(image)
         assert set(d) == {"event", "samples"}
         assert set(d["samples"][0]) == {"xi", "height"}
         assert len(d["samples"][0]["xi"]) == 4
+        z, w = sample.xi[0]
+        assert d["samples"][0]["xi"] == [z.real, z.imag, w.real, w.imag]
+        assert d["samples"][0]["height"] == image.heights[0]
 
 
 class TestNullHyperplane:
@@ -221,6 +227,26 @@ class TestCausalCompare:
             assert np.array_equal(mk.causal_compare_batch(*scaled), want)
             orders = [mk.causal_compare(x, y) for x, y in zip(*scaled)]
         assert orders == [list(CausalOrder)[code] for code in want]
+
+    def test_pairs_on_the_last_bits_of_the_subnormals(self):
+        # integer multiples of 2^-1074 near the null cone: the transform
+        # halved odd sums, and the norm of the interval criterion rounded to
+        # the subnormal unit, and each flipped its verdict
+        x, y = np.ldexp([3.0, 14, -1, -25], -1074), np.ldexp([47.0, 14, -4, 18], -1074)
+        u, v = np.ldexp([23.0, 17, -6, -32], -1074), np.ldexp([38.0, 7, 1, -23], -1074)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mk.causal_compare(x, y) is CausalOrder.X_PAST_OF_Y
+            assert mk.interval_compare_batch(x, y) == 2
+            assert mk.causal_compare(u, v) is CausalOrder.SPACELIKE
+            assert mk.interval_compare_batch(u, v) == 3
+
+    def test_interval_criterion_of_pairs_whose_squares_overflow(self):
+        # the spatial norm read inf, after a RuntimeWarning, and the
+        # timelike pair read spacelike
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mk.interval_compare_batch(np.ldexp([2.0, 1, 0, 0], 1015), np.zeros(4)) == 1
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(6)

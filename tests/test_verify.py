@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from skyframes import cli
 from skyframes import frames as fr
 from skyframes import manifold as mf
 from skyframes import sky, spinor, verify as vf
@@ -466,8 +467,8 @@ class TestContractionIdentity:
 
 class TestSuites:
     def test_reports_deterministic_for_fixed_seed(self):
-        a = [r.to_json_dict() for r in vf.suite_twistor(7, n=200)]
-        b = [r.to_json_dict() for r in vf.suite_twistor(7, n=200)]
+        a = [cli._report_json(r) for r in vf.suite_twistor(7, n=200)]
+        b = [cli._report_json(r) for r in vf.suite_twistor(7, n=200)]
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_all_mini_suites_pass(self, flrw_spec):
@@ -512,7 +513,7 @@ class TestSuites:
 
     def test_report_json_schema(self):
         rep = vf.suite_twistor(1, n=10)[0]
-        d = rep.to_json_dict()
+        d = cli._report_json(rep)
         assert set(d) == {
             "name",
             "passed",

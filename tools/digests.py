@@ -12,8 +12,9 @@ bytes, of a file's or stdout's bytes, or of an error's type and message.
 The outputs are read through names that older trees have too, so that
 `--against` compares like with like: `project_batch(...)` items 0 to 2,
 the fields of `TangentPlanes` other than the base ray's fate, the fields
-and JSON bytes of `SkyImage`, and the CLI's exit codes, stdout, stderr
-and output files.
+and status strings of `SkyImage` and its JSON bytes (the CLI's payload
+function where the tree has one, else the image's `to_json_dict`), and
+the CLI's exit codes, stdout, stderr and output files.
 
 `--against REV` unpacks REV's `src/` with `git archive` into a temporary
 directory and runs the matrix on each tree in a fresh interpreter.  It
@@ -62,6 +63,13 @@ W_CHART = {
     "coeffs": [W, f"-({W})", f"-({W})", f"-({W})"],
     "bounds": [[0, None], [-3, 3], [-3, 3], [-3, 3]],
 }
+#: The compactified chart: the Einstein static universe R x S^3 in stereographic
+#: coordinates, bounded so that rays near the pole leave the box.
+S3_CHART = {
+    "kind": "custom",
+    "coeffs": ["1"] + ["-4/(1+x*x+y*y+z*z)**2"] * 3,
+    "bounds": [[None, None], [-50, 50], [-50, 50], [-50, 50]],
+}
 SLAB = {"kind": "minkowski", "bounds": [[None, None], [-2.1, 2.1], [None, None], [None, None]]}
 
 #: name: (metric config, target, tracer, events).  The custom charts take
@@ -97,14 +105,29 @@ CLI = {
                                   "csv", "--out", "{tmp}/out"]),
     "sky-image/readme-n200": (README_CHART, ["sky-image", "--target", "cauchy:0.3", "--event",
                                              "0.6,0,0,0", "--n", "200", "--out", "{tmp}/out"]),
+    "sky-image/p2/3-csv": (None, ["sky-image", "--metric", "flrw", "--p", "0.6666666666666666",
+                                  "--event", "1,0,0,0", "--n", "200", "--format", "csv",
+                                  "--out", "{tmp}/out"]),
     "sky-image/graph": (None, ["sky-image", "--metric", "minkowski", "--frame", "graph",
                                "--event", "0,0,0,0", "--n", "50"]),
+    "sky-image/graph-csv": (None, ["sky-image", "--metric", "minkowski", "--frame", "graph",
+                                   "--event", "1,0.5,-0.25,0", "--n", "50", "--format", "csv",
+                                   "--out", "{tmp}/out"]),
     "causal/p2/3-ball": (None, ["causal", "--metric", "flrw", "--p", "0.6666666666666666",
                                 "--x", "1,0,0,0", "--y", "0.125,0,0,0"]),
     "causal/readme-mesh": (README_CHART, ["causal", "--target", "cauchy:0.3", "--x", "0.6,0,0,0",
                                           "--y", "0.45,0.05,0,0"]),
     "causal/readme-mesh-spacelike": (README_CHART, ["causal", "--target", "cauchy:0.3", "--x",
                                                     "0.6,0,0,0", "--y", "0.6,0.3,0,0"]),
+    # curved charts of x, y and z: meshes of rays marched node by node
+    "causal/W-mesh": (W_CHART, ["causal", "--target", "cauchy:0.2", "--x", "1.5,0.3,-0.4,0.2",
+                                "--y", "1,0.2,-0.3,0.1"]),
+    "causal/W-mesh-spacelike": (W_CHART, ["causal", "--target", "cauchy:0.2", "--x",
+                                          "1.5,0.3,-0.4,0.2", "--y", "1.2,0.9,-0.4,0.2"]),
+    "causal/S3-mesh": (S3_CHART, ["causal", "--target", "cauchy:0", "--x", "1.2,0.3,-0.2,0.1",
+                                  "--y", "0.6,0.2,-0.1,0.1"]),
+    "causal/S3-mesh-spacelike": (S3_CHART, ["causal", "--target", "cauchy:0", "--x",
+                                            "1.2,0.3,-0.2,0.1", "--y", "1.1,-0.3,-0.2,0.1"]),
     "causal/graph": (None, ["causal", "--metric", "minkowski", "--frame", "graph", "--x",
                             "1,0,0,0", "--y", "0.5,0.3,0,0"]),
     "causal/slab-error": (SLAB, ["causal", "--x", "1,2,0,0", "--y", "0.2,2.05,0.5,0"]),
@@ -154,8 +177,17 @@ def _sky_case(chart, n, k):
     img = fr.sky_image(f, x, sample)
     out.update(("image." + name, getattr(img, name)) for name in ("m_points", "ranks", "lams"))
     out["image.status"] = "\n".join(img.status)
-    out["image.json"] = json.dumps(img.to_json_dict(), sort_keys=True)
+    out["image.json"] = json.dumps(_image_json(img), sort_keys=True)
     return out
+
+
+def _image_json(image):
+    """An image's JSON payload: through `cli._image_json` where the tree has
+    it, else through the image's own `to_json_dict`, as older trees wrote."""
+    from skyframes import cli
+
+    payload = getattr(cli, "_image_json", None)
+    return image.to_json_dict() if payload is None else payload(image)
 
 
 def _batch(out):
@@ -200,7 +232,7 @@ def _cli_case(name):
             code = main(prefix + [a.format(tmp=tmp) for a in argv])
         out = {"exit": str(code), "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
         if Path(tmp, "out").exists():
-            out["file"] = Path(tmp, "out").read_text()
+            out["file"] = Path(tmp, "out").read_bytes().decode()  # CSV keeps its \r\n
     return out
 
 
