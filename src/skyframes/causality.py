@@ -208,7 +208,7 @@ def analytic_region(f: fr.FrameSpec, x) -> Ball | None:
     if not t_lo < t < t_hi:
         raise OutOfDomainError("an event lies outside the chart domain")
     radius = mf.conformal_time(f.metric, t, f.target_time)
-    if 0.0 <= radius < math.inf and all(
+    if f.target_time <= t and radius < math.inf and all(
         lo + radius < c < hi - radius for c, (lo, hi) in zip(center, spans)
     ):
         return Ball(center=x[1:], radius=radius)
@@ -216,7 +216,7 @@ def analytic_region(f: fr.FrameSpec, x) -> Ball | None:
     # failed ball test needs the spatial part of the domain test.
     if not all(lo < c < hi for c, (lo, hi) in zip(center, spans)):  # NaN is outside
         raise OutOfDomainError("an event lies outside the chart domain")
-    if radius < 0.0:
+    if t < f.target_time:
         raise NoIntersectionError(f"event {event} lies below the target")
     if not math.isfinite(radius):
         raise OutOfDomainError(f"the past region of {event} overflows")

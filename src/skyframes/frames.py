@@ -29,8 +29,10 @@ spatially flat cosmologies project onto straight comoving lines), which
 `tracer="auto"` takes there, and the numeric `manifold.trace_past_to_time`
 behind `_trace`, which marches a batch in t (ln t toward the singularity)
 on one grid and lands on the target level.  Toward the singularity it
-stops at a small cutoff time and closes the rest along the ray's
-conserved direction in conformal time, far below the image tolerances.
+stops at a small cutoff time (or at the lowest event time, when lower) and
+closes the rest along the ray's conserved direction in conformal time, far
+below the image tolerances.  An event lies below the target when t <
+t_target, with no tolerance.
 """
 
 from __future__ import annotations
@@ -194,34 +196,26 @@ def project_batch(f: FrameSpec, events, xis):
     rows = events.reshape(-1, 4)  # (1, 4) when one event is shared
     if not closed and len(rows) != b:  # the tracer takes one row per ray
         rows = np.broadcast_to(rows, (b, 4))
-    t = rows[:, 0]
-    t_target = f.target_time
-    t_tol = 1e-12 * max(1.0, float(np.abs(t).max(initial=0.0)))
-    # numpy's warnings off, as a non-finite ray raises below; an error state
-    # set to raise (the CLI's) still raises first
-    quiet = {k: "ignore" if v == "warn" else v for k, v in np.geterr().items()}
-    with np.errstate(**quiet):
-        on_surface = np.abs(t - t_target) <= t_tol
-    below = t < t_target - t_tol
-
+    t, t_target = rows[:, 0], f.target_time
+    below = t < t_target
     reason = _per_ray(np.where(below, np.int8(mf.BELOW_TARGET), np.int8(mf.ARRIVED)), b)
     dirs = spinor.direction_for_cospinor(xis)
     if closed:
+        # numpy's warnings off, as a non-finite ray raises below; an error
+        # state set to raise (the CLI's) still raises first
+        quiet = {k: "ignore" if v == "warn" else v for k, v in np.geterr().items()}
         with np.errstate(**quiet):
             eta = mf.conformal_time(f.metric, t, t_target)
             m_points = rows[:, 1:] - eta[:, None] * dirs
             lams = mf.affine_length(f.metric, t, t_target)
     else:
         m_points, lams = np.empty((b, 3)), np.zeros(b)
-        march = ~below & ~on_surface
-        if np.any(march):
+        if np.any(march := ~below):
             _, res = _trace(f, rows[march], dirs[march])
             singular = f.target.kind == "singularity"
             ends = _close_singularity_gap(f, res) if singular else (res.x[:, 1:], res.lam)
             m_points[march], lams[march] = ends
             reason[march] = res.reason
-    np.copyto(m_points, rows[:, 1:], where=on_surface[:, None])
-    lams[on_surface] = 0.0
     lams = _per_ray(lams, b)
     ok = reason == mf.ARRIVED
     bad = ok & ~reduce(np.logical_and, map(np.isfinite, m_points.T), np.isfinite(lams))
@@ -244,10 +238,13 @@ def _per_ray(a, b):
 
 def _trace(f: FrameSpec, events, dirs):
     """Trace rays from the events (B, 4) along the future null directions
-    dirs (B, 3) to the target level (SINGULARITY_CUTOFF toward the
-    singularity) in one batch; returns v0 (B, 4) and the TraceResult."""
+    dirs (B, 3) to the target level in one batch; returns v0 (B, 4) and the
+    TraceResult.  Toward the singularity the level is SINGULARITY_CUTOFF,
+    or the lowest event time where that is below it."""
     v0 = mf.future_null_directions(f.metric, events, dirs)
-    stop_t = SINGULARITY_CUTOFF if f.target.kind == "singularity" else f.target_time
+    stop_t = f.target_time
+    if f.target.kind == "singularity":
+        stop_t = min(SINGULARITY_CUTOFF, float(events[:, 0].min()))
     return v0, mf.trace_past_to_time(f.metric, events, v0, stop_t)
 
 

@@ -547,7 +547,8 @@ def trace_past_to_time(m: MetricSpec, x0, v0, t_target):
     places the rows (`_t_level`).  On any other chart, and at a level that
     `_t_level` gives None for (a lost signature), each level is a `_march`
     of the unsettled rows.  Raises OutOfDomainError for a start event
-    outside the domain or below the level.
+    outside the domain or below the level, t < t_target exactly; a start on
+    the level ends at its own point with lambda 0.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 1:
@@ -555,8 +556,7 @@ def trace_past_to_time(m: MetricSpec, x0, v0, t_target):
     outside = ~m.in_domain(x0)
     if np.any(outside):
         raise OutOfDomainError(f"start event {x0[outside][0].tolist()} outside the domain")
-    t_tol = 1e-12 * max(1.0, float(np.abs(x0[:, 0]).max(initial=0.0)))
-    if np.any(x0[:, 0] < t_target - t_tol):
+    if np.any(x0[:, 0] < t_target):
         raise OutOfDomainError("some start events lie below the target level")
     y0 = _bundle_start(m, x0, v0)
     live = np.arange(len(x0))  # the rows of the batch not yet settled

@@ -51,11 +51,11 @@ SQUARE_UNDERFLOW = math.sqrt(np.finfo(float).tiny)
 
 
 def _scale(a):
-    """Largest absolute entry over the trailing axes, at least 1."""
+    """Largest absolute entry over the trailing axes, 1 where every entry is 0."""
     a = np.asarray(a)
     flat = np.abs(a).reshape(a.shape[: a.ndim - 1] + (-1,)) if a.ndim else np.abs(a)
     s = flat.max(axis=-1) if a.ndim else flat
-    return np.maximum(s, 1.0)
+    return np.where(s == 0.0, 1.0, s)
 
 
 def euclidean_norm(v):
@@ -87,7 +87,7 @@ def check_hermitian(h):
     """Raise NonHermitianError unless h is Hermitian within HERMITIAN_TOL."""
     h = np.asarray(h, dtype=complex)
     dev = np.abs(h - np.conj(np.swapaxes(h, -1, -2))).max()
-    bound = HERMITIAN_TOL * float(np.maximum(np.abs(h).max(initial=0.0), 1.0))
+    bound = HERMITIAN_TOL * float(np.abs(h).max(initial=0.0))
     if dev > bound:
         raise NonHermitianError(f"deviation {dev:.3e} exceeds {bound:.3e}")
     return h

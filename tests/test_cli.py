@@ -51,6 +51,17 @@ class TestPauli:
         assert code == 1
         assert "NotNull" in err
 
+    def test_factor_of_small_non_null_exits_1(self, capsys):
+        # the nullity test was absolute below unit size, so this printed a spinor
+        code, out, err = run(capsys, "pauli", "--vec", "1e-6,0,0,0", "--factor")
+        assert code == 1
+        assert err.startswith("NotNullError") and "spinor" not in out
+
+    def test_factor_of_zero_vector(self, capsys):
+        code, out, _ = run(capsys, "pauli", "--vec", "0,0,0,0", "--factor")
+        assert code == 0
+        assert "spinor: [0+0j, 0+0j]" in out
+
     def test_factor_of_huge_non_null_exits_1(self, capsys):
         code, out, err = run(capsys, "pauli", "--vec", "1e300,0,0,0", "--factor")
         assert code == 1

@@ -33,7 +33,9 @@ def test_two_runs_of_the_working_tree_agree(digests):
 
 def test_the_matrix_covers_both_tracers_errors_and_the_cli(digests):
     names = list(digests.cases())
-    assert len(names) == len(set(names)) == 9 * 3 * 3 + 4 + len(digests.CLI)
+    near = len(digests.NEAR_CHARTS) * len(digests.NEAR)
+    assert len(names) == len(set(names)) == 9 * 3 * 3 + near + 4 + len(digests.CLI)
+    assert near == 12 and {"readme", "p2/3-numeric"} <= set(digests.NEAR_CHARTS)
     assert {digests.CHARTS[c][2] for c in digests.CHARTS} == {"auto", "numeric"}
     assert sum(name.startswith("cli/verify/") for name in names) == 6
     # mesh-path verdicts on the two curved charts of x, y and z
@@ -44,6 +46,25 @@ def test_differences_name_the_outputs_that_moved(digests):
     old = {"a": {"x": "1", "y": "2"}, "b": {"x": "1"}, "gone": {"x": "1"}}
     new = {"a": {"x": "1", "y": "3"}, "b": {"x": "1"}, "new": {"error": "4"}}
     assert digests.differences(new, old) == {"a": ["y"], "gone": ["x"], "new": ["error"]}
+
+
+def test_near_target_cases_refuse_the_event_below_the_level(digests):
+    runs = digests.digests(ROOT / "src", "near/flat/*", values=True)
+    assert set(runs) == {f"near/flat/{where}" for where in digests.NEAR}
+    assert runs["near/flat/on"]["image.m_points"] == [[0.1, 0.0, 0.0]] * 16
+    assert runs["near/flat/on"]["image.lams"] == [0.0] * 16
+    assert runs["near/flat/below"]["image.error"] is None  # text: no values
+    assert runs["near/flat/below"]["project_batch[2]"] == [False] * 16
+
+
+def test_largest_relative_difference(digests):
+    nan, inf = float("nan"), float("inf")
+    rel = digests.largest_relative_difference
+    assert rel([1.0, nan, -0.0], [1.0, nan, 0.0]) == 0.0
+    assert rel([[1.0, 2.0]], [[1.0, 2.0 + 2**-51]]) == 2**-52 / (1 + 2**-52)
+    assert rel([1.0, 0.0], [1.0, 1e-300]) == 1.0
+    assert rel([nan], [1.0]) == inf and rel([True, False], [True, True]) == 1.0
+    assert rel([1.0], [1.0, 2.0]) is None and rel(None, [1.0]) is None
 
 
 def test_one_line_per_case_without_against(digests, monkeypatch):

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from skyframes import causality as ca
 from skyframes import cli
 from skyframes import frames as fr
 from skyframes import manifold as mf
@@ -211,6 +212,80 @@ class TestReasonCodes:
         assert dataclasses.replace(img, ranks=img.ranks).reason is codes
         assert img.ok_mask.tolist() == [True, False, False, False, False]
         assert img.ok_mask.dtype == img.regular_mask.dtype == bool and not img.regular_mask.any()
+
+
+class TestTargetLevel:
+    """An event lies below the target exactly when t < t_target, on every
+    path: the codes of `project_batch` on both tracers, `sky_image`,
+    `analytic_region` and the CLI's `causal`.  An event 1e-13 below the
+    level was snapped onto it by an on-surface tolerance, so its sky image
+    was a point while its ball was refused."""
+
+    TIMES = {"on": 0.5, "ulp-above": float(np.nextafter(0.5, 1.0)), "below": 0.5 - 1e-13}
+    METRICS = {
+        "flat": (mf.MetricSpec.minkowski(), ["--metric", "minkowski"]),
+        "p2/3": (mf.MetricSpec.flrw(p=2 / 3), ["--metric", "flrw", "--p", repr(2 / 3)]),
+    }
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("where", TIMES)
+    def test_every_path_agrees(self, metric, where, capsys):
+        m, flags = self.METRICS[metric]
+        x, sample = np.array([self.TIMES[where], 0.1, 0.0, 0.0]), sky.sample_sky(16)
+        below = where == "below"
+        frames = [fr.FrameSpec(metric=m, target=fr.CauchySurface(0.5), tracer=tracer)
+                  for tracer in ("auto", "numeric")]
+        for f in frames:
+            reason = fr.project_batch(f, x, sample.xi)[3]
+            assert set(reason.tolist()) == {mf.BELOW_TARGET if below else mf.ARRIVED}
+            if below:
+                with pytest.raises(NoIntersectionError):
+                    fr.sky_image(f, x, sample)
+            else:
+                image = fr.sky_image(f, x, sample)
+                assert image.ok_mask.all()
+                # on the level the image is the event's own point
+                assert (image.lams == 0.0).all() == (where == "on")
+                assert (image.m_points == x[1:]).all() == (where == "on")
+        if below:
+            with pytest.raises(NoIntersectionError, match="below the target"):
+                ca.analytic_region(frames[0], x)
+        else:
+            assert (ca.analytic_region(frames[0], x).radius == 0.0) == (where == "on")
+        event = ",".join(map(repr, x.tolist()))
+        code = cli.main(["causal", *flags, "--target", "cauchy:0.5", f"--x={event}", f"--y={event}"])
+        out, err = capsys.readouterr()
+        assert code == (1 if below else 0)
+        assert err.startswith("NoIntersectionError") if below else out.startswith("equal")
+
+
+class TestEventsBelowTheCutoff:
+    """The numeric tracer marches toward the singularity down to
+    SINGULARITY_CUTOFF, or to the lowest event time below it, and closes
+    the rest in conformal time; it stopped every batch at the cutoff and
+    refused events below it as lying below the target level."""
+
+    M = mf.MetricSpec.flrw(p=2 / 3)
+
+    @pytest.mark.parametrize("t", [5e-10, 1e-30])
+    def test_numeric_image_matches_the_closed_form(self, t):
+        x, sample = np.array([t, 0.0, 0.0, 0.0]), sky.sample_sky(50)
+        closed, numeric = (
+            fr.sky_image(fr.FrameSpec(metric=self.M, target=fr.Singularity(), tracer=tracer),
+                         x, sample)
+            for tracer in ("auto", "numeric")
+        )
+        assert numeric.ok_mask.all() and np.array_equal(numeric.ranks, closed.ranks)
+        radius = 3.0 * t ** (1 / 3)
+        assert np.abs(numeric.m_points - closed.m_points).max() <= 1e-14 * radius
+        assert np.abs(numeric.lams - closed.lams).max() <= 1e-14 * closed.lams.max()
+
+    def test_legs_that_underflow_fail_every_ray(self):
+        # at t = 1e-300, a^2 = 1e-400 underflows to 0: the legs are 0, the
+        # null directions divide by them, and no ray arrives
+        f = fr.FrameSpec(metric=self.M, target=fr.Singularity(), tracer="numeric")
+        with np.errstate(all="ignore"), pytest.raises(NoIntersectionError):
+            fr.sky_image(f, np.array([1e-300, 0.0, 0.0, 0.0]), sky.sample_sky(16))
 
 
 class TestFrameSpec:

@@ -120,6 +120,44 @@ class TestFactorNull:
         assert np.all(err <= 1e-10 * scale)
 
 
+class TestRelativeTolerances:
+    """The nullity, time-direction and Hermiticity tests are relative to the
+    input's largest entry, with no floor at 1, so a small input gets the
+    verdict of its unit-size multiple; an all-zero input is measured
+    against 1."""
+
+    def test_small_timelike_vector_is_not_null(self):
+        with pytest.raises(NotNullError):
+            spinor.factor_null(vec(1e-6, 0, 0, 0))
+
+    def test_small_past_directed_vector_is_refused(self):
+        with pytest.raises(NotFutureDirectedError):
+            spinor.factor_null(vec(-1e-12, 1e-12, 0, 0))
+
+    def test_small_non_hermitian_matrix_is_refused(self):
+        with pytest.raises(NonHermitianError):
+            spinor.inverse_pauli(np.array([[0, 1e-13], [0, 0]], dtype=complex))
+
+    def test_every_power_of_two(self):
+        # (5, 3, 4, 0) / 4 times 2^k is exact from k = -1072 (its least
+        # entry 3 * 2^-1074) up to k = 1023; psi psi^dagger reproduces the
+        # Pauli matrix while its products stay normal floats
+        null, timelike = vec(1.25, 0.75, 1.0, 0.0), vec(1, 0, 0, 0)
+        past = null * [-1, 1, 1, 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(-1072, 1024):
+                v = np.ldexp(null, k)
+                psi = spinor.factor_null(v)
+                h, want = spinor.outer_square(psi), spinor.pauli_transform(v)
+                if k >= -1022:
+                    assert np.abs(h - want).max() <= 1e-15 * np.abs(want).max(), k
+                with pytest.raises(NotNullError):
+                    spinor.factor_null(np.ldexp(timelike, k))
+                with pytest.raises(NotFutureDirectedError):
+                    spinor.factor_null(np.ldexp(past, k))
+
+
 class TestSl2Action:
     def test_identity(self):
         h = spinor.pauli_transform(vec(0.3, -1, 2, 0.5))

@@ -7,6 +7,8 @@ Run from the repository root:
     python3 tools/digests.py --against HEAD~1  # the cases that differ from HEAD~1
 
 A case is a sky image, a CLI command or an expected error on one chart.
+The near-target cases are sky images of events on a nonzero Cauchy
+target, one ulp above it and 1e-13 below it.
 Its digest holds, per output, the SHA-256 of an array's dtype, shape and
 bytes, of a file's or stdout's bytes, or of an error's type and message.
 The outputs are read through names that older trees have too, so that
@@ -18,7 +20,9 @@ the CLI's exit codes, stdout, stderr and output files.
 
 `--against REV` unpacks REV's `src/` with `git archive` into a temporary
 directory and runs the matrix on each tree in a fresh interpreter.  It
-prints the cases that differ, with the outputs that differ in each, and
+prints the cases that differ, with the outputs that differ in each and,
+for an array of one shape in both trees, its largest relative difference
+(the cases that differ run once more on each tree for their values), and
 exits 0 whatever it finds.  Commit no digests: numpy's SIMD loops may give
 other last bits on another CPU, so compare two trees on one host.
 """
@@ -28,6 +32,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import fnmatch
+import glob
 import hashlib
 import io
 import json
@@ -86,6 +91,16 @@ CHARTS = {
     "slab": (SLAB, "cauchy:0", "auto", SLAB_EVENTS),
     "slab-numeric": (SLAB, "cauchy:0", "numeric", SLAB_EVENTS),
 }
+
+#: name: (metric config, Cauchy target, tracer) of the near-target cases;
+#: the README chart's rays march numerically.
+NEAR_CHARTS = {
+    "flat": ({"kind": "minkowski"}, "cauchy:0.5", "auto"),
+    "p2/3": (P23, "cauchy:0.5", "auto"),
+    "p2/3-numeric": (P23, "cauchy:0.5", "numeric"),
+    "readme": (README_CHART, "cauchy:0.3", "auto"),
+}
+NEAR = ("on", "ulp-above", "below")
 
 #: Event families of the tangent planes with families.
 DIRECTIONS = ((0.0, 1.0, 0.0, 0.0), (0.3, 0.0, -0.2, 1.0))
@@ -162,11 +177,32 @@ def _frame(config, target, tracer):
 def _sky_case(chart, n, k):
     """The outputs of a sky image of the chart's k-th event with n samples."""
     import numpy as np
-    from skyframes import frames as fr
-    from skyframes import sky
 
     config, target, tracer, events = CHARTS[chart]
-    f, x, sample = _frame(config, target, tracer), np.array(events[k]), sky.sample_sky(n)
+    return _sky_outputs(_frame(config, target, tracer), np.array(events[k]), n)
+
+
+def _near_case(chart, where):
+    """The outputs of a 16-sample sky image of an event at x = (0.1, 0, 0)
+    on the chart's target level, one ulp above it or 1e-13 below it."""
+    import numpy as np
+
+    f = _frame(*NEAR_CHARTS[chart])
+    level = f.target_time
+    t = {"on": level, "ulp-above": np.nextafter(level, np.inf), "below": level - 1e-13}[where]
+    return _sky_outputs(f, np.array([t, 0.1, 0.0, 0.0]), 16)
+
+
+def _sky_outputs(f, x, n):
+    """The outputs of the sky image of the event x with n samples on the
+    frame f; an image none of whose rays arrived gives its error as its
+    image output."""
+    import numpy as np
+    from skyframes import frames as fr
+    from skyframes import sky
+    from skyframes.errors import NoIntersectionError
+
+    sample = sky.sample_sky(n)
     out = _batch(fr.project_batch(f, x, sample.xi))
     if n < 2000:  # the image's 5n rays are these planes' rays
         tp = fr.tangent_planes(f, x, sample.xi)
@@ -174,7 +210,11 @@ def _sky_case(chart, n, k):
         rows = np.tile(x, (n, 1))
         tp = fr.tangent_planes(f, rows, sample.xi, np.array(DIRECTIONS), normals=True)
         out.update((f"families.{name}", getattr(tp, name)) for name in PLANE_FIELDS)
-    img = fr.sky_image(f, x, sample)
+    try:
+        img = fr.sky_image(f, x, sample)
+    except NoIntersectionError as exc:
+        out["image.error"] = f"{type(exc).__name__}: {exc}"
+        return out
     out.update(("image." + name, getattr(img, name)) for name in ("m_points", "ranks", "lams"))
     out["image.status"] = "\n".join(img.status)
     out["image.json"] = json.dumps(_image_json(img), sort_keys=True)
@@ -243,6 +283,9 @@ def cases():
         for n in SIZES:
             for k in range(3):
                 table[f"sky/{chart}/n{n}/e{k}"] = lambda c=chart, n=n, k=k: _sky_case(c, n, k)
+    for chart in NEAR_CHARTS:
+        for where in NEAR:
+            table[f"near/{chart}/{where}"] = lambda c=chart, w=where: _near_case(c, w)
     for name in ("nan-event", "inf-event", "below-target", "non-finite"):
         table[f"error/{name}"] = lambda name=name: _error_case(name)
     for name in CLI:
@@ -250,29 +293,39 @@ def cases():
     return table
 
 
-def _run_cases(pattern):
-    """{case: {output: digest}} of this interpreter's skyframes; a case that
-    raises gives its error's type and message as its one output."""
+def _values(value):
+    """An output as JSON: an array's entries as nested lists, None for text."""
+    import numpy as np
+
+    return None if value is None or isinstance(value, str) else np.asarray(value).tolist()
+
+
+def _run_cases(patterns, values=False):
+    """{case: {output: digest}} of this interpreter's skyframes for the cases
+    whose names match one of the glob patterns, or with values the outputs
+    themselves (`_values`); a case that raises gives its error's type and
+    message as its one output."""
     out = {}
     for name, case in cases().items():
-        if not fnmatch.fnmatchcase(name, pattern):
+        if not any(fnmatch.fnmatchcase(name, pattern) for pattern in patterns):
             continue
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             try:
-                values = case()
+                outputs = case()
             except Exception as exc:  # noqa: BLE001 - the error text is the output
-                values = {"error": f"{type(exc).__name__}: {exc}"}
-        out[name] = {key: _digest(value) for key, value in values.items()}
+                outputs = {"error": f"{type(exc).__name__}: {exc}"}
+        out[name] = {key: (_values if values else _digest)(v) for key, v in outputs.items()}
     return out
 
 
-def digests(src, pattern="*"):
-    """Run the cases matching pattern on the package under src in a fresh
-    interpreter; returns {case: {output: digest}}."""
+def digests(src, *patterns, values=False):
+    """Run the cases matching one of the glob patterns (default: all) on the
+    package under src in a fresh interpreter; returns {case: {output:
+    digest}}, or with values {case: {output: `_values`}}."""
     src = Path(src).resolve()
     argv = [sys.executable, str(Path(__file__).resolve()), "--worker", str(src), "--cases",
-            pattern]
+            *(patterns or ["*"]), *(["--values"] if values else [])]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # no bytecode files in either tree
     done = subprocess.run(argv, capture_output=True, text=True, env=env, cwd=tempfile.gettempdir())
     if done.returncode:
@@ -292,6 +345,22 @@ def differences(new, old):
     return out
 
 
+def largest_relative_difference(new, old):
+    """The largest |new - old| / max(|new|, |old|) over the entries of two
+    arrays (`_values`) of one shape: 0 where entries are equal or both NaN,
+    inf where one is NaN; None for text or arrays of two shapes."""
+    import numpy as np
+
+    if new is None or old is None or np.shape(new) != np.shape(old):
+        return None
+    a, b = np.asarray(new, dtype=float), np.asarray(old, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
+    rel[np.isnan(rel)] = np.inf
+    rel[(a == b) | (np.isnan(a) & np.isnan(b))] = 0.0
+    return float(rel.max(initial=0.0))
+
+
 def _archive(rev, into):
     """Unpack the src/ tree of the git revision rev under into."""
     tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
@@ -303,8 +372,10 @@ def _archive(rev, into):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--against", metavar="REV", help="compare with the src/ of a git revision")
-    ap.add_argument("--cases", default="*", help="only the cases whose names match this glob")
+    ap.add_argument("--cases", nargs="+", default=["*"], metavar="GLOB",
+                    help="only the cases whose names match one of these globs")
     ap.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
+    ap.add_argument("--values", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.worker:  # in the fresh interpreter: the package under SRC, nothing else
         sys.path.insert(0, args.worker)
@@ -312,19 +383,28 @@ def main(argv=None):
 
         if not Path(skyframes.__file__).resolve().is_relative_to(args.worker):
             raise RuntimeError(f"skyframes came from {skyframes.__file__}, not {args.worker}")
-        print(json.dumps(_run_cases(args.cases), sort_keys=True))
+        print(json.dumps(_run_cases(args.cases, args.values), sort_keys=True))
         return 0
-    new = digests(ROOT / "src", args.cases)
+    new = digests(ROOT / "src", *args.cases)
     if args.against is None:
         for case, outputs in sorted(new.items()):
             print(case, _digest(json.dumps(outputs, sort_keys=True)))
         return 0
     with tempfile.TemporaryDirectory() as tmp:
-        old = digests(_archive(args.against, tmp), args.cases)
-    moved = differences(new, old)
+        old_src = _archive(args.against, tmp)
+        old = digests(old_src, *args.cases)
+        moved = differences(new, old)
+        new_values = old_values = {}
+        if moved:  # the values of the cases that differ, for their relative differences
+            names = [glob.escape(case) for case in moved]
+            new_values, old_values = (digests(src, *names, values=True)
+                                      for src in (ROOT / "src", old_src))
     print(f"{len(new)} cases of this tree against {args.against}")
     for case, outputs in moved.items():
-        print(f"differs: {case}: {', '.join(outputs)}")
+        a, b = new_values.get(case, {}), old_values.get(case, {})
+        rel = {key: largest_relative_difference(a.get(key), b.get(key)) for key in outputs}
+        text = [key if rel[key] is None else f"{key} ({rel[key]:.3g})" for key in outputs]
+        print(f"differs: {case}: {', '.join(text)}")
     print(f"{len(moved)} of {len(set(new) | set(old))} cases differ")
     return 0
 
