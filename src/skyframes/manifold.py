@@ -1,10 +1,10 @@
 """Diagonal Lorentzian metrics and null-geodesic integration.
 
-Supported metric kinds: flat space, spatially flat expanding cosmologies
-(power law a(t) = t^p in closed form, or a scale-factor function of cosmic
-time with a central-difference a'(t)), and user-supplied diagonal metrics
-whose four coefficients are arithmetic expressions of the chart point;
-those are differentiated symbolically once, when the metric is built.
+Supported metric kinds: spatially flat cosmologies, with the legs (1, a,
+a, a) (power law a(t) = t^p in closed form, flat space being t^0, or a
+scale-factor function of cosmic time with a central-difference a'(t)),
+and user-supplied diagonal metrics whose four coefficients are arithmetic
+expressions of the chart point, differentiated symbolically once.
 Signature is (+, -, -, -) and the coordinate time direction is future.
 Null geodesics are integrated by one batched tracer (one ray is a batch
 of one), `trace_past_to_time`: it marches sky-bundle states (spatial
@@ -89,8 +89,9 @@ class MetricSpec:
 
     @staticmethod
     def minkowski(bounds=None):
+        """Flat space: the power law a = t^0, at t of either sign."""
         b = _default_bounds(False) if bounds is None else np.asarray(bounds, float)
-        return MetricSpec(kind="minkowski", bounds=b)
+        return MetricSpec(kind="minkowski", exponent=0.0, bounds=b)
 
     @staticmethod
     def flrw(p=None, a_expr=None, bounds=None):
@@ -149,18 +150,8 @@ class MetricSpec:
     def metric_diag(self, x):
         """Diagonal metric coefficients at chart points x (..., 4)."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "minkowski":
-            out = np.empty(x.shape, dtype=float)
-            out[..., 0] = 1.0
-            out[..., 1:] = -1.0
-            return out
-        if self.kind == "flrw":
-            a2 = self.scale_factor(x[..., 0]) ** 2
-            out = np.empty(x.shape, dtype=float)
-            out[..., 0] = 1.0
-            out[..., 1] = out[..., 2] = out[..., 3] = 1.0
-            out[..., 1:] *= -a2[..., None]
-            return out
+        if self.kind != "custom":
+            return _SIGNATURE[:, 0] * self.tetrad_diag(x) ** 2
         # a pole or an overflow gives inf or NaN, which the signature guards name
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             g = self._expressions.values(np.moveaxis(x, -1, 0))
@@ -172,9 +163,14 @@ class MetricSpec:
         return np.sum(g * np.asarray(v, dtype=float) ** 2, axis=-1)
 
     def tetrad_diag(self, x):
-        """Norms of the coordinate axes: (sqrt(g00), sqrt(-gii))."""
-        g = self.metric_diag(x)
-        return np.sqrt(np.abs(g))
+        """The legs, norms of the coordinate axes: (1, a, a, a) with a(t) =
+        `scale_factor` on a flat or FLRW chart, else (sqrt(g00), sqrt(-gii))."""
+        if self.kind == "custom":
+            return np.sqrt(np.abs(self.metric_diag(x)))
+        x = np.asarray(x, dtype=float)
+        legs = np.empty(x.shape)
+        legs[..., 0], legs[..., 1:] = 1.0, self.scale_factor(x[..., 0])[..., None]
+        return legs
 
     def in_domain(self, x):
         """Strict interior test; NaN coordinates count as outside.  The
@@ -196,10 +192,8 @@ class MetricSpec:
     def geodesic_acceleration(self, x, v):
         """-Gamma^a_{bc} v^b v^c for the diagonal metric; vectorised.  No
         tracer calls it; the benchmark's per-layer counters still hook it."""
-        if self.kind == "minkowski":
-            return np.zeros_like(np.asarray(v, dtype=float))
         v = np.asarray(v, dtype=float)
-        if self.kind == "flrw":
+        if self.kind != "custom":
             t = np.asarray(x, dtype=float)[..., 0]
             a = self.scale_factor(t)
             ad = self.scale_factor_dot(t)
@@ -316,8 +310,8 @@ def _t_rates(m: MetricSpec, s, log):
     This is `_bundle_slope` with t-partials only.  With the legs e0 =
     sqrt(g00) and A = sqrt(-g11), D moves at -e0 / A and ln E at -(d g11 /
     dt) / (2 g11) = -d ln A / dt, while the slope of n, w[1:] + n w0,
-    cancels identically, so n is conserved.  Flat space has e0 = A = 1 and
-    FLRW e0 = 1, A = a."""
+    cancels identically, so n is conserved.  Flat and FLRW charts have e0 =
+    1 and A = a (a = 1 in flat space, where ln E keeps a rate of +0.0)."""
     t = np.exp(s) if log else s
     rates, lost = np.empty((3, len(s))), False
     if m.kind == "custom":
@@ -327,11 +321,8 @@ def _t_rates(m: MetricSpec, s, log):
         lost = not 0.0 < g00.min(initial=1.0) <= g00.max(initial=1.0) < np.inf
         lost |= not -np.inf < g11.min(initial=-1.0) <= g11.max(initial=-1.0) < 0.0
     else:
-        speed, dlog_e = 1.0, 0.0  # flat space
-        if m.kind == "flrw":
-            speed = 1.0 / m.scale_factor(t)
-            dlog_e = -m.scale_factor_dot(t) * speed
-        rates[0], rates[1], rates[2] = -speed, dlog_e, -1.0
+        speed = 1.0 / m.scale_factor(t)
+        rates[0], rates[1], rates[2] = -speed, 0.0 - m.scale_factor_dot(t) * speed, -1.0
     return (t if log else 1.0) * rates, lost  # dt/ds d/dt
 
 
@@ -632,28 +623,29 @@ def affine_length(m: MetricSpec, t, t_from):
     """The affine length of the past null ray from t (an array) down to
     t_from, with dt/dlambda = 1 at t: the integral of a over [t_from, t],
     over a(t); t - t_from in flat space."""
-    lam = _scale_integral(m, t, t_from, 1)
-    return lam / m.scale_factor(t) if m.kind == "flrw" else lam
+    return _scale_integral(m, t, t_from, 1) / m.scale_factor(t)
 
 
 def _scale_integral(m: MetricSpec, t, t_from, k):
     """The integral of a^k over [t_from, t] for k = -1 or +1; floats and
     arrays as in `conformal_time`.  A power law t^p integrates to t^q / q
-    with q = 1 + k p (ln(t / t_from) at q = 0), which diverges from 0 for
-    q <= 0; an expression takes one `_integral` over the distinct times,
-    and must be finite at each of them (an infinite a, as of 't*1e308*10',
-    raises DivergentIntegralError naming the time).  The end t_from is
-    exempt, as the quadrature leaves out its end nodes: there a may
-    overflow (1/t at 0, 1/(t - 0.5) at 0.5) while the integral of 1/a
-    converges."""
+    with q = 1 + k p (ln(t / t_from) at q = 0; t - t_from, at any t, for
+    flat space's t^0), which diverges from 0 for q <= 0; from t_from / 2 up
+    to 2 t_from, where the ends' difference cancels, it is t_from^q expm1(q
+    log1p(d / t_from)) / q from the exact d = t - t_from (Sterbenz).  An
+    expression takes one `_integral` over the distinct times, and must be
+    finite at each of them (an infinite a, as of 't*1e308*10', raises
+    DivergentIntegralError naming the time).  The end t_from is exempt, as
+    the quadrature leaves out its end nodes: there a may overflow (1/t at
+    0, 1/(t - 0.5) at 0.5) while the integral of 1/a converges."""
     t = np.array(t, dtype=float)
-    if m.kind == "minkowski":
+    p, fn = m.exponent, m.scale_factor
+    if p == 0.0:
         return t - t_from if t.ndim else float(t) - t_from
-    if m.kind != "flrw":
+    if m.kind == "custom":
         raise ValueError("scale-factor integrals need an expanding-cosmology metric")
     if t_from < 0.0 or (np.less_equal(t, 0.0).any() if t.ndim else float(t) <= 0.0):
         raise OutOfDomainError("scale-factor integrals are defined for t > 0")
-    p, fn = m.exponent, m.scale_factor
     if p is None:  # one quadrature over the distinct times
         times, inverse = np.unique(t.ravel(), return_inverse=True)
         with np.errstate(all="ignore"):  # a non-finite value is named below
@@ -666,10 +658,14 @@ def _scale_integral(m: MetricSpec, t, t_from, k):
         out = _integral(integrand, t_from, times)[inverse].reshape(t.shape)
     elif (q := 1.0 + k * p) <= 0.0 and t_from == 0.0:
         raise DivergentIntegralError(f"integral of t^{k * p} diverges at 0")
-    elif q == 0.0:
-        out = np.log(t / t_from)
+    elif t_from > 0.0:
+        d = t - t_from
+        near = (d < t_from) & (d >= -0.5 * t_from)
+        g = np.log1p(np.where(near, d, 0.0) / t_from)
+        far = np.log(t / t_from) if q == 0.0 else t**q / q - np.array(t_from) ** q / q
+        out = np.where(near, g if q == 0.0 else np.array(t_from) ** q * np.expm1(q * g) / q, far)
     else:
-        out = t**q / q - (t_from and np.array(t_from) ** q / q)
+        out = t**q / q
     return out if t.ndim else float(out)
 
 

@@ -267,7 +267,9 @@ class TestEventsBelowTheCutoff:
 
     M = mf.MetricSpec.flrw(p=2 / 3)
 
-    @pytest.mark.parametrize("t", [5e-10, 1e-30])
+    # at t = 1e-300 the legs are a = 1e-200: a^2 = 1e-400 underflowed to 0,
+    # the null directions divided by it, and no ray arrived
+    @pytest.mark.parametrize("t", [5e-10, 1e-30, 1e-300])
     def test_numeric_image_matches_the_closed_form(self, t):
         x, sample = np.array([t, 0.0, 0.0, 0.0]), sky.sample_sky(50)
         closed, numeric = (
@@ -280,12 +282,58 @@ class TestEventsBelowTheCutoff:
         assert np.abs(numeric.m_points - closed.m_points).max() <= 1e-14 * radius
         assert np.abs(numeric.lams - closed.lams).max() <= 1e-14 * closed.lams.max()
 
-    def test_legs_that_underflow_fail_every_ray(self):
-        # at t = 1e-300, a^2 = 1e-400 underflows to 0: the legs are 0, the
-        # null directions divide by them, and no ray arrives
-        f = fr.FrameSpec(metric=self.M, target=fr.Singularity(), tracer="numeric")
-        with np.errstate(all="ignore"), pytest.raises(NoIntersectionError):
-            fr.sky_image(f, np.array([1e-300, 0.0, 0.0, 0.0]), sky.sample_sky(16))
+
+class TestLegsThatOverflowWhenSquared:
+    def test_numeric_image_matches_the_closed_form(self):
+        # at t = 1e90 on p = 2, a^2 = 1e360 overflowed: the legs were inf
+        m, x = mf.MetricSpec.flrw(p=2.0), np.array([1e90, 0.0, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            closed, numeric = (
+                fr.sky_image(fr.FrameSpec(metric=m, target=fr.CauchySurface(1e89), tracer=tracer),
+                             x, sky.sample_sky(16))
+                for tracer in ("auto", "numeric")
+            )
+        assert numeric.ok_mask.all() and np.array_equal(numeric.ranks, closed.ranks)
+        radius = 1e-89 - 1e-90  # the integral of t^-2 from 1e89 to 1e90
+        assert np.abs(numeric.m_points - closed.m_points).max() <= 1e-5 * radius
+        assert np.abs(numeric.lams - closed.lams).max() <= 1e-5 * closed.lams.max()
+
+
+class TestFlatSpaceIsThePowerLawOfExponentZero:
+    """The flat chart and the FLRW chart of a = t^0 on the flat chart's
+    bounds give the same bits on both tracers and in the ball region."""
+
+    FLAT = mf.MetricSpec.minkowski()
+    STATIC = mf.MetricSpec.flrw(p=0.0, bounds=FLAT.bounds)
+    # above, on and below the target level t = 0.5
+    EVENTS = [[1.0, 0.2, 0.0, 0.0], [0.7, -0.1, 0.3, 0.2], [0.5, 0.1, 0.0, 0.0],
+              [0.3, 0.0, 0.0, 0.0]]
+
+    def _frames(self, tracer="auto"):
+        return [fr.FrameSpec(metric=m, target=fr.CauchySurface(0.5), tracer=tracer)
+                for m in (self.FLAT, self.STATIC)]
+
+    def test_flat_space_has_exponent_zero(self):
+        assert self.FLAT.exponent == 0.0 and self.STATIC.exponent == 0.0
+
+    @pytest.mark.parametrize("tracer", ["auto", "numeric"])
+    def test_project_batch(self, tracer):
+        xis = sky.sample_sky(32).xi
+        rows = np.array(self.EVENTS)[np.arange(32) % 4]  # one event per ray
+        for events in [*map(np.array, self.EVENTS), rows]:
+            flat, static = (fr.project_batch(f, events, xis) for f in self._frames(tracer))
+            for a, b in zip(flat, static):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_analytic_region(self):
+        for event in self.EVENTS[:3]:
+            flat, static = (ca.analytic_region(f, np.array(event)) for f in self._frames())
+            assert flat.center.tobytes() == static.center.tobytes()
+            assert flat.radius.hex() == static.radius.hex()
+        for f in self._frames():
+            with pytest.raises(NoIntersectionError, match="lies below the target"):
+                ca.analytic_region(f, np.array(self.EVENTS[3]))
 
 
 class TestFrameSpec:

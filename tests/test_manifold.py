@@ -1,4 +1,5 @@
 import ast
+import decimal
 import math
 import re
 import warnings
@@ -534,11 +535,27 @@ class TestConformalTime:
 
     @pytest.mark.parametrize("p", [2 / 3, 0.5, -1.0])
     def test_power_law_interval_is_the_difference_of_its_ends(self, p):
-        # the closed-form images keep their bytes
+        # the closed-form images keep their bytes from 2 t_from up; below it
+        # the difference cancels and the interval is taken from t - t_from
         m = mf.MetricSpec.flrw(p=p)
-        times = np.random.default_rng(5).uniform(0.3, 10.0, size=200)
+        times = np.random.default_rng(5).uniform(0.6, 10.0, size=200)
         eta = mf.conformal_time(m, times, 0.3)
         assert eta.tolist() == (mf.conformal_time(m, times) - mf.conformal_time(m, 0.3)).tolist()
+
+    @pytest.mark.parametrize("p, k, t_from", [(2 / 3, -1, 0.5), (1.0, -1, 0.3), (2 / 3, 1, 0.5)],
+                             ids=["eta-p2/3", "eta-p1", "lambda-p2/3"])
+    def test_power_law_interval_near_its_target_keeps_its_digits(self, p, k, t_from):
+        # t^q / q - t_from^q / q cancelled: one ulp above t_from = 0.5, the
+        # p = 2/3 conformal interval was 2.5 times the true one
+        m = mf.MetricSpec.flrw(p=p)
+        ulp = math.nextafter(t_from, 1.0) - t_from
+        for d in [ulp, 1e-13, 1e-10, -1e-13, 0.4 * t_from, -0.4 * t_from]:
+            t = t_from + d
+            with decimal.localcontext(prec=50):  # exact in the float exponent and ends
+                q, a, b = 1 + k * decimal.Decimal(p), decimal.Decimal(t), decimal.Decimal(t_from)
+                want = float((a / b).ln() if q == 0 else (a**q - b**q) / q)
+            got = mf._scale_integral(m, t, t_from, k)
+            assert abs(got - want) <= 1e-15 * abs(want), d
 
     @pytest.mark.parametrize(
         "a_expr", ["t**1.5", "1e20 * t"], ids=["t**1.5", "1e20*t"]
@@ -748,9 +765,10 @@ class TestCoordinateTimeGrid:
         assert np.all(res.ok)
         sizes = [n for n, _ in levels]
         assert sizes[:2] == [mf.GRID_START, 2 * mf.GRID_START]
-        # metric_diag for the start legs only; at each grid node the per-node
-        # loop's jet once per RK4 stage, FLRW's slope in closed form
-        assert calls["metric_diag"] == 1
+        # metric_diag for the anisotropic start legs only (FLRW legs are
+        # a(t)); at each grid node the per-node loop's jet once per RK4
+        # stage, FLRW's slope in closed form
+        assert calls["metric_diag"] == (1 if metric == "aniso" else 0)
         assert calls["jet"] == (4 * sum(sizes) if metric == "aniso" else 0)
 
     @pytest.mark.parametrize("t_target, graded", [(0.5, True), (0.0, False)])

@@ -8,7 +8,8 @@ Run from the repository root:
 
 A case is a sky image, a CLI command or an expected error on one chart.
 The near-target cases are sky images of events on a nonzero Cauchy
-target, one ulp above it and 1e-13 below it.
+target, one ulp above it and 1e-13 below it; the legs cases are
+numeric-tracer images of events where a(t)^2 under- or overflows.
 Its digest holds, per output, the SHA-256 of an array's dtype, shape and
 bytes, of a file's or stdout's bytes, or of an error's type and message.
 The outputs are read through names that older trees have too, so that
@@ -102,6 +103,13 @@ NEAR_CHARTS = {
 }
 NEAR = ("on", "ulp-above", "below")
 
+#: name: (metric config, target, event) of the legs cases, numeric-tracer
+#: images at times where a(t) is a float and a(t)^2 is not.
+LEGS = {
+    "p2/3-t1e-300": (P23, "singularity", (1e-300, 0.0, 0.0, 0.0)),
+    "p2-t1e90": ({"kind": "flrw", "p": 2.0}, "cauchy:1e89", (1e90, 0.0, 0.0, 0.0)),
+}
+
 #: Event families of the tangent planes with families.
 DIRECTIONS = ((0.0, 1.0, 0.0, 0.0), (0.3, 0.0, -0.2, 1.0))
 
@@ -193,10 +201,20 @@ def _near_case(chart, where):
     return _sky_outputs(f, np.array([t, 0.1, 0.0, 0.0]), 16)
 
 
-def _sky_outputs(f, x, n):
+def _legs_case(name):
+    """The outputs of a 16-sample numeric-tracer sky image of a legs case,
+    without the event families (at t = 1e-300 their events leave t > 0)."""
+    import numpy as np
+
+    config, target, event = LEGS[name]
+    return _sky_outputs(_frame(config, target, "numeric"), np.array(event), 16, families=False)
+
+
+def _sky_outputs(f, x, n, families=True):
     """The outputs of the sky image of the event x with n samples on the
-    frame f; an image none of whose rays arrived gives its error as its
-    image output."""
+    frame f, with the tangent planes of the event families unless told
+    not; an image none of whose rays arrived gives its error as its image
+    output."""
     import numpy as np
     from skyframes import frames as fr
     from skyframes import sky
@@ -207,9 +225,10 @@ def _sky_outputs(f, x, n):
     if n < 2000:  # the image's 5n rays are these planes' rays
         tp = fr.tangent_planes(f, x, sample.xi)
         out.update((f"planes.{name}", getattr(tp, name)) for name in PLANE_FIELDS)
-        rows = np.tile(x, (n, 1))
-        tp = fr.tangent_planes(f, rows, sample.xi, np.array(DIRECTIONS), normals=True)
-        out.update((f"families.{name}", getattr(tp, name)) for name in PLANE_FIELDS)
+        if families:
+            rows = np.tile(x, (n, 1))
+            tp = fr.tangent_planes(f, rows, sample.xi, np.array(DIRECTIONS), normals=True)
+            out.update((f"families.{name}", getattr(tp, name)) for name in PLANE_FIELDS)
     try:
         img = fr.sky_image(f, x, sample)
     except NoIntersectionError as exc:
@@ -286,6 +305,8 @@ def cases():
     for chart in NEAR_CHARTS:
         for where in NEAR:
             table[f"near/{chart}/{where}"] = lambda c=chart, w=where: _near_case(c, w)
+    for name in LEGS:
+        table[f"legs/{name}"] = lambda name=name: _legs_case(name)
     for name in ("nan-event", "inf-event", "below-target", "non-finite"):
         table[f"error/{name}"] = lambda name=name: _error_case(name)
     for name in CLI:
