@@ -102,27 +102,22 @@ class Mesh:
         number.  In the shell between them, both radii widened by BALL_TOL,
         a point within BALL_TOL R of a triangle is on the surface, so
         contained, also on a sharp edge, and the rest take the winding
-        pass.  That geometry multiplies up to four lengths of up to 2 R, so a
-        mesh whose fourth powers would underflow or overflow (R above 2^250)
-        decides the points in its bounding ball on a copy scaled about c by a
-        power of 2, to a radius near 1; an R beyond float range raises
-        OutOfDomainError."""
+        pass.  That geometry multiplies up to four lengths of up to 2 R, so it
+        runs on the copy scaled about c by `spinor.power_of_two_scaled`, at
+        every R; an R beyond float range raises OutOfDomainError."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         center, radius = self.bounding_sphere()
         if not radius < math.inf:
             raise OutOfDomainError("the bounding radius of a mesh exceeds float range")
         with np.errstate(over="ignore", invalid="ignore"):  # a point that far is outside
-            dist = spinor.euclidean_norm(pts - center)
+            scaled, e = spinor.power_of_two_scaled(np.vstack([pts, self.vertices]) - center, radius)
+            pts, unit = scaled[: len(pts)], Mesh(scaled[len(pts) :], self.triangles)
+            dist, radius = spinor.euclidean_norm(pts), np.ldexp(radius, -e)
         out = dist <= radius * (1.0 + BALL_TOL)
-        if 0.0 < radius < math.sqrt(spinor.SQUARE_UNDERFLOW) or radius > 2.0**250:
-            exp = -math.frexp(radius)[1]
-            unit = Mesh(np.ldexp(self.vertices - center, exp), self.triangles)
-            out[out] = unit.contains_points(np.ldexp(pts[out] - center, exp))
-            return out
         # r: along its computed normal n a triangle lies between the heights
         # of its corners, so a rounded n still bounds its distance from c
         # from below; a plane through c or a degenerate triangle gives 0
-        corners = self.vertices[self.triangles] - center  # (nt, 3, 3)
+        corners = unit.vertices[unit.triangles]  # (nt, 3, 3)
         normal = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
         height = np.einsum("tck,tk->tc", corners, normal)
         gap = np.maximum(np.maximum(height.min(axis=1), -height.max(axis=1)), 0.0)
@@ -132,10 +127,10 @@ class Mesh:
         # rounding of a distance, so it holds the whole surface band
         core = dist < inner * (1.0 - BALL_TOL)
         if np.any(core):
-            out[core] = self._winding_contains(center[None])[0]
+            out[core] = unit._winding_contains(np.zeros((1, 3)))[0]
         shell = np.flatnonzero(out & ~core)
-        shell = shell[self._surface_distance(pts[shell]) > BALL_TOL * radius]
-        out[shell] = self._winding_contains(pts[shell])
+        shell = shell[unit._surface_distance(pts[shell]) > BALL_TOL * radius]
+        out[shell] = unit._winding_contains(pts[shell])
         return out
 
     def _surface_distance(self, pts):
@@ -197,9 +192,10 @@ def analytic_region(f: fr.FrameSpec, x) -> Ball | None:
 
     Raises OutOfDomainError for an event outside the chart domain (the
     `in_domain` test of `project_batch`, on all four coordinates, before
-    any other) or when the radius overflows, and NoIntersectionError below
-    the target or when the ball is not strictly inside the chart's spatial
-    bounds (the end-point test of `project_batch`)."""
+    any other) or when the radius of an event above the target overflows or
+    underflows to 0, and NoIntersectionError below the target or when the
+    ball is not strictly inside the chart's spatial bounds (the end-point
+    test of `project_batch`)."""
     if f.metric.kind == "custom":
         return None
     x = np.asarray(x, dtype=float)
@@ -208,7 +204,7 @@ def analytic_region(f: fr.FrameSpec, x) -> Ball | None:
     if not t_lo < t < t_hi:
         raise OutOfDomainError("an event lies outside the chart domain")
     radius = mf.conformal_time(f.metric, t, f.target_time)
-    if f.target_time <= t and radius < math.inf and all(
+    if f.target_time <= t and (t == f.target_time or 0.0 < radius < math.inf) and all(
         lo + radius < c < hi - radius for c, (lo, hi) in zip(center, spans)
     ):
         return Ball(center=x[1:], radius=radius)
@@ -218,8 +214,8 @@ def analytic_region(f: fr.FrameSpec, x) -> Ball | None:
         raise OutOfDomainError("an event lies outside the chart domain")
     if t < f.target_time:
         raise NoIntersectionError(f"event {event} lies below the target")
-    if not math.isfinite(radius):
-        raise OutOfDomainError(f"the past region of {event} overflows")
+    if not 0.0 < radius < math.inf:  # the event lies above the target
+        raise OutOfDomainError(f"the past region of {event} {'over' if radius else 'under'}flows")
     raise NoIntersectionError(f"the past region of {event} leaves the chart")
 
 

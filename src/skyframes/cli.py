@@ -159,8 +159,8 @@ def cmd_pauli(opts):
     vec = _parse_vec(opts["vec"])
     h = spinor.pauli_transform(vec)
     psi = spinor.factor_null(vec) if opts["factor"] else None
-    scale = max(float(np.abs(vec).max()), 1.0)  # huge null vectors: 0, not inf - inf
-    norm = float(spinor.minkowski_norm(vec / scale) * scale * scale)
+    unit, e = spinor.power_of_two_scaled(vec, np.abs(vec).max())  # exact, unlike vec / max
+    norm = float(np.ldexp(spinor.minkowski_norm(unit), 2 * e))
     print("matrix:")
     for row in h:
         print("  [" + ", ".join(f"{z.real:+.12g}{z.imag:+.12g}j" for z in row) + "]")

@@ -150,10 +150,9 @@ def semidefinite(d):
     (..., 2, 2): the extreme eigenvalues against SEMIDEFINITE_TOL times the
     largest entry, so the boundary counts as dominated at every scale;
     OutOfDomainError where an eigenvalue is not finite.  Where the largest
-    entry is nonzero and below `spinor.SQUARE_UNDERFLOW`, whose squares
-    underflow, the eigenvalues are those of d scaled by the power of two
-    that takes that entry into [1/2, 1), exactly, as a division by a
-    subnormal entry would overflow."""
+    entry is below `spinor.SQUARE_UNDERFLOW`, whose squares underflow, the
+    eigenvalues are those of d's `spinor.power_of_two_scaled` copy, as a
+    division by a subnormal entry would overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
         eig = hermitian_eigenvalues(d)
     if not np.all(np.isfinite(eig)):
@@ -161,10 +160,9 @@ def semidefinite(d):
     a = np.abs(d)
     scale = reduce(np.maximum, (a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]))
     if scale.min(initial=np.inf) < spinor.SQUARE_UNDERFLOW:  # other rows scale by 2^0
-        exp = np.where(scale < spinor.SQUARE_UNDERFLOW, -np.frexp(scale)[1], 0)
-        unit, e = np.empty(np.shape(d), complex), exp[..., None, None]
-        unit.real, unit.imag = np.ldexp(np.real(d), e), np.ldexp(np.imag(d), e)
-        eig, scale = hermitian_eigenvalues(unit), np.ldexp(scale, exp)
+        big = np.where(scale < spinor.SQUARE_UNDERFLOW, scale, 0.0)[..., None, None]
+        unit, e = spinor.power_of_two_scaled(d, big)
+        eig, scale = hermitian_eigenvalues(unit), np.ldexp(scale, -e[..., 0, 0])
     slack = SEMIDEFINITE_TOL * scale
     return eig[..., 0] >= -slack, eig[..., 1] <= slack
 

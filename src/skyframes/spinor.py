@@ -58,16 +58,27 @@ def _scale(a):
     return np.where(s == 0.0, 1.0, s)
 
 
+def power_of_two_scaled(a, big):
+    """(a 2^-e, e), e the frexp exponent of big (0 where big is 0), which
+    broadcasts against a: the one rescale against under- and overflow.  It
+    takes big, a's largest |entry|, into [1/2, 1) exactly, where a division
+    by big rounds, and scales a complex a's real and imaginary parts alike."""
+    e = np.frexp(big)[1]
+    if np.iscomplexobj(a):  # ldexp is real: scale each (re, im) pair
+        pairs = np.stack([np.real(a), np.imag(a)], axis=-1)
+        return np.ldexp(pairs, -e[..., None]).view(complex)[..., 0], e
+    return np.ldexp(a, -e), e
+
+
 def euclidean_norm(v):
     """Euclidean norms over the last axis of v (..., k), those of
     np.linalg.norm(v, axis=-1) bit for bit down to SQUARE_UNDERFLOW; a row
-    whose norm is below it is divided by its largest entry first."""
+    whose norm is below it is taken on its `power_of_two_scaled` copy."""
     v = np.asarray(v, dtype=float)
     out = np.linalg.norm(v, axis=-1)
-    if out.min(initial=np.inf) < SQUARE_UNDERFLOW:
-        big = np.abs(v).max(axis=-1, keepdims=True)
-        big[big == 0.0] = 1.0  # a zero row stays 0
-        out = np.where(out < SQUARE_UNDERFLOW, big[..., 0] * np.linalg.norm(v / big, axis=-1), out)
+    if np.fmin.reduce(out, axis=None, initial=np.inf) < SQUARE_UNDERFLOW:  # NaN rows aside
+        u, e = power_of_two_scaled(v, np.abs(v).max(axis=-1, keepdims=True))
+        out = np.where(out < SQUARE_UNDERFLOW, np.ldexp(np.linalg.norm(u, axis=-1), e[..., 0]), out)
     return out
 
 

@@ -75,3 +75,12 @@ def test_compare_mode_reports_and_exits_0(bench_record, tmp_path, capsys):
     path = _write(tmp_path, 31, 10.0, 9.0, 20.0, 3.0)
     assert bench_record.main(["--compare", str(path)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "4 regression(s) over 20%"
+
+
+@pytest.mark.parametrize("flag", [False, True])
+def test_provenance_says_whether_the_interpreter_writes_bytecode(bench_record, monkeypatch, flag):
+    # without a bytecode cache every cold command compiles src/ again
+    monkeypatch.setattr("sys.dont_write_bytecode", flag)
+    provenance = bench_record._provenance(20)
+    assert provenance["dont_write_bytecode"] is flag
+    assert provenance["seconds"] == 20 and provenance["seed"] == bench_record.SEED

@@ -148,6 +148,22 @@ class TestBallErrors:
             ca.analytic_region(spec, [1e308, 0, 0, 0])
         assert not recwarn.list
 
+    @pytest.mark.parametrize(
+        "p, target, above, on",
+        [(3.0, 1e300, [1.5e308, 0.0, 0.0, 0.0], [1e300, 0.0, 0.0, 0.0]),
+         (-1.0, 1e-300, [1.5e-300, 0.0, 0.0, 0.0], [1e-300, 0.0, 0.0, 0.0])],
+        ids=["p3", "p-1"],
+    )
+    def test_radius_that_underflows(self, p, target, above, on):
+        # the radius of the event above the target (about 5e-601 and 6e-601)
+        # was 0, as was that of the event on it, so the two read equal
+        spec = fr.FrameSpec(metric=mf.MetricSpec.flrw(p=p), target=fr.CauchySurface(target))
+        assert ca.analytic_region(spec, on).radius == 0.0
+        with pytest.raises(OutOfDomainError, match=re.escape(f"region of {above} underflows")):
+            ca.analytic_region(spec, above)
+        with pytest.raises(OutOfDomainError):
+            ca.causal_relation(*ca.past_regions(spec, above, on))
+
     def test_separation_overflow(self, recwarn):
         spec = fr.FrameSpec(
             metric=mf.MetricSpec.minkowski(), target=fr.CauchySurface(-1.0)
@@ -345,6 +361,25 @@ class TestPowersOfTwo:
                 assert got.tolist() == [False, True, True]
             with pytest.raises(OutOfDomainError, match="bounding radius"):
                 _octahedron(2.0**600).contains_points(pts)
+
+    def test_mesh_geometry_runs_on_one_scaled_copy(self, monkeypatch):
+        # the mesh ran its geometry on itself from a bounding radius of
+        # about 1.2e-77 up to 2^250 and on a scaled copy outside that range;
+        # every radius now takes the copy, of radius in [1/2, 1)
+        radii, winding = [], ca.Mesh._winding_contains
+
+        def recording(mesh, p):
+            radii.append(mesh.bounding_sphere()[1])
+            return winding(mesh, p)
+
+        monkeypatch.setattr(ca.Mesh, "_winding_contains", recording)
+        pts = np.array([[0.75, 0.25, 0.25], [1.25, 0.25, 0.25], [1.25, 0.5, 0.5], [3.0, 0, 0]])
+        ks = range(self.K[0], self.ANSWERED_BELOW, 50)
+        for k in ks:
+            got = _octahedron(2.0 ** (k + 1)).contains_points(np.ldexp(pts, k))
+            assert got.tolist() == [True, True, False, False], k
+        assert len(radii) == 2 * len(ks)  # the centroid, then the shell
+        assert all(0.5 <= r < 1.0 for r in radii)
 
     def test_sky_image_points(self):
         # a point is x - t d, whose product t d rounds once before the
@@ -628,6 +663,58 @@ class TestMeshPath:
         [mesh] = ca.mesh_regions(flrw_frame, [[1.0, 0, 0, 0]], sky.sample_sky(60))
         inside = mesh.contains_points(np.empty((0, 3)))
         assert inside.shape == (0,) and inside.dtype == bool
+
+
+#: Two curved charts of x, y and z with an exact causal order, each with its
+#: Cauchy target and spatial distance: W diag(1, -1, -1, -1), conformal to
+#: flat space, and the Einstein static universe R x S^3 in stereographic
+#: coordinates, the paper's compactification (the W and S3 charts of
+#: `tools/digests.py`).
+_W = "1+0.3*x*x+0.1*y*y+0.2*t+0.1*x*z"
+CURVED_CHARTS = {
+    "W": ({"kind": "custom", "coeffs": [_W] + [f"-({_W})"] * 3,
+           "bounds": [[0, None], [-3, 3], [-3, 3], [-3, 3]]}, 0.2, "flat"),
+    "S3": ({"kind": "custom", "coeffs": ["1"] + ["-4/(1+x*x+y*y+z*z)**2"] * 3,
+            "bounds": [[None, None], [-50, 50], [-50, 50], [-50, 50]]}, 0.0, "S3"),
+}
+
+
+def _distance(kind, p, q):
+    """The flat distance of two points (3,), or the great-circle distance of
+    their points on the unit S^3 whose stereographic images they are."""
+    if kind == "flat":
+        return float(np.linalg.norm(p - q))
+    on_s3 = [np.concatenate([[1.0 - r @ r], 2.0 * r]) / (1.0 + r @ r) for r in (p, q)]
+    return float(np.arccos(np.clip(on_s3[0] @ on_s3[1], -1.0, 1.0)))
+
+
+class TestCurvedChartVerdicts:
+    """Mesh verdicts against the exact causal order of two curved charts: y
+    lies in the past of x iff the distance of their points is at most t_x -
+    t_y.  The rays march node by node, which no benchmark workload
+    reaches, and the meshes take the one scaled path of
+    `Mesh.contains_points`.  Seeded pairs, y below x, whose verdict clears
+    the null boundary by 15% of the radius of x, as a 48-sample mesh is a
+    polyhedron inside its sphere."""
+
+    @pytest.mark.parametrize("chart", sorted(CURVED_CHARTS))
+    def test_verdicts_match_the_exact_order(self, chart):
+        config, t0, kind = CURVED_CHARTS[chart]
+        f = fr.FrameSpec(metric=mf.metric_from_config(config), target=fr.CauchySurface(t0))
+        rng, sample, verdicts = np.random.default_rng(41), sky.sample_sky(48), []
+        while len(verdicts) < 10:
+            x = np.array([t0 + rng.uniform(0.6, 1.4), *rng.uniform(-0.5, 0.5, 3)])
+            y = np.array([rng.uniform(t0 + 0.05, x[0]), *x[1:]])
+            reach = rng.uniform(0.0, 1.5) * (x[0] - y[0]) / (1.5 if kind == "S3" else 1.0)
+            direction = rng.normal(size=3)
+            y[1:] += reach * direction / np.linalg.norm(direction)
+            gap = _distance(kind, x[1:], y[1:]) - (x[0] - y[0])
+            if abs(gap) < 0.15 * (x[0] - t0):
+                continue
+            want = mk.CausalOrder.Y_PAST_OF_X if gap <= 0 else mk.CausalOrder.SPACELIKE
+            assert ca.causal_relation(*ca.past_regions(f, x, y, sample)) is want, (x, y)
+            verdicts.append(want)
+        assert set(verdicts) == {mk.CausalOrder.Y_PAST_OF_X, mk.CausalOrder.SPACELIKE}
 
 
 def _radial_mesh(sample, radius, center=(0.0, 0.0, 0.0)):

@@ -41,6 +41,15 @@ class TestPauli:
         assert code == 0
         assert "norm: 0" in out
 
+    @pytest.mark.parametrize(
+        "vec, norm", [("7,2,3,6", "0"), ("3,0,0,0", "9"), ("1e-160,0,0,0", "9.99988867183e-321")]
+    )
+    def test_norm_is_scaled_by_a_power_of_two(self, capsys, vec, norm):
+        # 49 - 4 - 9 - 36 = 0 printed 5.44009282066e-15: vec / 7 rounds
+        code, out, _ = run(capsys, "pauli", "--vec", vec)
+        assert code == 0
+        assert out.splitlines()[-1] == f"norm: {norm}"
+
     def test_arity_error_exits_2(self, capsys):
         code, _, err = run(capsys, "pauli", "--vec", "1,0,0")
         assert code == 2
@@ -315,6 +324,21 @@ class TestCausal:
         assert code == 1 and out == ""
         assert err.startswith("DivergentIntegralError: ") and len(err.splitlines()) == 1
         assert "scale factor inf at t = 1 " in err
+
+    @pytest.mark.parametrize(
+        "argv, above",
+        [(("--p", "3", "--target", "cauchy:1e300", "--x=1.5e308,0,0,0", "--y=1e300,0,0,0"),
+          "1.5e+308"),
+         (("--p", "-1", "--target", "cauchy:1e-300", "--x=1e-300,0,0,0", "--y=1.5e-300,0,0,0"),
+          "1.5e-300")],
+        ids=["p3", "p-1"],
+    )
+    def test_radius_that_underflows_exits_1(self, capsys, argv, above):
+        # printed equal with radius_x: 0  radius_y: 0, exit 0, though the
+        # event on the target lies in the past of the one above it
+        code, out, err = run(capsys, "causal", "--metric", "flrw", *argv)
+        assert code == 1 and out == ""
+        assert err == f"OutOfDomainError: the past region of [{above}, 0.0, 0.0, 0.0] underflows\n"
 
     def test_pole_of_the_scale_factor_at_the_target_is_allowed(self, capsys):
         # a = 1/(t - 0.5) is inf at the target time, where 1/a integrates

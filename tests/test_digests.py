@@ -35,12 +35,15 @@ def test_the_matrix_covers_both_tracers_errors_and_the_cli(digests):
     names = list(digests.cases())
     near = len(digests.NEAR_CHARTS) * len(digests.NEAR)
     legs = len(digests.LEGS)
-    assert len(names) == len(set(names)) == 9 * 3 * 3 + near + legs + 4 + len(digests.CLI)
+    assert len(names) == len(set(names)) == 9 * 3 * 3 + near + legs + 4 + len(digests.CLI) == 123
     assert near == 12 and legs == 2 and {"readme", "p2/3-numeric"} <= set(digests.NEAR_CHARTS)
     assert {digests.CHARTS[c][2] for c in digests.CHARTS} == {"auto", "numeric"}
     assert sum(name.startswith("cli/verify/") for name in names) == 6
     # mesh-path verdicts on the two curved charts of x, y and z
     assert {digests.CLI[f"causal/{c}-mesh"][0]["kind"] for c in ("W", "S3")} == {"custom"}
+    # a null pauli vector and the two radii that underflow above the target
+    assert {"cli/pauli/null-7,2,3,6", "cli/causal/p3-radius-underflow",
+            "cli/causal/p-1-radius-underflow"} <= set(names)
 
 
 def test_differences_name_the_outputs_that_moved(digests):

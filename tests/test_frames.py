@@ -627,6 +627,95 @@ class TestCompactifiedMinkowskiOracle:
         assert np.abs(lams[ok] - elapsed).max() <= 1e-7
 
 
+#: A chart conformal to flat space in its own coordinates, W diag(1, -1, -1,
+#: -1) with W > 0 of t, x, y and z (the W chart of `tools/digests.py`).
+W = "1+0.3*x*x+0.1*y*y+0.2*t+0.1*x*z"
+W_CHART = {
+    "kind": "custom",
+    "coeffs": [W, f"-({W})", f"-({W})", f"-({W})"],
+    "bounds": [[0, None], [-3, 3], [-3, 3], [-3, 3]],
+}
+
+
+def _drop_n_w0(slope):
+    """`_bundle_slope` without the n w0 term of the n slope."""
+
+    def mutant(m, s, y, log):
+        out = slope(m, s, y, log)
+        out[3:6] += y[3:6] * out[6]  # out[6] is e0 w0, times dt/ds as out[3:6] is
+        return out
+
+    return mutant
+
+
+def _flip_ln_e(slope):
+    """`_bundle_slope` with the sign of the ln E slope flipped."""
+
+    def mutant(m, s, y, log):
+        out = slope(m, s, y, log)
+        out[6] *= -1.0
+        return out
+
+    return mutant
+
+
+class TestConformallyFlatChartOracle:
+    """Null geodesics are conformally invariant up to their parametrisation,
+    so on W diag(1, -1, -1, -1) a past null ray from (t, p) is flat space's:
+    its image point on t = 0.2 lies at the distance t - 0.2 from p, along
+    the ray's own sky direction, and with dt/dlambda = 1 at the event its
+    affine length is the line integral of W along that segment over W at
+    the event.  W depends on x, y and z, so every ray takes the per-node
+    loop (`_march`), and two mutations of its slope, run as negative
+    controls, fail the bounds: the points move without the n w0 term, and
+    lambda alone moves with the ln E slope's sign flipped."""
+
+    EVENTS = ([1.0, 0.0, 0.0, 0.0], [1.5, 0.3, -0.4, 0.2], [2.2, -0.5, 0.6, 0.1])
+    #: Bounds on the radius, direction and lambda errors; the largest errors
+    #: of the three events are 1.5e-6, 4.4e-16 and 3.7e-6.
+    BOUNDS = (1e-5, 1e-12, 2e-5)
+
+    @staticmethod
+    def _errors(event):
+        """The largest radius, direction and lambda errors of the 400-sample
+        numeric sky image of the event, and its image points."""
+        m = mf.metric_from_config(W_CHART)
+        f = fr.FrameSpec(metric=m, target=fr.CauchySurface(0.2), tracer="numeric")
+        event, sample = np.array(event), sky.sample_sky(400)
+        pts, lams, ok, _ = fr.project_batch(f, event, sample.xi)
+        assert ok.all()
+        off = event[1:] - pts
+        radius = np.linalg.norm(off, axis=1)
+        # W is quadratic along the straight segment, where Simpson's rule is exact
+        ends = np.column_stack([np.full(len(pts), 0.2), pts])
+        w = lambda rows: m.metric_diag(rows)[:, 0]  # noqa: E731
+        integral = (event[0] - 0.2) * (w(event[None]) + 4 * w((ends + event) / 2) + w(ends)) / 6
+        errors = (
+            np.abs(radius - (event[0] - 0.2)).max(),
+            np.abs(off / radius[:, None] - sample.directions()).max(),
+            np.abs(lams - integral / w(event[None])).max(),
+        )
+        return errors, pts
+
+    @pytest.mark.parametrize("event", EVENTS)
+    def test_image_points_directions_and_affine_lengths(self, event):
+        errors, _ = self._errors(event)
+        assert all(err <= bound for err, bound in zip(errors, self.BOUNDS)), errors
+
+    def test_a_slope_without_its_n_w0_term_moves_the_points(self, monkeypatch):
+        # one event: the mutated rays settle late (0.26 s here, 1 s from the others)
+        monkeypatch.setattr(mf, "_bundle_slope", _drop_n_w0(mf._bundle_slope))
+        radius, direction, _ = self._errors(self.EVENTS[0])[0]  # 1.3e-4 and 3e-6
+        assert radius > self.BOUNDS[0] and direction > self.BOUNDS[1]
+
+    def test_a_flipped_ln_e_slope_moves_lambda_alone(self, monkeypatch):
+        want = [self._errors(event)[1] for event in self.EVENTS]
+        monkeypatch.setattr(mf, "_bundle_slope", _flip_ln_e(mf._bundle_slope))
+        for event, pts in zip(self.EVENTS, want):
+            errors, got = self._errors(event)
+            assert np.array_equal(got, pts) and errors[2] > self.BOUNDS[2]
+
+
 class TestUnsettledNumericImage:
     def test_grid_cap_image_stays_small(self, monkeypatch):
         # a = 1/t to the singularity: the central-difference a'(t) reaches

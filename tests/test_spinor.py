@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skyframes import causality as ca
 from skyframes import sky, spinor
 from skyframes.errors import (
     NonHermitianError,
@@ -156,6 +157,64 @@ class TestRelativeTolerances:
                     spinor.factor_null(np.ldexp(timelike, k))
                 with pytest.raises(NotFutureDirectedError):
                     spinor.factor_null(np.ldexp(past, k))
+
+
+class TestPowerOfTwoScaled:
+    """One exact rescale: a 2^-e for the frexp exponent e of big."""
+
+    def test_exact_at_every_magnitude(self):
+        rng = np.random.default_rng(12)
+        for k in (-1070, -600, -1, 0, 1, 600, 1000):
+            a = np.ldexp(rng.integers(-64, 65, (50, 3)) / 16.0, k)
+            big = np.abs(a).max(axis=-1, keepdims=True)
+            unit, e = spinor.power_of_two_scaled(a, big)
+            assert e.shape == big.shape and np.array_equal(np.ldexp(unit, e), a), k
+            top = np.abs(unit).max(axis=-1)
+            assert np.all((top == 0.0) | ((0.5 <= top) & (top < 1.0))), k
+
+    def test_zero_big_leaves_a_alone(self):
+        unit, e = spinor.power_of_two_scaled(np.array([0.0, -0.0, 3.0]), 0.0)
+        assert e == 0 and unit.tolist() == [0.0, -0.0, 3.0]
+        assert np.signbit(unit).tolist() == [False, True, False]
+
+    def test_complex_parts_scale_alike(self):
+        # a subnormal big: a division by it would overflow
+        tiny = 2.0**-1074
+        a = np.array([[complex(3 * tiny, -2 * tiny), complex(0, 4 * tiny)], [-0.0, 5 + 4j]])
+        big = np.array([[2.0**-1072], [8.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            unit, e = spinor.power_of_two_scaled(a, big)
+        assert e.ravel().tolist() == [-1071, 4]
+        assert unit.tolist() == [[0.375 - 0.25j, 0.5j], [0j, 0.3125 + 0.25j]]
+        assert np.signbit(unit.real).tolist() == [[False, False], [True, False]]
+
+
+class TestEuclideanNorm:
+    def test_rows_below_the_square_underflow_scale_exactly(self):
+        # the scaled norm is np.linalg.norm's of the row times 2^600, times
+        # 2^-600: one rounding, where a division by the largest entry and a
+        # product with it rounded twice (118 of these 300 rows were an ulp off)
+        rng = np.random.default_rng(13)
+        v = rng.normal(size=(300, 3)) * 1e-200
+        want = np.ldexp(np.linalg.norm(np.ldexp(v, 600), axis=-1), -600)
+        assert np.array_equal(spinor.euclidean_norm(v), want)
+
+    def test_zero_and_subnormal_rows(self):
+        v = np.array([[0.0, 0.0], [3.0, 4.0], [3.0, -4.0]]) * [[1.0], [2.0**-1074], [1e-200]]
+        assert spinor.euclidean_norm(v).tolist() == [0.0, 5 * 2.0**-1074, 5e-200]
+
+    def test_a_nan_row_does_not_hide_a_small_one(self):
+        # the batch's least norm was NaN, so no row was scaled and 1e-170 read 0
+        v = np.array([[np.nan, 0.0, 0.0], [1e-170, 0.0, 0.0]])
+        assert spinor.euclidean_norm(v)[1] == 1e-170
+        small = ca.Ball([0.0, 0.0, 0.0], 1e-200)
+        assert small.contains_points(v).tolist() == [False, False]
+
+    def test_normal_rows_are_numpys_bit_for_bit(self):
+        scales = 10.0 ** np.arange(-150, 150, 1.5)[:, None]
+        v = np.random.default_rng(14).normal(size=(200, 4)) * scales
+        assert np.array_equal(spinor.euclidean_norm(v), np.linalg.norm(v, axis=-1))
 
 
 class TestSl2Action:

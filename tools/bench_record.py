@@ -14,8 +14,10 @@ at the repository root, which holds:
   line, and of each op kind's median reference milliseconds (the `ref ms`
   lines), with every run's value beside it and the failed op count;
 * provenance: the git SHA (and whether the tree had changes), the numpy
-  and scipy versions, `nproc` and the interpreter's path, since per-kind
-  times of small ops shift with how the interpreter is started;
+  and scipy versions, `nproc`, the interpreter's path and whether it
+  writes bytecode (`sys.dont_write_bytecode`: without a bytecode cache,
+  every cold command compiles `src/` again), since per-kind times of
+  small ops shift with how the interpreter is started;
 * cold-process wall times of the README `causal` and `sky-image`
   commands, the median of COLD fresh interpreters each.
 
@@ -116,6 +118,7 @@ def _provenance(seconds):
         "nproc": os.cpu_count(),
         "python": sys.executable,
         "python_version": sys.version.split()[0],
+        "dont_write_bytecode": sys.dont_write_bytecode,
         "seed": SEED,
         "seconds": seconds,
         "runs": RUNS,

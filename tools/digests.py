@@ -154,6 +154,14 @@ CLI = {
     "causal/graph": (None, ["causal", "--metric", "minkowski", "--frame", "graph", "--x",
                             "1,0,0,0", "--y", "0.5,0.3,0,0"]),
     "causal/slab-error": (SLAB, ["causal", "--x", "1,2,0,0", "--y", "0.2,2.05,0.5,0"]),
+    # radii that underflow to 0 above the target: refused, not read equal
+    "causal/p3-radius-underflow": (None, ["causal", "--metric", "flrw", "--p", "3", "--target",
+                                          "cauchy:1e300", "--x=1.5e308,0,0,0", "--y=1e300,0,0,0"]),
+    "causal/p-1-radius-underflow": (None, ["causal", "--metric", "flrw", "--p", "-1", "--target",
+                                           "cauchy:1e-300", "--x=1e-300,0,0,0",
+                                           "--y=1.5e-300,0,0,0"]),
+    # a null vector whose largest component is not a power of two
+    "pauli/null-7,2,3,6": (None, ["pauli", "--vec", "7,2,3,6"]),
 }
 for _seed in (1, 3, 7):
     for _name, _flags in (("flat", []), ("p2/3", ["--metric", "flrw", "--p", str(P23["p"])])):
