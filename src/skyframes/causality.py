@@ -5,10 +5,12 @@ interior.  For conformally flat charts the image is an exact comoving
 sphere, so regions are analytic balls and every query is closed form;
 elsewhere the skies of a query go out in one ray batch (`mesh_regions`),
 each image cloud is triangulated over the outward-oriented sky
-triangulation, and containment is the generalized winding number of the
-outer mesh at the vertices of the inner one: 0 outside, +-1 inside and
-in between on the surface, so a mesh region, like a ball, is closed.  Two
-balls about the mesh's vertex centroid decide most points without it.
+triangulation, one convex hull per arrival mask of the batch, and
+containment is the generalized winding number of the outer mesh at the
+vertices of the inner one: 0 outside, +-1 inside and in between on the
+surface, so a mesh region, like a ball, is closed.  Two balls about the
+mesh's vertex centroid decide most points without it, and a verdict stops
+at the first point beyond the bounding ball.
 
 Every distance between points or centres is `separation` (two balls) or
 `spinor.euclidean_norm` (rows), scaled where its squares would underflow,
@@ -105,6 +107,14 @@ class Mesh:
         pass.  That geometry multiplies up to four lengths of up to 2 R, so it
         runs on the copy scaled about c by `spinor.power_of_two_scaled`, at
         every R; an R beyond float range raises OutOfDomainError."""
+        unit, *ball = self._bounding_ball(pts)
+        return unit._shell_verdict(*ball)
+
+    def _bounding_ball(self, pts):
+        """The mesh and the points (k, 3) scaled about c to a bounding radius
+        in [1/2, 1), the points' distances from c and that radius on the
+        scaled copy, and whether each point lies in the widened bounding
+        ball: the one prefilter of `contains_points` and `_contains`."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         center, radius = self.bounding_sphere()
         if not radius < math.inf:
@@ -113,11 +123,15 @@ class Mesh:
             scaled, e = spinor.power_of_two_scaled(np.vstack([pts, self.vertices]) - center, radius)
             pts, unit = scaled[: len(pts)], Mesh(scaled[len(pts) :], self.triangles)
             dist, radius = spinor.euclidean_norm(pts), np.ldexp(radius, -e)
-        out = dist <= radius * (1.0 + BALL_TOL)
+        return unit, pts, dist, radius, dist <= radius * (1.0 + BALL_TOL)
+
+    def _shell_verdict(self, pts, dist, radius, out):
+        """`contains_points` on the scaled copy (self) from its `_bounding_ball`
+        prefilter out, which it refines in place and returns."""
         # r: along its computed normal n a triangle lies between the heights
         # of its corners, so a rounded n still bounds its distance from c
         # from below; a plane through c or a degenerate triangle gives 0
-        corners = unit.vertices[unit.triangles]  # (nt, 3, 3)
+        corners = self.vertices[self.triangles]  # (nt, 3, 3)
         normal = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
         height = np.einsum("tck,tk->tc", corners, normal)
         gap = np.maximum(np.maximum(height.min(axis=1), -height.max(axis=1)), 0.0)
@@ -127,10 +141,10 @@ class Mesh:
         # rounding of a distance, so it holds the whole surface band
         core = dist < inner * (1.0 - BALL_TOL)
         if np.any(core):
-            out[core] = unit._winding_contains(np.zeros((1, 3)))[0]
+            out[core] = self._winding_contains(np.zeros((1, 3)))[0]
         shell = np.flatnonzero(out & ~core)
-        shell = shell[unit._surface_distance(pts[shell]) > BALL_TOL * radius]
-        out[shell] = unit._winding_contains(pts[shell])
+        shell = shell[self._surface_distance(pts[shell]) > BALL_TOL * radius]
+        out[shell] = self._winding_contains(pts[shell])
         return out
 
     def _surface_distance(self, pts):
@@ -223,8 +237,10 @@ def mesh_regions(f: fr.FrameSpec, events, sample: SkySample | None = None) -> li
     """Past regions of the events (k, 4), meshed over the convex hulls of
     their arrived sky directions, each triangle turned outward; the k
     skies (default: 400 Fibonacci points each) go out in one project_batch
-    call.  An event with under 90% of its samples arrived raises
-    InsufficientSamplesError, or NoIntersectionError with none."""
+    call.  Events whose arrival masks match share one hull, whose read-only
+    triangle array their meshes hold.  An event with under 90% of its
+    samples arrived raises InsufficientSamplesError, or NoIntersectionError
+    with none."""
     from scipy.spatial import ConvexHull
 
     events = np.atleast_2d(np.asarray(events, dtype=float))
@@ -232,15 +248,19 @@ def mesh_regions(f: fr.FrameSpec, events, sample: SkySample | None = None) -> li
     k, n = len(events), sample.n
     rays = np.repeat(events, n, axis=0), np.tile(sample.xi, (k, 1))
     pts, _, ok, _ = fr.project_batch(f, *rays)
-    meshes = []
+    directions, hulls, meshes = sample.directions(), {}, []
     for x, cloud, arrived in zip(events, pts.reshape(k, n, 3), ok.reshape(k, n)):
         if arrived.mean() < 0.9:
             error = InsufficientSamplesError if arrived.any() else NoIntersectionError
             raise error(f"{arrived.sum()}/{n} sky samples of {x.tolist()} arrived")
-        dirs = sample.directions()[arrived]
-        triangles = ConvexHull(dirs).simplices
-        inward = np.linalg.det(dirs[triangles]) < 0  # the origin is inside the hull
-        triangles[inward] = triangles[inward, ::-1]
+        triangles = hulls.get(key := arrived.tobytes())
+        if triangles is None:
+            dirs = directions[arrived]
+            triangles = ConvexHull(dirs).simplices.astype(int)
+            inward = np.linalg.det(dirs[triangles]) < 0  # the origin is inside the hull
+            triangles[inward] = triangles[inward, ::-1]
+            triangles.flags.writeable = False  # shared by the meshes of this mask
+            hulls[key] = triangles
         meshes.append(Mesh(vertices=cloud[arrived], triangles=triangles))
     return meshes
 
@@ -263,20 +283,27 @@ def separation(a: Ball, b: Ball) -> float:
 
 def _contains(outer: Region, inner: Region) -> bool:
     """Whether the inner region lies in the outer one (closed): exactly for
-    two balls, else at the inner region's `_boundary_cloud` points."""
+    two balls, else at the inner region's `_boundary_cloud` points, where an
+    outer mesh stops at its bounding-ball prefilter if that puts a point
+    outside."""
     if isinstance(outer, Ball) and isinstance(inner, Ball):
         reach = separation(outer, inner) + inner.radius
         if not math.isfinite(reach):
             raise OutOfDomainError("the separation of the past regions overflows")
         return reach <= outer.radius * (1.0 + BALL_TOL)
-    return bool(np.all(outer.contains_points(_boundary_cloud(inner))))
+    if isinstance(outer, Ball):
+        return bool(np.all(outer.contains_points(_boundary_cloud(inner))))
+    unit, pts, dist, radius, out = outer._bounding_ball(_boundary_cloud(inner))
+    return bool(np.all(out) and np.all(unit._shell_verdict(pts, dist, radius, out)))
 
 
 def in_causal_past(f: fr.FrameSpec, y, x, sample: SkySample | None = None) -> bool:
     """Whether the sky image of y lies inside the past region of x (closed).
 
     Conformally flat charts compare the exact image spheres; other frames
-    test every arrived image sample of y against the mesh of x.
+    test the arrived image samples of y against the mesh of x, where a
+    sample beyond the bounding ball of x answers False without the shell
+    geometry of `Mesh.contains_points`.
     """
     return _contains(*past_regions(f, x, y, sample))
 

@@ -337,17 +337,37 @@ class TestPowersOfTwo:
             refused = self._check(relation, self.K[::7], want, x, y)
             assert self.K[-1] in refused  # distinct centres 2^1012 apart and more
 
-    def test_mesh_containment(self):
-        # inside the octahedron |x| + |y| + |z| <= 2 by 1/2, or outside by 1/2
+    @staticmethod
+    def _octahedron_points():
+        """20 points inside the octahedron |x| + |y| + |z| <= 2 by 1/2, and
+        20 outside it by 1/2."""
         rng = np.random.default_rng(39)
         outer = rng.integers(-48, 49, (60, 3)) / 16.0
         outer = outer[np.abs(outer).sum(axis=1) >= 2.5][:20]
-        pts = np.concatenate([rng.integers(-8, 9, (20, 3)) / 16.0, outer])
+        return rng.integers(-8, 9, (20, 3)) / 16.0, outer
+
+    def test_mesh_containment(self):
+        pts = np.concatenate(self._octahedron_points())
         want = np.arange(40) < 20
         mesh = _octahedron(2.0)
         assert np.array_equal(mesh.contains_points(pts), want)
         contains = lambda vertices, p: ca.Mesh(vertices, mesh.triangles).contains_points(p)
         refused = self._check(contains, self.K[::7], want, mesh.vertices, pts)
+        assert self.K[-1] in refused
+
+    def test_mesh_verdicts(self):
+        # the inner points as one region, then each outer point alone, some
+        # in the bounding ball of radius 2 and some beyond it, where the
+        # verdict stops
+        inner, outer = self._octahedron_points()
+        assert 0 < np.sum(np.linalg.norm(outer, axis=1) <= 2.0) < len(outer)
+        mesh, none = _octahedron(2.0), np.zeros((0, 3), dtype=int)
+        verdicts = lambda vertices, inner, outer: [
+            ca._contains(ca.Mesh(vertices, mesh.triangles), ca.Mesh(p, none))
+            for p in [inner, *outer[:, None]]
+        ]
+        want = [True] + [False] * len(outer)
+        refused = self._check(verdicts, self.K[::7], want, mesh.vertices, inner, outer)
         assert self.K[-1] in refused
 
     def test_meshes_whose_fourth_powers_overflow(self):
@@ -682,10 +702,35 @@ CURVED_CHARTS = {
 def _distance(kind, p, q):
     """The flat distance of two points (3,), or the great-circle distance of
     their points on the unit S^3 whose stereographic images they are."""
-    if kind == "flat":
+    if kind != "S3":
         return float(np.linalg.norm(p - q))
     on_s3 = [np.concatenate([[1.0 - r @ r], 2.0 * r]) / (1.0 + r @ r) for r in (p, q)]
     return float(np.arccos(np.clip(on_s3[0] @ on_s3[1], -1.0, 1.0)))
+
+
+def _interval(kind, t, s):
+    """The conformal time from s up to t: t - s, but on the README chart,
+    a = 1 + 0.1 t, whose conformal time is 10 ln(1 + 0.1 t)."""
+    return 10.0 * (np.log1p(0.1 * t) - np.log1p(0.1 * s)) if kind == "readme" else t - s
+
+
+def _curved_pairs(config, t0, kind, count=10):
+    """The frame of a chart of CURVED_CHARTS (or the README chart, of kind
+    "readme") and `count` seeded pairs (x, y, y in the past of x), y below
+    x, whose verdict clears the null boundary by 15% of the radius of x."""
+    f = fr.FrameSpec(metric=mf.metric_from_config(config), target=fr.CauchySurface(t0))
+    rng, pairs = np.random.default_rng(41), []
+    while len(pairs) < count:
+        x = np.array([t0 + rng.uniform(0.6, 1.4), *rng.uniform(-0.5, 0.5, 3)])
+        y = np.array([rng.uniform(t0 + 0.05, x[0]), *x[1:]])
+        span = _interval(kind, x[0], y[0])
+        reach = rng.uniform(0.0, 1.5) * span / (1.5 if kind == "S3" else 1.0)
+        direction = rng.normal(size=3)
+        y[1:] += reach * direction / np.linalg.norm(direction)
+        gap = _distance(kind, x[1:], y[1:]) - span
+        if abs(gap) >= 0.15 * _interval(kind, x[0], t0):
+            pairs.append((x, y, bool(gap <= 0)))
+    return f, pairs
 
 
 class TestCurvedChartVerdicts:
@@ -699,19 +744,10 @@ class TestCurvedChartVerdicts:
 
     @pytest.mark.parametrize("chart", sorted(CURVED_CHARTS))
     def test_verdicts_match_the_exact_order(self, chart):
-        config, t0, kind = CURVED_CHARTS[chart]
-        f = fr.FrameSpec(metric=mf.metric_from_config(config), target=fr.CauchySurface(t0))
-        rng, sample, verdicts = np.random.default_rng(41), sky.sample_sky(48), []
-        while len(verdicts) < 10:
-            x = np.array([t0 + rng.uniform(0.6, 1.4), *rng.uniform(-0.5, 0.5, 3)])
-            y = np.array([rng.uniform(t0 + 0.05, x[0]), *x[1:]])
-            reach = rng.uniform(0.0, 1.5) * (x[0] - y[0]) / (1.5 if kind == "S3" else 1.0)
-            direction = rng.normal(size=3)
-            y[1:] += reach * direction / np.linalg.norm(direction)
-            gap = _distance(kind, x[1:], y[1:]) - (x[0] - y[0])
-            if abs(gap) < 0.15 * (x[0] - t0):
-                continue
-            want = mk.CausalOrder.Y_PAST_OF_X if gap <= 0 else mk.CausalOrder.SPACELIKE
+        f, pairs = _curved_pairs(*CURVED_CHARTS[chart])
+        sample, verdicts = sky.sample_sky(48), []
+        for x, y, past in pairs:
+            want = mk.CausalOrder.Y_PAST_OF_X if past else mk.CausalOrder.SPACELIKE
             assert ca.causal_relation(*ca.past_regions(f, x, y, sample)) is want, (x, y)
             verdicts.append(want)
         assert set(verdicts) == {mk.CausalOrder.Y_PAST_OF_X, mk.CausalOrder.SPACELIKE}
@@ -941,6 +977,95 @@ class TestOneRayBatch:
     def test_event_with_no_arrived_sample_is_named(self):
         with pytest.raises(NoIntersectionError, match=r"0/16 sky samples of \[0\.2, "):
             ca.mesh_regions(self.F, [[0.6, 0, 0, 0], [0.2, 0, 0, 0]], sky.sample_sky(16))
+
+
+class TestOneHullPerMask:
+    """mesh_regions builds one convex hull per arrival mask of a call."""
+
+    @pytest.fixture
+    def hull_calls(self, monkeypatch):
+        import scipy.spatial
+
+        calls, original = [], scipy.spatial.ConvexHull
+
+        def counting(points):
+            calls.append(len(points))
+            return original(points)
+
+        monkeypatch.setattr(scipy.spatial, "ConvexHull", counting)
+        return calls
+
+    def test_events_whose_rays_all_arrive_share_one_hull(self, hull_calls):
+        events, sample = [[0.6, 0, 0, 0], [0.5, 0.1, 0, 0], [0.7, 0, 0, 0]], sky.sample_sky(48)
+        meshes = ca.mesh_regions(TestOneRayBatch.F, events, sample)
+        assert hull_calls == [48]
+        alone = [ca.mesh_regions(TestOneRayBatch.F, [x], sample)[0] for x in events]
+        for mesh, own in zip(meshes, alone):
+            assert np.array_equal(mesh.triangles, own.triangles)
+            assert mesh.triangles is meshes[0].triangles
+        # shared, so no edit of one region can move another
+        assert not meshes[0].triangles.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            meshes[0].triangles[0] = meshes[0].triangles[0, ::-1]
+
+    def test_an_event_with_rays_lost_gets_its_own_hull(self, hull_calls):
+        # a slab |x| < 2.1: from x = 2 about 4.5% of the rays leave it
+        f = fr.FrameSpec(
+            metric=mf.metric_from_config(
+                {"kind": "minkowski", "bounds": [[None, None], [-2.1, 2.1], [None, None], [None, None]]}
+            ),
+            target=fr.CauchySurface(0.0),
+        )
+        events, sample = [[0.2, 0.5, 0, 0], [0.11, 2.0, 0, 0], [0.15, -0.5, 0, 0]], sky.sample_sky(200)
+        meshes = ca.mesh_regions(f, events, sample)
+        arrived = len(meshes[1].vertices)
+        assert 0.9 * 200 <= arrived < 0.99 * 200
+        assert hull_calls == [200, arrived]
+        assert meshes[0].triangles is meshes[2].triangles
+        [own] = ca.mesh_regions(f, [events[1]], sample)
+        assert np.array_equal(meshes[1].triangles, own.triangles)
+        assert meshes[1].is_closed() and meshes[1].euler_characteristic() == 2
+
+
+class TestEarlyExit:
+    """A mesh verdict stops at the first point beyond the bounding ball of
+    the outer mesh, with the verdict of containing every point."""
+
+    @pytest.mark.parametrize("chart", ["S3", "W", "readme"])
+    def test_verdicts_equal_the_containment_of_every_point(self, chart):
+        charts = {**CURVED_CHARTS, "readme": (README_METRIC, 0.3, "readme")}
+        f, pairs = _curved_pairs(*charts[chart])
+        sample, exits = sky.sample_sky(48), []
+        for x, y, past in pairs:
+            rx, ry = ca.past_regions(f, x, y, sample)
+            for (a, ra), (b, rb) in [((x, rx), (y, ry)), ((y, ry), (x, rx))]:
+                got = ca.in_causal_past(f, b, a, sample)
+                assert got is bool(np.all(ra.contains_points(rb.vertices))), (a, b)
+                exits.append(not np.all(ra._bounding_ball(rb.vertices)[-1]))
+            assert ca.in_causal_past(f, y, x, sample) is past
+        assert set(exits) == {True, False}
+
+    def test_a_point_beyond_the_bounding_ball_skips_the_shell(self, monkeypatch):
+        # the sky images of radius 0.287 of two events 0.2 apart
+        f, sample = TestOneRayBatch.F, sky.sample_sky(48)
+        x, y = [0.6, 0.0, 0.0, 0.0], [0.6, 0.2, 0.0, 0.0]
+        rx, ry = ca.past_regions(f, x, y, sample)
+        center, radius = rx.bounding_sphere()
+        beyond = np.linalg.norm(ry.vertices - center, axis=1) > radius
+        assert 0 < beyond.sum() < len(beyond)
+        calls = []
+        for name in ("_winding_contains", "_surface_distance"):
+            original = getattr(ca.Mesh, name)
+
+            def counting(mesh, pts, name=name, original=original):
+                calls.append(name)
+                return original(mesh, pts)
+
+            monkeypatch.setattr(ca.Mesh, name, counting)
+        assert not ca.in_causal_past(f, y, x, sample)
+        assert calls == []
+        assert not np.all(rx.contains_points(ry.vertices))
+        assert "_surface_distance" in calls
 
 
 class TestLocale:
