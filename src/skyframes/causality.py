@@ -1,8 +1,10 @@
 """Causal order from sky images on the target 3-manifold.
 
 The past region of an event is its full sky image together with the
-interior.  For conformally flat charts the image is an exact comoving
-sphere, so regions are analytic balls and every query is closed form;
+interior.  On a chart of t alone (`manifold._t_only`: flat, FLRW, or an
+isotropic custom chart ds^2 = N(t)^2 dt^2 - A(t)^2 dx.dx), conformal to
+flat space, the image is an exact comoving sphere of radius the integral
+of N / A, so regions are analytic balls and every query is closed form;
 elsewhere the skies of a query go out in one ray batch (`mesh_regions`),
 each image cloud is triangulated over the outward-oriented sky
 triangulation, one convex hull per arrival mask of the batch, and
@@ -202,7 +204,7 @@ def join(b1: ClosedSetUnion, b2: ClosedSetUnion) -> ClosedSetUnion:
 
 
 def analytic_region(f: fr.FrameSpec, x) -> Ball | None:
-    """Exact ball region when the chart is conformally flat, else None.
+    """Exact ball region when the chart is of t alone, else None.
 
     Raises OutOfDomainError for an event outside the chart domain (the
     `in_domain` test of `project_batch`, on all four coordinates, before
@@ -210,7 +212,7 @@ def analytic_region(f: fr.FrameSpec, x) -> Ball | None:
     underflows to 0, and NoIntersectionError below the target or when the
     ball is not strictly inside the chart's spatial bounds (the end-point
     test of `project_batch`)."""
-    if f.metric.kind == "custom":
+    if not mf._t_only(f.metric):
         return None
     x = np.asarray(x, dtype=float)
     t, *center = event = x.tolist()
@@ -300,7 +302,7 @@ def _contains(outer: Region, inner: Region) -> bool:
 def in_causal_past(f: fr.FrameSpec, y, x, sample: SkySample | None = None) -> bool:
     """Whether the sky image of y lies inside the past region of x (closed).
 
-    Conformally flat charts compare the exact image spheres; other frames
+    Charts of t alone compare the exact image spheres; other frames
     test the arrived image samples of y against the mesh of x, where a
     sample beyond the bounding ball of x answers False without the shell
     geometry of `Mesh.contains_points`.

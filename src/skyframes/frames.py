@@ -24,9 +24,11 @@ the square root of the summed `(x.conj() * x).real`, which is what
 `np.linalg.norm` computes.  A chain over no columns starts from its
 identity.
 
-Two tracers are available: a conformal-chart closed form (flat space and
-spatially flat cosmologies project onto straight comoving lines), which
-`tracer="auto"` takes there, and the numeric `manifold.trace_past_to_time`
+Two tracers are available: a conformal-chart closed form (a chart of t
+alone, `manifold._t_only`: flat space, a spatially flat cosmology or an
+isotropic custom chart ds^2 = N(t)^2 dt^2 - A(t)^2 dx.dx, projects onto
+straight comoving lines, the conformal interval the integral of N / A),
+which `tracer="auto"` takes there, and the numeric `manifold.trace_past_to_time`
 behind `_trace`, which marches a batch in t (ln t toward the singularity)
 on one grid and lands on the target level.  Toward the singularity it
 stops at a small cutoff time (or at the lowest event time, when lower) and
@@ -96,7 +98,7 @@ class FrameSpec:
     metric: mf.MetricSpec
     target: CauchySurface | Singularity
     step: float = 1e-3  # read by nothing; kept, checked, while perfbench passes it
-    tracer: str = "auto"  # auto (closed form unless custom) | numeric
+    tracer: str = "auto"  # auto (closed form on a chart of t alone) | numeric
 
     def __post_init__(self):
         if not (math.isfinite(self.step) and self.step > 0.0):
@@ -192,7 +194,7 @@ def project_batch(f: FrameSpec, events, xis):
     if not np.all(f.metric.in_domain(events)):
         raise OutOfDomainError("an event lies outside the chart domain")
     b = len(xis)
-    closed = f.tracer == "auto" and f.metric.kind != "custom"
+    closed = f.tracer == "auto" and mf._t_only(f.metric)
     rows = events.reshape(-1, 4)  # (1, 4) when one event is shared
     if not closed and len(rows) != b:  # the tracer takes one row per ray
         rows = np.broadcast_to(rows, (b, 4))

@@ -33,13 +33,17 @@ alone that loses its signature, steps every state node by node with
 lost signature), compacting the rows that leave with `np.compress`.  A ray
 comes back with one int8 reason code: ARRIVED, BELOW_TARGET (its event,
 in `frames.project_batch`), LEFT_BOUNDS, NON_FINITE (its point, n, ln E or
-lambda where it left, whatever its bounds) or UNSETTLED (at GRID_CAP).  The
-two integrals of the scale factor share one ladder: `conformal_time`, the
-conformal interval from the target time t_from, and `affine_length`, the
-affine length of a ray down to it; closed form for power laws, else the
-tanh-sinh `_integral`.  Every reader of an FLRW scale factor goes through
-`MetricSpec.scale_factor`, the one place that refuses a(t) <= 0 or NaN,
-so the two tracers refuse the same charts with the same error.
+lambda where it left, whatever its bounds) or UNSETTLED (at GRID_CAP).
+
+A chart of t alone is read one way, by its legs (e0(t), A(t)) (`_t_legs`):
+(1, a) on a flat or FLRW chart, from `MetricSpec.scale_factor`, the one
+place that refuses a(t) <= 0 or NaN, so the two tracers refuse the same
+charts with the same error, and (sqrt(g00), sqrt(-g11)) on an isotropic
+custom chart.  The tracer's slopes read them (`_t_rates`), and so do the
+two integrals, which share one ladder: `conformal_time`, the integral of
+e0 / A from the target time t_from, and `affine_length`, the affine length
+of a ray down to it; closed form for power laws, else the tanh-sinh
+`_integral`.
 
 The spinor <-> direction dictionary at a curved point uses the fixed
 orthonormal tetrad aligned with the coordinate axes (well-defined for
@@ -300,30 +304,43 @@ def _bundle_slope(m: MetricSpec, s, y, log):
     return (t if log else 1.0) * out  # dt/ds d/dt
 
 
+def _t_legs(m: MetricSpec, t, rate=True):
+    """(e0, A, d ln A / dt or None without rate, lost) at the times t (R,)
+    of a chart of t alone, ds^2 = e0^2 dt^2 - A^2 dx.dx, lost telling
+    whether some (g00, g11) are not finite with the signature (+, -, -, -):
+    (1, a, a'/a) on flat and FLRW charts, never lost (`scale_factor`
+    refuses a <= 0), and (sqrt(g00), sqrt(-g11), (d g11 / dt) / (2 g11))
+    on isotropic custom charts from one `t_jet` evaluation.  The callers
+    run it under a quiet error state: the legs of a lost signature are NaN."""
+    if m.kind != "custom":
+        a = m.scale_factor(t)
+        return 1.0, a, m.scale_factor_dot(t) * (1.0 / a) if rate else None, False
+    g00, g11, dg11 = m._expressions.t_jet((t,))
+    lost = not 0.0 < g00.min(initial=1.0) <= g00.max(initial=1.0) < np.inf
+    lost |= not -np.inf < g11.min(initial=-1.0) <= g11.max(initial=-1.0) < 0.0
+    return np.sqrt(g00), np.sqrt(-g11), dg11 / (2.0 * g11) if rate else None, lost
+
+
 def _t_rates(m: MetricSpec, s, log):
     """The slope factors of a chart of t alone at the stage times s (R,),
     t = e^s if log else s: the rows d/ds of the displacement D along the
     tetrad direction n, d/ds of ln E and -e0 dt/ds, the factor of e^-ln E
-    in d lambda / ds (3, R); and whether some of the coefficients (g00,
-    g11) are not finite with the signature (+, -, -, -).
+    in d lambda / ds (3, R); and whether the signature is lost there
+    (`_t_legs`).
 
-    This is `_bundle_slope` with t-partials only.  With the legs e0 =
-    sqrt(g00) and A = sqrt(-g11), D moves at -e0 / A and ln E at -(d g11 /
-    dt) / (2 g11) = -d ln A / dt, while the slope of n, w[1:] + n w0,
-    cancels identically, so n is conserved.  Flat and FLRW charts have e0 =
-    1 and A = a (a = 1 in flat space, where ln E keeps a rate of +0.0)."""
+    This is `_bundle_slope` with t-partials only.  With the legs e0 and A,
+    D moves at -e0 / A and ln E at -d ln A / dt, while the slope of n,
+    w[1:] + n w0, cancels identically, so n is conserved (in flat space,
+    a = 1, ln E keeps a rate of +0.0)."""
     t = np.exp(s) if log else s
-    rates, lost = np.empty((3, len(s))), False
-    if m.kind == "custom":
-        g00, g11, dg11 = m._expressions.t_jet((t,))
-        e0 = np.sqrt(g00)
-        rates[0], rates[1], rates[2] = -(e0 / np.sqrt(-g11)), -dg11 / (2.0 * g11), -e0
-        lost = not 0.0 < g00.min(initial=1.0) <= g00.max(initial=1.0) < np.inf
-        lost |= not -np.inf < g11.min(initial=-1.0) <= g11.max(initial=-1.0) < 0.0
-    else:
-        speed = 1.0 / m.scale_factor(t)
-        rates[0], rates[1], rates[2] = -speed, 0.0 - m.scale_factor_dot(t) * speed, -1.0
-    return (t if log else 1.0) * rates, lost  # dt/ds d/dt
+    e0, a, rate, lost = _t_legs(m, t)
+    rates = np.empty((3, len(s)))
+    rates[2] = -e0
+    np.divide(rates[2], a, out=rates[0])  # -e0 / a is -(e0 / a) bit for bit
+    np.subtract(0.0, rate, out=rates[1])
+    if log:
+        rates *= t  # dt/ds d/dt
+    return rates, lost
 
 
 def _t_slope(rates, y):
@@ -613,60 +630,85 @@ _TS_RANGE, _TS_STEP, _TS_LEVELS, _TS_TOL = 6.5, 0.5, 8, 1e-13
 
 def conformal_time(m: MetricSpec, t, t_from=0.0):
     """The conformal interval from t_from (default: the initial singularity)
-    to t, the integral of 1/a over [t_from, t]; t - t_from in flat space.
-    t is a float or an array; a float gives a float, computed with the
-    array's arithmetic (Python's float power can differ in the last bit)."""
+    to t on a chart of t alone (`_t_only`), the integral of e0 / A over
+    [t_from, t]; t - t_from in flat space.  t is a float or an array; a
+    float gives a float, computed with the array's arithmetic (Python's
+    float power can differ in the last bit)."""
     return _scale_integral(m, t, t_from, -1)
 
 
 def affine_length(m: MetricSpec, t, t_from):
     """The affine length of the past null ray from t (an array) down to
-    t_from, with dt/dlambda = 1 at t: the integral of a over [t_from, t],
-    over a(t); t - t_from in flat space."""
-    return _scale_integral(m, t, t_from, 1) / m.scale_factor(t)
+    t_from on a chart of t alone, with dt/dlambda = 1 at t: the integral of
+    e0 A over [t_from, t], over (e0 A)(t); t - t_from in flat space."""
+    return _scale_integral(m, t, t_from, 1)
 
 
 def _scale_integral(m: MetricSpec, t, t_from, k):
-    """The integral of a^k over [t_from, t] for k = -1 or +1; floats and
-    arrays as in `conformal_time`.  A power law t^p integrates to t^q / q
-    with q = 1 + k p (ln(t / t_from) at q = 0; t - t_from, at any t, for
-    flat space's t^0), which diverges from 0 for q <= 0; from t_from / 2 up
-    to 2 t_from, where the ends' difference cancels, it is t_from^q expm1(q
-    log1p(d / t_from)) / q from the exact d = t - t_from (Sterbenz).  An
-    expression takes one `_integral` over the distinct times, and must be
+    """The integral of e0 A^k over [t_from, t] for k = -1, and for k = +1
+    the same over (e0 A)(t), from the legs of `_t_legs`; floats and arrays
+    as in `conformal_time`.  A power law t^p (FLRW, t > 0) integrates to
+    t^q / q with q = 1 + k p (ln(t / t_from) at q = 0; t - t_from, at any
+    t, for flat space's t^0), which diverges from 0 for q <= 0; from
+    t_from / 2 up to 2 t_from, where the ends' difference cancels, it is
+    t_from^q expm1(q g) / q with g = log1p(d / t_from) of the exact
+    difference d = t - t_from (Sterbenz).  Its affine length is a ratio, as
+    t^q under- or overflows where the length does not: t / q from 0, else
+    t (1 - (t_from / t)^q) / q, or -t expm1(-q g) / q near t_from.  Any
+    other chart takes one `_integral` over the distinct times, with legs
     finite at each of them (an infinite a, as of 't*1e308*10', raises
-    DivergentIntegralError naming the time).  The end t_from is exempt, as
-    the quadrature leaves out its end nodes: there a may overflow (1/t at
-    0, 1/(t - 0.5) at 0.5) while the integral of 1/a converges."""
+    DivergentIntegralError naming the time) and Lorentzian at every node
+    (`_lorentzian_legs`).  The end t_from is exempt, as the quadrature
+    leaves out its end nodes: there A may overflow (1/t at 0, 1/(t - 0.5)
+    at 0.5) while the integral of e0 / A converges."""
     t = np.array(t, dtype=float)
-    p, fn = m.exponent, m.scale_factor
+    p = m.exponent
     if p == 0.0:
         return t - t_from if t.ndim else float(t) - t_from
-    if m.kind == "custom":
-        raise ValueError("scale-factor integrals need an expanding-cosmology metric")
-    if t_from < 0.0 or (np.less_equal(t, 0.0).any() if t.ndim else float(t) <= 0.0):
+    if m.kind == "flrw" and (
+        t_from < 0.0 or (np.less_equal(t, 0.0).any() if t.ndim else float(t) <= 0.0)
+    ):
         raise OutOfDomainError("scale-factor integrals are defined for t > 0")
     if p is None:  # one quadrature over the distinct times
         times, inverse = np.unique(t.ravel(), return_inverse=True)
         with np.errstate(all="ignore"):  # a non-finite value is named below
-            a = fn(times)
+            e0, a = _lorentzian_legs(m, times)
         bad = ~np.isfinite(a)  # +inf passes `scale_factor`, and 1 / a would pass as 0
         if np.any(bad):
             message = f"scale factor {a[bad][0]} at t = {times[bad][0]:.12g} is not finite"
             raise DivergentIntegralError(message)
-        integrand = fn if k > 0 else lambda s: 1 / fn(s)
-        out = _integral(integrand, t_from, times)[inverse].reshape(t.shape)
+        combine = np.multiply if k > 0 else np.divide  # e0 A or e0 / A
+        out = _integral(lambda s: combine(*_lorentzian_legs(m, s)), t_from, times)
+        out = (out / (e0 * a) if k > 0 else out)[inverse].reshape(t.shape)
     elif (q := 1.0 + k * p) <= 0.0 and t_from == 0.0:
         raise DivergentIntegralError(f"integral of t^{k * p} diverges at 0")
     elif t_from > 0.0:
         d = t - t_from
         near = (d < t_from) & (d >= -0.5 * t_from)
         g = np.log1p(np.where(near, d, 0.0) / t_from)
-        far = np.log(t / t_from) if q == 0.0 else t**q / q - np.array(t_from) ** q / q
-        out = np.where(near, g if q == 0.0 else np.array(t_from) ** q * np.expm1(q * g) / q, far)
+        if q == 0.0:
+            out = np.where(near, g, np.log(t / t_from)) * (t if k > 0 else 1.0)
+        elif k > 0:
+            out = np.where(near, -t * np.expm1(-q * g), t * (1.0 - (t_from / t) ** q)) / q
+        else:
+            far = t**q / q - np.array(t_from) ** q / q
+            out = np.where(near, np.array(t_from) ** q * np.expm1(q * g) / q, far)
     else:
-        out = t**q / q
+        out = t / q if k > 0 else t**q / q
     return out if t.ndim else float(out)
+
+
+def _lorentzian_legs(m: MetricSpec, t):
+    """The legs (e0, A) of `_t_legs`; a lost signature raises its ValueError
+    (`_require_signature`) at the first such time and the spatial point of
+    the bounds nearest the origin, as it does not depend on x, y and z."""
+    e0, a, _, lost = _t_legs(m, t, rate=False)
+    if lost:
+        lo, hi = m.bounds[1:].T
+        x = np.empty((len(t), 4))
+        x[:, 0], x[:, 1:] = t, np.clip(0.0, np.nextafter(lo, hi), np.nextafter(hi, lo))
+        _require_signature(m, x.T, m.metric_diag(x).T)
+    return e0, a
 
 
 def _integral(fn, lo, hi):

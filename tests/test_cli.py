@@ -378,6 +378,16 @@ README_METRIC = {
 }
 
 
+#: The W chart, conformal to flat space with a factor of t, x, y and z: its
+#: causal queries take meshes, where the README chart, of t alone, takes balls.
+_W = "1+0.3*x*x+0.1*y*y+0.2*t+0.1*x*z"
+W_METRIC = {
+    "kind": "custom",
+    "coeffs": [_W] + [f"-({_W})"] * 3,
+    "bounds": [[0, None], [-3, 3], [-3, 3], [-3, 3]],
+}
+
+
 class TestCausalOneBatch:
     def test_custom_metric_query_traces_one_batch(self, capsys, tmp_path, monkeypatch):
         # four batches of 400 rays (two per direction) before
@@ -390,7 +400,7 @@ class TestCausalOneBatch:
 
         monkeypatch.setattr(skyframes.frames, "project_batch", counting)
         cfg = tmp_path / "custom.json"
-        cfg.write_text(json.dumps(README_METRIC))
+        cfg.write_text(json.dumps(W_METRIC))
         code, out, _ = run(
             capsys, "--config", str(cfg), "causal", "--metric", "custom",
             "--target", "cauchy:0.3", "--x", "0.6,0,0,0", "--y", "0.45,0.05,0,0",
@@ -399,9 +409,9 @@ class TestCausalOneBatch:
         assert calls == [800]
 
     def test_identical_events_on_the_custom_metric(self, capsys, tmp_path):
-        # the parity vote printed spacelike, where the ball path prints equal
+        # the parity vote printed spacelike: a mesh region holds its boundary
         cfg = tmp_path / "custom.json"
-        cfg.write_text(json.dumps(README_METRIC))
+        cfg.write_text(json.dumps(W_METRIC))
         code, out, _ = run(
             capsys, "--config", str(cfg), "causal", "--metric", "custom",
             "--target", "cauchy:0.3", "--x", "0.6,0,0,0", "--y", "0.6,0,0,0",
@@ -495,8 +505,8 @@ class TestNonFiniteResults:
             (("pauli", "--vec=1e308,0,0,1e308"), "OutOfDomainError"),
             (("sky-image", "--frame", "graph", "--event=1e308,0,0,1e308", "--n", "8"),
              "OutOfDomainError"),
-            (("sky-image", "--metric", "flrw", "--p", "0.5", "--event=1e308,0,0,0"),
-             "OutOfDomainError"),
+            (("sky-image", "--metric", "minkowski", "--target", "cauchy:-1.7e308",
+              "--event=1e308,0,0,0", "--n", "8"), "OutOfDomainError"),
             (("sky-image", "--metric", "flrw", "--p", "-1.5", "--event=1,0,0,0", "--n", "8"),
              "DivergentIntegralError"),
         ],
@@ -512,6 +522,21 @@ class TestNonFiniteResults:
         assert code == 1 and out == ""
         assert err.startswith(f"{error}: ") and len(err.splitlines()) == 1
         assert not recwarn.list
+
+    @pytest.mark.parametrize("t", ["1e-199", "2e185", "1e308"])
+    def test_power_law_affine_length_to_the_singularity(self, capsys, tmp_path, recwarn, t):
+        # t^(1+p) / (1+p) / t^p underflowed to lambda = 0 with exit 0 at
+        # 1e-199, and overflowed to exit 1 at 2e185; it is t / (1+p)
+        out = tmp_path / "image.json"
+        code, _, err = run(
+            capsys, "sky-image", "--metric", "flrw", "--p", "0.6666666666666666",
+            f"--event={t},0,0,0", "--target", "singularity", "--n", "8", "--out", str(out),
+        )
+        assert (code, err) == (0, "") and not recwarn.list
+        samples = json.loads(out.read_text())["samples"]
+        lams = np.array([s["lambda"] for s in samples])
+        assert all(s["status"] == "ok" for s in samples)
+        assert np.all(np.abs(lams / (float(t) * 0.6) - 1.0) <= 1e-15)
 
 
 def _ends_cleanly(argv):

@@ -35,8 +35,9 @@ def test_the_matrix_covers_both_tracers_errors_and_the_cli(digests):
     names = list(digests.cases())
     near = len(digests.NEAR_CHARTS) * len(digests.NEAR)
     legs = len(digests.LEGS)
-    assert len(names) == len(set(names)) == 9 * 3 * 3 + near + legs + 4 + len(digests.CLI) == 123
-    assert near == 12 and legs == 2 and {"readme", "p2/3-numeric"} <= set(digests.NEAR_CHARTS)
+    assert len(names) == len(set(names)) == 10 * 3 * 3 + near + legs + 4 + len(digests.CLI) == 135
+    assert near == 15 and legs == 2
+    assert {"readme", "readme-numeric", "p2/3-numeric"} <= set(digests.NEAR_CHARTS)
     assert {digests.CHARTS[c][2] for c in digests.CHARTS} == {"auto", "numeric"}
     assert sum(name.startswith("cli/verify/") for name in names) == 6
     # mesh-path verdicts on the two curved charts of x, y and z

@@ -125,14 +125,25 @@ class TestProjectEvent:
                     fr.project_batch(f, events, xis)
 
     def test_closed_form_overflow_names_the_event(self):
-        # the affine length t^(3/2) / (1.5 a) overflowed to inf and the ray
-        # came back ok, after a RuntimeWarning
-        f = fr.FrameSpec(metric=mf.MetricSpec.flrw(p=0.5), target=fr.Singularity())
+        # the conformal interval t^(3/2) / 1.5 of p = -1/2 overflows to inf;
+        # such a ray came back ok, after a RuntimeWarning
+        f = fr.FrameSpec(metric=mf.MetricSpec.flrw(p=-0.5), target=fr.Singularity())
         events = np.array([[1.0, 0, 0, 0], [1e308, 0, 0, 0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OutOfDomainError, match=re.escape("[1e+308, 0.0, 0.0, 0.0]")):
                 fr.project_batch(f, events, np.tile(XI_TO_ZHAT, (2, 1)))
+
+    @pytest.mark.parametrize("p, t", [(0.5, 1e308), (2 / 3, 2e185), (2 / 3, 1e-199)])
+    def test_power_law_affine_length_is_a_ratio(self, p, t):
+        # t^(1+p) / (1+p) / t^p overflowed (an OutOfDomainError for a finite
+        # length) or underflowed (lambda = 0, ok) where t / (1+p) does not
+        f = fr.FrameSpec(metric=mf.MetricSpec.flrw(p=p), target=fr.Singularity())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            xis = np.tile(XI_TO_ZHAT, (2, 1))
+            _, lams, ok, _ = fr.project_batch(f, np.array([t, 0, 0, 0]), xis)
+        assert np.all(ok) and np.all(np.abs(lams / (t / (1 + p)) - 1.0) <= 1e-15)
 
     @pytest.mark.parametrize("scale", [1e-140, 1.0, 1e160, 1e300])
     def test_huge_covector_ray_ends_at_distance_one(self, mink_frame, scale):
@@ -520,6 +531,107 @@ class TestNonPositiveScaleFactor:
         )
         assert np.all(numeric[2]) and np.all(closed[2])
         assert np.abs(numeric[0] - closed[0]).max() <= mf.GRID_TOL
+
+
+#: ds^2 = N(t)^2 dt^2 - A(t)^2 dx.dx, the README chart (N = 1, A = 1 + 0.1 t,
+#: the FLRW chart a = 1 + 0.1 t) and a lapse N = A, each with its conformal
+#: interval and affine length from s up to t, written out here.
+_T_ALONE = {
+    "readme": (
+        ["1"] + ["-(1 + 0.1*t)**2"] * 3,
+        lambda t, s: 10.0 * np.log((1 + 0.1 * t) / (1 + 0.1 * s)),
+        lambda t, s: (t + 0.05 * t**2 - s - 0.05 * s**2) / (1 + 0.1 * t),
+    ),
+    "lapse": (
+        ["(1 + 0.1*t)**2"] + ["-(1 + 0.1*t)**2"] * 3,
+        lambda t, s: t - s,
+        lambda t, s: ((1 + 0.1 * t) ** 3 - (1 + 0.1 * s) ** 3) / (0.3 * (1 + 0.1 * t) ** 2),
+    ),
+}
+
+
+class TestChartsOfTAlone:
+    """An isotropic custom chart of t alone is conformal to flat space, so
+    under tracer "auto" it takes the closed form, as the FLRW chart it may
+    equal does, and its past regions are balls; the numeric tracer stays
+    reachable, and checked against the closed form."""
+
+    T_T = 0.3
+
+    def _rays(self, chart, tracer):
+        """40 seeded events, the end points and affine lengths of one ray
+        each on the tracer, and their exact radii and lengths."""
+        coeffs, eta, lam = _T_ALONE[chart]
+        metric = mf.metric_from_config(dict(_README_CHART, coeffs=coeffs))
+        f = fr.FrameSpec(metric=metric, target=fr.CauchySurface(self.T_T), tracer=tracer)
+        rng = np.random.default_rng(11)
+        events = np.column_stack([rng.uniform(0.4, 2.5, 40), rng.uniform(-1.0, 1.0, (40, 3))])
+        xis = sky.sample_sky(40, scheme="random", seed=12).xi
+        pts, lams, ok, _ = fr.project_batch(f, events, xis)
+        assert np.all(ok)
+        t = events[:, 0]
+        return events, pts, lams, eta(t, self.T_T), lam(t, self.T_T)
+
+    @pytest.mark.parametrize("chart", sorted(_T_ALONE))
+    def test_closed_form_is_the_exact_sphere(self, monkeypatch, chart):
+        def refuse(*args):
+            raise AssertionError("the numeric tracer ran")
+
+        monkeypatch.setattr(mf, "trace_past_to_time", refuse)
+        events, pts, lams, radius, lam = self._rays(chart, "auto")
+        assert np.abs(np.linalg.norm(pts - events[:, 1:], axis=1) - radius).max() <= 1e-12
+        assert np.abs(lams - lam).max() <= 1e-12
+
+    @pytest.mark.parametrize("chart", sorted(_T_ALONE))
+    def test_numeric_tracer_agrees_with_the_closed_form(self, monkeypatch, chart):
+        levels, level = [], mf._t_level
+        monkeypatch.setattr(mf, "_t_level", lambda *a: levels.append(a[-1]) or level(*a))
+        _, pts, lams, _, _ = self._rays(chart, "numeric")
+        assert levels
+        _, closed_pts, closed_lams, _, _ = self._rays(chart, "auto")
+        # within the tracer's tolerance GRID_TOL * max(1, |end|) of each ray
+        ends, closed = np.column_stack([pts, lams]), np.column_stack([closed_pts, closed_lams])
+        scale = np.maximum(np.abs(closed).max(axis=1), 1.0)
+        assert np.all(np.abs(ends - closed).max(axis=1) <= mf.GRID_TOL * scale)
+
+    def test_the_readme_chart_is_its_flrw_chart(self):
+        event, sample = np.array([1.4, 0.2, -0.1, 0.3]), sky.sample_sky(50)
+        images = [
+            fr.sky_image(fr.FrameSpec(metric=m, target=fr.CauchySurface(self.T_T)), event, sample)
+            for m in (
+                mf.metric_from_config(_README_CHART),
+                mf.MetricSpec.flrw(a_expr="1 + 0.1*t"),
+            )
+        ]
+        assert np.allclose(images[0].m_points, images[1].m_points, rtol=0.0, atol=1e-14)
+        assert np.allclose(images[0].lams, images[1].lams, rtol=1e-14, atol=0.0)
+        assert images[0].ranks.tolist() == images[1].ranks.tolist() == [2] * 50
+
+    def test_past_regions_are_balls(self, monkeypatch):
+        monkeypatch.setattr(ca, "mesh_regions", None)  # never called
+        f = fr.FrameSpec(metric=mf.metric_from_config(_README_CHART), target=fr.CauchySurface(0.3))
+        rx, ry = ca.past_regions(f, [0.6, 0, 0, 0], [0.45, 0.05, 0, 0])
+        assert isinstance(rx, ca.Ball) and isinstance(ry, ca.Ball)
+        assert rx.radius == pytest.approx(10.0 * np.log(1.06 / 1.03), rel=1e-15)
+
+    def test_a_lost_signature_between_target_and_event_raises(self):
+        # the spatial coefficients turn positive for 0.4 < t < 0.6; the
+        # closed form integrates across that band, and names a point of it
+        band = ["1"] + ["0.01 - (t-0.5)**2"] * 3
+        f = fr.FrameSpec(
+            metric=mf.metric_from_config(dict(_README_CHART, coeffs=band)),
+            target=fr.CauchySurface(0.0),
+        )
+        message = re.escape("coefficients do not have signature (+,-,-,-) at [0.5, 0.0, 0.0, 0.0]")
+        with np.errstate(over="raise", invalid="raise"):  # as the CLI runs
+            with pytest.raises(ValueError, match=message):
+                fr.sky_image(f, [1.0, 0, 0, 0], sky.sample_sky(16))
+            with pytest.raises(ValueError, match=message):
+                ca.in_causal_past(f, [0.8, 0.1, 0, 0], [1.0, 0, 0, 0])
+        # above the band the chart is Lorentzian, and its images are spheres
+        f = dataclasses.replace(f, target=fr.CauchySurface(0.7))
+        image = fr.sky_image(f, [1.0, 0, 0, 0], sky.sample_sky(16))
+        assert np.all(image.ok_mask)
 
 
 class TestQuadrature:
@@ -1110,8 +1222,16 @@ _SHARED_CASES = {
         ),
         [[1.1, 0.2, -0.1, 0.4], [0.3, 0.2, -0.1, 0.4], [0.2, 0.2, -0.1, 0.4]],
     ),
-    "readme_custom_numeric": (
+    "readme_custom": (
         dict(metric=mf.metric_from_config(_README_CHART), target=fr.CauchySurface(0.3)),
+        [[1.0, 0.2, -0.1, 0.4], [0.3, 0.2, -0.1, 0.4], [0.1, 0.2, -0.1, 0.4]],
+    ),
+    "readme_custom_numeric": (
+        dict(
+            metric=mf.metric_from_config(_README_CHART),
+            target=fr.CauchySurface(0.3),
+            tracer="numeric",
+        ),
         [[1.0, 0.2, -0.1, 0.4], [0.3, 0.2, -0.1, 0.4], [0.1, 0.2, -0.1, 0.4]],
     ),
 }
@@ -1337,10 +1457,16 @@ class TestColumnChains:
             xi = spinor.cospinor_for_direction(-np.eye(3)[axis])
             with pytest.raises(OutOfDomainError, match="no finite end point or length"):
                 fr.project_batch(flat, np.array([[1.0, 0, 0, 0], event]), np.array([xi, xi]))
-        huge = np.array([[1e300, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+        # an arrived ray whose affine length alone overflows: on e0 = A =
+        # sqrt((t - 2)^2 + 1e-320) the conformal interval is t, and the
+        # length from t = 2 is 8/3 over e0 A = 1e-320 there
+        legs = "(t-2)**2 + 1e-320"
+        metric = mf.metric_from_config({"kind": "custom", "coeffs": [legs] + [f"-({legs})"] * 3})
+        f = fr.FrameSpec(metric=metric, target=fr.CauchySurface(0.0))
+        huge = np.array([[2.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
         with np.errstate(all="ignore"):
-            end = spinor.direction_for_cospinor(xis[:2]) * 2.0 * np.sqrt(1e300)
+            eta = mf.conformal_time(f.metric, huge[:, 0], 0.0)
             lam = mf.affine_length(f.metric, huge[:, 0], 0.0)
-        assert np.all(np.isfinite(end)) and not np.all(np.isfinite(lam))
+        assert np.all(np.isfinite(eta)) and not np.all(np.isfinite(lam))
         with pytest.raises(OutOfDomainError, match="no finite end point or length"):
             fr.project_batch(f, huge, xis[:2])

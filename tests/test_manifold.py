@@ -546,14 +546,16 @@ class TestConformalTime:
                              ids=["eta-p2/3", "eta-p1", "lambda-p2/3"])
     def test_power_law_interval_near_its_target_keeps_its_digits(self, p, k, t_from):
         # t^q / q - t_from^q / q cancelled: one ulp above t_from = 0.5, the
-        # p = 2/3 conformal interval was 2.5 times the true one
+        # p = 2/3 conformal interval was 2.5 times the true one; the affine
+        # length (k = 1) is that integral over a(t) = t^p
         m = mf.MetricSpec.flrw(p=p)
         ulp = math.nextafter(t_from, 1.0) - t_from
         for d in [ulp, 1e-13, 1e-10, -1e-13, 0.4 * t_from, -0.4 * t_from]:
             t = t_from + d
             with decimal.localcontext(prec=50):  # exact in the float exponent and ends
                 q, a, b = 1 + k * decimal.Decimal(p), decimal.Decimal(t), decimal.Decimal(t_from)
-                want = float((a / b).ln() if q == 0 else (a**q - b**q) / q)
+                want = (a / b).ln() if q == 0 else (a**q - b**q) / q
+                want = float(want / a ** decimal.Decimal(p) if k > 0 else want)
             got = mf._scale_integral(m, t, t_from, k)
             assert abs(got - want) <= 1e-15 * abs(want), d
 

@@ -78,28 +78,30 @@ S3_CHART = {
 }
 SLAB = {"kind": "minkowski", "bounds": [[None, None], [-2.1, 2.1], [None, None], [None, None]]}
 
-#: name: (metric config, target, tracer, events).  The custom charts take
-#: the numeric tracer: the README chart's levels march in array operations
-#: (`_t_level`), the anisotropic and W charts node by node (`_march`).
+#: name: (metric config, target, tracer, events).  The README chart, a
+#: custom chart of t alone, takes the closed form, and on the numeric
+#: tracer its levels march in array operations (`_t_level`); the
+#: anisotropic and W charts march node by node (`_march`).
 CHARTS = {
     "flat": ({"kind": "minkowski"}, "cauchy:0", "auto", EVENTS),
     "p2/3": (P23, "singularity", "auto", EVENTS),
     "p2/3-numeric": (P23, "singularity", "numeric", EVENTS),
     "a_expr": ({"kind": "flrw", "a_expr": "t**0.6666666666666666"}, "cauchy:0.3", "auto", EVENTS),
     "readme": (README_CHART, "cauchy:0.3", "auto", EVENTS),
+    "readme-numeric": (README_CHART, "cauchy:0.3", "numeric", EVENTS),
     "anisotropic": (ANISOTROPIC, "cauchy:0", "auto", EVENTS),
     "W": (W_CHART, "cauchy:0.2", "auto", EVENTS),
     "slab": (SLAB, "cauchy:0", "auto", SLAB_EVENTS),
     "slab-numeric": (SLAB, "cauchy:0", "numeric", SLAB_EVENTS),
 }
 
-#: name: (metric config, Cauchy target, tracer) of the near-target cases;
-#: the README chart's rays march numerically.
+#: name: (metric config, Cauchy target, tracer) of the near-target cases.
 NEAR_CHARTS = {
     "flat": ({"kind": "minkowski"}, "cauchy:0.5", "auto"),
     "p2/3": (P23, "cauchy:0.5", "auto"),
     "p2/3-numeric": (P23, "cauchy:0.5", "numeric"),
     "readme": (README_CHART, "cauchy:0.3", "auto"),
+    "readme-numeric": (README_CHART, "cauchy:0.3", "numeric"),
 }
 NEAR = ("on", "ulp-above", "below")
 
@@ -138,6 +140,8 @@ CLI = {
                                    "--out", "{tmp}/out"]),
     "causal/p2/3-ball": (None, ["causal", "--metric", "flrw", "--p", "0.6666666666666666",
                                 "--x", "1,0,0,0", "--y", "0.125,0,0,0"]),
+    # the README chart, of t alone, takes the ball path; the names are those
+    # of the trees where it meshed, so that `--against` pairs them
     "causal/readme-mesh": (README_CHART, ["causal", "--target", "cauchy:0.3", "--x", "0.6,0,0,0",
                                           "--y", "0.45,0.05,0,0"]),
     "causal/readme-mesh-spacelike": (README_CHART, ["causal", "--target", "cauchy:0.3", "--x",
