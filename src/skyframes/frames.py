@@ -179,13 +179,14 @@ def project_batch(f: FrameSpec, events, xis):
     events: one event (4,) shared by every ray, or (B, 4), one per ray;
     xis: (B, 2).  Returns (m_points (B, 3), lams (B,), ok (B,) bool, reason
     (B,) int8), ok = reason == ARRIVED, in the codes of `manifold`: below
-    the target BELOW_TARGET, a traced ray the tracer's code, an end point
-    outside the chart's spatial bounds LEFT_BOUNDS.  The closed form does
-    its per-event work once per event row and broadcasts it over the rays,
-    with the bits of the tiled rows.  Raises ZeroSpinorError for a zero xi,
-    OutOfDomainError when an event leaves the chart or an arrived ray has
-    no finite end point or affine length, and DivergentIntegralError when
-    the affine length to the target diverges.
+    the target BELOW_TARGET (with lams 0 on both tracers), a traced ray the
+    tracer's code, an end point outside the chart's spatial bounds
+    LEFT_BOUNDS.  The closed form does its per-event work once per event
+    row and broadcasts it over the rays, with the bits of the tiled rows.
+    Raises ZeroSpinorError for a zero xi, OutOfDomainError when an event
+    leaves the chart or an arrived ray has no finite end point or affine
+    length, and DivergentIntegralError when the affine length to the
+    target diverges.
     """
     events = np.asarray(events, dtype=float)
     xis = np.asarray(xis, dtype=complex)
@@ -209,7 +210,7 @@ def project_batch(f: FrameSpec, events, xis):
         with np.errstate(**quiet):
             eta = mf.conformal_time(f.metric, t, t_target)
             m_points = rows[:, 1:] - eta[:, None] * dirs
-            lams = mf.affine_length(f.metric, t, t_target)
+            lams = np.where(below, 0.0, mf.affine_length(f.metric, t, t_target))
     else:
         m_points, lams = np.empty((b, 3)), np.zeros(b)
         if np.any(march := ~below):

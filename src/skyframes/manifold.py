@@ -628,6 +628,24 @@ def _rows(res: TraceResult, mask):
 _TS_RANGE, _TS_STEP, _TS_LEVELS, _TS_TOL = 6.5, 0.5, 8, 1e-13
 
 
+def _ts_rule():
+    """`_integral`'s rule, one row per level: the step h, and for the new
+    nodes u of the level (every node at level 0) whether u <= 0, the
+    fraction q / (1 + q) of the interval between a node and its nearer end,
+    and the weight pi cosh u / (1 + q) of that gap."""
+    rule = []
+    for level in range(_TS_LEVELS):
+        h = _TS_STEP / 2**level
+        j = np.arange(-int(_TS_RANGE / h), int(_TS_RANGE / h) + 1)
+        u = h * (j if level == 0 else j[j % 2 == 1])  # new nodes only
+        q = np.exp(-np.pi * np.abs(np.sinh(u)))  # underflows to 0 before |u| = 6.2
+        rule.append((h, u <= 0, q / (1 + q), np.pi * np.cosh(u) / (1 + q)))
+    return tuple(rule)
+
+
+_TS_RULE = _ts_rule()
+
+
 def conformal_time(m: MetricSpec, t, t_from=0.0):
     """The conformal interval from t_from (default: the initial singularity)
     to t on a chart of t alone (`_t_only`), the integral of e0 / A over
@@ -655,12 +673,13 @@ def _scale_integral(m: MetricSpec, t, t_from, k):
     difference d = t - t_from (Sterbenz).  Its affine length is a ratio, as
     t^q under- or overflows where the length does not: t / q from 0, else
     t (1 - (t_from / t)^q) / q, or -t expm1(-q g) / q near t_from.  Any
-    other chart takes one `_integral` over the distinct times, with legs
-    finite at each of them (an infinite a, as of 't*1e308*10', raises
-    DivergentIntegralError naming the time) and Lorentzian at every node
-    (`_lorentzian_legs`).  The end t_from is exempt, as the quadrature
-    leaves out its end nodes: there A may overflow (1/t at 0, 1/(t - 0.5)
-    at 0.5) while the integral of e0 / A converges."""
+    other chart takes one `_integral` over the distinct times (one time
+    as it is, without a sort), with legs finite at each of them (an
+    infinite a, as of 't*1e308*10', raises DivergentIntegralError naming
+    the time) and Lorentzian at every node (`_lorentzian_legs`).  The end
+    t_from is exempt, as the quadrature leaves out its end nodes: there A
+    may overflow (1/t at 0, 1/(t - 0.5) at 0.5) while the integral of
+    e0 / A converges."""
     t = np.array(t, dtype=float)
     p = m.exponent
     if p == 0.0:
@@ -670,7 +689,10 @@ def _scale_integral(m: MetricSpec, t, t_from, k):
     ):
         raise OutOfDomainError("scale-factor integrals are defined for t > 0")
     if p is None:  # one quadrature over the distinct times
-        times, inverse = np.unique(t.ravel(), return_inverse=True)
+        if t.size == 1:  # one time, as of an event or a sky image: no sort
+            times, inverse = t.reshape(1), slice(None)
+        else:
+            times, inverse = np.unique(t.ravel(), return_inverse=True)
         with np.errstate(all="ignore"):  # a non-finite value is named below
             e0, a = _lorentzian_legs(m, times)
         bad = ~np.isfinite(a)  # +inf passes `scale_factor`, and 1 / a would pass as 0
@@ -720,24 +742,22 @@ def _integral(fn, lo, hi):
     end (gap 0) weighs 0 and fn is not called there, so a(0) = 0 at the
     singularity is never read.  A non-finite term, or levels that never
     agree (terms that do not decay at an end), raise DivergentIntegralError;
-    the sign of fn is the caller's (`MetricSpec.scale_factor`)."""
+    the sign of fn is the caller's (`MetricSpec.scale_factor`).  The nodes
+    and weights are built once, at import (`_TS_RULE`)."""
     rows, total = np.arange(len(hi)), np.zeros(len(hi))
-    for level in range(_TS_LEVELS):
-        h = _TS_STEP / 2**level
-        j = np.arange(-int(_TS_RANGE / h), int(_TS_RANGE / h) + 1)
-        u = h * (j if level == 0 else j[j % 2 == 1])  # new nodes only
-        q = np.exp(-np.pi * np.abs(np.sinh(u)))  # underflows to 0 before |u| = 6.2
-        gap = (hi[rows, None] - lo) * (q / (1 + q))
-        t = np.where(u <= 0, lo + gap, hi[rows, None] - gap)
+    for h, left, frac, weight in _TS_RULE:
+        end, last = hi[rows, None], total[rows]
+        gap = (end - lo) * frac
+        t = np.where(left, lo + gap, end - gap)
         inner, f = gap != 0, np.zeros(t.shape)  # nodes on an end are left out
         with np.errstate(all="ignore"):  # a non-finite term is named below
             f[inner] = fn(t[inner])
-            terms = gap * (np.pi * np.cosh(u) / (1 + q)) * f
+            terms = gap * weight * f
         bad = ~np.isfinite(terms)
         if np.any(bad):
             raise DivergentIntegralError(f"integrand {f[bad][0]:.3g} at t = {t[bad][0]:.12g}")
-        new = total[rows] / 2 + h * terms.sum(axis=1)
-        settled = np.abs(new - total[rows]) <= _TS_TOL * np.abs(new)
+        new = last / 2 + h * terms.sum(axis=1)
+        settled = np.abs(new - last) <= _TS_TOL * np.abs(new)
         total[rows], rows = new, rows[~settled]
         if not len(rows):
             return total

@@ -269,6 +269,25 @@ class TestTargetLevel:
         assert code == (1 if below else 0)
         assert err.startswith("NoIntersectionError") if below else out.startswith("equal")
 
+    @pytest.mark.parametrize("metric", ["flat", "p2/3", "readme"])
+    def test_a_ray_below_the_target_has_length_zero_on_both_tracers(self, metric):
+        # the closed form returned affine_length(t, t_target) for these rays,
+        # -9.998e-14 in flat space 1e-13 below the target; the tracer gives 0
+        m = (mf.metric_from_config(_README_CHART) if metric == "readme"
+             else self.METRICS[metric][0])
+        xis = sky.sample_sky(8).xi
+        events = np.zeros((8, 4))
+        events[:, 0] = [self.TIMES["below"], 0.2, 0.9, self.TIMES["below"]] * 2
+        for tracer in ("auto", "numeric"):
+            f = fr.FrameSpec(metric=m, target=fr.CauchySurface(0.5), tracer=tracer)
+            for x in (events[0], events):  # one shared event, and one per ray
+                _, lams, ok, reason = fr.project_batch(f, x, xis)
+                below = np.atleast_2d(x)[:, 0] < 0.5
+                assert (reason == mf.BELOW_TARGET).tolist() == np.broadcast_to(below, 8).tolist()
+                assert lams[~ok].tolist() == [0.0] * int(np.sum(~ok))
+                assert not np.signbit(lams[~ok]).any()
+                assert np.all(lams[ok] > 0.0), tracer
+
 
 class TestEventsBelowTheCutoff:
     """The numeric tracer marches toward the singularity down to

@@ -593,6 +593,99 @@ class TestConformalTime:
         assert np.allclose(out, scalar, rtol=1e-14, atol=0.0)
 
 
+def _integral_per_call(fn, lo, hi):
+    """`manifold._integral` as it was before its rule became a table built
+    at import: the nodes and weights of every level computed on each call,
+    by the same formulas in the same order."""
+    rows, total = np.arange(len(hi)), np.zeros(len(hi))
+    for level in range(mf._TS_LEVELS):
+        h = mf._TS_STEP / 2**level
+        j = np.arange(-int(mf._TS_RANGE / h), int(mf._TS_RANGE / h) + 1)
+        u = h * (j if level == 0 else j[j % 2 == 1])
+        q = np.exp(-np.pi * np.abs(np.sinh(u)))
+        gap = (hi[rows, None] - lo) * (q / (1 + q))
+        t = np.where(u <= 0, lo + gap, hi[rows, None] - gap)
+        inner, f = gap != 0, np.zeros(t.shape)
+        with np.errstate(all="ignore"):
+            f[inner] = fn(t[inner])
+            terms = gap * (np.pi * np.cosh(u) / (1 + q)) * f
+        new = total[rows] / 2 + h * terms.sum(axis=1)
+        settled = np.abs(new - total[rows]) <= mf._TS_TOL * np.abs(new)
+        total[rows], rows = new, rows[~settled]
+        if not len(rows):
+            return total
+    raise AssertionError("quadrature did not converge")
+
+
+class TestQuadratureRule:
+    """`_integral` reads its nodes and weights from a table built once at
+    import, and keeps the bits of the rule computed on every call."""
+
+    @staticmethod
+    def _cases():
+        """(fn, lo, hi): the integrands e0 / A and e0 A of the README chart
+        and of a = t^0.5 over several times, and the steep 1 / t^0.9."""
+        times = np.array([0.31, 0.45, 0.6, 1.0, 2.5, 7.0])
+        readme = mf.metric_from_config(README_METRIC)
+        root, steep = (mf.MetricSpec.flrw(a_expr=a) for a in ("t**0.5", "t**0.9"))
+        runs = [(m, lo, times, c) for m, lo in ((readme, 0.3), (root, 0.0), (root, 0.3))
+                for c in (np.divide, np.multiply)]
+        runs.append((steep, 0.0, np.array([1.0]), np.divide))
+        return [(lambda s, m=m, c=c: c(*mf._lorentzian_legs(m, s)), lo, hi)
+                for m, lo, hi, c in runs]
+
+    def test_table_keeps_the_bits_of_the_per_call_rule(self):
+        for fn, lo, hi in self._cases():
+            assert mf._integral(fn, lo, hi).tobytes() == _integral_per_call(fn, lo, hi).tobytes()
+
+    def test_one_ulp_on_one_weight_moves_the_bits(self, monkeypatch):
+        # the comparison above sees a table that is off by one ulp
+        rule = list(mf._TS_RULE)
+        h, left, frac, weight = rule[0]
+        weight = weight.copy()
+        node = len(weight) // 2 - 2  # u = -1: most nodes' ulp is lost in the sum
+        weight[node] = np.nextafter(weight[node], np.inf)
+        rule[0] = (h, left, frac, weight)
+        monkeypatch.setattr(mf, "_TS_RULE", tuple(rule))
+        assert any(mf._integral(fn, lo, hi).tobytes() != _integral_per_call(fn, lo, hi).tobytes()
+                   for fn, lo, hi in self._cases())
+
+    def test_no_rule_arithmetic_per_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the rule is rebuilt")
+
+        fn, lo, hi = self._cases()[0]
+        want, arange, ranges = mf._integral(fn, lo, hi), np.arange, []
+        for name in ("sinh", "cosh", "exp"):
+            monkeypatch.setattr(np, name, refuse)
+        monkeypatch.setattr(np, "arange", lambda *args: ranges.append(args) or arange(*args))
+        assert mf._integral(fn, lo, hi).tobytes() == want.tobytes()
+        assert ranges == [(len(hi),)]  # the row index; no node index
+
+    @pytest.mark.parametrize("config", [README_METRIC, {"kind": "flrw", "a_expr": "t**0.5"}],
+                             ids=["readme", "a_expr"])
+    def test_one_time_takes_no_sort_and_keeps_its_bits(self, config, monkeypatch):
+        m, t = mf.metric_from_config(config), 1.37
+        many = np.array([2.0, t, 0.8, t, 2.0, 5.0])
+        want = {fn: fn(m, many, 0.3)[1] for fn in (mf.conformal_time, mf.affine_length)}
+        assert all(want[fn] == fn(m, many, 0.3)[3] for fn in want)
+        unique, sorts = np.unique, []
+
+        def counting_unique(*args, **kwargs):
+            sorts.append(np.shape(args[0]))
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting_unique)
+        for fn, value in want.items():
+            for one in (t, np.array(t), np.array([t])):
+                got = fn(m, one, 0.3)
+                assert np.shape(got) == np.shape(one)  # a 0-d time, as a float, gives a float
+                assert np.asarray(got).tobytes() == np.full(np.shape(one), value).tobytes()
+        assert sorts == []
+        mf.conformal_time(m, many, 0.3)
+        assert sorts == [(6,)]
+
+
 class TestFutureNullDirections:
     def test_flat_space_dictionary(self):
         # the covector (1, 0) labels the null vector annihilated by it
