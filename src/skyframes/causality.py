@@ -46,6 +46,10 @@ from .sky import SkySample, sample_sky
 #: that verdicts do not depend on the scale of the events.
 BALL_TOL = 1e-9
 
+#: Three coordinate differences below this have a finite sum of squares
+#: (`separation`).
+_SQUARE_SAFE = 2.0**510
+
 #: Points per winding-number pass in Mesh.contains_points; bounds the
 #: (points x triangles) temporaries of a query.
 MESH_POINT_CHUNK = 128
@@ -215,18 +219,22 @@ def analytic_region(f: fr.FrameSpec, x) -> Ball | None:
     if not mf._t_only(f.metric):
         return None
     x = np.asarray(x, dtype=float)
-    t, *center = event = x.tolist()
-    (t_lo, t_hi), *spans = f.metric.bounds.tolist()
+    t, cx, cy, cz = event = x.tolist()
+    (t_lo, t_hi), (x_lo, x_hi), (y_lo, y_hi), (z_lo, z_hi) = f.metric.bounds.tolist()
     if not t_lo < t < t_hi:
         raise OutOfDomainError("an event lies outside the chart domain")
     radius = mf.conformal_time(f.metric, t, f.target_time)
-    if f.target_time <= t and (t == f.target_time or 0.0 < radius < math.inf) and all(
-        lo + radius < c < hi - radius for c, (lo, hi) in zip(center, spans)
+    if (
+        f.target_time <= t
+        and (t == f.target_time or 0.0 < radius < math.inf)
+        and x_lo + radius < cx < x_hi - radius
+        and y_lo + radius < cy < y_hi - radius
+        and z_lo + radius < cz < z_hi - radius
     ):
         return Ball(center=x[1:], radius=radius)
     # A ball inside the spatial bounds has its centre inside them, so only a
     # failed ball test needs the spatial part of the domain test.
-    if not all(lo < c < hi for c, (lo, hi) in zip(center, spans)):  # NaN is outside
+    if not (x_lo < cx < x_hi and y_lo < cy < y_hi and z_lo < cz < z_hi):  # NaN is outside
         raise OutOfDomainError("an event lies outside the chart domain")
     if t < f.target_time:
         raise NoIntersectionError(f"event {event} lies below the target")
@@ -276,10 +284,18 @@ def past_regions(f: fr.FrameSpec, x, y, sample: SkySample | None = None):
 def separation(a: Ball, b: Ball) -> float:
     """The distance between the centres of two balls: np.linalg.norm's, bit
     for bit, down to `spinor.SQUARE_UNDERFLOW`, below which the squares
-    underflow and `spinor.euclidean_norm` scales them; inf where it overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = a.center - b.center
-        gap = math.sqrt(d.dot(d))  # np.linalg.norm's own sum
+    underflow and `spinor.euclidean_norm` scales them; inf where it overflows.
+    The difference is taken in Python floats, which flag no overflow, and
+    its sum of squares is d.dot(d), np.linalg.norm's own, under a quiet
+    error state only where a square can overflow."""
+    (ax, ay, az), (bx, by, bz) = a.center.tolist(), b.center.tolist()
+    dx, dy, dz = ax - bx, ay - by, az - bz
+    d = np.array((dx, dy, dz))
+    if max(abs(dx), abs(dy), abs(dz)) < _SQUARE_SAFE:  # a NaN may pass: it flags nothing
+        gap = math.sqrt(d.dot(d))
+    else:  # inf beyond float range
+        with np.errstate(over="ignore"):
+            gap = math.sqrt(d.dot(d))
     return gap if gap >= spinor.SQUARE_UNDERFLOW else float(spinor.euclidean_norm(d))
 
 

@@ -310,15 +310,17 @@ def _t_legs(m: MetricSpec, t, rate=True):
     whether some (g00, g11) are not finite with the signature (+, -, -, -):
     (1, a, a'/a) on flat and FLRW charts, never lost (`scale_factor`
     refuses a <= 0), and (sqrt(g00), sqrt(-g11), (d g11 / dt) / (2 g11))
-    on isotropic custom charts from one `t_jet` evaluation.  The callers
+    on isotropic custom charts from one evaluation of the coefficients,
+    `t_jet` with the rate and `values` (no partial) without.  The callers
     run it under a quiet error state: the legs of a lost signature are NaN."""
     if m.kind != "custom":
         a = m.scale_factor(t)
         return 1.0, a, m.scale_factor_dot(t) * (1.0 / a) if rate else None, False
-    g00, g11, dg11 = m._expressions.t_jet((t,))
-    lost = not 0.0 < g00.min(initial=1.0) <= g00.max(initial=1.0) < np.inf
-    lost |= not -np.inf < g11.min(initial=-1.0) <= g11.max(initial=-1.0) < 0.0
-    return np.sqrt(g00), np.sqrt(-g11), dg11 / (2.0 * g11) if rate else None, lost
+    g = (m._expressions.t_jet if rate else m._expressions.values)((t,))
+    signed = g[:2] * _SIGNATURE[:2]  # (g00, -g11)
+    lost = not 0.0 < signed.min(initial=1.0) <= signed.max(initial=1.0) < np.inf
+    e0, a = np.sqrt(signed)
+    return e0, a, g[2] / (2.0 * g[1]) if rate else None, lost
 
 
 def _t_rates(m: MetricSpec, s, log):
@@ -629,17 +631,28 @@ _TS_RANGE, _TS_STEP, _TS_LEVELS, _TS_TOL = 6.5, 0.5, 8, 1e-13
 
 
 def _ts_rule():
-    """`_integral`'s rule, one row per level: the step h, and for the new
-    nodes u of the level (every node at level 0) whether u <= 0, the
-    fraction q / (1 + q) of the interval between a node and its nearer end,
-    and the weight pi cosh u / (1 + q) of that gap."""
-    rule = []
+    """`_integral`'s rule, one row per integrand call: levels 0 and 1 share
+    the first, as level 0 compares its estimate with 0 and so settles only
+    a row whose sum is 0 (or overflows), and each later level has its own.
+    A row holds the step h and the count of new nodes u of each of its
+    levels (every node at level 0), and, stacked level by level (levels, 1,
+    nodes), whether u <= 0, the fraction q / (1 + q) of the interval between
+    a node and its nearer end, and the weight pi cosh u / (1 + q) of that
+    gap.  Level 1's 26 nodes are padded to level 0's 27 with a node of
+    fraction 0, on an end, whose term is never read."""
+    levels = []
     for level in range(_TS_LEVELS):
         h = _TS_STEP / 2**level
         j = np.arange(-int(_TS_RANGE / h), int(_TS_RANGE / h) + 1)
         u = h * (j if level == 0 else j[j % 2 == 1])  # new nodes only
         q = np.exp(-np.pi * np.abs(np.sinh(u)))  # underflows to 0 before |u| = 6.2
-        rule.append((h, u <= 0, q / (1 + q), np.pi * np.cosh(u) / (1 + q)))
+        levels.append((h, u <= 0, q / (1 + q), np.pi * np.cosh(u) / (1 + q)))
+    rule = []
+    for row in (levels[:2], *([level] for level in levels[2:])):
+        width = len(row[0][1])  # the first level has the most nodes
+        pad = lambda a: np.concatenate([a, np.zeros(width - len(a), a.dtype)])  # False, 0 and 0
+        steps = tuple((h, len(left)) for h, left, _, _ in row)
+        rule.append((steps, *(np.stack([pad(lv[k]) for lv in row])[:, None] for k in (1, 2, 3))))
     return tuple(rule)
 
 
@@ -735,32 +748,44 @@ def _lorentzian_legs(m: MetricSpec, t):
 
 def _integral(fn, lo, hi):
     """Integrals of fn >= 0 from lo to each time of the array hi: tanh-sinh
-    quadrature, one fn call per level for the times whose last two levels
-    differ.  With q = exp(-pi |sinh u|) a node lies gap = (hi - lo) q / (1 + q)
-    from its nearer end and weighs gap pi cosh u / (1 + q), so nodes reach
-    the float floor at a singular end and nothing overflows.  A node on an
-    end (gap 0) weighs 0 and fn is not called there, so a(0) = 0 at the
-    singularity is never read.  A non-finite term, or levels that never
-    agree (terms that do not decay at an end), raise DivergentIntegralError;
-    the sign of fn is the caller's (`MetricSpec.scale_factor`).  The nodes
-    and weights are built once, at import (`_TS_RULE`)."""
+    quadrature, level by level for the times whose last two levels differ,
+    one fn call for levels 0 and 1 together and one per later level.  With
+    q = exp(-pi |sinh u|) a node lies gap = (hi - lo) q / (1 + q) from its
+    nearer end and weighs gap pi cosh u / (1 + q), so nodes reach the float
+    floor at a singular end and nothing overflows.  A node on an end (gap
+    0) weighs 0 and fn is not called there, so a(0) = 0 at the singularity
+    is never read.  Each level takes its sum, its settle test and its
+    non-finite term from its own nodes: a non-finite term, or levels that
+    never agree (terms that do not decay at an end), raise
+    DivergentIntegralError; the sign of fn is the caller's
+    (`MetricSpec.scale_factor`).  fn sees level 0's nodes row by row, then
+    level 1's, so an error fn raises itself names the node of a call per
+    level, unless level 0 has a non-finite term or settles that node's row
+    (a sum of 0), which a call per level would find before reading level
+    1.  The nodes and weights are built once, at import (`_TS_RULE`)."""
     rows, total = np.arange(len(hi)), np.zeros(len(hi))
-    for h, left, frac, weight in _TS_RULE:
-        end, last = hi[rows, None], total[rows]
-        gap = (end - lo) * frac
+    for steps, left, frac, weight in _TS_RULE:
+        end = hi[rows, None]
+        gap = (end - lo) * frac  # (levels, rows, nodes)
         t = np.where(left, lo + gap, end - gap)
         inner, f = gap != 0, np.zeros(t.shape)  # nodes on an end are left out
         with np.errstate(all="ignore"):  # a non-finite term is named below
             f[inner] = fn(t[inner])
             terms = gap * weight * f
-        bad = ~np.isfinite(terms)
-        if np.any(bad):
-            raise DivergentIntegralError(f"integrand {f[bad][0]:.3g} at t = {t[bad][0]:.12g}")
-        new = last / 2 + h * terms.sum(axis=1)
-        settled = np.abs(new - last) <= _TS_TOL * np.abs(new)
-        total[rows], rows = new, rows[~settled]
-        if not len(rows):
-            return total
+        keep = slice(None)  # a row of the rule holds at most two levels
+        for level, (h, n) in enumerate(steps):
+            part = terms[level, keep, :n]  # the rows unsettled at the level before
+            bad = ~np.isfinite(part)
+            if bad.any():
+                value, at = f[level, keep, :n][bad][0], t[level, keep, :n][bad][0]
+                raise DivergentIntegralError(f"integrand {value:.3g} at t = {at:.12g}")
+            last = total[rows]
+            new = last / 2 + h * part.sum(axis=1)
+            settled = np.abs(new - last) <= _TS_TOL * np.abs(new)
+            keep = ~settled
+            total[rows], rows = new, rows[keep]
+            if not len(rows):
+                return total
     raise DivergentIntegralError("quadrature did not converge")
 
 

@@ -10,7 +10,7 @@ from skyframes import causality as ca
 from skyframes import frames as fr
 from skyframes import manifold as mf
 from skyframes import minkowski as mk
-from skyframes import sky
+from skyframes import sky, spinor
 from skyframes.errors import (
     InsufficientSamplesError,
     NoIntersectionError,
@@ -186,6 +186,33 @@ class TestBallErrors:
             assert ca.separation(rx, ry) == np.inf
             with pytest.raises(OutOfDomainError, match="separation of the past regions"):
                 ca.causal_relation(rx, ry)
+
+    def test_separation_is_numpys_norm_at_powers_of_two(self):
+        # seeded centres scaled by 2^k, down to where the squares underflow
+        # (`spinor.euclidean_norm` scales them there) and up past 1e150
+        # apart, where the squares leave the fast path, to an infinite norm
+        rng = np.random.default_rng(44)
+        apart = []
+        for k in (*range(-505, 1023, 9), *range(495, 516)):  # 2^495 is 1e149
+            for a, b in np.ldexp(rng.uniform(-1.0, 1.0, (20, 2, 3)), k):
+                with np.errstate(over="ignore"):
+                    want = np.linalg.norm(a - b)
+                if want >= spinor.SQUARE_UNDERFLOW:
+                    got = ca.separation(ca.Ball(a, 1.0), ca.Ball(b, 1.0))
+                    assert np.float64(got).tobytes() == want.tobytes(), (k, a, b)
+                    apart.append(want)
+        apart = np.array(apart)
+        assert apart.min() < 1e-150 and apart.max() == np.inf
+        assert np.count_nonzero((1e150 <= apart) & (apart < np.inf)) > 100
+
+    @pytest.mark.parametrize("far", [([5e307, 0, 0], [-5e307, 0, 0]), ([1e308, 0, 0], [-1e308, 0, 0])],
+                             ids=["square-overflows", "difference-overflows"])
+    def test_far_centres_raise_no_floating_point_error(self, far):
+        a, b = (ca.Ball(c, 1.0) for c in far)
+        with np.errstate(all="raise"):
+            assert ca.separation(a, b) == np.inf
+            with pytest.raises(OutOfDomainError, match="separation of the past regions"):
+                ca._contains(a, b)
 
 
 class TestBallContainment:

@@ -619,7 +619,8 @@ def _integral_per_call(fn, lo, hi):
 
 class TestQuadratureRule:
     """`_integral` reads its nodes and weights from a table built once at
-    import, and keeps the bits of the rule computed on every call."""
+    import, calls the integrand once for levels 0 and 1, and keeps the bits
+    of the rule computed on every call, one call per level."""
 
     @staticmethod
     def _cases():
@@ -641,14 +642,92 @@ class TestQuadratureRule:
     def test_one_ulp_on_one_weight_moves_the_bits(self, monkeypatch):
         # the comparison above sees a table that is off by one ulp
         rule = list(mf._TS_RULE)
-        h, left, frac, weight = rule[0]
+        steps, left, frac, weight = rule[0]
         weight = weight.copy()
-        node = len(weight) // 2 - 2  # u = -1: most nodes' ulp is lost in the sum
+        node = (0, 0, weight.shape[-1] // 2 - 2)  # level 0's u = -1: most nodes' ulp is lost in the sum
         weight[node] = np.nextafter(weight[node], np.inf)
-        rule[0] = (h, left, frac, weight)
+        rule[0] = (steps, left, frac, weight)
         monkeypatch.setattr(mf, "_TS_RULE", tuple(rule))
         assert any(mf._integral(fn, lo, hi).tobytes() != _integral_per_call(fn, lo, hi).tobytes()
                    for fn, lo, hi in self._cases())
+
+    @staticmethod
+    def _readme(k=np.divide):
+        return lambda s, m=mf.metric_from_config(README_METRIC): k(*mf._lorentzian_legs(m, s))
+
+    @staticmethod
+    def _assert_same_bits(fn, lo, hi):
+        assert mf._integral(fn, lo, hi).tobytes() == _integral_per_call(fn, lo, hi).tobytes()
+
+    def test_many_times_that_settle_at_different_levels(self):
+        hi = 0.3 + 10.0 ** np.random.default_rng(44).uniform(-12, 1.5, 200)
+        for k in (np.divide, np.multiply):
+            self._assert_same_bits(self._readme(k), 0.3, hi)
+        levels, fn = set(), self._readme()  # one fn call for levels 0 and 1, then one per level
+        for t in hi:
+            calls = []
+            mf._integral(lambda s: calls.append(s) or fn(s), 0.3, np.array([t]))
+            levels.add(len(calls))
+        assert len(levels) > 1
+
+    @pytest.mark.parametrize("t", [0.3000001, 0.45, 0.6, 1.0, 2.5, 7.0, 40.0])
+    def test_single_times(self, t):
+        for k in (np.divide, np.multiply):
+            self._assert_same_bits(self._readme(k), 0.3, np.array([t]))
+
+    def test_empty_intervals_settle_at_level_0(self):
+        # a zero-width row has no inner node, sums to 0 and settles at
+        # level 0; beside wider rows, level 1 reads the unsettled rows only
+        calls, readme = [], self._readme()
+        fn = lambda s: calls.append(s.size) or readme(s)
+        assert mf._integral(fn, 0.3, np.array([0.3])).tolist() == [0.0] and calls == [0]
+        for hi in ([0.3, 1.0, 0.3, 2.0], [1.0, 0.3]):
+            self._assert_same_bits(fn, 0.3, np.array(hi))
+
+    @pytest.mark.parametrize("lo", [0.0, 1e-300, 0.3, 2.0])
+    def test_one_ulp_wide_intervals(self, lo):
+        # nodes (hi - lo) q / (1 + q) from an end: below 1e-300 some gaps
+        # underflow to 0, and at 0 every one does
+        hi = np.array([np.nextafter(lo, np.inf), 1.0])
+        for k in (np.divide, np.multiply):
+            self._assert_same_bits(self._readme(k), lo, hi)
+
+    @staticmethod
+    def _level_nodes(lo, hi):
+        """The inner nodes of levels 0 and 1 as a call per level sees them."""
+        calls = []
+        _integral_per_call(lambda s: calls.append(s.copy()) or np.ones(s.shape), lo, hi)
+        return calls[:2]
+
+    def test_a_non_finite_term_is_named_by_its_level(self):
+        # terms of level 0 are tested before those of level 1, so a bad node
+        # on each names level 0's, and a bad node on level 1 alone its own
+        hi = np.array([1.0])
+        level0, level1 = self._level_nodes(0.0, hi)
+        bad0, bad1 = level0[10], level1[5]
+        for bad, named in (([bad1, bad0], bad0), ([bad1], bad1)):
+            fn = lambda s, bad=bad: np.where(np.isin(s, bad), np.inf, 1.0)
+            with pytest.raises(DivergentIntegralError,
+                               match=re.escape(f"integrand inf at t = {named:.12g}")):
+                mf._integral(fn, 0.0, hi)
+
+    def test_an_error_the_integrand_raises_names_the_level_0_node_first(self):
+        # one call holds every level-0 node, row by row, before any level-1
+        # node, so the first bad node is the one a call per level meets
+        hi = np.array([1.0, 2.0])
+        level0, level1 = self._level_nodes(0.0, hi)
+        row0_level1, row1_level0 = level1[5], level0[len(level0) - 5]
+        assert row0_level1 < 1.0 < row1_level0
+
+        def fn(s):
+            bad = np.isin(s, [row0_level1, row1_level0])
+            if bad.any():
+                raise DivergentIntegralError(f"bad at t = {s[bad][0]!r}")
+            return np.ones(s.shape)
+
+        for integral in (mf._integral, _integral_per_call):
+            with pytest.raises(DivergentIntegralError, match=re.escape(f"t = {row1_level0!r}")):
+                integral(fn, 0.0, hi)
 
     def test_no_rule_arithmetic_per_call(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -1568,6 +1647,18 @@ class TestIsotropicCustomCharts:
         )
         _t_march(m, x0[:, 0], y0, 0.3, 64)
         assert sizes == [64 * 2] * 3
+
+    def test_three_leg_evaluations_per_conformal_time(self, monkeypatch):
+        # the event, levels 0 and 1 together (25 + 24 inner nodes) and level
+        # 2 (50), each from the coefficients alone: no d g11 / dt
+        m = mf.metric_from_config(README_METRIC)
+        sizes, jets = [], []
+        for name, seen in (("values", sizes), ("t_jet", jets)):
+            spied = getattr(m._expressions, name)
+            monkeypatch.setattr(m._expressions, name,
+                                lambda rows, f=spied, seen=seen: seen.append(rows[0].size) or f(rows))
+        mf.conformal_time(m, 1.0, 0.3)
+        assert sizes == [1, 25 + 24, 50] and jets == []
 
 
 class TestIsotropicSignatureGuard:
