@@ -287,15 +287,14 @@ def separation(a: Ball, b: Ball) -> float:
     underflow and `spinor.euclidean_norm` scales them; inf where it overflows.
     The difference is taken in Python floats, which flag no overflow, and
     its sum of squares is d.dot(d), np.linalg.norm's own, under a quiet
-    error state only where a square can overflow."""
+    error state only where a square can under- or overflow."""
     (ax, ay, az), (bx, by, bz) = a.center.tolist(), b.center.tolist()
-    dx, dy, dz = ax - bx, ay - by, az - bz
-    d = np.array((dx, dy, dz))
-    if max(abs(dx), abs(dy), abs(dz)) < _SQUARE_SAFE:  # a NaN may pass: it flags nothing
+    dx, dy, dz = abs(ax - bx), abs(ay - by), abs(az - bz)  # |d| has d's squares
+    d, lo, hi = np.array((dx, dy, dz)), spinor.SQUARE_UNDERFLOW, _SQUARE_SAFE
+    if (lo <= dx < hi or not dx) and (lo <= dy < hi or not dy) and (lo <= dz < hi or not dz):
+        return math.sqrt(d.dot(d))  # every square is 0 or normal: none flags
+    with np.errstate(over="ignore", under="ignore"):  # inf beyond float range
         gap = math.sqrt(d.dot(d))
-    else:  # inf beyond float range
-        with np.errstate(over="ignore"):
-            gap = math.sqrt(d.dot(d))
     return gap if gap >= spinor.SQUARE_UNDERFLOW else float(spinor.euclidean_norm(d))
 
 

@@ -413,7 +413,7 @@ def _march(m: MetricSpec, t0, y0, t_target, n):
 @dataclass(frozen=True)
 class _Starts:
     """A batch of rays on a chart of t alone, keyed by `_key_starts`: every
-    start is the start of one of the rays at least."""
+    start is the start of one of the rays at least, in `np.unique` order."""
 
     start: np.ndarray  # (B,) each ray's start
     s0: np.ndarray  # (U,) s of each start
@@ -424,28 +424,13 @@ class _Starts:
     t_target: float
     log: bool
 
-    def keep(self, rays):
-        """The rays of the mask rays (B,), keyed by their starts only, in
-        order; the columns are gathered with `np.compress` (row-major)."""
-        used = np.zeros(len(self.s0), dtype=bool)
-        used[self.start[rays]] = True
-        return replace(
-            self,
-            start=(np.cumsum(used) - 1)[self.start[rays]],
-            s0=self.s0[used],
-            span=self.span[used],
-            y0=np.compress(used, self.y0, 1),
-            x0=np.compress(rays, self.x0, 1),
-            n=np.compress(rays, self.n, 1),
-        )
-
 
 def _key_starts(t0, y0, t_target):
-    """The rays of the times t0 (B,) and states y0 (8, B), keyed once by
-    their distinct starts (t0, ln E, lambda), bit for bit, for the levels
-    `_t_level` marches to t_target.  A batch whose 24-byte keys are all
-    equal, as every sky image's are, is one start without a sort; any
-    other goes to `np.unique`."""
+    """The rays of the times t0 (B,) and states y0 (8, B), keyed by their
+    distinct starts (t0, ln E, lambda), bit for bit, for the levels
+    `_t_level` marches to t_target until some of them settle.  A batch
+    whose 24-byte keys are all equal, as every sky image's are, is one
+    start without a sort; any other goes to `np.unique`."""
     log = t_target > 0.0
     keys = np.column_stack([t0, y0[6], y0[7]])
     bits = keys.view(np.uint64)  # (B, 3)
@@ -552,13 +537,13 @@ def trace_past_to_time(m: MetricSpec, x0, v0, t_target):
     level before), and each row comes back with the state and code of the
     level that settled it: a batch that settles whole on one level is that
     level's result, and only a batch whose rows settle apart is assembled.
-    On a chart of t alone the starts are keyed once, and re-keyed to those
-    of the unsettled rows when some settle; each level marches them and
-    places the rows (`_t_level`).  On any other chart, and at a level that
-    `_t_level` gives None for (a lost signature), each level is a `_march`
-    of the unsettled rows.  Raises OutOfDomainError for a start event
-    outside the domain or below the level, t < t_target exactly; a start on
-    the level ends at its own point with lambda 0.
+    The ladder holds one copy of the unsettled rows' times and states,
+    compressed when some settle, and each level takes it as it is: on a
+    chart of t alone, `_t_level` with their starts keyed anew after each
+    such settle; on any other chart, and at a level that `_t_level` gives
+    None for (a lost signature), a `_march`.  Raises OutOfDomainError for a
+    start event outside the domain or below the level, t < t_target
+    exactly; a start on the level ends at its own point with lambda 0.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 1:
@@ -568,13 +553,12 @@ def trace_past_to_time(m: MetricSpec, x0, v0, t_target):
         raise OutOfDomainError(f"start event {x0[outside][0].tolist()} outside the domain")
     if np.any(x0[:, 0] < t_target):
         raise OutOfDomainError("some start events lie below the target level")
-    y0 = _bundle_start(m, x0, v0)
-    live = np.arange(len(x0))  # the rows of the batch not yet settled
-    starts = _key_starts(x0[:, 0], y0, t_target) if _t_only(m) else None
+    live, t0, y0 = np.arange(len(x0)), x0[:, 0], _bundle_start(m, x0, v0)  # the unsettled rows
+    starts = _key_starts(t0, y0, t_target) if _t_only(m) else None
 
     def level(n):
         res = None if starts is None else _t_level(m, starts, n)
-        return res or _march(m, x0[live, 0], np.take(y0, live, 1), t_target, n)
+        return res or _march(m, t0, y0, t_target, n)
 
     parts, n = [], GRID_START  # (rows of the batch, their result) as they settle
     coarse = level(n)
@@ -587,9 +571,10 @@ def trace_past_to_time(m: MetricSpec, x0, v0, t_target):
             live = live[:0]
         elif done.any():
             parts.append((live[done], _rows(fine, done)))
-            live, fine = live[~done], _rows(fine, ~done)
+            live, t0, fine = live[~done], t0[~done], _rows(fine, ~done)
+            y0 = np.compress(~done, y0, 1)
             if starts is not None:
-                starts = starts.keep(~done)
+                starts = _key_starts(t0, y0, t_target)
         coarse = fine
     if len(live):  # unsettled at GRID_CAP: the last level's state
         parts.append((live, replace(coarse, reason=np.full(len(live), UNSETTLED, np.int8))))

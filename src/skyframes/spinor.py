@@ -70,6 +70,7 @@ def power_of_two_scaled(a, big):
     return np.ldexp(a, -e), e
 
 
+@np.errstate(under="ignore")  # whatever the caller's state: the scaled copy mends it
 def euclidean_norm(v):
     """Euclidean norms over the last axis of v (..., k), those of
     np.linalg.norm(v, axis=-1) bit for bit down to SQUARE_UNDERFLOW; a row

@@ -481,6 +481,41 @@ class TestDistancesWhoseSquaresUnderflow:
     def test_a_small_mesh_and_a_far_ball_are_disjoint(self):
         assert ca._regions_disjoint(_octahedron(1e-200), self.FAR)
 
+    def test_a_raising_error_state_reads_the_verdict_of_the_default_one(self):
+        # under all="raise" the underflow of 1e-170's square raised in
+        # `separation`'s d.dot(d), before its scaled fallback ran
+        spec = fr.FrameSpec(metric=mf.MetricSpec.minkowski(), target=fr.CauchySurface(0.0))
+        x, y = [1.0, 0, 0, 0], [1.0, 1e-170, 0, 0]
+        assert ca.causal_relation(*ca.past_regions(spec, x, y)) is mk.CausalOrder.EQUAL
+        with np.errstate(all="raise"):
+            assert ca.causal_relation(*ca.past_regions(spec, x, y)) is mk.CausalOrder.EQUAL
+            assert ca._regions_disjoint(self.NEAR, self.FAR)
+
+    @pytest.mark.parametrize(
+        "d", [[1.0, 1e-170, 0.0], [1e-170, 0.0, 0.0], [1e-170, -1e-170, 2e-160], [-3e-300, 0, 4e-300]]
+    )
+    def test_separations_keep_their_bits_under_a_raising_error_state(self, d):
+        a, b = ca.Ball([0.0, 0, 0], 1.0), ca.Ball(d, 1.0)
+        want = ca.separation(a, b)
+        with np.errstate(all="raise"):
+            assert np.float64(ca.separation(a, b)).tobytes() == np.float64(want).tobytes()
+            assert np.float64(ca.separation(b, a)).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("d", [[0.0, 0, 0], [1.0, -0.0, 2.0], [2.0**-511, 0, -(2.0**509)]])
+    def test_the_common_path_takes_no_error_state(self, monkeypatch, d):
+        # every nonzero difference between `spinor.SQUARE_UNDERFLOW` and
+        # `_SQUARE_SAFE`: no square under- or overflows, and no errstate
+        # is paid for in a causal_mesh op or a ball query
+        a, b = ca.Ball([0.0, 0, 0], 1.0), ca.Ball(d, 1.0)
+        want = np.linalg.norm(d)
+
+        def refused(*args, **kw):
+            raise AssertionError("an error state or a rescale on the common path")
+
+        monkeypatch.setattr(np, "errstate", refused)
+        monkeypatch.setattr(spinor, "euclidean_norm", refused)  # nor the scaled fallback
+        assert np.float64(ca.separation(a, b)).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("scale", [1.0, 1e-100, 1e-150, 1e-200, 1e-300])
     def test_a_small_mesh_holds_what_it_holds_at_scale_1(self, scale):
         # at 1e-100, 1e-200 and 1e-300 the point just outside a face read as

@@ -34,9 +34,10 @@ def test_two_runs_of_the_working_tree_agree(digests):
 def test_the_matrix_covers_both_tracers_errors_and_the_cli(digests):
     names = list(digests.cases())
     near = len(digests.NEAR_CHARTS) * len(digests.NEAR)
-    legs = len(digests.LEGS)
-    assert len(names) == len(set(names)) == 10 * 3 * 3 + near + legs + 4 + len(digests.CLI) == 135
-    assert near == 15 and legs == 2
+    legs, apart = len(digests.LEGS), len(digests.APART)
+    total = 10 * 3 * 3 + near + legs + apart + 4 + len(digests.CLI)
+    assert len(names) == len(set(names)) == total == 137
+    assert near == 15 and legs == 2 and apart == 2
     assert {"readme", "readme-numeric", "p2/3-numeric"} <= set(digests.NEAR_CHARTS)
     assert {digests.CHARTS[c][2] for c in digests.CHARTS} == {"auto", "numeric"}
     assert sum(name.startswith("cli/verify/") for name in names) == 6
@@ -45,6 +46,27 @@ def test_the_matrix_covers_both_tracers_errors_and_the_cli(digests):
     # a null pauli vector and the two radii that underflow above the target
     assert {"cli/pauli/null-7,2,3,6", "cli/causal/p3-radius-underflow",
             "cli/causal/p-1-radius-underflow"} <= set(names)
+
+
+@pytest.mark.parametrize("name, route", [("p2/3-box", "_t_level"), ("anisotropic-box", "_march")])
+def test_the_apart_cases_settle_apart(digests, monkeypatch, name, route):
+    # some rays leave the box while the others refine, so that a level
+    # settles some rows of a batch only, on each route of the tracer
+    from skyframes import manifold as mf
+
+    masks, calls, settled = [], {"_t_level": 0, "_march": 0}, mf._settled
+    monkeypatch.setattr(mf, "_settled", lambda c, f: masks.append(settled(c, f)) or masks[-1])
+    for level in calls:
+        def counted(*args, level=level, fn=getattr(mf, level)):
+            calls[level] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(mf, level, counted)
+    outputs = digests.cases()[f"apart/{name}"]()
+    assert any(0 < mask.sum() < len(mask) for mask in masks)
+    assert calls[route] > 0 and sum(calls.values()) == calls[route]
+    status = outputs["image.status"].split("\n")
+    assert len(status) == 200 and 0 < status.count("ok") < 200
 
 
 def test_differences_name_the_outputs_that_moved(digests):

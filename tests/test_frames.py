@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import math
 import re
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from skyframes import causality as ca
 from skyframes import cli
@@ -364,6 +366,82 @@ class TestFlatSpaceIsThePowerLawOfExponentZero:
         for f in self._frames():
             with pytest.raises(NoIntersectionError, match="lies below the target"):
                 ca.analytic_region(f, np.array(self.EVENTS[3]))
+
+
+class TestPowerLawSelfSimilarity:
+    """On a = t^p the map t -> c t, x -> c^(1-p) x scales the metric by c^2,
+    so it carries null rays to null rays and the singularity to itself;
+    with dt/dlambda = 1 at the event, the image of the scaled event is the
+    scaled image and lambda scales by c.  With c = 2^(m j) and c^(1-p) =
+    2^j (p = 2/3 and m = 3, p = 1/2 and m = 2, flat space to t = 0 and
+    m = 1) the scaling is exact, so the oracle is the closed-form image at
+    j = 0, over every j whose scaled event is exact and whose image is
+    finite.  The closed form keeps it to rounding, the numeric tracer to
+    its step-doubling tolerance, and the tangent planes keep rank 2 and
+    their normals down to the rank floor of `tangent_planes`, which reads
+    a round sphere singular below (ROADMAP item 21), on seeded j."""
+
+    X = np.array([1.5, 0.25, -0.5, 0.75])
+    SKY = sky.sample_sky(50)
+    #: name: (metric, target, m, (least j, greatest j), least j of rank 2)
+    CASES = {
+        "p2/3": (mf.MetricSpec.flrw(p=2 / 3), fr.Singularity(), 3, (-357, 341), -26),
+        "p1/2": (mf.MetricSpec.flrw(p=0.5), fr.Singularity(), 2, (-536, 511), -25),
+        "flat": (mf.MetricSpec.minkowski(), fr.CauchySurface(0.0), 1, (-1072, 1022), -24),
+    }
+
+    def _scaled(self, m, j):
+        return np.ldexp(self.X, [m * j, j, j, j])
+
+    def _answers(self, metric, target, tracer, call, *args, **kw):
+        f = fr.FrameSpec(metric=metric, target=target, tracer=tracer)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return call(f, *args, **kw)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_points_and_lambda_scale(self, case):
+        metric, target, m, (lo, hi), _ = self.CASES[case]
+        assert np.array_equal(np.ldexp(self._scaled(m, lo), [-m * lo, -lo, -lo, -lo]), self.X)
+        pts0, lam0, ok0, _ = self._answers(metric, target, "auto", fr.project_batch, self.X,
+                                           self.SKY.xi)
+        assert ok0.all()
+        rng = np.random.default_rng(21)
+        for j in sorted({lo, 0, hi, *rng.integers(lo, hi + 1, 24).tolist()}):
+            want, lam = np.ldexp(pts0, j), np.ldexp(lam0, m * j)
+            size = np.abs(want).max()
+            x = self._scaled(m, j)
+            pts, lams, ok, _ = self._answers(metric, target, "auto", fr.project_batch, x,
+                                             self.SKY.xi)
+            assert ok.all(), j
+            assert np.all(np.abs(pts - want) <= 1e-13 * size + 2.0**-1074), j
+            assert np.all(np.abs(lams - lam) <= 1e-13 * lam), j
+            # the numeric tracer, where it answers: every ray but where t is
+            # subnormal (a'/a = p/t overflows) or at the top j (lambda
+            # overflows on the way), where the rays come back NON_FINITE
+            pts, lams, ok, reason = self._answers(metric, target, "numeric", fr.project_batch,
+                                                  x, self.SKY.xi)
+            assert ok.all() or x[0] < np.finfo(float).tiny or j == hi, j
+            assert np.all(ok | (reason == mf.NON_FINITE)), j
+            scale = np.maximum(1.0, np.maximum(np.abs(want).max(axis=1), lam))[ok]
+            assert np.all(np.abs(pts - want)[ok].max(axis=1) <= 2 * mf.GRID_TOL * scale), j
+            assert np.all(np.abs(lams - lam)[ok] <= 2 * mf.GRID_TOL * scale), j
+
+    @pytest.mark.parametrize("tracer", ["auto", "numeric"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_rank_2_and_equal_normals_down_to_the_rank_floor(self, case, tracer):
+        # h, the step of the time family that orients the normals, scales
+        # with t, so that x - h stays above the singularity
+        metric, target, m, _, floor = self.CASES[case]
+        planes = lambda j: self._answers(metric, target, tracer, fr.tangent_planes,
+                                         self._scaled(m, j), self.SKY.xi,
+                                         h=np.ldexp(1e-4, m * j), normals=True)
+        want = planes(0).normals
+        rng = np.random.default_rng(22)
+        for j in sorted({floor, 0, *rng.integers(floor, 101, 8).tolist()}):
+            tp = planes(j)
+            assert np.all(tp.ranks == 2), j
+            assert np.abs(tp.normals - want).max() <= 1e-9, j
 
 
 class TestFrameSpec:
@@ -845,6 +923,85 @@ class TestConformallyFlatChartOracle:
         for event, pts in zip(self.EVENTS, want):
             errors, got = self._errors(event)
             assert np.array_equal(got, pts) and errors[2] > self.BOUNDS[2]
+
+
+def _scale_n_slope(slope, factor):
+    """`_bundle_slope` with its n slope scaled by factor."""
+
+    def mutant(m, s, y, log):
+        out = slope(m, s, y, log)
+        out[3:6] *= factor
+        return out
+
+    return mutant
+
+
+class TestAnisotropicChartOracle:
+    """On a diagonal chart of t alone the covariant momenta g_ii v^i are
+    conserved, so with legs e_a = sqrt|g_aa| and the event's unit tetrad
+    direction d, q_i = e_i(t_x) d_i fixes each ray: dx^i/dt = (q_i / e_i^2)
+    e0 / sqrt(sum_j q_j^2 / e_j^2) and, with dt/dlambda = 1 at the event,
+    dlambda/dt = e0 / (e0(t_x) sqrt(sum_j q_j^2 / e_j^2)).  Each end point
+    coordinate and each affine length is then one `scipy.integrate.quad`
+    from the target to t_x, with the legs written out here, apart from the
+    expression compiler.  The charts are anisotropic, so every ray takes
+    the per-node loop (`_march`); its rows must match to the ladder's own
+    tolerance, GRID_TOL max(1, |end|) (the largest errors, over 200 random
+    sky points, are 0.008, 0.14 and 0.69 of it on the three charts), and a
+    slope whose n rate is scaled by 0.98 fails by a factor of 100 or more."""
+
+    BOUNDS = [[0, None], [None, None], [None, None], [None, None]]
+    #: name: (coefficients, their legs e0..e3 at t, event time, Cauchy target)
+    CHARTS = {
+        "g22": (["1", "-1", "-(1 + 0.5*t)**2", "-1"],
+                lambda t: (1.0, 1.0, 1.0 + 0.5 * t, 1.0), 1.0, 0.0),
+        "band": (["1", "-(t-0.5)**2", "-1", "-1"],
+                 lambda t: (1.0, abs(t - 0.5), 1.0, 1.0), 1.4, 0.6),
+        "three-exponents": (["1", "-(1+t)**2", "-(1+t)**1.2", "-(1+t)**0.5"],
+                            lambda t: (1.0, 1.0 + t, (1.0 + t) ** 0.6, (1.0 + t) ** 0.25),
+                            2.0, 0.0),
+    }
+
+    @staticmethod
+    def _quadrature(legs, x, d, t_target):
+        """The end point and affine length (4,) of the ray from the event x
+        along the unit tetrad direction d, by conserved momenta."""
+        e0x, *ex = legs(x[0])
+        q = [e * di for e, di in zip(ex, d)]
+
+        def rate(t, i):  # dx^i/dt for i < 3, dlambda/dt for i = 3
+            e0, e1, e2, e3 = legs(t)
+            u = (q[0] / (e1 * e1), q[1] / (e2 * e2), q[2] / (e3 * e3))
+            r = e0 / math.sqrt(q[0] * u[0] + q[1] * u[1] + q[2] * u[2])
+            return u[i] * r if i < 3 else r / e0x
+
+        out = [quad(rate, t_target, x[0], args=(i,), epsabs=1e-13, epsrel=1e-13) for i in range(4)]
+        assert max(err for _, err in out) < 1e-10
+        (dx, _), (dy, _), (dz, _), (lam, _) = out
+        return np.array([x[1] - dx, x[2] - dy, x[3] - dz, lam])
+
+    def _errors(self, chart):
+        """The errors of the numeric tracer's 200 rows (end point, lambda)
+        in units of GRID_TOL max(1, |end|)."""
+        coeffs, legs, t_x, t_target = self.CHARTS[chart]
+        m = mf.metric_from_config({"kind": "custom", "coeffs": coeffs, "bounds": self.BOUNDS})
+        f = fr.FrameSpec(metric=m, target=fr.CauchySurface(t_target), tracer="numeric")
+        x, sample = np.array([t_x, 0.1, -0.2, 0.3]), sky.sample_sky(200, "random", seed=5)
+        pts, lams, ok, _ = fr.project_batch(f, x, sample.xi)
+        assert ok.all()
+        want = np.array([self._quadrature(legs, x.tolist(), d, t_target)
+                         for d in sample.directions().tolist()])
+        scale = mf.GRID_TOL * np.maximum(1.0, np.abs(want).max(axis=1))
+        return np.abs(np.column_stack([pts, lams]) - want).max(axis=1) / scale
+
+    @pytest.mark.parametrize("chart", list(CHARTS))
+    def test_end_points_and_affine_lengths(self, chart):
+        assert self._errors(chart).max() <= 1.0
+
+    @pytest.mark.parametrize("chart", list(CHARTS))
+    def test_a_scaled_n_slope_fails(self, monkeypatch, chart):
+        monkeypatch.setattr(mf, "_bundle_slope", _scale_n_slope(mf._bundle_slope, 0.98))
+        assert self._errors(chart).max() > 100.0
 
 
 class TestUnsettledNumericImage:

@@ -908,6 +908,13 @@ def _record_levels(monkeypatch):
     return levels
 
 
+def _record_settles(monkeypatch):
+    """The masks of the rows that each `_settled` call settles, in order."""
+    masks, settled = [], mf._settled
+    monkeypatch.setattr(mf, "_settled", lambda c, f: masks.append(settled(c, f)) or masks[-1])
+    return masks
+
+
 def _passes(coarse, fine):
     """The step-doubling test of two levels over the rows that arrived at both."""
     both = coarse.ok & fine.ok
@@ -1854,30 +1861,56 @@ class TestLadderOnStarts:
                 for name, value in vars(got).items():
                     assert value.tobytes() == getattr(among, name)[6:].tobytes(), (name, n)
 
+    #: A box about the anisotropic chart g22 = -(1 + 3t)^2: of the 12 rays
+    #: from THREE_STARTS to the level 0, two leave it at N = 4 and 8 and
+    #: settle there with the NaN ray, while the others refine to N = 32, on
+    #: the per-node loop (`_march`).
+    STIFF_BOX = {
+        "kind": "custom",
+        "coeffs": ["1", "-1", "-(1 + 3*t)**2", "-1"],
+        "bounds": [[0, None]] + [[-1.5, 1.5]] * 3,
+    }
+    THREE_STARTS = [1.0] * 4 + [1.5] * 4 + [2.0] * 4
+
     @pytest.mark.parametrize(
-        "cfg, level",
+        "cfg, level, times, width",
         [
-            ({"kind": "flrw", "p": 2 / 3, "bounds": BOX}, 1e-9),
-            ({"kind": "flrw", "a_expr": "1/t"}, 1e-9),
+            ({"kind": "flrw", "p": 2 / 3, "bounds": BOX}, 1e-9, [1.0] * 12, 2.5),
+            ({"kind": "flrw", "a_expr": "1/t"}, 1e-9, [1.0] * 12, 2.5),
+            ({"kind": "flrw", "p": 2 / 3, "bounds": BOX}, 1e-9, [1.0, 1.5, 0.8] * 4, 2.5),
+            (STIFF_BOX, 0.0, THREE_STARTS, 1.0),
         ],
-        ids=["box-cutoff", "grid-cap"],
+        ids=["box-cutoff", "grid-cap", "box-cutoff-starts", "anisotropic-box-starts"],
     )
-    def test_each_row_is_the_level_that_settled_it(self, monkeypatch, cfg, level):
+    def test_each_row_is_the_level_that_settled_it(self, monkeypatch, cfg, level, times, width):
         # rows that fail at two levels settle early, the others when their
         # estimate passes, or never (a = 1/t: the central-difference a'(t)
         # reaches t < 0 near the level); each level holds the unsettled
-        # rows only, and each row of the result is, byte for byte, the
-        # level that settled it (or, unsettled, the last one, lost)
+        # rows only, as a march of those rows gathered from the batch gives
+        # them, and each row of the result is, byte for byte, the level
+        # that settled it (or, unsettled, the last one, lost)
         m, rng = mf.metric_from_config(cfg), np.random.default_rng(2)
-        x0 = np.column_stack([np.ones(12), rng.uniform(-2.5, 2.5, (12, 3))])
+        x0 = np.column_stack([times, rng.uniform(-width, width, (12, 3))])
         v0 = mf.future_null_directions(m, x0, sky.sample_sky(12).directions())
         v0[3] = np.nan
-        levels = _record_levels(monkeypatch)
+        reference = _two_pass_march if mf._t_only(m) else mf._march
+        levels, settles, keys = _record_levels(monkeypatch), _record_settles(monkeypatch), []
+        key_starts = mf._key_starts
+        monkeypatch.setattr(mf, "_key_starts", lambda *a: keys.append(key_starts(*a)) or keys[-1])
         with np.errstate(all="ignore"):
             got = mf.trace_past_to_time(m, x0, v0, level)
+            y0 = mf._bundle_start(m, x0, v0)
+
+        def assert_gathered(n, res, rows):  # the level of the rows marched from the batch's
+            with np.errstate(all="ignore"):
+                want = reference(m, x0[rows, 0], y0[:, rows], level, n)
+            for name, value in vars(want).items():
+                assert getattr(res, name).tobytes() == value.tobytes(), (name, n)
+
         live, coarse, settled_at = np.arange(12), levels[0][1], np.zeros(12, dtype=int)
+        assert_gathered(*levels[0], live)
         for n, fine in levels[1:]:
-            assert len(fine.ok) == len(live)
+            assert_gathered(n, fine, live)
             done = (coarse.ok & fine.ok & _passes(coarse, fine)) | ~(coarse.ok | fine.ok)
             for name, value in vars(fine).items():
                 assert getattr(got, name)[live[done]].tobytes() == value[done].tobytes(), name
@@ -1887,7 +1920,14 @@ class TestLadderOnStarts:
             assert getattr(got, name)[live].tobytes() == getattr(coarse, name).tobytes(), name
         assert not got.ok[live].any() and got.lost[live].all()
         assert not got.lost[settled_at > 0].any()
-        assert len(np.unique(settled_at)) >= 2  # rows settled apart (0: never)
+        assert len(np.unique(settled_at)) >= 2
+        apart = [done for done in settles if 0 < done.sum() < len(done)]
+        assert apart  # the batch settled apart: a level settled some of its rows only
+        if mf._t_only(m):  # keyed once, and again for the rows left after each such settle
+            assert [len(k.start) for k in keys] == [12] + [np.count_nonzero(~d) for d in apart]
+            assert len(keys[0].s0) == len(set(times)) + 1  # the NaN ray keys its own
+        else:
+            assert keys == []
         if cfg.get("a_expr"):
             assert levels[-1][0] == mf.GRID_CAP and 0 < len(live) < 12
 

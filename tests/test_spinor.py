@@ -211,6 +211,19 @@ class TestEuclideanNorm:
         small = ca.Ball([0.0, 0.0, 0.0], 1e-200)
         assert small.contains_points(v).tolist() == [False, False]
 
+    def test_squares_that_underflow_under_a_raising_error_state(self):
+        # a caller's all="raise" turned the harmless underflow of 1e-170's
+        # square into FloatingPointError before the scaled copy could run
+        v = np.array([[1.0, 1e-170, 0.0], [1e-170, 1e-170, 0.0], [3e-300, 0.0, 4e-300]])
+        want = spinor.euclidean_norm(v)
+        with np.errstate(all="raise"):
+            got = spinor.euclidean_norm(v)
+            assert spinor.euclidean_norm(v[0]) == 1.0
+        assert got.tobytes() == want.tobytes()
+        assert want[0] == 1.0
+        scaled = np.linalg.norm(np.ldexp(v[1:], 600), axis=-1)
+        assert want[1:].tolist() == np.ldexp(scaled, -600).tolist()
+
     def test_normal_rows_are_numpys_bit_for_bit(self):
         scales = 10.0 ** np.arange(-150, 150, 1.5)[:, None]
         v = np.random.default_rng(14).normal(size=(200, 4)) * scales

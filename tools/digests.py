@@ -9,7 +9,9 @@ Run from the repository root:
 A case is a sky image, a CLI command or an expected error on one chart.
 The near-target cases are sky images of events on a nonzero Cauchy
 target, one ulp above it and 1e-13 below it; the legs cases are
-numeric-tracer images of events where a(t)^2 under- or overflows.
+numeric-tracer images of events where a(t)^2 under- or overflows; the
+apart cases are numeric-tracer images on bounded charts whose rays settle
+on different grid levels.
 Its digest holds, per output, the SHA-256 of an array's dtype, shape and
 bytes, of a file's or stdout's bytes, or of an error's type and message.
 The outputs are read through names that older trees have too, so that
@@ -110,6 +112,19 @@ NEAR = ("on", "ulp-above", "below")
 LEGS = {
     "p2/3-t1e-300": (P23, "singularity", (1e-300, 0.0, 0.0, 0.0)),
     "p2-t1e90": ({"kind": "flrw", "p": 2.0}, "cauchy:1e89", (1e90, 0.0, 0.0, 0.0)),
+}
+
+#: name: (metric config, target, event) of the apart cases, 200-sample
+#: numeric-tracer images in a box that some rays leave at the first two
+#: grid levels while the others refine, so that each batch settles apart:
+#: on FLRW the ladder keys the starts again (`_t_level`), on the stiff
+#: anisotropic chart it marches node by node (`_march`).
+APART = {
+    "p2/3-box": (dict(P23, bounds=[[0, None]] + [[-2.9, 2.9]] * 3), "singularity",
+                 (1.5, 0.3, -0.4, 0.2)),
+    "anisotropic-box": (dict(ANISOTROPIC, coeffs=["1", "-1", "-(1 + 3*t)**2", "-1"],
+                             bounds=[[0, None]] + [[-1.5, 1.5]] * 3), "cauchy:0",
+                        (1.5, 0.3, -0.4, 0.2)),
 }
 
 #: Event families of the tangent planes with families.
@@ -222,6 +237,14 @@ def _legs_case(name):
     return _sky_outputs(_frame(config, target, "numeric"), np.array(event), 16, families=False)
 
 
+def _apart_case(name):
+    """The outputs of a 200-sample numeric-tracer sky image of an apart case."""
+    import numpy as np
+
+    config, target, event = APART[name]
+    return _sky_outputs(_frame(config, target, "numeric"), np.array(event), 200)
+
+
 def _sky_outputs(f, x, n, families=True):
     """The outputs of the sky image of the event x with n samples on the
     frame f, with the tangent planes of the event families unless told
@@ -319,6 +342,8 @@ def cases():
             table[f"near/{chart}/{where}"] = lambda c=chart, w=where: _near_case(c, w)
     for name in LEGS:
         table[f"legs/{name}"] = lambda name=name: _legs_case(name)
+    for name in APART:
+        table[f"apart/{name}"] = lambda name=name: _apart_case(name)
     for name in ("nan-event", "inf-event", "below-target", "non-finite"):
         table[f"error/{name}"] = lambda name=name: _error_case(name)
     for name in CLI:
