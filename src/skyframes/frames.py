@@ -34,7 +34,8 @@ on one grid and lands on the target level.  Toward the singularity it
 stops at a small cutoff time (or at the lowest event time, when lower) and
 closes the rest along the ray's conserved direction in conformal time, far
 below the image tolerances.  An event lies below the target when t <
-t_target, with no tolerance.
+t_target, with no tolerance.  Both run with numpy's errors ignored,
+whatever the caller's state: a ray that fails is masked or named.
 """
 
 from __future__ import annotations
@@ -124,19 +125,19 @@ class FrameSpec:
             return 0.0
         return self.target.t0
 
-    def probe_values(self, x, xis, directions, h=None) -> ProbeValues:
+    def probe_values(self, x, xis, directions) -> ProbeValues:
         """Probe values at the sky points xis (B, 2) of the events x, one
         event (4,) shared by every row or one per row (B, 4).
 
         Values are taken at the unit representatives.  One tangent_planes
         batch gives each row's oriented normal, the normal rates along the
-        event families x +- h d for the directions (k, 4), and the normal
-        projections of the sky-stencil Jacobian.
+        event families x +- h d for the directions (k, 4), h = EVENT_FD_STEP
+        * max(1, |x|), and the normal projections of the sky-stencil Jacobian.
         """
         xis = np.atleast_2d(np.asarray(xis, dtype=complex))
         xs = np.broadcast_to(np.asarray(x, dtype=float), (len(xis), 4))
         dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-        tp = tangent_planes(self, xs, xis, dirs, h=h, normals=True)
+        tp = tangent_planes(self, xs, xis, dirs, normals=True)
         n_hat = tp.normals[:, :, None]
         rates = (tp.family / (2 * tp.family_h)[:, None, None]) @ n_hat
         return ProbeValues(
@@ -173,6 +174,7 @@ class SkyImage:
     regular_mask = property(lambda self: (self.ranks == 2) & self.ok_mask)
 
 
+@np.errstate(all="ignore")  # every non-finite value is named or masked below
 def project_batch(f: FrameSpec, events, xis):
     """Project rays (an event and a sky point each) onto the target surface.
 
@@ -204,13 +206,9 @@ def project_batch(f: FrameSpec, events, xis):
     reason = _per_ray(np.where(below, np.int8(mf.BELOW_TARGET), np.int8(mf.ARRIVED)), b)
     dirs = spinor.direction_for_cospinor(xis)
     if closed:
-        # numpy's warnings off, as a non-finite ray raises below; an error
-        # state set to raise (the CLI's) still raises first
-        quiet = {k: "ignore" if v == "warn" else v for k, v in np.geterr().items()}
-        with np.errstate(**quiet):
-            eta = mf.conformal_time(f.metric, t, t_target)
-            m_points = rows[:, 1:] - eta[:, None] * dirs
-            lams = np.where(below, 0.0, mf.affine_length(f.metric, t, t_target))
+        eta = mf.conformal_time(f.metric, t, t_target)
+        m_points = rows[:, 1:] - eta[:, None] * dirs
+        lams = np.where(below, 0.0, mf.affine_length(f.metric, t, t_target))
     else:
         m_points, lams = np.empty((b, 3)), np.zeros(b)
         if np.any(march := ~below):
@@ -295,7 +293,8 @@ class TangentPlanes:
     family_h: np.ndarray  # (B,)
 
 
-def tangent_planes(f: FrameSpec, events, xis, directions=None, h=None, normals=False):
+@np.errstate(all="ignore")  # failed rays are masked, and their ranks read 0
+def tangent_planes(f: FrameSpec, events, xis, directions=None, normals=False):
     """Project B (event, sky point) rows together with their tangent planes.
 
     events: one event (4,) shared by every row, or (B, 4); xis: (B, 2).
@@ -303,7 +302,7 @@ def tangent_planes(f: FrameSpec, events, xis, directions=None, h=None, normals=F
     sky-stencil rays and, for every event family direction d in directions
     (k, 4), the pair x +- h d; stencil and family rays use the unit
     representative of xi.  Without family directions a shared event goes
-    to project_batch once, for all 5B rays.  h defaults per row to
+    to project_batch once, for all 5B rays.  h is per row
     EVENT_FD_STEP * max(1, |x|).  The rank counts singular values
     of the central-difference Jacobian above RANK_TOL * max(1, sigma_max),
     in closed form from its columns c1, c2.  With normals, rank-2 rows get
@@ -319,9 +318,7 @@ def tangent_planes(f: FrameSpec, events, xis, directions=None, h=None, normals=F
     k = dirs.shape[0]
     if normals and not np.any(np.all(dirs == _TIME_AXIS, axis=1)):
         dirs = np.vstack([dirs, _TIME_AXIS])
-    if h is None:
-        h = EVENT_FD_STEP * np.maximum(1.0, reduce(np.maximum, np.abs(rows).T))
-    h = np.broadcast_to(np.asarray(h, dtype=float), (b,))
+    h = EVENT_FD_STEP * np.maximum(1.0, reduce(np.maximum, np.abs(rows).T))
     stencil_xis = _sky_stencil(unit).reshape(-1, 2)
     if events.ndim == 1 and not len(dirs):
         ray_events = events

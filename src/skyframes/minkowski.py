@@ -120,14 +120,14 @@ class GraphFrame:
     #: No target slice: events anywhere in flat space have a graph image.
     target_time = None
 
-    def probe_values(self, x, xis, directions, h=None) -> ProbeValues:
+    def probe_values(self, x, xis, directions) -> ProbeValues:
         """Probe values at the sky points xis (B, 2) of the events x, (4,)
         or (B, 4).
 
         The contact form is evaluated through the null direction of each
         sky point; the image moves along an event family by the transform
         of the direction (the height is linear in the event), and the sky
-        directions are tangent to the graph.  x and h do not enter.
+        directions are tangent to the graph.  x does not enter.
         """
         xis = skymod.unit_cospinor(np.atleast_2d(xis))
         dirs = np.atleast_2d(np.asarray(directions, dtype=float))

@@ -16,7 +16,7 @@ points xi (n, 2), a `SkySample` or twistor pis (n, 2).  The contact and
 proportionality checks give a list of one report per row, or one report
 for one sky point xi (2,).  In every frame check a row whose rays miss the
 target raises naming its event.  The proportionality and flow checks take
-any frame that answers `probe_values(x, xis, directions, h)` and carries
+any frame that answers `probe_values(x, xis, directions)` and carries
 `PROBE_TOL` and `target_time`: a `frames.FrameSpec` or a
 `minkowski.GraphFrame`; they form their residuals as row operations over
 the (B, k) probe values, with one kept-ratio rule (`_kept_ratios`).  A

@@ -539,6 +539,36 @@ class TestNonFiniteResults:
         assert np.all(np.abs(lams / (float(t) * 0.6) - 1.0) <= 1e-15)
 
 
+class TestFloatRangeExtremes:
+    """The closed form answers as under any numpy error state: the CLI's
+    raising state once preempted the frame layer's own checks."""
+
+    def test_an_end_point_beyond_float_range_names_its_ray(self, capsys, recwarn):
+        # exited 1 as "out of float range: overflow encountered in subtract"
+        code, out, err = run(
+            capsys, "sky-image", "--metric", "minkowski", "--target", "cauchy:-1.7e308",
+            "--event=1e308,0,0,0", "--n", "8",
+        )
+        assert (code, out) == (1, "") and not recwarn.list
+        assert err.splitlines() == [
+            "OutOfDomainError: the ray from [1e+308, 0.0, 0.0, 0.0] has no finite end point"
+            " or length"
+        ]
+
+    def test_a_subnormal_event_images_below_the_rank_floor(self, capsys, recwarn):
+        # exited 1 as "out of float range: overflow encountered in divide",
+        # from the rank's 1 / scale; its rays arrive, and rank 0 is the
+        # verdict the rank floor gives 1e-8 above the target too
+        code, out, err = run(
+            capsys, "sky-image", "--metric", "minkowski", "--event=1.3e-310,0,0,0", "--n", "8",
+        )
+        assert (code, err) == (0, "") and not recwarn.list
+        assert out.splitlines()[0].startswith("samples: 8  regular fraction: 0.000  ")
+        samples = json.loads(out[out.index("\n") :])["samples"]
+        assert [s["status"] for s in samples] == ["ok"] * 8
+        assert [s["rank"] for s in samples] == [0] * 8
+
+
 def _ends_cleanly(argv):
     """Run the CLI in process: a documented exit code, no non-finite number
     on stdout, no traceback or warning."""

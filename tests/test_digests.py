@@ -36,7 +36,7 @@ def test_the_matrix_covers_both_tracers_errors_and_the_cli(digests):
     near = len(digests.NEAR_CHARTS) * len(digests.NEAR)
     legs, apart = len(digests.LEGS), len(digests.APART)
     total = 10 * 3 * 3 + near + legs + apart + 4 + len(digests.CLI)
-    assert len(names) == len(set(names)) == total == 137
+    assert len(names) == len(set(names)) == total == 139
     assert near == 15 and legs == 2 and apart == 2
     assert {"readme", "readme-numeric", "p2/3-numeric"} <= set(digests.NEAR_CHARTS)
     assert {digests.CHARTS[c][2] for c in digests.CHARTS} == {"auto", "numeric"}
@@ -46,6 +46,8 @@ def test_the_matrix_covers_both_tracers_errors_and_the_cli(digests):
     # a null pauli vector and the two radii that underflow above the target
     assert {"cli/pauli/null-7,2,3,6", "cli/causal/p3-radius-underflow",
             "cli/causal/p-1-radius-underflow"} <= set(names)
+    # the closed form's float-range extremes
+    assert {"cli/sky-image/far-end-overflow", "cli/sky-image/subnormal-event"} <= set(names)
 
 
 @pytest.mark.parametrize("name, route", [("p2/3-box", "_t_level"), ("anisotropic-box", "_march")])

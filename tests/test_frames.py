@@ -429,13 +429,17 @@ class TestPowerLawSelfSimilarity:
 
     @pytest.mark.parametrize("tracer", ["auto", "numeric"])
     @pytest.mark.parametrize("case", list(CASES))
-    def test_rank_2_and_equal_normals_down_to_the_rank_floor(self, case, tracer):
+    def test_rank_2_and_equal_normals_down_to_the_rank_floor(self, case, tracer, monkeypatch):
         # h, the step of the time family that orients the normals, scales
-        # with t, so that x - h stays above the singularity
+        # with t, so that x - h stays above the singularity: through |x|,
+        # which is t above 1, and through EVENT_FD_STEP below it
         metric, target, m, _, floor = self.CASES[case]
-        planes = lambda j: self._answers(metric, target, tracer, fr.tangent_planes,
-                                         self._scaled(m, j), self.SKY.xi,
-                                         h=np.ldexp(1e-4, m * j), normals=True)
+
+        def planes(j):
+            monkeypatch.setattr(fr, "EVENT_FD_STEP", np.ldexp(1e-4, min(m * j, 0)))
+            return self._answers(metric, target, tracer, fr.tangent_planes,
+                                 self._scaled(m, j), self.SKY.xi, normals=True)
+
         want = planes(0).normals
         rng = np.random.default_rng(22)
         for j in sorted({floor, 0, *rng.integers(floor, 101, 8).tolist()}):
@@ -846,12 +850,12 @@ W_CHART = {
 }
 
 
-def _drop_n_w0(slope):
-    """`_bundle_slope` without the n w0 term of the n slope."""
+def _scale_n_w0(slope, factor):
+    """`_bundle_slope` with the n w0 term of its n slope scaled by factor."""
 
     def mutant(m, s, y, log):
         out = slope(m, s, y, log)
-        out[3:6] += y[3:6] * out[6]  # out[6] is e0 w0, times dt/ds as out[3:6] is
+        out[3:6] += (1.0 - factor) * y[3:6] * out[6]  # out[6] is e0 w0, times dt/ds as out[3:6] is
         return out
 
     return mutant
@@ -913,7 +917,7 @@ class TestConformallyFlatChartOracle:
 
     def test_a_slope_without_its_n_w0_term_moves_the_points(self, monkeypatch):
         # one event: the mutated rays settle late (0.26 s here, 1 s from the others)
-        monkeypatch.setattr(mf, "_bundle_slope", _drop_n_w0(mf._bundle_slope))
+        monkeypatch.setattr(mf, "_bundle_slope", _scale_n_w0(mf._bundle_slope, 0.0))
         radius, direction, _ = self._errors(self.EVENTS[0])[0]  # 1.3e-4 and 3e-6
         assert radius > self.BOUNDS[0] and direction > self.BOUNDS[1]
 
@@ -1002,6 +1006,73 @@ class TestAnisotropicChartOracle:
     def test_a_scaled_n_slope_fails(self, monkeypatch, chart):
         monkeypatch.setattr(mf, "_bundle_slope", _scale_n_slope(mf._bundle_slope, 0.98))
         assert self._errors(chart).max() > 100.0
+
+
+class TestConformalInvariance:
+    """Null rays depend only on the conformal class: multiplying every
+    coefficient of a chart by a positive W of t, x, y and z keeps each ray
+    as a point set, so the numeric tracer gives the scaled chart the image
+    points and arrival codes of the unscaled one, to twice the ladder's
+    tolerance, GRID_TOL max(1, |end|).  Only lambda moves, dlambda_W = (W /
+    W(event)) dlambda with dt/dlambda = 1 at the event; on a flat chart the
+    ray is straight and lambda is the integral of W along it over W at the
+    event.  The charts are the CI anisotropic chart, the S^3 chart and flat
+    space cut in x, so that some rays leave it; W varies along each ray, so
+    every scaled ray takes the per-node loop (`_march`), and a slope whose
+    n w0 term is scaled by 0.98 fails (the unscaled charts have w0 = 0 and
+    do not see it).  The largest errors of the three, in units of the
+    bound, are 0.013, 0.014 and 0.25 for the points and 0.095 for lambda;
+    the mutant's are 2.2, 9.3 and 5.9."""
+
+    FREE = [[0, None], [None, None], [None, None], [None, None]]
+    #: name: (coefficients, bounds, event, Cauchy target)
+    CHARTS = {
+        "anisotropic": (["1", "-1", "-(1 + 0.5*t)**2", "-1"], FREE, [1.5, 0.3, -0.4, 0.2], 0.0),
+        "S3": (["1"] + ["-4/(1+x*x+y*y+z*z)**2"] * 3, FREE, [1.2, 0.3, -0.2, 0.1], 0.0),
+        "flat-cut-in-x": (["1", "-1", "-1", "-1"], [[0, None], [-1.6, 1.6]] + FREE[2:],
+                          [1.5, 0.9, -0.4, 0.2], 0.2),
+    }
+
+    @staticmethod
+    def _w(seed):
+        """A positive W of t >= 0, x, y and z, at most cubic along a straight ray."""
+        a, b, c, d, e, g = np.random.default_rng(seed).uniform(0.1, 0.5, 6).tolist()
+        return f"1 + {a!r}*t + ({b!r}*x + {g!r}*z)**2 + {c!r}*y*y + {d!r}*z*z + {e!r}*t*x*x"
+
+    def _errors(self, chart):
+        """The largest point and lambda errors of the scaled chart's 100
+        numeric rows in units of 2 GRID_TOL max(1, |end|), lambda's where
+        the ray is straight (else NaN)."""
+        coeffs, bounds, x, t0 = self.CHARTS[chart]
+        w = self._w(list(self.CHARTS).index(chart))
+        sample, x = sky.sample_sky(100, "random", seed=9), np.array(x)
+        answers = []
+        for cs in (coeffs, [f"({w})*({c})" for c in coeffs]):
+            m = mf.metric_from_config({"kind": "custom", "coeffs": cs, "bounds": bounds})
+            f = fr.FrameSpec(metric=m, target=fr.CauchySurface(t0), tracer="numeric")
+            answers.append(fr.project_batch(f, x, sample.xi))
+        (pts, _, ok, reason), (pts_w, lams_w, _, reason_w) = answers
+        assert np.array_equal(reason_w, reason) and ok.sum() > 50 and np.all(lams_w[ok] > 0.0)
+        scale = 2.0 * mf.GRID_TOL * np.maximum(1.0, np.abs(pts[ok]).max(axis=1))
+        points = (np.abs(pts_w - pts)[ok].max(axis=1) / scale).max()
+        lam = np.nan
+        if chart.startswith("flat"):  # Simpson's rule is exact for a cubic
+            ends = np.column_stack([np.full(ok.sum(), t0), pts[ok]])
+            w_at = lambda rows: m.metric_diag(rows)[:, 0]  # noqa: E731
+            integral = (x[0] - t0) * (w_at(x[None]) + 4 * w_at((ends + x) / 2) + w_at(ends)) / 6
+            want = integral / w_at(x[None])
+            lam = (np.abs(lams_w[ok] - want) / (2.0 * mf.GRID_TOL * np.maximum(1.0, want))).max()
+        return points, lam
+
+    @pytest.mark.parametrize("chart", list(CHARTS))
+    def test_a_conformal_factor_keeps_points_and_arrival(self, chart):
+        points, lam = self._errors(chart)
+        assert points <= 1.0 and (np.isnan(lam) or lam <= 1.0), (points, lam)
+
+    @pytest.mark.parametrize("chart", list(CHARTS))
+    def test_a_scaled_n_w0_term_fails(self, monkeypatch, chart):
+        monkeypatch.setattr(mf, "_bundle_slope", _scale_n_w0(mf._bundle_slope, 0.98))
+        assert self._errors(chart)[0] > 1.0
 
 
 class TestUnsettledNumericImage:
@@ -1093,15 +1164,16 @@ class TestSkyImageDerivative:
         deriv = flrw_frame.probe_values(x, xi[None], v).rates[0, 0]
         assert abs(deriv) <= 1e-7
 
-    def test_richardson_second_order(self, flrw_frame):
-        x = np.array([0.9, 0.1, 0.2, -0.1])
+    def test_richardson_second_order(self, flrw_frame, monkeypatch):
+        x = np.array([0.9, 0.1, 0.2, -0.1])  # |x| < 1, so the event step is EVENT_FD_STEP
         xi = sky.unit_cospinor(np.array([0.5 - 0.3j, 0.7]))
         d = np.array([1.0, 0.4, -0.2, 0.1])
         exact_ratio = 2.0 / float(flrw_frame.metric.scale_factor(x[0]))
         theta = fr.theta_value(flrw_frame, x, xi, d)
         res = []
-        for h in (4e-3, 2e-3):
-            deriv = flrw_frame.probe_values(x, xi[None], d, h).rates[0, 0]
+        for step in (4e-3, 2e-3):
+            monkeypatch.setattr(fr, "EVENT_FD_STEP", step)
+            deriv = flrw_frame.probe_values(x, xi[None], d).rates[0, 0]
             res.append(abs(deriv / theta - exact_ratio))
         assert res[0] / res[1] == pytest.approx(4.0, rel=0.35)
 
@@ -1167,7 +1239,7 @@ def _reference_sky_image(f, x, sample):
     return pts, ranks, lams, status
 
 
-def _reference_derivative(f, x, xi, direction, h=None):
+def _reference_derivative(f, x, xi, direction):
     """Oriented normal and normal family derivative, one small batch each."""
     x = np.asarray(x, dtype=float)
     stencil = _reference_stencil(sky.unit_cospinor(xi))
@@ -1180,11 +1252,10 @@ def _reference_derivative(f, x, xi, direction, h=None):
         pts, _, _, _ = fr.project_batch(f, events, xis)
         return (pts[0] - pts[1]) / (2.0 * step)
 
-    h_default = fr.EVENT_FD_STEP * max(1.0, float(np.abs(x).max()))
-    if float(n_hat @ displacement(np.array([1.0, 0, 0, 0]), h_default)) < 0.0:
+    h = fr.EVENT_FD_STEP * max(1.0, float(np.abs(x).max()))
+    if float(n_hat @ displacement(np.array([1.0, 0, 0, 0]), h)) < 0.0:
         n_hat = -n_hat
-    step = h_default if h is None else h
-    return n_hat, float(n_hat @ displacement(np.asarray(direction, float), step))
+    return n_hat, float(n_hat @ displacement(np.asarray(direction, float), h))
 
 
 #: Frame keywords, event and sample of each case; a "rank_tol" key is the
@@ -1330,11 +1401,12 @@ class TestTangentPlaneKernel:
     def test_normal_frame_and_derivative_match_reference(self, case, monkeypatch):
         spec, x, _ = _equivalence_case(case, monkeypatch)
         rng = np.random.default_rng(11)
-        for h in (None, 2e-3):
+        for step in (fr.EVENT_FD_STEP, 2e-3):
+            monkeypatch.setattr(fr, "EVENT_FD_STEP", step)
             xi = rng.normal(size=2) + 1j * rng.normal(size=2)
             d = np.array([1.0, *rng.uniform(-0.5, 0.5, size=3)])
-            n_ref, deriv_ref = _reference_derivative(spec, x, xi, d, h)
-            tp = fr.tangent_planes(spec, np.array([x]), xi[None], d, h, normals=True)
+            n_ref, deriv_ref = _reference_derivative(spec, x, xi, d)
+            tp = fr.tangent_planes(spec, np.array([x]), xi[None], d, normals=True)
             assert np.abs(tp.normals[0] - n_ref).max() <= 1e-12
             deriv = tp.normals[0] @ (tp.family[0, 0] / (2.0 * tp.family_h[0]))
             assert deriv == pytest.approx(deriv_ref, rel=1e-12, abs=1e-12)
@@ -1646,3 +1718,83 @@ class TestColumnChains:
         assert np.all(np.isfinite(eta)) and not np.all(np.isfinite(lam))
         with pytest.raises(OutOfDomainError, match="no finite end point or length"):
             fr.project_batch(f, huge, xis[:2])
+
+
+def _answer(call):
+    """What a frame call gives: its arrays, or its exception's type and message."""
+    try:
+        out = call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return list(out) if isinstance(out, tuple) else list(_plane_fields(out).values())
+
+
+class TestOneErrorState:
+    """Both tracers answer alike under any numpy error state: the same bits,
+    or the same exception.  The closed form once kept a caller's raising
+    state, so a far event (its end point overflows) and a subnormal one
+    (its rank's 1 / scale overflows) raised FloatingPointError before the
+    frame's own checks ran."""
+
+    #: name: (metric, target)
+    FRAMES = {
+        "flat": (mf.MetricSpec.minkowski(), fr.CauchySurface(0.0)),
+        "flat-far": (mf.MetricSpec.minkowski(), fr.CauchySurface(-1.7e308)),
+        "p2/3": (mf.MetricSpec.flrw(p=2 / 3), fr.Singularity()),
+    }
+    SKY = sky.sample_sky(8, scheme="random", seed=3)
+    DIRS = np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.3, -0.2, 0.1]])
+
+    def _events(self, seed):
+        rng = np.random.default_rng(seed)
+        events = np.column_stack([rng.uniform(0.2, 3.0, 4), rng.uniform(-1.0, 1.0, (4, 3))])
+        return [*events, np.array([1e308, 0.0, 0.0, 0.0]), np.array([1.3e-310, 0.0, 0.0, 0.0])]
+
+    def _under_both_states(self, call):
+        with np.errstate(all="raise"):
+            raising = _answer(call)
+        with warnings.catch_warnings(record=True) as caught, np.errstate(
+            over="warn", divide="warn", invalid="warn", under="ignore"  # numpy's default
+        ):
+            warnings.simplefilter("always")
+            default = _answer(call)
+        assert not caught, [str(w.message) for w in caught]
+        if isinstance(default, tuple):
+            assert raising == default
+        else:
+            assert len(raising) == len(default)
+            assert all(_bits(np.asarray(a), np.asarray(b)) for a, b in zip(raising, default))
+        return default
+
+    @pytest.mark.parametrize("tracer", ["auto", "numeric"])
+    @pytest.mark.parametrize("frame", list(FRAMES))
+    def test_bits_or_exception_do_not_depend_on_the_error_state(self, frame, tracer):
+        metric, target = self.FRAMES[frame]
+        f = fr.FrameSpec(metric=metric, target=target, tracer=tracer)
+        events = self._events(len(frame))
+        answers = []
+        for x in events:
+            answers.append(self._under_both_states(lambda: fr.project_batch(f, x, self.SKY.xi)))
+            answers.append(self._under_both_states(
+                lambda: fr.tangent_planes(f, x, self.SKY.xi, self.DIRS, normals=True)))
+        rows, xis = np.stack(events), self.SKY.xi[: len(events)]
+        answers.append(self._under_both_states(lambda: fr.project_batch(f, rows, xis)))
+        answers.append(self._under_both_states(lambda: fr.tangent_planes(f, rows, xis)))
+        # arrays to compare in every frame; the far target and the family
+        # below p = 2/3's singularity raise
+        assert any(isinstance(a, list) for a in answers)
+        raising = {("flat-far", "auto"), ("p2/3", "auto"), ("p2/3", "numeric")}
+        assert any(isinstance(a, tuple) for a in answers) == ((frame, tracer) in raising)
+
+    def test_the_far_and_subnormal_events_get_the_frame_s_own_verdicts(self):
+        far = fr.FrameSpec(metric=mf.MetricSpec.minkowski(), target=fr.CauchySurface(-1.7e308))
+        x = [1e308, 0.0, 0.0, 0.0]
+        message = "the ray from [1e+308, 0.0, 0.0, 0.0] has no finite end point or length"
+        with np.errstate(all="raise"):
+            assert _answer(lambda: fr.project_batch(far, x, self.SKY.xi)) == (
+                OutOfDomainError, message)
+            f = fr.FrameSpec(metric=mf.MetricSpec.minkowski(), target=fr.CauchySurface(0.0))
+            tp = fr.tangent_planes(f, [1.3e-310, 0.0, 0.0, 0.0], self.SKY.xi)
+        # every ray arrives, and the image reads singular below the rank floor
+        assert np.all(tp.reason == mf.ARRIVED) and np.all(tp.stencil_ok)
+        assert np.all(tp.ranks == 0)

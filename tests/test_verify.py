@@ -321,8 +321,8 @@ class _EditedProbes:
         self.frame, self.edit = frame, edit
         self.PROBE_TOL, self.target_time = frame.PROBE_TOL, frame.target_time
 
-    def probe_values(self, x, xis, directions, h=None):
-        return self.edit(self.frame.probe_values(x, xis, directions, h))
+    def probe_values(self, x, xis, directions):
+        return self.edit(self.frame.probe_values(x, xis, directions))
 
 
 def _reference_kernel(pv):

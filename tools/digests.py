@@ -181,6 +181,12 @@ CLI = {
                                            "--y=1.5e-300,0,0,0"]),
     # a null vector whose largest component is not a power of two
     "pauli/null-7,2,3,6": (None, ["pauli", "--vec", "7,2,3,6"]),
+    # float-range extremes of the closed form: an end point that overflows
+    # names its ray, and a subnormal event's image reads singular
+    "sky-image/far-end-overflow": (None, ["sky-image", "--metric", "minkowski", "--target",
+                                          "cauchy:-1.7e308", "--event=1e308,0,0,0", "--n", "8"]),
+    "sky-image/subnormal-event": (None, ["sky-image", "--metric", "minkowski",
+                                         "--event=1.3e-310,0,0,0", "--n", "8"]),
 }
 for _seed in (1, 3, 7):
     for _name, _flags in (("flat", []), ("p2/3", ["--metric", "flrw", "--p", str(P23["p"])])):
