@@ -58,7 +58,7 @@ from .spinor import PAULI_FACTOR
 #: singularity; the rest of the way is closed in conformal time.
 SINGULARITY_CUTOFF = 1e-9
 
-#: Central-difference steps: the sky stencil, and event families per max(1, |x|).
+#: Central-difference steps: the sky stencil, and event families (`tangent_planes`).
 SKY_FD_STEP, EVENT_FD_STEP = 1e-5, 1e-4
 
 #: Rank threshold of a sky Jacobian's singular values, times max(1, sigma_max).
@@ -131,8 +131,8 @@ class FrameSpec:
 
         Values are taken at the unit representatives.  One tangent_planes
         batch gives each row's oriented normal, the normal rates along the
-        event families x +- h d for the directions (k, 4), h = EVENT_FD_STEP
-        * max(1, |x|), and the normal projections of the sky-stencil Jacobian.
+        event families x +- h d for the directions (k, 4), with the h of
+        `tangent_planes`, and the normal projections of the sky-stencil Jacobian.
         """
         xis = np.atleast_2d(np.asarray(xis, dtype=complex))
         xs = np.broadcast_to(np.asarray(x, dtype=float), (len(xis), 4))
@@ -302,13 +302,14 @@ def tangent_planes(f: FrameSpec, events, xis, directions=None, normals=False):
     sky-stencil rays and, for every event family direction d in directions
     (k, 4), the pair x +- h d; stencil and family rays use the unit
     representative of xi.  Without family directions a shared event goes
-    to project_batch once, for all 5B rays.  h is per row
-    EVENT_FD_STEP * max(1, |x|).  The rank counts singular values
-    of the central-difference Jacobian above RANK_TOL * max(1, sigma_max),
-    in closed form from its columns c1, c2.  With normals, rank-2 rows get
-    the unit normal c1 x c2 / |c1 x c2| of the image surface, oriented so
-    that moving the event to the future along the time axis (traced for
-    this unless it is among the directions) is positive.
+    to project_batch once, for all 5B rays.  h is per row EVENT_FD_STEP *
+    max(1, |x|), or EVENT_FD_STEP * s where those families would leave the
+    chart, s the step at which the first of them meets a bound.  The rank
+    counts singular values of the central-difference Jacobian above
+    RANK_TOL * max(1, sigma_max), in closed form from its columns c1, c2.
+    With normals, rank-2 rows get the unit normal c1 x c2 / |c1 x c2| of the
+    image surface, oriented so that moving the event to the future along the
+    time axis (traced unless it is among the directions) is positive.
     """
     events = np.asarray(events, dtype=float)
     unit = skymod.unit_cospinor(xis)
@@ -322,9 +323,14 @@ def tangent_planes(f: FrameSpec, events, xis, directions=None, normals=False):
     stencil_xis = _sky_stencil(unit).reshape(-1, 2)
     if events.ndim == 1 and not len(dirs):
         ray_events = events
-    else:
-        shift = h[:, None, None] * np.asarray(dirs, dtype=float)[None]
-        fam_events = np.stack([rows[:, None] + shift, rows[:, None] - shift], axis=2)
+    else:  # the families x +- h d (B, k, 2, 4), at EVENT_FD_STEP s where they would leave
+        pm = np.array([[1.0], [-1.0]]) * np.asarray(dirs, dtype=float)[:, None]  # (k, 2, 4)
+        fam_events = rows[:, None, None] + h[:, None, None, None] * pm
+        if not np.all(inside := f.metric.in_domain(fam_events).all(axis=(1, 2))):
+            room = np.minimum(rows - f.metric.bounds[:, 0], f.metric.bounds[:, 1] - rows)
+            s = np.min(room[:, None, None] / np.abs(pm), (1, 2, 3), initial=np.inf)  # d = 0: inf
+            h = np.where(inside, h, EVENT_FD_STEP * s)
+            fam_events = rows[:, None, None] + h[:, None, None, None] * pm
         ray_events = np.concatenate([rows, np.repeat(rows, 4, 0), fam_events.reshape(-1, 4)])
     pts, lams, ok, reason = project_batch(
         f, ray_events, np.concatenate([xis, stencil_xis, np.repeat(unit, 2 * len(dirs), 0)])

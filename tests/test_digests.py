@@ -35,8 +35,8 @@ def test_the_matrix_covers_both_tracers_errors_and_the_cli(digests):
     names = list(digests.cases())
     near = len(digests.NEAR_CHARTS) * len(digests.NEAR)
     legs, apart = len(digests.LEGS), len(digests.APART)
-    total = 10 * 3 * 3 + near + legs + apart + 4 + len(digests.CLI)
-    assert len(names) == len(set(names)) == total == 139
+    total = 10 * 3 * 3 + near + legs + apart + 4 + len(digests.CLI) + len(digests.GRAMMAR)
+    assert len(names) == len(set(names)) == total == 160
     assert near == 15 and legs == 2 and apart == 2
     assert {"readme", "readme-numeric", "p2/3-numeric"} <= set(digests.NEAR_CHARTS)
     assert {digests.CHARTS[c][2] for c in digests.CHARTS} == {"auto", "numeric"}
@@ -48,6 +48,19 @@ def test_the_matrix_covers_both_tracers_errors_and_the_cli(digests):
             "cli/causal/p-1-radius-underflow"} <= set(names)
     # the closed form's float-range extremes
     assert {"cli/sky-image/far-end-overflow", "cli/sky-image/subnormal-event"} <= set(names)
+
+
+def test_the_grammar_cases_give_errors_or_values(digests):
+    # README's error examples fail to build; the other bodies give their
+    # values and partials on the grid, or a(t)
+    runs = digests.digests(ROOT / "src", "grammar/*")
+    assert set(runs) == {f"grammar/{name}" for name in digests.GRAMMAR}
+    errors = {name.split("/")[1] for name, outputs in runs.items() if set(outputs) == {"error"}}
+    assert errors == set(list(digests.GRAMMAR)[:13])
+    for name, (slot, _) in digests.GRAMMAR.items():
+        if name not in errors:
+            want = {"scale_factor"} if slot == "a_expr" else {"metric_diag", "jet.g", "jet.dg"}
+            assert set(runs[f"grammar/{name}"]) == want
 
 
 @pytest.mark.parametrize("name, route", [("p2/3-box", "_t_level"), ("anisotropic-box", "_march")])

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from skyframes import _expressions as ex
 from skyframes import frames as fr
 from skyframes import manifold as mf
 from skyframes import sky, spinor
@@ -187,7 +188,7 @@ class TestExpressionDerivatives:
         ],
     )
     def test_rules_and_folding(self, src, name, expected):
-        assert ast.unparse(mf._diff(mf._parse_expression(src), name)) == expected
+        assert ast.unparse(ex._diff(ex._parse_expression(src), name)) == expected
 
     @pytest.mark.parametrize(
         "coeffs",
@@ -839,12 +840,12 @@ class TestConfig:
     def test_constant_parts_are_checked_not_folded(self, src):
         # the check evaluates parts in float arithmetic; the tree keeps its
         # constants, and an infinite or NaN part passes to the signature guards
-        assert ast.dump(mf._parse_expression(src)) == ast.dump(ast.parse(src, mode="eval").body)
+        assert ast.dump(ex._parse_expression(src)) == ast.dump(ast.parse(src, mode="eval").body)
 
     @pytest.mark.parametrize("src", ["2**0.5/3", "-(7/3)**-2", "2**1023*1.5", "3**40+1"])
     def test_constant_values_are_pythons(self, src):
         # folded constants keep the value the compiled expression computes
-        assert mf._constant(mf._parse_expression(f"t+({src})").right) == float(eval(src))
+        assert ex._constant(ex._parse_expression(f"t+({src})").right) == float(eval(src))
 
     def test_nan_coefficient_is_a_lost_signature(self):
         # (1+t)**1.2 is NaN for t < -1: the chart was built, with warnings,

@@ -6,7 +6,10 @@ Run from the repository root:
     python3 tools/digests.py                   # one line per case of this tree
     python3 tools/digests.py --against HEAD~1  # the cases that differ from HEAD~1
 
-A case is a sky image, a CLI command or an expected error on one chart.
+A case is a sky image, a CLI command or an expected error on one chart,
+or a grammar case: a string given as a custom chart's coefficient or as an
+FLRW a(t), whose output is its construction error or its values on a fixed
+grid (`metric_diag` and `_metric_jet`, or `scale_factor`).
 The near-target cases are sky images of events on a nonzero Cauchy
 target, one ulp above it and 1e-13 below it; the legs cases are
 numeric-tracer images of events where a(t)^2 under- or overflows; the
@@ -126,6 +129,41 @@ APART = {
                              bounds=[[0, None]] + [[-1.5, 1.5]] * 3), "cauchy:0",
                         (1.5, 0.3, -0.4, 0.2)),
 }
+
+#: name: (slot, string) of the grammar cases: the string is a(t) of an FLRW
+#: chart where slot is "a_expr", else the coefficient of that index on a
+#: chart of flat space's other coefficients, bounded at x^a > 0 so that
+#: x**y and t**t are real on its signature grid.  The first 13 strings
+#: fail to build (README's error examples, 201 nested parentheses and an
+#: invalid escape); the others are bodies whose partials fold or take the
+#: logarithm, and 200 nested parentheses, which parse.
+GRAMMAR = {
+    "leading-space": ("a_expr", " 1"),
+    "truncated": (0, "1 +"),
+    "empty": (0, ""),
+    "zero-over-zero": (0, "t+0/0"),
+    "zero-to-negative": (0, "t+0**-9"),
+    "complex-power": (0, "t-(-1)**0.5+2"),
+    "power-tower": (0, "t*10**10**10"),
+    "integer-past-float": (0, "t*10**400"),
+    "infinite-constant": ("a_expr", "1e400"),
+    "call": ("a_expr", "__import__('os')"),
+    "unknown-name": ("a_expr", "t + q"),
+    "nested-201": (0, "(" * 201 + "t" + ")" * 201),
+    "invalid-escape": ("a_expr", "'\\d'"),
+    "nested-200": (0, "(" * 200 + "t" + ")" * 200),
+    "S3": (1, S3_CHART["coeffs"][1]),
+    "W": (0, W),
+    "W-spatial": (1, f"-({W})"),
+    "x**y": (0, "x**y"),
+    "2**t": (0, "2**t"),
+    "2**t-a_expr": ("a_expr", "2**t"),
+    "t**t": (1, "-(1+t**t)"),
+}
+#: The grid of the grammar cases: t, x, y and z of a custom chart, and the
+#: times of an FLRW a(t).
+GRAMMAR_GRID = ((0.0, 0.5, 1.5), (0.25, 1.0, 1.75), (0.25, 1.0, 1.75), (0.25, 1.0, 1.75))
+GRAMMAR_TIMES = (0.25, 0.5, 1.0, 1.5, 2.0)
 
 #: Event families of the tangent planes with families.
 DIRECTIONS = ((0.0, 1.0, 0.0, 0.0), (0.3, 0.0, -0.2, 1.0))
@@ -317,6 +355,25 @@ def _error_case(name):
     return _batch(fr.project_batch(t_to_the_t, [1.0, 0, 0, 0], sample.xi))
 
 
+def _grammar_case(name):
+    """A grammar case's values on the fixed grid: a custom chart's
+    coefficients and their partials, or an FLRW a(t); the chart's
+    construction error raises."""
+    import numpy as np
+    from skyframes import manifold as mf
+
+    slot, src = GRAMMAR[name]
+    if slot == "a_expr":
+        m = mf.metric_from_config({"kind": "flrw", "a_expr": src})
+        return {"scale_factor": m.scale_factor(np.array(GRAMMAR_TIMES))}
+    coeffs = ["1", "-1", "-1", "-1"]
+    coeffs[slot] = src
+    m = mf.metric_from_config({"kind": "custom", "coeffs": coeffs, "bounds": [[0, None]] * 4})
+    rows = np.stack(np.meshgrid(*GRAMMAR_GRID, indexing="ij")).reshape(4, -1)
+    g, dg = m._metric_jet(rows)
+    return {"metric_diag": m.metric_diag(rows.T), "jet.g": g, "jet.dg": dg}
+
+
 def _cli_case(name):
     """A command's exit code, stdout, stderr and output file."""
     from skyframes.cli import main
@@ -354,6 +411,8 @@ def cases():
         table[f"error/{name}"] = lambda name=name: _error_case(name)
     for name in CLI:
         table[f"cli/{name}"] = lambda name=name: _cli_case(name)
+    for name in GRAMMAR:
+        table[f"grammar/{name}"] = lambda name=name: _grammar_case(name)
     return table
 
 
