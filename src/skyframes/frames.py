@@ -19,10 +19,8 @@ Reductions over a short trailing axis of a batch (coordinates, stencil
 rays, Jacobian entries) are column chains, `functools.reduce` of an
 elementwise ufunc over the columns, as numpy reduces such an axis one row
 at a time.  The chains keep numpy's bits: max and `and` are exact in any
-order, a sum adds its columns left to right as numpy does, and a norm is
-the square root of the summed `(x.conj() * x).real`, which is what
-`np.linalg.norm` computes.  A chain over no columns starts from its
-identity.
+order, and a sum adds its columns left to right as numpy does.  A chain
+over no columns starts from its identity.
 
 Two tracers are available: a conformal-chart closed form (a chart of t
 alone, `manifold._t_only`: flat space, a spatially flat cosmology or an
@@ -48,7 +46,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import manifold as mf
-from . import sky as skymod
 from . import spinor
 from .errors import NoIntersectionError, OutOfDomainError
 from .sky import SkySample
@@ -261,17 +258,13 @@ def _close_singularity_gap(f: FrameSpec, res: mf.TraceResult):
 
 
 def _sky_stencil(xi):
-    """Four perturbed unit covectors (..., 4, 2) around the unit covectors
-    xi (..., 2): a central pair for each of the two sky chart directions."""
+    """Four perturbed covectors (..., 4, 2) around the covectors xi (..., 2):
+    xi +- h delta and xi +- i h delta, a central pair for each of the two
+    sky chart directions.  delta = (-conj(xi2), conj(xi1)) scales with xi,
+    so the stencil's directions do not depend on xi's length."""
     delta = np.stack([-np.conj(xi[..., 1]), np.conj(xi[..., 0])], axis=-1)
     h = SKY_FD_STEP
-    raw = np.stack(
-        [xi + h * delta, xi - h * delta, xi + 1j * h * delta, xi - 1j * h * delta],
-        axis=-2,
-    )
-    sq = (raw.conj() * raw).real  # the squares np.linalg.norm sums
-    raw /= np.sqrt(sq[..., 0] + sq[..., 1])[..., None]  # in place: no third copy
-    return raw
+    return np.stack([xi + h * delta, xi - h * delta, xi + 1j * h * delta, xi - 1j * h * delta], -2)
 
 
 _TIME_AXIS = np.array([1.0, 0.0, 0.0, 0.0])
@@ -300,8 +293,8 @@ def tangent_planes(f: FrameSpec, events, xis, directions=None, normals=False):
     events: one event (4,) shared by every row, or (B, 4); xis: (B, 2).
     One project_batch call traces each row's base ray (xi as given), four
     sky-stencil rays and, for every event family direction d in directions
-    (k, 4), the pair x +- h d; stencil and family rays use the unit
-    representative of xi.  Without family directions a shared event goes
+    (k, 4), the pair x +- h d, every ray with xi as given: `project_batch`
+    normalises each ray once.  Without family directions a shared event goes
     to project_batch once, for all 5B rays.  h is per row EVENT_FD_STEP *
     max(1, |x|), or EVENT_FD_STEP * s where those families would leave the
     chart, s the step at which the first of them meets a bound.  The rank
@@ -312,15 +305,15 @@ def tangent_planes(f: FrameSpec, events, xis, directions=None, normals=False):
     time axis (traced unless it is among the directions) is positive.
     """
     events = np.asarray(events, dtype=float)
-    unit = skymod.unit_cospinor(xis)
-    b = len(unit)
+    xis = np.asarray(xis, dtype=complex)
+    b = len(xis)
     rows = np.broadcast_to(events, (b, 4))
     dirs = np.atleast_2d(np.zeros((0, 4)) if directions is None else directions)
     k = dirs.shape[0]
     if normals and not np.any(np.all(dirs == _TIME_AXIS, axis=1)):
         dirs = np.vstack([dirs, _TIME_AXIS])
     h = EVENT_FD_STEP * np.maximum(1.0, reduce(np.maximum, np.abs(rows).T))
-    stencil_xis = _sky_stencil(unit).reshape(-1, 2)
+    stencil_xis = _sky_stencil(xis).reshape(-1, 2)
     if events.ndim == 1 and not len(dirs):
         ray_events = events
     else:  # the families x +- h d (B, k, 2, 4), at EVENT_FD_STEP s where they would leave
@@ -333,7 +326,7 @@ def tangent_planes(f: FrameSpec, events, xis, directions=None, normals=False):
             fam_events = rows[:, None, None] + h[:, None, None, None] * pm
         ray_events = np.concatenate([rows, np.repeat(rows, 4, 0), fam_events.reshape(-1, 4)])
     pts, lams, ok, reason = project_batch(
-        f, ray_events, np.concatenate([xis, stencil_xis, np.repeat(unit, 2 * len(dirs), 0)])
+        f, ray_events, np.concatenate([xis, stencil_xis, np.repeat(xis, 2 * len(dirs), 0)])
     )
     stencil = pts[b : 5 * b].reshape(b, 4, 3)
     fam_pts = pts[5 * b :].reshape(b, len(dirs), 2, 3)

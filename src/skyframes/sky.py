@@ -59,10 +59,7 @@ def sample_sky(n, scheme="fibonacci", seed=None):
         xi = spinor.cospinor_for_direction(d)
     elif scheme == "random":
         rng = np.random.default_rng(seed)
-        z = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
-        while np.any(np.linalg.norm(z, axis=-1) < 1e-6):  # pragma: no cover
-            z = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
-        xi = z
+        xi = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
     else:
         raise ValueError(f"unknown sampling scheme {scheme!r}")
     return SkySample(xi=unit_cospinor(xi))

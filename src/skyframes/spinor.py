@@ -210,13 +210,20 @@ def cospinor_for_spinor(psi):
     return np.stack([psi[..., 1], -psi[..., 0]], axis=-1)
 
 
+@np.errstate(over="ignore")  # an overflowing norm is mended below
 def unit_cospinor(xi):
-    """Rows xi (..., 2) over their norms hypot(|xi1|, |xi2|), which cannot
-    overflow; ZeroSpinorError where a norm is below ZERO_NORM."""
+    """Rows xi (..., 2) over their norms hypot(|xi1|, |xi2|); a finite row
+    whose norm exceeds 2^1022 (numpy's complex division multiplies by a
+    subnormal 1 / norm) is taken on its `power_of_two_scaled` copy, so 2^k xi
+    gives the bits of xi.  ZeroSpinorError where a norm is below ZERO_NORM."""
     xi = np.asarray(xi, dtype=complex)
     nrm = np.hypot(np.abs(xi[..., 0]), np.abs(xi[..., 1]))
     if np.any(nrm < ZERO_NORM):
         raise ZeroSpinorError("a sky point needs a nonzero covector")
+    if np.fmax.reduce(nrm, axis=None, initial=0.0) > 2.0**1022:  # other rows scale by 2^0
+        big = np.maximum(np.abs(xi.real), np.abs(xi.imag)).max(axis=-1)
+        xi = power_of_two_scaled(xi, np.where(nrm > 2.0**1022, big, 0.0)[..., None])[0]
+        nrm = np.hypot(np.abs(xi[..., 0]), np.abs(xi[..., 1]))
     return xi / nrm[..., None]
 
 

@@ -79,9 +79,13 @@ class TwistorContraction:
         """Matched covector on the un-conjugated sky: componentwise conjugate."""
         return np.conj(self.pi)
 
-    def is_real(self, tol: float = 1e-12):
+    @property
+    def scale(self):  # max(|value|, |pi|^2, 1e-300), the size of the reality test
         scale = np.maximum(np.abs(self.value), np.linalg.norm(self.pi, axis=-1) ** 2)
-        return np.abs(self.value.imag) <= tol * np.maximum(scale, 1e-300)
+        return np.maximum(scale, 1e-300)
+
+    def is_real(self, tol: float = 1e-12):
+        return np.abs(self.value.imag) <= tol * self.scale
 
 
 def contraction(z: Twistor) -> TwistorContraction:

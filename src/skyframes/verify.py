@@ -34,7 +34,7 @@ import numpy as np
 from . import frames as fr
 from . import twistor as tw
 from .errors import DegenerateTangentPlaneError, NoIntersectionError
-from .sky import SkySample, sample_sky, unit_cospinor
+from .sky import SkySample, sample_sky
 from .spinor import cospinor_for_direction, direction_for_cospinor
 
 #: Probe values of the transform below this (relative) size are treated as
@@ -78,7 +78,7 @@ def check_contact_annihilation(f: fr.FrameSpec, x, xi):
     non-finite raises `NoIntersectionError`.
     """
     m = f.metric
-    xis = unit_cospinor(np.atleast_2d(xi))
+    xis = np.atleast_2d(np.asarray(xi, dtype=complex))
     xs = np.broadcast_to(np.asarray(x, dtype=float), (len(xis), 4))
     v0, end = fr._trace(f, xs, direction_for_cospinor(xis))
     xi_end = cospinor_for_direction(-end.n)
@@ -133,7 +133,7 @@ def check_kernel_proportionality(frame, x, xi, tol=None):
     residual is a row operation over the (B, 4) values; a row whose probes
     miss the target or are not regular raises naming its event.
     """
-    xis = unit_cospinor(np.atleast_2d(xi))
+    xis = np.atleast_2d(np.asarray(xi, dtype=complex))
     xs = np.broadcast_to(np.asarray(x, dtype=float), (len(xis), 4))
     pv = frame.probe_values(xs, xis, _COORD_DIRS)
     if not pv.arrived.all():
@@ -243,8 +243,7 @@ def suite_twistor(seed, n=1000):
 
     # Null characterisation: incidence twistors have real contraction,
     # decisively non-null twistors do not.
-    scale = np.maximum(np.abs(tau.value), np.linalg.norm(pis, axis=1) ** 2)
-    im_null = np.abs(tau.value.imag) / np.maximum(scale, 1e-300)
+    im_null = np.abs(tau.value.imag) / tau.scale
     omegas = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
     z = tw.Twistor(omega=omegas, pi=pis)
     decisive = np.abs(tw.null_constraint(z)) >= 1e-3

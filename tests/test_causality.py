@@ -1165,3 +1165,41 @@ class TestLocale:
         assert ca.locale_disjoint(ca.ClosedSetUnion(regions=(mesh_far,)), big)
         assert not ca.locale_disjoint(ca.ClosedSetUnion(regions=(mesh_in,)), big)
 
+
+
+def _cube(lo, side):
+    """The closed outward-oriented cube lo + [0, side]^3."""
+    vertices = np.asarray(lo, dtype=float) + side * np.array(list(np.ndindex(2, 2, 2)), float)
+    triangles = []
+    for axis, end in np.ndindex(3, 2):
+        quad = [i for i, c in enumerate(np.ndindex(2, 2, 2)) if c[axis] == end]
+        quad[2:] = quad[:1:-1]  # around the face
+        for tri in (quad[:3], [quad[0], *quad[2:]]):
+            normal = np.cross(*(vertices[tri[1:]] - vertices[tri[0]]))
+            triangles.append(tri if (normal[axis] > 0) == bool(end) else tri[::-1])
+    return ca.Mesh(vertices=vertices, triangles=triangles)
+
+
+class TestSampledDisjointness:
+    """Two meshes whose bounding spheres meet are disjoint when no sample of
+    either lies in the other and their samples keep a gap."""
+
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    @pytest.mark.parametrize("gap, disjoint", [(0.1, True), (1e-6, True), (1e-12, False),
+                                               (0.0, False)])
+    def test_two_cubes(self, monkeypatch, scale, gap, disjoint):
+        shapes, norm = [], spinor.euclidean_norm
+
+        def spy(v):
+            shapes.append(np.shape(v))
+            return norm(v)
+
+        a, b = _cube([0.0, 0, 0], scale), _cube([(1.0 + gap) * scale, 0, 0], scale)
+        corners = a.vertices[a.triangles]  # (12, 3, 3)
+        normals = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+        outward = corners.mean(axis=1) - a.vertices.mean(axis=0)
+        assert a.is_closed() and np.all(np.einsum("ij,ij->i", normals, outward) > 0.0)
+        monkeypatch.setattr(spinor, "euclidean_norm", spy)
+        assert ca.locale_disjoint(ca.ClosedSetUnion(regions=(a,)), b) is disjoint
+        # the gap decides only where no vertex is in the other cube
+        assert ((8, 8, 3) in shapes) is disjoint

@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import json
 import sys
 import warnings
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skyframes import _expressions as ex
+from skyframes import cli
 from skyframes import manifold as mf
 
 STRUCTURE = {ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant, ast.Name, ast.Load}
@@ -108,3 +110,31 @@ def test_any_text_builds_a_metric_or_raises_value_error(src, slot):
             except ValueError:
                 pass
         assert not caught, (src, [str(w.message) for w in caught])
+
+
+@pytest.mark.parametrize("frames", [0, 1])
+@pytest.mark.parametrize("op", ["*t", "**t"])
+def test_a_chart_whose_partials_nest_too_deeply_raises_value_error(op, frames):
+    # the parse takes the nearest body below its limit, and the symbolic
+    # partials of that body exhaust the stack; two stack depths, as above
+    start = n = sys.getrecursionlimit() // 2 + 10
+    while True:
+        coeffs = ["t" + op * n, "-1", "-1", "-1"]
+        with pytest.raises(ValueError) as info:
+            _at_depth(frames, lambda: mf.metric_from_config({"kind": "custom", "coeffs": coeffs}))
+        if "nests too deeply to parse" not in str(info.value):
+            break
+        n -= 1
+    assert str(info.value) == f"metric expressions {coeffs!r} nest too deeply"
+    assert n < start  # the scan began above the parse's limit
+
+
+def test_the_cli_refuses_a_chart_that_nests_too_deeply(tmp_path, capsys):
+    cfg = tmp_path / "chart.json"
+    body = "t" + "**t" * (sys.getrecursionlimit() * 2 // 5)
+    cfg.write_text(json.dumps({"kind": "custom", "coeffs": [body, "-1", "-1", "-1"]}))
+    code = cli.main(["--config", str(cfg), "sky-image", "--event=1,0,0,0", "--n", "4"])
+    out, err = capsys.readouterr()
+    assert code == cli.USAGE_ERROR == 2 and out == ""
+    assert err.startswith("ValueError: metric expressions ") and err.endswith("nest too deeply\n")
+    assert len(err.splitlines()) == 1

@@ -1200,16 +1200,14 @@ class TestThetaBroadcast:
 # The batched tangent-plane kernel against the per-sample chain it replaced.
 
 
-def _reference_stencil(unit):
-    """The four stencil covectors (..., 4, 2) of the unit covectors (..., 2),
-    normalised by np.linalg.norm."""
-    delta = np.stack([-np.conj(unit[..., 1]), np.conj(unit[..., 0])], axis=-1)
+def _reference_stencil(xi):
+    """The four stencil covectors (..., 4, 2) of the covectors xi (..., 2),
+    xi +- h delta and xi +- i h delta, left unnormalised."""
+    delta = np.stack([-np.conj(xi[..., 1]), np.conj(xi[..., 0])], axis=-1)
     h = fr.SKY_FD_STEP
-    raw = np.stack(
-        [unit + h * delta, unit - h * delta, unit + 1j * h * delta, unit - 1j * h * delta],
-        axis=-2,
+    return np.stack(
+        [xi + h * delta, xi - h * delta, xi + 1j * h * delta, xi - 1j * h * delta], axis=-2
     )
-    return raw / np.linalg.norm(raw, axis=-1, keepdims=True)
 
 
 def _reference_jacobian(pts, h):
@@ -1221,7 +1219,7 @@ def _reference_sky_image(f, x, sample):
     x = np.asarray(x, dtype=float)
     events = np.tile(x, (sample.n, 1))
     pts, lams, ok, reason = fr.project_batch(f, events, sample.xi)
-    stencils = _reference_stencil(sky.unit_cospinor(sample.xi)).reshape(-1, 2)
+    stencils = _reference_stencil(sample.xi).reshape(-1, 2)
     spts, _, sok, _ = fr.project_batch(f, np.repeat(events, 4, axis=0), stencils)
     ranks = np.zeros(sample.n, dtype=int)
     for k in range(sample.n):
@@ -1242,13 +1240,13 @@ def _reference_sky_image(f, x, sample):
 def _reference_derivative(f, x, xi, direction):
     """Oriented normal and normal family derivative, one small batch each."""
     x = np.asarray(x, dtype=float)
-    stencil = _reference_stencil(sky.unit_cospinor(xi))
+    stencil = _reference_stencil(xi)
     spts, _, _, _ = fr.project_batch(f, np.tile(x, (4, 1)), stencil)
     n_hat = np.linalg.svd(_reference_jacobian(spts, fr.SKY_FD_STEP))[0][:, 2]
 
     def displacement(d, step):
         events = np.stack([x + step * d, x - step * d])
-        xis = np.tile(sky.unit_cospinor(xi), (2, 1))
+        xis = np.tile(xi, (2, 1))
         pts, _, _, _ = fr.project_batch(f, events, xis)
         return (pts[0] - pts[1]) / (2.0 * step)
 
@@ -1616,7 +1614,7 @@ class TestColumnChains:
     )
 
     @pytest.mark.parametrize("shape", [(0,), (1,), (500,), (3, 7)])
-    def test_sky_stencil_matches_the_numpy_norm(self, shape):
+    def test_sky_stencil_matches_the_reference_rows(self, shape):
         rng = np.random.default_rng(sum(shape) + 1)
         xi = rng.normal(size=shape + (2,)) + 1j * rng.normal(size=shape + (2,))
         special = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(np.nan, 1.0)]
@@ -1649,8 +1647,8 @@ class TestColumnChains:
         monkeypatch.setattr(fr, "project_batch", dropping)
         tp = fr.tangent_planes(self.BOUNDED, events, xis, dirs, normals=True)
         (rays, ok), = batches
-        stencil = _reference_stencil(sky.unit_cospinor(xis)).reshape(-1, 2)
-        assert _bits(rays[b : 5 * b], stencil)
+        stencil = _reference_stencil(xis).reshape(-1, 2)  # every ray as given
+        assert _bits(rays, np.concatenate([xis, stencil, np.repeat(xis, 2 * len(dirs), 0)]))
         h, stencil_ok, family_ok, ranks, normals = _numpy_planes(self.BOUNDED, tp, events, xis, ok)
         assert _bits(tp.family_h, h) and np.any(h > fr.EVENT_FD_STEP)
         assert np.array_equal(tp.stencil_ok, stencil_ok)
@@ -1718,6 +1716,91 @@ class TestColumnChains:
         assert np.all(np.isfinite(eta)) and not np.all(np.isfinite(lam))
         with pytest.raises(OutOfDomainError, match="no finite end point or length"):
             fr.project_batch(f, huge, xis[:2])
+
+
+class TestOneNormalisationPerRay:
+    """A sky point is a covector taken projectively; each ray is normalised
+    once, where `project_batch` reads its direction."""
+
+    FRAMES = {
+        "flat": fr.FrameSpec(metric=mf.MetricSpec.minkowski(), target=fr.CauchySurface(0.0)),
+        "p23": fr.FrameSpec(metric=mf.MetricSpec.flrw(p=2 / 3), target=fr.Singularity()),
+        "p23_numeric": fr.FrameSpec(
+            metric=mf.MetricSpec.flrw(p=2 / 3), target=fr.CauchySurface(0.5), tracer="numeric"
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FRAMES))
+    def test_a_sky_image_normalises_once(self, name, monkeypatch):
+        # tangent_planes normalised the n sample rows, the stencil its 4n
+        # rows, and project_batch all 5n again
+        calls, unit, n = [], spinor.unit_cospinor, 37
+        sample = sky.sample_sky(n)
+
+        def spy(xi):
+            calls.append(np.shape(xi)[:-1])
+            return unit(xi)
+
+        monkeypatch.setattr(spinor, "unit_cospinor", spy)
+        monkeypatch.setattr(sky, "unit_cospinor", spy)
+        fr.sky_image(self.FRAMES[name], [1.0, 0.1, 0, 0], sample)
+        assert calls == [(5 * n,)]
+
+    @pytest.mark.parametrize("name", ["flat", "p23"])
+    def test_a_covector_scaled_by_a_power_of_two_keeps_its_bits(self, name):
+        # rows of norm up to 3: from 2^1022 up, numpy's complex division
+        # multiplied by a subnormal 1 / norm, and an overflowing norm zeroed
+        # the row; every scaled row and its stencil rows stay finite
+        rng = np.random.default_rng(48)
+        xi = rng.uniform(-1.5, 1.5, (40, 2)) + 1j * rng.uniform(-1.5, 1.5, (40, 2))
+        xi = xi[np.hypot(np.abs(xi[:, 0]), np.abs(xi[:, 1])) > 0.25][:12]
+        k = np.arange(-490, 1024)[:, None, None]
+        scaled = (np.ldexp(xi.real, k) + 1j * np.ldexp(xi.imag, k)).reshape(-1, 2)
+        assert np.all(np.isfinite(scaled))
+
+        def tiled(a):
+            return np.tile(a, (len(k),) + (1,) * (a.ndim - 1))
+
+        for fn in (spinor.unit_cospinor, spinor.direction_for_cospinor):
+            assert _bits(fn(scaled), tiled(fn(xi)))
+        f, x = self.FRAMES[name], [1.5, 0.3, -0.4, 0.2]
+        for got, want in zip(fr.project_batch(f, x, scaled), fr.project_batch(f, x, xi)):
+            assert _bits(got, tiled(want))
+        got, want = (_plane_fields(fr.tangent_planes(f, x, z, normals=True)) for z in (scaled, xi))
+        for field in want:
+            assert _bits(got[field], tiled(want[field])), field
+
+    def test_a_covector_past_float_range_names_its_point(self):
+        # its norm overflowed, the row read 0: ok at (0, 0, 0) after an
+        # "overflow encountered in hypot" warning
+        f = self.FRAMES["flat"]
+        big = np.finfo(float).max
+        xi = np.array([[1.7e308, 1.7e308]])
+        got, want = (fr.project_batch(f, [1.0, 0, 0, 0], z) for z in (xi, np.ldexp(xi, -1024)))
+        assert np.allclose(want[0], [[1.0, 0.0, 0.0]], rtol=0.0, atol=1e-15)
+        for a, b in zip(got, want):
+            assert _bits(a, b)
+        # its stencil rows overflow: no Jacobian, so an error or rank 0,
+        # never an arrived row with a wrong point
+        xi = np.array([[big * (1 - 1e-6), big * (1 - 3e-6)]])
+        with pytest.raises(OutOfDomainError, match="no finite end point"):
+            fr.tangent_planes(f, [1.0, 0, 0, 0], xi)
+        f = self.FRAMES["p23_numeric"]
+        tp = fr.tangent_planes(f, [1.0, 0, 0, 0], xi)
+        want = fr.project_batch(f, [1.0, 0, 0, 0], np.ldexp(xi, -1023))
+        assert tp.ranks.tolist() == [0] and not tp.stencil_ok[0]
+        assert tp.reason[0] == mf.ARRIVED and _bits(tp.m_points, want[0])
+
+    def test_the_domain_error_comes_before_the_zero_covector(self):
+        # tangent_planes normalised its rows first and raised ZeroSpinorError
+        bounded = TestColumnChains.BOUNDED
+        events = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 5.0, 0.0, 0.0]])
+        xis = np.array([XI_TO_ZHAT, [0.0, 0.0]])
+        for call in (fr.project_batch, fr.tangent_planes):
+            with pytest.raises(OutOfDomainError, match="outside the chart domain"):
+                call(bounded, events, xis)
+        with pytest.raises(ZeroSpinorError):
+            fr.tangent_planes(bounded, events[:1].repeat(2, 0), xis)
 
 
 def _answer(call):

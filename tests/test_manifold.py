@@ -11,7 +11,7 @@ from skyframes import _expressions as ex
 from skyframes import frames as fr
 from skyframes import manifold as mf
 from skyframes import sky, spinor
-from skyframes.errors import DivergentIntegralError, OutOfDomainError
+from skyframes.errors import DivergentIntegralError, NoIntersectionError, OutOfDomainError
 
 
 @pytest.fixture(scope="module")
@@ -2002,3 +2002,58 @@ class TestLadderOnStarts:
         with pytest.raises(ValueError, match=re.escape("(+,-,-,-) at [0.5, 0.0, -")):
             mf.trace_past_to_time(m, x0, v0, 0.0)
         assert not mf.trace_past_to_time(m, x0[:1], v0[:1], 0.0).ok[0]
+
+
+class TestLevelsThatFallBackOrStopEarly:
+    """`_t_level` hands a level that loses its signature to `_march`, and
+    stops scanning blocks once every ray has left."""
+
+    #: g11 = -((t - 1/2)^2 - 1e-4) turns positive for |t - 1/2| < 0.01.
+    LOST = "-((t-0.5)**2 - 0.0001)"
+    BOX = [[-np.inf, np.inf]] + [[-0.3, 0.3]] * 3
+
+    def _spied(self, monkeypatch):
+        levels, level, march = [], mf._t_level, mf._march
+        monkeypatch.setattr(mf, "_t_level", lambda *a: levels.append(level(*a)) or levels[-1])
+        monkeypatch.setattr(mf, "_march", lambda *a: levels.append("march") or march(*a))
+        return levels
+
+    @pytest.mark.parametrize("bounds", [None, BOX], ids=["unbounded", "box"])
+    def test_a_level_that_loses_its_signature_is_marched(self, monkeypatch, bounds):
+        cfg = {"kind": "custom", "coeffs": ["1"] + [self.LOST] * 3}
+        if bounds is not None:
+            cfg["bounds"] = bounds
+        m = mf.metric_from_config(cfg)
+        assert mf._t_only(m)
+        f = fr.FrameSpec(metric=m, target=fr.CauchySurface(0.0), tracer="numeric")
+        levels = self._spied(monkeypatch)
+        if bounds is None:  # a ray meets the lost signature: _march names its point
+            with pytest.raises(ValueError, match=re.escape("(+,-,-,-) at [0.5, ")):
+                fr.sky_image(f, [1.0, 0, 0, 0], sky.sample_sky(16))
+            assert levels == [None, "march"]
+        else:  # every ray leaves the box first
+            with pytest.raises(NoIntersectionError):
+                fr.sky_image(f, [1.0, 0, 0, 0], sky.sample_sky(16))
+            assert len(levels) > 2 and levels == [None, "march"] * (len(levels) // 2)
+
+    def test_a_level_stops_once_every_ray_has_left(self, monkeypatch):
+        box = [[0.0, np.inf]] + [[-0.1, 0.1]] * 3
+        m = mf.metric_from_config({"kind": "flrw", "p": 2 / 3, "bounds": box})
+        f = fr.FrameSpec(metric=m, target=fr.CauchySurface(0.2), tracer="numeric")
+        x0 = np.tile([1.5, 0.0, 0.0, 0.0], (16, 1))
+        dirs = spinor.direction_for_cospinor(sky.sample_sky(16).xi)
+        whole = fr._trace(f, x0, dirs)[1]
+        assert np.all(whole.reason == mf.LEFT_BOUNDS)
+        monkeypatch.setattr(mf, "_BLOCK_CELLS", 2 * (16 + 2))  # two nodes a block
+        blocks, level, rates = [], mf._t_level, mf._t_rates
+        monkeypatch.setattr(
+            mf, "_t_level", lambda m, st, n: blocks.append([n, 0]) or level(m, st, n)
+        )
+        monkeypatch.setattr(
+            mf, "_t_rates", lambda *a: blocks[-1].__setitem__(1, blocks[-1][1] + 1) or rates(*a)
+        )
+        blocked = fr._trace(f, x0, dirs)[1]
+        for name, value in vars(whole).items():
+            assert getattr(blocked, name).tobytes() == value.tobytes(), name
+        # three stage lookups a block, in fewer blocks than the level's n / 2
+        assert blocks and all(calls % 3 == 0 and calls < 3 * n // 2 for n, calls in blocks)

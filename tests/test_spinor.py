@@ -347,7 +347,7 @@ class TestClosedFormDirection:
 class TestHugeCovectors:
     XI = np.array([1.0, 0.3 + 0.2j])
 
-    @pytest.mark.parametrize("scale", [1e-140, 1.0, 1e160, 1e300])
+    @pytest.mark.parametrize("scale", [1e-140, 1.0, 1e160, 1e300, 1e308, 1.7e308])
     def test_scaled_covector_names_the_same_direction(self, scale):
         # above about 1e154 the squared norm overflowed: the direction came
         # back (0, 0, 0) with overflow warnings and the unit row was zero
