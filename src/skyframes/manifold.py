@@ -22,14 +22,13 @@ the distinct starts (t0, ln E, lambda) once (a sky image's rays share
 one), and each level of the ladder (`_t_level`) marches the displacement
 along n, ln E and lambda of those starts, all nodes of a block in array
 operations, and places each ray at x0 + n D; as every leg is positive
-(an FLRW scale factor is, `MetricSpec.scale_factor`), D only grows, so a
-ray inside and finite at a block's last node was so at every node, and
-only the others scan the block's nodes.  Each level's result holds the
-unsettled rows only, and the ladder writes a row out, and re-keys the
-starts, only when rows settle, so a batch that settles whole on one level
-is that level's result.  Any other custom chart, and a level of one of t
-alone that loses its signature, steps every state node by node with
-`_bundle_slope` (`_march`, the one place that names where a ray meets a
+inside the bounds (`_t_legs`), D only grows, so a ray inside and finite
+at a block's last node was so at every node, and only the others scan
+the block's nodes.  Each level's result holds the unsettled rows only,
+and the ladder writes a row out, and re-keys the starts, only when rows
+settle, so a batch that settles whole on one level is that level's
+result.  Any other custom chart steps every state node by node with
+`_bundle_slope` (`_march`, which names the point where a ray meets a
 lost signature), compacting the rows that leave with `np.compress`.  A ray
 comes back with one int8 reason code: ARRIVED, BELOW_TARGET (its event,
 in `frames.project_batch`), LEFT_BOUNDS, NON_FINITE (its point, n, ln E or
@@ -37,13 +36,13 @@ lambda where it left, whatever its bounds) or UNSETTLED (at GRID_CAP).
 
 A chart of t alone is read one way, by its legs (e0(t), A(t)) (`_t_legs`):
 (1, a) on a flat or FLRW chart, from `MetricSpec.scale_factor`, the one
-place that refuses a(t) <= 0 or NaN, so the two tracers refuse the same
-charts with the same error, and (sqrt(g00), sqrt(-g11)) on an isotropic
-custom chart.  The tracer's slopes read them (`_t_rates`), and so do the
-two integrals, which share one ladder: `conformal_time`, the integral of
-e0 / A from the target time t_from, and `affine_length`, the affine length
-of a ray down to it; closed form for power laws, else the tanh-sinh
-`_integral`.
+place that refuses a(t) <= 0 or NaN, and (sqrt(g00), sqrt(-g11)) on an
+isotropic custom chart, which `_t_legs` itself refuses where its signature
+is lost, so the two tracers refuse the same charts with the same error.
+The tracer's slopes read them (`_t_rates`), and so do the two integrals,
+which share one ladder: `conformal_time`, the integral of e0 / A from the
+target time t_from, and `affine_length`, the affine length of a ray down
+to it; closed form for power laws, else the tanh-sinh `_integral`.
 
 The spinor <-> direction dictionary at a curved point uses the fixed
 orthonormal tetrad aligned with the coordinate axes (well-defined for
@@ -291,7 +290,7 @@ def _bundle_slope(m: MetricSpec, s, y, log):
     components (-E, E n) of the past-directed tangent u change at d/dlambda
     = E^2 W, W quadratic in u/E.  Only `_march` comes here; flat, FLRW and
     isotropic charts of t alone take `_t_rates`, this slope with t-partials
-    only, on every level that keeps its signature."""
+    only, on every level."""
     t, n = np.exp(s) if log else s, y[3:6]
     rows = (t, *y[:3])
     g, dg = m._metric_jet(rows)  # g is (a, B) and dg (b, a, B)
@@ -307,44 +306,52 @@ def _bundle_slope(m: MetricSpec, s, y, log):
 
 
 def _t_legs(m: MetricSpec, t, rate=True):
-    """(e0, A, d ln A / dt or None without rate, lost) at the times t (R,)
-    of a chart of t alone, ds^2 = e0^2 dt^2 - A^2 dx.dx, lost telling
-    whether some (g00, g11) are not finite with the signature (+, -, -, -):
-    (1, a, a'/a) on flat and FLRW charts, never lost (`scale_factor`
-    refuses a <= 0), and (sqrt(g00), sqrt(-g11), (d g11 / dt) / (2 g11))
-    on isotropic custom charts from one evaluation of the coefficients,
-    `t_jet` with the rate and `values` (no partial) without.  The callers
-    run it under a quiet error state: the legs of a lost signature are NaN."""
+    """(e0, A, d ln A / dt or None without rate) at the times t (R,) of a
+    chart of t alone, ds^2 = e0^2 dt^2 - A^2 dx.dx: (1, a, a'/a) on flat
+    and FLRW charts (`scale_factor` refuses a <= 0), and (sqrt(g00),
+    sqrt(-g11), (d g11 / dt) / (2 g11)) on isotropic custom charts from one
+    evaluation of the coefficients, `t_jet` with the rate and `values` (no
+    partial) without.  This is the one place that refuses an isotropic
+    custom chart: where (g00, g11) are not finite with the signature (+, -,
+    -, -), one min and one max tell, it raises the ValueError of
+    `_require_signature` at the first such time and the spatial point of
+    the bounds nearest the origin, as they do not depend on x, y and z.  A
+    time outside the bounds is exempt, and its legs are NaN or inf; the
+    callers run it under a quiet error state."""
     if m.kind != "custom":
         a = m.scale_factor(t)
-        return 1.0, a, m.scale_factor_dot(t) * (1.0 / a) if rate else None, False
+        return 1.0, a, m.scale_factor_dot(t) * (1.0 / a) if rate else None
     g = (m._expressions.t_jet if rate else m._expressions.values)((t,))
     signed = g[:2] * _SIGNATURE[:2]  # (g00, -g11)
-    lost = not 0.0 < signed.min(initial=1.0) <= signed.max(initial=1.0) < np.inf
+    if not 0.0 < signed.min(initial=1.0) <= signed.max(initial=1.0) < np.inf:
+        lo, hi = m.bounds[1:].T
+        x = np.empty((len(t), 4))
+        x[:, 0], x[:, 1:] = t, np.clip(0.0, np.nextafter(lo, hi), np.nextafter(hi, lo))
+        _require_signature(m, x.T, m.metric_diag(x).T)
     e0, a = np.sqrt(signed)
-    return e0, a, g[2] / (2.0 * g[1]) if rate else None, lost
+    return e0, a, g[2] / (2.0 * g[1]) if rate else None
 
 
 def _t_rates(m: MetricSpec, s, log):
     """The slope factors of a chart of t alone at the stage times s (R,),
     t = e^s if log else s: the rows d/ds of the displacement D along the
     tetrad direction n, d/ds of ln E and -e0 dt/ds, the factor of e^-ln E
-    in d lambda / ds (3, R); and whether the signature is lost there
-    (`_t_legs`).
+    in d lambda / ds (3, R), from the legs of `_t_legs`, which refuses a
+    lost signature.
 
     This is `_bundle_slope` with t-partials only.  With the legs e0 and A,
     D moves at -e0 / A and ln E at -d ln A / dt, while the slope of n,
     w[1:] + n w0, cancels identically, so n is conserved (in flat space,
     a = 1, ln E keeps a rate of +0.0)."""
     t = np.exp(s) if log else s
-    e0, a, rate, lost = _t_legs(m, t)
+    e0, a, rate = _t_legs(m, t)
     rates = np.empty((3, len(s)))
     rates[2] = -e0
     np.divide(rates[2], a, out=rates[0])  # -e0 / a is -(e0 / a) bit for bit
     np.subtract(0.0, rate, out=rates[1])
     if log:
         rates *= t  # dt/ds d/dt
-    return rates, lost
+    return rates
 
 
 def _t_slope(rates, y):
@@ -386,11 +393,11 @@ def _march(m: MetricSpec, t0, y0, t_target, n):
     ln E or lambda is not finite, with its code (`_node_fate`).  A level
     above t0 runs the same rays to the future, lambda falling.
 
-    The per-node loop of a custom chart, for every level of one that is
-    anisotropic or depends on x, y or z, and of the levels that `_t_level`
-    gives None for: the (8, B) states step node by node with `_bundle_slope`,
-    which names the first stage point (node, stage, row) inside the domain
-    that loses the signature; a node's accept is n /= |n|."""
+    The per-node loop of a custom chart that is anisotropic or depends on
+    x, y or z (`_t_only` is false), for every level: the (8, B) states step
+    node by node with `_bundle_slope`, which names the first stage point
+    (node, stage, row) inside the domain that loses the signature; a node's
+    accept is n /= |n|."""
     log = t_target > 0.0
     nodes = (np.arange(n + 1) / n) ** (2 if log else 1)
     s0 = np.log(t0) if log else t0
@@ -451,12 +458,13 @@ def _key_starts(t0, y0, t_target):
 def _t_level(m: MetricSpec, st: _Starts, n):
     """The march of n nodes (as `_march` steps it) for the rays of st on a
     chart whose slope depends on t alone: flat, FLRW, or custom and
-    isotropic in t alone; None if the coefficients lose their signature at
-    a stage, for `_march` to name the point.  n is conserved, so a ray's
-    node points are its start point plus n times a displacement D, and the
-    rows D, ln E and lambda are marched once per start, the nodes of a
-    block side by side in one row.  The slope factors `_t_rates` are
-    evaluated once per block at each stage fraction c = 0, 1/2 and 1.  The
+    isotropic in t alone.  n is conserved, so a ray's node points are its
+    start point plus n times a displacement D, and the rows D, ln E and
+    lambda are marched once per start, the nodes of a block side by side in
+    one row.  The slope factors `_t_rates` are
+    evaluated once per block at each stage fraction c = 0, 1/2 and 1, in
+    that order: a lost signature in a block that some ray enters raises
+    at the first of its stage times in that order, live or not.  The
     slopes of D and ln E do not depend on the state, so their RK4
     increments are h/6 (k1 + 2 k2 + 2 k2 + k4), which `np.cumsum` adds in
     the node-by-node order, so ln E has the bits of a node-by-node march;
@@ -465,9 +473,9 @@ def _t_level(m: MetricSpec, st: _Starts, n):
     Each ray leaves, with its code, at its first node not ARRIVED by
     `_node_fate`, and is placed from its start's states.  A ray is tested on
     the block's last node only, and scans the block only if it fails there.
-    Every D slope, -e0 / A, is <= 0 (both legs are positive: a level of a
-    custom chart that loses its signature gives None, and
-    `MetricSpec.scale_factor` refuses an FLRW a <= 0), so the D increments
+    Every D slope, -e0 / A, is <= 0 or NaN (both legs are positive inside
+    the bounds: `_t_legs` refuses a lost signature there, and
+    `MetricSpec.scale_factor` an FLRW a <= 0), so the D increments
     of a start all have one sign and D only grows toward the past: each
     coordinate of x0 + n D moves one way (IEEE rounding is monotone; a NaN
     increment leaves D NaN up to the last node), and a non-finite ln E or
@@ -491,11 +499,7 @@ def _t_level(m: MetricSpec, st: _Starts, n):
         k1 = min(n, k0 + block)
         s = (s0 + nodes[k0:k1, None] * span).ravel()  # (nodes x starts)
         h = ((nodes[k0 + 1 : k1 + 1] - nodes[k0:k1])[:, None] * span).ravel()
-        rate = {}
-        for c in (0.0, 0.5, 1.0):
-            rate[c], lost = _t_rates(m, s + c * h, st.log)
-            if lost:
-                return None
+        rate = {c: _t_rates(m, s + c * h, st.log) for c in (0.0, 0.5, 1.0)}
         state = np.concatenate([state[:, -1:], np.empty((3, k1 - k0, u))], axis=1)
         r0, rh, r1 = (rate[c][:2] for c in (0.0, 0.5, 1.0))  # the D and ln E slopes
         state[:2, 1:] = ((h / 6.0) * (r0 + 2.0 * rh + 2.0 * rh + r1)).reshape(2, -1, u)
@@ -542,10 +546,12 @@ def trace_past_to_time(m: MetricSpec, x0, v0, t_target):
     The ladder holds one copy of the unsettled rows' times and states,
     compressed when some settle, and each level takes it as it is: on a
     chart of t alone, `_t_level` with their starts keyed anew after each
-    such settle; on any other chart, and at a level that `_t_level` gives
-    None for (a lost signature), a `_march`.  Raises OutOfDomainError for a
-    start event outside the domain or below the level, t < t_target
-    exactly; a start on the level ends at its own point with lambda 0.
+    such settle; on any other chart, a `_march`.  Raises OutOfDomainError
+    for a start event outside the domain or below the level, t < t_target
+    exactly; a start on the level ends at its own point with lambda 0.  A
+    lost signature raises its ValueError: on a chart of t alone at the
+    first stage time of a level that reaches it (`_t_legs`), as the closed
+    form's integrals do, else at the first live stage point (`_march`).
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 1:
@@ -559,8 +565,7 @@ def trace_past_to_time(m: MetricSpec, x0, v0, t_target):
     starts = _key_starts(t0, y0, t_target) if _t_only(m) else None
 
     def level(n):
-        res = None if starts is None else _t_level(m, starts, n)
-        return res or _march(m, t0, y0, t_target, n)
+        return _march(m, t0, y0, t_target, n) if starts is None else _t_level(m, starts, n)
 
     parts, n = [], GRID_START  # (rows of the batch, their result) as they settle
     coarse = level(n)
@@ -676,7 +681,7 @@ def _scale_integral(m: MetricSpec, t, t_from, k):
     other chart takes one `_integral` over the distinct times (one time
     as it is, without a sort), with legs finite at each of them (an
     infinite a, as of 't*1e308*10', raises DivergentIntegralError naming
-    the time) and Lorentzian at every node (`_lorentzian_legs`).  The end
+    the time) and Lorentzian at every node (`_t_legs`).  The end
     t_from is exempt, as the quadrature leaves out its end nodes: there A
     may overflow (1/t at 0, 1/(t - 0.5) at 0.5) while the integral of
     e0 / A converges."""
@@ -694,13 +699,13 @@ def _scale_integral(m: MetricSpec, t, t_from, k):
         else:
             times, inverse = np.unique(t.ravel(), return_inverse=True)
         with np.errstate(all="ignore"):  # a non-finite value is named below
-            e0, a = _lorentzian_legs(m, times)
+            e0, a, _ = _t_legs(m, times, rate=False)
         bad = ~np.isfinite(a)  # +inf passes `scale_factor`, and 1 / a would pass as 0
         if np.any(bad):
             message = f"scale factor {a[bad][0]} at t = {times[bad][0]:.12g} is not finite"
             raise DivergentIntegralError(message)
         combine = np.multiply if k > 0 else np.divide  # e0 A or e0 / A
-        out = _integral(lambda s: combine(*_lorentzian_legs(m, s)), t_from, times)
+        out = _integral(lambda s: combine(*_t_legs(m, s, rate=False)[:2]), t_from, times)
         out = (out / (e0 * a) if k > 0 else out)[inverse].reshape(t.shape)
     elif (q := 1.0 + k * p) <= 0.0 and t_from == 0.0:
         raise DivergentIntegralError(f"integral of t^{k * p} diverges at 0")
@@ -718,19 +723,6 @@ def _scale_integral(m: MetricSpec, t, t_from, k):
     else:
         out = t / q if k > 0 else t**q / q
     return out if t.ndim else float(out)
-
-
-def _lorentzian_legs(m: MetricSpec, t):
-    """The legs (e0, A) of `_t_legs`; a lost signature raises its ValueError
-    (`_require_signature`) at the first such time and the spatial point of
-    the bounds nearest the origin, as it does not depend on x, y and z."""
-    e0, a, _, lost = _t_legs(m, t, rate=False)
-    if lost:
-        lo, hi = m.bounds[1:].T
-        x = np.empty((len(t), 4))
-        x[:, 0], x[:, 1:] = t, np.clip(0.0, np.nextafter(lo, hi), np.nextafter(hi, lo))
-        _require_signature(m, x.T, m.metric_diag(x).T)
-    return e0, a
 
 
 def _integral(fn, lo, hi):

@@ -98,7 +98,7 @@ def interval_compare_batch(xs, ys):
     """Classical interval criterion, same codes; the independent oracle.  Each
     difference is scaled exactly, by a power of two, so no square overflows."""
     d = np.asarray(xs, float) - np.asarray(ys, float)
-    d = np.ldexp(d, -np.frexp(np.abs(d).max(axis=-1, keepdims=True))[1])
+    d = spinor.power_of_two_scaled(d, np.abs(d).max(axis=-1, keepdims=True))[0]
     dt = d[..., 0]
     dr = spinor.euclidean_norm(d[..., 1:])
     equal = (dt == 0.0) & (dr == 0.0)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NotNullError, ZeroPiError
 from .sky import celestial_eval
-from .spinor import pauli_transform
+from .spinor import ZERO_NORM, pauli_transform
 
 #: Slack of `is_null`, relative to |pi| |omega|.
 NULL_TWISTOR_TOL = 1e-10
@@ -46,7 +46,7 @@ class Twistor:
 
 def _require_pi(pi):
     pi = np.asarray(pi, dtype=complex)
-    if np.any(np.linalg.norm(pi, axis=-1) < 1e-150):
+    if np.any(np.linalg.norm(pi, axis=-1) < ZERO_NORM):
         raise ZeroPiError("affine twistor operations need pi != 0")
     return pi
 

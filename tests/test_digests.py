@@ -34,10 +34,10 @@ def test_two_runs_of_the_working_tree_agree(digests):
 def test_the_matrix_covers_both_tracers_errors_and_the_cli(digests):
     names = list(digests.cases())
     near = len(digests.NEAR_CHARTS) * len(digests.NEAR)
-    legs, apart = len(digests.LEGS), len(digests.APART)
-    total = 10 * 3 * 3 + near + legs + apart + 4 + len(digests.CLI) + len(digests.GRAMMAR)
-    assert len(names) == len(set(names)) == total == 160
-    assert near == 15 and legs == 2 and apart == 2
+    legs, apart, lost = len(digests.LEGS), len(digests.APART), 2 * len(digests.LOST)
+    total = 10 * 3 * 3 + near + legs + apart + lost + 4 + len(digests.CLI) + len(digests.GRAMMAR)
+    assert len(names) == len(set(names)) == total == 164
+    assert near == 15 and legs == 2 and apart == 2 and lost == 4
     assert {"readme", "readme-numeric", "p2/3-numeric"} <= set(digests.NEAR_CHARTS)
     assert {digests.CHARTS[c][2] for c in digests.CHARTS} == {"auto", "numeric"}
     assert sum(name.startswith("cli/verify/") for name in names) == 6
@@ -48,6 +48,15 @@ def test_the_matrix_covers_both_tracers_errors_and_the_cli(digests):
             "cli/causal/p-1-radius-underflow"} <= set(names)
     # the closed form's float-range extremes
     assert {"cli/sky-image/far-end-overflow", "cli/sky-image/subnormal-event"} <= set(names)
+
+
+def test_both_tracers_refuse_the_lost_cases_alike(digests):
+    # a chart of t alone whose signature is lost about t = 0.5 raises the
+    # same error on the closed form and on the numeric ladder, boxed or not
+    runs = digests.digests(ROOT / "src", "lost/*")
+    error = "ValueError: coefficients do not have signature (+,-,-,-) at [0.5, 0.0, 0.0, 0.0]"
+    assert runs == {f"lost/{name}/{tracer}": {"error": digests._digest(error)}
+                    for name in digests.LOST for tracer in ("auto", "numeric")}
 
 
 def test_the_grammar_cases_give_errors_or_values(digests):

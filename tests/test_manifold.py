@@ -11,7 +11,7 @@ from skyframes import _expressions as ex
 from skyframes import frames as fr
 from skyframes import manifold as mf
 from skyframes import sky, spinor
-from skyframes.errors import DivergentIntegralError, NoIntersectionError, OutOfDomainError
+from skyframes.errors import DivergentIntegralError, OutOfDomainError
 
 
 @pytest.fixture(scope="module")
@@ -633,7 +633,7 @@ class TestQuadratureRule:
         runs = [(m, lo, times, c) for m, lo in ((readme, 0.3), (root, 0.0), (root, 0.3))
                 for c in (np.divide, np.multiply)]
         runs.append((steep, 0.0, np.array([1.0]), np.divide))
-        return [(lambda s, m=m, c=c: c(*mf._lorentzian_legs(m, s)), lo, hi)
+        return [(lambda s, m=m, c=c: c(*mf._t_legs(m, s, rate=False)[:2]), lo, hi)
                 for m, lo, hi, c in runs]
 
     def test_table_keeps_the_bits_of_the_per_call_rule(self):
@@ -654,7 +654,7 @@ class TestQuadratureRule:
 
     @staticmethod
     def _readme(k=np.divide):
-        return lambda s, m=mf.metric_from_config(README_METRIC): k(*mf._lorentzian_legs(m, s))
+        return lambda s, m=mf.metric_from_config(README_METRIC): k(*mf._t_legs(m, s, rate=False)[:2])
 
     @staticmethod
     def _assert_same_bits(fn, lo, hi):
@@ -1561,6 +1561,22 @@ def _count_routes(monkeypatch):
     return calls
 
 
+#: The signature error of a chart of t alone whose signature is first read
+#: lost at the stage time t = 0.5, named at the point of the bounds nearest
+#: the origin (`_t_legs`).
+REFUSED_AT_HALF = re.escape("(+,-,-,-) at [0.5, 0.0, 0.0, 0.0]")
+
+
+def _assert_refused_on_the_ladder(monkeypatch, m, x0, v0):
+    """The trace of (x0, v0) to the level 0 on the chart of t alone m raises
+    REFUSED_AT_HALF from its first level, with no `_march` and no
+    `_metric_jet` call."""
+    calls = _count_routes(monkeypatch)
+    with pytest.raises(ValueError, match=REFUSED_AT_HALF):
+        mf.trace_past_to_time(m, x0, v0, 0.0)
+    assert calls["t_level"] == 1 and calls["march"] == [] and calls["jet"] == 0
+
+
 def _assert_matches_the_loop(got, want):
     """ok, lost and the times equal; end points, n, ln E and lambda within
     1e-14 max(1, |end|), NaN where the loop has NaN."""
@@ -1674,10 +1690,11 @@ class TestIsotropicSignatureGuard:
     # point of the construction-time grid (t = 0.002, 1, 1.998)
     BAND = dict(README_METRIC, coeffs=["1"] + ["0.01 - (t-0.5)**2"] * 3)
 
-    def test_names_a_live_stage_point_as_the_loop_does(self):
+    def test_both_routes_name_the_first_stage_in_the_band(self):
         # marched in t to the level 0 in steps of 0.25, the first stage to
         # reach the band is the second step's last, at t = 0.5; the chart of
-        # t alone hands that level to the loop, which names the point
+        # t alone is refused there at the point of the bounds nearest the
+        # origin, and the loop names ray 0's point, moved along -y
         x0 = np.array([[1.0, 0, 0, 0], [1.0, 0.2, 0, 0]])
         named = []
         for m in (mf.metric_from_config(self.BAND), _on_the_loop(self.BAND)):
@@ -1688,27 +1705,29 @@ class TestIsotropicSignatureGuard:
             named.append(np.array(point.split(", "), dtype=float))
             # every stage above the band passes
             assert np.all(mf.trace_past_to_time(m, x0, v0, 0.625).ok)
-        assert named[0].tolist() == named[1].tolist()
+        assert named[0].tolist() == [0.5, 0.0, 0.0, 0.0]
+        assert named[1][[0, 1, 3]].tolist() == [0.5, 0.0, 0.0] and named[1][2] < -1.0
 
-    def test_the_band_level_takes_the_per_node_loop(self, monkeypatch):
-        # the first level meets the band, and `_t_level` hands it to `_march`
-        # (Lorentzian charts of t alone never reach it: TestIsotropicCustomCharts)
+    def test_the_band_level_never_takes_the_per_node_loop(self, monkeypatch):
+        # the first level meets the band, and `_t_legs` refuses it there
         m = mf.metric_from_config(self.BAND)
         x0 = np.array([[1.0, 0, 0, 0], [1.0, 0.2, 0, 0]])
         v0 = mf.future_null_directions(m, x0, np.array([[0, 1.0, 0], [0, 0, 1.0]]))
-        calls = _count_routes(monkeypatch)
-        with pytest.raises(ValueError, match="do not have signature"):
-            mf.trace_past_to_time(m, x0, v0, 0.0)
-        assert calls["t_level"] == 1 and calls["march"] == [mf.GRID_START] and calls["jet"] > 0
+        _assert_refused_on_the_ladder(monkeypatch, m, x0, v0)
 
     @pytest.mark.parametrize("route", ["t-only", "loop"])
-    def test_rays_that_left_the_chart_do_not_raise(self, route):
+    def test_rays_that_left_the_chart_before_the_band(self, monkeypatch, route):
         # rays along x leave |x| < 0.3 at the first node of each level,
-        # long before the band
+        # long before the band: the loop does not raise, while the chart of
+        # t alone is refused at the first stage time in the band, as an
+        # FLRW chart whose a(t) <= 0 there is
         cfg = dict(self.BAND, bounds=[[0, None], [-0.3, 0.3], [None, None], [None, None]])
         m = mf.metric_from_config(cfg) if route == "t-only" else _on_the_loop(cfg)
         x0 = np.array([[1.0, 0.1, 0, 0], [1.0, -0.1, 0.5, 0]])
         v0 = mf.future_null_directions(m, x0, np.array([[-1.0, 0, 0], [1.0, 0, 0]]))
+        if route == "t-only":
+            _assert_refused_on_the_ladder(monkeypatch, m, x0, v0)
+            return
         res = mf.trace_past_to_time(m, x0, v0, 0.0)
         assert not np.any(res.ok) and np.all(res.x[:, 0] == 0.875)
         assert np.all(np.abs(res.x[:, 1]) > 0.3)
@@ -1716,11 +1735,15 @@ class TestIsotropicSignatureGuard:
             mf.trace_past_to_time(m, x0, mf.future_null_directions(m, x0, np.eye(3)[1:]), 0.0)
 
     @pytest.mark.parametrize("route", ["t-only", "loop"])
-    def test_a_ray_whose_affine_length_overflowed_does_not_raise(self, route):
+    def test_a_ray_whose_affine_length_overflowed(self, monkeypatch, route):
         # E = 1e-308 makes lambda infinite at the first node; the ray has left
-        # there, inside the chart, before its later stages reach the band
+        # there, inside the chart, before its later stages reach the band:
+        # the loop does not raise, and the chart of t alone is refused
         m = mf.metric_from_config(self.BAND) if route == "t-only" else _on_the_loop(self.BAND)
         x0, v0 = np.array([[1.0, 0, 0, 0]]), np.array([[1e-308, 0, 1.0, 0]])
+        if route == "t-only":
+            _assert_refused_on_the_ladder(monkeypatch, m, x0, v0)
+            return
         res = mf.trace_past_to_time(m, x0, v0, 0.0)
         assert not res.ok[0] and res.lam[0] == np.inf and m.in_domain(res.x[0])
 
@@ -1742,26 +1765,34 @@ class TestInfiniteCoefficients:
             mf.metric_from_config(dict(README_METRIC, coeffs=coeffs))
 
     @pytest.mark.parametrize("route", ["per-node", "t-only", "isotropic-loop"])
-    def test_tracer_names_the_first_infinite_stage(self, route):
+    def test_tracer_names_the_first_infinite_stage(self, monkeypatch, route):
         # marched in t to the level 0 in steps of 0.25, the first stage in
-        # the band is the second step's last, at t = 0.5
+        # the band is the second step's last, at t = 0.5: the loop names
+        # the live ray's point there, and the chart of t alone the point of
+        # the bounds nearest the origin
         slots = 1 if route == "per-node" else 3
         cfg = dict(README_METRIC, coeffs=["1"] + [OVERFLOW_BAND] * slots + ["-1"] * (3 - slots))
         m = _on_the_loop(cfg) if route == "isotropic-loop" else mf.metric_from_config(cfg)
         assert (m._expressions.t_jet is not None) == (route == "t-only")
         x0 = np.array([[1.0, 0, 0, 0], [1.0, 0.2, 0, 0]])
         v0 = mf.future_null_directions(m, x0, np.array([[0, 1.0, 0], [0, 0, 1.0]]))
-        with pytest.raises(ValueError, match=re.escape("(+,-,-,-) at [0.5, 0.0, -0.5, 0.0]")):
-            mf.trace_past_to_time(m, x0, v0, 0.0)
+        if route == "t-only":
+            _assert_refused_on_the_ladder(monkeypatch, m, x0, v0)
+        else:
+            with pytest.raises(ValueError, match=re.escape("(+,-,-,-) at [0.5, 0.0, -0.5, 0.0]")):
+                mf.trace_past_to_time(m, x0, v0, 0.0)
         assert np.all(mf.trace_past_to_time(m, x0, v0, 0.625).ok)  # above the band
 
     @pytest.mark.parametrize("route", ["t-only", "loop"])
-    def test_an_infinite_lapse_names_the_first_stage(self, route):
+    def test_an_infinite_lapse_names_the_first_stage(self, monkeypatch, route):
         # g00 = +inf in the band
         cfg = dict(README_METRIC, coeffs=["1 + 10**(400 - 40000*(t-0.5)**2)", "-1", "-1", "-1"])
         m = mf.metric_from_config(cfg) if route == "t-only" else _on_the_loop(cfg)
         x0 = np.array([[1.0, 0, 0, 0], [1.0, 0.2, 0, 0]])
         v0 = mf.future_null_directions(m, x0, np.array([[0, 1.0, 0], [0, 0, 1.0]]))
+        if route == "t-only":
+            _assert_refused_on_the_ladder(monkeypatch, m, x0, v0)
+            return
         with pytest.raises(ValueError, match=re.escape("(+,-,-,-) at [0.5, 0.0, -0.5, 0.0]")):
             mf.trace_past_to_time(m, x0, v0, 0.0)
 
@@ -1990,51 +2021,49 @@ class TestLadderOnStarts:
             mf.trace_past_to_time(m, x0, v0, 0.0)
 
     @pytest.mark.parametrize("route", ["t-only", "loop"])
-    def test_the_band_chart_names_a_live_stage_point(self, route):
+    def test_the_band_chart_names_a_stage_point(self, monkeypatch, route):
         # ray 0 has E = 1e-308, so its lambda overflows at the first node,
         # inside the chart; its stage at t = 0.5 comes first in the order
-        # node, stage, ray but has left, and ray 1's is named
+        # node, stage, ray but has left, and the loop names ray 1's; the
+        # chart of t alone is refused at that time, whichever rays are live
         cfg = TestIsotropicSignatureGuard.BAND
         m = mf.metric_from_config(cfg) if route == "t-only" else _on_the_loop(cfg)
         x0 = np.array([[1.0, 0.2, 0, 0], [1.0, 0, 0, 0]])
         v0 = mf.future_null_directions(m, x0, np.array([[0, 1.0, 0], [0, 1.0, 0]]))
         v0[0] *= 1e-308
+        if route == "t-only":
+            for rays in (slice(None), slice(1)):
+                _assert_refused_on_the_ladder(monkeypatch, m, x0[rays], v0[rays])
+            return
         with pytest.raises(ValueError, match=re.escape("(+,-,-,-) at [0.5, 0.0, -")):
             mf.trace_past_to_time(m, x0, v0, 0.0)
         assert not mf.trace_past_to_time(m, x0[:1], v0[:1], 0.0).ok[0]
 
 
-class TestLevelsThatFallBackOrStopEarly:
-    """`_t_level` hands a level that loses its signature to `_march`, and
-    stops scanning blocks once every ray has left."""
+class TestLevelsThatRefuseOrStopEarly:
+    """`_t_level` refuses a level that loses its signature, as the closed
+    form does, and stops scanning blocks once every ray has left."""
 
     #: g11 = -((t - 1/2)^2 - 1e-4) turns positive for |t - 1/2| < 0.01.
     LOST = "-((t-0.5)**2 - 0.0001)"
     BOX = [[-np.inf, np.inf]] + [[-0.3, 0.3]] * 3
 
-    def _spied(self, monkeypatch):
-        levels, level, march = [], mf._t_level, mf._march
-        monkeypatch.setattr(mf, "_t_level", lambda *a: levels.append(level(*a)) or levels[-1])
-        monkeypatch.setattr(mf, "_march", lambda *a: levels.append("march") or march(*a))
-        return levels
-
     @pytest.mark.parametrize("bounds", [None, BOX], ids=["unbounded", "box"])
-    def test_a_level_that_loses_its_signature_is_marched(self, monkeypatch, bounds):
+    def test_a_level_that_loses_its_signature_is_refused(self, monkeypatch, bounds):
+        # both tracers refuse the chart at the first time they read in the
+        # band, t = 0.5, where the closed form integrates and the first level
+        # marches, also in the box, which every ray leaves before t = 0.51
         cfg = {"kind": "custom", "coeffs": ["1"] + [self.LOST] * 3}
         if bounds is not None:
             cfg["bounds"] = bounds
         m = mf.metric_from_config(cfg)
         assert mf._t_only(m)
-        f = fr.FrameSpec(metric=m, target=fr.CauchySurface(0.0), tracer="numeric")
-        levels = self._spied(monkeypatch)
-        if bounds is None:  # a ray meets the lost signature: _march names its point
-            with pytest.raises(ValueError, match=re.escape("(+,-,-,-) at [0.5, ")):
+        calls = _count_routes(monkeypatch)
+        for tracer in ("auto", "numeric"):
+            f = fr.FrameSpec(metric=m, target=fr.CauchySurface(0.0), tracer=tracer)
+            with pytest.raises(ValueError, match=REFUSED_AT_HALF):
                 fr.sky_image(f, [1.0, 0, 0, 0], sky.sample_sky(16))
-            assert levels == [None, "march"]
-        else:  # every ray leaves the box first
-            with pytest.raises(NoIntersectionError):
-                fr.sky_image(f, [1.0, 0, 0, 0], sky.sample_sky(16))
-            assert len(levels) > 2 and levels == [None, "march"] * (len(levels) // 2)
+        assert calls["t_level"] == 1 and calls["march"] == [] and calls["jet"] == 0
 
     def test_a_level_stops_once_every_ray_has_left(self, monkeypatch):
         box = [[0.0, np.inf]] + [[-0.1, 0.1]] * 3

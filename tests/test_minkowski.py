@@ -248,6 +248,20 @@ class TestCausalCompare:
             warnings.simplefilter("error")
             assert mk.interval_compare_batch(np.ldexp([2.0, 1, 0, 0], 1015), np.zeros(4)) == 1
 
+    def test_the_interval_criterion_rescales_through_spinor(self, monkeypatch):
+        # one rescale owner, `spinor.power_of_two_scaled`: the differences
+        # it scales have the bits of ldexp(d, -frexp(max |d|))
+        rng = np.random.default_rng(8)
+        d = rng.normal(size=(64, 4)) * np.ldexp(1.0, rng.integers(-1070, 1020, (64, 1)))
+        seen, scaled = [], spinor.power_of_two_scaled
+        monkeypatch.setattr(
+            spinor, "power_of_two_scaled", lambda *a: seen.append(scaled(*a)) or seen[-1]
+        )
+        codes = mk.interval_compare_batch(d, np.zeros(4))
+        want = np.ldexp(d, -np.frexp(np.abs(d).max(axis=-1, keepdims=True))[1])
+        assert len(seen) == 1 and seen[0][0].tobytes() == want.tobytes()
+        assert codes.tolist() == mk.interval_compare_batch(want, np.zeros(4)).tolist()
+
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(6)
         xs = rng.normal(size=(50, 4))

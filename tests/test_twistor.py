@@ -214,6 +214,13 @@ class TestBroadcast:
         assert isinstance(tw.contact_form(z, random_pi(rng), np.zeros(2)), complex)
         assert isinstance(tw.contraction_matches_transform(rng.normal(size=4), z.pi), float)
 
+    def test_pi_counts_as_zero_below_the_spinor_zero_norm(self):
+        # one threshold for a zero covector and a zero pi
+        assert tw.ZERO_NORM is spinor.ZERO_NORM
+        with pytest.raises(ZeroPiError):
+            tw.incidence(np.zeros(4), [np.nextafter(spinor.ZERO_NORM, 0.0), 0.0])
+        assert np.all(np.isfinite(tw.incidence(np.zeros(4), [spinor.ZERO_NORM, 0.0]).omega))
+
     def test_a_zero_pi_in_any_row_raises(self):
         pis = np.array([[1.0, 0.5j], [0.0, 0.0]])
         with pytest.raises(ZeroPiError):

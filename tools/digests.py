@@ -14,15 +14,16 @@ The near-target cases are sky images of events on a nonzero Cauchy
 target, one ulp above it and 1e-13 below it; the legs cases are
 numeric-tracer images of events where a(t)^2 under- or overflows; the
 apart cases are numeric-tracer images on bounded charts whose rays settle
-on different grid levels.
+on different grid levels; the lost cases are sky images, on both tracers,
+on charts of t alone whose signature is lost between the event and the
+target, and their output is the error.
 Its digest holds, per output, the SHA-256 of an array's dtype, shape and
 bytes, of a file's or stdout's bytes, or of an error's type and message.
 The outputs are read through names that older trees have too, so that
 `--against` compares like with like: `project_batch(...)` items 0 to 2,
 the fields of `TangentPlanes` other than the base ray's fate, the fields
-and status strings of `SkyImage` and its JSON bytes (the CLI's payload
-function where the tree has one, else the image's `to_json_dict`), and
-the CLI's exit codes, stdout, stderr and output files.
+and status strings of `SkyImage` and its JSON bytes (`cli._image_json`),
+and the CLI's exit codes, stdout, stderr and output files.
 
 `--against REV` unpacks REV's `src/` with `git archive` into a temporary
 directory and runs the matrix on each tree in a fresh interpreter.  It
@@ -128,6 +129,16 @@ APART = {
     "anisotropic-box": (dict(ANISOTROPIC, coeffs=["1", "-1", "-(1 + 3*t)**2", "-1"],
                              bounds=[[0, None]] + [[-1.5, 1.5]] * 3), "cauchy:0",
                         (1.5, 0.3, -0.4, 0.2)),
+}
+
+#: name: metric config of the lost cases, 16-sample sky images of (1, 0, 0,
+#: 0) to the level 0, whose spatial coefficients turn positive about t =
+#: 0.5: the box every ray leaves before it gets there, and the unbounded
+#: band, positive for |t - 0.5| < 0.1.
+LOST = {
+    "box": {"kind": "custom", "coeffs": ["1"] + ["-((t-0.5)**2 - 0.0001)"] * 3,
+            "bounds": [[None, None]] + [[-0.3, 0.3]] * 3},
+    "band": {"kind": "custom", "coeffs": ["1"] + ["0.01 - (t-0.5)**2"] * 3},
 }
 
 #: name: (slot, string) of the grammar cases: the string is a(t) of an FLRW
@@ -289,12 +300,24 @@ def _apart_case(name):
     return _sky_outputs(_frame(config, target, "numeric"), np.array(event), 200)
 
 
+def _lost_case(name, tracer):
+    """The status of a lost case's sky image on the tracer; it raises, and
+    its error is the case's output."""
+    from skyframes import frames as fr
+    from skyframes import sky
+
+    image = fr.sky_image(_frame(LOST[name], "cauchy:0", tracer), [1.0, 0, 0, 0],
+                         sky.sample_sky(16))
+    return {"image.status": "\n".join(image.status)}
+
+
 def _sky_outputs(f, x, n, families=True):
     """The outputs of the sky image of the event x with n samples on the
     frame f, with the tangent planes of the event families unless told
     not; an image none of whose rays arrived gives its error as its image
     output."""
     import numpy as np
+    from skyframes import cli
     from skyframes import frames as fr
     from skyframes import sky
     from skyframes.errors import NoIntersectionError
@@ -315,17 +338,8 @@ def _sky_outputs(f, x, n, families=True):
         return out
     out.update(("image." + name, getattr(img, name)) for name in ("m_points", "ranks", "lams"))
     out["image.status"] = "\n".join(img.status)
-    out["image.json"] = json.dumps(_image_json(img), sort_keys=True)
+    out["image.json"] = json.dumps(cli._image_json(img), sort_keys=True)
     return out
-
-
-def _image_json(image):
-    """An image's JSON payload: through `cli._image_json` where the tree has
-    it, else through the image's own `to_json_dict`, as older trees wrote."""
-    from skyframes import cli
-
-    payload = getattr(cli, "_image_json", None)
-    return image.to_json_dict() if payload is None else payload(image)
 
 
 def _batch(out):
@@ -407,6 +421,9 @@ def cases():
         table[f"legs/{name}"] = lambda name=name: _legs_case(name)
     for name in APART:
         table[f"apart/{name}"] = lambda name=name: _apart_case(name)
+    for name in LOST:
+        for tracer in ("auto", "numeric"):
+            table[f"lost/{name}/{tracer}"] = lambda name=name, tr=tracer: _lost_case(name, tr)
     for name in ("nan-event", "inf-event", "below-target", "non-finite"):
         table[f"error/{name}"] = lambda name=name: _error_case(name)
     for name in CLI:
